@@ -199,16 +199,9 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
     // makespan gets its own track between the schedule and hardware lanes,
     // with chained flow arrows so Perfetto draws the path across lanes.
     let dag = crate::analysis::executed_dag(out);
-    let analysis = dag.analyze(
-        &[],
-        picasso_obs::analysis::PlannedInterleaving {
-            micro_batches: 1,
-            groups: 1,
-        },
-    );
     trace.set_sort_index("critical path", 0);
     let mut prev_end: Option<u64> = None;
-    for &id in &analysis.critical_path {
+    for id in dag.critical_path() {
         let node = &dag.nodes[id as usize];
         let lane = &result.resources[result.records[id as usize].resource.0]
             .spec

@@ -10,6 +10,8 @@
 //!   communication hidden under compute) against the pass pipeline's
 //!   planned interleaving ([`PlannedInterleaving`]), and per-lane idle-gap
 //!   attribution (which upstream node starved each gap).
+//!   [`ExecutedDag::critical_path`] computes the path alone, for callers
+//!   such as the Chrome trace that need nothing else.
 //! * [`ExecutedDag::encode`] / [`ExecutedDag::decode`] — an exact binary
 //!   round-trip of the event log (ids, edges, timestamps) with an FNV-1a
 //!   checksum, so logs can be archived next to checkpoints and diffed.
@@ -274,14 +276,8 @@ impl ExecutedDag {
     /// attribution per lane.
     pub fn analyze(&self, pairs: &[PairSpec], planned: PlannedInterleaving) -> DagAnalysis {
         let makespan_ns = self.makespan_ns();
-        let by_id: BTreeMap<u64, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i))
-            .collect();
-
-        let critical_path = self.critical_path(&by_id);
+        let by_id = self.index_by_id();
+        let critical_path = self.walk_critical_path(&by_id);
         let critical_len_ns: u64 = critical_path
             .iter()
             .filter_map(|id| by_id.get(id))
@@ -323,10 +319,26 @@ impl ExecutedDag {
         }
     }
 
+    /// The dependency-critical path alone, first node first: the same ids
+    /// as [`DagAnalysis::critical_path`], without computing slack, overlap
+    /// or idle gaps.
+    pub fn critical_path(&self) -> Vec<u64> {
+        self.walk_critical_path(&self.index_by_id())
+    }
+
+    /// Node index per id (the last node wins if a decoded log repeats one).
+    fn index_by_id(&self) -> BTreeMap<u64, usize> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.id, i))
+            .collect()
+    }
+
     /// Walks the dependency chain back from the last-finishing node,
     /// following at each step the dependency that finished last (ties break
     /// toward the smaller id, which keeps the walk deterministic).
-    fn critical_path(&self, by_id: &BTreeMap<u64, usize>) -> Vec<u64> {
+    fn walk_critical_path(&self, by_id: &BTreeMap<u64, usize>) -> Vec<u64> {
         let Some(mut cur) = self
             .nodes
             .iter()
@@ -336,19 +348,20 @@ impl ExecutedDag {
             return Vec::new();
         };
         let mut path = vec![cur];
-        // Bounded by node count: even a corrupt decoded DAG cannot loop.
-        for _ in 0..self.nodes.len() {
-            let Some(&i) = by_id.get(&cur) else { break };
+        // Each step visits a new node index, so even a corrupt decoded DAG
+        // with a cycle stops within the node count.
+        let mut visited = vec![false; self.nodes.len()];
+        while let Some(&i) = by_id.get(&cur) {
+            visited[i] = true;
             let next = self.nodes[i]
                 .deps
                 .iter()
-                .filter_map(|d| by_id.get(d).map(|&j| &self.nodes[j]))
-                .max_by(|a, b| (a.end_ns, b.id).cmp(&(b.end_ns, a.id)))
-                .map(|n| n.id);
+                .filter_map(|d| by_id.get(d).map(|&j| (j, &self.nodes[j])))
+                .max_by(|(_, a), (_, b)| (a.end_ns, b.id).cmp(&(b.end_ns, a.id)));
             match next {
-                Some(id) if !path.contains(&id) => {
-                    path.push(id);
-                    cur = id;
+                Some((j, n)) if !visited[j] => {
+                    path.push(n.id);
+                    cur = n.id;
                 }
                 _ => break,
             }
@@ -819,6 +832,45 @@ mod tests {
         assert!(a.critical_path.is_empty());
         assert_eq!(a.critical_path_frac, 0.0);
         assert!(a.lanes.is_empty());
+    }
+
+    #[test]
+    fn critical_path_alone_matches_the_full_analysis() {
+        let dag = diamond();
+        assert_eq!(
+            dag.critical_path(),
+            dag.analyze(&pairs(), planned(1, 1)).critical_path
+        );
+        assert!(ExecutedDag::default().critical_path().is_empty());
+    }
+
+    #[test]
+    fn long_chains_return_the_whole_chain_and_cycles_terminate() {
+        const N: u64 = 50_000;
+        let chain = ExecutedDag {
+            nodes: (0..N)
+                .map(|i| {
+                    let deps: &[u64] = if i == 0 { &[] } else { &[i - 1] };
+                    node(i, "n0/gpu-sm", "computation", i, i + 1, deps)
+                })
+                .collect(),
+        };
+        assert_eq!(chain.critical_path(), (0..N).collect::<Vec<_>>());
+
+        // 0 -> 1 -> 2 -> 0: only a decoded log can carry such a cycle.
+        let cyclic = ExecutedDag {
+            nodes: vec![
+                node(0, "n0/gpu-sm", "computation", 0, 10, &[2]),
+                node(1, "n0/gpu-sm", "computation", 10, 20, &[0]),
+                node(2, "n0/gpu-sm", "computation", 20, 30, &[1]),
+            ],
+        };
+        let decoded = ExecutedDag::decode(&cyclic.encode()).unwrap();
+        assert_eq!(decoded.critical_path(), vec![0, 1, 2]);
+        assert_eq!(
+            decoded.analyze(&pairs(), planned(1, 1)).critical_path,
+            vec![0, 1, 2]
+        );
     }
 
     #[test]

@@ -8,20 +8,64 @@
 //! events, dependencies use `"ph":"s"`/`"ph":"f"` flow pairs, and frame
 //! markers are global instants (`"ph":"i","s":"g"`).
 
-use crate::json::Json;
+use crate::json::{write_escaped, write_f64};
 use crate::metrics::MetricsSnapshot;
 use crate::span::Tracer;
 use crate::Clock;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-const PID: u64 = 1;
+/// One recorded event, serialized by [`ChromeTrace::to_json`]. Tids are
+/// provisional (first-seen order) until then.
+#[derive(Debug)]
+enum Event {
+    ThreadName {
+        tid: u64,
+        track: String,
+    },
+    SortIndex {
+        tid: u64,
+        sort_index: i64,
+    },
+    Complete {
+        tid: u64,
+        name: String,
+        cat: String,
+        start_ns: u64,
+        end_ns: u64,
+        args: Vec<(String, String)>,
+    },
+    Instant {
+        tid: u64,
+        name: String,
+        t_ns: u64,
+    },
+    Frame {
+        name: String,
+        t_ns: u64,
+    },
+    Counter {
+        name: String,
+        t_ns: u64,
+        values: Vec<(String, f64)>,
+    },
+    /// An `"s"`/`"f"` pair: two events of the document.
+    Flow {
+        name: String,
+        id: u64,
+        from_tid: u64,
+        from_ns: u64,
+        to_tid: u64,
+        to_ns: u64,
+    },
+}
 
 /// Incrementally built Chrome trace document.
 #[derive(Debug, Default)]
 pub struct ChromeTrace {
-    events: Vec<Json>,
+    events: Vec<Event>,
     tids: BTreeMap<String, u64>,
-    next_flow_id: u64,
+    flows: usize,
 }
 
 impl ChromeTrace {
@@ -41,26 +85,17 @@ impl ChromeTrace {
         }
         let tid = self.tids.len() as u64 + 1;
         self.tids.insert(track.to_string(), tid);
-        self.events.push(Json::obj([
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::UInt(PID)),
-            ("tid", Json::UInt(tid)),
-            ("args", Json::obj([("name", Json::str(track))])),
-        ]));
+        self.events.push(Event::ThreadName {
+            tid,
+            track: track.to_string(),
+        });
         tid
     }
 
     /// Pins a track's vertical position in the viewer.
     pub fn set_sort_index(&mut self, track: &str, sort_index: i64) {
         let tid = self.tid_for_track(track);
-        self.events.push(Json::obj([
-            ("name", Json::str("thread_sort_index")),
-            ("ph", Json::str("M")),
-            ("pid", Json::UInt(PID)),
-            ("tid", Json::UInt(tid)),
-            ("args", Json::obj([("sort_index", Json::Int(sort_index))])),
-        ]));
+        self.events.push(Event::SortIndex { tid, sort_index });
     }
 
     /// Adds a complete (`"ph":"X"`) span.
@@ -74,103 +109,63 @@ impl ChromeTrace {
         args: &[(&str, &str)],
     ) {
         let tid = self.tid_for_track(track);
-        let mut fields = vec![
-            ("name".to_string(), Json::str(name)),
-            ("cat".to_string(), Json::str(cat)),
-            ("ph".to_string(), Json::str("X")),
-            ("pid".to_string(), Json::UInt(PID)),
-            ("tid".to_string(), Json::UInt(tid)),
-            ("ts".to_string(), Json::Num(start_ns as f64 / 1e3)),
-            (
-                "dur".to_string(),
-                Json::Num(end_ns.saturating_sub(start_ns) as f64 / 1e3),
-            ),
-        ];
-        if !args.is_empty() {
-            fields.push((
-                "args".to_string(),
-                Json::Obj(
-                    args.iter()
-                        .map(|(k, v)| (k.to_string(), Json::str(*v)))
-                        .collect(),
-                ),
-            ));
-        }
-        self.events.push(Json::Obj(fields));
+        self.events.push(Event::Complete {
+            tid,
+            name: name.to_string(),
+            cat: cat.to_string(),
+            start_ns,
+            end_ns,
+            args: args
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        });
     }
 
     /// Adds a thread-scoped instant event.
     pub fn instant(&mut self, track: &str, name: &str, t_ns: u64) {
         let tid = self.tid_for_track(track);
-        self.events.push(Json::obj([
-            ("name", Json::str(name)),
-            ("ph", Json::str("i")),
-            ("s", Json::str("t")),
-            ("pid", Json::UInt(PID)),
-            ("tid", Json::UInt(tid)),
-            ("ts", Json::Num(t_ns as f64 / 1e3)),
-        ]));
+        self.events.push(Event::Instant {
+            tid,
+            name: name.to_string(),
+            t_ns,
+        });
     }
 
     /// Adds a global frame marker (`"ph":"i","s":"g"`), e.g. an iteration
     /// boundary visible across every lane.
     pub fn frame_marker(&mut self, name: &str, t_ns: u64) {
-        self.events.push(Json::obj([
-            ("name", Json::str(name)),
-            ("ph", Json::str("i")),
-            ("s", Json::str("g")),
-            ("pid", Json::UInt(PID)),
-            ("tid", Json::UInt(0)),
-            ("ts", Json::Num(t_ns as f64 / 1e3)),
-        ]));
+        self.events.push(Event::Frame {
+            name: name.to_string(),
+            t_ns,
+        });
     }
 
     /// Adds a counter (`"ph":"C"`) sample; each entry of `values` becomes a
     /// stacked series of the lane named `name`.
     pub fn counter(&mut self, name: &str, t_ns: u64, values: &[(&str, f64)]) {
-        self.events.push(Json::obj([
-            ("name", Json::str(name)),
-            ("ph", Json::str("C")),
-            ("pid", Json::UInt(PID)),
-            ("ts", Json::Num(t_ns as f64 / 1e3)),
-            (
-                "args",
-                Json::Obj(
-                    values
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), Json::Num(*v)))
-                        .collect(),
-                ),
-            ),
-        ]));
+        self.events.push(Event::Counter {
+            name: name.to_string(),
+            t_ns,
+            values: values.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        });
     }
 
     /// Adds a flow arrow: an `"s"` event at the source and a matching `"f"`
     /// (binding enclosing slice) at the destination, sharing a fresh id.
     pub fn flow(&mut self, name: &str, from_track: &str, from_ns: u64, to_track: &str, to_ns: u64) {
-        let id = self.next_flow_id;
-        self.next_flow_id += 1;
+        let id = self.flows as u64;
+        self.flows += 1;
         let from_tid = self.tid_for_track(from_track);
         let to_tid = self.tid_for_track(to_track);
-        self.events.push(Json::obj([
-            ("name", Json::str(name)),
-            ("cat", Json::str("flow")),
-            ("ph", Json::str("s")),
-            ("id", Json::UInt(id)),
-            ("pid", Json::UInt(PID)),
-            ("tid", Json::UInt(from_tid)),
-            ("ts", Json::Num(from_ns as f64 / 1e3)),
-        ]));
-        self.events.push(Json::obj([
-            ("name", Json::str(name)),
-            ("cat", Json::str("flow")),
-            ("ph", Json::str("f")),
-            ("bp", Json::str("e")),
-            ("id", Json::UInt(id)),
-            ("pid", Json::UInt(PID)),
-            ("tid", Json::UInt(to_tid)),
-            ("ts", Json::Num(to_ns as f64 / 1e3)),
-        ]));
+        self.events.push(Event::Flow {
+            name: name.to_string(),
+            id,
+            from_tid,
+            from_ns,
+            to_tid,
+            to_ns,
+        });
     }
 
     /// Imports everything a [`Tracer`] recorded: spans as `"X"`, instants as
@@ -225,9 +220,9 @@ impl ChromeTrace {
         }
     }
 
-    /// Number of events added so far.
+    /// Number of events added so far (a flow counts as its two events).
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.flows
     }
 
     /// True when no events have been added.
@@ -237,43 +232,154 @@ impl ChromeTrace {
 
     /// Serializes the document with deterministic track numbering: tids
     /// are remapped so track names in sorted order get tids 1, 2, ...
-    /// (tid 0 — global frame markers — is left alone).
+    /// (tid 0 — global frame markers — is left alone). One pass writes
+    /// every event into a single pre-sized buffer.
     pub fn to_json(&self) -> String {
         // self.tids is a BTreeMap, so iteration is already name-sorted.
-        let remap: BTreeMap<u64, u64> = self
-            .tids
-            .values()
-            .enumerate()
-            .map(|(rank, &provisional)| (provisional, rank as u64 + 1))
-            .collect();
-        let events = self
-            .events
-            .iter()
-            .map(|event| {
-                let Json::Obj(pairs) = event else {
-                    return event.clone();
-                };
-                Json::Obj(
-                    pairs
-                        .iter()
-                        .map(|(k, v)| {
-                            let v = match (k.as_str(), v) {
-                                ("tid", Json::UInt(t)) if *t >= 1 => {
-                                    Json::UInt(*remap.get(t).unwrap_or(t))
-                                }
-                                _ => v.clone(),
-                            };
-                            (k.clone(), v)
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        Json::obj([
-            ("traceEvents", Json::Arr(events)),
-            ("displayTimeUnit", Json::str("ms")),
-        ])
-        .to_json()
+        let mut remap = vec![0; self.tids.len() + 1];
+        for (rank, &provisional) in self.tids.values().enumerate() {
+            remap[provisional as usize] = rank as u64 + 1;
+        }
+        // Sized above a typical event so the buffer rarely has to regrow.
+        let capacity = 128 * (self.events.len() + self.flows) + 64;
+        let mut out = String::with_capacity(capacity);
+        out.push_str("{\"traceEvents\":[");
+        for (i, event) in self.events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            event.write(&remap, &mut out);
+        }
+        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        out
+    }
+}
+
+impl Event {
+    /// Writes one event (both halves of a flow) with its fields in the
+    /// document's fixed order.
+    fn write(&self, remap: &[u64], out: &mut String) {
+        let tid = |t: u64| remap[t as usize];
+        let head = |out: &mut String, name: &str| {
+            out.push_str("{\"name\":");
+            write_escaped(name, out);
+        };
+        let ts = |out: &mut String, key: &str, ns: u64| {
+            out.push_str(key);
+            write_f64(ns as f64 / 1e3, out);
+        };
+        match *self {
+            Event::ThreadName { tid: t, ref track } => {
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":",
+                    tid(t)
+                );
+                write_escaped(track, out);
+                out.push_str("}}");
+            }
+            Event::SortIndex { tid: t, sort_index } => {
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"sort_index\":{sort_index}}}}}",
+                    tid(t)
+                );
+            }
+            Event::Complete {
+                tid: t,
+                ref name,
+                ref cat,
+                start_ns,
+                end_ns,
+                ref args,
+            } => {
+                head(out, name);
+                out.push_str(",\"cat\":");
+                write_escaped(cat, out);
+                let _ = write!(out, ",\"ph\":\"X\",\"pid\":1,\"tid\":{}", tid(t));
+                ts(out, ",\"ts\":", start_ns);
+                ts(out, ",\"dur\":", end_ns.saturating_sub(start_ns));
+                if !args.is_empty() {
+                    out.push_str(",\"args\":{");
+                    for (i, (k, v)) in args.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_escaped(k, out);
+                        out.push(':');
+                        write_escaped(v, out);
+                    }
+                    out.push('}');
+                }
+                out.push('}');
+            }
+            Event::Instant {
+                tid: t,
+                ref name,
+                t_ns,
+            } => {
+                head(out, name);
+                let _ = write!(
+                    out,
+                    ",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{}",
+                    tid(t)
+                );
+                ts(out, ",\"ts\":", t_ns);
+                out.push('}');
+            }
+            Event::Frame { ref name, t_ns } => {
+                head(out, name);
+                ts(
+                    out,
+                    ",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":",
+                    t_ns,
+                );
+                out.push('}');
+            }
+            Event::Counter {
+                ref name,
+                t_ns,
+                ref values,
+            } => {
+                head(out, name);
+                ts(out, ",\"ph\":\"C\",\"pid\":1,\"ts\":", t_ns);
+                out.push_str(",\"args\":{");
+                for (i, (k, v)) in values.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(k, out);
+                    out.push(':');
+                    write_f64(*v, out);
+                }
+                out.push_str("}}");
+            }
+            Event::Flow {
+                ref name,
+                id,
+                from_tid,
+                from_ns,
+                to_tid,
+                to_ns,
+            } => {
+                head(out, name);
+                let _ = write!(
+                    out,
+                    ",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{id},\"pid\":1,\"tid\":{}",
+                    tid(from_tid)
+                );
+                ts(out, ",\"ts\":", from_ns);
+                out.push_str("},");
+                head(out, name);
+                let _ = write!(
+                    out,
+                    ",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"pid\":1,\"tid\":{}",
+                    tid(to_tid)
+                );
+                ts(out, ",\"ts\":", to_ns);
+                out.push('}');
+            }
+        }
     }
 }
 
@@ -281,7 +387,7 @@ impl ChromeTrace {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
-    use crate::json;
+    use crate::json::{self, Json};
 
     fn phase_count(doc: &Json, ph: &str) -> usize {
         doc.get("traceEvents")
@@ -290,6 +396,42 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
             .count()
+    }
+
+    #[test]
+    fn serializes_every_event_kind_byte_for_byte() {
+        let mut t = ChromeTrace::new();
+        t.set_sort_index("zeta \"lane\"", -1);
+        t.complete(
+            "zeta \"lane\"",
+            "op\n1",
+            "cat",
+            1_500,
+            4_000,
+            &[("k", "v\t"), ("task", "7")],
+        );
+        t.complete("alpha", "bare", "c", 2_000, 1_000, &[]);
+        t.instant("alpha", "tick", 999);
+        t.frame_marker("iteration 0", 0);
+        t.counter("bytes", 12_345, &[("pcie", 0.5), ("nvlink", 3.0)]);
+        t.flow("dep", "alpha", 10, "beta", 1_000_000_001);
+        assert_eq!(t.len(), 11, "a flow counts as two events");
+        let want = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"zeta \"lane\""}},"#,
+            r#"{"name":"thread_sort_index","ph":"M","pid":1,"tid":3,"args":{"sort_index":-1}},"#,
+            r#"{"name":"op\n1","cat":"cat","ph":"X","pid":1,"tid":3,"ts":1.5,"dur":2.5,"args":{"k":"v\t","task":"7"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"alpha"}},"#,
+            r#"{"name":"bare","cat":"c","ph":"X","pid":1,"tid":1,"ts":2.0,"dur":0.0},"#,
+            r#"{"name":"tick","ph":"i","s":"t","pid":1,"tid":1,"ts":0.999},"#,
+            r#"{"name":"iteration 0","ph":"i","s":"g","pid":1,"tid":0,"ts":0.0},"#,
+            r#"{"name":"bytes","ph":"C","pid":1,"ts":12.345,"args":{"pcie":0.5,"nvlink":3.0}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"beta"}},"#,
+            r#"{"name":"dep","cat":"flow","ph":"s","id":0,"pid":1,"tid":1,"ts":0.01},"#,
+            r#"{"name":"dep","cat":"flow","ph":"f","bp":"e","id":0,"pid":1,"tid":2,"ts":1000000.001}"#,
+            r#"],"displayTimeUnit":"ms"}"#,
+        );
+        assert_eq!(t.to_json(), want);
     }
 
     #[test]

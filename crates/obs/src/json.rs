@@ -6,7 +6,7 @@
 //! keys preserve insertion order, which keeps exported documents stable for
 //! golden tests.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,10 +99,10 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::UInt(u) => {
-                out.push_str(&u.to_string());
+                let _ = write!(out, "{u}");
             }
             Json::Int(i) => {
-                out.push_str(&i.to_string());
+                let _ = write!(out, "{i}");
             }
             Json::Num(x) => write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
@@ -179,34 +179,47 @@ impl From<String> for Json {
     }
 }
 
-/// Writes a finite float with enough precision to round-trip; non-finite
-/// values (which JSON cannot represent) become `null`.
-fn write_f64(x: f64, out: &mut String) {
+/// Writes a float the way [`Json::Num`] serializes: finite values with
+/// enough precision to round-trip, integral ones below 1e15 with a `.0` so
+/// they re-parse as floats; non-finite values (which JSON cannot represent)
+/// become `null`.
+pub fn write_f64(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");
-        return;
-    }
-    if x == x.trunc() && x.abs() < 1e15 {
-        // Integral floats print as `12.0` so they re-parse as floats.
-        out.push_str(&format!("{x:.1}"));
+    } else if x == x.trunc() && x.abs() < 1e15 {
+        let _ = write!(out, "{x:.1}");
     } else {
-        out.push_str(&format!("{x}"));
+        let _ = write!(out, "{x}");
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Writes `s` as a quoted JSON string literal: `"`, `\`, `\n`, `\r` and
+/// `\t` get short escapes, other control characters `\u00XX`. Runs of
+/// characters that need no escape are copied in one piece.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x20.. => continue,
+            _ => "",
+        };
+        // Every escaped byte is ASCII, so `run..i` ends on a char boundary.
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -487,6 +500,43 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn numbers_write_exactly_and_round_trip() {
+        let cases = [
+            (Json::UInt(0), "0"),
+            (Json::UInt(u64::MAX), "18446744073709551615"),
+            (Json::Int(i64::MIN), "-9223372036854775808"),
+            (Json::Num(12.0), "12.0"),
+            (Json::Num(1e15), "1000000000000000"),
+            (Json::Num(1e-7), "0.0000001"),
+            (Json::Num(0.1 + 0.2), "0.30000000000000004"),
+            (Json::Num(f64::NAN), "null"),
+        ];
+        for (value, text) in cases {
+            assert_eq!(value.to_json(), text);
+            let back = parse(text).unwrap();
+            match value {
+                Json::Num(x) if x.is_nan() => assert_eq!(back, Json::Null),
+                Json::Num(x) => assert_eq!(back.as_f64(), Some(x)),
+                _ => assert_eq!(back, value),
+            }
+        }
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        let esc = |s: &str| {
+            let mut out = String::new();
+            write_escaped(s, &mut out);
+            out
+        };
+        assert_eq!(esc("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(esc("\u{1}\r\t"), "\"\\u0001\\r\\t\"");
+        assert_eq!(esc("gpu·0 ✓"), "\"gpu·0 ✓\"", "non-ASCII passes through");
+        let tricky = "é\u{1f}x\"ü\\\u{7f}";
+        assert_eq!(parse(&esc(tricky)).unwrap().as_str(), Some(tricky));
     }
 
     #[test]

@@ -7,24 +7,8 @@
 //! immediately visible.
 
 use crate::engine::RunResult;
+use picasso_obs::json::write_escaped;
 use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the run as a Chrome Trace Event Format JSON string.
 ///
@@ -48,10 +32,10 @@ pub fn to_chrome_trace(result: &RunResult) -> String {
         first = false;
         let _ = write!(
             out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            i,
-            escape(&r.spec.name)
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{i},\"args\":{{\"name\":"
         );
+        write_escaped(&r.spec.name, &mut out);
+        out.push_str("}}");
         let _ = write!(
             out,
             ",{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{i},\"args\":{{\"sort_index\":{i}}}}}"
@@ -154,11 +138,5 @@ mod tests {
         let json = to_chrome_trace(&r);
         // The compute task runs [1ms, 3ms] -> ts 1000us dur 2000us.
         assert!(json.contains("\"ts\":1000.000,\"dur\":2000.000"), "{json}");
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -1,0 +1,89 @@
+//! Golden bytes of the Chrome trace exporter.
+//!
+//! Pins the byte length and FNV-1a of serialized Chrome traces for two
+//! 4-node W&D runs (the `cluster_trace` host-benchmark rungs, warm-up seed
+//! 101) and for one facade trace that carries counter lanes. Any change to
+//! event order, field order, tid numbering, number formatting or escaping
+//! moves one of these pins.
+
+use picasso::exec::{chrome_trace, run, RunArtifacts, WarmupConfig};
+use picasso::obs::analysis::fnv1a64;
+use picasso::{ModelKind, Optimizations, PassId, PicassoConfig, Session, Strategy};
+
+/// The perf-suite session shape (`picasso_bench::scenarios::suite_config`)
+/// on four nodes, with the warm-up seed the benchmark's first run uses.
+fn cluster_config() -> PicassoConfig {
+    PicassoConfig {
+        iterations: 2,
+        warmup: WarmupConfig {
+            batches: 4,
+            batch_size: 256,
+            max_vocab: 1000,
+            hot_bytes: 1 << 24,
+            seed: 101,
+        },
+        batch_per_executor: Some(1024),
+        ..PicassoConfig::default()
+    }
+    .machines(4)
+}
+
+fn wdl_run(name: &str, passes: &[PassId]) -> RunArtifacts {
+    let model = ModelKind::WideDeep;
+    let data = model.default_dataset().shared();
+    run(
+        model,
+        &data,
+        Strategy::Hybrid,
+        Optimizations::new(passes.to_vec()),
+        name,
+        &cluster_config().trainer_options(),
+    )
+    .expect("scenario trains")
+}
+
+fn pin(text: &str) -> (usize, String) {
+    (text.len(), format!("{:016x}", fnv1a64(text.as_bytes())))
+}
+
+#[test]
+fn wdl_base_trace_bytes_are_pinned() {
+    let arts = wdl_run("wdl_base", &[]);
+    let got = pin(&chrome_trace(&arts.output).to_json());
+    assert_eq!(got, (5_746_280, "fe817e956f79c875".to_string()));
+}
+
+#[test]
+fn wdl_inter_trace_bytes_are_pinned() {
+    let arts = wdl_run(
+        "wdl_inter",
+        &[
+            PassId::DPacking,
+            PassId::KPacking,
+            PassId::KInterleaving,
+            PassId::DInterleaving,
+        ],
+    );
+    let got = pin(&chrome_trace(&arts.output).to_json());
+    assert_eq!(got, (1_279_546, "a0920e0891953334".to_string()));
+}
+
+#[test]
+fn trace_with_counter_lanes_is_pinned() {
+    let config = PicassoConfig {
+        iterations: 3,
+        warmup: WarmupConfig {
+            batches: 4,
+            batch_size: 256,
+            max_vocab: 1000,
+            hot_bytes: 1 << 24,
+            seed: 1,
+        },
+        batch_per_executor: Some(1024),
+        ..PicassoConfig::default()
+    };
+    let arts = Session::new(ModelKind::Dlrm, config).run_picasso();
+    let text = picasso::observe::chrome_trace(&arts).to_json();
+    assert!(text.contains("\"ph\":\"C\""), "counter lanes present");
+    assert_eq!(pin(&text), (418_199, "1dae62552137e1d6".to_string()));
+}
