@@ -2,26 +2,67 @@
 //!
 //! Used to verify that generated workloads reproduce the Fig. 3 skew, and by
 //! the warm-up phase of training to drive packing-shard and cache decisions.
+//!
+//! IDs are table-local ranks. When a stream's ranks are known to lie below
+//! a bound (the working vocabulary of the fields feeding a table), the
+//! counter is a dense `Vec` indexed by rank; otherwise (serving's
+//! open-ended user IDs) it is a hashmap. Both answer every query
+//! identically.
 
 use std::collections::HashMap;
 
+/// Per-ID counts: dense by rank under a known bound, hashed otherwise.
+#[derive(Debug, Clone)]
+enum Counts {
+    Hashed(HashMap<u64, u64>),
+    Dense { counts: Vec<u64>, distinct: usize },
+}
+
 /// Counts occurrences of categorical IDs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FrequencyStats {
-    counts: HashMap<u64, u64>,
+    counts: Counts,
     total: u64,
 }
 
+impl Default for FrequencyStats {
+    fn default() -> Self {
+        FrequencyStats::new()
+    }
+}
+
 impl FrequencyStats {
-    /// Creates an empty counter.
+    /// Creates an empty counter over unbounded IDs.
     pub fn new() -> Self {
-        FrequencyStats::default()
+        FrequencyStats {
+            counts: Counts::Hashed(HashMap::new()),
+            total: 0,
+        }
+    }
+
+    /// Creates an empty counter over IDs below `bound`, stored as one count
+    /// per rank. Recording an ID at or above `bound` panics.
+    pub fn dense(bound: usize) -> Self {
+        FrequencyStats {
+            counts: Counts::Dense {
+                counts: vec![0; bound],
+                distinct: 0,
+            },
+            total: 0,
+        }
     }
 
     /// Records one observation of `id`.
     #[inline]
     pub fn record(&mut self, id: u64) {
-        *self.counts.entry(id).or_insert(0) += 1;
+        match &mut self.counts {
+            Counts::Hashed(map) => *map.entry(id).or_insert(0) += 1,
+            Counts::Dense { counts, distinct } => {
+                let c = &mut counts[id as usize];
+                *distinct += usize::from(*c == 0);
+                *c += 1;
+            }
+        }
         self.total += 1;
     }
 
@@ -32,6 +73,33 @@ impl FrequencyStats {
         }
     }
 
+    /// Sets the count of `id` outright (checkpoint restore); `0` forgets
+    /// the ID. The total moves by the difference.
+    pub fn set_count(&mut self, id: u64, count: u64) {
+        let old = match &mut self.counts {
+            Counts::Hashed(map) if count == 0 => map.remove(&id).unwrap_or(0),
+            Counts::Hashed(map) => map.insert(id, count).unwrap_or(0),
+            Counts::Dense { counts, distinct } => {
+                let old = std::mem::replace(&mut counts[id as usize], count);
+                *distinct = *distinct + usize::from(count > 0) - usize::from(old > 0);
+                old
+            }
+        };
+        self.total = self.total - old + count;
+    }
+
+    /// Forgets every observation, keeping the representation.
+    pub fn clear(&mut self) {
+        match &mut self.counts {
+            Counts::Hashed(map) => map.clear(),
+            Counts::Dense { counts, distinct } => {
+                counts.fill(0);
+                *distinct = 0;
+            }
+        }
+        self.total = 0;
+    }
+
     /// Total observations recorded.
     pub fn total(&self) -> u64 {
         self.total
@@ -39,20 +107,65 @@ impl FrequencyStats {
 
     /// Number of distinct IDs observed.
     pub fn distinct(&self) -> usize {
-        self.counts.len()
+        match &self.counts {
+            Counts::Hashed(map) => map.len(),
+            Counts::Dense { distinct, .. } => *distinct,
+        }
     }
 
     /// Count of one ID.
     pub fn count(&self, id: u64) -> u64 {
-        self.counts.get(&id).copied().unwrap_or(0)
+        match &self.counts {
+            Counts::Hashed(map) => map.get(&id).copied().unwrap_or(0),
+            Counts::Dense { counts, .. } => usize::try_from(id)
+                .ok()
+                .and_then(|i| counts.get(i))
+                .copied()
+                .unwrap_or(0),
+        }
+    }
+
+    /// Every observed `(id, count)` pair, ascending by ID.
+    pub fn counts(&self) -> Vec<(u64, u64)> {
+        let mut items = self.unordered();
+        if matches!(self.counts, Counts::Hashed(_)) {
+            items.sort_unstable();
+        }
+        items
+    }
+
+    /// Every observed `(id, count)` pair, in storage order.
+    fn unordered(&self) -> Vec<(u64, u64)> {
+        match &self.counts {
+            Counts::Hashed(map) => map.iter().map(|(&id, &c)| (id, c)).collect(),
+            Counts::Dense { counts, distinct } => {
+                let mut items = Vec::with_capacity(*distinct);
+                items.extend(
+                    counts
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &c)| c > 0)
+                        .map(|(id, &c)| (id as u64, c)),
+                );
+                items
+            }
+        }
     }
 
     /// The `k` most frequent IDs, most frequent first (ties broken by ID for
     /// determinism).
     pub fn top_k(&self, k: usize) -> Vec<u64> {
-        let mut items: Vec<(u64, u64)> = self.counts.iter().map(|(&id, &c)| (id, c)).collect();
-        items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        items.truncate(k);
+        let mut items = self.unordered();
+        let by_rank = |a: &(u64, u64), b: &(u64, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+        if k < items.len() {
+            // The ranking is a total order (IDs are unique), so selecting
+            // the first k and sorting them equals sorting everything.
+            if k > 0 {
+                items.select_nth_unstable_by(k - 1, by_rank);
+            }
+            items.truncate(k);
+        }
+        items.sort_unstable_by(by_rank);
         items.into_iter().map(|(id, _)| id).collect()
     }
 
@@ -63,8 +176,9 @@ impl FrequencyStats {
         if self.total == 0 {
             return 0.0;
         }
-        let k = ((self.counts.len() as f64 * fraction).floor() as usize).min(self.counts.len());
-        let mut freqs: Vec<u64> = self.counts.values().copied().collect();
+        let distinct = self.distinct();
+        let k = ((distinct as f64 * fraction).floor() as usize).min(distinct);
+        let mut freqs: Vec<u64> = self.unordered().into_iter().map(|(_, c)| c).collect();
         freqs.sort_unstable_by(|a, b| b.cmp(a));
         let covered: u64 = freqs[..k].iter().sum();
         covered as f64 / self.total as f64
@@ -80,71 +194,114 @@ impl FrequencyStats {
             })
             .collect()
     }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &FrequencyStats) {
-        for (&id, &c) in &other.counts {
-            *self.counts.entry(id).or_insert(0) += c;
-        }
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A hashed and a dense counter; every test runs over both.
+    fn both() -> [FrequencyStats; 2] {
+        [FrequencyStats::new(), FrequencyStats::dense(128)]
+    }
+
     #[test]
     fn counting_and_totals() {
-        let mut s = FrequencyStats::new();
-        s.record_all(&[1, 1, 1, 2, 3]);
-        assert_eq!(s.total(), 5);
-        assert_eq!(s.distinct(), 3);
-        assert_eq!(s.count(1), 3);
-        assert_eq!(s.count(99), 0);
+        for mut s in both() {
+            s.record_all(&[1, 1, 1, 2, 3]);
+            assert_eq!(s.total(), 5);
+            assert_eq!(s.distinct(), 3);
+            assert_eq!(s.count(1), 3);
+            assert_eq!(s.count(99), 0);
+            assert_eq!(s.count(1 << 40), 0);
+        }
     }
 
     #[test]
     fn top_k_orders_by_frequency_then_id() {
-        let mut s = FrequencyStats::new();
-        s.record_all(&[5, 5, 9, 9, 2]);
-        assert_eq!(s.top_k(2), vec![5, 9], "tie broken by smaller id");
-        assert_eq!(s.top_k(10), vec![5, 9, 2]);
-        assert!(s.top_k(0).is_empty());
+        for mut s in both() {
+            s.record_all(&[5, 5, 9, 9, 2]);
+            assert_eq!(s.top_k(2), vec![5, 9], "tie broken by smaller id");
+            assert_eq!(s.top_k(1), vec![5]);
+            assert_eq!(s.top_k(10), vec![5, 9, 2]);
+            assert!(s.top_k(0).is_empty());
+        }
     }
 
     #[test]
     fn coverage_of_skewed_stream() {
-        let mut s = FrequencyStats::new();
-        // One id covers 90 of 100 observations; 10 ids cover the rest.
-        for _ in 0..90 {
-            s.record(0);
+        for mut s in both() {
+            // One id covers 90 of 100 observations; 10 ids cover the rest.
+            for _ in 0..90 {
+                s.record(0);
+            }
+            for id in 1..=10 {
+                s.record(id);
+            }
+            // Top ~9% of distinct ids (1 of 11) covers 90%.
+            let cov = s.coverage_of_top(0.1);
+            assert!((cov - 0.9).abs() < 1e-9, "coverage {cov}");
+            assert!((s.coverage_of_top(1.0) - 1.0).abs() < 1e-12);
         }
-        for id in 1..=10 {
-            s.record(id);
-        }
-        // Top ~9% of distinct ids (1 of 11) covers 90%.
-        let cov = s.coverage_of_top(0.1);
-        assert!((cov - 0.9).abs() < 1e-9, "coverage {cov}");
-        assert!((s.coverage_of_top(1.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = FrequencyStats::new();
-        a.record_all(&[1, 2]);
-        let mut b = FrequencyStats::new();
-        b.record_all(&[2, 3]);
-        a.merge(&b);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.count(2), 2);
-        assert_eq!(a.distinct(), 3);
     }
 
     #[test]
     fn empty_counter_is_sane() {
-        let s = FrequencyStats::new();
-        assert_eq!(s.coverage_of_top(0.5), 0.0);
-        assert_eq!(s.cdf_points(3).len(), 3);
+        for s in both() {
+            assert_eq!(s.coverage_of_top(0.5), 0.0);
+            assert_eq!(s.cdf_points(3).len(), 3);
+            assert!(s.top_k(3).is_empty());
+            assert!(s.counts().is_empty());
+        }
+    }
+
+    #[test]
+    fn counts_are_ascending_by_id() {
+        for mut s in both() {
+            s.record_all(&[70, 3, 70, 41, 3, 3]);
+            assert_eq!(s.counts(), vec![(3, 3), (41, 1), (70, 2)]);
+        }
+    }
+
+    #[test]
+    fn set_count_and_clear_keep_distinct_and_total() {
+        for mut s in both() {
+            s.record_all(&[1, 2, 2]);
+            s.set_count(2, 5);
+            s.set_count(7, 1);
+            assert_eq!((s.distinct(), s.total()), (3, 7));
+            s.set_count(1, 0);
+            assert_eq!((s.distinct(), s.total(), s.count(1)), (2, 6, 0));
+            s.clear();
+            assert_eq!((s.distinct(), s.total()), (0, 0));
+            assert!(s.counts().is_empty());
+        }
+    }
+
+    #[test]
+    fn representations_agree_on_a_skewed_stream() {
+        let [mut hashed, mut dense] = both();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Squaring a uniform draw skews it towards small ranks.
+            let u = (x >> 40) as f64 / (1u64 << 24) as f64;
+            let id = (u * u * 128.0) as u64;
+            hashed.record(id);
+            dense.record(id);
+        }
+        assert_eq!(hashed.distinct(), dense.distinct());
+        assert_eq!(hashed.counts(), dense.counts());
+        for k in [0, 1, 7, 40, 127, 128, 500] {
+            assert_eq!(hashed.top_k(k), dense.top_k(k), "top-{k}");
+        }
+        for f in [0.0, 0.1, 0.2, 0.5, 1.0] {
+            assert_eq!(
+                hashed.coverage_of_top(f).to_bits(),
+                dense.coverage_of_top(f).to_bits()
+            );
+        }
     }
 }

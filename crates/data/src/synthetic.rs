@@ -50,22 +50,39 @@ impl ClickModel {
     pub fn logit(&self, fields: &[FieldBatch], dense: &[f32], numeric: usize, i: usize) -> f64 {
         let mut z = self.bias;
         for fb in fields {
-            let ids = fb.instance(i);
-            if ids.is_empty() {
-                continue;
-            }
-            let norm = (ids.len() as f64).sqrt();
-            for &id in ids {
-                z += self.weight(fb.field, id) / norm;
-            }
+            self.add_field_terms(fb, i, &mut z);
         }
         for (j, &x) in dense[i * numeric..(i + 1) * numeric].iter().enumerate() {
-            z += self.weight(usize::MAX - j, 0) * x as f64 * 0.5;
+            z += self.dense_weight(j) * x as f64 * 0.5;
         }
         z
     }
 
+    /// Adds instance `i`'s terms for one field to its logit `z`.
+    #[inline]
+    fn add_field_terms(&self, fb: &FieldBatch, i: usize, z: &mut f64) {
+        let ids = fb.instance(i);
+        if ids.is_empty() {
+            return;
+        }
+        let norm = (ids.len() as f64).sqrt();
+        for &id in ids {
+            *z += self.weight(fb.field, id) / norm;
+        }
+    }
+
+    /// The hidden weight of dense feature `j`.
+    fn dense_weight(&self, j: usize) -> f64 {
+        self.weight(usize::MAX - j, 0)
+    }
+
     /// Draws binary labels for a whole batch.
+    ///
+    /// Logits accumulate field by field over the whole batch (each
+    /// [`FieldBatch`] is walked once, contiguously), then the dense terms
+    /// are added and the labels drawn in instance order. Every instance
+    /// adds the same terms in the same order as [`ClickModel::logit`], so
+    /// the labels and the RNG stream are identical to the per-instance path.
     pub fn label_batch<R: Rng + ?Sized>(
         &self,
         fields: &[FieldBatch],
@@ -74,15 +91,20 @@ impl ClickModel {
         size: usize,
         rng: &mut R,
     ) -> Vec<f32> {
-        (0..size)
-            .map(|i| {
-                let p = sigmoid(self.logit(fields, dense, numeric, i));
-                if rng.gen_bool(p) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
+        let mut z = vec![self.bias; size];
+        for fb in fields {
+            for (i, zi) in z.iter_mut().enumerate() {
+                self.add_field_terms(fb, i, zi);
+            }
+        }
+        let dense_weights: Vec<f64> = (0..numeric).map(|j| self.dense_weight(j)).collect();
+        for (zi, xs) in z.iter_mut().zip(dense.chunks_exact(numeric.max(1))) {
+            for (w, &x) in dense_weights.iter().zip(xs) {
+                *zi += w * x as f64 * 0.5;
+            }
+        }
+        z.into_iter()
+            .map(|zi| if rng.gen_bool(sigmoid(zi)) { 1.0 } else { 0.0 })
             .collect()
     }
 }
@@ -101,6 +123,8 @@ pub fn sigmoid(z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn splitmix_is_deterministic_and_mixing() {
@@ -153,5 +177,62 @@ mod tests {
         let za = m.logit(std::slice::from_ref(&fa), &[], 0, 0);
         let zb = m.logit(std::slice::from_ref(&fa), &[], 0, 1);
         assert_ne!(za, zb);
+    }
+
+    /// The per-instance reference: one `logit` call per instance, labels
+    /// drawn in instance order.
+    fn labels_per_instance(
+        m: &ClickModel,
+        b: &crate::batch::Batch,
+        numeric: usize,
+        rng: &mut StdRng,
+    ) -> Vec<f32> {
+        (0..b.size)
+            .map(|i| {
+                let p = sigmoid(m.logit(&b.fields, &b.dense, numeric, i));
+                if rng.gen_bool(p) {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    fn assert_field_major_matches(spec: crate::dataset::DatasetSpec, size: usize) {
+        let numeric = spec.numeric;
+        let mut gen = crate::batch::BatchGenerator::with_max_vocab(spec.shared(), 5, 1000);
+        let b = gen.next_batch(size);
+        let m = ClickModel::new(77);
+        let mut rng = StdRng::seed_from_u64(9);
+        let got = m.label_batch(&b.fields, &b.dense, numeric, b.size, &mut rng);
+        let mut reference = StdRng::seed_from_u64(9);
+        let want = labels_per_instance(&m, &b, numeric, &mut reference);
+        assert_eq!(got, want);
+        // Both paths leave the RNG stream at the same point.
+        assert_eq!(rng.gen::<f64>().to_bits(), reference.gen::<f64>().to_bits());
+    }
+
+    #[test]
+    fn field_major_labels_match_the_per_instance_logits_on_can() {
+        assert_field_major_matches(crate::dataset::DatasetSpec::product2(), 256);
+    }
+
+    #[test]
+    fn field_major_labels_match_the_per_instance_logits_on_multi_hot() {
+        use crate::distribution::IdDistribution;
+        use crate::field::FieldSpec;
+        let spec = crate::dataset::DatasetSpec {
+            name: "multi-hot".into(),
+            numeric: 3,
+            fields: vec![
+                FieldSpec::one_hot("a", 100, 8, IdDistribution::Zipf { s: 1.1 }, 0),
+                FieldSpec::one_hot("b", 1000, 8, IdDistribution::Uniform, 1).with_avg_ids(10.0),
+                FieldSpec::one_hot("c", 500, 8, IdDistribution::Zipf { s: 1.3 }, 1)
+                    .with_avg_ids(4.0),
+            ],
+            instances: None,
+        };
+        assert_field_major_matches(spec, 64);
     }
 }

@@ -6,11 +6,12 @@
 //! frequently queried rows. During `warmup_iters` iterations only the
 //! host-side frequency counter is trained; afterwards every `flush_iters`
 //! iterations the hot set is refreshed from the counter. If at flush time
-//! the entire table fits in Hot-storage, everything is promoted.
+//! the entire table fits in Hot-storage, everything is promoted. Those
+//! decisions live in [`HotSetPolicy`]; this module adds the rows.
 
+use crate::policy::HotSetPolicy;
 use crate::table::{EmbeddingTable, RowArena};
 use picasso_obs::{MetricKind, MetricsRegistry};
-use std::collections::{BTreeSet, HashMap};
 
 /// Configuration of a [`HybridHash`].
 #[derive(Debug, Clone)]
@@ -83,38 +84,26 @@ impl LookupReport {
     }
 }
 
-/// A two-level embedding store per Algorithm 1.
+/// A two-level embedding store per Algorithm 1: a [`HotSetPolicy`] that
+/// decides which IDs are hot, the cold table, and the hot rows.
 ///
 /// Hot-storage is a [`RowArena`] — the GPU-resident analogue of a contiguous
 /// embedding cache — rebuilt wholesale at every flush, so between flushes
-/// hot lookups read one dense buffer.
+/// hot lookups read one dense buffer. It always holds exactly the policy's
+/// hot IDs.
 #[derive(Debug, Clone)]
 pub struct HybridHash {
-    cfg: HybridHashConfig,
+    policy: HotSetPolicy,
     cold: EmbeddingTable,
     hot: RowArena,
-    fcounter: HashMap<u64, u64>,
-    /// IDs whose frequency counter changed since the last
-    /// [`HybridHash::mark_clean`] — the incremental-checkpoint set.
-    touched: BTreeSet<u64>,
-    itr: u64,
-    stats: CacheStats,
 }
 
 impl HybridHash {
     /// Wraps a cold table with a hot cache.
     pub fn new(cold: EmbeddingTable, cfg: HybridHashConfig) -> Self {
-        assert!(cfg.flush_iters > 0, "flush_iters must be positive");
+        let policy = HotSetPolicy::new(&cfg, cold.dim(), None);
         let hot = RowArena::new(cold.dim());
-        HybridHash {
-            cfg,
-            cold,
-            hot,
-            fcounter: HashMap::new(),
-            touched: BTreeSet::new(),
-            itr: 0,
-            stats: CacheStats::default(),
-        }
+        HybridHash { policy, cold, hot }
     }
 
     /// Embedding dimension.
@@ -124,7 +113,7 @@ impl HybridHash {
 
     /// Maximum rows Hot-storage can hold.
     pub fn hot_row_capacity(&self) -> usize {
-        (self.cfg.hot_bytes as usize) / (self.cold.dim() * 4)
+        self.policy.capacity()
     }
 
     /// Rows currently resident in Hot-storage.
@@ -134,12 +123,12 @@ impl HybridHash {
 
     /// Cumulative statistics.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.policy.stats()
     }
 
     /// Current iteration counter.
     pub fn iteration(&self) -> u64 {
-        self.itr
+        self.policy.iteration()
     }
 
     /// Read-only access to the cold table.
@@ -147,44 +136,29 @@ impl HybridHash {
         &self.cold
     }
 
+    /// The hit policy.
+    pub fn policy(&self) -> &HotSetPolicy {
+        &self.policy
+    }
+
     /// Algorithm 1: queries a batch of IDs, appending `dim` floats per ID to
     /// `out`, and advances the iteration counter.
     pub fn lookup_batch(&mut self, ids: &[u64], out: &mut Vec<f32>) -> LookupReport {
-        let mut report = LookupReport::default();
-        self.itr += 1;
-        if self.itr <= self.cfg.warmup_iters {
-            // L9-12: warm-up — count frequencies, serve from cold storage.
-            for &id in ids {
-                *self.fcounter.entry(id).or_insert(0) += 1;
-                self.touched.insert(id);
-                self.cold.gather_into(id, out);
-                report.cold_hits += 1;
+        let (hot, cold) = (&self.hot, &mut self.cold);
+        let step = self.policy.lookup_batch(ids, |id, may_hit| {
+            if may_hit {
+                if let Some(row) = hot.get(id) {
+                    out.extend_from_slice(row);
+                    return true;
+                }
             }
-            self.stats.warmup_lookups += ids.len() as u64;
-            if self.itr == self.cfg.warmup_iters {
-                self.flush();
-            }
-            return report;
+            cold.gather_into(id, out);
+            false
+        });
+        if step.flushed {
+            self.reload_hot();
         }
-        // L14-21: serve from hot when possible, else cold; keep counting.
-        for &id in ids {
-            if let Some(row) = self.hot.get(id) {
-                out.extend_from_slice(row);
-                report.hot_hits += 1;
-            } else {
-                self.cold.gather_into(id, out);
-                report.cold_hits += 1;
-            }
-            *self.fcounter.entry(id).or_insert(0) += 1;
-            self.touched.insert(id);
-        }
-        self.stats.hot_hits += report.hot_hits;
-        self.stats.cold_hits += report.cold_hits;
-        // L23-26: periodic refresh of the hot set.
-        if (self.itr - self.cfg.warmup_iters).is_multiple_of(self.cfg.flush_iters) {
-            self.flush();
-        }
-        report
+        step.report
     }
 
     /// Applies a gradient to the row for `id`, keeping hot and cold copies
@@ -202,59 +176,25 @@ impl HybridHash {
         }
     }
 
-    /// Refreshes Hot-storage with the top-k most frequent IDs (L24-25). If
-    /// the whole materialized table fits, promotes everything.
-    fn flush(&mut self) {
-        let capacity = self.hot_row_capacity();
-        if capacity == 0 {
-            return;
-        }
-        self.stats.flushes += 1;
-        let promote_all = self.cold.len() <= capacity;
-        let mut hot_ids: Vec<u64>;
-        if promote_all {
-            hot_ids = self.fcounter.keys().copied().take(capacity).collect();
-        } else {
-            // top-k(FCounter): partial sort by (count desc, id asc).
-            let mut items: Vec<(u64, u64)> =
-                self.fcounter.iter().map(|(&id, &c)| (id, c)).collect();
-            items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            items.truncate(capacity);
-            hot_ids = items.into_iter().map(|(id, _)| id).collect();
-        }
-        hot_ids.sort_unstable();
-        self.hot = self.promoted_arena(&hot_ids);
-    }
-
-    /// Builds a fresh hot arena holding the (cold) rows for `hot_ids` via
-    /// one batched gather, counting as evicted every currently-hot row that
-    /// is not re-promoted.
-    fn promoted_arena(&mut self, hot_ids: &[u64]) -> RowArena {
+    /// Rebuilds Hot-storage from the policy's hot IDs via one batched
+    /// gather of their cold rows.
+    fn reload_hot(&mut self) {
+        let hot_ids = self.policy.hot_ids();
         let dim = self.cold.dim();
         let mut buf = Vec::new();
         self.cold.gather_rows(hot_ids, &mut buf);
-        let mut new_hot = RowArena::with_capacity(dim, hot_ids.len());
+        let mut hot = RowArena::with_capacity(dim, hot_ids.len());
         for (i, &id) in hot_ids.iter().enumerate() {
-            new_hot.insert(id, &buf[i * dim..(i + 1) * dim]);
+            hot.insert(id, &buf[i * dim..(i + 1) * dim]);
         }
-        self.stats.evictions += self
-            .hot
-            .ids()
-            .iter()
-            .filter(|&&id| !new_hot.contains(id))
-            .count() as u64;
-        new_hot
+        self.hot = hot;
     }
 
     /// Point-in-time metrics view, detachable from the cache (warm-up
     /// measurement caches are transient; the run-level exporters keep only
     /// this snapshot).
     pub fn metrics(&self) -> CacheMetrics {
-        CacheMetrics {
-            stats: self.stats,
-            hot_rows: self.hot.len(),
-            hot_capacity: self.hot_row_capacity(),
-        }
+        CacheMetrics::of(&self.policy)
     }
 
     /// Exports the cache's cumulative counters and occupancy into `registry`,
@@ -267,13 +207,13 @@ impl HybridHash {
 
     /// The frequency counter for `id` (0 if never looked up).
     pub fn frequency(&self, id: u64) -> u64 {
-        self.fcounter.get(&id).copied().unwrap_or(0)
+        self.policy.counter().count(id)
     }
 
     /// IDs whose frequency counter changed since the last
     /// [`HybridHash::mark_clean`].
     pub fn touched_count(&self) -> usize {
-        self.touched.len()
+        self.policy.touched_count()
     }
 
     /// Captures the complete cache state. Hot-storage *values* are not
@@ -281,13 +221,11 @@ impl HybridHash {
     /// the hot row always equals the cold row and the hot set is fully
     /// described by its ID list.
     pub fn snapshot_full(&self) -> crate::ckpt::CacheSnapshot {
-        let mut counters: Vec<(u64, u64)> = self.fcounter.iter().map(|(&i, &c)| (i, c)).collect();
-        counters.sort_unstable();
         crate::ckpt::CacheSnapshot {
-            itr: self.itr,
-            stats: self.stats,
-            counters,
-            hot_ids: self.hot.sorted_ids(),
+            itr: self.policy.iteration(),
+            stats: self.policy.stats(),
+            counters: self.policy.counter().counts(),
+            hot_ids: self.policy.hot_ids().to_vec(),
             cold: crate::ckpt::TableSnapshot::full(&self.cold),
         }
     }
@@ -296,58 +234,39 @@ impl HybridHash {
     /// dirty cold rows and the (absolute) counters of touched IDs. The small
     /// scalar state — iteration, stats, hot ID list — is always included.
     pub fn snapshot_delta(&self) -> crate::ckpt::CacheSnapshot {
-        let counters: Vec<(u64, u64)> = self
-            .touched
-            .iter()
-            .map(|&id| (id, self.frequency(id)))
-            .collect();
         crate::ckpt::CacheSnapshot {
-            itr: self.itr,
-            stats: self.stats,
-            counters,
-            hot_ids: self.hot.sorted_ids(),
+            itr: self.policy.iteration(),
+            stats: self.policy.stats(),
+            counters: self.policy.touched_counts(),
+            hot_ids: self.policy.hot_ids().to_vec(),
             cold: crate::ckpt::TableSnapshot::dirty(&self.cold),
         }
     }
 
     /// Clears the touched/dirty sets after a checkpoint captured them.
     pub fn mark_clean(&mut self) {
-        self.touched.clear();
+        self.policy.mark_clean();
         self.cold.mark_clean();
     }
 
     /// Resets the cache to exactly the state of a full snapshot. Ends clean.
     pub fn restore_full(&mut self, snap: &crate::ckpt::CacheSnapshot) {
         snap.cold.restore_full(&mut self.cold);
-        self.fcounter = snap.counters.iter().copied().collect();
-        self.itr = snap.itr;
-        self.stats = snap.stats;
-        self.rebuild_hot(&snap.hot_ids);
-        self.mark_clean();
+        self.restore_policy(snap, true);
     }
 
     /// Applies one incremental snapshot on top of the current state (which
     /// must be the snapshot's parent). Ends clean.
     pub fn apply_delta(&mut self, snap: &crate::ckpt::CacheSnapshot) {
         snap.cold.apply(&mut self.cold);
-        for &(id, count) in &snap.counters {
-            self.fcounter.insert(id, count);
-        }
-        self.itr = snap.itr;
-        self.stats = snap.stats;
-        self.rebuild_hot(&snap.hot_ids);
-        self.mark_clean();
+        self.restore_policy(snap, false);
     }
 
-    fn rebuild_hot(&mut self, hot_ids: &[u64]) {
-        let dim = self.cold.dim();
-        let mut buf = Vec::new();
-        self.cold.gather_rows(hot_ids, &mut buf);
-        let mut hot = RowArena::with_capacity(dim, hot_ids.len());
-        for (i, &id) in hot_ids.iter().enumerate() {
-            hot.insert(id, &buf[i * dim..(i + 1) * dim]);
-        }
-        self.hot = hot;
+    fn restore_policy(&mut self, snap: &crate::ckpt::CacheSnapshot, full: bool) {
+        self.policy
+            .restore(snap.itr, snap.stats, &snap.counters, &snap.hot_ids, full);
+        self.reload_hot();
+        self.mark_clean();
     }
 }
 
@@ -363,6 +282,15 @@ pub struct CacheMetrics {
 }
 
 impl CacheMetrics {
+    /// The exportable state of `policy` (its hot set stands for the rows).
+    pub fn of(policy: &HotSetPolicy) -> CacheMetrics {
+        CacheMetrics {
+            stats: policy.stats(),
+            hot_rows: policy.hot_ids().len(),
+            hot_capacity: policy.capacity(),
+        }
+    }
+
     /// Exports the snapshot into `registry`, labeled by `table`.
     pub fn export(&self, table: &str, registry: &MetricsRegistry) {
         registry.describe(

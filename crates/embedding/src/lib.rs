@@ -3,7 +3,7 @@
 //! The embedding-layer substrate of the PICASSO reproduction: hashmap-backed
 //! embedding tables, the sparse operators of §II-D (Unique, Partition,
 //! Gather, Shuffle, Stitch, SegmentReduction), the HybridHash two-level
-//! cache (Algorithm 1), the Eq. 1 `CalcVParam` cost model, and the D-Packing
+//! cache (Algorithm 1) and its row-less hit policy, the Eq. 1 `CalcVParam` cost model, and the D-Packing
 //! planner that groups tables into packed operations.
 //!
 //! Everything in this crate executes for real on the CPU over materialized
@@ -28,6 +28,7 @@ pub mod hybrid_hash;
 pub mod multi_level;
 pub mod ops;
 pub mod planner;
+pub mod policy;
 pub mod table;
 
 pub use ckpt::{CacheSnapshot, TableSnapshot};
@@ -39,4 +40,5 @@ pub use ops::{
     PartitionOutput, Reduction, UniqueOutput,
 };
 pub use planner::{Pack, PackPlan, PlannerConfig};
+pub use policy::{HotSetPolicy, PolicyStep};
 pub use table::{EmbeddingTable, RowArena, ShardedTable};

@@ -8,6 +8,7 @@
 //! with the hottest IDs in the fastest tier.
 
 use crate::table::EmbeddingTable;
+use picasso_data::FrequencyStats;
 use std::collections::HashMap;
 
 /// One storage tier of the hierarchy.
@@ -81,7 +82,7 @@ pub struct MultiLevelCache {
     store: EmbeddingTable,
     /// Cached rows per non-bottom level.
     tiers: Vec<HashMap<u64, Box<[f32]>>>,
-    fcounter: HashMap<u64, u64>,
+    fcounter: FrequencyStats,
     itr: u64,
     stats: Vec<LevelStats>,
     warmup_lookups: u64,
@@ -104,7 +105,7 @@ impl MultiLevelCache {
             cfg,
             store,
             tiers,
-            fcounter: HashMap::new(),
+            fcounter: FrequencyStats::new(),
             itr: 0,
             stats,
             warmup_lookups: 0,
@@ -138,7 +139,7 @@ impl MultiLevelCache {
         self.itr += 1;
         if self.itr <= self.cfg.warmup_iters {
             for &id in ids {
-                *self.fcounter.entry(id).or_insert(0) += 1;
+                self.fcounter.record(id);
                 self.store.gather_into(id, out);
             }
             self.warmup_lookups += ids.len() as u64;
@@ -148,7 +149,7 @@ impl MultiLevelCache {
             return;
         }
         for &id in ids {
-            *self.fcounter.entry(id).or_insert(0) += 1;
+            self.fcounter.record(id);
             let mut served = false;
             for (li, tier) in self.tiers.iter().enumerate() {
                 if let Some(row) = tier.get(&id) {
@@ -172,14 +173,13 @@ impl MultiLevelCache {
     /// Ranks IDs by frequency and fills the tiers: hottest in tier 0, next
     /// band in tier 1, and so on.
     fn flush(&mut self) {
-        let mut items: Vec<(u64, u64)> = self.fcounter.iter().map(|(&id, &c)| (id, c)).collect();
-        items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let ranked = self.fcounter.top_k(self.fcounter.distinct());
         let mut cursor = 0usize;
         for li in 0..self.tiers.len() {
             let cap = self.tier_row_capacity(li);
-            let end = (cursor + cap).min(items.len());
+            let end = (cursor + cap).min(ranked.len());
             let mut tier = HashMap::with_capacity(end - cursor);
-            for &(id, _) in &items[cursor..end] {
+            for &id in &ranked[cursor..end] {
                 tier.insert(id, self.store.row(id).into());
             }
             self.tiers[li] = tier;

@@ -1,0 +1,161 @@
+//! Property tests: the hot-set policy decides identically over dense and
+//! hashed counters, and identically with or without rows behind it.
+
+use picasso_data::{IdDistribution, IdSampler};
+use picasso_embedding::{EmbeddingTable, HotSetPolicy, HybridHash, HybridHashConfig};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const VOCAB: u64 = 300;
+
+/// `phases` groups of seeded Zipf batches; each phase rotates the ranks by
+/// `shift`, so the hot set moves between phases.
+fn zipf_stream(seed: u64, s: f64, phases: usize, per_phase: usize, shift: u64) -> Vec<Vec<u64>> {
+    let sampler = IdSampler::new(VOCAB, IdDistribution::Zipf { s });
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut batches = Vec::new();
+    for phase in 0..phases as u64 {
+        for _ in 0..per_phase {
+            let mut ids = Vec::new();
+            sampler.sample_into(&mut rng, 64, &mut ids);
+            for id in &mut ids {
+                *id = (*id + phase * shift) % VOCAB;
+            }
+            batches.push(ids);
+        }
+    }
+    batches
+}
+
+fn config(warmup: u64, flush: u64, rows: usize) -> HybridHashConfig {
+    HybridHashConfig {
+        warmup_iters: warmup,
+        flush_iters: flush,
+        hot_bytes: (rows * 4) as u64,
+    }
+}
+
+/// Drives a hashed and a dense policy over `batches`, asserting they agree
+/// after every batch; returns the dense one.
+fn run_both(cfg: &HybridHashConfig, batches: &[Vec<u64>]) -> HotSetPolicy {
+    let mut hashed = HotSetPolicy::new(cfg, 1, None);
+    let mut dense = HotSetPolicy::new(cfg, 1, Some(VOCAB as usize));
+    for ids in batches {
+        let a = hashed.measure_batch(ids);
+        let b = dense.measure_batch(ids);
+        assert_eq!(a, b);
+        assert_eq!(hashed.stats(), dense.stats());
+        assert_eq!(hashed.hot_ids(), dense.hot_ids());
+    }
+    assert_eq!(hashed.counter().counts(), dense.counter().counts());
+    assert_eq!(hashed.counter().distinct(), dense.counter().distinct());
+    assert_eq!(hashed.touched_counts(), dense.touched_counts());
+    assert_eq!(hashed.iteration(), dense.iteration());
+    dense
+}
+
+#[test]
+fn top_k_path_agrees_and_breaks_ties_by_id() {
+    // Capacity well below the distinct count: every flush ranks.
+    let batches = zipf_stream(3, 1.05, 1, 12, 0);
+    let p = run_both(&config(4, 4, 20), &batches);
+    assert!(p.counter().distinct() > 20);
+    assert_eq!(p.hot_ids().len(), 20);
+    // The hot set is a prefix of the (count desc, id asc) ranking, so every
+    // ID left out with the boundary count has a larger ID than every ID
+    // kept with it.
+    let min_hot = p
+        .hot_ids()
+        .iter()
+        .map(|&id| p.counter().count(id))
+        .min()
+        .unwrap();
+    let max_tied_hot = p
+        .hot_ids()
+        .iter()
+        .filter(|&&id| p.counter().count(id) == min_hot)
+        .max();
+    let mut ties_left_out = 0;
+    for (id, c) in p.counter().counts() {
+        if p.hot_ids().binary_search(&id).is_err() {
+            assert!(c <= min_hot);
+            if c == min_hot {
+                assert!(Some(&id) > max_tied_hot, "tie at {id} broken by ID");
+                ties_left_out += 1;
+            }
+        }
+    }
+    assert!(
+        ties_left_out > 0,
+        "the stream must put a tie on the boundary"
+    );
+}
+
+#[test]
+fn promote_all_path_agrees() {
+    // Capacity at and above the distinct count: every counted ID is hot.
+    let batches = zipf_stream(5, 1.2, 1, 6, 0);
+    let distinct = run_both(&config(6, 6, 1000), &batches[..6])
+        .counter()
+        .distinct();
+    for rows in [distinct, distinct + 1, 1000] {
+        let p = run_both(&config(6, 6, rows), &batches);
+        assert_eq!(
+            p.hot_ids(),
+            &p.counter().counts().iter().map(|c| c.0).collect::<Vec<_>>()[..]
+        );
+    }
+}
+
+#[test]
+fn shifting_hot_set_evicts_identically() {
+    let batches = zipf_stream(7, 1.3, 4, 5, 97);
+    let p = run_both(&config(2, 3, 16), &batches);
+    assert!(p.stats().flushes >= 4);
+    assert!(
+        p.stats().evictions > 0,
+        "the moving hot set must demote rows"
+    );
+}
+
+#[test]
+fn zero_capacity_agrees_and_never_flushes() {
+    let batches = zipf_stream(9, 1.1, 2, 4, 50);
+    let p = run_both(&config(1, 1, 0), &batches);
+    assert_eq!(p.stats().flushes, 0);
+    assert!(p.hot_ids().is_empty());
+    assert_eq!(p.stats().hot_hits, 0);
+}
+
+proptest! {
+    /// Over any seeded Zipf stream and cadence, dense and hashed policies
+    /// agree, and a HybridHash serving real rows makes the same decisions
+    /// as the row-less policy.
+    #[test]
+    fn dense_hashed_and_row_backed_policies_agree(
+        seed in 0u64..1_000_000,
+        rows in 0usize..120,
+        warmup in 1u64..4,
+        flush in 1u64..4,
+        shift in 0u64..VOCAB,
+    ) {
+        let batches = zipf_stream(seed, 1.1, 3, 3, shift);
+        let cfg = config(warmup, flush, rows);
+        let policy = run_both(&cfg, &batches);
+        let dim = 2;
+        let mut cache = HybridHash::new(
+            EmbeddingTable::new(dim, seed),
+            HybridHashConfig { hot_bytes: cfg.hot_bytes * dim as u64, ..cfg },
+        );
+        let mut out = Vec::new();
+        for ids in &batches {
+            out.clear();
+            cache.lookup_batch(ids, &mut out);
+        }
+        prop_assert_eq!(cache.stats(), policy.stats());
+        prop_assert_eq!(cache.policy().hot_ids(), policy.hot_ids());
+        prop_assert_eq!(cache.hot_rows(), policy.hot_ids().len());
+        prop_assert_eq!(cache.snapshot_full().counters, policy.counter().counts());
+    }
+}

@@ -8,7 +8,7 @@
 //! substrate and reports those statistics.
 
 use picasso_data::{BatchGenerator, DatasetSpec, FrequencyStats};
-use picasso_embedding::{CacheMetrics, EmbeddingTable, HybridHash, HybridHashConfig, TableLoad};
+use picasso_embedding::{CacheMetrics, HotSetPolicy, HybridHashConfig, TableLoad};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -95,87 +95,134 @@ impl WarmupReport {
 /// byte budget rescaled to preserve row counts.
 const MEASURE_DIM: usize = 8;
 
+/// One table's drawn IDs across the warm-up batches.
+#[derive(Debug, Default)]
+struct TableStream {
+    /// Embedding dimension.
+    dim: usize,
+    /// Rank bound: the largest working vocabulary of the table's fields.
+    bound: usize,
+    /// Every batch's IDs, batch after batch (field order within a batch).
+    ids: Vec<u64>,
+    /// End of each batch in `ids`.
+    ends: Vec<usize>,
+}
+
+impl TableStream {
+    fn batches(&self) -> impl Iterator<Item = &[u64]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(lo, &hi)| &self.ids[lo..hi])
+    }
+}
+
+/// Per-batch distinct-ID counting with one epoch stamp per rank: a rank is
+/// new in the current batch when its stamp is older than the epoch, so the
+/// marks never need clearing between batches or tables.
+#[derive(Debug)]
+struct DistinctCounter {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl DistinctCounter {
+    /// Distinct IDs in `ids`, all of which are ranks below the stamp
+    /// array's length.
+    fn count(&mut self, ids: &[u64]) -> u64 {
+        self.epoch += 1;
+        let mut distinct = 0;
+        for &id in ids {
+            let stamp = &mut self.stamps[id as usize];
+            if *stamp != self.epoch {
+                *stamp = self.epoch;
+                distinct += 1;
+            }
+        }
+        distinct
+    }
+}
+
 /// Runs the warm-up over `data`.
+///
+/// Batches are drawn once and split into per-table ID streams; each table
+/// is then counted on its own in dense rank space, so at most one table's
+/// counters are live at a time.
 pub fn run_warmup(data: &Arc<DatasetSpec>, cfg: &WarmupConfig) -> WarmupReport {
     assert!(cfg.batches >= 2, "need at least two warm-up batches");
     let mut gen = BatchGenerator::with_max_vocab(Arc::clone(data), cfg.seed, cfg.max_vocab);
 
-    // Table -> (dim, per-batch id streams).
-    let mut table_dim: BTreeMap<usize, usize> = BTreeMap::new();
-    for f in &data.fields {
-        table_dim.insert(f.table_group, f.dim);
+    let mut streams: BTreeMap<usize, TableStream> = BTreeMap::new();
+    for (fi, f) in data.fields.iter().enumerate() {
+        let s = streams.entry(f.table_group).or_default();
+        s.dim = f.dim;
+        s.bound = s.bound.max(gen.working_vocab(fi) as usize);
     }
-    let mut freq: BTreeMap<usize, FrequencyStats> = BTreeMap::new();
-    let mut unique_accum: BTreeMap<usize, (u64, u64)> = BTreeMap::new(); // (unique, total)
-    let mut batches_ids: Vec<BTreeMap<usize, Vec<u64>>> = Vec::with_capacity(cfg.batches);
-
     for _ in 0..cfg.batches {
         let batch = gen.next_batch(cfg.batch_size);
-        let mut per_table: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
         for fb in &batch.fields {
             let table = data.fields[fb.field].table_group;
-            per_table
-                .entry(table)
-                .or_default()
-                .extend_from_slice(&fb.ids);
+            let s = streams
+                .get_mut(&table)
+                .expect("every field's table has a stream");
+            s.ids.extend_from_slice(&fb.ids);
         }
-        for (&table, ids) in &per_table {
-            freq.entry(table).or_default().record_all(ids);
-            let (u, _) = picasso_embedding::unique(ids);
-            let e = unique_accum.entry(table).or_insert((0, 0));
-            e.0 += u.unique_ids.len() as u64;
-            e.1 += ids.len() as u64;
-        }
-        batches_ids.push(per_table);
-    }
-
-    let total_ids: u64 = freq.values().map(|f| f.total()).sum();
-
-    // Cache measurement: per-table HybridHash with budget split by mass,
-    // warm on the first half of the batches, measured on the second half.
-    let mut hit: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut caches: BTreeMap<usize, CacheMetrics> = BTreeMap::new();
-    if cfg.hot_bytes > 0 {
-        let warm = cfg.batches / 2;
-        for (&table, stats) in &freq {
-            let mass = stats.total() as f64 / total_ids as f64;
-            let dim = table_dim[&table];
-            let budget = cfg.hot_bytes as f64 * mass;
-            let rows = budget / (dim as f64 * 4.0);
-            let measure_bytes = (rows * (MEASURE_DIM * 4) as f64) as u64;
-            let mut cache = HybridHash::new(
-                EmbeddingTable::new(MEASURE_DIM, table as u64),
-                HybridHashConfig {
-                    warmup_iters: warm as u64,
-                    flush_iters: cfg.batches as u64,
-                    hot_bytes: measure_bytes,
-                },
-            );
-            let mut out = Vec::new();
-            for b in &batches_ids {
-                if let Some(ids) = b.get(&table) {
-                    out.clear();
-                    cache.lookup_batch(ids, &mut out);
-                }
-            }
-            hit.insert(table, cache.stats().hit_ratio());
-            caches.insert(table, cache.metrics());
+        for s in streams.values_mut() {
+            s.ends.push(s.ids.len());
         }
     }
+    let total_ids: u64 = streams.values().map(|s| s.ids.len() as u64).sum();
 
+    let warm = cfg.batches / 2;
+    let mut distinct = DistinctCounter {
+        stamps: vec![0; streams.values().map(|s| s.bound).max().unwrap_or(0)],
+        epoch: 0,
+    };
     let mut tables = BTreeMap::new();
+    let mut caches: BTreeMap<usize, CacheMetrics> = BTreeMap::new();
     let mut coverage = 0.0;
     let mut overall_hit = 0.0;
-    for (&table, stats) in &freq {
-        let mass = stats.total() as f64 / total_ids as f64;
-        let (u, t) = unique_accum[&table];
-        let table_stats = TableStats {
-            unique_ratio: if t == 0 { 1.0 } else { u as f64 / t as f64 },
-            hit_ratio: hit.get(&table).copied().unwrap_or(0.0),
-            id_mass: mass,
-            dim: table_dim[&table],
+    for (&table, s) in &streams {
+        let mass = s.ids.len() as f64 / total_ids as f64;
+        let unique: u64 = s.batches().map(|ids| distinct.count(ids)).sum();
+        let (coverage_top20, hit_ratio) = if cfg.hot_bytes > 0 {
+            // Cache measurement: a hot-set policy with the budget split by
+            // mass, warm on the first half of the batches, measured on the
+            // second half.
+            let budget = cfg.hot_bytes as f64 * mass;
+            let rows = budget / (s.dim as f64 * 4.0);
+            let measure_bytes = (rows * (MEASURE_DIM * 4) as f64) as u64;
+            let hh = HybridHashConfig {
+                warmup_iters: warm as u64,
+                flush_iters: cfg.batches as u64,
+                hot_bytes: measure_bytes,
+            };
+            // The policy counts every batch, so its counter is the table's
+            // frequency statistics too.
+            let mut policy = HotSetPolicy::new(&hh, MEASURE_DIM, Some(s.bound));
+            for ids in s.batches() {
+                policy.measure_batch(ids);
+            }
+            caches.insert(table, CacheMetrics::of(&policy));
+            (
+                policy.counter().coverage_of_top(0.2),
+                policy.stats().hit_ratio(),
+            )
+        } else {
+            let mut freq = FrequencyStats::dense(s.bound);
+            freq.record_all(&s.ids);
+            (freq.coverage_of_top(0.2), 0.0)
         };
-        coverage += stats.coverage_of_top(0.2) * mass;
+        let t = s.ids.len() as u64;
+        let table_stats = TableStats {
+            unique_ratio: if t == 0 {
+                1.0
+            } else {
+                unique as f64 / t as f64
+            },
+            hit_ratio,
+            id_mass: mass,
+            dim: s.dim,
+        };
+        coverage += coverage_top20 * mass;
         overall_hit += table_stats.hit_ratio * mass;
         tables.insert(table, table_stats);
     }
