@@ -37,8 +37,6 @@ pub struct AnalysisOutcome {
     pub planned_overlap: f64,
     /// Fraction of the makespan explained by the critical path.
     pub critical_path_frac: f64,
-    /// Analyzer wall time, nanoseconds (volatile — never compared).
-    pub analyze_wall_ns: u64,
     /// The full `picasso.analysis_report` document.
     pub report: Json,
 }
@@ -51,9 +49,7 @@ pub fn run_scenario(sc: &AnalysisScenario) -> AnalysisOutcome {
     let artifacts = session.run_custom(Strategy::Hybrid, sc.perf.pipeline.clone(), &sc.name);
     let micro = artifacts.spec.micro_batches.max(1);
     let groups = artifacts.spec.group_count().max(1);
-    let t0 = std::time::Instant::now();
     let a = analyze_run(&artifacts.output, micro, groups);
-    let analyze_wall_ns = t0.elapsed().as_nanos() as u64;
     let overlap = |pair: &str| {
         a.overlaps
             .iter()
@@ -69,7 +65,6 @@ pub fn run_scenario(sc: &AnalysisScenario) -> AnalysisOutcome {
         host_overlap: overlap("host_under_device"),
         planned_overlap,
         critical_path_frac: a.critical_path_frac,
-        analyze_wall_ns,
         report: analysis_report_json(&sc.name, &artifacts.output, micro, groups),
     }
 }

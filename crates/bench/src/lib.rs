@@ -1,16 +1,18 @@
 //! # picasso-bench
 //!
-//! The benchmark harness of the PICASSO reproduction. Each Criterion bench
-//! target regenerates one table or figure of the paper (printed once at
-//! startup) and then measures a representative unit of that experiment so
-//! regressions in the underlying systems are caught by `cargo bench`.
-//!
-//! The `repro` binary prints every table at either scale:
+//! The benchmark harness of the PICASSO reproduction: the scenario suites
+//! behind the `repro` and `perfgate` binaries. The `repro` binary prints
+//! every table and figure of the paper at either scale:
 //!
 //! ```text
 //! cargo run --release -p picasso-bench --bin repro -- all quick
 //! cargo run --release -p picasso-bench --bin repro -- fig13 full
 //! ```
+//!
+//! `perfgate` gates the deterministic snapshot suite ([`snapshot`]) against
+//! the committed `benchmarks/BENCH_<n>.json`. Host time is measured by the
+//! separate `hostbench/` benchmark, which links this crate's scenario
+//! tables.
 
 #![warn(missing_docs)]
 
@@ -21,26 +23,3 @@ pub mod recovery;
 pub mod scenarios;
 pub mod serve;
 pub mod snapshot;
-
-use picasso_core::{Framework, ModelKind};
-use picasso_core::{PicassoConfig, Scale, Session};
-
-/// A small, fast session used as the measured unit inside benches: one
-/// EFLOPS node, fixed batch, few iterations.
-pub fn quick_session(kind: ModelKind) -> Session {
-    let mut cfg: PicassoConfig = Scale::Quick.eflops_config();
-    cfg.machines = 1;
-    cfg.iterations = 2;
-    cfg.batch_per_executor = Some(1024);
-    Session::new(kind, cfg)
-}
-
-/// Measured unit: one full PICASSO training simulation.
-pub fn measured_picasso_run(kind: ModelKind) -> f64 {
-    quick_session(kind).report().ips_per_node
-}
-
-/// Measured unit: one baseline run.
-pub fn measured_baseline_run(kind: ModelKind, fw: Framework) -> f64 {
-    quick_session(kind).run_framework(fw).report.ips_per_node
-}

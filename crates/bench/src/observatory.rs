@@ -46,8 +46,6 @@ pub struct FlightOutcome {
     pub digest: u64,
     /// Recorder accounting after the tap.
     pub stats: FlightStats,
-    /// Tap wall time, nanoseconds (volatile — never compared).
-    pub flight_wall_ns: u64,
 }
 
 /// Runs one flight scenario: simulate the wrapped perf scenario, tap the
@@ -60,15 +58,12 @@ pub fn run_flight_scenario(sc: &FlightScenario) -> FlightOutcome {
         capacity: TAP_CAPACITY,
         ..FlightConfig::default()
     };
-    let t0 = std::time::Instant::now();
     let rec = flight_record(&artifacts.output, &config);
-    let flight_wall_ns = t0.elapsed().as_nanos() as u64;
     let dump = rec.dump(rec.occupancy());
     FlightOutcome {
         scenario: sc.name.clone(),
         digest: dump.digest(),
         stats: rec.stats(),
-        flight_wall_ns,
     }
 }
 
@@ -420,14 +415,11 @@ mod tests {
         BenchSnapshot {
             version: 0,
             generated_unix_ms: 0,
-            embedding_rows_per_sec: BTreeMap::new(),
             scenarios: vec![ScenarioResult {
                 name: "wdl_base".into(),
                 metrics,
                 report: Json::Null,
                 pass_wall_ns: BTreeMap::new(),
-                analyze_wall_ns: 0,
-                flight_wall_ns: 0,
             }],
         }
     }

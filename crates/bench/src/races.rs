@@ -26,6 +26,7 @@ use picasso_core::exec::{
     crosscheck_races, observed_conflicts, stage_graph, Diagnostic, ObservedOverlap, SimConfig,
     StaticRace, RACE_CHECK_RUNS,
 };
+use picasso_core::obs::checksum::Fnv1a;
 use picasso_core::obs::json::Json;
 use picasso_core::{Session, Severity, Strategy, TextTable};
 
@@ -59,19 +60,6 @@ impl RaceOutcome {
     }
 }
 
-fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
-    let mut h = if digest == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        digest
-    };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Runs one race scenario: lower the scenario's pipeline once for the
 /// static half, then simulate [`RACE_CHECK_RUNS`] seeded runs for the
 /// dynamic half. The first run reuses the suite's canonical seed, so run 0
@@ -100,14 +88,14 @@ pub fn run_scenario(sc: &RaceScenario) -> RaceOutcome {
         observed.push(observed_conflicts(&artifacts.output));
     }
     let diagnostics = crosscheck_races(&static_races, &observed);
-    let mut digest = 0u64;
+    let mut digest = Fnv1a::default();
     for r in &static_races {
-        digest = fnv1a(digest, r.sig.to_string().as_bytes());
+        digest.write(r.sig.to_string().as_bytes());
     }
     for (run, obs) in observed.iter().enumerate() {
-        digest = fnv1a(digest, &[run as u8]);
+        digest.write(&[run as u8]);
         for o in obs {
-            digest = fnv1a(digest, o.sig.to_string().as_bytes());
+            digest.write(o.sig.to_string().as_bytes());
         }
     }
     RaceOutcome {
@@ -115,7 +103,7 @@ pub fn run_scenario(sc: &RaceScenario) -> RaceOutcome {
         static_races,
         observed,
         diagnostics,
-        digest,
+        digest: digest.finish(),
     }
 }
 

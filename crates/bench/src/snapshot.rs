@@ -10,18 +10,17 @@
 //! `BENCH_<n>.json` files; the `perfgate` binary compares a fresh run
 //! against the newest committed snapshot and fails when any gated metric
 //! moves past its threshold in the bad direction. Everything under the
-//! `volatile` key (wall-clock timestamps, optimization-pass wall times,
-//! causal-analyzer runtimes, flight-recorder tap times, and the embedding
-//! micro-bench) is excluded from the determinism guarantee; the rest of
-//! the document is byte-reproducible. One volatile family *is* still
-//! gated: per-pass planning wall time, compared per scenario on its worst
-//! pass under the deliberately loose [`PASS_WALL_GATE`] so a planning-cost
-//! blowup fails CI without wall-clock noise doing the same.
+//! `volatile` key (the capture timestamp and optimization-pass wall times)
+//! is excluded from the determinism guarantee; the rest of the document is
+//! byte-reproducible. The pass wall times are gated per scenario on the
+//! worst pass under the deliberately loose [`PASS_WALL_GATE`] so a
+//! planning-cost blowup fails CI without wall-clock noise doing the same.
+//! All other host time is measured by the repository's `hostbench/`
+//! benchmark, which takes repeated serial samples split by layer.
 
 use crate::scenarios::{perf_scenarios, recovery_scenarios, serve_scenarios, suite_config};
 use picasso_core::exec::lint_recovery;
 use picasso_core::obs::diff::rel_change;
-use picasso_core::obs::flight::FlightConfig;
 use picasso_core::obs::json::{self, Json};
 use picasso_core::serve::ServeReport;
 use picasso_core::{si, LintReport, Session, Strategy, TextTable};
@@ -69,47 +68,6 @@ pub fn lint_suite() -> Result<LintReport, String> {
     Ok(LintReport::new(all))
 }
 
-/// Micro-benchmark of the SoA embedding arena hot path: batched gather and
-/// scatter over a fixed skewed ID set, reported as rows per second. The
-/// numbers land in the snapshot's volatile section — recorded for
-/// observability across baselines, never gated and never canonical.
-pub fn embedding_microbench() -> BTreeMap<String, f64> {
-    use picasso_core::embedding::EmbeddingTable;
-    const DIM: usize = 32;
-    const ROWS: usize = 4096;
-    const REPS: usize = 64;
-    let mut table = EmbeddingTable::new(DIM, 7);
-    // A skewed, duplicate-bearing stream (multiplicative hash mod a vocab
-    // smaller than the draw range), deterministic so both sides of any
-    // comparison measure the same access pattern.
-    let ids: Vec<u64> = (0..ROWS as u64)
-        .map(|i| i.wrapping_mul(2654435761) % 3000)
-        .collect();
-    let mut out = Vec::new();
-    // Materialize every row outside the timed region: the timed loops
-    // measure the steady-state gather/scatter paths, not first-touch init.
-    table.gather_rows(&ids, &mut out);
-
-    let t0 = std::time::Instant::now();
-    for _ in 0..REPS {
-        table.gather_rows(&ids, &mut out);
-        std::hint::black_box(out.last());
-    }
-    let gather = (ROWS * REPS) as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-
-    let grads = vec![0.01f32; ids.len() * DIM];
-    let t0 = std::time::Instant::now();
-    for _ in 0..REPS {
-        table.scatter_grads(&ids, &grads, 1e-4);
-    }
-    let scatter = (ROWS * REPS) as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-
-    let mut out = BTreeMap::new();
-    out.insert("gather_rows_per_sec".into(), gather);
-    out.insert("scatter_rows_per_sec".into(), scatter);
-    out
-}
-
 /// Results of one scenario run.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
@@ -121,18 +79,12 @@ pub struct ScenarioResult {
     pub report: Json,
     /// Wall-clock time of each optimization pass, nanoseconds (volatile).
     pub pass_wall_ns: BTreeMap<String, u64>,
-    /// Wall-clock time of the causal analyzer over the executed DAG,
-    /// nanoseconds (volatile).
-    pub analyze_wall_ns: u64,
-    /// Wall-clock time of the flight-recorder tap over the executed
-    /// schedule, nanoseconds (volatile).
-    pub flight_wall_ns: u64,
 }
 
 /// Converts one serving report into its snapshot row. Serving metrics are
 /// `srv_`-prefixed so the training gates ([`GATES`]) and the serving gates
-/// ([`SERVE_GATES`]) skip each other's rows by key absence; the volatile
-/// wall-time records stay empty (the replica runs in virtual time).
+/// ([`SERVE_GATES`]) skip each other's rows by key absence; the pass
+/// wall-time records stay empty (the replica plans no passes).
 pub fn serve_result(report: &ServeReport) -> ScenarioResult {
     let mut metrics = BTreeMap::new();
     metrics.insert("srv_p50_ns".into(), report.p50_ns as f64);
@@ -149,8 +101,6 @@ pub fn serve_result(report: &ServeReport) -> ScenarioResult {
         metrics,
         report: report.to_json(),
         pass_wall_ns: BTreeMap::new(),
-        analyze_wall_ns: 0,
-        flight_wall_ns: 0,
     }
 }
 
@@ -158,16 +108,6 @@ pub fn serve_result(report: &ServeReport) -> ScenarioResult {
 pub fn run_scenario(sc: &Scenario) -> ScenarioResult {
     let session = Session::new(sc.model, suite_config());
     let artifacts = session.run_custom(Strategy::Hybrid, sc.pipeline.clone(), &sc.name);
-    let t0 = std::time::Instant::now();
-    let _ = picasso_core::exec::analyze_run(
-        &artifacts.output,
-        artifacts.spec.micro_batches.max(1),
-        artifacts.spec.group_count().max(1),
-    );
-    let analyze_wall_ns = t0.elapsed().as_nanos() as u64;
-    let t0 = std::time::Instant::now();
-    let _ = picasso_core::exec::flight_record(&artifacts.output, &FlightConfig::default());
-    let flight_wall_ns = t0.elapsed().as_nanos() as u64;
     let mut metrics = BTreeMap::new();
     metrics.insert("ips_per_node".into(), artifacts.report.ips_per_node);
     metrics.insert(
@@ -189,8 +129,6 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioResult {
         metrics,
         report: artifacts.report.to_json(),
         pass_wall_ns,
-        analyze_wall_ns,
-        flight_wall_ns,
     }
 }
 
@@ -201,8 +139,6 @@ pub struct BenchSnapshot {
     pub version: u64,
     /// Wall-clock capture time, milliseconds since the Unix epoch (volatile).
     pub generated_unix_ms: u64,
-    /// Embedding gather/scatter micro-bench, rows per second (volatile).
-    pub embedding_rows_per_sec: BTreeMap<String, f64>,
     /// One result per suite scenario, in suite order.
     pub scenarios: Vec<ScenarioResult>,
 }
@@ -242,7 +178,6 @@ impl BenchSnapshot {
         BenchSnapshot {
             version,
             generated_unix_ms,
-            embedding_rows_per_sec: embedding_microbench(),
             scenarios,
         }
     }
@@ -267,33 +202,6 @@ impl BenchSnapshot {
                                 ),
                             )
                         })
-                        .collect(),
-                ),
-            ),
-            (
-                "analyze_wall_ns",
-                Json::Obj(
-                    self.scenarios
-                        .iter()
-                        .map(|s| (s.name.clone(), Json::UInt(s.analyze_wall_ns)))
-                        .collect(),
-                ),
-            ),
-            (
-                "flight_wall_ns",
-                Json::Obj(
-                    self.scenarios
-                        .iter()
-                        .map(|s| (s.name.clone(), Json::UInt(s.flight_wall_ns)))
-                        .collect(),
-                ),
-            ),
-            (
-                "embedding_rows_per_sec",
-                Json::Obj(
-                    self.embedding_rows_per_sec
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::Num(v)))
                         .collect(),
                 ),
             ),
@@ -340,7 +248,9 @@ impl BenchSnapshot {
     }
 
     /// Parses a snapshot document (the inverse of [`BenchSnapshot::to_json`];
-    /// the volatile section is optional so canonical documents parse too).
+    /// the volatile section is optional so canonical documents parse too,
+    /// and volatile keys other than `generated_unix_ms` and `pass_wall_ns`,
+    /// which older snapshots carry, are ignored).
     pub fn from_json(doc: &Json) -> Result<BenchSnapshot, String> {
         let kind = doc.get("kind").and_then(Json::as_str).unwrap_or_default();
         if kind != "picasso.bench_snapshot" {
@@ -355,18 +265,7 @@ impl BenchSnapshot {
             .and_then(|v| v.get("generated_unix_ms"))
             .and_then(Json::as_u64)
             .unwrap_or(0);
-        let mut embedding_rows_per_sec = BTreeMap::new();
-        if let Some(Json::Obj(pairs)) = doc
-            .get("volatile")
-            .and_then(|v| v.get("embedding_rows_per_sec"))
-        {
-            for (k, v) in pairs {
-                embedding_rows_per_sec.insert(k.clone(), v.as_f64().unwrap_or(0.0));
-            }
-        }
         let pass_walls = doc.get("volatile").and_then(|v| v.get("pass_wall_ns"));
-        let analyze_walls = doc.get("volatile").and_then(|v| v.get("analyze_wall_ns"));
-        let flight_walls = doc.get("volatile").and_then(|v| v.get("flight_wall_ns"));
         let mut out = Vec::new();
         for sc in doc
             .get("scenarios")
@@ -394,27 +293,16 @@ impl BenchSnapshot {
                     pass_wall_ns.insert(k.clone(), v.as_u64().unwrap_or(0));
                 }
             }
-            let analyze_wall_ns = analyze_walls
-                .and_then(|w| w.get(&name))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            let flight_wall_ns = flight_walls
-                .and_then(|w| w.get(&name))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
             out.push(ScenarioResult {
                 name,
                 metrics,
                 report: sc.get("report").cloned().unwrap_or(Json::Null),
                 pass_wall_ns,
-                analyze_wall_ns,
-                flight_wall_ns,
             });
         }
         Ok(BenchSnapshot {
             version,
             generated_unix_ms,
-            embedding_rows_per_sec,
             scenarios: out,
         })
     }
@@ -769,8 +657,6 @@ mod tests {
             metrics,
             report: Json::Null,
             pass_wall_ns: BTreeMap::new(),
-            analyze_wall_ns: 0,
-            flight_wall_ns: 0,
         }
     }
 
@@ -778,7 +664,6 @@ mod tests {
         BenchSnapshot {
             version,
             generated_unix_ms: 123,
-            embedding_rows_per_sec: BTreeMap::new(),
             scenarios: vec![synthetic("wdl_cache", ips, 0.5)],
         }
     }
@@ -1030,8 +915,6 @@ mod tests {
                 metrics,
                 report: Json::Null,
                 pass_wall_ns: BTreeMap::new(),
-                analyze_wall_ns: 0,
-                flight_wall_ns: 0,
             }
         };
         let mut with_srv = synthetic_snapshot(1, 1000.0);
@@ -1064,15 +947,39 @@ mod tests {
         let snap = BenchSnapshot::capture(0, 0);
         let got: Vec<&str> = snap.scenarios.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(got, names.iter().map(String::as_str).collect::<Vec<_>>());
-        assert!(
-            snap.embedding_rows_per_sec
-                .contains_key("gather_rows_per_sec")
-                && snap
-                    .embedding_rows_per_sec
-                    .contains_key("scatter_rows_per_sec"),
-            "micro-bench rows/sec recorded in the volatile section"
+        let volatile = snap.to_json();
+        let Some(Json::Obj(keys)) = volatile.get("volatile") else {
+            panic!("snapshot document has a volatile section");
+        };
+        assert_eq!(
+            keys.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
+            ["generated_unix_ms", "pass_wall_ns"],
+            "the volatile section holds only the capture time and pass wall times"
         );
-        assert!(snap.embedding_rows_per_sec.values().all(|&v| v > 0.0));
+    }
+
+    #[test]
+    fn committed_baseline_loads_and_gates_pass_wall_time() {
+        // BENCH_2 predates the trimmed volatile section: its retired keys
+        // (analyzer and flight-tap wall times, the embedding micro-bench)
+        // are ignored, and its pass wall times still feed the planning gate.
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/BENCH_2.json");
+        let committed = BenchSnapshot::load(&path).unwrap();
+        assert_eq!(committed.version, 2);
+        let with_walls = committed
+            .scenarios
+            .iter()
+            .filter(|s| !s.pass_wall_ns.is_empty())
+            .count();
+        assert!(with_walls > 0);
+        let cmp = compare(&committed, &committed);
+        assert!(cmp.passed());
+        let pass_rows = cmp
+            .rows
+            .iter()
+            .filter(|r| r.metric == "worst_pass_wall_ns")
+            .count();
+        assert_eq!(pass_rows, with_walls);
     }
 
     #[test]

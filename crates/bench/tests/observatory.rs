@@ -68,14 +68,11 @@ fn synthetic_snapshot(secs: f64) -> Json {
     BenchSnapshot {
         version: 0,
         generated_unix_ms: 0,
-        embedding_rows_per_sec: BTreeMap::new(),
         scenarios: vec![ScenarioResult {
             name: "wdl_base".into(),
             metrics,
             report: Json::Null,
             pass_wall_ns: BTreeMap::new(),
-            analyze_wall_ns: 0,
-            flight_wall_ns: 0,
         }],
     }
     .to_json()

@@ -9,17 +9,8 @@
 
 use std::fmt;
 
-/// FNV-1a 64-bit hash — the integrity checksum of every shard file. Chosen
-/// over CRC for being dependency-free and trivially portable; this guards
-/// against torn writes and bit rot, not adversaries.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+/// The integrity checksum of every shard file (FNV-1a 64).
+pub use picasso_obs::checksum::fnv1a64;
 
 /// Why a payload could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

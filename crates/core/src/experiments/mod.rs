@@ -3,7 +3,7 @@
 //!
 //! Every module exposes `run(scale) -> TextTable` (plus structured output
 //! types where callers need the numbers). `Scale::Quick` shrinks cluster
-//! sizes and warm-up volumes so Criterion benches and CI stay fast;
+//! sizes and warm-up volumes so tests and CI stay fast;
 //! `Scale::Full` reproduces the paper's cluster shapes.
 
 use crate::config::PicassoConfig;

@@ -20,6 +20,8 @@
 //! never feeds back into scheduling, preserving the observation-only
 //! guarantee of the rest of the crate.
 
+pub use crate::checksum::fnv1a64;
+use crate::checksum::Fnv1a;
 use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -295,11 +297,13 @@ impl ExecutedDag {
             .map(|(cat, ns)| (cat.to_string(), ns as f64 / (critical_len_ns.max(1)) as f64))
             .collect();
 
-        let mut digest = FNV_OFFSET;
+        let mut digest = Fnv1a::default();
         for id in &critical_path {
             if let Some(&i) = by_id.get(id) {
                 let n = &self.nodes[i];
-                digest = fnv1a64_words(digest, &[n.id, n.start_ns, n.end_ns]);
+                for word in [n.id, n.start_ns, n.end_ns] {
+                    digest.write(&word.to_le_bytes());
+                }
             }
         }
 
@@ -315,7 +319,7 @@ impl ExecutedDag {
                 .collect(),
             lanes: self.lane_idle(&by_id, makespan_ns),
             critical_path,
-            digest,
+            digest: digest.finish(),
         }
     }
 
@@ -589,28 +593,6 @@ impl fmt::Display for DagCodecError {
 impl std::error::Error for DagCodecError {}
 
 const MAGIC: u64 = 0x3147_4144_4c53_4143; // "CASLDAG1", little-endian.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv1a64_words(mut h: u64, words: &[u64]) -> u64 {
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
 
 struct Cursor<'a> {
     bytes: &'a [u8],

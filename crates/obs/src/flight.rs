@@ -17,6 +17,7 @@
 //! recomputed checksum disagrees — a truncated or hand-edited dump cannot
 //! masquerade as evidence.
 
+pub use crate::checksum::fnv1a64;
 use crate::json::{self, Json};
 use crate::metrics::{MetricKind, MetricsRegistry};
 
@@ -24,16 +25,6 @@ use crate::metrics::{MetricKind, MetricsRegistry};
 pub const FLIGHT_DUMP_KIND: &str = "picasso.flight_dump";
 /// Schema version of the post-mortem dump document.
 pub const FLIGHT_DUMP_SCHEMA_VERSION: u64 = 1;
-
-/// FNV-1a 64-bit hash (the workspace's standard content checksum).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Deterministic admission hash (splitmix64).
 fn splitmix64(mut x: u64) -> u64 {

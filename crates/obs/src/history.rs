@@ -19,7 +19,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::flight::fnv1a64;
+use crate::checksum::fnv1a64;
 use crate::json::{self, Json};
 
 /// Schema identifier of the manifest document.

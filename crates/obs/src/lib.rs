@@ -25,6 +25,7 @@
 //!   JSON run reports).
 //! * [`json`] — the dependency-free JSON document model and parser the
 //!   exporters are built on.
+//! * [`checksum`] — FNV-1a 64, the content checksum behind every digest.
 //!
 //! The crate has no dependencies and sits at the bottom of the workspace
 //! graph; `sim`, `graph`, `embedding`, `exec`, and `core` all feed it.
@@ -32,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod checksum;
 pub mod chrome;
 pub mod clock;
 pub mod detect;

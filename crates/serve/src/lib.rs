@@ -21,8 +21,8 @@
 //!   reflect the actual Zipf request stream.
 //! * [`report`] — the `picasso.serve_report` summary: exact p50/p95/p99
 //!   latency, queue depth, SLO violations, cache hit rate, shed count, and
-//!   capacity vs. achieved throughput, under an FNV-1a digest that two
-//!   same-seed runs must reproduce bit-for-bit.
+//!   capacity vs. achieved throughput, under a digest that two same-seed
+//!   runs must reproduce bit-for-bit.
 //!
 //! Traffic comes from [`picasso_sim::TrafficPlan`] (seeded Poisson or
 //! bursty MMPP arrivals over Zipf-distributed users); the forward-only

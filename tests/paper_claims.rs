@@ -5,6 +5,7 @@
 use picasso::data::{BatchGenerator, DatasetSpec, FrequencyStats};
 use picasso::experiments::Scale;
 use picasso::graph::graph_stats;
+use picasso::sim::MachineSpec;
 use picasso::train::{auc_datasets, train_ctr, SyncMode, TrainConfig, Variant};
 use picasso::{Framework, ModelKind, PicassoConfig, Session};
 
@@ -94,4 +95,47 @@ fn tab7_claim_picasso_lifts_batch_and_throughput() {
     let picasso = session.run_framework(Framework::Picasso).report;
     assert!(picasso.batch_per_executor >= xdl.batch_per_executor);
     assert!(picasso.ips_per_node > xdl.ips_per_node);
+}
+
+/// IPS per node for the design ablations below: two quick-scale EFLOPS
+/// machines at batch 8192 on the given hardware model.
+fn ablation_ips(kind: ModelKind, machine: MachineSpec, fw: Framework) -> f64 {
+    let mut cfg: PicassoConfig = Scale::Quick.eflops_config();
+    cfg.machine = machine;
+    cfg.machines = 2;
+    cfg.batch_per_executor = Some(8192);
+    Session::new(kind, cfg)
+        .run_framework(fw)
+        .report
+        .ips_per_node
+}
+
+#[test]
+fn design_claim_dispatch_cost_is_what_packing_amortizes() {
+    // Without the op-dispatch cost model the baseline's fragmentary
+    // operations launch for free, so packing's speedup over the hybrid base
+    // must shrink.
+    let speedup = |m: MachineSpec| {
+        ablation_ips(ModelKind::WideDeep, m.clone(), Framework::Picasso)
+            / ablation_ips(ModelKind::WideDeep, m, Framework::PicassoBase)
+    };
+    let with = speedup(MachineSpec::eflops());
+    let without = speedup(MachineSpec::eflops().without_dispatch_cost());
+    assert!(
+        with > without,
+        "dispatch model must be load-bearing for packing: {with:.2}x vs {without:.2}x"
+    );
+}
+
+#[test]
+fn design_claim_burst_congestion_costs_throughput() {
+    // An idealized interconnect (no burst congestion) is an upper bound on
+    // what full PICASSO achieves on CAN.
+    let m = MachineSpec::eflops();
+    let with = ablation_ips(ModelKind::Can, m.clone(), Framework::Picasso);
+    let without = ablation_ips(ModelKind::Can, m.without_congestion(), Framework::Picasso);
+    assert!(
+        without > with,
+        "congestion model must cost throughput: {with:.0} vs {without:.0} IPS"
+    );
 }
