@@ -219,15 +219,16 @@ pub fn race_scenarios() -> Vec<RaceScenario> {
 /// The serving suite: the batch-size-vs-latency tradeoff plus an
 /// overload-shedding run.
 ///
-/// The analytic forward latency of the suite's serving plan has a ~46 ms
-/// per-batch launch-overhead floor, so service capacity is roughly
-/// `max_batch / 46 ms`. The two tradeoff scenarios share one 2 500 rps
-/// traffic plan and are both queue-stable (capacities ~5 500 and
-/// ~21 000 rps); the long-linger rung forms larger batches, buying higher
-/// `srv_capacity_rps` at the cost of higher `srv_p99_ns` — the pair the
-/// perf gate pins. The shed scenario offers 20 000 rps against a
-/// 64-request batch bound (~1 400 rps capacity) behind a 512-entry
-/// admission gate, exercising deterministic shedding.
+/// The analytic forward latency of the suite's serving plan is about
+/// 4.10 ms at batch 1, 4.18 ms at 64, 4.41 ms at 256 and 5.33 ms at 1024:
+/// a per-batch floor that batching amortizes. A rung's service capacity is
+/// therefore `max_batch / forward_latency(max_batch)`. The two tradeoff
+/// scenarios share one 2 500 rps traffic plan and are both queue-stable
+/// (capacities ~58 100 and ~192 000 rps); the long-linger rung forms
+/// larger batches, buying higher `srv_capacity_rps` at the cost of higher
+/// `srv_p99_ns` — the pair the perf gate pins. The shed scenario offers
+/// 20 000 rps against a 64-request batch bound (~15 300 rps capacity)
+/// behind a 512-entry admission gate, exercising deterministic shedding.
 pub fn serve_scenarios() -> Vec<ServeScenario> {
     let tradeoff = "seed=29;poisson@2500;users=200000;zipf=105;ids=8;reqs=6000";
     vec![

@@ -34,5 +34,5 @@ pub use batch::{Batch, BatchGenerator, FieldBatch, DEFAULT_MAX_WORKING_VOCAB};
 pub use dataset::DatasetSpec;
 pub use distribution::{IdDistribution, IdSampler};
 pub use field::FieldSpec;
-pub use stats::FrequencyStats;
+pub use stats::{FrequencyStats, IdHash};
 pub use synthetic::{sigmoid, splitmix64, ClickModel};

@@ -6,15 +6,47 @@
 //! IDs are table-local ranks. When a stream's ranks are known to lie below
 //! a bound (the working vocabulary of the fields feeding a table), the
 //! counter is a dense `Vec` indexed by rank; otherwise (serving's
-//! open-ended user IDs) it is a hashmap. Both answer every query
-//! identically.
+//! open-ended user IDs) it is a hashmap keyed through [`IdHash`], one
+//! splitmix64 mix per ID. Both answer every query identically.
 
+use crate::synthetic::splitmix64;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes `u64` IDs with one splitmix64 mix each. IDs come from seeded
+/// generators or this program's own checkpoints, not from an adversary, so
+/// SipHash's flood resistance buys nothing; the mix still spreads IDs that
+/// differ only in their high or only in their low bits over every bucket.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.0 = splitmix64(self.0 ^ id);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of hashed ID maps and sets.
+pub type IdHash = BuildHasherDefault<IdHasher>;
 
 /// Per-ID counts: dense by rank under a known bound, hashed otherwise.
 #[derive(Debug, Clone)]
 enum Counts {
-    Hashed(HashMap<u64, u64>),
+    Hashed(HashMap<u64, u64, IdHash>),
     Dense { counts: Vec<u64>, distinct: usize },
 }
 
@@ -35,7 +67,7 @@ impl FrequencyStats {
     /// Creates an empty counter over unbounded IDs.
     pub fn new() -> Self {
         FrequencyStats {
-            counts: Counts::Hashed(HashMap::new()),
+            counts: Counts::Hashed(HashMap::default()),
             total: 0,
         }
     }
@@ -276,6 +308,31 @@ mod tests {
             assert_eq!((s.distinct(), s.total()), (0, 0));
             assert!(s.counts().is_empty());
         }
+    }
+
+    #[test]
+    fn hashed_ids_differing_in_one_half_stay_distinct() {
+        let mut s = FrequencyStats::new();
+        let low = 0x0000_0000_dead_beefu64;
+        // Same low 32 bits, different high halves; then the reverse.
+        let ids: Vec<u64> = (0..64u64)
+            .map(|h| h << 32 | low)
+            .chain((0..64u64).map(|l| 0xdead_beef_0000_0000 | l))
+            .chain([u64::MAX, u64::MAX - 1, u64::MAX << 32, u32::MAX as u64])
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            for _ in 0..=i % 3 {
+                s.record(id);
+            }
+        }
+        assert_eq!(s.distinct(), ids.len());
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(s.count(id), (i % 3 + 1) as u64, "id {id:#x}");
+        }
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        let listed: Vec<u64> = s.counts().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(listed, sorted);
     }
 
     #[test]

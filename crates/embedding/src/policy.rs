@@ -10,20 +10,21 @@
 //! Counters follow the ID space: with a known rank bound (a table's working
 //! vocabulary) the frequency counter, the touched set and the hot-set
 //! membership are dense arrays indexed by rank; without one (serving's
-//! open-ended user IDs) they are a hashmap, an ordered set and a sorted
-//! list.
+//! open-ended user IDs) they are a hashmap and a hash set on
+//! [`picasso_data::IdHash`], and a sorted list. The touched set is sorted
+//! only when listed, so checkpoints still see it ascending.
 //!
 //! [`HybridHash`]: crate::HybridHash
 
 use crate::hybrid_hash::{CacheStats, HybridHashConfig, LookupReport};
-use picasso_data::FrequencyStats;
-use std::collections::BTreeSet;
+use picasso_data::{FrequencyStats, IdHash};
+use std::collections::HashSet;
 
-/// A set of IDs: marks by rank under a bound, an ordered set otherwise.
+/// A set of IDs: marks by rank under a bound, a hash set otherwise.
 #[derive(Debug, Clone)]
 enum IdSet {
     Dense { marks: Vec<bool>, len: usize },
-    Sparse(BTreeSet<u64>),
+    Sparse(HashSet<u64, IdHash>),
 }
 
 impl IdSet {
@@ -33,7 +34,7 @@ impl IdSet {
                 marks: vec![false; b],
                 len: 0,
             },
-            None => IdSet::Sparse(BTreeSet::new()),
+            None => IdSet::Sparse(HashSet::default()),
         }
     }
 
@@ -66,7 +67,11 @@ impl IdSet {
                 ids.extend((0..marks.len() as u64).filter(|&id| marks[id as usize]));
                 ids
             }
-            IdSet::Sparse(set) => set.iter().copied().collect(),
+            IdSet::Sparse(set) => {
+                let mut ids: Vec<u64> = set.iter().copied().collect();
+                ids.sort_unstable();
+                ids
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Property tests: the hot-set policy decides identically over dense and
-//! hashed counters, and identically with or without rows behind it.
+//! hashed counters, and identically with or without rows behind it, also
+//! over serving's open ID space where only the hashed counters apply.
 
 use picasso_data::{IdDistribution, IdSampler};
 use picasso_embedding::{EmbeddingTable, HotSetPolicy, HybridHash, HybridHashConfig};
@@ -158,4 +159,70 @@ proptest! {
         prop_assert_eq!(cache.hot_rows(), policy.hot_ids().len());
         prop_assert_eq!(cache.snapshot_full().counters, policy.counter().counts());
     }
+}
+
+/// Serving's open ID space: Zipf ranks over three million users mixed with
+/// IDs at or above 2^32 (distinct only in their high half) and IDs just
+/// below `u64::MAX`.
+fn open_id_stream(seed: u64, batches: usize) -> Vec<Vec<u64>> {
+    let sampler = IdSampler::new(3_000_000, IdDistribution::Zipf { s: 0.8 });
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ranks = Vec::new();
+    (0..batches)
+        .map(|_| {
+            ranks.clear();
+            sampler.sample_into(&mut rng, 256, &mut ranks);
+            ranks
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| match i % 4 {
+                    0 | 1 => r,
+                    2 => (1 + r % 4096) << 32 | 7,
+                    _ => u64::MAX - r % 1024,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn hashed_policy_matches_row_backed_cache_over_open_ids() {
+    let dim = 2;
+    // 300 hot rows, far fewer than the distinct IDs: every flush ranks.
+    let cfg = config(3, 4, 300 * dim);
+    let mut policy = HotSetPolicy::new(&cfg, dim, None);
+    let mut cache = HybridHash::new(EmbeddingTable::new(dim, 11), cfg);
+    // The reference: every ID's count, and the IDs counted since the last
+    // clean, both ordered.
+    let mut counts = std::collections::BTreeMap::<u64, u64>::new();
+    let mut touched = std::collections::BTreeSet::<u64>::new();
+    let mut out = Vec::new();
+    for (b, ids) in open_id_stream(13, 40).iter().enumerate() {
+        out.clear();
+        let want = cache.lookup_batch(ids, &mut out);
+        assert_eq!(policy.measure_batch(ids), want, "batch {b}");
+        assert_eq!(policy.stats(), cache.stats(), "batch {b}");
+        assert_eq!(policy.hot_ids(), cache.policy().hot_ids(), "batch {b}");
+        for &id in ids {
+            *counts.entry(id).or_insert(0) += 1;
+            touched.insert(id);
+        }
+        let reference: Vec<(u64, u64)> = touched.iter().map(|&id| (id, counts[&id])).collect();
+        assert_eq!(policy.touched_counts(), reference, "batch {b}");
+        assert_eq!(cache.snapshot_delta().counters, reference, "batch {b}");
+        if b % 7 == 6 {
+            policy.mark_clean();
+            cache.mark_clean();
+            touched.clear();
+        }
+    }
+    let stats = policy.stats();
+    assert!(stats.flushes >= 9 && stats.hot_hits > 0 && stats.evictions > 0);
+    assert_eq!(policy.hot_ids().len(), 300);
+    assert!(policy.hot_ids().iter().any(|&id| id >= 1 << 32));
+    assert!(policy.hot_ids().iter().any(|&id| id > u64::MAX - 1024));
+    assert_eq!(
+        policy.counter().counts(),
+        counts.into_iter().collect::<Vec<_>>()
+    );
 }

@@ -64,7 +64,7 @@ impl Batch {
     }
 
     /// All embedding IDs of the batch, flattened in arrival order — the
-    /// batched gather through `EmbeddingTable`/`HybridHash`.
+    /// batched lookup the serving cache's hit policy counts.
     pub fn gather_ids(&self) -> Vec<u64> {
         self.requests
             .iter()

@@ -16,8 +16,9 @@
 //!   (bounded queue with deterministic shedding), the batcher, a FIFO
 //!   batch queue, and one server whose per-batch service time is the
 //!   analytic forward latency of a [`picasso_exec::ServingPlan`].
-//!   Embedding lookups run through a real
-//!   [`picasso_embedding::HybridHash`], so cache hit/miss statistics
+//!   Every batch's embedding IDs run through Algorithm 1's hit policy
+//!   ([`picasso_embedding::HotSetPolicy`], without rows: service time
+//!   never reads the gathered values), so cache hit/miss statistics
 //!   reflect the actual Zipf request stream.
 //! * [`report`] — the `picasso.serve_report` summary: exact p50/p95/p99
 //!   latency, queue depth, SLO violations, cache hit rate, shed count, and

@@ -9,14 +9,17 @@
 //! run.
 //!
 //! Per-batch service time is the analytic forward latency of the serving
-//! plan ([`picasso_exec::forward_latency_ns`]), memoized per batch size;
-//! embedding lookups additionally run through a real
-//! [`HybridHash`] instance so cache hit/miss statistics reflect the actual
-//! Zipf request stream rather than an analytic estimate.
+//! plan ([`picasso_exec::forward_latency_ns`]), memoized per batch size.
+//! Each batch's IDs also run through Algorithm 1's hit policy
+//! ([`HotSetPolicy`]) so cache hit/miss statistics reflect the actual Zipf
+//! request stream rather than an analytic estimate. The policy runs without
+//! rows: the service time never reads gathered values, and hit counts
+//! depend only on which IDs are hot, so the replica pays for no cold-row
+//! index, row initialisation or hot-arena rebuild.
 
 use crate::batcher::{Batch, BatchPolicy, Batcher, QueuedRequest};
 use crate::report::ServeReport;
-use picasso_embedding::{EmbeddingTable, HybridHash, HybridHashConfig};
+use picasso_embedding::{HotSetPolicy, HybridHashConfig};
 use picasso_exec::{forward_latency_ns, ServingPlan};
 use picasso_obs::{LatencyRecorder, SloTracker};
 use picasso_sim::TrafficPlan;
@@ -33,10 +36,11 @@ pub struct ReplicaConfig {
     pub queue_capacity: Option<usize>,
     /// Latency SLO budget in nanoseconds.
     pub slo_ns: u64,
-    /// Serving-cache (HybridHash) configuration. Warm-up/flush intervals
+    /// Serving-cache (Algorithm 1) configuration. Warm-up/flush intervals
     /// count *batches* here, not training iterations.
     pub cache: HybridHashConfig,
-    /// Embedding dimension of the serving-cache table.
+    /// Embedding dimension of the cached rows: with `cache.hot_bytes` it
+    /// sets how many IDs the hot set holds.
     pub cache_dim: usize,
 }
 
@@ -106,12 +110,9 @@ pub fn serve(
     let mut svc = ServiceModel::new(plan, cfg.policy.max_batch);
     let mut recorder = LatencyRecorder::new();
     let mut slo = SloTracker::new(cfg.slo_ns);
-    let cache_dim = cfg.cache_dim.max(1);
-    let mut cache = HybridHash::new(
-        EmbeddingTable::new(cache_dim, traffic.seed),
-        cfg.cache.clone(),
-    );
-    let mut gather_out: Vec<f32> = Vec::new();
+    // Sparse: user IDs are open-ended, and a dense bound of
+    // `traffic.users` would allocate one counter per possible user.
+    let mut cache = HotSetPolicy::new(&cfg.cache, cfg.cache_dim.max(1), None);
 
     let mut seq: u64 = 0;
     let mut shed: u64 = 0;
@@ -128,9 +129,7 @@ pub fn serve(
         ($now:expr) => {
             if in_service.is_none() && batcher.ready($now) {
                 if let Some(batch) = batcher.take($now) {
-                    let ids = batch.gather_ids();
-                    gather_out.clear();
-                    cache.lookup_batch(&ids, &mut gather_out);
+                    cache.measure_batch(&batch.gather_ids());
                     let t = svc.service_ns(batch.len());
                     total_service_ns += t;
                     in_service = Some(($now + t, batch));
