@@ -1,11 +1,13 @@
 //! The causal-analysis bench suite.
 //!
-//! Runs every [`AnalysisScenario`] — each perf scenario of the snapshot
-//! suite — and rebuilds the executed DAG from the scheduler's causal event
-//! log: critical path + slack, achieved overlap per resource pair against
-//! the pipeline's planned D×K interleaving, and per-lane idle-gap
-//! attribution. The `analyze` CI job runs this through `repro --analyze`
-//! and uploads [`suite_report_json`] as its artifact.
+//! Runs every perf scenario of the snapshot suite
+//! ([`crate::scenarios::perf_scenarios`]) and rebuilds the executed DAG
+//! from the scheduler's causal event log: critical path + slack, achieved
+//! overlap per resource pair against the pipeline's planned D×K
+//! interleaving, and per-lane idle-gap attribution. Each outcome is named
+//! `ana_` + the perf scenario's name. The `analyze` CI job runs this
+//! through `repro analyze` and uploads [`suite_report_json`] as its
+//! artifact.
 //!
 //! Two invariants anchor the suite: the critical-path digest of every
 //! scenario is bit-identical across repeated runs (the analysis inherits
@@ -14,10 +16,10 @@
 //! baselines (the overlap attribution actually measures what D/K-packing
 //! buys).
 
-use crate::scenarios::{suite_config, AnalysisScenario};
+use crate::scenarios::{self, Scenario};
 use picasso_core::exec::{analysis_report_json, analyze_run};
 use picasso_core::obs::json::Json;
-use picasso_core::{Session, Strategy, TextTable};
+use picasso_core::{TextTable, TrainError};
 
 /// Schema identifier of the aggregated analysis-suite document.
 pub const ANALYSIS_SUITE_KIND: &str = "picasso.analysis_suite";
@@ -41,12 +43,12 @@ pub struct AnalysisOutcome {
     pub report: Json,
 }
 
-/// Runs one analysis scenario: simulate the wrapped perf scenario, then
-/// analyze its executed DAG against the planned interleaving the pass
-/// pipeline actually produced (post-pass `micro_batches` × `group_count`).
-pub fn run_scenario(sc: &AnalysisScenario) -> AnalysisOutcome {
-    let session = Session::new(sc.perf.model, suite_config());
-    let artifacts = session.run_custom(Strategy::Hybrid, sc.perf.pipeline.clone(), &sc.name);
+/// Analyzes one perf scenario: simulate it, then analyze its executed DAG
+/// against the planned interleaving the pass pipeline actually produced
+/// (post-pass `micro_batches` × `group_count`).
+pub fn run_scenario(sc: &Scenario) -> Result<AnalysisOutcome, TrainError> {
+    let name = format!("ana_{}", sc.name);
+    let artifacts = scenarios::run(sc, 0)?;
     let micro = artifacts.spec.micro_batches.max(1);
     let groups = artifacts.spec.group_count().max(1);
     let a = analyze_run(&artifacts.output, micro, groups);
@@ -58,15 +60,15 @@ pub fn run_scenario(sc: &AnalysisScenario) -> AnalysisOutcome {
             .unwrap_or(0.0)
     };
     let planned_overlap = a.overlaps.first().map(|o| o.planned).unwrap_or(0.0);
-    AnalysisOutcome {
-        scenario: sc.name.clone(),
+    Ok(AnalysisOutcome {
+        report: analysis_report_json(&name, &artifacts.output, micro, groups),
+        scenario: name,
         digest: a.digest,
         comm_overlap: overlap("comm_under_compute"),
         host_overlap: overlap("host_under_device"),
         planned_overlap,
         critical_path_frac: a.critical_path_frac,
-        report: analysis_report_json(&sc.name, &artifacts.output, micro, groups),
-    }
+    })
 }
 
 /// The JSON artifact the `analyze` CI job uploads: one
@@ -81,7 +83,7 @@ pub fn suite_report_json(outcomes: &[AnalysisOutcome]) -> Json {
     ])
 }
 
-/// Human-readable summary (printed by `repro --analyze`).
+/// Human-readable summary (printed by `repro analyze`).
 pub fn summary_table(outcomes: &[AnalysisOutcome]) -> TextTable {
     let mut t = TextTable::new(
         "Causal analysis: executed-DAG critical path and overlap".to_string(),
@@ -110,20 +112,20 @@ pub fn summary_table(outcomes: &[AnalysisOutcome]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::analysis_scenarios;
+    use crate::scenarios::perf_scenarios;
 
-    fn scenario(name: &str) -> AnalysisScenario {
-        analysis_scenarios()
+    fn analyze(name: &str) -> AnalysisOutcome {
+        let sc = perf_scenarios()
             .into_iter()
             .find(|sc| sc.name == name)
-            .expect("registered analysis scenario")
+            .expect("registered perf scenario");
+        run_scenario(&sc).expect("suite scenario runs")
     }
 
     #[test]
     fn critical_path_digests_are_bit_identical_across_runs() {
-        let sc = scenario("ana_wdl_base");
-        let a = run_scenario(&sc);
-        let b = run_scenario(&sc);
+        let a = analyze("wdl_base");
+        let b = analyze("wdl_base");
         assert_eq!(
             a.digest, b.digest,
             "the analysis must inherit the simulator's determinism"
@@ -139,8 +141,8 @@ mod tests {
         // communication under compute than the unoptimized baseline —
         // otherwise the overlap attribution is not measuring what the
         // D/K passes buy.
-        let base = run_scenario(&scenario("ana_can_base"));
-        let inter = run_scenario(&scenario("ana_can_inter"));
+        let base = analyze("can_base");
+        let inter = analyze("can_inter");
         assert!(
             inter.comm_overlap > base.comm_overlap,
             "can_inter overlap {} must beat can_base {}",
@@ -155,7 +157,7 @@ mod tests {
 
     #[test]
     fn suite_report_aggregates_per_scenario_documents() {
-        let o = run_scenario(&scenario("ana_wdl_base"));
+        let o = analyze("wdl_base");
         let doc = suite_report_json(std::slice::from_ref(&o));
         let text = doc.to_json();
         let parsed = picasso_core::obs::json::parse(&text).unwrap();

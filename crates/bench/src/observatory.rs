@@ -1,122 +1,31 @@
-//! The flight-recorder and cross-run observatory bench suite.
+//! The cross-run observatory: catching what single-run gates miss.
 //!
-//! Two halves, one goal: catching what single-run gates miss.
-//!
-//! The **flight half** runs every [`FlightScenario`] — each perf scenario
-//! of the snapshot suite — and taps the finished simulation through
-//! [`picasso_core::exec::flight_record`]. The recorder inherits the
-//! simulator's determinism, so the dump digest of every scenario is
-//! bit-identical across repeated runs; a digest drift means the event
-//! stream (and therefore any post-mortem built from it) changed.
-//!
-//! The **history half** is the cross-run observatory: run reports and
-//! perfgate snapshots are ingested into an append-only
+//! Run reports and gate snapshots are ingested into an append-only
 //! [`HistoryStore`], keyed by (scenario, metric), and every gated metric's
 //! multi-run series is swept by the CUSUM change-point detector. A
 //! change-point in the bad direction of a gate — slow drift the per-run
 //! tolerance band absorbs run by run — surfaces as a
-//! `run.regressing-trend` diagnostic and fails `repro --history-dir trend`
-//! with exit code 4. The pinned [`HistoryScenario`] series prove the
-//! detector fires on sustained steps in either direction and stays silent
-//! on clean or sub-slack-jittery history.
+//! `run.regressing-trend` diagnostic and fails `repro history DIR trend`
+//! with exit code 4. The detector's own regimes (silent on flat or
+//! sub-slack-jittery history, firing on sustained steps either way) are
+//! pinned by `obs::history`'s CUSUM tests.
 
-use crate::scenarios::{suite_config, FlightScenario, HistoryScenario};
 use crate::snapshot::{BenchSnapshot, Direction, GATES, SERVE_GATES};
-use picasso_core::exec::flight_record;
 use picasso_core::graph::{Diagnostic, Severity, Span};
-use picasso_core::obs::flight::{FlightConfig, FlightStats};
 use picasso_core::obs::history::{
     cusum_change_point, keys, series, ChangePoint, CusumConfig, HistoryStore, RunRecord, Shift,
 };
 use picasso_core::obs::json::Json;
+use picasso_core::obs::report::RUN_REPORT_KIND;
 use picasso_core::obs::RunReport;
-use picasso_core::{Session, Strategy, TextTable};
+use picasso_core::TextTable;
 use std::collections::BTreeMap;
-
-/// Capacity of the tap recorder: comfortably above the event count of any
-/// suite scenario, so the digest covers the *complete* stream.
-const TAP_CAPACITY: usize = 1 << 14;
-
-/// The flight tap of one scenario's finished simulation.
-#[derive(Debug, Clone)]
-pub struct FlightOutcome {
-    /// Scenario name (`flt_*`).
-    pub scenario: String,
-    /// FNV-1a digest of the full-window dump (deterministic).
-    pub digest: u64,
-    /// Recorder accounting after the tap.
-    pub stats: FlightStats,
-}
-
-/// Runs one flight scenario: simulate the wrapped perf scenario, tap the
-/// executed schedule through the flight recorder, and digest the full
-/// event window.
-pub fn run_flight_scenario(sc: &FlightScenario) -> FlightOutcome {
-    let session = Session::new(sc.perf.model, suite_config());
-    let artifacts = session.run_custom(Strategy::Hybrid, sc.perf.pipeline.clone(), &sc.name);
-    let config = FlightConfig {
-        capacity: TAP_CAPACITY,
-        ..FlightConfig::default()
-    };
-    let rec = flight_record(&artifacts.output, &config);
-    let dump = rec.dump(rec.occupancy());
-    FlightOutcome {
-        scenario: sc.name.clone(),
-        digest: dump.digest(),
-        stats: rec.stats(),
-    }
-}
-
-/// Human-readable flight-suite summary.
-pub fn flight_table(outcomes: &[FlightOutcome]) -> TextTable {
-    let mut t = TextTable::new(
-        "Flight recorder: deterministic taps of the perf suite".to_string(),
-        &["scenario", "digest", "events", "overwritten"],
-    );
-    for o in outcomes {
-        t.row(vec![
-            o.scenario.clone(),
-            format!("{:016x}", o.digest),
-            o.stats.recorded.to_string(),
-            o.stats.overwritten.to_string(),
-        ]);
-    }
-    t
-}
-
-/// One run of the change-point detector over a pinned synthetic series.
-#[derive(Debug, Clone)]
-pub struct HistoryOutcome {
-    /// Scenario name (`hist_*`).
-    pub scenario: String,
-    /// What the scenario pins.
-    pub expect: Option<Shift>,
-    /// What the detector reported.
-    pub detected: Option<Shift>,
-}
-
-impl HistoryOutcome {
-    /// Whether the detector matched the pinned expectation.
-    pub fn passed(&self) -> bool {
-        self.expect == self.detected
-    }
-}
-
-/// Runs one history scenario through the detector.
-pub fn run_history_scenario(sc: &HistoryScenario) -> HistoryOutcome {
-    let detected = cusum_change_point(&sc.values, &CusumConfig::default()).map(|cp| cp.direction);
-    HistoryOutcome {
-        scenario: sc.name.clone(),
-        expect: sc.expect,
-        detected,
-    }
-}
 
 /// The per-run metric records one ingested document contributes: one
 /// `(scenario, metrics)` pair per scenario the document covers.
 pub type IngestRecords = Vec<(String, BTreeMap<String, f64>)>;
 
-/// Extracts history records from a perfgate snapshot: one record per suite
+/// Extracts history records from a gate snapshot: one record per suite
 /// scenario, carrying its gated headline metrics.
 pub fn snapshot_records(snap: &BenchSnapshot) -> IngestRecords {
     snap.scenarios
@@ -128,7 +37,7 @@ pub fn snapshot_records(snap: &BenchSnapshot) -> IngestRecords {
 /// Extracts history records from a `picasso.run_report` document: the
 /// experiment name becomes the scenario, and every label-free `exec_*`
 /// gauge becomes a metric (prefix stripped, so `exec_secs_per_iteration`
-/// lands under the same key a perfgate snapshot uses).
+/// lands under the same key a gate snapshot uses).
 pub fn report_records(doc: &Json) -> Result<IngestRecords, String> {
     let experiment = doc
         .get("experiment")
@@ -166,13 +75,17 @@ pub fn report_records(doc: &Json) -> Result<IngestRecords, String> {
 
 /// Ingests one JSON document into the store, dispatching on its `kind`:
 /// `picasso.bench_snapshot` contributes every suite scenario,
-/// `picasso.run_report` its instrumented run. Returns the sequence number
-/// the run received.
+/// `picasso.run_report` its instrumented run. Both are validated first, so
+/// a missing or unsupported `schema_version` is an `Err`. Returns the
+/// sequence number the run received.
 pub fn ingest_document(store: &mut HistoryStore, run_id: &str, doc: &Json) -> Result<u64, String> {
     let kind = doc.get("kind").and_then(Json::as_str).unwrap_or_default();
     let records = match kind {
         "picasso.bench_snapshot" => snapshot_records(&BenchSnapshot::from_json(doc)?),
-        k if k == picasso_core::obs::report::RUN_REPORT_KIND => report_records(doc)?,
+        RUN_REPORT_KIND => {
+            RunReport::validate_json(doc)?;
+            report_records(doc)?
+        }
         other => return Err(format!("cannot ingest documents of kind {other:?}")),
     };
     store
@@ -256,7 +169,7 @@ pub fn has_regression(findings: &[TrendFinding]) -> bool {
         .any(|f| f.verdict == TrendVerdict::Regressing)
 }
 
-/// Human-readable trend summary (printed by `repro --history-dir trend`).
+/// Human-readable trend summary (printed by `repro history DIR trend`).
 pub fn trend_table(findings: &[TrendFinding]) -> TextTable {
     let mut t = TextTable::new(
         "Cross-run observatory: sustained change-points".to_string(),
@@ -307,59 +220,9 @@ pub fn trend_diagnostics(findings: &[TrendFinding]) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// The JSON artifact the `observatory` CI job uploads: flight digests plus
-/// the trend findings of the scratch store.
-pub fn observatory_report_json(flights: &[FlightOutcome], findings: &[TrendFinding]) -> Json {
-    Json::obj([
-        ("kind", Json::str("picasso.observatory_report")),
-        (
-            "flights",
-            Json::Arr(
-                flights
-                    .iter()
-                    .map(|o| {
-                        Json::obj([
-                            ("scenario", Json::str(&o.scenario)),
-                            ("digest", Json::str(format!("{:016x}", o.digest))),
-                            ("recorded", Json::UInt(o.stats.recorded)),
-                            ("overwritten", Json::UInt(o.stats.overwritten)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "trends",
-            Json::Arr(
-                findings
-                    .iter()
-                    .map(|f| {
-                        Json::obj([
-                            ("scenario", Json::str(&f.scenario)),
-                            ("metric", Json::str(&f.metric)),
-                            ("runs", Json::UInt(f.runs as u64)),
-                            ("at", Json::UInt(f.change.at as u64)),
-                            ("shift", Json::str(f.change.direction.to_string())),
-                            ("rel_change", Json::Num(f.change.rel_change)),
-                            ("verdict", Json::str(format!("{:?}", f.verdict))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Parses a run-report text (as written by `repro --report-json`) for
-/// ingestion, validating it against the pinned schema first.
-pub fn parse_run_report(text: &str) -> Result<Json, String> {
-    RunReport::validate(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::{flight_scenarios, history_scenarios};
     use crate::snapshot::ScenarioResult;
     use std::fs;
     use std::path::PathBuf;
@@ -369,43 +232,6 @@ mod tests {
             std::env::temp_dir().join(format!("picasso-observatory-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    fn scenario(name: &str) -> FlightScenario {
-        flight_scenarios()
-            .into_iter()
-            .find(|sc| sc.name == name)
-            .expect("registered flight scenario")
-    }
-
-    #[test]
-    fn flight_digests_are_bit_identical_across_runs() {
-        let sc = scenario("flt_wdl_base");
-        let a = run_flight_scenario(&sc);
-        let b = run_flight_scenario(&sc);
-        assert_eq!(
-            a.digest, b.digest,
-            "the tap must inherit the simulator's determinism"
-        );
-        assert!(a.stats.recorded > 0);
-        assert_eq!(a.stats.overwritten, 0, "tap capacity must hold the suite");
-        let table = flight_table(std::slice::from_ref(&a)).to_string();
-        assert!(table.contains("flt_wdl_base"));
-        assert!(table.contains(&format!("{:016x}", a.digest)));
-    }
-
-    #[test]
-    fn history_suite_verdicts_match_their_pins() {
-        for sc in history_scenarios() {
-            let o = run_history_scenario(&sc);
-            assert!(
-                o.passed(),
-                "{}: expected {:?}, detected {:?}",
-                o.scenario,
-                o.expect,
-                o.detected
-            );
-        }
     }
 
     fn synthetic_snapshot(secs: f64) -> BenchSnapshot {
@@ -548,5 +374,45 @@ mod tests {
             !metrics.contains_key("occupancy"),
             "non-exec gauges stay out"
         );
+    }
+
+    #[test]
+    fn ingestion_rejects_unsupported_schema_versions() {
+        let dir = tmp_dir("schema");
+        let mut store = HistoryStore::open(&dir).unwrap();
+        let run_report = |version: u64| {
+            let mut doc = RunReport::new("fig13", "quick");
+            doc.push(Json::obj([("framework", Json::str("PICASSO"))]));
+            doc.metrics = Some(Json::obj([(
+                "gauges",
+                Json::Arr(vec![Json::obj([
+                    ("name", Json::str("exec_secs_per_iteration")),
+                    ("labels", Json::obj([])),
+                    ("value", Json::Num(0.5)),
+                ])]),
+            )]));
+            let text = doc.to_json().replacen(
+                "\"schema_version\":1",
+                &format!("\"schema_version\":{version}"),
+                1,
+            );
+            picasso_core::obs::json::parse(&text).unwrap()
+        };
+        ingest_document(&mut store, "v1", &run_report(1)).expect("schema 1 ingests");
+        let err = ingest_document(&mut store, "v2", &run_report(2)).expect_err("schema 2");
+        assert!(err.contains("schema_version"), "{err}");
+
+        let Json::Obj(mut snapshot) = synthetic_snapshot(0.5).to_json() else {
+            unreachable!("a snapshot serializes to an object")
+        };
+        for (k, v) in &mut snapshot {
+            if k == "schema_version" {
+                *v = Json::UInt(2);
+            }
+        }
+        let err = ingest_document(&mut store, "s2", &Json::Obj(snapshot)).expect_err("schema 2");
+        assert!(err.contains("schema_version"), "{err}");
+        assert_eq!(store.runs(), 1, "rejected documents leave no run behind");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,9 @@
 //! The race-analysis bench suite.
 //!
-//! Runs every [`RaceScenario`] — each perf scenario of the snapshot suite
-//! — through both halves of the effect-based concurrency analyzer:
+//! Runs every perf scenario of the snapshot suite
+//! ([`crate::scenarios::perf_scenarios`]) through both halves of the
+//! effect-based concurrency analyzer, naming each outcome `race_` + the
+//! perf scenario's name:
 //!
 //! 1. **Static**: lower the post-pass spec to its stage graph and compute
 //!    the may-happen-in-parallel races over the declared effect sets. The
@@ -16,19 +18,19 @@
 //!    static race that never manifests in any run is an informational
 //!    `race.mhp-imprecision` note.
 //!
-//! The `races` CI leg runs this through `repro --races` and uploads
+//! The `races` CI leg runs this through `repro races` and uploads
 //! [`suite_report_json`] as its artifact. Determinism is anchored the same
 //! way as the causal-analysis suite: the race digest of every scenario is
 //! bit-identical across repeated invocations.
 
-use crate::scenarios::{suite_config, RaceScenario};
+use crate::scenarios::{self, suite_config, Scenario};
 use picasso_core::exec::{
     crosscheck_races, observed_conflicts, stage_graph, Diagnostic, ObservedOverlap, SimConfig,
     StaticRace, RACE_CHECK_RUNS,
 };
 use picasso_core::obs::checksum::Fnv1a;
 use picasso_core::obs::json::Json;
-use picasso_core::{Session, Severity, Strategy, TextTable};
+use picasso_core::{Severity, Strategy, TextTable, TrainError};
 
 /// Schema identifier of the aggregated race-suite document.
 pub const RACE_SUITE_KIND: &str = "picasso.race_suite";
@@ -60,26 +62,24 @@ impl RaceOutcome {
     }
 }
 
-/// Runs one race scenario: lower the scenario's pipeline once for the
-/// static half, then simulate [`RACE_CHECK_RUNS`] seeded runs for the
-/// dynamic half. The first run reuses the suite's canonical seed, so run 0
-/// is exactly the configuration the perf gate measures.
-pub fn run_scenario(sc: &RaceScenario) -> RaceOutcome {
+/// Race-checks one perf scenario: lower its pipeline once for the static
+/// half, then simulate [`RACE_CHECK_RUNS`] seeded runs for the dynamic
+/// half. Run `k` shifts the warm-up seed by `k`, so run 0 is exactly the
+/// configuration the perf gate measures.
+pub fn run_scenario(sc: &Scenario) -> Result<RaceOutcome, TrainError> {
     let mut observed = Vec::with_capacity(RACE_CHECK_RUNS);
     let mut static_races = Vec::new();
     for run in 0..RACE_CHECK_RUNS {
-        let mut config = suite_config();
-        config.warmup.seed = config.warmup.seed.wrapping_add(run as u64);
-        let session = Session::new(sc.perf.model, config.clone());
-        let artifacts = session.run_custom(Strategy::Hybrid, sc.perf.pipeline.clone(), &sc.name);
+        let artifacts = scenarios::run(sc, run as u64)?;
         if run == 0 {
             // The static half analyzes the lowering of the canonical run:
             // the post-pass spec under the simulation shape it actually ran.
+            let config = suite_config();
             let cfg = SimConfig {
                 batch_per_executor: artifacts.output.batch,
                 iterations: artifacts.output.iterations,
                 machines: artifacts.output.machines,
-                machine: config.machine.clone(),
+                machine: config.machine,
                 quantized_comm: config.quantized_comm,
             };
             let g = stage_graph(&artifacts.spec, Strategy::Hybrid, &cfg);
@@ -98,13 +98,13 @@ pub fn run_scenario(sc: &RaceScenario) -> RaceOutcome {
             digest.write(o.sig.to_string().as_bytes());
         }
     }
-    RaceOutcome {
-        scenario: sc.name.clone(),
+    Ok(RaceOutcome {
+        scenario: format!("race_{}", sc.name),
         static_races,
         observed,
         diagnostics,
         digest: digest.finish(),
-    }
+    })
 }
 
 fn race_json(r: &StaticRace) -> Json {
@@ -158,7 +158,7 @@ pub fn suite_report_json(outcomes: &[RaceOutcome]) -> Json {
     ])
 }
 
-/// Human-readable summary (printed by `repro --races`).
+/// Human-readable summary (printed by `repro races`).
 pub fn summary_table(outcomes: &[RaceOutcome]) -> TextTable {
     let mut t = TextTable::new(
         "Race analysis: static MHP conflicts vs observed trace overlap".to_string(),
@@ -183,21 +183,21 @@ pub fn summary_table(outcomes: &[RaceOutcome]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::race_scenarios;
+    use crate::scenarios::perf_scenarios;
 
-    fn scenario(name: &str) -> RaceScenario {
-        race_scenarios()
+    fn race_check(name: &str) -> RaceOutcome {
+        let sc = perf_scenarios()
             .into_iter()
             .find(|sc| sc.name == name)
-            .expect("registered race scenario")
+            .expect("registered perf scenario");
+        run_scenario(&sc).expect("suite scenario runs")
     }
 
     #[test]
     fn cached_scenario_is_race_free_and_deterministic() {
         // The caching rung exercises the full effect surface (hot-storage
         // reads and reduce-adds on top of shards, dirty sets, collectives).
-        let sc = scenario("race_wdl_cache");
-        let a = run_scenario(&sc);
+        let a = race_check("wdl_cache");
         assert!(a.is_clean(), "{:?}", a.diagnostics);
         assert!(
             a.static_races.is_empty(),
@@ -209,20 +209,20 @@ mod tests {
         for (run, obs) in a.observed.iter().enumerate() {
             assert!(obs.is_empty(), "run {run} observed conflicts: {obs:?}");
         }
-        let b = run_scenario(&sc);
+        let b = race_check("wdl_cache");
         assert_eq!(a.digest, b.digest, "race digest must be deterministic");
     }
 
     #[test]
     fn baseline_scenario_is_race_free() {
-        let a = run_scenario(&scenario("race_wdl_base"));
+        let a = race_check("wdl_base");
         assert!(a.is_clean(), "{:?}", a.diagnostics);
         assert!(a.static_races.is_empty());
     }
 
     #[test]
     fn suite_report_names_every_scenario_and_verdict() {
-        let o = run_scenario(&scenario("race_wdl_base"));
+        let o = race_check("wdl_base");
         let doc = suite_report_json(std::slice::from_ref(&o));
         let text = doc.to_json();
         let parsed = picasso_core::obs::json::parse(&text).unwrap();

@@ -60,7 +60,7 @@ impl RecoveryOutcome {
         ])
     }
 
-    /// The post-mortem artifact `repro --flight-out` exports: the flight
+    /// The post-mortem artifact `repro recover --flight-out` exports: the flight
     /// ring captured at the first crash when one fired, otherwise the
     /// end-of-run trailing window.
     pub fn post_mortem(&self) -> &FlightDump {
@@ -70,7 +70,7 @@ impl RecoveryOutcome {
             .unwrap_or(&self.recovered.flight_dump)
     }
 
-    /// Human-readable summary (printed by `repro --fault-plan`).
+    /// Human-readable summary (printed by `repro recover`).
     pub fn summary_table(&self) -> TextTable {
         let mut t = TextTable::new(
             format!("Crash-and-recover: {}", self.scenario),

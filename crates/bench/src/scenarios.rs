@@ -1,18 +1,18 @@
 //! The single shared scenario table of the bench suite.
 //!
-//! Every consumer registers scenarios exactly once, from here: the
-//! `perfgate` snapshot suite runs [`perf_scenarios`], `repro --lint`
-//! statically analyzes both [`perf_scenarios`] and [`recovery_scenarios`],
-//! and the `recovery` CI job runs [`recovery_scenarios`] through
-//! [`crate::recovery::run_scenario`]. The observatory adds two more
-//! lists: [`flight_scenarios`] (the perf suite tapped through the flight
-//! recorder) and [`history_scenarios`] (pinned synthetic series for the
-//! cross-run change-point detector). The race analyzer wraps the perf
-//! suite once more as [`race_scenarios`] (`repro --races`), and the
-//! serving suite registers its own list, [`serve_scenarios`]
-//! (`repro --serve` and the `srv_*` snapshot rows). Adding a scenario in
-//! one consumer but not the others is therefore impossible by
-//! construction.
+//! Every consumer registers scenarios exactly once, from here:
+//!
+//! - [`perf_scenarios`] is the Table IV ladder. `repro gate` snapshots it,
+//!   `repro analyze` and `repro races` overlay it, `repro lint` checks it,
+//!   and `hostbench/` times it. Every simulation of a perf scenario goes
+//!   through [`run`].
+//! - [`recovery_scenarios`] is the crash-and-recover run behind
+//!   `repro recover` (and the run surface `repro lint` checks).
+//! - [`serve_scenarios`] is the serving suite behind `repro serve` and the
+//!   `srv_*` snapshot rows.
+//!
+//! Adding a scenario in one consumer but not the others is therefore
+//! impossible by construction.
 //!
 //! The perf scenario names and order are pinned by the committed
 //! `BENCH_<n>.json` baselines (the gate compares by name and the
@@ -21,10 +21,9 @@
 //! live in their own list precisely so they stay out of the snapshot
 //! document.
 
-use picasso_core::exec::{ModelKind, Optimizations, RecoveryOptions, WarmupConfig};
-use picasso_core::obs::history::Shift;
+use picasso_core::exec::{ModelKind, Optimizations, RecoveryOptions, RunArtifacts, WarmupConfig};
 use picasso_core::sim::FaultPlan;
-use picasso_core::{PassId, PicassoConfig};
+use picasso_core::{PassId, PicassoConfig, Session, Strategy, TrainError};
 
 /// One perf scenario of the suite: a model and an optimization pipeline.
 #[derive(Debug, Clone)]
@@ -48,44 +47,6 @@ pub struct RecoveryScenario {
     pub opts: RecoveryOptions,
 }
 
-/// One causal-analysis scenario: a perf scenario whose executed DAG is
-/// rebuilt and analyzed after the run (critical path, overlap attribution,
-/// idle gaps). Wrapping the perf scenario — rather than naming it — keeps
-/// the two lists consistent by construction.
-#[derive(Debug, Clone)]
-pub struct AnalysisScenario {
-    /// Stable scenario name (`ana_` + the wrapped perf scenario's name).
-    pub name: String,
-    /// The perf scenario whose simulation gets analyzed.
-    pub perf: Scenario,
-}
-
-/// One flight-recorder scenario: a perf scenario whose finished simulation
-/// is tapped into the flight recorder after the fact, asserting the event
-/// stream (and therefore the post-mortem dump digest) is deterministic.
-/// Wrapping the perf scenario keeps the lists consistent by construction,
-/// exactly like [`AnalysisScenario`].
-#[derive(Debug, Clone)]
-pub struct FlightScenario {
-    /// Stable scenario name (`flt_` + the wrapped perf scenario's name).
-    pub name: String,
-    /// The perf scenario whose simulation gets tapped.
-    pub perf: Scenario,
-}
-
-/// One race-analysis scenario: a perf scenario whose stage graph is
-/// checked for may-happen-in-parallel effect conflicts and whose executed
-/// traces (several seeded runs) verify the declared effects against
-/// observed task overlap. Wrapping the perf scenario keeps the lists
-/// consistent by construction, exactly like [`AnalysisScenario`].
-#[derive(Debug, Clone)]
-pub struct RaceScenario {
-    /// Stable scenario name (`race_` + the wrapped perf scenario's name).
-    pub name: String,
-    /// The perf scenario whose lowering and traces get race-checked.
-    pub perf: Scenario,
-}
-
 /// One serving scenario: a seeded open-loop traffic plan driven through
 /// one forward-only replica under a fixed dynamic-batching policy and
 /// admission bound. The replica event loop is deterministic, so every
@@ -104,21 +65,6 @@ pub struct ServeScenario {
     /// Admission bound (`None` = unbounded, drawing the
     /// `run.serve-no-admission` lint).
     pub queue_capacity: Option<usize>,
-}
-
-/// One run-history scenario: a synthetic metric series fed through the
-/// observatory's change-point detector with a pinned expected verdict.
-/// These exercise the detector itself (the cross-run trend math), not the
-/// simulator, so their series are fixed literals.
-#[derive(Debug, Clone)]
-pub struct HistoryScenario {
-    /// Stable scenario name (`hist_*`).
-    pub name: String,
-    /// The `secs_per_iteration` series, one value per synthetic run.
-    pub values: Vec<f64>,
-    /// The change-point direction the detector must report (`None` = the
-    /// detector must stay silent).
-    pub expect: Option<Shift>,
 }
 
 /// The fixed perf suite: {small = W&D, large = CAN} x {baseline, +packing,
@@ -174,48 +120,6 @@ pub fn recovery_scenarios() -> Vec<RecoveryScenario> {
     }]
 }
 
-/// The causal-analysis suite: every perf scenario, analyzed. Deriving the
-/// list from [`perf_scenarios`] keeps `repro --analyze` covering exactly
-/// what the perf gate runs, so the two ablation ladders (`*_base` through
-/// `*_cache`) can be compared by achieved overlap as well as throughput.
-pub fn analysis_scenarios() -> Vec<AnalysisScenario> {
-    perf_scenarios()
-        .into_iter()
-        .map(|sc| AnalysisScenario {
-            name: format!("ana_{}", sc.name),
-            perf: sc,
-        })
-        .collect()
-}
-
-/// The flight-recorder suite: every perf scenario, tapped. Deriving the
-/// list from [`perf_scenarios`] mirrors [`analysis_scenarios`]: whatever
-/// the perf gate runs is also what the flight recorder must replay with a
-/// deterministic dump digest.
-pub fn flight_scenarios() -> Vec<FlightScenario> {
-    perf_scenarios()
-        .into_iter()
-        .map(|sc| FlightScenario {
-            name: format!("flt_{}", sc.name),
-            perf: sc,
-        })
-        .collect()
-}
-
-/// The race-analysis suite: every perf scenario, race-checked. Deriving
-/// the list from [`perf_scenarios`] mirrors [`analysis_scenarios`]: the
-/// effect annotations must hold (zero findings) on exactly the lowerings
-/// the perf gate runs.
-pub fn race_scenarios() -> Vec<RaceScenario> {
-    perf_scenarios()
-        .into_iter()
-        .map(|sc| RaceScenario {
-            name: format!("race_{}", sc.name),
-            perf: sc,
-        })
-        .collect()
-}
-
 /// The serving suite: the batch-size-vs-latency tradeoff plus an
 /// overload-shedding run.
 ///
@@ -256,31 +160,6 @@ pub fn serve_scenarios() -> Vec<ServeScenario> {
     ]
 }
 
-/// The run-history suite: pinned synthetic series covering the three
-/// regimes the observatory must separate — a clean flat history (silent),
-/// a sustained step regression (fires up), and a sustained improvement
-/// (fires down). Sub-slack jitter rides on the flat case so the suite also
-/// proves the slack band absorbs noise.
-pub fn history_scenarios() -> Vec<HistoryScenario> {
-    vec![
-        HistoryScenario {
-            name: "hist_flat".into(),
-            values: vec![0.50, 0.505, 0.495, 0.50, 0.502, 0.498],
-            expect: None,
-        },
-        HistoryScenario {
-            name: "hist_step_up".into(),
-            values: vec![0.50, 0.50, 0.50, 0.60, 0.60, 0.60],
-            expect: Some(Shift::Up),
-        },
-        HistoryScenario {
-            name: "hist_step_down".into(),
-            values: vec![0.50, 0.50, 0.50, 0.40, 0.40, 0.40],
-            expect: Some(Shift::Down),
-        },
-    ]
-}
-
 /// The session shape every perf scenario runs under: one EFLOPS node, two
 /// iterations, fixed batch, fully seeded warm-up — deterministic end to
 /// end.
@@ -298,6 +177,17 @@ pub fn suite_config() -> PicassoConfig {
         ..PicassoConfig::default()
     }
     .machines(1)
+}
+
+/// Simulates one perf scenario under [`suite_config`] with its warm-up
+/// seed shifted by `seed_offset`. Offset 0 is the run the perf gate
+/// measures; the race cross-check adds more. The run's label is the
+/// scenario name. A pipeline or task graph the engine rejects is an `Err`,
+/// never a panic.
+pub fn run(sc: &Scenario, seed_offset: u64) -> Result<RunArtifacts, TrainError> {
+    let mut config = suite_config();
+    config.warmup.seed = config.warmup.seed.wrapping_add(seed_offset);
+    Session::new(sc.model, config).try_run_custom(Strategy::Hybrid, sc.pipeline.clone(), &sc.name)
 }
 
 #[cfg(test)]
@@ -327,48 +217,11 @@ mod tests {
     fn scenario_names_are_unique_across_all_lists() {
         let mut names: Vec<String> = perf_scenarios().into_iter().map(|s| s.name).collect();
         names.extend(recovery_scenarios().into_iter().map(|s| s.name));
-        names.extend(analysis_scenarios().into_iter().map(|s| s.name));
-        names.extend(flight_scenarios().into_iter().map(|s| s.name));
-        names.extend(race_scenarios().into_iter().map(|s| s.name));
         names.extend(serve_scenarios().into_iter().map(|s| s.name));
-        names.extend(history_scenarios().into_iter().map(|s| s.name));
         let mut dedup = names.clone();
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate scenario name");
-    }
-
-    #[test]
-    fn analysis_scenarios_wrap_every_perf_scenario() {
-        let ana = analysis_scenarios();
-        let perf = perf_scenarios();
-        assert_eq!(ana.len(), perf.len());
-        for (a, p) in ana.iter().zip(&perf) {
-            assert_eq!(a.name, format!("ana_{}", p.name));
-            assert_eq!(a.perf.name, p.name);
-        }
-    }
-
-    #[test]
-    fn flight_scenarios_wrap_every_perf_scenario() {
-        let flt = flight_scenarios();
-        let perf = perf_scenarios();
-        assert_eq!(flt.len(), perf.len());
-        for (f, p) in flt.iter().zip(&perf) {
-            assert_eq!(f.name, format!("flt_{}", p.name));
-            assert_eq!(f.perf.name, p.name);
-        }
-    }
-
-    #[test]
-    fn race_scenarios_wrap_every_perf_scenario() {
-        let race = race_scenarios();
-        let perf = perf_scenarios();
-        assert_eq!(race.len(), perf.len());
-        for (r, p) in race.iter().zip(&perf) {
-            assert_eq!(r.name, format!("race_{}", p.name));
-            assert_eq!(r.perf.name, p.name);
-        }
     }
 
     #[test]
@@ -392,16 +245,6 @@ mod tests {
                 sc.name
             );
         }
-    }
-
-    #[test]
-    fn history_scenarios_pin_all_three_detector_regimes() {
-        let hist = history_scenarios();
-        assert!(hist.iter().all(|h| h.name.starts_with("hist_")));
-        assert!(hist.iter().all(|h| h.values.len() >= 3));
-        assert!(hist.iter().any(|h| h.expect.is_none()));
-        assert!(hist.iter().any(|h| h.expect == Some(Shift::Up)));
-        assert!(hist.iter().any(|h| h.expect == Some(Shift::Down)));
     }
 
     #[test]

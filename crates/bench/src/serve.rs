@@ -15,7 +15,7 @@
 //! `run.serve-no-admission` rules — covers exactly the graph the replica
 //! prices.
 
-use crate::scenarios::{serve_scenarios, ServeScenario};
+use crate::scenarios::ServeScenario;
 use picasso_core::data::DatasetSpec;
 use picasso_core::exec::{prepare_serving, ModelKind, ServingPlan, TrainerOptions};
 use picasso_core::obs::json::Json;
@@ -81,7 +81,7 @@ pub fn suite_report_json(reports: &[ServeReport]) -> Json {
     ])
 }
 
-/// Human-readable summary (printed by `repro --serve`).
+/// Human-readable summary (printed by `repro serve`).
 pub fn summary_table(reports: &[ServeReport]) -> TextTable {
     let mut t = TextTable::new(
         "Serving: dynamic batching under open-loop traffic".to_string(),
@@ -112,21 +112,17 @@ pub fn summary_table(reports: &[ServeReport]) -> TextTable {
 }
 
 /// True when the serving plan's static analysis carries an error-severity
-/// diagnostic (`repro --serve` exits 4 on this, mirroring `--lint`).
+/// diagnostic (`repro serve` exits 4 on this, mirroring `repro lint`).
 pub fn has_errors(plan: &ServingPlan) -> bool {
     plan.diagnostics
         .iter()
         .any(|d| d.severity >= Severity::Error)
 }
 
-/// Runs the whole registered serving suite in order.
-pub fn run_suite() -> Result<Vec<ServeReport>, String> {
-    serve_scenarios().iter().map(run_scenario).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::serve_scenarios;
 
     fn scenario(name: &str) -> ServeScenario {
         serve_scenarios()
@@ -180,7 +176,10 @@ mod tests {
 
     #[test]
     fn suite_report_names_every_scenario() {
-        let reports = run_suite().unwrap();
+        let reports: Vec<ServeReport> = serve_scenarios()
+            .iter()
+            .map(|sc| run_scenario(sc).unwrap())
+            .collect();
         assert_eq!(reports.len(), serve_scenarios().len());
         let doc = suite_report_json(&reports);
         let parsed = picasso_core::obs::json::parse(&doc.to_json()).unwrap();

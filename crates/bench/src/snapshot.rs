@@ -7,9 +7,9 @@
 //! quantiles, service capacity, cache hit rate from the forward-only
 //! replica) ride behind the training rows and are gated by their own
 //! [`SERVE_GATES`] metric family. Snapshots serialize to versioned
-//! `BENCH_<n>.json` files; the `perfgate` binary compares a fresh run
-//! against the newest committed snapshot and fails when any gated metric
-//! moves past its threshold in the bad direction. Everything under the
+//! `BENCH_<n>.json` files; `repro gate check` compares a fresh run against
+//! the newest committed snapshot and fails when any gated metric moves past
+//! its threshold in the bad direction. Everything under the
 //! `volatile` key (the capture timestamp and optimization-pass wall times)
 //! is excluded from the determinism guarantee; the rest of the document is
 //! byte-reproducible. The pass wall times are gated per scenario on the
@@ -18,26 +18,21 @@
 //! All other host time is measured by the repository's `hostbench/`
 //! benchmark, which takes repeated serial samples split by layer.
 
-use crate::scenarios::{perf_scenarios, recovery_scenarios, serve_scenarios, suite_config};
+use crate::scenarios::{
+    self, perf_scenarios, recovery_scenarios, serve_scenarios, suite_config, Scenario,
+};
 use picasso_core::exec::lint_recovery;
 use picasso_core::obs::diff::rel_change;
 use picasso_core::obs::json::{self, Json};
+use picasso_core::obs::report::check_schema_version;
 use picasso_core::serve::ServeReport;
-use picasso_core::{si, LintReport, Session, Strategy, TextTable};
+use picasso_core::{si, LintReport, Session, TextTable, TrainError};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use crate::scenarios::Scenario;
-
 /// Schema version of the `BENCH_<n>.json` document.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// The perf suite the snapshot captures (see [`crate::scenarios`] — the
-/// shared table both `perfgate` and `repro --lint` register from).
-pub fn scenarios() -> Vec<Scenario> {
-    perf_scenarios()
-}
 
 /// Runs the static analyzer over every suite scenario without simulating.
 ///
@@ -104,10 +99,9 @@ pub fn serve_result(report: &ServeReport) -> ScenarioResult {
     }
 }
 
-/// Runs one scenario and extracts its snapshot record.
-pub fn run_scenario(sc: &Scenario) -> ScenarioResult {
-    let session = Session::new(sc.model, suite_config());
-    let artifacts = session.run_custom(Strategy::Hybrid, sc.pipeline.clone(), &sc.name);
+/// Runs one perf scenario and extracts its snapshot record.
+pub fn run_scenario(sc: &Scenario) -> Result<ScenarioResult, TrainError> {
+    let artifacts = scenarios::run(sc, 0)?;
     let mut metrics = BTreeMap::new();
     metrics.insert("ips_per_node".into(), artifacts.report.ips_per_node);
     metrics.insert(
@@ -124,12 +118,12 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioResult {
     for p in &artifacts.pass_reports {
         pass_wall_ns.insert(p.pass.clone(), p.duration_ns);
     }
-    ScenarioResult {
+    Ok(ScenarioResult {
         name: sc.name.clone(),
         metrics,
         report: artifacts.report.to_json(),
         pass_wall_ns,
-    }
+    })
 }
 
 /// A versioned benchmark snapshot.
@@ -151,35 +145,37 @@ impl BenchSnapshot {
     /// Scenarios are independent by construction — each thread builds its
     /// own `Session` and simulator — so they fan out across cores and land
     /// in their preassigned slots, keeping the result order (and therefore
-    /// the serialized document) identical to a serial run. A panicking
-    /// scenario propagates out of the scope join, exactly like the serial
-    /// loop it replaces.
-    pub fn capture(version: u64, generated_unix_ms: u64) -> BenchSnapshot {
-        let suite = scenarios();
-        let mut slots: Vec<Option<ScenarioResult>> = Vec::with_capacity(suite.len());
+    /// the serialized document) identical to a serial run. The first
+    /// scenario that fails to run, in suite order, is the `Err`, prefixed
+    /// with its name.
+    pub fn capture(version: u64, generated_unix_ms: u64) -> Result<BenchSnapshot, String> {
+        let suite = perf_scenarios();
+        let mut slots: Vec<Option<Result<ScenarioResult, TrainError>>> =
+            Vec::with_capacity(suite.len());
         slots.resize_with(suite.len(), || None);
         std::thread::scope(|scope| {
             for (slot, sc) in slots.iter_mut().zip(&suite) {
                 scope.spawn(move || *slot = Some(run_scenario(sc)));
             }
         });
-        let mut scenarios: Vec<ScenarioResult> = slots
-            .into_iter()
-            .map(|r| r.expect("scenario thread ran to completion"))
-            .collect();
+        let mut scenarios = Vec::with_capacity(suite.len());
+        for (slot, sc) in slots.into_iter().zip(&suite) {
+            let result = slot.expect("scenario thread ran to completion");
+            scenarios.push(result.map_err(|e| format!("{}: {e}", sc.name))?);
+        }
         // The serving suite rides behind the perf rows: the replica runs in
         // virtual time (milliseconds of wall clock per scenario), so a
         // serial pass keeps the document order fixed at no real cost.
         for sc in serve_scenarios() {
-            let report = crate::serve::run_scenario(&sc)
-                .unwrap_or_else(|e| panic!("serve scenario {}: {e}", sc.name));
+            let report =
+                crate::serve::run_scenario(&sc).map_err(|e| format!("{}: {e}", sc.name))?;
             scenarios.push(serve_result(&report));
         }
-        BenchSnapshot {
+        Ok(BenchSnapshot {
             version,
             generated_unix_ms,
             scenarios,
-        }
+        })
     }
 
     /// Full JSON document, including the volatile section.
@@ -250,12 +246,14 @@ impl BenchSnapshot {
     /// Parses a snapshot document (the inverse of [`BenchSnapshot::to_json`];
     /// the volatile section is optional so canonical documents parse too,
     /// and volatile keys other than `generated_unix_ms` and `pass_wall_ns`,
-    /// which older snapshots carry, are ignored).
+    /// which older snapshots carry, are ignored). A missing or unsupported
+    /// `schema_version` is rejected.
     pub fn from_json(doc: &Json) -> Result<BenchSnapshot, String> {
         let kind = doc.get("kind").and_then(Json::as_str).unwrap_or_default();
         if kind != "picasso.bench_snapshot" {
             return Err(format!("not a bench snapshot (kind {kind:?})"));
         }
+        check_schema_version(doc, BENCH_SCHEMA_VERSION)?;
         let version = doc
             .get("version")
             .and_then(Json::as_u64)
@@ -751,8 +749,33 @@ mod tests {
     }
 
     #[test]
+    fn unsupported_or_missing_schema_versions_are_rejected() {
+        let with_version = |version: Option<u64>| {
+            let Json::Obj(mut fields) = synthetic_snapshot(0, 1.0).to_json() else {
+                unreachable!("a snapshot serializes to an object")
+            };
+            fields.retain(|(k, _)| k != "schema_version");
+            if let Some(v) = version {
+                fields.insert(0, ("schema_version".into(), Json::UInt(v)));
+            }
+            Json::Obj(fields)
+        };
+        assert!(BenchSnapshot::from_json(&with_version(Some(BENCH_SCHEMA_VERSION))).is_ok());
+        let err = BenchSnapshot::from_json(&with_version(Some(2))).expect_err("schema 2");
+        assert!(err.contains("schema_version"), "{err}");
+        assert!(BenchSnapshot::from_json(&with_version(None)).is_err());
+        // Every committed baseline carries a supported version.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks");
+        for v in 0..=2 {
+            let path = dir.join(format!("BENCH_{v}.json"));
+            let snap = BenchSnapshot::load(&path).unwrap();
+            assert_eq!(snap.version, v);
+        }
+    }
+
+    #[test]
     fn suite_pipelines_validate_and_ladder_monotonically() {
-        let suite = scenarios();
+        let suite = perf_scenarios();
         assert_eq!(suite.len(), 8);
         for sc in &suite {
             sc.pipeline.validate().unwrap();
@@ -775,7 +798,7 @@ mod tests {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks");
         let (version, path) = latest_snapshot(&dir).expect("a committed BENCH_<n>.json");
         let committed = BenchSnapshot::load(&path).unwrap();
-        let fresh = BenchSnapshot::capture(version, 0);
+        let fresh = BenchSnapshot::capture(version, 0).expect("suite runs");
         let want = committed.canonical_json().to_json();
         let got = fresh.canonical_json().to_json();
         if want != got {
@@ -796,7 +819,7 @@ mod tests {
 
     #[test]
     fn suite_lints_clean_of_errors() {
-        // `repro --lint` gates CI on this exact report: every committed
+        // `repro lint` gates CI on this exact report: every committed
         // scenario must plan without error-severity findings.
         let report = lint_suite().expect("suite plans cleanly");
         assert!(
@@ -942,9 +965,9 @@ mod tests {
     fn capture_order_matches_the_scenario_table() {
         // The parallel capture must keep suite order — the committed
         // snapshot document and the byte-identity test depend on it.
-        let mut names: Vec<String> = scenarios().into_iter().map(|s| s.name).collect();
+        let mut names: Vec<String> = perf_scenarios().into_iter().map(|s| s.name).collect();
         names.extend(serve_scenarios().into_iter().map(|s| s.name));
-        let snap = BenchSnapshot::capture(0, 0);
+        let snap = BenchSnapshot::capture(0, 0).expect("suite runs");
         let got: Vec<&str> = snap.scenarios.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(got, names.iter().map(String::as_str).collect::<Vec<_>>());
         let volatile = snap.to_json();

@@ -129,7 +129,7 @@ fn real_suite_snapshots_ingest_and_stay_trend_clean() {
     // Two identical captures of the real perf suite: everything ingests
     // under the pinned scenario names and the trend sweep stays silent.
     let dir = tmp_dir("real");
-    let snap = BenchSnapshot::capture(0, 0);
+    let snap = BenchSnapshot::capture(0, 0).expect("suite runs");
     let records = snapshot_records(&snap);
     assert_eq!(
         records.len(),

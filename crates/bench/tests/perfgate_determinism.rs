@@ -10,8 +10,8 @@ use std::fs;
 fn suite_is_deterministic_and_gates_round_trip() {
     // Byte-identical modulo the volatile section (timestamp + pass wall
     // times), which canonical_json() nulls out.
-    let a = BenchSnapshot::capture(0, 111);
-    let b = BenchSnapshot::capture(0, 222);
+    let a = BenchSnapshot::capture(0, 111).expect("suite runs");
+    let b = BenchSnapshot::capture(0, 222).expect("suite runs");
     assert_eq!(
         a.canonical_json().to_json(),
         b.canonical_json().to_json(),

@@ -4,7 +4,7 @@
 //! scheduler metrics ([`picasso_exec::observe`]), per-pass accounting
 //! ([`picasso_graph::PassReport`]), the Chrome trace with counter lanes,
 //! the Prometheus text rendering, and the versioned JSON run report that
-//! `repro --report-json` writes.
+//! `repro <experiment> --json` writes.
 
 use crate::report::TextTable;
 use picasso_exec::RunArtifacts;

@@ -203,7 +203,7 @@ pub fn lint_analysis(
     diags
 }
 
-/// The standalone `picasso.analysis_report` JSON document `repro --analyze`
+/// The standalone `picasso.analysis_report` JSON document `repro analyze`
 /// emits: planned interleaving, the full [`DagAnalysis`], and the analysis
 /// lint findings.
 pub fn analysis_report_json(
@@ -244,7 +244,7 @@ pub fn analysis_report_json(
 // Trace cross-check: declared effects vs observed overlap.
 // ----------------------------------------------------------------------
 
-/// Seeded runs per scenario in the race cross-check (`repro --races`).
+/// Seeded runs per scenario in the race cross-check (`repro races`).
 pub const RACE_CHECK_RUNS: usize = 3;
 
 /// One observed conflicting overlap in an executed trace: two tasks whose

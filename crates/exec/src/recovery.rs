@@ -28,6 +28,7 @@ use picasso_ckpt::{CheckpointKind, CheckpointStore, Manifest};
 use picasso_data::{BatchGenerator, DatasetSpec};
 use picasso_embedding::TableSnapshot;
 use picasso_lint::{Diagnostic, Severity, Span};
+use picasso_obs::checksum::splitmix64;
 use picasso_obs::detect::{
     Anomaly, AnomalyKind, QueueDepthDetector, SlopeDetector, StragglerDetector,
 };
@@ -498,14 +499,6 @@ pub fn lint_flight(stats: &FlightStats) -> Vec<Diagnostic> {
         );
     }
     out
-}
-
-/// Deterministic jitter hash (splitmix64) for detection-latency noise.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn unrec(what: &str, e: impl std::fmt::Display) -> TrainError {

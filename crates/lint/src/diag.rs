@@ -159,7 +159,7 @@ impl Diagnostic {
         self
     }
 
-    /// The structured JSON form used by `--lint-json` and the run report.
+    /// The structured JSON form used by `repro lint --json` and the run report.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("rule", Json::str(&self.rule)),

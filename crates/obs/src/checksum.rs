@@ -1,9 +1,12 @@
-//! FNV-1a 64, the workspace's one content checksum.
+//! FNV-1a 64, the workspace's one content checksum, and splitmix64, its
+//! one deterministic mixer.
 //!
 //! Checkpoint shards, flight dumps, history segments, the causal-log codec
-//! and the critical-path and race digests all hash with it. It is
+//! and the critical-path and race digests all hash with FNV-1a. It is
 //! dependency-free and portable, and it guards against torn writes and bit
-//! rot, not adversaries.
+//! rot, not adversaries. [`splitmix64`] drives the flight recorder's
+//! sampling, the recovery loop's detection jitter and the serving traffic
+//! generator.
 
 /// Incremental FNV-1a 64: [`Fnv1a::write`] the input in pieces, in order,
 /// and [`Fnv1a::finish`] equals [`fnv1a64`] over their concatenation.
@@ -39,6 +42,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
     h.write(bytes);
     h.finish()
+}
+
+/// splitmix64: one step of the SplitMix64 generator's output mix applied
+/// to `x` plus the golden-ratio increment. A stream seeded at `s` yields
+/// `splitmix64(s)`, `splitmix64(s + 0x9e37_79b9_7f4a_7c15)`, and so on.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //! masquerade as evidence.
 
 pub use crate::checksum::fnv1a64;
+use crate::checksum::splitmix64;
 use crate::json::{self, Json};
 use crate::metrics::{MetricKind, MetricsRegistry};
 
@@ -25,14 +26,6 @@ use crate::metrics::{MetricKind, MetricsRegistry};
 pub const FLIGHT_DUMP_KIND: &str = "picasso.flight_dump";
 /// Schema version of the post-mortem dump document.
 pub const FLIGHT_DUMP_SCHEMA_VERSION: u64 = 1;
-
-/// Deterministic admission hash (splitmix64).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// What kind of moment an event captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -653,6 +653,11 @@ mod tests {
         // Detection latency: fires on the second shifted sample.
         assert!(cusum_change_point(&series[..4], &CusumConfig::default()).is_none());
         assert!(cusum_change_point(&series[..5], &CusumConfig::default()).is_some());
+        // The same step at another level and with a longer tail.
+        let series = [0.50, 0.50, 0.50, 0.60, 0.60, 0.60];
+        let cp = cusum_change_point(&series, &CusumConfig::default()).expect("fires");
+        assert_eq!(cp.direction, Shift::Up);
+        assert_eq!(cp.at, 3);
     }
 
     #[test]
@@ -660,6 +665,8 @@ mod tests {
         assert!(cusum_change_point(&[1.0; 8], &CusumConfig::default()).is_none());
         assert!(cusum_change_point(&[1.0], &CusumConfig::default()).is_none());
         let jitter = [1.0, 1.02, 0.99, 1.01, 1.0, 0.98, 1.03];
+        assert!(cusum_change_point(&jitter, &CusumConfig::default()).is_none());
+        let jitter = [0.50, 0.505, 0.495, 0.50, 0.502, 0.498];
         assert!(cusum_change_point(&jitter, &CusumConfig::default()).is_none());
     }
 
@@ -669,6 +676,10 @@ mod tests {
         let cp = cusum_change_point(&series, &CusumConfig::default()).expect("fires");
         assert_eq!(cp.direction, Shift::Down);
         assert!(cp.rel_change < -0.25);
+        let series = [0.50, 0.50, 0.50, 0.40, 0.40, 0.40];
+        let cp = cusum_change_point(&series, &CusumConfig::default()).expect("fires");
+        assert_eq!(cp.direction, Shift::Down);
+        assert!((cp.rel_change + 0.2).abs() < 1e-9, "{cp:?}");
     }
 
     #[test]

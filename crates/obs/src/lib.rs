@@ -25,7 +25,8 @@
 //!   JSON run reports).
 //! * [`json`] — the dependency-free JSON document model and parser the
 //!   exporters are built on.
-//! * [`checksum`] — FNV-1a 64, the content checksum behind every digest.
+//! * [`checksum`] — FNV-1a 64, the content checksum behind every digest,
+//!   and splitmix64, the deterministic mixer behind every seeded stream.
 //!
 //! The crate has no dependencies and sits at the bottom of the workspace
 //! graph; `sim`, `graph`, `embedding`, `exec`, and `core` all feed it.

@@ -94,33 +94,6 @@ impl Histogram {
             self.sum / self.count as f64
         }
     }
-
-    /// Estimated `q`-quantile (`0.0 <= q <= 1.0`) by linear interpolation
-    /// within the bucket containing the target rank, the standard
-    /// fixed-bucket estimate. Observations in the `+Inf` bucket clamp to the
-    /// largest finite bound; an empty histogram yields `0.0`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = q * self.count as f64;
-        let mut seen = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let next = seen + c as f64;
-            if next >= rank && c > 0 {
-                let Some(&upper) = self.bounds.get(i) else {
-                    // +Inf bucket: the best available point estimate.
-                    return self.bounds.last().copied().unwrap_or(self.mean());
-                };
-                let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let within = ((rank - seen) / c as f64).clamp(0.0, 1.0);
-                return lower + (upper - lower) * within;
-            }
-            seen = next;
-        }
-        self.bounds.last().copied().unwrap_or(self.mean())
-    }
 }
 
 /// One clock-stamped sample stream.
@@ -327,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_summaries_mean_and_quantile() {
+    fn histogram_mean_is_exact_and_zero_when_empty() {
         let reg = MetricsRegistry::new();
         reg.histogram_buckets("lat", &[1.0, 2.0, 4.0]);
         for v in [0.5, 1.5, 1.5, 3.0] {
@@ -336,18 +309,6 @@ mod tests {
         let snap = reg.snapshot();
         let h = &snap.histograms[0].1;
         assert!((h.mean() - 1.625).abs() < 1e-12);
-        // Median rank 2.0 interpolates halfway into the (1, 2] bucket.
-        assert!((h.quantile(0.5) - 1.5).abs() < 1e-12);
-        // p100 interpolates to the top of the occupied (2, 4] bucket.
-        assert!((h.quantile(1.0) - 4.0).abs() < 1e-12);
-        assert_eq!(h.quantile(0.0), 0.0, "rank 0 sits at the bucket floor");
-
-        // Overflow observations clamp to the largest finite bound.
-        let reg = MetricsRegistry::new();
-        reg.histogram_buckets("big", &[1.0]);
-        reg.histogram_observe("big", &[], 50.0);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histograms[0].1.quantile(0.99), 1.0);
 
         // Empty histograms summarize to zero, not NaN.
         let empty = Histogram {
@@ -357,49 +318,6 @@ mod tests {
             count: 0,
         };
         assert_eq!(empty.mean(), 0.0);
-        assert_eq!(empty.quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn quantile_handles_empty_and_single_sample_histograms() {
-        // Every quantile of an empty histogram is 0.0, never NaN, and no
-        // quantile in [0, 1] panics.
-        let empty = Histogram {
-            bounds: vec![1.0, 2.0],
-            counts: vec![0, 0, 0],
-            sum: 0.0,
-            count: 0,
-        };
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(empty.quantile(q), 0.0, "q={q}");
-        }
-
-        // A single sample pins every nonzero quantile inside its bucket;
-        // interpolation cannot escape the occupied bucket's bounds.
-        let reg = MetricsRegistry::new();
-        reg.histogram_buckets("one", &[1.0, 2.0]);
-        reg.histogram_observe("one", &[], 1.5);
-        let snap = reg.snapshot();
-        let h = &snap.histograms[0].1;
-        for q in [0.01, 0.5, 0.99, 1.0] {
-            let v = h.quantile(q);
-            assert!((1.0..=2.0).contains(&v), "q={q} gave {v}");
-        }
-        assert_eq!(h.quantile(0.0), 1.0, "rank 0 sits at the bucket floor");
-        assert!(
-            (h.mean() - 1.5).abs() < 1e-12,
-            "mean is exact, not bucketed"
-        );
-
-        // A single sample in the +Inf bucket with no finite bound at all:
-        // the mean is the only available point estimate.
-        let unbounded = Histogram {
-            bounds: vec![],
-            counts: vec![1],
-            sum: 7.0,
-            count: 1,
-        };
-        assert_eq!(unbounded.quantile(0.5), 7.0);
     }
 
     #[test]

@@ -72,15 +72,13 @@ impl RunReport {
     /// schema version. Returns the parsed document on success.
     pub fn validate(text: &str) -> Result<Json, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
-        if version != RUN_REPORT_SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {version} != supported {RUN_REPORT_SCHEMA_VERSION}"
-            ));
-        }
+        RunReport::validate_json(&doc)?;
+        Ok(doc)
+    }
+
+    /// [`RunReport::validate`] over an already-parsed document.
+    pub fn validate_json(doc: &Json) -> Result<(), String> {
+        check_schema_version(doc, RUN_REPORT_SCHEMA_VERSION)?;
         match doc.get("kind").and_then(Json::as_str) {
             Some(RUN_REPORT_KIND) => {}
             other => return Err(format!("bad kind: {other:?}")),
@@ -99,8 +97,21 @@ impl RunReport {
                 return Err(format!("reports[{i}] is not an object"));
             }
         }
-        Ok(doc)
+        Ok(())
     }
+}
+
+/// Rejects a document whose `schema_version` is missing or differs from
+/// the one version its reader supports.
+pub fn check_schema_version(doc: &Json, supported: u64) -> Result<(), String> {
+    let version = doc
+        .get("schema_version")
+        .and_then(Json::as_u64)
+        .ok_or("missing schema_version")?;
+    if version != supported {
+        return Err(format!("schema_version {version} != supported {supported}"));
+    }
+    Ok(())
 }
 
 /// Serializes a metrics snapshot as a JSON object with one section per

@@ -7,8 +7,8 @@
 //! [`FaultEvent`]s pinned to iteration numbers — nothing samples at
 //! runtime; the seed only perturbs detection latency downstream.
 //!
-//! Plans round-trip through a compact text grammar (the `--fault-plan`
-//! flag):
+//! Plans round-trip through a compact text grammar
+//! (`repro recover --fault-plan`):
 //!
 //! ```text
 //! seed=7;crash@3:w0;nic@5:p25:i2;slow@7:w1:p50:i3

@@ -7,9 +7,9 @@
 //! bursty traffic) over Zipf-distributed user IDs drawn from a vocabulary of
 //! millions — and [`TrafficGen`] replays it deterministically: the same plan
 //! always produces the same arrival sequence, bit for bit, which is what lets
-//! `repro --serve` pin latency digests the way the fault plans pin recovery.
+//! `repro serve` pin latency digests the way the fault plans pin recovery.
 //!
-//! Plans round-trip through a compact text grammar (the `--serve-plan` flag),
+//! Plans round-trip through a compact text grammar (`repro serve --plan`),
 //! mirroring [`crate::fault::FaultPlan`]:
 //!
 //! ```text
@@ -31,6 +31,7 @@
 //!
 //! Every field is an integer, so `parse` ∘ `Display` is exact.
 
+use picasso_obs::checksum::splitmix64;
 use std::fmt;
 
 /// The arrival process of a [`TrafficPlan`].
@@ -73,7 +74,7 @@ pub struct TrafficPlan {
 
 impl Default for TrafficPlan {
     /// A moderate seeded Poisson stream over three million users — the
-    /// default `repro --serve` scenario shape.
+    /// default `repro serve` scenario shape.
     fn default() -> Self {
         TrafficPlan {
             seed: 0,
@@ -97,7 +98,7 @@ impl TrafficPlan {
         TrafficGen::new(self.clone())
     }
 
-    /// Parses the `--serve-plan` grammar (see the module docs).
+    /// Parses the `repro serve --plan` grammar (see the module docs).
     pub fn parse(text: &str) -> Result<TrafficPlan, String> {
         let mut plan = TrafficPlan::default();
         let mut process: Option<ArrivalProcess> = None;
@@ -216,18 +217,17 @@ pub struct Request {
     pub ids: Vec<u64>,
 }
 
-/// Deterministic splitmix64 stream (the same generator the flight recorder
-/// samples with; duplicated here to keep `picasso-sim` dependency-free).
+/// Deterministic splitmix64 stream (the generator the flight recorder
+/// samples with).
 #[derive(Debug, Clone)]
 struct SplitMix(u64);
 
 impl SplitMix {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let x = self.0;
+        self.0 = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        splitmix64(x)
     }
 
     /// Uniform in `(0, 1]` — safe as a `ln` argument.
