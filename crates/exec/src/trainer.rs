@@ -15,7 +15,7 @@ use picasso_graph::{
 use picasso_models::ModelKind;
 use picasso_obs::{Tracer, WallClock};
 use picasso_sim::{EngineError, MachineSpec};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -357,7 +357,9 @@ pub(crate) fn prepare(
 /// ID-mass-weighted overall hit ratio.
 ///
 /// - Dedup: `expected_unique_ratio(vocab, s, ids per lookup)` where a lookup
-///   covers one micro-batch of one table.
+///   covers one micro-batch of one table. Presets give hundreds of tables
+///   one shape, so the ratio is evaluated once per distinct
+///   `(vocab, s, ids)` and memoized for this call only.
 /// - Cache: HybridHash converges to holding the top-k rows, so the hit
 ///   ratio is the analytic frequency mass of the `k` rows the table's share
 ///   of Hot-storage can hold (the per-table share follows the warm-up ID
@@ -381,6 +383,7 @@ fn apply_analytic_ratios(
         table_dim.insert(f.table_group, f.dim);
         *table_ids.entry(f.table_group).or_insert(0.0) += f.avg_ids;
     }
+    let mut unique_by_shape: HashMap<(u64, u64, u64), f64> = HashMap::new();
     let mut overall_hit = 0.0;
     for chain in &mut spec.chains {
         let mut unique = 0.0;
@@ -390,7 +393,9 @@ fn apply_analytic_ratios(
             let ids = table_ids[&t] * micro_batch as f64;
             let vocab = table_vocab[&t];
             let s = table_skew[&t];
-            let u = expected_unique_ratio(vocab, s, ids);
+            let u = *unique_by_shape
+                .entry((vocab, s.to_bits(), ids.to_bits()))
+                .or_insert_with(|| expected_unique_ratio(vocab, s, ids));
             let mass = warmup.tables.get(&t).map(|ts| ts.id_mass).unwrap_or(0.0);
             let h = if hot_bytes > 0.0 {
                 let rows = hot_bytes * mass / (table_dim[&t] as f64 * 4.0);

@@ -8,7 +8,10 @@
 //! - **symmetric**: `mhp(a, b) == mhp(b, a)`;
 //! - **anti-monotone under edge addition**: adding an ordering edge
 //!   never creates a new MHP pair (it can only order formerly-free
-//!   pairs), so tightening a schedule can never *introduce* a race.
+//!   pairs), so tightening a schedule can never *introduce* a race;
+//! - **closure matches a per-node DFS**: `reaches` agrees with a plain
+//!   DFS from every node on cyclic and acyclic graphs of up to 200 nodes,
+//!   so reach rows spanning several 64-bit words are covered.
 
 use picasso_lint::MhpRelation;
 use proptest::prelude::*;
@@ -22,7 +25,62 @@ fn graph_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     })
 }
 
+/// A random graph of 1–200 nodes: either arbitrary edges (cycles and
+/// self-loops allowed) or the same edges oriented low-to-high, which makes
+/// it acyclic.
+fn wide_graph_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (1usize..201, proptest::bool::ANY).prop_flat_map(|(n, acyclic)| {
+        let edges = proptest::collection::vec((0..n, 0..n), 0..2 * n);
+        edges.prop_map(move |e| {
+            let e = if acyclic {
+                e.into_iter()
+                    .filter(|&(a, b)| a != b)
+                    .map(|(a, b)| (a.min(b), a.max(b)))
+                    .collect()
+            } else {
+                e
+            };
+            (n, e)
+        })
+    })
+}
+
+/// Reference closure: a DFS over successor lists from every node, the
+/// textbook `O(n·(n+e))` algorithm.
+fn reference_reach(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<bool>> {
+    let mut succ = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        succ[a].push(b);
+    }
+    let mut reach = vec![vec![false; n]; n];
+    for (i, row) in reach.iter_mut().enumerate() {
+        let mut stack = succ[i].clone();
+        while let Some(j) = stack.pop() {
+            if !row[j] {
+                row[j] = true;
+                stack.extend(&succ[j]);
+            }
+        }
+    }
+    reach
+}
+
+fn assert_matches_reference(n: usize, edges: &[(usize, usize)]) {
+    let rel = MhpRelation::new(n, edges);
+    for (i, row) in reference_reach(n, edges).iter().enumerate() {
+        for (j, &expected) in row.iter().enumerate() {
+            assert_eq!(rel.reaches(i, j), expected, "reach({i}, {j}) on {edges:?}");
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn closure_matches_a_per_node_dfs(g in wide_graph_strategy()) {
+        let (n, edges) = g;
+        assert_matches_reference(n, &edges);
+    }
+
     #[test]
     fn mhp_is_irreflexive(g in graph_strategy()) {
         let (n, edges) = g;
@@ -112,4 +170,17 @@ fn transitive_closure_matches_a_reference_floyd_warshall() {
             assert_eq!(rel.reaches(i, j), expected, "reach({i}, {j})");
         }
     }
+}
+
+#[test]
+fn node_upstream_of_a_cycle_reaches_through_it() {
+    // 0 feeds the cycle 1 <-> 2, which feeds 3: Kahn closes only 3, so
+    // 0, 1 and 2 take the DFS path.
+    let edges = [(0, 1), (1, 2), (2, 1), (2, 3)];
+    let rel = MhpRelation::new(4, &edges);
+    let row = |i: usize| (0..4).filter(|&j| rel.reaches(i, j)).collect::<Vec<_>>();
+    assert_eq!(row(0), [1, 2, 3]);
+    assert_eq!(row(1), [1, 2, 3]);
+    assert_eq!(row(2), [1, 2, 3]);
+    assert!(row(3).is_empty());
 }
