@@ -1,16 +1,18 @@
 //! Training-batch generation.
 //!
 //! Materializes actual categorical-ID streams for the parts of the system
-//! that run for real (HybridHash, embedding operators, the AUC trainer).
-//! Logical vocabularies in the trillions are clamped to a working vocabulary
-//! so the weight tables stay small; the *distributional* properties the
-//! optimizations depend on (skew, multi-hot lengths) are preserved.
+//! that run for real: the warm-up's ID statistics, the embedding operators
+//! and the AUC trainer. The trainer needs whole batches (`next_batch`); the
+//! warm-up draws the same IDs alone (`next_ids_into`). Logical vocabularies
+//! in the trillions are clamped to a working vocabulary so the weight
+//! tables stay small; the *distributional* properties the optimizations
+//! depend on (skew, multi-hot lengths) are preserved.
 
 use crate::dataset::DatasetSpec;
 use crate::distribution::IdSampler;
 use crate::synthetic::ClickModel;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -131,11 +133,7 @@ impl BatchGenerator {
             let mut ids = Vec::with_capacity((size as f64 * fspec.avg_ids) as usize + size);
             let mut offsets = Vec::with_capacity(size + 1);
             offsets.push(0u32);
-            for _ in 0..size {
-                let len = self.multi_hot_len(fspec.avg_ids);
-                self.samplers[fi].sample_into(&mut self.rng, len, &mut ids);
-                offsets.push(ids.len() as u32);
-            }
+            self.draw_field(fi, size, &mut ids, Some(&mut offsets));
             fields.push(FieldBatch {
                 field: fi,
                 ids,
@@ -154,6 +152,48 @@ impl BatchGenerator {
             fields,
             dense,
             labels,
+        }
+    }
+
+    /// Draws the IDs of the next batch of `size` instances and nothing
+    /// else: field `f`'s IDs are appended to `outs[slots[f]]`, fields in
+    /// spec order, so fields sharing a slot share one stream.
+    ///
+    /// The IDs and the generator's state afterwards are exactly those of
+    /// [`BatchGenerator::next_batch`]: the dense features and click labels
+    /// are skipped rather than computed, one RNG word each (every
+    /// `gen_range` and `gen_bool` draws exactly one).
+    ///
+    /// # Panics
+    /// If `size == 0`, if `slots` does not hold one slot per field, or if a
+    /// slot indexes past `outs`.
+    pub fn next_ids_into(&mut self, size: usize, slots: &[usize], outs: &mut [Vec<u64>]) {
+        assert!(size > 0, "batch size must be positive");
+        assert_eq!(slots.len(), self.spec.fields.len(), "one slot per field");
+        for (fi, &slot) in slots.iter().enumerate() {
+            self.draw_field(fi, size, &mut outs[slot], None);
+        }
+        for _ in 0..size * (self.spec.numeric + 1) {
+            self.rng.next_u64();
+        }
+    }
+
+    /// Appends field `fi`'s IDs for `size` instances to `ids`, pushing each
+    /// instance's end onto `offsets` when given.
+    fn draw_field(
+        &mut self,
+        fi: usize,
+        size: usize,
+        ids: &mut Vec<u64>,
+        mut offsets: Option<&mut Vec<u32>>,
+    ) {
+        let avg = self.spec.fields[fi].avg_ids;
+        for _ in 0..size {
+            let len = self.multi_hot_len(avg);
+            self.samplers[fi].sample_into(&mut self.rng, len, ids);
+            if let Some(offsets) = offsets.as_deref_mut() {
+                offsets.push(ids.len() as u32);
+            }
         }
     }
 

@@ -4,8 +4,11 @@
 //! during warm-up iterations (§III-B, §III-D): ID frequencies drive the
 //! Eq. 1 pack sharding, deduplication rates size the Unique outputs, and
 //! HybridHash hit ratios split Gather traffic between Hot- and
-//! Cold-storage. This module runs actual batches through the real embedding
-//! substrate and reports those statistics.
+//! Cold-storage. This module draws the IDs of real seeded batches (IDs
+//! only: warm-up reads no dense features or labels), counts them per table
+//! in dense rank space, and replays each table's stream through the
+//! HybridHash cache policy (`HotSetPolicy`, no embedding rows) to measure
+//! hit ratios.
 
 use picasso_data::{BatchGenerator, DatasetSpec, FrequencyStats};
 use picasso_embedding::{CacheMetrics, HotSetPolicy, HybridHashConfig, TableLoad};
@@ -46,7 +49,8 @@ impl Default for WarmupConfig {
 pub struct TableStats {
     /// Fraction of a batch's IDs remaining after `Unique`.
     pub unique_ratio: f64,
-    /// HybridHash hit ratio after warm-up (0.0 when caching disabled).
+    /// Hit ratio of the hot-set cache policy over the measured half of the
+    /// batches (0.0 when caching disabled).
     pub hit_ratio: f64,
     /// Share of all observed categorical IDs hitting this table.
     pub id_mass: f64,
@@ -98,6 +102,8 @@ const MEASURE_DIM: usize = 8;
 /// One table's drawn IDs across the warm-up batches.
 #[derive(Debug, Default)]
 struct TableStream {
+    /// The table's `table_group`.
+    table: usize,
     /// Embedding dimension.
     dim: usize,
     /// Rank bound: the largest working vocabulary of the table's fields.
@@ -143,44 +149,56 @@ impl DistinctCounter {
 
 /// Runs the warm-up over `data`.
 ///
-/// Batches are drawn once and split into per-table ID streams; each table
-/// is then counted on its own in dense rank space, so at most one table's
-/// counters are live at a time.
+/// Each batch draws its IDs only, straight into per-table streams (one
+/// dense slot per table, in table order); each table is then counted on
+/// its own in dense rank space, so at most one table's counters are live
+/// at a time.
 pub fn run_warmup(data: &Arc<DatasetSpec>, cfg: &WarmupConfig) -> WarmupReport {
     assert!(cfg.batches >= 2, "need at least two warm-up batches");
     let mut gen = BatchGenerator::with_max_vocab(Arc::clone(data), cfg.seed, cfg.max_vocab);
 
-    let mut streams: BTreeMap<usize, TableStream> = BTreeMap::new();
+    let mut table_ids: Vec<usize> = data.fields.iter().map(|f| f.table_group).collect();
+    table_ids.sort_unstable();
+    table_ids.dedup();
+    let mut streams: Vec<TableStream> = table_ids
+        .iter()
+        .map(|&table| TableStream {
+            table,
+            ..TableStream::default()
+        })
+        .collect();
+    let mut slots = Vec::with_capacity(data.fields.len());
     for (fi, f) in data.fields.iter().enumerate() {
-        let s = streams.entry(f.table_group).or_default();
+        let slot = table_ids
+            .binary_search(&f.table_group)
+            .expect("every field's table has a slot");
+        let s = &mut streams[slot];
         s.dim = f.dim;
         s.bound = s.bound.max(gen.working_vocab(fi) as usize);
+        slots.push(slot);
     }
+    let mut ids: Vec<Vec<u64>> = vec![Vec::new(); streams.len()];
     for _ in 0..cfg.batches {
-        let batch = gen.next_batch(cfg.batch_size);
-        for fb in &batch.fields {
-            let table = data.fields[fb.field].table_group;
-            let s = streams
-                .get_mut(&table)
-                .expect("every field's table has a stream");
-            s.ids.extend_from_slice(&fb.ids);
-        }
-        for s in streams.values_mut() {
-            s.ends.push(s.ids.len());
+        gen.next_ids_into(cfg.batch_size, &slots, &mut ids);
+        for (s, ids) in streams.iter_mut().zip(&ids) {
+            s.ends.push(ids.len());
         }
     }
-    let total_ids: u64 = streams.values().map(|s| s.ids.len() as u64).sum();
+    for (s, ids) in streams.iter_mut().zip(ids) {
+        s.ids = ids;
+    }
+    let total_ids: u64 = streams.iter().map(|s| s.ids.len() as u64).sum();
 
     let warm = cfg.batches / 2;
     let mut distinct = DistinctCounter {
-        stamps: vec![0; streams.values().map(|s| s.bound).max().unwrap_or(0)],
+        stamps: vec![0; streams.iter().map(|s| s.bound).max().unwrap_or(0)],
         epoch: 0,
     };
     let mut tables = BTreeMap::new();
     let mut caches: BTreeMap<usize, CacheMetrics> = BTreeMap::new();
     let mut coverage = 0.0;
     let mut overall_hit = 0.0;
-    for (&table, s) in &streams {
+    for s in &streams {
         let mass = s.ids.len() as f64 / total_ids as f64;
         let unique: u64 = s.batches().map(|ids| distinct.count(ids)).sum();
         let (coverage_top20, hit_ratio) = if cfg.hot_bytes > 0 {
@@ -201,7 +219,7 @@ pub fn run_warmup(data: &Arc<DatasetSpec>, cfg: &WarmupConfig) -> WarmupReport {
             for ids in s.batches() {
                 policy.measure_batch(ids);
             }
-            caches.insert(table, CacheMetrics::of(&policy));
+            caches.insert(s.table, CacheMetrics::of(&policy));
             (
                 policy.counter().coverage_of_top(0.2),
                 policy.stats().hit_ratio(),
@@ -224,7 +242,7 @@ pub fn run_warmup(data: &Arc<DatasetSpec>, cfg: &WarmupConfig) -> WarmupReport {
         };
         coverage += coverage_top20 * mass;
         overall_hit += table_stats.hit_ratio * mass;
-        tables.insert(table, table_stats);
+        tables.insert(s.table, table_stats);
     }
 
     WarmupReport {

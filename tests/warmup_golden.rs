@@ -1,8 +1,9 @@
 //! Golden digests of the warm-up statistics.
 //!
 //! Pins FNV-1a of the `Debug` text of `run_warmup`'s report for the W&D
-//! (product-1) and CAN (product-2) datasets at warm-up seed 101, with the
-//! perf suite's warm-up shape (4 batches of 256, working vocabulary 1000).
+//! (product-1), CAN (product-2) and Alibaba datasets and the CPU trainer's
+//! multi-hot Alibaba-like set at warm-up seed 101, with the perf suite's
+//! warm-up shape (4 batches of 256, working vocabulary 1000).
 //! The base/pack/inter rungs measure no cache (`hot_bytes` 0); the cache
 //! rungs measure with the 1 GiB default Hot-storage budget. Every derived
 //! statistic — unique ratios, ID masses, coverage, hit ratios and the cache
@@ -12,6 +13,7 @@
 use picasso::data::DatasetSpec;
 use picasso::exec::{run_warmup, WarmupConfig};
 use picasso::obs::analysis::fnv1a64;
+use picasso::train::auc_datasets;
 
 fn digest(data: DatasetSpec, hot_bytes: u64) -> String {
     let cfg = WarmupConfig {
@@ -43,4 +45,31 @@ fn wdl_warmup_with_cache_is_pinned() {
 #[test]
 fn can_warmup_with_cache_is_pinned() {
     assert_eq!(digest(DatasetSpec::product2(), 1 << 30), "bca403599ea54bfd");
+}
+
+#[test]
+fn alibaba_warmup_without_cache_is_pinned() {
+    assert_eq!(digest(DatasetSpec::alibaba(), 0), "3cfdd8fb722ceaf7");
+}
+
+#[test]
+fn alibaba_warmup_with_cache_is_pinned() {
+    assert_eq!(digest(DatasetSpec::alibaba(), 1 << 30), "d2c5d6635787474b");
+}
+
+#[test]
+fn multi_hot_warmup_without_cache_is_pinned() {
+    assert_eq!(digest(alibaba_like(), 0), "b65ec0372568ac52");
+}
+
+#[test]
+fn multi_hot_warmup_with_cache_is_pinned() {
+    assert_eq!(digest(alibaba_like(), 1 << 30), "58c5f78fb68b0b18");
+}
+
+/// The CPU trainer's Alibaba-like set: the one dataset here whose
+/// behaviour-sequence fields are multi-hot, so its pins cover the per-
+/// instance length draws.
+fn alibaba_like() -> DatasetSpec {
+    (*auc_datasets::alibaba_like()).clone()
 }
