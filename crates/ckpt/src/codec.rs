@@ -150,8 +150,9 @@ impl<'a> Decoder<'a> {
         // Each element needs 4 bytes; bound before allocating so a corrupt
         // length cannot trigger a huge reservation.
         let have = self.buf.len() - self.pos;
-        if have < n.saturating_mul(4) {
-            return Err(CodecError::UnexpectedEof { want: n * 4, have });
+        let want = n.saturating_mul(4);
+        if have < want {
+            return Err(CodecError::UnexpectedEof { want, have });
         }
         (0..n).map(|_| self.f32()).collect()
     }
@@ -229,6 +230,18 @@ mod tests {
         assert!(matches!(
             d.f32_slice(),
             Err(CodecError::UnexpectedEof { .. })
+        ));
+    }
+
+    #[test]
+    fn slice_length_of_u64_max_is_an_error_not_an_overflow() {
+        let mut e = Encoder::new();
+        e.u64(u64::MAX); // its byte count overflows
+        let bytes = e.finish();
+        let mut d = Decoder::new(&bytes);
+        assert!(matches!(
+            d.f32_slice(),
+            Err(CodecError::UnexpectedEof { want, have: 0 }) if want == usize::MAX
         ));
     }
 

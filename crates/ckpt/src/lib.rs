@@ -18,8 +18,8 @@
 //!   parent chain.
 //!
 //! What goes *into* a shard is the owning crate's business: embedding
-//! tables and the HybridHash cache serialize themselves in
-//! `picasso-embedding`, dense trainer parameters in `picasso-train`, and
+//! tables serialize themselves in `picasso-embedding`, dense trainer
+//! parameters in `picasso-train`, and
 //! the recovery driver in `picasso-exec` ties them together.
 
 #![warn(missing_docs)]

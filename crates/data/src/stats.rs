@@ -14,9 +14,9 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hashes `u64` IDs with one splitmix64 mix each. IDs come from seeded
-/// generators or this program's own checkpoints, not from an adversary, so
-/// SipHash's flood resistance buys nothing; the mix still spreads IDs that
-/// differ only in their high or only in their low bits over every bucket.
+/// generators, not from an adversary, so SipHash's flood resistance buys
+/// nothing; the mix still spreads IDs that differ only in their high or only
+/// in their low bits over every bucket.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdHasher(u64);
 
@@ -103,33 +103,6 @@ impl FrequencyStats {
         for &id in ids {
             self.record(id);
         }
-    }
-
-    /// Sets the count of `id` outright (checkpoint restore); `0` forgets
-    /// the ID. The total moves by the difference.
-    pub fn set_count(&mut self, id: u64, count: u64) {
-        let old = match &mut self.counts {
-            Counts::Hashed(map) if count == 0 => map.remove(&id).unwrap_or(0),
-            Counts::Hashed(map) => map.insert(id, count).unwrap_or(0),
-            Counts::Dense { counts, distinct } => {
-                let old = std::mem::replace(&mut counts[id as usize], count);
-                *distinct = *distinct + usize::from(count > 0) - usize::from(old > 0);
-                old
-            }
-        };
-        self.total = self.total - old + count;
-    }
-
-    /// Forgets every observation, keeping the representation.
-    pub fn clear(&mut self) {
-        match &mut self.counts {
-            Counts::Hashed(map) => map.clear(),
-            Counts::Dense { counts, distinct } => {
-                counts.fill(0);
-                *distinct = 0;
-            }
-        }
-        self.total = 0;
     }
 
     /// Total observations recorded.
@@ -292,21 +265,6 @@ mod tests {
         for mut s in both() {
             s.record_all(&[70, 3, 70, 41, 3, 3]);
             assert_eq!(s.counts(), vec![(3, 3), (41, 1), (70, 2)]);
-        }
-    }
-
-    #[test]
-    fn set_count_and_clear_keep_distinct_and_total() {
-        for mut s in both() {
-            s.record_all(&[1, 2, 2]);
-            s.set_count(2, 5);
-            s.set_count(7, 1);
-            assert_eq!((s.distinct(), s.total()), (3, 7));
-            s.set_count(1, 0);
-            assert_eq!((s.distinct(), s.total(), s.count(1)), (2, 6, 0));
-            s.clear();
-            assert_eq!((s.distinct(), s.total()), (0, 0));
-            assert!(s.counts().is_empty());
         }
     }
 

@@ -1,16 +1,11 @@
 //! Checkpoint serialization for embedding state.
 //!
-//! Two snapshot shapes live here: [`TableSnapshot`] (rows of one
-//! [`EmbeddingTable`]) and [`CacheSnapshot`] (the full [`HybridHash`] state:
-//! iteration, statistics, frequency counters, hot ID list, and the cold
-//! table). Both encode with the `picasso-ckpt` codec — flat little-endian,
-//! rows sorted by ID — so the same state always produces the same bytes and
-//! the crash-and-recover proof can compare checkpoints bit for bit.
-//!
-//! [`HybridHash`]: crate::HybridHash
+//! [`TableSnapshot`] holds rows of one [`EmbeddingTable`]. It encodes with
+//! the `picasso-ckpt` codec — flat little-endian, rows sorted by ID — so the
+//! same state always produces the same bytes and the crash-and-recover
+//! proof can compare checkpoints bit for bit.
 
 use crate::table::EmbeddingTable;
-use crate::CacheStats;
 use picasso_ckpt::{CodecError, Decoder, Encoder};
 
 /// Rows of one embedding table, sorted by ID.
@@ -85,16 +80,21 @@ impl TableSnapshot {
         table.mark_clean();
     }
 
-    fn encode_into(&self, e: &mut Encoder) {
+    /// Serializes the snapshot to shard bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
         e.u32(self.dim);
         e.u64(self.rows.len() as u64);
         for (id, row) in &self.rows {
             e.u64(*id);
             e.f32_slice(row);
         }
+        e.finish()
     }
 
-    fn decode_from(d: &mut Decoder<'_>) -> Result<TableSnapshot, CodecError> {
+    /// Parses shard bytes (inverse of [`TableSnapshot::encode`]).
+    pub fn decode(bytes: &[u8]) -> Result<TableSnapshot, CodecError> {
+        let mut d = Decoder::new(bytes);
         let dim = d.u32()?;
         if dim == 0 {
             return Err(CodecError::Invalid("table snapshot with dim 0".into()));
@@ -119,111 +119,14 @@ impl TableSnapshot {
             }
             rows.push((id, row));
         }
+        d.finish()?;
         Ok(TableSnapshot { dim, rows })
-    }
-
-    /// Serializes the snapshot to shard bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        self.encode_into(&mut e);
-        e.finish()
-    }
-
-    /// Parses shard bytes (inverse of [`TableSnapshot::encode`]).
-    pub fn decode(bytes: &[u8]) -> Result<TableSnapshot, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let snap = Self::decode_from(&mut d)?;
-        d.finish()?;
-        Ok(snap)
-    }
-}
-
-/// Complete (or delta) state of one [`HybridHash`](crate::HybridHash).
-///
-/// Hot-storage values are intentionally absent: gradient write-through keeps
-/// every hot row equal to its cold row, so the hot set is reconstructed from
-/// `hot_ids` against the restored cold table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheSnapshot {
-    /// Iteration counter at capture time.
-    pub itr: u64,
-    /// Cumulative cache statistics at capture time.
-    pub stats: CacheStats,
-    /// `(id, absolute count)` frequency counters, ascending by ID. Full
-    /// snapshots carry every counter; deltas only the touched ones.
-    pub counters: Vec<(u64, u64)>,
-    /// IDs resident in Hot-storage, ascending (always complete — the hot
-    /// set is replaced wholesale at every flush, not diffed).
-    pub hot_ids: Vec<u64>,
-    /// The cold table's rows (full or dirty-only).
-    pub cold: TableSnapshot,
-}
-
-impl CacheSnapshot {
-    /// Serializes the snapshot to shard bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u64(self.itr);
-        e.u64(self.stats.hot_hits);
-        e.u64(self.stats.cold_hits);
-        e.u64(self.stats.warmup_lookups);
-        e.u64(self.stats.flushes);
-        e.u64(self.stats.evictions);
-        e.u64(self.counters.len() as u64);
-        for &(id, count) in &self.counters {
-            e.u64(id);
-            e.u64(count);
-        }
-        e.u64(self.hot_ids.len() as u64);
-        for &id in &self.hot_ids {
-            e.u64(id);
-        }
-        self.cold.encode_into(&mut e);
-        e.finish()
-    }
-
-    /// Parses shard bytes (inverse of [`CacheSnapshot::encode`]).
-    pub fn decode(bytes: &[u8]) -> Result<CacheSnapshot, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let itr = d.u64()?;
-        let stats = CacheStats {
-            hot_hits: d.u64()?,
-            cold_hits: d.u64()?,
-            warmup_lookups: d.u64()?,
-            flushes: d.u64()?,
-            evictions: d.u64()?,
-        };
-        let n = d.u64()? as usize;
-        let mut counters = Vec::new();
-        for _ in 0..n {
-            counters.push((d.u64()?, d.u64()?));
-        }
-        let n = d.u64()? as usize;
-        let mut hot_ids = Vec::new();
-        for _ in 0..n {
-            hot_ids.push(d.u64()?);
-        }
-        let cold = TableSnapshot::decode_from(&mut d)?;
-        d.finish()?;
-        Ok(CacheSnapshot {
-            itr,
-            stats,
-            counters,
-            hot_ids,
-            cold,
-        })
-    }
-
-    /// Total bytes this snapshot encodes to (checkpoint sizing metric).
-    pub fn encoded_len(&self) -> usize {
-        self.encode().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid_hash::{HybridHash, HybridHashConfig};
 
     fn table_eq(a: &EmbeddingTable, b: &EmbeddingTable) -> bool {
         TableSnapshot::full(a) == TableSnapshot::full(b)
@@ -283,100 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn cache_snapshot_round_trips_bytes() {
-        let mut h = HybridHash::new(
-            EmbeddingTable::new(4, 3),
-            HybridHashConfig {
-                warmup_iters: 1,
-                flush_iters: 2,
-                hot_bytes: 1 << 16,
-            },
-        );
-        let mut out = Vec::new();
-        for ids in [[1u64, 2, 3], [1, 1, 4], [2, 5, 1]] {
-            out.clear();
-            h.lookup_batch(&ids, &mut out);
-        }
-        h.apply_gradient(1, &[0.1; 4], 0.5);
-        let snap = h.snapshot_full();
-        let back = CacheSnapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn cache_restore_reproduces_the_live_state() {
-        let cfg = HybridHashConfig {
-            warmup_iters: 2,
-            flush_iters: 3,
-            hot_bytes: 64,
-        };
-        let mut live = HybridHash::new(EmbeddingTable::new(4, 8), cfg.clone());
-        let mut out = Vec::new();
-        for step in 0..10u64 {
-            out.clear();
-            live.lookup_batch(&[step % 4, (step + 1) % 5, 7], &mut out);
-            live.apply_gradient(step % 4, &[0.25; 4], 0.1);
-        }
-        let snap = live.snapshot_full();
-        let mut restored = HybridHash::new(EmbeddingTable::new(4, 8), cfg);
-        restored.restore_full(&snap);
-
-        assert_eq!(restored.iteration(), live.iteration());
-        assert_eq!(restored.stats(), live.stats());
-        assert_eq!(restored.hot_rows(), live.hot_rows());
-        assert!(table_eq(restored.cold(), live.cold()));
-        // Behavior equivalence: the next lookups agree exactly.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        let ra = live.lookup_batch(&[0, 1, 2, 7, 9], &mut a);
-        let rb = restored.lookup_batch(&[0, 1, 2, 7, 9], &mut b);
-        assert_eq!(ra, rb);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn delta_chain_equals_full_snapshot() {
-        let cfg = HybridHashConfig {
-            warmup_iters: 1,
-            flush_iters: 2,
-            hot_bytes: 96,
-        };
-        let mut live = HybridHash::new(EmbeddingTable::new(3, 5), cfg.clone());
-        let mut out = Vec::new();
-        out.clear();
-        live.lookup_batch(&[1, 2, 3, 4], &mut out);
-        let base = live.snapshot_full();
-        live.mark_clean();
-        out.clear();
-        live.lookup_batch(&[2, 2, 5], &mut out);
-        live.apply_gradient(5, &[1.0; 3], 0.2);
-        let delta = live.snapshot_delta();
-        assert!(
-            delta.cold.len() < base.cold.len() + 2,
-            "delta must not re-ship the whole table"
-        );
-
-        let mut restored = HybridHash::new(EmbeddingTable::new(3, 5), cfg);
-        restored.restore_full(&base);
-        restored.apply_delta(&delta);
-        let want = live.snapshot_full();
-        let got = restored.snapshot_full();
-        assert_eq!(got, want, "base + delta must equal the live state");
-    }
-
-    #[test]
-    fn touched_set_shrinks_deltas() {
-        let mut h = HybridHash::new(EmbeddingTable::new(4, 1), HybridHashConfig::default());
-        let mut out = Vec::new();
-        let all: Vec<u64> = (0..100).collect();
-        h.lookup_batch(&all, &mut out);
-        h.mark_clean();
-        assert_eq!(h.touched_count(), 0);
-        out.clear();
-        h.lookup_batch(&[3, 4, 3], &mut out);
-        assert_eq!(h.touched_count(), 2);
-        let delta = h.snapshot_delta();
-        assert_eq!(delta.counters.len(), 2);
-        assert!(delta.encoded_len() < h.snapshot_full().encoded_len());
+    fn decode_rejects_a_row_length_of_u64_max() {
+        let mut e = Encoder::new();
+        e.u32(2);
+        e.u64(1);
+        e.u64(7); // row id
+        e.u64(u64::MAX); // row length, with no payload behind it
+        assert!(matches!(
+            TableSnapshot::decode(&e.finish()),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
     }
 }

@@ -1,89 +1,84 @@
-//! Algorithm 1's hot-set policy, apart from any row storage.
+//! HybridHash — the paper's Algorithm 1, as the hot-set policy alone.
+//!
+//! The embedding hashmap (a sparse structure) lives in *Cold-storage* (DRAM:
+//! large but bandwidth-bound); *Hot-storage* (GPU device memory: fast but
+//! capacity-bound) is a scratchpad holding the top-k most frequently queried
+//! rows. During `warmup_iters` iterations only the host-side frequency
+//! counter is trained; afterwards every `flush_iters` iterations the hot set
+//! is refreshed from the counter. If at flush time every counted ID fits in
+//! Hot-storage, everything is promoted.
 //!
 //! [`HotSetPolicy`] decides *which* IDs Hot-storage holds; it owns the
 //! iteration counter, the warm-up/flush cadence, the frequency counter, the
-//! incremental-checkpoint `touched` set, the top-k flush and the cache
-//! statistics, but no embedding rows. [`HybridHash`] pairs it with the
-//! cold table and the hot row arena; the warm-up measurement drives it
-//! alone, because hit ratios depend only on which IDs are hot.
+//! top-k flush and the cache statistics, but no embedding rows. Hit ratios
+//! depend only on which IDs are hot, so warm-up and serving drive it alone
+//! through [`HotSetPolicy::measure_batch`].
 //!
 //! Counters follow the ID space: with a known rank bound (a table's working
-//! vocabulary) the frequency counter, the touched set and the hot-set
-//! membership are dense arrays indexed by rank; without one (serving's
-//! open-ended user IDs) they are a hashmap and a hash set on
-//! [`picasso_data::IdHash`], and a sorted list. The touched set is sorted
-//! only when listed, so checkpoints still see it ascending.
-//!
-//! [`HybridHash`]: crate::HybridHash
+//! vocabulary) the frequency counter and the hot-set membership are dense
+//! arrays indexed by rank; without one (serving's open-ended user IDs) they
+//! are a hashmap on [`picasso_data::IdHash`] and a sorted list.
 
-use crate::hybrid_hash::{CacheStats, HybridHashConfig, LookupReport};
-use picasso_data::{FrequencyStats, IdHash};
-use std::collections::HashSet;
+use picasso_data::FrequencyStats;
+use picasso_obs::{MetricKind, MetricsRegistry};
 
-/// A set of IDs: marks by rank under a bound, a hash set otherwise.
+/// Configuration of the HybridHash cache.
 #[derive(Debug, Clone)]
-enum IdSet {
-    Dense { marks: Vec<bool>, len: usize },
-    Sparse(HashSet<u64, IdHash>),
+pub struct HybridHashConfig {
+    /// Iterations during which only statistics are collected (the paper uses
+    /// 100 steps in the ablation).
+    pub warmup_iters: u64,
+    /// Refresh the hot set every this many iterations.
+    pub flush_iters: u64,
+    /// Capacity of Hot-storage in bytes (the Table VI sweep varies this from
+    /// 256 MB to 4 GB).
+    pub hot_bytes: u64,
 }
 
-impl IdSet {
-    fn with_bound(bound: Option<usize>) -> IdSet {
-        match bound {
-            Some(b) => IdSet::Dense {
-                marks: vec![false; b],
-                len: 0,
-            },
-            None => IdSet::Sparse(HashSet::default()),
+impl Default for HybridHashConfig {
+    fn default() -> Self {
+        HybridHashConfig {
+            warmup_iters: 100,
+            flush_iters: 100,
+            hot_bytes: 1 << 30, // 1 GB, the paper's default
         }
     }
+}
 
-    #[inline]
-    fn insert(&mut self, id: u64) {
-        match self {
-            IdSet::Dense { marks, len } => {
-                let m = &mut marks[id as usize];
-                *len += usize::from(!*m);
-                *m = true;
-            }
-            IdSet::Sparse(set) => {
-                set.insert(id);
-            }
-        }
-    }
+/// Cumulative cache statistics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups served from Hot-storage.
+    pub hot_hits: u64,
+    /// Lookups served from Cold-storage after warm-up.
+    pub cold_hits: u64,
+    /// Lookups during warm-up (always cold).
+    pub warmup_lookups: u64,
+    /// Number of hot-set refreshes performed.
+    pub flushes: u64,
+    /// Rows demoted from Hot-storage across all refreshes.
+    pub evictions: u64,
+}
 
-    fn len(&self) -> usize {
-        match self {
-            IdSet::Dense { len, .. } => *len,
-            IdSet::Sparse(set) => set.len(),
+impl CacheStats {
+    /// Post-warm-up hit ratio in `[0, 1]`.
+    pub fn hit_ratio(&self) -> f64 {
+        let total = self.hot_hits + self.cold_hits;
+        if total == 0 {
+            0.0
+        } else {
+            self.hot_hits as f64 / total as f64
         }
     }
+}
 
-    /// Members, ascending.
-    fn ids(&self) -> Vec<u64> {
-        match self {
-            IdSet::Dense { marks, len } => {
-                let mut ids = Vec::with_capacity(*len);
-                ids.extend((0..marks.len() as u64).filter(|&id| marks[id as usize]));
-                ids
-            }
-            IdSet::Sparse(set) => {
-                let mut ids: Vec<u64> = set.iter().copied().collect();
-                ids.sort_unstable();
-                ids
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            IdSet::Dense { marks, len } => {
-                marks.fill(false);
-                *len = 0;
-            }
-            IdSet::Sparse(set) => set.clear(),
-        }
-    }
+/// Per-call lookup report (drives the simulator's Gather cost split).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LookupReport {
+    /// IDs served from Hot-storage in this call.
+    pub hot_hits: u64,
+    /// IDs served from Cold-storage in this call.
+    pub cold_hits: u64,
 }
 
 /// The hot set: its IDs ascending, plus a mark per rank when IDs are
@@ -138,16 +133,6 @@ fn count_common(a: &[u64], b: &[u64]) -> usize {
     n
 }
 
-/// What one [`HotSetPolicy::lookup_batch`] call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyStep {
-    /// Where this call's IDs were served from.
-    pub report: LookupReport,
-    /// Whether the call ended with a flush that replaced the hot set; row
-    /// storage must then reload [`HotSetPolicy::hot_ids`].
-    pub flushed: bool,
-}
-
 /// Algorithm 1's hit policy: counts ID frequencies, and on the flush
 /// cadence replaces the hot set with the top-k most frequent IDs (ties
 /// broken by ID), or with every counted ID when they all fit.
@@ -157,8 +142,6 @@ pub struct HotSetPolicy {
     flush_iters: u64,
     capacity: usize,
     counter: FrequencyStats,
-    /// IDs whose counter changed since the last [`HotSetPolicy::mark_clean`].
-    touched: IdSet,
     hot: HotSet,
     itr: u64,
     stats: CacheStats,
@@ -175,7 +158,6 @@ impl HotSetPolicy {
             flush_iters: cfg.flush_iters,
             capacity: (cfg.hot_bytes as usize) / (dim * 4),
             counter: bound.map_or_else(FrequencyStats::new, FrequencyStats::dense),
-            touched: IdSet::with_bound(bound),
             hot: HotSet {
                 ids: Vec::new(),
                 marks: bound.map(|b| vec![false; b]),
@@ -195,11 +177,6 @@ impl HotSetPolicy {
         self.stats
     }
 
-    /// Current iteration counter.
-    pub fn iteration(&self) -> u64 {
-        self.itr
-    }
-
     /// The frequency counter.
     pub fn counter(&self) -> &FrequencyStats {
         &self.counter
@@ -210,61 +187,21 @@ impl HotSetPolicy {
         &self.hot.ids
     }
 
-    /// Number of IDs whose counter changed since the last
-    /// [`HotSetPolicy::mark_clean`].
-    pub fn touched_count(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// `(id, count)` of every touched ID, ascending by ID.
-    pub fn touched_counts(&self) -> Vec<(u64, u64)> {
-        self.touched
-            .ids()
-            .into_iter()
-            .map(|id| (id, self.counter.count(id)))
-            .collect()
-    }
-
-    /// Clears the touched set after a checkpoint captured it.
-    pub fn mark_clean(&mut self) {
-        self.touched.clear();
-    }
-
-    /// One iteration of Algorithm 1 over `ids`. `serve(id, may_hit)` serves
-    /// one ID and returns whether Hot-storage served it; `may_hit` is false
-    /// during warm-up, when everything is served cold.
-    pub fn lookup_batch(
-        &mut self,
-        ids: &[u64],
-        mut serve: impl FnMut(u64, bool) -> bool,
-    ) -> PolicyStep {
-        self.step(ids, |_, id, may_hit| serve(id, may_hit))
-    }
-
-    /// One iteration of Algorithm 1 with no rows behind it: an ID hits when
-    /// it is in the hot set. Returns where the IDs would have been served.
+    /// One iteration of Algorithm 1 over `ids`: an ID hits when it is in the
+    /// hot set, and everything is served cold during warm-up. Returns where
+    /// the IDs were served from.
     pub fn measure_batch(&mut self, ids: &[u64]) -> LookupReport {
-        self.step(ids, |hot, id, may_hit| may_hit && hot.contains(id))
-            .report
-    }
-
-    fn step(
-        &mut self,
-        ids: &[u64],
-        mut serve: impl FnMut(&HotSet, u64, bool) -> bool,
-    ) -> PolicyStep {
         let mut report = LookupReport::default();
         self.itr += 1;
         // L9-12: during warm-up only the counter trains; L14-21 afterwards.
         let warm = self.itr <= self.warmup_iters;
         for &id in ids {
-            if serve(&self.hot, id, !warm) {
+            if !warm && self.hot.contains(id) {
                 report.hot_hits += 1;
             } else {
                 report.cold_hits += 1;
             }
             self.counter.record(id);
-            self.touched.insert(id);
         }
         let flush_due = if warm {
             self.stats.warmup_lookups += ids.len() as u64;
@@ -275,19 +212,19 @@ impl HotSetPolicy {
             // L23-26: periodic refresh of the hot set.
             (self.itr - self.warmup_iters).is_multiple_of(self.flush_iters)
         };
-        PolicyStep {
-            report,
-            flushed: flush_due && self.flush(),
+        if flush_due {
+            self.flush();
         }
+        report
     }
 
     /// Replaces the hot set with the top-k most frequent IDs (L24-25), or
     /// with every counted ID when they all fit: the two select the same set
-    /// then, and listing the counter avoids the ranking. Returns false, and
-    /// changes nothing, when the hot set has no room at all.
-    fn flush(&mut self) -> bool {
+    /// then, and listing the counter avoids the ranking. Changes nothing
+    /// when the hot set has no room at all.
+    fn flush(&mut self) {
         if self.capacity == 0 {
-            return false;
+            return;
         }
         self.stats.flushes += 1;
         let hot_ids: Vec<u64> = if self.counter.distinct() <= self.capacity {
@@ -302,39 +239,92 @@ impl HotSetPolicy {
             top
         };
         self.stats.evictions += self.hot.replace(hot_ids);
-        true
+    }
+}
+
+/// A point-in-time snapshot of a cache's exportable state.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CacheMetrics {
+    /// Cumulative lookup/flush/eviction counters.
+    pub stats: CacheStats,
+    /// Rows resident in Hot-storage at snapshot time.
+    pub hot_rows: usize,
+    /// Maximum rows Hot-storage can hold.
+    pub hot_capacity: usize,
+}
+
+impl CacheMetrics {
+    /// The exportable state of `policy` (its hot set stands for the rows).
+    pub fn of(policy: &HotSetPolicy) -> CacheMetrics {
+        CacheMetrics {
+            stats: policy.stats(),
+            hot_rows: policy.hot_ids().len(),
+            hot_capacity: policy.capacity(),
+        }
     }
 
-    /// Resets the policy to a checkpointed state: iteration, statistics,
-    /// hot set, and the counters (replacing all of them when `full`,
-    /// overwriting just the listed ones otherwise). Ends clean.
-    pub fn restore(
-        &mut self,
-        itr: u64,
-        stats: CacheStats,
-        counters: &[(u64, u64)],
-        hot_ids: &[u64],
-        full: bool,
-    ) {
-        if full {
-            self.counter.clear();
-        }
-        for &(id, count) in counters {
-            self.counter.set_count(id, count);
-        }
-        self.itr = itr;
-        self.stats = stats;
-        let mut ids = hot_ids.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        self.hot.replace(ids);
-        self.mark_clean();
+    /// Exports the snapshot into `registry`, labeled by `table`.
+    pub fn export(&self, table: &str, registry: &MetricsRegistry) {
+        registry.describe(
+            "embedding_lookups_total",
+            MetricKind::Counter,
+            "HybridHash lookups, by outcome (hot / cold / warmup)",
+        );
+        registry.describe(
+            "embedding_flushes_total",
+            MetricKind::Counter,
+            "Hot-set refreshes performed",
+        );
+        registry.describe(
+            "embedding_evictions_total",
+            MetricKind::Counter,
+            "Rows demoted from Hot-storage across refreshes",
+        );
+        registry.describe(
+            "embedding_hot_rows",
+            MetricKind::Gauge,
+            "Rows currently resident in Hot-storage",
+        );
+        registry.describe(
+            "embedding_hot_occupancy",
+            MetricKind::Gauge,
+            "Hot-storage occupancy as a fraction of row capacity",
+        );
+        let labels = [("table", table)];
+        let s = self.stats;
+        registry.counter_add(
+            "embedding_lookups_total",
+            &[("table", table), ("outcome", "hot")],
+            s.hot_hits,
+        );
+        registry.counter_add(
+            "embedding_lookups_total",
+            &[("table", table), ("outcome", "cold")],
+            s.cold_hits,
+        );
+        registry.counter_add(
+            "embedding_lookups_total",
+            &[("table", table), ("outcome", "warmup")],
+            s.warmup_lookups,
+        );
+        registry.counter_add("embedding_flushes_total", &labels, s.flushes);
+        registry.counter_add("embedding_evictions_total", &labels, s.evictions);
+        registry.gauge_set("embedding_hot_rows", &labels, self.hot_rows as f64);
+        let occupancy = if self.hot_capacity == 0 {
+            0.0
+        } else {
+            self.hot_rows as f64 / self.hot_capacity as f64
+        };
+        registry.gauge_set("embedding_hot_occupancy", &labels, occupancy);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picasso_data::{IdDistribution, IdSampler};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn cfg(warmup: u64, flush: u64, rows: u64) -> HybridHashConfig {
         HybridHashConfig {
@@ -344,10 +334,31 @@ mod tests {
         }
     }
 
+    /// A policy over one-float rows, hashed and dense.
+    fn both(warmup: u64, flush: u64, rows: u64) -> [HotSetPolicy; 2] {
+        let c = cfg(warmup, flush, rows);
+        [
+            HotSetPolicy::new(&c, 1, None),
+            HotSetPolicy::new(&c, 1, Some(16)),
+        ]
+    }
+
+    /// Drives `p` over `batches` seeded Zipf(1.2) batches of `size` IDs
+    /// drawn from `vocab`.
+    fn drive_zipf(p: &mut HotSetPolicy, vocab: u64, seed: u64, batches: usize, size: usize) {
+        let sampler = IdSampler::new(vocab, IdDistribution::Zipf { s: 1.2 });
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ids = Vec::new();
+        for _ in 0..batches {
+            ids.clear();
+            sampler.sample_into(&mut rng, size, &mut ids);
+            p.measure_batch(&ids);
+        }
+    }
+
     #[test]
     fn measuring_alone_serves_the_top_ids_hot() {
-        for bound in [None, Some(16)] {
-            let mut p = HotSetPolicy::new(&cfg(1, 10, 2), 1, bound);
+        for mut p in both(1, 10, 2) {
             let r = p.measure_batch(&[1, 1, 2, 2, 3]);
             assert_eq!((r.hot_hits, r.cold_hits), (0, 5), "warm-up is cold");
             assert_eq!(p.hot_ids(), &[1, 2]);
@@ -358,27 +369,87 @@ mod tests {
     }
 
     #[test]
-    fn touched_counts_are_ascending_and_cleared() {
-        for bound in [None, Some(64)] {
-            let mut p = HotSetPolicy::new(&cfg(5, 5, 8), 1, bound);
-            p.measure_batch(&[40, 3, 40, 17]);
-            assert_eq!(p.touched_count(), 3);
-            assert_eq!(p.touched_counts(), vec![(3, 1), (17, 1), (40, 2)]);
-            p.mark_clean();
-            assert_eq!(p.touched_count(), 0);
-            assert_eq!(p.counter().count(40), 2, "counters survive mark_clean");
+    fn warmup_serves_cold_and_counts() {
+        for mut p in both(2, 10, 1 << 10) {
+            let r = p.measure_batch(&[1, 2, 1]);
+            assert_eq!((r.hot_hits, r.cold_hits), (0, 3));
+            assert_eq!(p.stats().warmup_lookups, 3);
+            assert_eq!(p.counter().count(1), 2);
+            assert!(p.hot_ids().is_empty(), "no flush before warm-up ends");
         }
     }
 
     #[test]
-    fn restore_replaces_or_overwrites_counters() {
-        let mut p = HotSetPolicy::new(&cfg(1, 1, 8), 1, None);
-        p.measure_batch(&[1, 2, 2]);
-        p.restore(9, CacheStats::default(), &[(2, 7)], &[2], false);
-        assert_eq!(p.counter().counts(), vec![(1, 1), (2, 7)]);
-        p.restore(9, CacheStats::default(), &[(5, 1)], &[5, 5], true);
-        assert_eq!(p.counter().counts(), vec![(5, 1)]);
-        assert_eq!((p.iteration(), p.hot_ids()), (9, &[5u64][..]));
-        assert_eq!(p.touched_count(), 0);
+    fn capacity_bounds_hot_rows() {
+        for mut p in both(1, 1, 2) {
+            p.measure_batch(&[1, 1, 1, 2, 2, 3]);
+            assert_eq!(p.hot_ids(), &[1, 2], "the two hottest ids are cached");
+            let r = p.measure_batch(&[1, 2, 3]);
+            assert_eq!((r.hot_hits, r.cold_hits), (2, 1));
+        }
+    }
+
+    #[test]
+    fn flush_cadence_matches_config() {
+        for mut p in both(2, 3, 1 << 10) {
+            for _ in 0..11 {
+                p.measure_batch(&[1]);
+            }
+            // Flush at end of warm-up (itr=2) + every 3 iters after (5, 8, 11).
+            assert_eq!(p.stats().flushes, 4);
+        }
+    }
+
+    #[test]
+    fn evictions_are_counted_when_the_hot_set_turns_over() {
+        // Room for 2 rows; hammer {1,2}, then shift the workload to {3,4}.
+        for mut p in both(1, 1, 2) {
+            p.measure_batch(&[1, 1, 2, 2]);
+            for _ in 0..3 {
+                p.measure_batch(&[3, 3, 3, 4, 4, 4]);
+            }
+            assert_eq!(p.hot_ids(), &[3, 4]);
+            assert_eq!(p.stats().evictions, 2, "ids 1 and 2 are demoted");
+        }
+    }
+
+    #[test]
+    fn skewed_stream_reaches_high_hit_ratio() {
+        // Hot storage for 2000 of 10000 ids (20%).
+        let mut p = HotSetPolicy::new(&cfg(20, 20, 2000 * 4), 4, Some(10_000));
+        drive_zipf(&mut p, 10_000, 11, 200, 512);
+        let ratio = p.stats().hit_ratio();
+        assert!(
+            ratio > 0.6,
+            "zipf(1.2) with 20% cache should hit often, got {ratio:.3}"
+        );
+    }
+
+    #[test]
+    fn exported_counters_reproduce_the_hit_ratio() {
+        let mut p = HotSetPolicy::new(&cfg(10, 10, 1000 * 4), 4, None);
+        drive_zipf(&mut p, 5_000, 7, 100, 256);
+        let registry = MetricsRegistry::new();
+        CacheMetrics::of(&p).export("t0", &registry);
+        let hot = registry.counter_value(
+            "embedding_lookups_total",
+            &[("table", "t0"), ("outcome", "hot")],
+        );
+        let cold = registry.counter_value(
+            "embedding_lookups_total",
+            &[("table", "t0"), ("outcome", "cold")],
+        );
+        let from_counters = hot as f64 / (hot + cold) as f64;
+        assert!(
+            (from_counters - p.stats().hit_ratio()).abs() < 1e-9,
+            "counter-derived ratio {from_counters} != stats ratio {}",
+            p.stats().hit_ratio()
+        );
+        assert_eq!(
+            registry.counter_value("embedding_flushes_total", &[("table", "t0")]),
+            p.stats().flushes
+        );
+        let occupancy = registry.gauge_value("embedding_hot_occupancy", &[("table", "t0")]);
+        assert!(occupancy.is_some_and(|o| (0.0..=1.0).contains(&o) && o > 0.0));
     }
 }

@@ -38,17 +38,6 @@ impl RowArena {
         }
     }
 
-    /// Creates an empty arena preallocated for `rows` rows.
-    pub fn with_capacity(dim: usize, rows: usize) -> Self {
-        assert!(dim > 0, "row dimension must be positive");
-        RowArena {
-            dim,
-            data: Vec::with_capacity(rows * dim),
-            index: HashMap::with_capacity(rows),
-            slot_ids: Vec::with_capacity(rows),
-        }
-    }
-
     /// Row width in floats.
     pub fn dim(&self) -> usize {
         self.dim
@@ -72,17 +61,6 @@ impl RowArena {
     /// The row for `id`, if present.
     pub fn get(&self, id: u64) -> Option<&[f32]> {
         self.index.get(&id).map(|&s| self.row(s))
-    }
-
-    /// Mutable row for `id`, if present.
-    pub fn get_mut(&mut self, id: u64) -> Option<&mut [f32]> {
-        match self.index.get(&id) {
-            Some(&s) => {
-                let lo = s as usize * self.dim;
-                Some(&mut self.data[lo..lo + self.dim])
-            }
-            None => None,
-        }
     }
 
     /// The row in slot `slot` (slots are handed out by [`RowArena::ensure_with`]).
@@ -215,12 +193,6 @@ impl EmbeddingTable {
     /// Returns the row for `id` without materializing; `None` if absent.
     pub fn peek(&self, id: u64) -> Option<&[f32]> {
         self.arena.get(id)
-    }
-
-    /// Copies the row for `id` into `out`.
-    pub fn gather_into(&mut self, id: u64, out: &mut Vec<f32>) {
-        let slot = self.ensure(id);
-        out.extend_from_slice(self.arena.row(slot));
     }
 
     /// Batched gather: appends `dim` floats per ID to `out`, materializing

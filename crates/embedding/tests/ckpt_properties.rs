@@ -1,11 +1,8 @@
 //! Checkpoint property tests: `restore(save(state)) == state` for
-//! embedding tables (full and incremental snapshots) and the HybridHash
-//! cache (frequency counters included), over arbitrary lookup/update
-//! streams.
+//! embedding tables (full and incremental snapshots), over arbitrary
+//! lookup/update streams.
 
-use picasso_embedding::{
-    CacheSnapshot, EmbeddingTable, HybridHash, HybridHashConfig, TableSnapshot,
-};
+use picasso_embedding::{EmbeddingTable, TableSnapshot};
 use proptest::prelude::*;
 
 const DIM: usize = 4;
@@ -73,87 +70,5 @@ proptest! {
         TableSnapshot::decode(&delta.encode()).unwrap().apply(&mut restored);
 
         prop_assert_eq!(&TableSnapshot::full(&restored), &TableSnapshot::full(&table));
-    }
-
-    /// HybridHash round-trips through a full snapshot: frequency counters,
-    /// hot set, cold rows, and iteration cursor — verified behaviorally by
-    /// feeding both caches the same next batch.
-    #[test]
-    fn cache_snapshot_round_trips_counters_and_rows(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(0u64..120, 1..30), 1..12),
-        probe in proptest::collection::vec(0u64..120, 1..30),
-        hot_rows in 0usize..32,
-    ) {
-        let cfg = HybridHashConfig {
-            warmup_iters: 2,
-            flush_iters: 2,
-            hot_bytes: (hot_rows * DIM * 4) as u64,
-        };
-        let mut cache = HybridHash::new(EmbeddingTable::new(DIM, 7), cfg.clone());
-        let mut out = Vec::new();
-        for ids in &batches {
-            out.clear();
-            cache.lookup_batch(ids, &mut out);
-            cache.apply_gradient(ids[0], &[0.25; DIM], 0.1);
-        }
-
-        let snap = cache.snapshot_full();
-        let decoded = CacheSnapshot::decode(&snap.encode()).unwrap();
-        let mut restored = HybridHash::new(EmbeddingTable::new(DIM, 7), cfg);
-        restored.restore_full(&decoded);
-
-        for &id in &probe {
-            prop_assert_eq!(restored.frequency(id), cache.frequency(id),
-                "frequency counter of id {} diverged", id);
-        }
-        prop_assert_eq!(restored.iteration(), cache.iteration());
-        prop_assert_eq!(restored.hot_rows(), cache.hot_rows());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        restored.lookup_batch(&probe, &mut a);
-        cache.lookup_batch(&probe, &mut b);
-        prop_assert_eq!(a, b, "restored cache must answer the next batch identically");
-    }
-
-    /// Counter deltas are exact: restoring full-at-split then applying the
-    /// delta yields the same counters and state as the live cache.
-    #[test]
-    fn cache_delta_chain_matches_live_counters(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(0u64..120, 1..30), 2..12),
-        split in 1usize..11,
-        probe in proptest::collection::vec(0u64..120, 1..30),
-    ) {
-        let split = split.min(batches.len() - 1);
-        let cfg = HybridHashConfig {
-            warmup_iters: 2,
-            flush_iters: 2,
-            hot_bytes: (16 * DIM * 4) as u64,
-        };
-        let mut cache = HybridHash::new(EmbeddingTable::new(DIM, 9), cfg.clone());
-        let mut out = Vec::new();
-        for ids in &batches[..split] {
-            out.clear();
-            cache.lookup_batch(ids, &mut out);
-        }
-        let base = cache.snapshot_full();
-        cache.mark_clean();
-        for ids in &batches[split..] {
-            out.clear();
-            cache.lookup_batch(ids, &mut out);
-        }
-        let delta = cache.snapshot_delta();
-
-        let mut restored = HybridHash::new(EmbeddingTable::new(DIM, 9), cfg);
-        restored.restore_full(&CacheSnapshot::decode(&base.encode()).unwrap());
-        restored.apply_delta(&CacheSnapshot::decode(&delta.encode()).unwrap());
-
-        for &id in &probe {
-            prop_assert_eq!(restored.frequency(id), cache.frequency(id));
-        }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        restored.lookup_batch(&probe, &mut a);
-        cache.lookup_batch(&probe, &mut b);
-        prop_assert_eq!(a, b);
     }
 }

@@ -1,12 +1,15 @@
 //! Property tests: the hot-set policy decides identically over dense and
-//! hashed counters, and identically with or without rows behind it, also
-//! over serving's open ID space where only the hashed counters apply.
+//! hashed counters, and identically to a plain reference model of
+//! Algorithm 1, also over serving's open ID space where only the hashed
+//! counters apply.
 
 use picasso_data::{IdDistribution, IdSampler};
-use picasso_embedding::{EmbeddingTable, HotSetPolicy, HybridHash, HybridHashConfig};
+use picasso_embedding::{CacheStats, HotSetPolicy, HybridHashConfig, LookupReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 
 const VOCAB: u64 = 300;
 
@@ -37,22 +40,84 @@ fn config(warmup: u64, flush: u64, rows: usize) -> HybridHashConfig {
     }
 }
 
-/// Drives a hashed and a dense policy over `batches`, asserting they agree
-/// after every batch; returns the dense one.
+/// Algorithm 1 written plainly: ordered maps, and a full re-ranking by
+/// (count desc, ID asc) on every flush of a cache with room.
+struct Reference {
+    cfg: HybridHashConfig,
+    capacity: usize,
+    counts: BTreeMap<u64, u64>,
+    hot: BTreeSet<u64>,
+    itr: u64,
+    stats: CacheStats,
+}
+
+impl Reference {
+    fn new(cfg: &HybridHashConfig, dim: usize) -> Reference {
+        Reference {
+            cfg: cfg.clone(),
+            capacity: cfg.hot_bytes as usize / (dim * 4),
+            counts: BTreeMap::new(),
+            hot: BTreeSet::new(),
+            itr: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn measure_batch(&mut self, ids: &[u64]) -> LookupReport {
+        self.itr += 1;
+        let warm = self.itr <= self.cfg.warmup_iters;
+        let mut report = LookupReport::default();
+        for &id in ids {
+            if !warm && self.hot.contains(&id) {
+                report.hot_hits += 1;
+            } else {
+                report.cold_hits += 1;
+            }
+            *self.counts.entry(id).or_insert(0) += 1;
+        }
+        let due = if warm {
+            self.stats.warmup_lookups += ids.len() as u64;
+            self.itr == self.cfg.warmup_iters
+        } else {
+            self.stats.hot_hits += report.hot_hits;
+            self.stats.cold_hits += report.cold_hits;
+            (self.itr - self.cfg.warmup_iters).is_multiple_of(self.cfg.flush_iters)
+        };
+        if due && self.capacity > 0 {
+            let mut ranked: Vec<(u64, u64)> = self.counts.iter().map(|(&i, &c)| (i, c)).collect();
+            ranked.sort_by_key(|&(id, c)| (Reverse(c), id));
+            let hot: BTreeSet<u64> = ranked.iter().take(self.capacity).map(|p| p.0).collect();
+            self.stats.flushes += 1;
+            self.stats.evictions += self.hot.difference(&hot).count() as u64;
+            self.hot = hot;
+        }
+        report
+    }
+
+    fn hot_ids(&self) -> Vec<u64> {
+        self.hot.iter().copied().collect()
+    }
+}
+
+/// Drives a hashed and a dense policy and the reference over `batches`,
+/// asserting all three agree after every batch; returns the dense one.
 fn run_both(cfg: &HybridHashConfig, batches: &[Vec<u64>]) -> HotSetPolicy {
     let mut hashed = HotSetPolicy::new(cfg, 1, None);
     let mut dense = HotSetPolicy::new(cfg, 1, Some(VOCAB as usize));
+    let mut reference = Reference::new(cfg, 1);
     for ids in batches {
-        let a = hashed.measure_batch(ids);
-        let b = dense.measure_batch(ids);
-        assert_eq!(a, b);
-        assert_eq!(hashed.stats(), dense.stats());
-        assert_eq!(hashed.hot_ids(), dense.hot_ids());
+        let want = reference.measure_batch(ids);
+        assert_eq!(hashed.measure_batch(ids), want);
+        assert_eq!(dense.measure_batch(ids), want);
+        assert_eq!(hashed.stats(), reference.stats);
+        assert_eq!(dense.stats(), reference.stats);
+        assert_eq!(hashed.hot_ids(), reference.hot_ids());
+        assert_eq!(dense.hot_ids(), reference.hot_ids());
     }
-    assert_eq!(hashed.counter().counts(), dense.counter().counts());
+    let counts: Vec<(u64, u64)> = reference.counts.into_iter().collect();
+    assert_eq!(hashed.counter().counts(), counts);
+    assert_eq!(dense.counter().counts(), counts);
     assert_eq!(hashed.counter().distinct(), dense.counter().distinct());
-    assert_eq!(hashed.touched_counts(), dense.touched_counts());
-    assert_eq!(hashed.iteration(), dense.iteration());
     dense
 }
 
@@ -130,11 +195,10 @@ fn zero_capacity_agrees_and_never_flushes() {
 }
 
 proptest! {
-    /// Over any seeded Zipf stream and cadence, dense and hashed policies
-    /// agree, and a HybridHash serving real rows makes the same decisions
-    /// as the row-less policy.
+    /// Over any seeded Zipf stream and cadence, the dense and hashed
+    /// policies and the reference model agree.
     #[test]
-    fn dense_hashed_and_row_backed_policies_agree(
+    fn dense_hashed_and_reference_policies_agree(
         seed in 0u64..1_000_000,
         rows in 0usize..120,
         warmup in 1u64..4,
@@ -142,22 +206,8 @@ proptest! {
         shift in 0u64..VOCAB,
     ) {
         let batches = zipf_stream(seed, 1.1, 3, 3, shift);
-        let cfg = config(warmup, flush, rows);
-        let policy = run_both(&cfg, &batches);
-        let dim = 2;
-        let mut cache = HybridHash::new(
-            EmbeddingTable::new(dim, seed),
-            HybridHashConfig { hot_bytes: cfg.hot_bytes * dim as u64, ..cfg },
-        );
-        let mut out = Vec::new();
-        for ids in &batches {
-            out.clear();
-            cache.lookup_batch(ids, &mut out);
-        }
-        prop_assert_eq!(cache.stats(), policy.stats());
-        prop_assert_eq!(cache.policy().hot_ids(), policy.hot_ids());
-        prop_assert_eq!(cache.hot_rows(), policy.hot_ids().len());
-        prop_assert_eq!(cache.snapshot_full().counters, policy.counter().counts());
+        let policy = run_both(&config(warmup, flush, rows), &batches);
+        prop_assert!(policy.hot_ids().len() <= rows);
     }
 }
 
@@ -186,35 +236,17 @@ fn open_id_stream(seed: u64, batches: usize) -> Vec<Vec<u64>> {
 }
 
 #[test]
-fn hashed_policy_matches_row_backed_cache_over_open_ids() {
+fn hashed_policy_matches_the_reference_over_open_ids() {
     let dim = 2;
     // 300 hot rows, far fewer than the distinct IDs: every flush ranks.
     let cfg = config(3, 4, 300 * dim);
     let mut policy = HotSetPolicy::new(&cfg, dim, None);
-    let mut cache = HybridHash::new(EmbeddingTable::new(dim, 11), cfg);
-    // The reference: every ID's count, and the IDs counted since the last
-    // clean, both ordered.
-    let mut counts = std::collections::BTreeMap::<u64, u64>::new();
-    let mut touched = std::collections::BTreeSet::<u64>::new();
-    let mut out = Vec::new();
+    let mut reference = Reference::new(&cfg, dim);
     for (b, ids) in open_id_stream(13, 40).iter().enumerate() {
-        out.clear();
-        let want = cache.lookup_batch(ids, &mut out);
+        let want = reference.measure_batch(ids);
         assert_eq!(policy.measure_batch(ids), want, "batch {b}");
-        assert_eq!(policy.stats(), cache.stats(), "batch {b}");
-        assert_eq!(policy.hot_ids(), cache.policy().hot_ids(), "batch {b}");
-        for &id in ids {
-            *counts.entry(id).or_insert(0) += 1;
-            touched.insert(id);
-        }
-        let reference: Vec<(u64, u64)> = touched.iter().map(|&id| (id, counts[&id])).collect();
-        assert_eq!(policy.touched_counts(), reference, "batch {b}");
-        assert_eq!(cache.snapshot_delta().counters, reference, "batch {b}");
-        if b % 7 == 6 {
-            policy.mark_clean();
-            cache.mark_clean();
-            touched.clear();
-        }
+        assert_eq!(policy.stats(), reference.stats, "batch {b}");
+        assert_eq!(policy.hot_ids(), reference.hot_ids(), "batch {b}");
     }
     let stats = policy.stats();
     assert!(stats.flushes >= 9 && stats.hot_hits > 0 && stats.evictions > 0);
@@ -223,6 +255,6 @@ fn hashed_policy_matches_row_backed_cache_over_open_ids() {
     assert!(policy.hot_ids().iter().any(|&id| id > u64::MAX - 1024));
     assert_eq!(
         policy.counter().counts(),
-        counts.into_iter().collect::<Vec<_>>()
+        reference.counts.into_iter().collect::<Vec<_>>()
     );
 }

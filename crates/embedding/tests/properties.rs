@@ -1,48 +1,14 @@
-//! Property tests: cache transparency, operator-pipeline equivalence, and
-//! planner invariants.
+//! Property tests: operator-pipeline equivalence, the arena table against a
+//! per-row model, and planner invariants.
 
 use picasso_data::DatasetSpec;
 use picasso_embedding::{
-    expand_unique, gather, partition, shuffle_stitch, unique, EmbeddingTable, HybridHash,
-    HybridHashConfig, PackPlan, PlannerConfig, ShardedTable,
+    expand_unique, gather, partition, shuffle_stitch, unique, EmbeddingTable, PackPlan,
+    PlannerConfig, ShardedTable,
 };
 use proptest::prelude::*;
 
 proptest! {
-    /// HybridHash is value-transparent: any lookup sequence returns exactly
-    /// what an uncached table would, for any cache size / cadence.
-    #[test]
-    fn cache_is_value_transparent(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(0u64..200, 1..40), 1..20),
-        hot_rows in 0usize..64,
-        warmup in 1u64..5,
-        flush in 1u64..5,
-    ) {
-        let dim = 4;
-        let mut cache = HybridHash::new(
-            EmbeddingTable::new(dim, 99),
-            HybridHashConfig {
-                warmup_iters: warmup,
-                flush_iters: flush,
-                hot_bytes: (hot_rows * dim * 4) as u64,
-            },
-        );
-        let mut reference = EmbeddingTable::new(dim, 99);
-        let mut out = Vec::new();
-        for ids in &batches {
-            out.clear();
-            cache.lookup_batch(ids, &mut out);
-            let mut want = Vec::new();
-            for &id in ids {
-                want.extend_from_slice(reference.row(id));
-            }
-            prop_assert_eq!(&out, &want);
-        }
-        // Hot storage never exceeds its capacity.
-        prop_assert!(cache.hot_rows() <= hot_rows);
-    }
-
     /// The unique/partition/gather/shuffle-stitch/expand pipeline equals a
     /// direct row-by-row lookup for any id stream and shard count.
     #[test]

@@ -7,8 +7,7 @@
 //! Cold-storage. This module draws the IDs of real seeded batches (IDs
 //! only: warm-up reads no dense features or labels), counts them per table
 //! in dense rank space, and replays each table's stream through the
-//! HybridHash cache policy (`HotSetPolicy`, no embedding rows) to measure
-//! hit ratios.
+//! policy (`HotSetPolicy`, the crate's one cache) to measure hit ratios.
 
 use picasso_data::{BatchGenerator, DatasetSpec, FrequencyStats};
 use picasso_embedding::{CacheMetrics, HotSetPolicy, HybridHashConfig, TableLoad};

@@ -4,8 +4,8 @@
 //! Training for Wide-and-deep Recommender Systems"* (ICDE 2022): the
 //! packing / interleaving / caching training-system optimizations, the WDL
 //! model zoo, the distributed execution engine over a discrete-event
-//! hardware simulator, real embedding and HybridHash substrates, and a CPU
-//! trainer for the accuracy experiments.
+//! hardware simulator, real embedding tables and the HybridHash cache
+//! policy, and a CPU trainer for the accuracy experiments.
 //!
 //! This crate re-exports [`picasso_core`]; see that crate (and `DESIGN.md`
 //! in the repository root) for the architecture.
