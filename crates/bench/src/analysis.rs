@@ -2,7 +2,7 @@
 //!
 //! Runs every perf scenario of the snapshot suite
 //! ([`crate::scenarios::perf_scenarios`]) and rebuilds the executed DAG
-//! from the scheduler's causal event log: critical path + slack, achieved
+//! from the scheduler's causal event log: the critical path, achieved
 //! overlap per resource pair against the pipeline's planned D×K
 //! interleaving, and per-lane idle-gap attribution. Each outcome is named
 //! `ana_` + the perf scenario's name. The `analyze` CI job runs this

@@ -22,7 +22,6 @@ use crate::scenarios::{
     self, perf_scenarios, recovery_scenarios, serve_scenarios, suite_config, Scenario,
 };
 use picasso_core::exec::lint_recovery;
-use picasso_core::obs::diff::rel_change;
 use picasso_core::obs::json::{self, Json};
 use picasso_core::obs::report::check_schema_version;
 use picasso_core::serve::ServeReport;
@@ -534,6 +533,16 @@ impl Comparison {
     }
 }
 
+/// Relative change `new / old - 1`, or `None` when the baseline is zero or
+/// either side is non-finite (a ratio against zero is meaningless, not
+/// infinite regression).
+fn rel_change(old: f64, new: f64) -> Option<f64> {
+    if old == 0.0 || !old.is_finite() || !new.is_finite() {
+        return None;
+    }
+    Some(new / old - 1.0)
+}
+
 fn judge(gate: &Gate, old: f64, new: f64) -> (Option<f64>, Verdict) {
     match rel_change(old, new) {
         None => {
@@ -642,6 +651,15 @@ pub fn compare(baseline: &BenchSnapshot, current: &BenchSnapshot) -> Comparison 
 mod tests {
     use super::*;
     use picasso_core::Optimizations;
+
+    #[test]
+    fn rel_change_guards_zero_and_non_finite() {
+        assert_eq!(rel_change(100.0, 110.0), Some(0.10000000000000009));
+        assert_eq!(rel_change(0.0, 5.0), None);
+        assert_eq!(rel_change(f64::NAN, 5.0), None);
+        assert_eq!(rel_change(5.0, f64::INFINITY), None);
+        assert!((rel_change(200.0, 100.0).unwrap() + 0.5).abs() < 1e-12);
+    }
 
     fn synthetic(name: &str, ips: f64, secs: f64) -> ScenarioResult {
         let mut metrics = BTreeMap::new();

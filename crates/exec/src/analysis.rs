@@ -1,9 +1,8 @@
 //! Causal analysis of a finished simulation.
 //!
 //! Joins the scheduler's causal event log ([`crate::scheduler::CausalStage`])
-//! with the
-//! engine's observed timestamps to build the executed DAG, then runs the
-//! [`picasso_obs::analysis`] machinery over it: critical path + slack,
+//! with the engine's observed timestamps to build the executed DAG, then
+//! runs the [`picasso_obs::analysis`] machinery over it: the critical path,
 //! achieved overlap per resource pair versus the pass pipeline's planned
 //! D×K interleaving, and per-lane idle-gap attribution. Everything derives
 //! from the immutable [`SimulationOutput`] after the run — the analysis
@@ -29,26 +28,19 @@ pub const LOW_OVERLAP_FRAC: f64 = 0.5;
 pub const IDLE_DOMINANT_FRAC: f64 = 0.5;
 
 /// Builds the executed DAG: causal edges from the scheduler, timestamps
-/// and lane assignment from the engine trace. Launcher dispatch nodes are
-/// labeled `launch:<op>` on their launcher lane.
-pub fn executed_dag(out: &SimulationOutput) -> ExecutedDag {
+/// and lane assignment from the engine trace. Lane names borrow from `out`.
+pub fn executed_dag(out: &SimulationOutput) -> ExecutedDag<'_> {
     let nodes = out
         .causal
         .iter()
         .map(|st| {
             let rec = &out.result.records[st.task.0];
             let res = &out.result.resources[rec.resource.0];
-            let op = if st.launcher {
-                format!("launch:{:?}", st.kind)
-            } else {
-                format!("{:?}", st.kind)
-            };
             DagNode {
                 id: st.task.0 as u64,
-                op,
-                lane: res.spec.name.clone(),
-                res_kind: res.spec.kind.to_string(),
-                category: rec.category.to_string(),
+                lane: &res.spec.name,
+                res_kind: res.spec.kind.name(),
+                category: rec.category.name(),
                 start_ns: rec.start.as_nanos(),
                 end_ns: rec.end.as_nanos(),
                 deps: st.deps.iter().map(|d| d.0 as u64).collect(),
@@ -166,16 +158,17 @@ pub fn lint_analysis(
         }
     }
     // Lanes that carry critical-path work but mostly idle.
-    let critical_lanes: Vec<&str> = a
-        .critical_path
+    let path: BTreeSet<u64> = a.critical_path.iter().copied().collect();
+    let critical_lanes: BTreeSet<&str> = dag
+        .nodes
         .iter()
-        .filter_map(|id| dag.nodes.iter().find(|n| n.id == *id))
-        .map(|n| n.lane.as_str())
+        .filter(|n| path.contains(&n.id))
+        .map(|n| n.lane)
         .collect();
     if let Some(worst) = a
         .lanes
         .iter()
-        .filter(|l| critical_lanes.contains(&l.lane.as_str()))
+        .filter(|l| critical_lanes.contains(l.lane.as_str()))
         .filter(|l| {
             a.makespan_ns > 0 && l.idle_ns as f64 > a.makespan_ns as f64 * IDLE_DOMINANT_FRAC
         })
@@ -490,10 +483,6 @@ mod tests {
             out.result.makespan.as_nanos(),
             "DAG makespan equals the engine makespan"
         );
-        assert!(
-            dag.nodes.iter().any(|n| n.op.starts_with("launch:")),
-            "launcher dispatch nodes are labeled"
-        );
         assert!(dag.nodes.iter().any(|n| n.res_kind == "gpu-sm"));
         assert!(dag.nodes.iter().all(|n| n.end_ns >= n.start_ns));
     }
@@ -520,14 +509,6 @@ mod tests {
         let last = *a.critical_path.last().unwrap();
         let rec = &out.result.records[last as usize];
         assert_eq!(rec.end.as_nanos(), out.result.makespan.as_nanos());
-        // The terminal node can finish no later; upstream path nodes may
-        // carry dependency slack when the gap to their successor was a
-        // resource wait rather than the edge itself, but slack is always
-        // bounded by the makespan.
-        assert_eq!(a.slack_ns[&last], 0, "the terminal node has no slack");
-        for id in &a.critical_path {
-            assert!(a.slack_ns[id] <= a.makespan_ns);
-        }
     }
 
     #[test]
@@ -585,32 +566,31 @@ mod tests {
         assert_eq!(a.result.records.len(), b.result.records.len());
     }
 
+    fn node<'a>(
+        id: u64,
+        lane: &'a str,
+        category: &'a str,
+        span: (u64, u64),
+        deps: &[u64],
+    ) -> DagNode<'a> {
+        DagNode {
+            id,
+            lane,
+            res_kind: lane.split('/').next_back().unwrap_or(lane),
+            category,
+            start_ns: span.0,
+            end_ns: span.1,
+            deps: deps.to_vec(),
+        }
+    }
+
     #[test]
     fn low_overlap_lint_fires_only_when_the_plan_is_missed() {
-        use picasso_obs::analysis::DagNode;
         // Serial comm after compute with D*K planned = 4: achieved 0.
         let dag = ExecutedDag {
             nodes: vec![
-                DagNode {
-                    id: 0,
-                    op: "Mlp".into(),
-                    lane: "n0/gpu-sm".into(),
-                    res_kind: "gpu-sm".into(),
-                    category: "computation".into(),
-                    start_ns: 0,
-                    end_ns: 10,
-                    deps: vec![],
-                },
-                DagNode {
-                    id: 1,
-                    op: "AllReduce".into(),
-                    lane: "n0/network".into(),
-                    res_kind: "network".into(),
-                    category: "communication".into(),
-                    start_ns: 10,
-                    end_ns: 30,
-                    deps: vec![0],
-                },
+                node(0, "n0/gpu-sm", "computation", (0, 10), &[]),
+                node(1, "n0/network", "communication", (10, 30), &[0]),
             ],
         };
         let planned = PlannedInterleaving {
@@ -630,6 +610,32 @@ mod tests {
         let a1 = dag.analyze(&overlap_pairs(), unplanned);
         let d1 = lint_analysis(&dag, &a1, unplanned);
         assert!(!d1.iter().any(|d| d.rule == "run.low-overlap"));
+    }
+
+    #[test]
+    fn idle_dominant_lint_breaks_ties_toward_the_first_lane() {
+        // A three-lane chain: every lane is on the critical path and idles
+        // 20 of 30 ns, so all three tie; the lexicographic tie-break names
+        // the gpu lane, not the last lane scanned.
+        let dag = ExecutedDag {
+            nodes: vec![
+                node(0, "n0/network", "communication", (0, 10), &[]),
+                node(1, "n0/gpu-sm", "computation", (10, 20), &[0]),
+                node(2, "n1/cpu", "computation", (20, 30), &[1]),
+            ],
+        };
+        let planned = PlannedInterleaving {
+            micro_batches: 1,
+            groups: 1,
+        };
+        let a = dag.analyze(&overlap_pairs(), planned);
+        assert!(a.lanes.iter().all(|l| l.idle_ns == 20));
+        let idle: Vec<_> = lint_analysis(&dag, &a, planned)
+            .into_iter()
+            .filter(|d| d.rule == "run.idle-dominant-resource")
+            .collect();
+        assert_eq!(idle.len(), 1);
+        assert_eq!(idle[0].span, Span::Run("n0/gpu-sm".into()));
     }
 
     // ------------------------------------------------------------------

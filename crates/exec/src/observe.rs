@@ -203,16 +203,19 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
     let mut prev_end: Option<u64> = None;
     for id in dag.critical_path() {
         let node = &dag.nodes[id as usize];
-        let lane = &result.resources[result.records[id as usize].resource.0]
-            .spec
-            .name;
+        let stage = &out.causal[id as usize];
+        let name = if stage.launcher {
+            format!("launch:{:?}", stage.kind)
+        } else {
+            format!("{:?}", stage.kind)
+        };
         trace.complete(
             "critical path",
-            &node.op,
+            &name,
             "critical",
             node.start_ns,
             node.end_ns,
-            &[("task", &id.to_string()), ("lane", lane)],
+            &[("task", &id.to_string()), ("lane", node.lane)],
         );
         if let Some(pe) = prev_end {
             trace.flow(
@@ -436,14 +439,19 @@ mod tests {
         });
         assert!(critical_track, "critical-path track is named");
         // Its slices carry the `critical` category and chained flows exist.
-        let slices = events
+        let slices: Vec<&str> = events
             .iter()
             .filter(|e| {
                 e.get("cat").and_then(picasso_obs::Json::as_str) == Some("critical")
                     && e.get("ph").and_then(picasso_obs::Json::as_str) == Some("X")
             })
-            .count();
-        assert!(slices > 1, "critical path has more than one node");
+            .filter_map(|e| e.get("name").and_then(picasso_obs::Json::as_str))
+            .collect();
+        assert!(slices.len() > 1, "critical path has more than one node");
+        assert!(
+            slices.iter().any(|n| n.starts_with("launch:")),
+            "launcher dispatch nodes are labeled"
+        );
         let critical_flows = events
             .iter()
             .filter(|e| {
@@ -451,7 +459,7 @@ mod tests {
                     && e.get("ph").and_then(picasso_obs::Json::as_str) == Some("s")
             })
             .count();
-        assert_eq!(critical_flows, slices - 1, "one flow per path edge");
+        assert_eq!(critical_flows, slices.len() - 1, "one flow per path edge");
     }
 
     #[test]

@@ -3,42 +3,36 @@
 //! The scheduler records every executed stage as a [`DagNode`]: its true
 //! dependency edges plus the start/end timestamps the engine observed. From
 //! that executed DAG this module reconstructs *why the run took as long as
-//! it did*:
+//! it did*: [`ExecutedDag::analyze`] finds the dependency-critical path, the
+//! *achieved* overlap ratio per resource pair (e.g. communication hidden
+//! under compute) against the pass pipeline's planned interleaving
+//! ([`PlannedInterleaving`]), and per-lane idle-gap attribution (which
+//! upstream node starved each gap). [`ExecutedDag::critical_path`] computes
+//! the path alone, for callers such as the Chrome trace that need nothing
+//! else.
 //!
-//! * [`ExecutedDag::analyze`] — the dependency-critical path with per-node
-//!   slack, the *achieved* overlap ratio per resource pair (e.g.
-//!   communication hidden under compute) against the pass pipeline's
-//!   planned interleaving ([`PlannedInterleaving`]), and per-lane idle-gap
-//!   attribution (which upstream node starved each gap).
-//!   [`ExecutedDag::critical_path`] computes the path alone, for callers
-//!   such as the Chrome trace that need nothing else.
-//! * [`ExecutedDag::encode`] / [`ExecutedDag::decode`] — an exact binary
-//!   round-trip of the event log (ids, edges, timestamps) with an FNV-1a
-//!   checksum, so logs can be archived next to checkpoints and diffed.
-//!
-//! Everything here is pure: analysis consumes immutable node records and
-//! never feeds back into scheduling, preserving the observation-only
-//! guarantee of the rest of the crate.
+//! The DAG is an in-memory view: its lane, resource-kind and category
+//! columns borrow the names the simulation already holds. Everything here
+//! is pure: analysis consumes immutable node records and never feeds back
+//! into scheduling, preserving the observation-only guarantee of the rest
+//! of the crate.
 
 pub use crate::checksum::fnv1a64;
 use crate::checksum::Fnv1a;
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// One executed task: a node of the causal DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DagNode {
+pub struct DagNode<'a> {
     /// Stable node id (the engine task id).
     pub id: u64,
-    /// Operator label, e.g. `Shuffle` or `launch:Gather`.
-    pub op: String,
     /// Concrete resource lane the node ran on, e.g. `node0/gpu-sm`.
-    pub lane: String,
+    pub lane: &'a str,
     /// Hardware class of the lane, e.g. `gpu-sm` or `network`.
-    pub res_kind: String,
+    pub res_kind: &'a str,
     /// Attribution category, e.g. `communication` or `computation`.
-    pub category: String,
+    pub category: &'a str,
     /// Observed start, simulated nanoseconds.
     pub start_ns: u64,
     /// Observed completion, simulated nanoseconds.
@@ -47,7 +41,7 @@ pub struct DagNode {
     pub deps: Vec<u64>,
 }
 
-impl DagNode {
+impl DagNode<'_> {
     /// Node duration in nanoseconds (zero when timestamps are inverted).
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
@@ -56,9 +50,9 @@ impl DagNode {
 
 /// The executed DAG of one run: every node with its edges and timestamps.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecutedDag {
+pub struct ExecutedDag<'a> {
     /// Executed nodes, in creation order.
-    pub nodes: Vec<DagNode>,
+    pub nodes: Vec<DagNode<'a>>,
 }
 
 /// Planned interleaving the pass pipeline set up: `micro_batches`
@@ -158,9 +152,6 @@ pub struct DagAnalysis {
     pub critical_path_frac: f64,
     /// Critical-path time share per category (sums to 1 when nonempty).
     pub critical_frac_by_category: Vec<(String, f64)>,
-    /// Per-node slack: how much later each node could have finished without
-    /// moving any dependent (dependency constraints only).
-    pub slack_ns: BTreeMap<u64, u64>,
     /// Achieved overlap per requested resource pair.
     pub overlaps: Vec<OverlapReport>,
     /// Busy/idle profile and gap attribution per lane.
@@ -179,20 +170,11 @@ impl DagAnalysis {
             .map(|o| o.achieved)
     }
 
-    /// The lane with the most idle time, when any lane exists (ties break
-    /// toward the lexicographically first lane, deterministically).
-    pub fn dominant_idle_lane(&self) -> Option<&LaneIdle> {
-        self.lanes
-            .iter()
-            .max_by(|a, b| a.idle_ns.cmp(&b.idle_ns).then(b.lane.cmp(&a.lane)))
-    }
-
     /// Serializes the analysis as a JSON section. Gap lists are summarized
     /// per lane (count, longest, and nanoseconds attributed per blocking
     /// lane) to keep the document readable.
     pub fn to_json(&self, dag: &ExecutedDag) -> Json {
-        let lane_of: BTreeMap<u64, &str> =
-            dag.nodes.iter().map(|n| (n.id, n.lane.as_str())).collect();
+        let lane_of: BTreeMap<u64, &str> = dag.nodes.iter().map(|n| (n.id, n.lane)).collect();
         let lanes = self
             .lanes
             .iter()
@@ -267,15 +249,14 @@ impl DagAnalysis {
     }
 }
 
-impl ExecutedDag {
+impl ExecutedDag<'_> {
     /// Latest completion over all nodes.
     pub fn makespan_ns(&self) -> u64 {
         self.nodes.iter().map(|n| n.end_ns).max().unwrap_or(0)
     }
 
-    /// Runs the full causal analysis: critical path + slack, achieved
-    /// overlap per `pairs` entry versus `planned`, and idle-gap
-    /// attribution per lane.
+    /// Runs the full causal analysis: critical path, achieved overlap per
+    /// `pairs` entry versus `planned`, and idle-gap attribution per lane.
     pub fn analyze(&self, pairs: &[PairSpec], planned: PlannedInterleaving) -> DagAnalysis {
         let makespan_ns = self.makespan_ns();
         let by_id = self.index_by_id();
@@ -289,7 +270,7 @@ impl ExecutedDag {
         for id in &critical_path {
             if let Some(&i) = by_id.get(id) {
                 let n = &self.nodes[i];
-                *by_cat.entry(n.category.as_str()).or_insert(0) += n.duration_ns();
+                *by_cat.entry(n.category).or_insert(0) += n.duration_ns();
             }
         }
         let critical_frac_by_category = by_cat
@@ -312,7 +293,6 @@ impl ExecutedDag {
             critical_len_ns,
             critical_path_frac: critical_len_ns as f64 / (makespan_ns.max(1)) as f64,
             critical_frac_by_category,
-            slack_ns: self.slack(&by_id, makespan_ns),
             overlaps: pairs
                 .iter()
                 .map(|p| self.overlap_pair(p, planned))
@@ -324,13 +304,14 @@ impl ExecutedDag {
     }
 
     /// The dependency-critical path alone, first node first: the same ids
-    /// as [`DagAnalysis::critical_path`], without computing slack, overlap
-    /// or idle gaps.
+    /// as [`DagAnalysis::critical_path`], without computing overlap or idle
+    /// gaps.
     pub fn critical_path(&self) -> Vec<u64> {
         self.walk_critical_path(&self.index_by_id())
     }
 
-    /// Node index per id (the last node wins if a decoded log repeats one).
+    /// Node index per id (the last node wins if a hand-built DAG repeats
+    /// one).
     fn index_by_id(&self) -> BTreeMap<u64, usize> {
         self.nodes
             .iter()
@@ -352,8 +333,8 @@ impl ExecutedDag {
             return Vec::new();
         };
         let mut path = vec![cur];
-        // Each step visits a new node index, so even a corrupt decoded DAG
-        // with a cycle stops within the node count.
+        // Each step visits a new node index, so even a hand-built DAG with
+        // a cycle stops within the node count.
         let mut visited = vec![false; self.nodes.len()];
         while let Some(&i) = by_id.get(&cur) {
             visited[i] = true;
@@ -374,32 +355,9 @@ impl ExecutedDag {
         path
     }
 
-    /// Classic CPM backward pass over dependency edges only: a node's
-    /// latest finish is the smallest latest-start among its dependents
-    /// (makespan for sinks); slack is `latest_finish - end`.
-    fn slack(&self, by_id: &BTreeMap<u64, usize>, makespan_ns: u64) -> BTreeMap<u64, u64> {
-        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
-        order.sort_by_key(|&i| (self.nodes[i].start_ns, self.nodes[i].id));
-        let mut latest: Vec<u64> = vec![makespan_ns; self.nodes.len()];
-        for &i in order.iter().rev() {
-            let n = &self.nodes[i];
-            let latest_start = latest[i].saturating_sub(n.duration_ns());
-            for d in &n.deps {
-                if let Some(&j) = by_id.get(d) {
-                    latest[j] = latest[j].min(latest_start);
-                }
-            }
-        }
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, latest[i].saturating_sub(n.end_ns)))
-            .collect()
-    }
-
     fn overlap_pair(&self, pair: &PairSpec, planned: PlannedInterleaving) -> OverlapReport {
         let matches = |n: &DagNode, cats: &[String], kinds: &[String]| {
-            cats.iter().any(|c| c == &n.category) || kinds.iter().any(|k| k == &n.res_kind)
+            cats.iter().any(|c| c == n.category) || kinds.iter().any(|k| k == n.res_kind)
         };
         let spans = |cats: &[String], kinds: &[String]| {
             union(
@@ -433,7 +391,7 @@ impl ExecutedDag {
     fn lane_idle(&self, by_id: &BTreeMap<u64, usize>, makespan_ns: u64) -> Vec<LaneIdle> {
         let mut lanes: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, n) in self.nodes.iter().enumerate() {
-            lanes.entry(n.lane.as_str()).or_default().push(i);
+            lanes.entry(n.lane).or_default().push(i);
         }
         lanes
             .into_iter()
@@ -467,173 +425,13 @@ impl ExecutedDag {
                 ));
                 LaneIdle {
                     lane: lane.to_string(),
-                    res_kind: self.nodes[idx[0]].res_kind.clone(),
+                    res_kind: self.nodes[idx[0]].res_kind.to_string(),
                     busy_ns,
                     idle_ns: makespan_ns.saturating_sub(busy_ns),
                     gaps,
                 }
             })
             .collect()
-    }
-
-    /// Serializes the log to the exact binary format [`ExecutedDag::decode`]
-    /// reads back: fixed-width little-endian fields framed by a magic word
-    /// and sealed with an FNV-1a checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
-        for n in &self.nodes {
-            out.extend_from_slice(&n.id.to_le_bytes());
-            out.extend_from_slice(&n.start_ns.to_le_bytes());
-            out.extend_from_slice(&n.end_ns.to_le_bytes());
-            for s in [&n.op, &n.lane, &n.res_kind, &n.category] {
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            out.extend_from_slice(&(n.deps.len() as u32).to_le_bytes());
-            for d in &n.deps {
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-        }
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Parses a log produced by [`ExecutedDag::encode`]. Truncated input,
-    /// trailing bytes, a bad magic word, and checksum mismatches are all
-    /// rejected; allocations stay bounded by the input length so corrupt
-    /// counts cannot balloon memory.
-    pub fn decode(bytes: &[u8]) -> Result<ExecutedDag, DagCodecError> {
-        if bytes.len() < 16 {
-            return Err(DagCodecError::UnexpectedEof {
-                want: 16,
-                have: bytes.len(),
-            });
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let want_sum = u64::from_le_bytes(sum_bytes.try_into().expect("8-byte tail"));
-        if fnv1a64(body) != want_sum {
-            return Err(DagCodecError::Invalid("checksum mismatch".into()));
-        }
-        let mut d = Cursor::new(body);
-        if d.u64()? != MAGIC {
-            return Err(DagCodecError::Invalid("bad magic word".into()));
-        }
-        let count = d.u32()? as usize;
-        if count > body.len() {
-            return Err(DagCodecError::Invalid(format!(
-                "node count {count} exceeds payload size"
-            )));
-        }
-        let mut nodes = Vec::with_capacity(count);
-        for _ in 0..count {
-            let id = d.u64()?;
-            let start_ns = d.u64()?;
-            let end_ns = d.u64()?;
-            let op = d.string()?;
-            let lane = d.string()?;
-            let res_kind = d.string()?;
-            let category = d.string()?;
-            let dep_count = d.u32()? as usize;
-            if dep_count > body.len() {
-                return Err(DagCodecError::Invalid(format!(
-                    "dep count {dep_count} exceeds payload size"
-                )));
-            }
-            let mut deps = Vec::with_capacity(dep_count);
-            for _ in 0..dep_count {
-                deps.push(d.u64()?);
-            }
-            nodes.push(DagNode {
-                id,
-                op,
-                lane,
-                res_kind,
-                category,
-                start_ns,
-                end_ns,
-                deps,
-            });
-        }
-        d.finish()?;
-        Ok(ExecutedDag { nodes })
-    }
-}
-
-/// Decoding failure of a causal event log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DagCodecError {
-    /// The payload ended before a field could be read.
-    UnexpectedEof {
-        /// Bytes the field needed.
-        want: usize,
-        /// Bytes that were left.
-        have: usize,
-    },
-    /// Bytes remained after the last node was decoded.
-    TrailingBytes(usize),
-    /// A structural check failed (magic word, checksum, counts, UTF-8).
-    Invalid(String),
-}
-
-impl fmt::Display for DagCodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DagCodecError::UnexpectedEof { want, have } => {
-                write!(f, "unexpected EOF: wanted {want} bytes, had {have}")
-            }
-            DagCodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the log"),
-            DagCodecError::Invalid(why) => write!(f, "invalid causal log: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for DagCodecError {}
-
-const MAGIC: u64 = 0x3147_4144_4c53_4143; // "CASLDAG1", little-endian.
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DagCodecError> {
-        let have = self.bytes.len() - self.at;
-        if have < n {
-            return Err(DagCodecError::UnexpectedEof { want: n, have });
-        }
-        let out = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, DagCodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DagCodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
-    fn string(&mut self) -> Result<String, DagCodecError> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| DagCodecError::Invalid("non-UTF-8 string".into()))
-    }
-
-    fn finish(&self) -> Result<(), DagCodecError> {
-        match self.bytes.len() - self.at {
-            0 => Ok(()),
-            n => Err(DagCodecError::TrailingBytes(n)),
-        }
     }
 }
 
@@ -678,13 +476,19 @@ fn intersect(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
 mod tests {
     use super::*;
 
-    fn node(id: u64, lane: &str, cat: &str, start: u64, end: u64, deps: &[u64]) -> DagNode {
+    fn node<'a>(
+        id: u64,
+        lane: &'a str,
+        cat: &'a str,
+        start: u64,
+        end: u64,
+        deps: &[u64],
+    ) -> DagNode<'a> {
         DagNode {
             id,
-            op: format!("op{id}"),
-            lane: lane.to_string(),
-            res_kind: lane.split('/').next_back().unwrap_or(lane).to_string(),
-            category: cat.to_string(),
+            lane,
+            res_kind: lane.split('/').next_back().unwrap_or(lane),
+            category: cat,
             start_ns: start,
             end_ns: end,
             deps: deps.to_vec(),
@@ -709,7 +513,7 @@ mod tests {
 
     /// A(0-10 gpu) -> B(10-30 nic comm) -> C(30-40 gpu); D(0-40 gpu2) is
     /// independent compute that fully covers B.
-    fn diamond() -> ExecutedDag {
+    fn diamond() -> ExecutedDag<'static> {
         ExecutedDag {
             nodes: vec![
                 node(0, "n0/gpu-sm", "computation", 0, 10, &[]),
@@ -731,21 +535,6 @@ mod tests {
         let by_cat: BTreeMap<_, _> = a.critical_frac_by_category.iter().cloned().collect();
         assert!((by_cat["communication"] - 0.5).abs() < 1e-12);
         assert!((by_cat["computation"] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn slack_is_zero_on_the_critical_path_and_positive_off_it() {
-        let a = diamond().analyze(&pairs(), planned(1, 1));
-        assert_eq!(a.slack_ns[&0], 0);
-        assert_eq!(a.slack_ns[&1], 0);
-        assert_eq!(a.slack_ns[&2], 0);
-        // Node 3 ends exactly at the makespan: no slack either.
-        assert_eq!(a.slack_ns[&3], 0);
-        // Shrink node 3 so it ends early: it gains exactly the difference.
-        let mut dag = diamond();
-        dag.nodes[3].end_ns = 25;
-        let a = dag.analyze(&pairs(), planned(1, 1));
-        assert_eq!(a.slack_ns[&3], 15);
     }
 
     #[test]
@@ -790,9 +579,6 @@ mod tests {
         let other = a.lanes.iter().find(|l| l.lane == "n1/gpu-sm").unwrap();
         assert!(other.gaps.is_empty());
         assert_eq!(other.idle_ns, 0);
-        // n0/gpu-sm and n0/network tie at 20 ns idle; the lexicographic
-        // tie-break picks the gpu lane deterministically.
-        assert_eq!(a.dominant_idle_lane().unwrap().lane, "n0/gpu-sm");
     }
 
     #[test]
@@ -839,7 +625,7 @@ mod tests {
         };
         assert_eq!(chain.critical_path(), (0..N).collect::<Vec<_>>());
 
-        // 0 -> 1 -> 2 -> 0: only a decoded log can carry such a cycle.
+        // 0 -> 1 -> 2 -> 0: no run produces a cycle, but `nodes` is public.
         let cyclic = ExecutedDag {
             nodes: vec![
                 node(0, "n0/gpu-sm", "computation", 0, 10, &[2]),
@@ -847,34 +633,11 @@ mod tests {
                 node(2, "n0/gpu-sm", "computation", 20, 30, &[1]),
             ],
         };
-        let decoded = ExecutedDag::decode(&cyclic.encode()).unwrap();
-        assert_eq!(decoded.critical_path(), vec![0, 1, 2]);
+        assert_eq!(cyclic.critical_path(), vec![0, 1, 2]);
         assert_eq!(
-            decoded.analyze(&pairs(), planned(1, 1)).critical_path,
+            cyclic.analyze(&pairs(), planned(1, 1)).critical_path,
             vec![0, 1, 2]
         );
-    }
-
-    #[test]
-    fn codec_round_trips_and_rejects_corruption() {
-        let dag = diamond();
-        let bytes = dag.encode();
-        assert_eq!(ExecutedDag::decode(&bytes).unwrap(), dag);
-        // Truncation anywhere fails.
-        for cut in [0, 7, 15, bytes.len() / 2, bytes.len() - 1] {
-            assert!(ExecutedDag::decode(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-        // Trailing bytes fail (checksum breaks first, which is fine).
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(ExecutedDag::decode(&long).is_err());
-        // A flipped byte breaks the checksum.
-        let mut bad = bytes.clone();
-        bad[20] ^= 0xff;
-        assert!(matches!(
-            ExecutedDag::decode(&bad),
-            Err(DagCodecError::Invalid(_))
-        ));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! FNV-1a 64, the workspace's one content checksum, and splitmix64, its
 //! one deterministic mixer.
 //!
-//! Checkpoint shards, flight dumps, history segments, the causal-log codec
-//! and the critical-path and race digests all hash with FNV-1a. It is
+//! Checkpoint shards, flight dumps, history segments and the critical-path
+//! and race digests all hash with FNV-1a. It is
 //! dependency-free and portable, and it guards against torn writes and bit
 //! rot, not adversaries. [`splitmix64`] drives the flight recorder's
 //! sampling, the recovery loop's detection jitter and the serving traffic

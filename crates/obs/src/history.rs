@@ -9,9 +9,8 @@
 //!
 //! On top of the store, [`cusum_change_point`] runs a two-sided CUSUM over
 //! a metric's multi-run series (slack and decision threshold scale with
-//! the baseline mean, so one detector fits seconds and ratios alike) and
-//! [`mann_kendall`] gives a monotone-trend statistic. Both are pure
-//! functions of the series: same history, same verdict.
+//! the baseline mean, so one detector fits seconds and ratios alike). It
+//! is a pure function of the series: same history, same verdict.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -497,42 +496,6 @@ pub fn cusum_change_point(values: &[f64], config: &CusumConfig) -> Option<Change
     None
 }
 
-/// Mann-Kendall monotone-trend statistic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MannKendall {
-    /// Sum of pairwise sign comparisons; positive means rising.
-    pub s: i64,
-    /// Normal-approximation z-score with continuity correction.
-    pub z: f64,
-}
-
-/// Mann-Kendall test over a series; `None` below three samples.
-pub fn mann_kendall(values: &[f64]) -> Option<MannKendall> {
-    let n = values.len();
-    if n < 3 {
-        return None;
-    }
-    let mut s: i64 = 0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            s += match values[j].partial_cmp(&values[i]) {
-                Some(std::cmp::Ordering::Greater) => 1,
-                Some(std::cmp::Ordering::Less) => -1,
-                _ => 0,
-            };
-        }
-    }
-    let var = (n * (n - 1) * (2 * n + 5)) as f64 / 18.0;
-    let z = if s > 0 {
-        (s as f64 - 1.0) / var.sqrt()
-    } else if s < 0 {
-        (s as f64 + 1.0) / var.sqrt()
-    } else {
-        0.0
-    };
-    Some(MannKendall { s, z })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,16 +643,5 @@ mod tests {
         let cp = cusum_change_point(&series, &CusumConfig::default()).expect("fires");
         assert_eq!(cp.direction, Shift::Down);
         assert!((cp.rel_change + 0.2).abs() < 1e-9, "{cp:?}");
-    }
-
-    #[test]
-    fn mann_kendall_signs_match_the_trend() {
-        let up = mann_kendall(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert!(up.s > 0 && up.z > 0.0);
-        let down = mann_kendall(&[4.0, 3.0, 2.0, 1.0]).unwrap();
-        assert!(down.s < 0 && down.z < 0.0);
-        let flat = mann_kendall(&[1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(flat.s, 0);
-        assert!(mann_kendall(&[1.0, 2.0]).is_none());
     }
 }

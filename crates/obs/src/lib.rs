@@ -9,16 +9,15 @@
 //!   [`clock::Clock`], so the simulator records in simulated nanoseconds while
 //!   the real trainer records wall time through the same API.
 //! * [`analysis`] — causal analysis over the executed task DAG: critical
-//!   path + slack, achieved-vs-planned overlap ratios, idle-gap
-//!   attribution, and an exact binary codec for the event log.
+//!   path, achieved-vs-planned overlap ratios and idle-gap attribution.
 //! * [`detect`] — online anomaly detectors (straggler z-score, NIC
 //!   degradation slope, queue-depth runaway) fed from the metrics stream.
 //! * [`flight`] — an always-on bounded flight recorder: a fixed-capacity
 //!   ring of compact structured events with per-category sampling and
 //!   checksummed post-mortem dumps.
 //! * [`history`] — an append-only run-history store (JSONL segments under
-//!   a checksummed manifest) with CUSUM / Mann-Kendall change-point
-//!   detection over multi-run metric series.
+//!   a checksummed manifest) with CUSUM change-point detection over
+//!   multi-run metric series.
 //! * Exporters — [`chrome`] (Chrome trace-event JSON with counter lanes and
 //!   flow arrows, loadable in Perfetto), [`prometheus`] (text exposition
 //!   format, with a parser for round-trip tests), and [`report`] (versioned
@@ -38,7 +37,6 @@ pub mod checksum;
 pub mod chrome;
 pub mod clock;
 pub mod detect;
-pub mod diff;
 pub mod flight;
 pub mod history;
 pub mod json;
@@ -52,14 +50,12 @@ pub use analysis::{DagAnalysis, DagNode, ExecutedDag, PairSpec, PlannedInterleav
 pub use chrome::ChromeTrace;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use detect::{Anomaly, AnomalyKind, QueueDepthDetector, SlopeDetector, StragglerDetector};
-pub use diff::{snapshot_diff, MetricDelta};
 pub use flight::{
     FlightCategory, FlightConfig, FlightDump, FlightEvent, FlightRecorder, FlightStats,
     SamplingConfig,
 };
 pub use history::{
-    cusum_change_point, mann_kendall, ChangePoint, CusumConfig, HistoryError, HistoryStore,
-    MannKendall, RunRecord, Shift,
+    cusum_change_point, ChangePoint, CusumConfig, HistoryError, HistoryStore, RunRecord, Shift,
 };
 pub use json::Json;
 pub use latency::{exact_quantile, latency_bounds_ns, LatencyRecorder, SloTracker};

@@ -1,77 +1,151 @@
-//! Causal event-log codec property tests, mirroring the `picasso-ckpt`
-//! codec suite: `decode(encode(dag)) == dag` bit for bit across arbitrary
-//! node shapes (ids, edges, timestamps, labels), and truncation anywhere
-//! is rejected rather than misread.
+//! The causal analyzer against a per-nanosecond sweep.
+//!
+//! Random executed DAGs of up to 30 nodes (timestamps in `0..64`, three
+//! lanes, three categories, dependency edges pointing backward, ids that
+//! are not node indices) are analyzed, and every figure is recomputed by
+//! brute force, one nanosecond at a time:
+//!
+//! - per overlap pair, `under_busy_ns`, `hidden_ns` and `achieved`;
+//! - per lane, `busy_ns` and `idle_ns`;
+//! - the critical path: [`ExecutedDag::critical_path`] equals
+//!   `analyze().critical_path`, every step follows a dependency edge, and
+//!   the path ends at a node that finishes at the makespan.
 
-use picasso_obs::analysis::{DagNode, ExecutedDag};
+use picasso_obs::analysis::{DagNode, ExecutedDag, PairSpec, PlannedInterleaving};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-const LABEL_CHARS: &[u8] = b"abcxyz09_:/-";
+const LANES: [&str; 3] = ["n0/gpu-sm", "n0/network", "n1/gpu-sm"];
+const CATEGORIES: [&str; 3] = ["computation", "communication", "memory"];
+const HORIZON: u64 = 64;
 
-fn label(picks: Vec<usize>) -> String {
-    picks
-        .into_iter()
-        .map(|i| LABEL_CHARS[i % LABEL_CHARS.len()] as char)
-        .collect()
+/// Node ids are `2i + 1`, so an analyzer that confuses ids with indices
+/// fails.
+fn id_of(i: usize) -> u64 {
+    2 * i as u64 + 1
 }
 
-fn arb_node() -> impl Strategy<Value = DagNode> {
-    (
-        0u64..u64::MAX,
-        vec(0usize..LABEL_CHARS.len(), 0..12),
-        vec(0usize..LABEL_CHARS.len(), 0..12),
-        0u64..u64::MAX,
-        0u64..u64::MAX,
-        vec(0u64..u64::MAX, 0..5),
-    )
-        .prop_map(|(id, op, lane, start_ns, end_ns, deps)| {
-            let lane = label(lane);
-            DagNode {
-                id,
-                op: label(op),
-                res_kind: lane.split('/').next_back().unwrap_or("").to_string(),
-                category: "computation".to_string(),
-                lane,
-                start_ns,
-                end_ns,
-                deps,
-            }
-        })
+fn dag_strategy() -> impl Strategy<Value = ExecutedDag<'static>> {
+    let node = (
+        0usize..LANES.len(),
+        0usize..CATEGORIES.len(),
+        0..HORIZON,
+        0..HORIZON,
+        vec(0usize..30, 0..4),
+    );
+    vec(node, 0..31).prop_map(|raw| ExecutedDag {
+        nodes: raw
+            .into_iter()
+            .enumerate()
+            .map(|(i, (lane, cat, a, b, deps))| DagNode {
+                id: id_of(i),
+                lane: LANES[lane],
+                res_kind: LANES[lane].split('/').next_back().unwrap(),
+                category: CATEGORIES[cat],
+                start_ns: a.min(b),
+                end_ns: a.max(b),
+                deps: if i == 0 {
+                    Vec::new()
+                } else {
+                    deps.into_iter().map(|d| id_of(d % i)).collect()
+                },
+            })
+            .collect(),
+    })
+}
+
+/// Pairs selecting by category, by resource kind, and by both at once.
+fn pairs() -> Vec<PairSpec> {
+    let strings = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    vec![
+        PairSpec {
+            name: "comm_under_compute".into(),
+            under_categories: strings(&["communication"]),
+            over_categories: strings(&["computation"]),
+            ..PairSpec::default()
+        },
+        PairSpec {
+            name: "network_under_sm".into(),
+            under_kinds: strings(&["network"]),
+            over_kinds: strings(&["gpu-sm"]),
+            ..PairSpec::default()
+        },
+        PairSpec {
+            name: "mixed".into(),
+            under_categories: strings(&["memory"]),
+            under_kinds: strings(&["network"]),
+            over_categories: strings(&["communication"]),
+            over_kinds: strings(&["gpu-sm"]),
+        },
+    ]
+}
+
+/// Whether any node selected by `keep` runs during nanosecond `t`.
+fn covered(dag: &ExecutedDag, t: u64, keep: impl Fn(&DagNode) -> bool) -> bool {
+    dag.nodes
+        .iter()
+        .any(|n| keep(n) && n.start_ns <= t && t < n.end_ns)
+}
+
+fn selects(n: &DagNode, cats: &[String], kinds: &[String]) -> bool {
+    cats.iter().any(|c| c == n.category) || kinds.iter().any(|k| k == n.res_kind)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Every field of every node — ids, dependency edges, timestamps, and
-    /// string labels — survives an encode/decode cycle exactly, and
-    /// re-encoding reproduces the identical payload.
     #[test]
-    fn causal_log_round_trips_bit_for_bit(
-        nodes in vec(arb_node(), 0..20),
-    ) {
-        let dag = ExecutedDag { nodes };
-        let bytes = dag.encode();
-        let back = ExecutedDag::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(&back, &dag);
-        prop_assert_eq!(back.encode(), bytes);
-    }
+    fn analysis_matches_a_per_nanosecond_sweep(dag in dag_strategy()) {
+        let planned = PlannedInterleaving { micro_batches: 2, groups: 2 };
+        let specs = pairs();
+        let a = dag.analyze(&specs, planned);
+        let makespan = dag.nodes.iter().map(|n| n.end_ns).max().unwrap_or(0);
+        prop_assert_eq!(a.makespan_ns, makespan);
 
-    /// Any strict prefix of a valid log is rejected: the checksum tail (or
-    /// an earlier field read) catches the truncation, and no prefix ever
-    /// decodes to a *different* DAG silently.
-    #[test]
-    fn truncated_logs_are_rejected(
-        nodes in vec(arb_node(), 1..12),
-        frac in 0.0f64..1.0,
-    ) {
-        let dag = ExecutedDag { nodes };
-        let bytes = dag.encode();
-        let cut = ((bytes.len() as f64 * frac) as usize).min(bytes.len() - 1);
-        prop_assert!(ExecutedDag::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
-        // Appending garbage is caught too (trailing bytes break the frame).
-        let mut long = bytes.clone();
-        long.extend_from_slice(&[0xab, 0xcd]);
-        prop_assert!(ExecutedDag::decode(&long).is_err());
+        prop_assert_eq!(a.overlaps.len(), specs.len());
+        for (spec, o) in specs.iter().zip(&a.overlaps) {
+            let (mut busy, mut hidden) = (0, 0);
+            for t in 0..HORIZON {
+                let under = covered(&dag, t, |n| {
+                    selects(n, &spec.under_categories, &spec.under_kinds)
+                });
+                let over = covered(&dag, t, |n| {
+                    selects(n, &spec.over_categories, &spec.over_kinds)
+                });
+                busy += under as u64;
+                hidden += (under && over) as u64;
+            }
+            prop_assert_eq!(o.under_busy_ns, busy, "{}", spec.name);
+            prop_assert_eq!(o.hidden_ns, hidden, "{}", spec.name);
+            let achieved = if busy == 0 { 1.0 } else { hidden as f64 / busy as f64 };
+            prop_assert_eq!(o.achieved, achieved, "{}", spec.name);
+        }
+
+        let mut present: Vec<&str> = dag.nodes.iter().map(|n| n.lane).collect();
+        present.sort_unstable();
+        present.dedup();
+        let reported: Vec<&str> = a.lanes.iter().map(|l| l.lane.as_str()).collect();
+        prop_assert_eq!(reported, present);
+        for lane in &a.lanes {
+            let busy = (0..HORIZON)
+                .filter(|&t| covered(&dag, t, |n| n.lane == lane.lane))
+                .count() as u64;
+            prop_assert_eq!(lane.busy_ns, busy, "{}", lane.lane);
+            prop_assert_eq!(lane.idle_ns, makespan - busy, "{}", lane.lane);
+        }
+
+        let path = dag.critical_path();
+        prop_assert_eq!(&path, &a.critical_path);
+        prop_assert_eq!(path.is_empty(), dag.nodes.is_empty());
+        let node = |id: u64| &dag.nodes[(id as usize - 1) / 2];
+        if let Some(&last) = path.last() {
+            prop_assert_eq!(node(last).end_ns, makespan);
+        }
+        for step in path.windows(2) {
+            prop_assert!(
+                node(step[1]).deps.contains(&step[0]),
+                "path step {} -> {} is not a dependency edge",
+                step[0],
+                step[1]
+            );
+        }
     }
 }

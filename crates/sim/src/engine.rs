@@ -43,18 +43,22 @@ impl TaskCategory {
         TaskCategory::Computation,
         TaskCategory::Sync,
     ];
-}
 
-impl fmt::Display for TaskCategory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The category's display name, e.g. `communication`.
+    pub fn name(self) -> &'static str {
+        match self {
             TaskCategory::DataIo => "io",
             TaskCategory::Memory => "memory",
             TaskCategory::Communication => "communication",
             TaskCategory::Computation => "computation",
             TaskCategory::Sync => "sync",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TaskCategory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -41,7 +41,6 @@ pub mod observe;
 pub mod resource;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod traffic;
 
 pub use engine::{Binding, Engine, EngineError, RunResult, Task, TaskCategory, TaskId, TaskRecord};
@@ -55,5 +54,4 @@ pub use observe::export_metrics;
 pub use resource::{CongestionSpec, ResourceId, ResourceKind, ResourceSpec};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Cluster, ExecutorHandles, GpuSpec, MachineSpec, OverheadSpec, ServerHandles};
-pub use trace::to_chrome_trace;
 pub use traffic::{ArrivalProcess, Request, TrafficGen, TrafficPlan};

@@ -50,11 +50,10 @@ impl ResourceKind {
     pub fn is_bandwidth(self) -> bool {
         !matches!(self, ResourceKind::GpuSm | ResourceKind::HostCpu)
     }
-}
 
-impl fmt::Display for ResourceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// The kind's display name, e.g. `gpu-sm`.
+    pub fn name(self) -> &'static str {
+        match self {
             ResourceKind::GpuSm => "gpu-sm",
             ResourceKind::GpuMem => "gpu-mem",
             ResourceKind::DramBw => "dram",
@@ -62,8 +61,13 @@ impl fmt::Display for ResourceKind {
             ResourceKind::Pcie => "pcie",
             ResourceKind::NvLink => "nvlink",
             ResourceKind::Network => "network",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for ResourceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

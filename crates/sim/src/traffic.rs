@@ -111,11 +111,16 @@ impl TrafficPlan {
                 let n: u64 = value
                     .parse()
                     .map_err(|_| format!("bad value '{value}' for '{key}' in traffic plan"))?;
+                let narrow = || {
+                    u32::try_from(n).map_err(|_| {
+                        format!("value {n} for '{key}' exceeds {} in traffic plan", u32::MAX)
+                    })
+                };
                 match key {
                     "seed" => plan.seed = n,
                     "users" => plan.users = n,
-                    "zipf" => plan.zipf_centi = n as u32,
-                    "ids" => plan.ids_per_request = n as u32,
+                    "zipf" => plan.zipf_centi = narrow()?,
+                    "ids" => plan.ids_per_request = narrow()?,
                     "reqs" => plan.requests = n,
                     other => return Err(format!("unknown field '{other}' in traffic plan")),
                 }
@@ -464,6 +469,21 @@ mod tests {
             let err = TrafficPlan::parse(text).unwrap_err();
             assert!(err.contains(needle), "'{text}' -> '{err}'");
         }
+    }
+
+    #[test]
+    fn u32_fields_reject_values_they_cannot_hold() {
+        // 2^32 + 1 and 2^32 + 105 must not wrap to ids=1 and zipf=105.
+        for text in [
+            "users=10;ids=4294967297;zipf=4294967401;poisson@100",
+            "zipf=4294967401",
+        ] {
+            let err = TrafficPlan::parse(text).unwrap_err();
+            assert!(err.contains("exceeds"), "'{text}' -> '{err}'");
+        }
+        let plan = TrafficPlan::parse("zipf=4294967295;ids=4294967295").unwrap();
+        assert_eq!(plan.zipf_centi, u32::MAX);
+        assert_eq!(plan.ids_per_request, u32::MAX);
     }
 
     #[test]

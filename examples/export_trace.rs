@@ -8,10 +8,10 @@
 //! ```
 
 use picasso::embedding::{PackPlan, PlannerConfig};
-use picasso::exec::{observe, simulate, SimConfig, Strategy};
+use picasso::exec::{chrome_trace, observe, simulate, SimConfig, Strategy};
 use picasso::graph::{d_packing, k_packing};
 use picasso::obs::{prometheus, MetricsRegistry};
-use picasso::sim::{to_chrome_trace, MachineSpec};
+use picasso::sim::MachineSpec;
 use picasso::ModelKind;
 use std::collections::BTreeMap;
 
@@ -33,7 +33,7 @@ fn main() {
     // Baseline: the unoptimized graph under synchronous PS.
     let base_spec = kind.build(&data);
     let base = simulate(&base_spec, Strategy::PsSync { servers: 1 }, &cfg).unwrap();
-    std::fs::write("trace_baseline.json", to_chrome_trace(&base.result)).unwrap();
+    std::fs::write("trace_baseline.json", chrome_trace(&base).to_json()).unwrap();
 
     // PICASSO: packed graph under the hybrid strategy.
     let plan = PackPlan::plan(&data, &PlannerConfig::default());
@@ -46,7 +46,7 @@ fn main() {
     let mut packed = k_packing::apply(&d_packing::apply(&base_spec, &assign));
     packed.micro_batches = 3;
     let picasso = simulate(&packed, Strategy::Hybrid, &cfg).unwrap();
-    std::fs::write("trace_picasso.json", to_chrome_trace(&picasso.result)).unwrap();
+    std::fs::write("trace_picasso.json", chrome_trace(&picasso).to_json()).unwrap();
 
     // Metrics registry dump of the PICASSO run in Prometheus text format.
     let registry = MetricsRegistry::new();

@@ -1,12 +1,15 @@
-//! Golden bytes of the Chrome trace exporter.
+//! Golden bytes of the Chrome trace exporter and the analysis report.
 //!
 //! Pins the byte length and FNV-1a of serialized Chrome traces for two
 //! 4-node W&D runs (the `cluster_trace` host-benchmark rungs, warm-up seed
 //! 101) and for one facade trace that carries counter lanes. Any change to
 //! event order, field order, tid numbering, number formatting or escaping
-//! moves one of these pins.
+//! moves one of these pins. The two W&D runs also pin their
+//! `picasso.analysis_report` document, the one `repro analyze` writes per
+//! scenario: critical path, overlap, idle-gap attribution and the analysis
+//! lints.
 
-use picasso::exec::{chrome_trace, run, RunArtifacts, WarmupConfig};
+use picasso::exec::{analysis_report_json, chrome_trace, run, RunArtifacts, WarmupConfig};
 use picasso::obs::analysis::fnv1a64;
 use picasso::{ModelKind, Optimizations, PassId, PicassoConfig, Session, Strategy};
 
@@ -46,11 +49,27 @@ fn pin(text: &str) -> (usize, String) {
     (text.len(), format!("{:016x}", fnv1a64(text.as_bytes())))
 }
 
+/// The analysis report of a run against its planned D×K interleaving.
+fn report_pin(name: &str, arts: &RunArtifacts) -> (usize, String) {
+    let spec = &arts.spec;
+    pin(&analysis_report_json(
+        name,
+        &arts.output,
+        spec.micro_batches.max(1),
+        spec.group_count().max(1),
+    )
+    .to_string())
+}
+
 #[test]
 fn wdl_base_trace_bytes_are_pinned() {
     let arts = wdl_run("wdl_base", &[]);
     let got = pin(&chrome_trace(&arts.output).to_json());
     assert_eq!(got, (5_746_280, "fe817e956f79c875".to_string()));
+    assert_eq!(
+        report_pin("wdl_base", &arts),
+        (6_637, "8a6dc345fd02fe28".to_string())
+    );
 }
 
 #[test]
@@ -66,6 +85,10 @@ fn wdl_inter_trace_bytes_are_pinned() {
     );
     let got = pin(&chrome_trace(&arts.output).to_json());
     assert_eq!(got, (1_279_546, "a0920e0891953334".to_string()));
+    assert_eq!(
+        report_pin("wdl_inter", &arts),
+        (6_803, "7f79da04ede33ebb".to_string())
+    );
 }
 
 #[test]

@@ -2,7 +2,6 @@
 //! preset-excluded embeddings, and the Chrome-trace exporter.
 
 use picasso::experiments::Scale;
-use picasso::sim::to_chrome_trace;
 use picasso::{ModelKind, PicassoConfig, Session};
 
 fn quick() -> PicassoConfig {
@@ -47,7 +46,7 @@ fn excluded_tables_do_not_change_workload_volume() {
 
 #[test]
 fn simulation_exports_a_chrome_trace() {
-    use picasso::exec::{simulate, SimConfig, Strategy};
+    use picasso::exec::{chrome_trace, simulate, SimConfig, Strategy};
     use picasso::sim::MachineSpec;
     let data = ModelKind::Dlrm.default_dataset();
     let spec = ModelKind::Dlrm.build(&data);
@@ -63,7 +62,7 @@ fn simulation_exports_a_chrome_trace() {
         },
     )
     .unwrap();
-    let trace = to_chrome_trace(&out.result);
+    let trace = chrome_trace(&out).to_json();
     assert!(trace.contains("\"traceEvents\""));
     assert!(
         trace.matches("\"ph\":\"X\"").count() > 100,
