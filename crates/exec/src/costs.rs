@@ -6,6 +6,7 @@
 //! protocol overhead on real hardware.
 
 use crate::collectives;
+use crate::scheduler::SimConfig;
 use crate::strategy::{EmbeddingExchange, Strategy};
 use picasso_graph::{EmbeddingChain, InteractionModule, MlpSpec, OpKind};
 
@@ -100,6 +101,21 @@ impl PlanContext {
             strategy,
             comm_scale: 1.0,
         }
+    }
+
+    /// The cost-model context of `cfg`'s cluster under `strategy`.
+    pub(crate) fn of(cfg: &SimConfig, strategy: Strategy) -> PlanContext {
+        let per_node = cfg.machine.gpus_per_node.max(1);
+        let mut ctx = PlanContext::new(
+            (cfg.machines * per_node).max(1),
+            per_node,
+            cfg.machine.nvlink_bw.is_some(),
+            strategy,
+        );
+        if cfg.quantized_comm {
+            ctx.comm_scale = 0.5;
+        }
+        ctx
     }
 }
 

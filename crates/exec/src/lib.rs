@@ -25,6 +25,7 @@ pub mod collectives;
 pub mod costs;
 pub mod framework;
 pub mod lint;
+mod lower;
 pub mod observe;
 pub mod recovery;
 pub mod scheduler;

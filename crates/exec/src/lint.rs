@@ -1,122 +1,24 @@
-//! Stage-surface static analysis: lowers a spec into a [`StageGraph`] and
-//! runs the `picasso-lint` stage rules on it *before* the scheduler builds
-//! the real task graph.
+//! Stage-surface static analysis: runs the `picasso-lint` stage rules on
+//! the lowered [`StageGraph`] *before* the scheduler builds the real task
+//! graph.
 //!
-//! The builder mirrors [`crate::scheduler::simulate`]'s wiring for one
-//! executor, one iteration, and the first micro-batch — enough to expose
-//! every structural property the stage rules check (control-dependency
-//! cycles from `WdlSpec::group_deps`, K-Packed fusion membership,
-//! reachability from the data-load entry, and cost-model sanity) without
-//! paying for a full cluster lowering. Declared group dependencies are
-//! added verbatim, *including* self and backward edges the scheduler would
-//! refuse to honor, precisely so the cycle rule can reject them first.
+//! The graph is the one lowering (`lower::Lowering`) the scheduler
+//! replays: one executor, one iteration, the first micro-batch — enough to
+//! expose every structural property the stage rules check
+//! (control-dependency cycles from `WdlSpec::group_deps`, K-Packed fusion
+//! membership, reachability from the data-load entry, and cost-model
+//! sanity) without paying for a full cluster lowering. Declared group
+//! dependencies are in the graph verbatim, *including* self and backward
+//! edges the scheduler refuses to honor, precisely so the cycle rule can
+//! reject them first.
 
-use crate::costs::{self, PlanContext, ResTarget, StageTask};
-use crate::scheduler::{split_batch, SimConfig};
+use crate::lower::Lowering;
+use crate::scheduler::SimConfig;
 use crate::strategy::Strategy;
-use picasso_graph::{OpKind, WdlSpec};
+use picasso_graph::WdlSpec;
 use picasso_lint::{
-    Diagnostic, EffectSet, Resource, ResourceKind, Severity, Span, StageFusion, StageGraph,
-    StageNode,
+    Diagnostic, EffectSet, Resource, ResourceKind, Severity, Span, StageGraph, StageNode,
 };
-
-/// Resource class (the vocabulary of `stage.cross-class-fusion`) a stage
-/// target is bound by.
-fn class_of(target: ResTarget) -> &'static str {
-    match target {
-        ResTarget::GpuSm => "compute",
-        ResTarget::GpuMem => "device_memory",
-        ResTarget::Pcie => "intra_comm",
-        ResTarget::Dram | ResTarget::ServerDram => "host_memory",
-        ResTarget::Cpu => "host_compute",
-        ResTarget::Nic | ResTarget::NvLink | ResTarget::ServerNic => "inter_comm",
-    }
-}
-
-fn node_of(label: String, st: &StageTask, scope: EffectScope) -> StageNode {
-    StageNode::new(
-        &label,
-        &format!("{:?}", st.kind),
-        class_of(st.target),
-        st.work,
-        st.launches,
-    )
-    .with_effects(stage_effects(st.kind, st.target, scope))
-}
-
-/// The namespace a stage's effects resolve their resource keys in:
-/// an embedding chain (one Eq. 1 packed shard, cache, dirty set, and
-/// collective buffer per chain) or the shared dense tower.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EffectScope {
-    /// I/O and barrier stages: no chain or tower attribution.
-    Io,
-    /// Embedding chain `ci` (Eq. 1 packed shard).
-    Chain(usize),
-    /// The shared dense tower (interaction modules + MLP + optimizer).
-    Dense,
-}
-
-impl EffectScope {
-    fn key(self) -> String {
-        match self {
-            EffectScope::Io => "in".to_string(),
-            EffectScope::Chain(ci) => format!("c{ci}"),
-            EffectScope::Dense => "dense".to_string(),
-        }
-    }
-}
-
-/// Mechanical effect derivation: the declared effect set of one lowered
-/// stage, from its op kind, hardware target, and scope. This is the
-/// *only* source of effect annotations — they are never hand-written —
-/// so the race rules check the lowering itself, and the trace
-/// cross-check ([`crate::analysis::crosscheck_races`]) verifies this
-/// table against observed overlap.
-///
-/// Per-micro-batch scratch ops (unique/partition/stitch/segment-reduce,
-/// H2D staging) touch only private buffers and derive the empty set.
-pub fn stage_effects(kind: OpKind, target: ResTarget, scope: EffectScope) -> EffectSet {
-    let key = scope.key();
-    let res = |k: ResourceKind| Resource::new(k, key.clone());
-    match kind {
-        OpKind::DataLoad => EffectSet::empty().read(Resource::new(ResourceKind::InputStream, "in")),
-        OpKind::Gather => match target {
-            // HybridHash hot rows served from device memory.
-            ResTarget::GpuMem => EffectSet::empty().read(res(ResourceKind::CacheHot)),
-            _ => EffectSet::empty().read(res(ResourceKind::EmbeddingShard)),
-        },
-        OpKind::EmbeddingScatter => {
-            let store = match target {
-                ResTarget::GpuMem => ResourceKind::CacheHot,
-                _ => ResourceKind::EmbeddingShard,
-            };
-            EffectSet::empty()
-                .reduce(res(store))
-                .reduce(res(ResourceKind::CkptDirty))
-        }
-        OpKind::Shuffle
-        | OpKind::ShuffleStitch
-        | OpKind::AllToAll
-        | OpKind::AllReduce
-        | OpKind::PsPull
-        | OpKind::PsPush => EffectSet::empty().write(res(ResourceKind::CollectiveBuffer)),
-        OpKind::InteractionCompute | OpKind::MlpCompute => {
-            EffectSet::empty().read(Resource::new(ResourceKind::DenseParams, "dense"))
-        }
-        OpKind::OptimizerApply => EffectSet::empty()
-            .write(Resource::new(ResourceKind::DenseParams, "dense"))
-            .write(Resource::new(ResourceKind::OptimizerState, "dense")),
-        OpKind::Preprocess
-        | OpKind::Unique
-        | OpKind::Partition
-        | OpKind::UniquePartition
-        | OpKind::Stitch
-        | OpKind::SegmentReduce
-        | OpKind::HostToDevice
-        | OpKind::Sync => EffectSet::empty(),
-    }
-}
 
 /// Test/fixture hook for the race analyzer: appends a HybridHash
 /// hot-storage refresh stage for chain `ci` to an already-built graph.
@@ -153,325 +55,10 @@ pub fn inject_cache_refresh(g: &mut StageGraph, ci: usize, ordered: bool) -> Opt
     Some(refresh)
 }
 
-/// The forward half of the lowering, shared between the training builder
-/// [`stage_graph`] and the serving builder
-/// [`crate::serving::serving_stage_graph`]: data load, grouped embedding
-/// forward with the Fig. 8c comm gate and declared group dependencies,
-/// interaction modules, and the MLP forward. Node insertion order is part
-/// of the contract — race digests hash node indices.
-pub(crate) struct ForwardLowering {
-    /// The graph so far (forward stages only).
-    pub g: StageGraph,
-    /// Modules consuming each chain's output.
-    pub chain_consumers: Vec<Vec<usize>>,
-    /// The MLP forward node (the forward graph's sink).
-    pub mlp_fwd: usize,
-    /// Cost-model context the backward half continues with.
-    pub ctx: PlanContext,
-    /// First-micro-batch size the stages were costed at.
-    pub b: usize,
-}
-
 /// Lowers `spec` into the analyzable stage graph (one executor, one
 /// iteration, first micro-batch).
 pub fn stage_graph(spec: &WdlSpec, strategy: Strategy, cfg: &SimConfig) -> StageGraph {
-    let fl = forward_graph(spec, strategy, cfg);
-    backward_half(fl, spec, strategy, cfg)
-}
-
-/// Builds the forward half (see [`ForwardLowering`]).
-pub(crate) fn forward_graph(
-    spec: &WdlSpec,
-    strategy: Strategy,
-    cfg: &SimConfig,
-) -> ForwardLowering {
-    let per_node = cfg.machine.gpus_per_node.max(1);
-    let ctx = PlanContext {
-        n_exec: (cfg.machines * per_node).max(1),
-        per_node,
-        has_nvlink: cfg.machine.nvlink_bw.is_some(),
-        strategy,
-        comm_scale: if cfg.quantized_comm { 0.5 } else { 1.0 },
-    };
-    let micro = spec.micro_batches.max(1);
-    let b = split_batch(cfg.batch_per_executor, micro, 0).max(1);
-
-    // Chains ordered into K-interleaving groups (same binning as the
-    // scheduler).
-    let n_groups = spec.group_count().max(1);
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-    for (i, c) in spec.chains.iter().enumerate() {
-        groups[(c.group as usize).min(n_groups - 1)].push(i);
-    }
-
-    // field -> chain and chain -> consuming modules.
-    let max_field = spec
-        .chains
-        .iter()
-        .flat_map(|c| c.fields.iter())
-        .copied()
-        .max()
-        .map(|f| f as usize + 1)
-        .unwrap_or(0);
-    let mut field_chain = vec![usize::MAX; max_field];
-    for (i, c) in spec.chains.iter().enumerate() {
-        for &f in &c.fields {
-            field_chain[f as usize] = i;
-        }
-    }
-    let mut chain_consumers: Vec<Vec<usize>> = vec![Vec::new(); spec.chains.len()];
-    let mut module_chains: Vec<Vec<usize>> = Vec::with_capacity(spec.modules.len());
-    for (mi, m) in spec.modules.iter().enumerate() {
-        let mut chains: Vec<usize> = m
-            .input_fields
-            .iter()
-            .filter(|&&f| (f as usize) < max_field)
-            .map(|&f| field_chain[f as usize])
-            .filter(|&c| c != usize::MAX)
-            .collect();
-        chains.sort_unstable();
-        chains.dedup();
-        for &c in &chains {
-            chain_consumers[c].push(mi);
-        }
-        module_chains.push(chains);
-    }
-
-    let mut g = StageGraph::default();
-    let load = g.push(
-        StageNode::new(
-            "load",
-            "DataLoad",
-            "io",
-            cfg.batch_per_executor as f64 * spec.io_bytes_per_instance / costs::NET_EFF,
-            OpKind::DataLoad.micro_ops(),
-        )
-        .entry()
-        .with_effects(stage_effects(
-            OpKind::DataLoad,
-            ResTarget::Nic,
-            EffectScope::Io,
-        )),
-    );
-
-    // Embedding forward, group by group, with the Fig. 8c comm gate.
-    let mut chain_last: Vec<Option<usize>> = vec![None; spec.chains.len()];
-    let mut group_comm: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-    let mut gate: Vec<usize> = Vec::new();
-    for (gi, group) in groups.iter().enumerate() {
-        let mut next_gate: Vec<usize> = Vec::new();
-        for &ci in group {
-            let chain = &spec.chains[ci];
-            let (stages, comm_idx) = costs::chain_forward(chain, b, &ctx);
-            let mut fused_unique: Vec<usize> = Vec::new();
-            let mut fused_shuffle: Vec<usize> = Vec::new();
-            let mut prev: Option<usize> = None;
-            for (si, st) in stages.iter().enumerate() {
-                let node = g.push(node_of(
-                    format!("chain{ci}/f{si}"),
-                    st,
-                    EffectScope::Chain(ci),
-                ));
-                match prev {
-                    Some(p) => g.dep(p, node),
-                    None => g.dep(load, node),
-                }
-                if si == comm_idx && !chain.interleave_excluded {
-                    for &t in &gate {
-                        g.dep(t, node);
-                    }
-                    next_gate.push(node);
-                }
-                match st.kind {
-                    OpKind::UniquePartition => fused_unique.push(node),
-                    OpKind::ShuffleStitch => fused_shuffle.push(node),
-                    _ => {}
-                }
-                prev = Some(node);
-            }
-            chain_last[ci] = prev;
-            for (label, nodes) in [
-                ("unique_partition", fused_unique),
-                ("shuffle_stitch", fused_shuffle),
-            ] {
-                if !nodes.is_empty() {
-                    g.fusions.push(StageFusion {
-                        label: format!("chain{ci}/{label}"),
-                        nodes,
-                    });
-                }
-            }
-        }
-        group_comm[gi] = next_gate.clone();
-        if !next_gate.is_empty() {
-            gate = next_gate;
-        }
-    }
-    // Declared inter-group dependencies, verbatim: a backward or self edge
-    // combined with the implicit stagger closes a cycle the analyzer must
-    // see, so no direction filtering happens here.
-    for &(from, to) in &spec.group_deps {
-        let (from, to) = (from as usize, to as usize);
-        if from >= n_groups || to >= n_groups {
-            continue;
-        }
-        for &f in &group_comm[from] {
-            for &t in &group_comm[to] {
-                g.dep(f, t);
-            }
-        }
-    }
-
-    // Interaction modules.
-    let mut module_fwd: Vec<usize> = Vec::with_capacity(spec.modules.len());
-    for (mi, module) in spec.modules.iter().enumerate() {
-        let node = g.push(node_of(
-            format!("module{mi}/fwd"),
-            &costs::module_forward(module, b),
-            EffectScope::Dense,
-        ));
-        let deps: Vec<usize> = module_chains[mi]
-            .iter()
-            .filter_map(|&c| chain_last[c])
-            .collect();
-        if deps.is_empty() {
-            g.dep(load, node);
-        }
-        for d in deps {
-            g.dep(d, node);
-        }
-        module_fwd.push(node);
-    }
-
-    // MLP forward.
-    let fwd = g.push(node_of(
-        "mlp/fwd".into(),
-        &costs::mlp_forward(&spec.mlp, b),
-        EffectScope::Dense,
-    ));
-    if module_fwd.is_empty() {
-        let lasts: Vec<usize> = chain_last.iter().filter_map(|&t| t).collect();
-        if lasts.is_empty() {
-            g.dep(load, fwd);
-        }
-        for d in lasts {
-            g.dep(d, fwd);
-        }
-    } else {
-        for &m in &module_fwd {
-            g.dep(m, fwd);
-        }
-    }
-    ForwardLowering {
-        g,
-        chain_consumers,
-        mlp_fwd: fwd,
-        ctx,
-        b,
-    }
-}
-
-/// Appends the backward half (MLP/module backward, embedding backward,
-/// dense sync) to a forward lowering, producing the full training graph.
-fn backward_half(
-    fl: ForwardLowering,
-    spec: &WdlSpec,
-    strategy: Strategy,
-    cfg: &SimConfig,
-) -> StageGraph {
-    let ForwardLowering {
-        mut g,
-        chain_consumers,
-        mlp_fwd: fwd,
-        ctx,
-        b,
-    } = fl;
-    let bwd = g.push(node_of(
-        "mlp/bwd".into(),
-        &costs::mlp_backward(&spec.mlp, b),
-        EffectScope::Dense,
-    ));
-    g.dep(fwd, bwd);
-
-    // Module backward.
-    let mut module_bwd: Vec<usize> = Vec::with_capacity(spec.modules.len());
-    for (mi, module) in spec.modules.iter().enumerate() {
-        let node = g.push(node_of(
-            format!("module{mi}/bwd"),
-            &costs::module_backward(module, b),
-            EffectScope::Dense,
-        ));
-        g.dep(bwd, node);
-        module_bwd.push(node);
-    }
-
-    // Embedding backward per chain.
-    let mut bwd_ends: Vec<usize> = Vec::new();
-    for (ci, chain) in spec.chains.iter().enumerate() {
-        let deps: Vec<usize> = if chain_consumers[ci].is_empty() {
-            vec![bwd]
-        } else {
-            chain_consumers[ci]
-                .iter()
-                .map(|&mi| module_bwd[mi])
-                .collect()
-        };
-        let mut prev: Option<usize> = None;
-        for (si, st) in costs::chain_backward(chain, b, &ctx).iter().enumerate() {
-            let node = g.push(node_of(
-                format!("chain{ci}/b{si}"),
-                st,
-                EffectScope::Chain(ci),
-            ));
-            match prev {
-                Some(p) => g.dep(p, node),
-                None => {
-                    for &d in &deps {
-                        g.dep(d, node);
-                    }
-                }
-            }
-            prev = Some(node);
-        }
-        if let Some(p) = prev {
-            bwd_ends.push(p);
-        }
-    }
-    bwd_ends.push(bwd);
-    bwd_ends.extend(module_bwd);
-
-    // Dense parameter synchronization.
-    let sparse_grad_bytes = if matches!(strategy, Strategy::DataParallel) {
-        spec.chains
-            .iter()
-            .map(|c| {
-                cfg.batch_per_executor as f64
-                    * c.ids_per_instance
-                    * c.unique_ratio
-                    * c.dim as f64
-                    * 4.0
-            })
-            .sum()
-    } else {
-        0.0
-    };
-    let mut prev: Option<usize> = None;
-    for (si, st) in costs::dense_sync_stages(spec.dense_params(), sparse_grad_bytes, &ctx)
-        .iter()
-        .enumerate()
-    {
-        let node = g.push(node_of(format!("sync/{si}"), st, EffectScope::Dense));
-        match prev {
-            Some(p) => g.dep(p, node),
-            None => {
-                for &d in &bwd_ends {
-                    g.dep(d, node);
-                }
-            }
-        }
-        prev = Some(node);
-    }
-    g
+    Lowering::first(spec, strategy, cfg).g
 }
 
 /// Per-iteration simulator task budget above which `run.hot-path-alloc`

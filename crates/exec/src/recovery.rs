@@ -584,6 +584,25 @@ pub fn run_recovery(
     opts: &RecoveryOptions,
 ) -> Result<RecoveryRun, TrainError> {
     let plan = &opts.fault_plan;
+    // The detector panel compares every synchronous worker; a straggler
+    // event must target one of them.
+    let panel = opts.workers.max(2);
+    for e in &plan.events {
+        if let FaultKind::Straggler {
+            worker,
+            factor_pct,
+            iters,
+        } = e.kind
+        {
+            if worker >= panel {
+                return Err(TrainError::Unrecoverable(format!(
+                    "fault event 'slow@{}:w{worker}:p{factor_pct}:i{iters}' targets worker \
+                     {worker}, but the run has {panel} workers",
+                    e.at_iter
+                )));
+            }
+        }
+    }
     let full_every = opts.full_every.max(1);
     let mut fired = vec![false; plan.events.len()];
 
@@ -628,19 +647,6 @@ pub fn run_recovery(
             detections.push(a);
         }
     };
-    // The detector panel compares at least every worker a straggler event
-    // targets, even if the configured panel is smaller.
-    let panel = plan
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            FaultKind::Straggler { worker, .. } => Some(worker + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0)
-        .max(opts.workers.max(2));
-
     while step < opts.iterations {
         // Inject faults scheduled for the iteration about to execute. Each
         // event fires exactly once: rewinding the cursor past its iteration
@@ -982,6 +988,23 @@ mod tests {
         let err = run_recovery(&data, None, &o).expect_err("outage must exhaust retries");
         assert!(matches!(err, TrainError::Unrecoverable(_)));
         assert!(err.to_string().contains("retry budget"));
+    }
+
+    #[test]
+    fn a_straggler_outside_the_worker_panel_is_rejected_before_the_first_step() {
+        let data = auc_datasets::criteo_like();
+        for plan in [
+            "seed=5;slow@1:w4:p50",
+            "seed=5;slow@1:w4000000000:p50",
+            "seed=5;slow@1:w18446744073709551615:p50",
+        ] {
+            let err = run_recovery(&data, None, &opts(0, plan)).expect_err(plan);
+            assert!(matches!(err, TrainError::Unrecoverable(_)), "{plan}: {err}");
+            let event = plan.trim_start_matches("seed=5;");
+            assert!(err.to_string().contains(event), "{plan}: {err}");
+        }
+        // The last worker of the panel is still a valid target.
+        run_recovery(&data, None, &opts(0, "seed=5;slow@1:w3:p50")).expect("in-panel straggler");
     }
 
     #[test]

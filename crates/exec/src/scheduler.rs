@@ -1,21 +1,25 @@
 //! The scheduler: lowers a logical WDL graph onto the simulated cluster.
 //!
-//! For every executor and iteration it emits the embedding chains (gated by
-//! K-interleaving groups), interaction modules, MLP, the backward mirror,
-//! and the strategy's parameter synchronization, wiring dependencies so that
-//! overlap — or the lack of it — emerges from the event engine:
+//! It replays the one stage graph the linter checks (`lower::Lowering`):
+//! for every executor, iteration and micro-batch it adds one engine task
+//! per node (behind a launcher dispatch task for worker-side stages) and
+//! maps the node's in-edges to task ids, so that overlap — or the lack of
+//! it — emerges from the event engine:
 //!
-//! - chains within one K-group issue together; the next group's stages wait
-//!   for this group's communication step (the Fig. 8c stagger);
+//! - chains within one K-group issue together; the next group's
+//!   communication waits for this group's (the Fig. 8c stagger), plus any
+//!   declared forward `group_deps` edge;
 //! - D-interleaving splits each iteration into micro-batches whose compute
-//!   overlaps the next micro-batch's embedding traffic;
+//!   overlaps the next micro-batch's embedding traffic: a chain's first
+//!   stage waits for its own communication in the previous micro-batch;
 //! - synchronous strategies end each iteration with a global barrier, while
 //!   async PS lets every worker run free;
-//! - data loading for iteration `i+1` prefetches during iteration `i`.
+//! - data loading for iteration `i+1` prefetches during iteration `i`, and
+//!   every edge from the load also carries the previous iteration's gate.
 
 use crate::calibration::CostRecord;
-use crate::costs::{self, PlanContext, ResTarget, StageTask};
-use crate::lint::{stage_effects, EffectScope};
+use crate::costs::{ResTarget, StageTask};
+use crate::lower::{EdgeKind, Lowering};
 use crate::observe::{ExecutorScope, IterationScope, MicroBatchScope, ScheduleScopes, TaskRange};
 use crate::strategy::Strategy;
 use picasso_graph::{OpKind, WdlSpec};
@@ -151,70 +155,22 @@ pub fn simulate(
         &mut engine,
     );
     let n_exec = cluster.executor_count();
-    let ctx = PlanContext {
-        n_exec,
-        per_node: cfg.machine.gpus_per_node,
-        has_nvlink: cfg.machine.nvlink_bw.is_some(),
-        strategy,
-        comm_scale: if cfg.quantized_comm { 0.5 } else { 1.0 },
-    };
 
-    // Chains ordered into K-interleaving groups.
-    let n_groups = spec.group_count().max(1);
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-    for (i, c) in spec.chains.iter().enumerate() {
-        groups[(c.group as usize).min(n_groups - 1)].push(i);
-    }
-
-    // field -> chain lookup for module dependencies.
-    let max_field = spec
-        .chains
-        .iter()
-        .flat_map(|c| c.fields.iter())
-        .copied()
-        .max()
-        .map(|f| f as usize + 1)
-        .unwrap_or(0);
-    let mut field_chain = vec![usize::MAX; max_field];
-    for (i, c) in spec.chains.iter().enumerate() {
-        for &f in &c.fields {
-            field_chain[f as usize] = i;
-        }
-    }
-    // chain -> consuming modules (for backward deps).
-    let mut chain_consumers: Vec<Vec<usize>> = vec![Vec::new(); spec.chains.len()];
-    let mut module_chains: Vec<Vec<usize>> = Vec::with_capacity(spec.modules.len());
-    for (mi, m) in spec.modules.iter().enumerate() {
-        let mut chains: Vec<usize> = m
-            .input_fields
-            .iter()
-            .map(|&f| field_chain[f as usize])
-            .filter(|&c| c != usize::MAX)
-            .collect();
-        chains.sort_unstable();
-        chains.dedup();
-        for &c in &chains {
-            chain_consumers[c].push(mi);
-        }
-        module_chains.push(chains);
-    }
-
+    // One lowering per distinct micro-batch size: an uneven split has two,
+    // the larger first. Empty micro-batches (more micro-batches than
+    // instances) are skipped; they can only trail.
     let micro = spec.micro_batches.max(1);
-    let sparse_grad_bytes = if matches!(strategy, Strategy::DataParallel) {
-        // Unique rows per iteration ride the allreduce under pure DP.
-        spec.chains
-            .iter()
-            .map(|c| {
-                cfg.batch_per_executor as f64
-                    * c.ids_per_instance
-                    * c.unique_ratio
-                    * c.dim as f64
-                    * 4.0
-            })
-            .sum()
-    } else {
-        0.0
-    };
+    let first = Lowering::first(spec, strategy, cfg);
+    let last_b = split_batch(cfg.batch_per_executor, micro, micro - 1);
+    let smaller =
+        (last_b > 0 && last_b != first.b).then(|| Lowering::new(spec, strategy, cfg, last_b));
+    let micro_lowerings: Vec<&Lowering> = (0..micro)
+        .map(|m| split_batch(cfg.batch_per_executor, micro, m))
+        .take_while(|&b| b > 0)
+        .map(|b| smaller.as_ref().filter(|l| l.b == b).unwrap_or(&first))
+        .collect();
+    let nodes = first.tasks.len();
+    let sync_start = first.sync_start;
 
     let dispatch_secs = cfg.machine.overheads.op_dispatch.as_secs_f64();
     // Predicted stage costs, appended as tasks are created. A RefCell because
@@ -227,10 +183,9 @@ pub fn simulate(
     let causal_log: RefCell<Vec<CausalStage>> = RefCell::new(Vec::new());
     let add = |engine: &mut Engine,
                exec: usize,
-               st: &StageTask,
+               (st, effects): (&StageTask, &EffectSet),
                deps: &[TaskId],
-               dispatch_scale: f64,
-               scope: EffectScope|
+               dispatch_scale: f64|
      -> Result<TaskId, EngineError> {
         let h = &cluster.executors[exec];
         let (resource, server_side) = match st.target {
@@ -300,7 +255,7 @@ pub fn simulate(
             executor: exec,
             launcher: false,
             deps: stage_deps,
-            effects: stage_effects(st.kind, st.target, scope),
+            effects: effects.clone(),
         });
         Ok(id)
     };
@@ -308,6 +263,12 @@ pub fn simulate(
     // Per executor: prefetch chain + iteration dependency.
     let mut prev_load: Vec<Option<TaskId>> = vec![None; n_exec];
     let mut iter_dep: Vec<Vec<TaskId>> = vec![Vec::new(); n_exec];
+    // Node -> task of the executor being replayed: the load and sync
+    // stages once per iteration, the rest once per micro-batch.
+    let mut task: Vec<TaskId> = vec![TaskId(0); nodes];
+    // Task count before each node of the micro-batch being replayed, for
+    // the K-group scopes.
+    let mut node_start: Vec<usize> = vec![0; nodes];
 
     // Tasks are added contiguously per logical scope, so `task_count()`
     // snapshots delimit each scope as a half-open task-id range. This is
@@ -324,216 +285,82 @@ pub fn simulate(
             let mut micro_scopes: Vec<MicroBatchScope> = Vec::new();
             // Data transmission (prefetched: depends only on the previous
             // load and the previous-iteration gate, not on compute).
-            let io = StageTask {
-                kind: OpKind::DataLoad,
-                target: ResTarget::Nic,
-                work: cfg.batch_per_executor as f64 * spec.io_bytes_per_instance / costs::NET_EFF,
-                launches: OpKind::DataLoad.micro_ops(),
-            };
             let mut io_deps: Vec<TaskId> = prev_load[e].into_iter().collect();
             io_deps.extend(iter_dep[e].iter().copied());
-            let load = add(&mut engine, e, &io, &io_deps, 1.0, EffectScope::Io)?;
-            prev_load[e] = Some(load);
+            task[0] = add(&mut engine, e, first.node(0), &io_deps, 1.0)?;
+            prev_load[e] = Some(task[0]);
 
+            // The first sync stage waits for every micro-batch's backward
+            // ends.
             let mut bwd_ends: Vec<TaskId> = Vec::new();
             // D-interleaving pipeline gate: a chain's lookups in micro-batch
             // m wait for the same chain's communication step in m-1, so
             // micro-batches stream through the interconnects instead of
             // bursting all at once.
             let mut prev_micro_comm: Vec<Option<TaskId>> = vec![None; spec.chains.len()];
-            for m in 0..micro {
-                let b = split_batch(cfg.batch_per_executor, micro, m);
-                if b == 0 {
-                    continue;
-                }
+            for (m, l) in micro_lowerings.iter().enumerate() {
                 let micro_start = engine.task_count();
-                let mut group_ranges: Vec<TaskRange> = Vec::new();
                 // First micro-batch pays full framework dispatch; repeats of
                 // the same operations re-execute through a warm executor.
                 let dispatch_scale = if m == 0 { 1.0 } else { 0.35 };
-                // Embedding layer, group by group.
-                let mut gate: Vec<TaskId> = Vec::new();
-                let mut chain_last: Vec<Option<TaskId>> = vec![None; spec.chains.len()];
-                // Communication tasks per group, for declared `group_deps`
-                // edges. Only forward edges (from < to) are honored here;
-                // the lint layer rejects self/backward edges before the
-                // scheduler runs.
-                let mut group_comm: Vec<Vec<TaskId>> = Vec::with_capacity(groups.len());
-                for (gi, group) in groups.iter().enumerate() {
-                    let group_start = engine.task_count();
-                    let mut next_gate: Vec<TaskId> = Vec::new();
-                    let extra: Vec<TaskId> = spec
-                        .group_deps
-                        .iter()
-                        .filter(|&&(from, to)| to as usize == gi && (from as usize) < gi)
-                        .flat_map(|&(from, _)| group_comm[from as usize].iter().copied())
-                        .collect();
-                    for &ci in group {
-                        let chain = &spec.chains[ci];
-                        let (stages, comm_idx) = costs::chain_forward(chain, b, &ctx);
-                        let mut first_deps: Vec<TaskId> = vec![load];
-                        first_deps.extend(iter_dep[e].iter().copied());
-                        first_deps.extend(prev_micro_comm[ci]);
-                        let mut prev: Option<TaskId> = None;
-                        let mut comm_task: Option<TaskId> = None;
-                        for (si, st) in stages.iter().enumerate() {
-                            let mut deps: Vec<TaskId> = match prev {
-                                Some(p) => vec![p],
-                                None => first_deps.clone(),
-                            };
-                            // K-interleaving (Fig. 8c): only the
-                            // *communication* step is ordered behind the
-                            // previous group's communication — other stages
-                            // of different groups overlap freely, but the
-                            // interconnect sees paced, not bursty, arrivals.
-                            if si == comm_idx && !chain.interleave_excluded {
-                                deps.extend(gate.iter().copied());
-                                for &t in &extra {
-                                    if !deps.contains(&t) {
-                                        deps.push(t);
-                                    }
+                for n in 1..sync_start {
+                    let mut deps: Vec<TaskId> = Vec::new();
+                    for &(from, kind) in &l.in_edges[n] {
+                        match kind {
+                            EdgeKind::Wiring if from == 0 => {
+                                deps.push(task[0]);
+                                deps.extend(iter_dep[e].iter().copied());
+                                if let Some(ci) = l.chain_start[n] {
+                                    deps.extend(prev_micro_comm[ci]);
                                 }
                             }
-                            let t = add(
-                                &mut engine,
-                                e,
-                                st,
-                                &deps,
-                                dispatch_scale,
-                                EffectScope::Chain(ci),
-                            )?;
-                            if si == comm_idx {
-                                comm_task = Some(t);
-                                if !chain.interleave_excluded {
-                                    next_gate.push(t);
+                            EdgeKind::Wiring => deps.push(task[from]),
+                            EdgeKind::Declared => {
+                                if !deps.contains(&task[from]) {
+                                    deps.push(task[from]);
                                 }
                             }
-                            prev = Some(t);
+                            EdgeKind::Refused => {}
                         }
-                        chain_last[ci] = prev;
-                        prev_micro_comm[ci] = comm_task.or(prev);
                     }
-                    group_comm.push(next_gate.clone());
-                    if !next_gate.is_empty() {
-                        gate = next_gate;
-                    }
-                    let group_range = TaskRange {
-                        start: group_start,
-                        end: engine.task_count(),
-                    };
-                    if !group_range.is_empty() {
-                        group_ranges.push(group_range);
-                    }
+                    node_start[n] = engine.task_count();
+                    task[n] = add(&mut engine, e, l.node(n), &deps, dispatch_scale)?;
                 }
-
-                // Interaction modules.
-                let mut module_fwd: Vec<TaskId> = Vec::with_capacity(spec.modules.len());
-                for (mi, module) in spec.modules.iter().enumerate() {
-                    let mut deps: Vec<TaskId> = module_chains[mi]
-                        .iter()
-                        .filter_map(|&c| chain_last[c])
-                        .collect();
-                    if deps.is_empty() {
-                        deps.push(load);
-                        deps.extend(iter_dep[e].iter().copied());
-                    }
-                    module_fwd.push(add(
-                        &mut engine,
-                        e,
-                        &costs::module_forward(module, b),
-                        &deps,
-                        dispatch_scale,
-                        EffectScope::Dense,
-                    )?);
+                for (ci, &c) in l.chain_comm.iter().enumerate() {
+                    prev_micro_comm[ci] = Some(task[c]);
                 }
-
-                // MLP forward + backward.
-                let mlp_deps: Vec<TaskId> = if module_fwd.is_empty() {
-                    chain_last.iter().filter_map(|&t| t).collect()
-                } else {
-                    module_fwd.clone()
-                };
-                let fwd = add(
-                    &mut engine,
-                    e,
-                    &costs::mlp_forward(&spec.mlp, b),
-                    &mlp_deps,
-                    dispatch_scale,
-                    EffectScope::Dense,
-                )?;
-                let bwd = add(
-                    &mut engine,
-                    e,
-                    &costs::mlp_backward(&spec.mlp, b),
-                    &[fwd],
-                    dispatch_scale,
-                    EffectScope::Dense,
-                )?;
-
-                // Module backward.
-                let mut module_bwd: Vec<TaskId> = Vec::with_capacity(spec.modules.len());
-                for module in &spec.modules {
-                    module_bwd.push(add(
-                        &mut engine,
-                        e,
-                        &costs::module_backward(module, b),
-                        &[bwd],
-                        dispatch_scale,
-                        EffectScope::Dense,
-                    )?);
-                }
-
-                // Embedding backward per chain.
-                for (ci, chain) in spec.chains.iter().enumerate() {
-                    let deps: Vec<TaskId> = if chain_consumers[ci].is_empty() {
-                        vec![bwd]
-                    } else {
-                        chain_consumers[ci]
-                            .iter()
-                            .map(|&mi| module_bwd[mi])
-                            .collect()
-                    };
-                    let mut prev: Option<TaskId> = None;
-                    for st in costs::chain_backward(chain, b, &ctx) {
-                        let d: Vec<TaskId> = match prev {
-                            Some(p) => vec![p],
-                            None => deps.clone(),
-                        };
-                        prev = Some(add(
-                            &mut engine,
-                            e,
-                            &st,
-                            &d,
-                            dispatch_scale,
-                            EffectScope::Chain(ci),
-                        )?);
-                    }
-                    if let Some(p) = prev {
-                        bwd_ends.push(p);
-                    }
-                }
-                bwd_ends.push(bwd);
-                bwd_ends.extend(module_bwd);
+                bwd_ends.extend(l.in_edges[sync_start].iter().map(|&(from, _)| task[from]));
                 micro_scopes.push(MicroBatchScope {
                     index: m,
                     range: TaskRange {
                         start: micro_start,
                         end: engine.task_count(),
                     },
-                    groups: group_ranges,
+                    groups: l
+                        .groups
+                        .iter()
+                        .filter(|r| !r.is_empty())
+                        .map(|r| TaskRange {
+                            start: node_start[r.start],
+                            end: node_start[r.end],
+                        })
+                        .collect(),
                 });
             }
 
             // Dense parameter synchronization once per iteration.
-            let mut prev: Option<TaskId> = None;
-            for st in costs::dense_sync_stages(spec.dense_params(), sparse_grad_bytes, &ctx) {
-                let deps: Vec<TaskId> = match prev {
-                    Some(p) => vec![p],
-                    None => bwd_ends.clone(),
+            for n in sync_start..nodes {
+                let deps: Vec<TaskId> = if n == sync_start {
+                    std::mem::take(&mut bwd_ends)
+                } else {
+                    first.in_edges[n]
+                        .iter()
+                        .map(|&(from, _)| task[from])
+                        .collect()
                 };
-                prev = Some(add(&mut engine, e, &st, &deps, 1.0, EffectScope::Dense)?);
+                task[n] = add(&mut engine, e, first.node(n), &deps, 1.0)?;
             }
-            iter_ends.push(prev.unwrap_or_else(|| *bwd_ends.last().expect("nonempty iteration")));
+            iter_ends.push(task[nodes - 1]);
             executor_scopes.push(ExecutorScope {
                 executor: e,
                 range: TaskRange {
@@ -556,7 +383,13 @@ pub fn simulate(
                 work: 1.0,
                 launches: 1,
             };
-            let b = add(&mut engine, 0, &barrier, &iter_ends, 1.0, EffectScope::Io)?;
+            let b = add(
+                &mut engine,
+                0,
+                (&barrier, &EffectSet::empty()),
+                &iter_ends,
+                1.0,
+            )?;
             for dep in iter_dep.iter_mut() {
                 *dep = vec![b];
             }
@@ -641,6 +474,39 @@ mod tests {
                 "missing {cat}"
             );
         }
+    }
+
+    #[test]
+    fn a_module_reading_a_field_no_chain_owns_still_simulates() {
+        // The field contributes no edge, as in the stage graph.
+        let data = DatasetSpec::criteo();
+        let mut spec = ModelKind::Dlrm.build(&data);
+        let past = spec
+            .chains
+            .iter()
+            .flat_map(|c| c.fields.iter())
+            .max()
+            .unwrap()
+            + 7;
+        spec.modules[0].input_fields.push(past);
+        let out = simulate(&spec, Strategy::Hybrid, &quick_cfg()).unwrap();
+        assert!(out.ips_per_node() > 0.0);
+    }
+
+    #[test]
+    fn an_mlp_without_embeddings_waits_for_the_data_load() {
+        let data = DatasetSpec::criteo();
+        let mut spec = ModelKind::Dlrm.build(&data);
+        spec.chains.clear();
+        spec.modules.clear();
+        let out = simulate(&spec, Strategy::Hybrid, &quick_cfg()).unwrap();
+        // The first task of each kind is its launcher dispatch.
+        let first = |kind: OpKind| out.causal.iter().find(|c| c.kind == kind).unwrap();
+        let load = out
+            .causal
+            .iter()
+            .find(|c| !c.launcher && c.kind == OpKind::DataLoad);
+        assert_eq!(first(OpKind::MlpCompute).deps, vec![load.unwrap().task]);
     }
 
     #[test]

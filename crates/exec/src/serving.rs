@@ -2,14 +2,15 @@
 //! unification.
 //!
 //! Training and serving share the spec surface, the optimization-pass
-//! pipeline, and the stage-graph builder; serving simply stops lowering at
-//! the MLP forward — no backward stages, no optimizer apply, no collective
-//! gradient exchange. The serving graph carries the same mechanically
-//! derived effect sets as the training graph, so the PR-9 race analyzer
-//! covers it unchanged, and two serving-specific run rules
-//! (`run.backward-stage-in-serving`, `run.serve-no-admission`) guard the
-//! properties that make a graph servable: it must be free of model-state
-//! mutation, and its request queue must be bounded.
+//! pipeline, and the one lowering (`lower::Lowering`); serving keeps its
+//! forward half, load through MLP forward — no backward stages, no
+//! optimizer apply, no collective gradient exchange. The serving graph
+//! carries the same mechanically derived effect sets as the training
+//! graph, so the race analyzer covers it unchanged, and two
+//! serving-specific run rules (`run.backward-stage-in-serving`,
+//! `run.serve-no-admission`) guard the properties that make a graph
+//! servable: it must be free of model-state mutation, and its request
+//! queue must be bounded.
 //!
 //! The per-batch service time is *analytic*, not simulated per request: a
 //! sequential walk over the forward stage costs against the machine's
@@ -23,7 +24,7 @@
 use std::sync::Arc;
 
 use crate::costs::{self, PlanContext, ResTarget};
-use crate::lint::forward_graph;
+use crate::lower::Lowering;
 use crate::scheduler::SimConfig;
 use crate::strategy::Strategy;
 use crate::trainer::{prepare, TrainError, TrainerOptions};
@@ -95,7 +96,7 @@ pub fn prepare_serving(
 /// dependencies, interaction modules, MLP forward — and nothing after it.
 /// Node order matches the forward prefix of the training graph exactly.
 pub fn serving_stage_graph(spec: &WdlSpec, strategy: Strategy, cfg: &SimConfig) -> StageGraph {
-    forward_graph(spec, strategy, cfg).g
+    Lowering::first(spec, strategy, cfg).forward_half()
 }
 
 fn rate_of(target: ResTarget, m: &MachineSpec) -> f64 {
@@ -137,14 +138,7 @@ pub fn forward_latency_ns(
     batch: usize,
 ) -> u64 {
     let batch = batch.max(1);
-    let per_node = cfg.machine.gpus_per_node.max(1);
-    let ctx = PlanContext {
-        n_exec: (cfg.machines * per_node).max(1),
-        per_node,
-        has_nvlink: cfg.machine.nvlink_bw.is_some(),
-        strategy,
-        comm_scale: if cfg.quantized_comm { 0.5 } else { 1.0 },
-    };
+    let ctx = PlanContext::of(cfg, strategy);
     let m = &cfg.machine;
     let mut secs = 0.0;
     // Request ingress (the serving analogue of the data-load stage).

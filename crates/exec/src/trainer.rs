@@ -34,9 +34,10 @@ pub enum TrainError {
     /// aborted before scheduling. The payload holds only the errors —
     /// call [`lint`] for the full report including warnings.
     Lint(Vec<Diagnostic>),
-    /// Fault recovery was exhausted: every retry failed, the checkpoint
-    /// store is unusable, or the fault plan outlasts the retry budget.
-    /// The message names the failing component.
+    /// Fault recovery was exhausted or cannot start: every retry failed,
+    /// the checkpoint store is unusable, the fault plan outlasts the retry
+    /// budget, or a straggler event targets a worker the run does not
+    /// have. The message names the failing component or event.
     Unrecoverable(String),
 }
 

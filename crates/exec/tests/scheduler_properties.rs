@@ -1,7 +1,7 @@
 //! Property tests of the execution engine: scheduling invariants that must
 //! hold for any model shape, strategy, and cluster size.
 
-use picasso_exec::{simulate, SimConfig, Strategy as TrainStrategy};
+use picasso_exec::{simulate, stage_graph, SimConfig, Strategy as TrainStrategy};
 use picasso_graph::{EmbeddingChain, InteractionModule, Layer, MlpSpec, ModuleKind, WdlSpec};
 use picasso_sim::MachineSpec;
 use proptest::prelude::*;
@@ -139,5 +139,172 @@ proptest! {
             asyn_secs <= sync_secs * 1.01,
             "async {asyn_secs} vs sync {sync_secs}"
         );
+    }
+}
+
+/// Specs for the parity oracle: 1-11 chains with random fusion, caching,
+/// K-group and interleave exclusion; modules that read only fields some
+/// chain owns; random forward `group_deps` (duplicates and out-of-range
+/// groups included); 1-4 micro-batches.
+fn parity_spec_strategy() -> impl Strategy<Value = WdlSpec> {
+    let chain = (
+        1usize..4,
+        0u32..4,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+    );
+    (
+        proptest::collection::vec(chain, 1..12),
+        proptest::collection::vec((0u32..4, 1u32..4), 0..4),
+        0usize..4,
+        1usize..5,
+    )
+        .prop_map(|(chains, deps, n_modules, micro)| {
+            let n_tables = chains.len();
+            let chains: Vec<EmbeddingChain> = chains
+                .into_iter()
+                .enumerate()
+                .map(|(t, (ids, group, fuse_up, fuse_ss, cached, excluded))| {
+                    let mut c = EmbeddingChain::for_table(t, 8, vec![t as u32], ids as f64);
+                    c.unique_ratio = 0.5;
+                    c.group = group;
+                    c.fused_unique_partition = fuse_up;
+                    c.fused_shuffle_stitch = fuse_ss;
+                    c.cache_hit_ratio = if cached { 0.5 } else { 0.0 };
+                    c.interleave_excluded = excluded;
+                    c
+                })
+                .collect();
+            let modules: Vec<InteractionModule> = (0..n_modules)
+                .map(|m| InteractionModule {
+                    kind: ModuleKind::DnnTower,
+                    input_fields: (0..n_tables as u32)
+                        .filter(|f| *f as usize % n_modules == m)
+                        .collect(),
+                    flops_per_instance: 1e4,
+                    bytes_per_instance: 64.0,
+                    params: 1e3,
+                    output_width: 16,
+                    micro_ops_forward: 12,
+                })
+                .collect();
+            WdlSpec {
+                name: "parity".into(),
+                io_bytes_per_instance: 100.0,
+                chains,
+                modules,
+                mlp: MlpSpec::new(16, vec![8, 1]),
+                micro_batches: micro,
+                interleave_from: Layer::Embedding,
+                // Forward edges only: `from < to`.
+                group_deps: deps
+                    .into_iter()
+                    .map(|(from, gap)| (from, from + gap))
+                    .collect(),
+            }
+        })
+}
+
+proptest! {
+    /// The scheduler replays the stage graph the linter checks. On
+    /// executor 0 in iteration 0, the hardware tasks of the load, of every
+    /// micro-batch and of the dense sync match `stage_graph`'s nodes one to
+    /// one and in order, with the same kind and effects. The load,
+    /// micro-batch 0 and the sync also carry the node's work, except on
+    /// parameter-server resources, whose work is inflated by the server's
+    /// own dispatch. Seen through launcher tasks, each task waits for its
+    /// node's in-edges, taken in the task's own micro-batch (every
+    /// micro-batch for the sync's first stage); a chain's first stage in a
+    /// later micro-batch also waits for one forward stage of the same chain
+    /// in the previous micro-batch.
+    #[test]
+    fn scheduler_replays_the_stage_graph(
+        spec in parity_spec_strategy(),
+        strat_idx in 0usize..5,
+        machines in 1usize..4,
+        half_batch in 1usize..600,
+    ) {
+        let cfg = SimConfig {
+            batch_per_executor: 2 * half_batch + 1,
+            iterations: 2,
+            machines,
+            machine: MachineSpec::eflops(),
+            quantized_comm: strat_idx % 2 == 0,
+        };
+        let strategy = strategy_from(strat_idx);
+        let g = stage_graph(&spec, strategy, &cfg);
+        let out = simulate(&spec, strategy, &cfg).unwrap();
+        let exec0 = &out.scopes.iterations[0].executors[0];
+        let micros = &exec0.micro_batches;
+        let hardware =
+            |r: std::ops::Range<usize>| r.filter(|&t| !out.causal[t].launcher).collect::<Vec<_>>();
+        // Graph nodes in scheduling order: the load, the per-micro-batch
+        // template, the sync stages.
+        let template: Vec<usize> = (1..g.nodes.len())
+            .filter(|&n| !g.nodes[n].label.starts_with("sync/"))
+            .collect();
+        let syncs: Vec<usize> = (template.len() + 1..g.nodes.len()).collect();
+        // (task, micro-batch, node) for every hardware task of executor 0.
+        let mut slots: Vec<(usize, Option<usize>, usize)> = Vec::new();
+        let load = hardware(exec0.range.start..micros[0].range.start);
+        prop_assert_eq!(load.len(), 1);
+        slots.push((load[0], None, 0));
+        for (m, scope) in micros.iter().enumerate() {
+            let tasks = hardware(scope.range.start..scope.range.end);
+            prop_assert_eq!(tasks.len(), template.len());
+            slots.extend(tasks.into_iter().zip(&template).map(|(t, &n)| (t, Some(m), n)));
+        }
+        let sync = hardware(micros.last().unwrap().range.end..exec0.range.end);
+        prop_assert_eq!(sync.len(), syncs.len());
+        slots.extend(sync.into_iter().zip(&syncs).map(|(t, &n)| (t, None, n)));
+        let task_of = |m: Option<usize>, n: usize| {
+            slots.iter().find(|s| s.2 == n && (n == 0 || s.1 == m)).map(|s| s.0).unwrap()
+        };
+        for &(t, m, n) in &slots {
+            let node = &g.nodes[n];
+            let stage = &out.causal[t];
+            let record = &out.result.records[t];
+            prop_assert_eq!(stage.executor, 0);
+            prop_assert_eq!(format!("{:?}", stage.kind), node.kind.clone());
+            prop_assert_eq!(&stage.effects, &node.effects);
+            if m.unwrap_or(0) == 0 && !out.server_resources.contains(&record.resource) {
+                prop_assert_eq!(record.work.to_bits(), node.cost.to_bits());
+            }
+            let mut deps: Vec<usize> = Vec::new();
+            for &d in &stage.deps {
+                let via = &out.causal[d.0];
+                if via.launcher {
+                    deps.extend(via.deps.iter().map(|d| d.0));
+                } else {
+                    deps.push(d.0);
+                }
+            }
+            let mut in_edges: Vec<usize> = Vec::new();
+            for e in g.edges.iter().filter(|e| e.to == n) {
+                if !in_edges.contains(&e.from) {
+                    in_edges.push(e.from);
+                }
+            }
+            let expected: Vec<usize> = if m.is_none() && in_edges.iter().any(|e| template.contains(e)) {
+                (0..micros.len())
+                    .flat_map(|mm| in_edges.iter().map(move |&e| (mm, e)))
+                    .map(|(mm, e)| task_of(Some(mm), e))
+                    .collect()
+            } else {
+                in_edges.iter().map(|&e| task_of(m, e)).collect()
+            };
+            if let Some(mm) = m.filter(|&mm| mm > 0 && node.label.ends_with("/f0")) {
+                // The D-interleaving gate rides right behind the load edge.
+                let chain = node.label.split('/').next().unwrap();
+                prop_assert!(deps.len() > 1, "{} in micro-batch {} lost its gate", node.label, mm);
+                let prev = deps.remove(1);
+                let &(_, pm, pn) = slots.iter().find(|s| s.0 == prev).unwrap();
+                prop_assert_eq!(pm, Some(mm - 1));
+                prop_assert!(g.nodes[pn].label.starts_with(&format!("{chain}/f")));
+            }
+            prop_assert_eq!(deps, expected, "node {} ({}) in micro-batch {:?}", n, node.label, m);
+        }
     }
 }
