@@ -22,7 +22,9 @@ pub struct PicassoConfig {
     pub machine: MachineSpec,
     /// Iterations to simulate per run.
     pub iterations: usize,
-    /// Warm-up measurement configuration.
+    /// Warm-up configuration. Runs take the Hot-storage budget from
+    /// `hot_bytes`, not from `warmup.hot_bytes` (see
+    /// `TrainerOptions::warmup`).
     pub warmup: WarmupConfig,
     /// Embedding tables excluded from K-interleaving ordering (the paper's
     /// *preset excluded embedding*).

@@ -23,23 +23,19 @@ pub const SIZES: [(u64, &str); 5] = [
 pub struct CachePoint {
     /// Hot-storage bytes.
     pub bytes: u64,
-    /// Measured hit ratio.
+    /// The run's hit ratio.
     pub hit_ratio: f64,
     /// IPS at this size.
     pub ips: f64,
 }
 
-/// Sweeps the cache size for one model. The warm-up cache budget scales
-/// with the Hot-storage size so the measured hit ratio reflects it.
+/// Sweeps the cache size for one model. The run's hit ratio is analytic,
+/// from the Hot-storage size at the real vocabulary scale.
 pub fn sweep(kind: ModelKind, scale: Scale) -> Vec<CachePoint> {
     SIZES
         .iter()
         .map(|&(bytes, _)| {
-            let mut cfg: PicassoConfig = scale.eflops_config().hot_storage(bytes);
-            // The warm-up uses a scaled-down working vocabulary; scale the
-            // measurement budget proportionally to the sweep point.
-            cfg.warmup.hot_bytes =
-                (scale.warmup().hot_bytes as f64 * (bytes as f64 / (1u64 << 30) as f64)) as u64;
+            let cfg: PicassoConfig = scale.eflops_config().hot_storage(bytes);
             let run = Session::new(kind, cfg).run_picasso();
             CachePoint {
                 bytes,

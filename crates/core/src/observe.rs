@@ -12,14 +12,19 @@ use picasso_obs::{prometheus, ChromeTrace, MetricsRegistry, RunReport};
 
 /// Exports everything `artifacts` recorded into `registry`: simulator task
 /// and timeline metrics, scheduler throughput gauges, per-pass graph
-/// accounting, and the flight recorder's occupancy/drop gauges (a post-hoc
-/// tap of the executed schedule, so the run itself stays unobserved).
+/// accounting, the per-table cache counters of the run's warm-up
+/// measurement, and the flight recorder's occupancy/drop gauges. The
+/// warm-up measurement and the flight recorder are post-hoc taps (the
+/// former reruns the warm-up, the latter replays the executed schedule),
+/// so the run itself stays unobserved.
 pub fn export_metrics(artifacts: &RunArtifacts, registry: &MetricsRegistry) {
     picasso_exec::observe::export_metrics(&artifacts.output, registry);
     for pass in &artifacts.pass_reports {
         pass.export(registry);
     }
-    for (table, cache) in &artifacts.warmup.caches {
+    // The run only counted its warm-up IDs; the per-table cache counters
+    // come from the full measurement over the same batches, taken here.
+    for (table, cache) in &artifacts.warmup.measure().caches {
         cache.export(&format!("table{table}"), registry);
     }
     picasso_exec::flight_record(&artifacts.output, &picasso_obs::FlightConfig::default())

@@ -178,6 +178,59 @@ impl BatchGenerator {
         }
     }
 
+    /// Adds to `counts[slots[f]]` the number of IDs that `batches` calls of
+    /// [`BatchGenerator::next_ids_into`] with this `size` and `slots` would
+    /// append for field `f`, without drawing an ID.
+    ///
+    /// A one-hot field (`avg_ids <= 1`) adds `size` per batch and draws
+    /// nothing. A multi-hot field draws each instance's length from the
+    /// same stream `next_ids_into` would, after stepping past the words
+    /// owed since the previous length draw: one per ID sampled, and the
+    /// dense and label words at each batch end. So a spec with only
+    /// one-hot fields draws no RNG word at all. The words owed after the
+    /// last length draw are never stepped, so the generator is consumed.
+    ///
+    /// # Panics
+    /// If `size == 0`, if `slots` does not hold one slot per field, or if a
+    /// slot indexes past `counts`.
+    pub fn count_ids(mut self, batches: usize, size: usize, slots: &[usize], counts: &mut [u64]) {
+        self.count_ids_in_place(batches, size, slots, counts);
+    }
+
+    /// [`BatchGenerator::count_ids`] on a borrowed generator, whose RNG
+    /// state afterwards is unspecified (it trails `next_ids_into`'s by the
+    /// words owed after the last length draw).
+    pub(crate) fn count_ids_in_place(
+        &mut self,
+        batches: usize,
+        size: usize,
+        slots: &[usize],
+        counts: &mut [u64],
+    ) {
+        assert!(size > 0, "batch size must be positive");
+        assert_eq!(slots.len(), self.spec.fields.len(), "one slot per field");
+        let mut owed = 0;
+        for _ in 0..batches {
+            for (fi, &slot) in slots.iter().enumerate() {
+                let avg = self.spec.fields[fi].avg_ids;
+                if avg <= 1.0 {
+                    counts[slot] += size as u64;
+                    owed += size;
+                    continue;
+                }
+                for _ in 0..size {
+                    for _ in 0..owed {
+                        self.rng.next_u64();
+                    }
+                    let len = self.multi_hot_len(avg);
+                    counts[slot] += len as u64;
+                    owed = len;
+                }
+            }
+            owed += size * (self.spec.numeric + 1);
+        }
+    }
+
     /// Appends field `fi`'s IDs for `size` instances to `ids`, pushing each
     /// instance's end onto `offsets` when given.
     fn draw_field(
@@ -294,6 +347,28 @@ mod tests {
             total += f.instance(i).len();
         }
         assert_eq!(total, f.ids.len());
+    }
+
+    #[test]
+    fn counting_one_hot_fields_draws_no_word() {
+        use crate::distribution::IdDistribution;
+        let spec = DatasetSpec {
+            name: "one-hot".into(),
+            numeric: 3,
+            fields: vec![
+                FieldSpec::one_hot("a", 100, 8, IdDistribution::Zipf { s: 1.1 }, 0),
+                FieldSpec::one_hot("b", 1000, 8, IdDistribution::Uniform, 1),
+                FieldSpec::one_hot("c", 10, 8, IdDistribution::Uniform, 0),
+            ],
+            instances: None,
+        }
+        .shared();
+        let mut g = BatchGenerator::new(spec, 11);
+        let before = format!("{:?}", g.rng);
+        let mut counts = [0; 2];
+        g.count_ids_in_place(5, 64, &[0, 1, 0], &mut counts);
+        assert_eq!(counts, [5 * 64 * 2, 5 * 64]);
+        assert_eq!(format!("{:?}", g.rng), before, "no RNG word stepped");
     }
 
     #[test]

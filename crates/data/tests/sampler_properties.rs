@@ -12,7 +12,11 @@
 //!   Criteo, Alibaba and random multi-hot specs, `next_ids_into` appends
 //!   exactly the IDs `next_batch` draws (fields sharing a slot in spec
 //!   order) and leaves the generator where `next_batch` would, so the
-//!   batch after it is identical, dense features and labels included.
+//!   batch after it is identical, dense features and labels included;
+//! - **counting is drawing's lengths**: on the same specs,
+//!   `BatchGenerator::count_ids` adds to each slot exactly the number of
+//!   IDs that as many `next_ids_into` calls append to it, over up to four
+//!   batches of one instance or more.
 
 use picasso_data::{BatchGenerator, DatasetSpec, FieldSpec, IdDistribution, IdSampler};
 use proptest::prelude::*;
@@ -75,10 +79,12 @@ fn assert_guide_matches_binary_search(sampler: &IdSampler, seed: u64) {
 }
 
 /// One of the four presets at a working vocabulary of up to 5,000, or a
-/// random spec of up to six fields, some multi-hot, sharing tables.
+/// random spec of up to six fields sharing tables, each one-hot or
+/// multi-hot with a fractional or integer average length, and 0–20 dense
+/// features.
 fn spec_strategy() -> impl Strategy<Value = Arc<DatasetSpec>> {
-    let fields = proptest::collection::vec((1u64..3_000, 0usize..3, 0usize..4), 1..7);
-    (0usize..5, 0usize..5, fields).prop_map(|(preset, numeric, fields)| {
+    let fields = proptest::collection::vec((1u64..3_000, 0usize..6, 0usize..4), 1..7);
+    (0usize..5, 0usize..21, fields).prop_map(|(preset, numeric, fields)| {
         let spec = match preset {
             0 => DatasetSpec::product1(),
             1 => DatasetSpec::product2(),
@@ -97,7 +103,7 @@ fn spec_strategy() -> impl Strategy<Value = Arc<DatasetSpec>> {
                             IdDistribution::Uniform
                         };
                         FieldSpec::one_hot(format!("f{i}"), vocab, 8, dist, table)
-                            .with_avg_ids([1.0, 2.5, 12.0][len])
+                            .with_avg_ids([1.0, 0.5, 1.5, 2.5, 12.0, 31.0][len])
                     })
                     .collect(),
                 instances: None,
@@ -105,6 +111,11 @@ fn spec_strategy() -> impl Strategy<Value = Arc<DatasetSpec>> {
         };
         spec.shared()
     })
+}
+
+/// A batch size: a single instance half the time, else 2–47.
+fn size_strategy() -> impl Strategy<Value = usize> {
+    (proptest::bool::ANY, 2usize..48).prop_map(|(single, size)| if single { 1 } else { size })
 }
 
 proptest! {
@@ -149,6 +160,29 @@ proptest! {
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&after_full.dense), bits(&after_ids.dense));
         prop_assert_eq!(bits(&after_full.labels), bits(&after_ids.labels));
+    }
+
+    #[test]
+    fn counted_ids_equal_drawn_lengths(
+        spec in spec_strategy(),
+        max_vocab in 1u64..5_000,
+        batches in 0usize..5,
+        size in size_strategy(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let slots: Vec<usize> = spec.fields.iter().map(|f| f.table_group).collect();
+        let n_slots = slots.iter().max().map_or(0, |&s| s + 1);
+
+        let mut drawing = BatchGenerator::with_max_vocab(Arc::clone(&spec), seed, max_vocab);
+        let mut ids = vec![Vec::new(); n_slots];
+        for _ in 0..batches {
+            drawing.next_ids_into(size, &slots, &mut ids);
+        }
+        let want: Vec<u64> = ids.iter().map(|ids| ids.len() as u64).collect();
+
+        let mut got = vec![0; n_slots];
+        BatchGenerator::with_max_vocab(spec, seed, max_vocab).count_ids(batches, size, &slots, &mut got);
+        prop_assert_eq!(got, want);
     }
 }
 

@@ -60,4 +60,4 @@ pub use telemetry::TrainingReport;
 pub use trainer::{
     lint, run, train, RunArtifacts, TrainError, TrainerOptions, MEMORY_AMPLIFICATION,
 };
-pub use warmup::{run_warmup, TableStats, WarmupConfig, WarmupReport};
+pub use warmup::{count_warmup, run_warmup, TableStats, WarmupConfig, WarmupCounts, WarmupReport};

@@ -5,7 +5,7 @@ use crate::framework::{Framework, Optimizations};
 use crate::scheduler::{simulate, SimConfig, SimulationOutput};
 use crate::strategy::Strategy;
 use crate::telemetry::TrainingReport;
-use crate::warmup::{run_warmup, WarmupConfig, WarmupReport};
+use crate::warmup::{count_warmup, lint_warmup, WarmupConfig, WarmupCounts};
 use picasso_data::DatasetSpec;
 use picasso_embedding::{PackPlan, PlannerConfig};
 use picasso_graph::{
@@ -104,7 +104,9 @@ pub struct TrainerOptions {
     pub groups: Option<usize>,
     /// HybridHash Hot-storage budget in bytes.
     pub hot_bytes: u64,
-    /// Warm-up measurement configuration.
+    /// Warm-up configuration. [`run`] takes the Hot-storage budget from
+    /// [`TrainerOptions::hot_bytes`] (0 when the pipeline does not enable
+    /// caching), not from `warmup.hot_bytes`.
     pub warmup: WarmupConfig,
     /// Upper bound on the derived batch size.
     pub max_batch: usize,
@@ -143,15 +145,17 @@ impl Default for TrainerOptions {
 }
 
 /// Everything a run produced: the report plus the optimized spec and
-/// warm-up measurements (for experiments that inspect them).
+/// warm-up counts (for experiments that inspect them).
 #[derive(Debug)]
 pub struct RunArtifacts {
     /// The telemetry report.
     pub report: TrainingReport,
     /// The spec after all passes.
     pub spec: WdlSpec,
-    /// Warm-up measurements.
-    pub warmup: WarmupReport,
+    /// The warm-up counts the run planned from: per-table Eq. 1 loads and
+    /// `total_ids`. [`WarmupCounts::measure`] runs the full warm-up
+    /// measurement (unique and hit ratios, cache counters) on demand.
+    pub warmup: WarmupCounts,
     /// The raw simulation (task records and schedule scopes) the report was
     /// derived from, for trace/metrics export (see [`crate::observe`]).
     pub output: SimulationOutput,
@@ -183,7 +187,9 @@ pub fn train(
 /// Runs the full static analyzer over the planned run without simulating:
 /// spec rules (with the dataset's per-table dims as the Eq. 1 oracle),
 /// plan rules on the pass pipeline, and stage rules on the lowered graph.
-/// Returns *all* diagnostics, errors included.
+/// Returns *all* diagnostics, errors included. A warm-up shape no warm-up
+/// can run (`run.warmup-shape`) is the one finding returned as
+/// [`TrainError::Lint`] instead, since planning cannot start without it.
 pub fn lint(
     model: ModelKind,
     data: &Arc<DatasetSpec>,
@@ -239,7 +245,7 @@ pub fn run(
 /// finding over all three surfaces.
 pub(crate) struct Prepared {
     pub(crate) spec: WdlSpec,
-    pub(crate) warmup: WarmupReport,
+    pub(crate) warmup: WarmupCounts,
     pub(crate) pass_reports: Vec<PassReport>,
     pub(crate) diagnostics: Vec<Diagnostic>,
     pub(crate) cfg: SimConfig,
@@ -261,14 +267,17 @@ pub(crate) fn prepare(
     let spec = model.build(data);
     let caching = optimizations.enables(PassId::Caching);
 
-    // Warm-up on real batches: per-table ID masses for the packing planner
-    // and coverage verification. (Dedup and hit ratios at the *training*
-    // batch size are set analytically below, because working-vocabulary
-    // clamping would distort them at production vocabulary scales — see
-    // DESIGN.md.)
+    // Warm-up counts over seeded batches: per-table ID masses for the
+    // packing planner. (Dedup and hit ratios at the *training* batch size
+    // are set analytically below, because working-vocabulary clamping would
+    // distort them at production vocabulary scales — see DESIGN.md.)
     let mut wcfg = opts.warmup.clone();
     wcfg.hot_bytes = if caching { opts.hot_bytes } else { 0 };
-    let warmup = run_warmup(data, &wcfg);
+    let shape_errors = lint_warmup(&wcfg);
+    if !shape_errors.is_empty() {
+        return Err(TrainError::Lint(shape_errors));
+    }
+    let warmup = count_warmup(data, &wcfg);
 
     // The plan context carries everything the pass planners consume:
     // machine preset, memory budgets, knob overrides, and the Eq. 1
@@ -283,7 +292,7 @@ pub(crate) fn prepare(
         let plan = PackPlan::with_loads(
             data,
             &PlannerConfig::default(),
-            &warmup.table_loads(),
+            &warmup.loads,
             warmup.total_ids,
         );
         ctx.table_to_pack = plan.table_to_pack();
@@ -370,7 +379,7 @@ fn apply_analytic_ratios(
     data: &DatasetSpec,
     micro_batch: usize,
     hot_bytes: f64,
-    warmup: &WarmupReport,
+    warmup: &WarmupCounts,
 ) -> f64 {
     use picasso_data::distribution::{coverage_top_k, expected_unique_ratio};
     // Per-table aggregates from the dataset.
@@ -397,7 +406,7 @@ fn apply_analytic_ratios(
             let u = *unique_by_shape
                 .entry((vocab, s.to_bits(), ids.to_bits()))
                 .or_insert_with(|| expected_unique_ratio(vocab, s, ids));
-            let mass = warmup.tables.get(&t).map(|ts| ts.id_mass).unwrap_or(0.0);
+            let mass = warmup.loads.get(&t).map_or(0.0, |l| l.freq_mass);
             let h = if hot_bytes > 0.0 {
                 let rows = hot_bytes * mass / (table_dim[&t] as f64 * 4.0);
                 coverage_top_k(vocab, s, rows)
@@ -630,6 +639,62 @@ mod tests {
         )
         .unwrap();
         assert!(diags.iter().any(|d| d.rule == "stage.dependency-cycle"));
+    }
+
+    /// `run`, `lint` and `prepare_serving` all reject `warmup` with one
+    /// `run.warmup-shape` error naming `knob`, before drawing anything.
+    fn assert_warmup_shape_rejected(warmup: WarmupConfig, knob: &str) {
+        let data = DatasetSpec::criteo().shared();
+        let opts = TrainerOptions {
+            warmup,
+            ..quick_opts()
+        };
+        let picasso = Optimizations::all();
+        let errors = [
+            run(
+                ModelKind::Dlrm,
+                &data,
+                Strategy::Hybrid,
+                picasso.clone(),
+                "bad",
+                &opts,
+            )
+            .map(drop),
+            lint(ModelKind::Dlrm, &data, Strategy::Hybrid, picasso, &opts).map(drop),
+            crate::prepare_serving(ModelKind::Dlrm, &data, Strategy::Hybrid, &opts, Some(64))
+                .map(drop),
+        ];
+        for err in errors {
+            let Err(TrainError::Lint(diags)) = err else {
+                panic!("expected a lint error, got {err:?}");
+            };
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].rule, "run.warmup-shape");
+            assert_eq!(diags[0].severity, Severity::Error);
+            assert_eq!(diags[0].span, picasso_lint::Span::Run("warmup".into()));
+            assert!(diags[0].message.contains(knob), "{}", diags[0].message);
+        }
+    }
+
+    #[test]
+    fn a_single_warmup_batch_is_a_lint_error() {
+        let mut warmup = quick_opts().warmup;
+        warmup.batches = 1;
+        assert_warmup_shape_rejected(warmup, "batches");
+    }
+
+    #[test]
+    fn an_empty_warmup_batch_is_a_lint_error() {
+        let mut warmup = quick_opts().warmup;
+        warmup.batch_size = 0;
+        assert_warmup_shape_rejected(warmup, "batch_size");
+    }
+
+    #[test]
+    fn an_empty_warmup_vocabulary_is_a_lint_error() {
+        let mut warmup = quick_opts().warmup;
+        warmup.max_vocab = 0;
+        assert_warmup_shape_rejected(warmup, "max_vocab");
     }
 
     #[test]

@@ -1,16 +1,24 @@
-//! Warm-up measurement over real data.
+//! Warm-up over real data.
 //!
 //! The paper's optimizations are parameterized by statistics collected
 //! during warm-up iterations (§III-B, §III-D): ID frequencies drive the
 //! Eq. 1 pack sharding, deduplication rates size the Unique outputs, and
 //! HybridHash hit ratios split Gather traffic between Hot- and
-//! Cold-storage. This module draws the IDs of real seeded batches (IDs
-//! only: warm-up reads no dense features or labels), counts them per table
-//! in dense rank space, and replays each table's stream through the
-//! policy (`HotSetPolicy`, the crate's one cache) to measure hit ratios.
+//! Cold-storage.
+//!
+//! A run reads only each table's share of the categorical IDs and their
+//! total (Eq. 1's `N_t / N` and `N`; its dedup and hit ratios are
+//! analytic). So [`count_warmup`], the run's warm-up, counts the IDs
+//! seeded batches would draw, per table, without drawing one.
+//! [`run_warmup`] is the full measurement: it draws the IDs of the same
+//! batches (IDs only: warm-up reads no dense features or labels), counts
+//! them per table in dense rank space, and replays each table's stream
+//! through the policy (`HotSetPolicy`, the crate's one cache) to measure
+//! hit ratios. [`WarmupCounts::measure`] reruns it for a run's exporters.
 
 use picasso_data::{BatchGenerator, DatasetSpec, FrequencyStats};
 use picasso_embedding::{CacheMetrics, HotSetPolicy, HybridHashConfig, TableLoad};
+use picasso_lint::{Diagnostic, Severity, Span};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -25,7 +33,9 @@ pub struct WarmupConfig {
     /// Working-vocabulary clamp for materialized IDs.
     pub max_vocab: u64,
     /// Total Hot-storage budget in bytes (split across tables by observed
-    /// ID mass); `0` disables the cache measurement.
+    /// ID mass); `0` disables the cache measurement. `exec::run` ignores
+    /// this field: it measures with `TrainerOptions::hot_bytes` when the
+    /// pipeline enables caching, else 0.
     pub hot_bytes: u64,
     /// RNG seed.
     pub seed: u64,
@@ -93,6 +103,104 @@ impl WarmupReport {
     }
 }
 
+/// What a run reads from its warm-up: each table's Eq. 1 load and the
+/// total ID count, counted without drawing an ID (see [`count_warmup`]).
+#[derive(Debug)]
+pub struct WarmupCounts {
+    /// Per-table Eq. 1 loads: the table's share of all IDs and the dim of
+    /// its last field, exactly [`WarmupReport::table_loads`].
+    pub loads: BTreeMap<usize, TableLoad>,
+    /// Total categorical IDs (Eq. 1's `N`), exactly
+    /// [`WarmupReport::total_ids`].
+    pub total_ids: u64,
+    data: Arc<DatasetSpec>,
+    cfg: WarmupConfig,
+}
+
+impl WarmupCounts {
+    /// The full warm-up measurement over the same batches:
+    /// [`run_warmup`] on the counted dataset and configuration.
+    pub fn measure(&self) -> WarmupReport {
+        run_warmup(&self.data, &self.cfg)
+    }
+}
+
+/// Counts the IDs [`run_warmup`] would draw over `data` under `cfg`, per
+/// table, with [`BatchGenerator::count_ids`]: an all-one-hot dataset draws
+/// no RNG word, and a multi-hot field draws only its instance lengths.
+/// The loads and `total_ids` equal `run_warmup(data, cfg)`'s bit for bit.
+///
+/// # Panics
+/// If `cfg.batch_size` or `cfg.max_vocab` is 0.
+pub fn count_warmup(data: &Arc<DatasetSpec>, cfg: &WarmupConfig) -> WarmupCounts {
+    let gen = BatchGenerator::with_max_vocab(Arc::clone(data), cfg.seed, cfg.max_vocab);
+    let (tables, slots) = table_slots(data);
+    let mut counts = vec![0; tables.len()];
+    gen.count_ids(cfg.batches, cfg.batch_size, &slots, &mut counts);
+    let total_ids: u64 = counts.iter().sum();
+    let mut dims = vec![0; tables.len()];
+    for (f, &slot) in data.fields.iter().zip(&slots) {
+        dims[slot] = f.dim;
+    }
+    let loads = tables
+        .iter()
+        .zip(counts.iter().zip(dims))
+        .map(|(&t, (&count, dim))| {
+            let load = TableLoad {
+                dim,
+                freq_mass: count as f64 / total_ids as f64,
+            };
+            (t, load)
+        })
+        .collect();
+    WarmupCounts {
+        loads,
+        total_ids,
+        data: Arc::clone(data),
+        cfg: cfg.clone(),
+    }
+}
+
+/// `run.warmup-shape` errors: one per knob of `cfg` outside the shape
+/// [`run_warmup`] and [`count_warmup`] accept (at least two batches, a
+/// positive batch size and a nonempty working vocabulary).
+pub(crate) fn lint_warmup(cfg: &WarmupConfig) -> Vec<Diagnostic> {
+    let checks = [
+        (cfg.batches < 2, "batches", cfg.batches as u64, "at least 2"),
+        (cfg.batch_size == 0, "batch_size", 0, "positive"),
+        (cfg.max_vocab == 0, "max_vocab", 0, "positive"),
+    ];
+    checks
+        .into_iter()
+        .filter(|&(bad, ..)| bad)
+        .map(|(_, knob, value, want)| {
+            Diagnostic::new(
+                "run.warmup-shape",
+                Severity::Error,
+                Span::Run("warmup".into()),
+                format!("warm-up {knob} is {value}; it must be {want}"),
+            )
+        })
+        .collect()
+}
+
+/// The dataset's tables in order, and each field's dense slot among them.
+fn table_slots(data: &DatasetSpec) -> (Vec<usize>, Vec<usize>) {
+    let mut tables: Vec<usize> = data.fields.iter().map(|f| f.table_group).collect();
+    tables.sort_unstable();
+    tables.dedup();
+    let slots = data
+        .fields
+        .iter()
+        .map(|f| {
+            tables
+                .binary_search(&f.table_group)
+                .expect("every field's table has a slot")
+        })
+        .collect();
+    (tables, slots)
+}
+
 /// Measurement dimension used for cache simulation: hit ratios depend on
 /// *row* capacity, so tables are measured at a small dimension with the
 /// byte budget rescaled to preserve row counts.
@@ -156,25 +264,18 @@ pub fn run_warmup(data: &Arc<DatasetSpec>, cfg: &WarmupConfig) -> WarmupReport {
     assert!(cfg.batches >= 2, "need at least two warm-up batches");
     let mut gen = BatchGenerator::with_max_vocab(Arc::clone(data), cfg.seed, cfg.max_vocab);
 
-    let mut table_ids: Vec<usize> = data.fields.iter().map(|f| f.table_group).collect();
-    table_ids.sort_unstable();
-    table_ids.dedup();
-    let mut streams: Vec<TableStream> = table_ids
+    let (tables, slots) = table_slots(data);
+    let mut streams: Vec<TableStream> = tables
         .iter()
         .map(|&table| TableStream {
             table,
             ..TableStream::default()
         })
         .collect();
-    let mut slots = Vec::with_capacity(data.fields.len());
-    for (fi, f) in data.fields.iter().enumerate() {
-        let slot = table_ids
-            .binary_search(&f.table_group)
-            .expect("every field's table has a slot");
+    for (fi, (f, &slot)) in data.fields.iter().zip(&slots).enumerate() {
         let s = &mut streams[slot];
         s.dim = f.dim;
         s.bound = s.bound.max(gen.working_vocab(fi) as usize);
-        slots.push(slot);
     }
     let mut ids: Vec<Vec<u64>> = vec![Vec::new(); streams.len()];
     for _ in 0..cfg.batches {

@@ -228,6 +228,16 @@ pub const RULES: &[RuleInfo] = &[
         grounding: "a run shorter than one checkpoint interval never persists any state",
     },
     RuleInfo {
+        id: "run.warmup-shape",
+        surface: Surface::Run,
+        severity: Severity::Error,
+        summary: "the warm-up configuration has fewer than two batches, an empty batch or an \
+                  empty working vocabulary",
+        grounding: "§III-B warm-up feeds Eq. 1 from the IDs of seeded batches; with no batch or \
+                    vocabulary there is no ID share to shard by, and its cache measurement \
+                    warms on the first half of at least two batches",
+    },
+    RuleInfo {
         id: "run.low-overlap",
         surface: Surface::Run,
         severity: Severity::Warn,

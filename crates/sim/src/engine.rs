@@ -328,11 +328,6 @@ impl Engine {
             .map(|nid| ResourceId(self.name_owner[nid.0 as usize] as usize))
     }
 
-    /// Number of registered resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
-
     /// Number of registered tasks.
     pub fn task_count(&self) -> usize {
         self.tasks.len()
@@ -341,14 +336,6 @@ impl Engine {
     /// Spec of a registered resource.
     pub fn resource_spec(&self, id: ResourceId) -> &ResourceSpec {
         &self.resources[id.0].spec
-    }
-
-    /// Finds the first resource of `kind` on `node`, if any.
-    pub fn find_resource(&self, node: usize, kind: ResourceKind) -> Option<ResourceId> {
-        self.resources
-            .iter()
-            .position(|r| r.spec.node == node && r.spec.kind == kind)
-            .map(ResourceId)
     }
 
     /// Adds a task; dependencies must already have been added (this enforces
