@@ -11,14 +11,14 @@ use picasso_exec::RunArtifacts;
 use picasso_obs::{prometheus, ChromeTrace, MetricsRegistry, RunReport};
 
 /// Exports everything `artifacts` recorded into `registry`: simulator task
-/// and timeline metrics, scheduler throughput gauges, per-pass graph
-/// accounting, the per-table cache counters of the run's warm-up
-/// measurement, and the flight recorder's occupancy/drop gauges. The
-/// warm-up measurement and the flight recorder are post-hoc taps (the
-/// former reruns the warm-up, the latter replays the executed schedule),
-/// so the run itself stays unobserved.
+/// metrics and the report's measurement (timelines and exposed fractions),
+/// scheduler throughput gauges, per-pass graph accounting, the per-table
+/// cache counters of the run's warm-up measurement, and the flight
+/// recorder's occupancy/drop gauges. The warm-up measurement and the flight
+/// recorder are post-hoc taps (the former reruns the warm-up, the latter
+/// replays the executed schedule), so the run itself stays unobserved.
 pub fn export_metrics(artifacts: &RunArtifacts, registry: &MetricsRegistry) {
-    picasso_exec::observe::export_metrics(&artifacts.output, registry);
+    picasso_exec::observe::export_metrics(&artifacts.output, &artifacts.report.measured, registry);
     for pass in &artifacts.pass_reports {
         pass.export(registry);
     }

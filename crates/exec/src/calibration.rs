@@ -91,18 +91,8 @@ impl CalibrationReport {
     /// Joins the scheduler's predicted costs with the engine's observed
     /// records.
     pub fn from_simulation(out: &SimulationOutput) -> CalibrationReport {
-        let mut observed: BTreeMap<usize, (f64, TaskCategory)> = BTreeMap::new();
-        for rec in &out.result.records {
-            observed.insert(
-                rec.task.0,
-                ((rec.end - rec.start).as_secs_f64(), rec.category),
-            );
-        }
         let mut report = CalibrationReport::default();
-        for cost in &out.costs {
-            let Some(&(secs, category)) = observed.get(&cost.task.0) else {
-                continue;
-            };
+        for (cost, secs, category) in joined(out) {
             report
                 .per_class
                 .entry(category)
@@ -163,25 +153,25 @@ pub fn export_metrics(out: &SimulationOutput, registry: &MetricsRegistry) {
         "Absolute relative error of the stage cost model, by class",
     );
     registry.histogram_buckets("exec_cost_rel_error", &REL_ERROR_BOUNDS);
-    let mut observed: BTreeMap<usize, (f64, TaskCategory)> = BTreeMap::new();
-    for rec in &out.result.records {
-        observed.insert(
-            rec.task.0,
-            ((rec.end - rec.start).as_secs_f64(), rec.category),
-        );
-    }
-    for cost in &out.costs {
-        let Some(&(secs, category)) = observed.get(&cost.task.0) else {
-            continue;
-        };
+    for (cost, secs, category) in joined(out) {
         if let Some(err) = rel_error(cost.predicted_secs, secs) {
             registry.histogram_observe(
                 "exec_cost_rel_error",
-                &[("class", &category.to_string())],
+                &[("class", category.name())],
                 err.abs(),
             );
         }
     }
+}
+
+/// Each predicted stage with its task's observed duration (seconds) and
+/// category. `records` is indexed by task id; a prediction for a task the
+/// run has no record of is skipped.
+fn joined(out: &SimulationOutput) -> impl Iterator<Item = (&CostRecord, f64, TaskCategory)> {
+    out.costs.iter().filter_map(|cost| {
+        let rec = out.result.records.get(cost.task.0)?;
+        Some((cost, (rec.end - rec.start).as_secs_f64(), rec.category))
+    })
 }
 
 #[cfg(test)]

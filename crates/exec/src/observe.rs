@@ -12,7 +12,7 @@
 use crate::scheduler::SimulationOutput;
 use picasso_obs::flight::{FlightConfig, FlightRecorder};
 use picasso_obs::{ChromeTrace, ManualClock, MetricKind, MetricsRegistry, Tracer};
-use picasso_sim::{Binding, RunResult, SimDuration};
+use picasso_sim::{Binding, Measurement, RunResult, SimDuration};
 
 /// Half-open `[start, end)` range of engine task ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,16 +24,6 @@ pub struct TaskRange {
 }
 
 impl TaskRange {
-    /// True when the range contains no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-
-    /// Number of tasks in the range.
-    pub fn len(&self) -> usize {
-        self.end.saturating_sub(self.start)
-    }
-
     /// The `[min start, max end]` wall-clock interval (in sim nanoseconds)
     /// covered by the range's task records, or `None` for an empty range.
     pub fn interval(&self, result: &RunResult) -> Option<(u64, u64)> {
@@ -88,13 +78,6 @@ pub struct IterationScope {
 pub struct ScheduleScopes {
     /// One scope per simulated iteration, in order.
     pub iterations: Vec<IterationScope>,
-}
-
-impl ScheduleScopes {
-    /// Total tasks covered by the iteration scopes.
-    pub fn task_count(&self) -> usize {
-        self.iterations.iter().map(|i| i.range.len()).sum()
-    }
 }
 
 /// Derives iteration / executor / micro-batch / K-group spans from the
@@ -168,13 +151,13 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
     }
     for rec in &result.records {
         let lane = &result.resources[rec.resource.0].spec.name;
-        let cat = rec.category.to_string();
+        let cat = rec.category.name();
         let work = format!("{:.0}", rec.work);
         let task = rec.task.0.to_string();
         trace.complete(
             lane,
-            &cat,
-            &cat,
+            cat,
+            cat,
             rec.start.as_nanos(),
             rec.end.as_nanos(),
             &[("work", &work), ("task", &task)],
@@ -252,7 +235,7 @@ pub fn flight_record(out: &SimulationOutput, config: &FlightConfig) -> FlightRec
         let end = iter.range.end.min(result.records.len());
         for r in &result.records[iter.range.start..end] {
             rec.task(
-                &r.category.to_string(),
+                r.category.name(),
                 idx,
                 r.end.as_nanos(),
                 (r.end.as_nanos() - r.start.as_nanos()) as f64 / 1e9,
@@ -264,17 +247,20 @@ pub fn flight_record(out: &SimulationOutput, config: &FlightConfig) -> FlightRec
     rec
 }
 
-/// The time-series bucket the telemetry layer samples at: 10 ms like DCGM,
-/// but never coarser than ~1/200th of the run.
+/// The bucket every run is measured at: 1/200th of the makespan, clamped to
+/// `[20 µs, 10 ms]`. Long runs get DCGM's 10 ms; short ones still get about
+/// 200 samples, enough for a usable utilization CDF.
 pub fn telemetry_bucket(result: &RunResult) -> SimDuration {
     SimDuration::from_nanos((result.makespan.as_nanos() / 200).clamp(20_000, 10_000_000))
 }
 
 /// Exports the run into `registry`: everything
-/// [`picasso_sim::export_metrics`] records, plus scheduler-level throughput
-/// gauges and a per-iteration duration histogram.
-pub fn export_metrics(out: &SimulationOutput, registry: &MetricsRegistry) {
-    picasso_sim::export_metrics(&out.result, registry, telemetry_bucket(&out.result));
+/// [`picasso_sim::export_metrics`] records from `measured` (the run's
+/// measurement, as [`crate::TrainingReport`] keeps it), plus the cost-model
+/// calibration, scheduler-level throughput gauges and a per-iteration
+/// duration histogram.
+pub fn export_metrics(out: &SimulationOutput, measured: &Measurement, registry: &MetricsRegistry) {
+    picasso_sim::export_metrics(&out.result, measured, registry);
     crate::calibration::export_metrics(out, registry);
     registry.describe(
         "exec_ips_per_node",
@@ -327,6 +313,11 @@ mod tests {
     use picasso_models::ModelKind;
     use picasso_sim::MachineSpec;
 
+    fn export(out: &SimulationOutput, registry: &MetricsRegistry) {
+        let measured = picasso_sim::measure(&out.result, telemetry_bucket(&out.result));
+        export_metrics(out, &measured, registry);
+    }
+
     fn run(micro: usize) -> SimulationOutput {
         let data = DatasetSpec::criteo();
         let mut spec = ModelKind::Dlrm.build(&data);
@@ -358,7 +349,7 @@ mod tests {
                 e_cursor = ex.range.end;
                 assert_eq!(ex.micro_batches.len(), 2);
                 for mb in &ex.micro_batches {
-                    assert!(!mb.range.is_empty());
+                    assert!(mb.range.end > mb.range.start);
                     assert!(mb.range.start >= ex.range.start);
                     assert!(mb.range.end <= ex.range.end);
                     assert!(!mb.groups.is_empty());
@@ -367,7 +358,13 @@ mod tests {
             assert!(e_cursor <= iter.range.end);
         }
         assert_eq!(cursor, out.result.records.len());
-        assert_eq!(out.scopes.task_count(), out.result.records.len());
+        let covered: usize = out
+            .scopes
+            .iterations
+            .iter()
+            .map(|i| i.range.end - i.range.start)
+            .sum();
+        assert_eq!(covered, out.result.records.len());
     }
 
     #[test]
@@ -396,7 +393,7 @@ mod tests {
         let out = run(1);
         let mut trace = chrome_trace(&out);
         let registry = MetricsRegistry::new();
-        export_metrics(&out, &registry);
+        export(&out, &registry);
         trace.add_counter_series(&registry.snapshot());
         let doc = picasso_obs::json::parse(&trace.to_json()).unwrap();
         let events = doc
@@ -498,7 +495,7 @@ mod tests {
     fn metrics_include_scheduler_gauges() {
         let out = run(1);
         let registry = MetricsRegistry::new();
-        export_metrics(&out, &registry);
+        export(&out, &registry);
         assert_eq!(
             registry.gauge_value("exec_ips_per_node", &[]),
             Some(out.ips_per_node())

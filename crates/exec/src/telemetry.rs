@@ -1,10 +1,16 @@
 //! Training-run telemetry: the DCGM-style measurements the paper reports.
+//!
+//! [`TrainingReport::from_simulation`] measures the run once, at
+//! [`telemetry_bucket`], and keeps that [`Measurement`]. The report's
+//! headline fields are derived from it, and the metrics exporters
+//! ([`crate::observe::export_metrics`]) publish it as it is.
 
 use crate::calibration::CalibrationReport;
+use crate::observe::telemetry_bucket;
 use crate::scheduler::SimulationOutput;
 use picasso_graph::GraphStats;
 use picasso_obs::Json;
-use picasso_sim::{ResourceKind, ResourceTimeline, RunAnalysis, SimDuration, TaskCategory};
+use picasso_sim::{measure, Measurement, ResourceKind, SimDuration, TaskCategory};
 use std::collections::BTreeMap;
 
 /// All metrics of one training run (one framework x model x cluster).
@@ -48,9 +54,11 @@ pub struct TrainingReport {
     /// Cost-model calibration: predicted vs. observed stage durations per
     /// resource class and operator kind.
     pub calibration: CalibrationReport,
-    /// Per-resource busy/idle profile over the run (Fig. 5-style breakdown
-    /// for every concrete device, link, and thread pool).
-    pub utilization: Vec<ResourceTimeline>,
+    /// The run's measurement: SM, link and per-resource timelines and the
+    /// category breakdown. Its `resources` are the report's `utilization`
+    /// section (a Fig. 5-style profile of every device, link and thread
+    /// pool).
+    pub measured: Measurement,
     /// Executors in the run.
     pub executors: usize,
     /// Worker machines in the run.
@@ -68,16 +76,8 @@ impl TrainingReport {
         groups: usize,
         cache_hit_ratio: f64,
     ) -> TrainingReport {
-        let analysis = RunAnalysis::new(&out.result);
-        // Sample at 10 ms like DCGM, but never coarser than ~1/50th of the
-        // run so short simulations still produce a usable CDF.
-        let makespan_ns = out.result.makespan.as_nanos();
-        let bucket = SimDuration::from_nanos((makespan_ns / 200).clamp(20_000, 10_000_000));
-        let sm = analysis.utilization_avg(ResourceKind::GpuSm, bucket);
-        let pcie = analysis.bandwidth(ResourceKind::Pcie, bucket);
-        let nvlink = analysis.bandwidth(ResourceKind::NvLink, bucket);
-        let net = analysis.bandwidth(ResourceKind::Network, bucket);
-        let breakdown = analysis.breakdown();
+        let measured = measure(&out.result, telemetry_bucket(&out.result));
+        let breakdown = &measured.breakdown;
 
         // Degenerate shapes (zero executors or machines) divide by 1 instead:
         // the per-device bandwidth fields then report cluster totals rather
@@ -113,18 +113,23 @@ impl TrainingReport {
             batch_per_executor: out.batch,
             micro_batches,
             groups,
-            sm_util_pct: sm.mean() * 100.0,
-            sm_util_cdf: sm.cdf().into_iter().map(|(u, f)| (u * 100.0, f)).collect(),
-            pcie_gbps: pcie.mean() / per_exec / 1e9,
-            nvlink_gbps: nvlink.mean() / per_node / 1e9,
-            network_gbps: net.mean() / per_node * 8.0 / 1e9,
+            sm_util_pct: measured.sm.mean() * 100.0,
+            sm_util_cdf: measured
+                .sm
+                .cdf()
+                .into_iter()
+                .map(|(u, f)| (u * 100.0, f))
+                .collect(),
+            pcie_gbps: measured.pcie.mean() / per_exec / 1e9,
+            nvlink_gbps: measured.nvlink.mean() / per_node / 1e9,
+            network_gbps: measured.network.mean() / per_node * 8.0 / 1e9,
             exposed,
             busy,
             op_stats,
             cache_hit_ratio,
             critical_path_secs,
             calibration: CalibrationReport::from_simulation(out),
-            utilization: analysis.resource_timelines(bucket),
+            measured,
             executors: out.executors,
             machines: out.machines,
         }
@@ -211,7 +216,8 @@ impl TrainingReport {
             (
                 "utilization",
                 Json::Arr(
-                    self.utilization
+                    self.measured
+                        .resources
                         .iter()
                         .map(|lane| {
                             Json::obj([
@@ -352,14 +358,15 @@ mod tests {
     fn report_carries_calibration_and_utilization() {
         let r = report();
         assert!(!r.calibration.is_empty());
-        assert!(!r.utilization.is_empty());
+        let profiled = &r.measured.resources;
+        assert!(!profiled.is_empty());
         // Every executor's SM shows up as a profiled resource, and at least
         // one resource did real work.
-        assert!(r.utilization.iter().any(|l| l.kind == ResourceKind::GpuSm));
-        assert!(r.utilization.iter().any(|l| l.busy_fraction > 0.0));
+        assert!(profiled.iter().any(|l| l.kind == ResourceKind::GpuSm));
+        assert!(profiled.iter().any(|l| l.busy_fraction > 0.0));
         let json = r.to_json();
         let lanes = json.get("utilization").and_then(Json::items).unwrap();
-        assert_eq!(lanes.len(), r.utilization.len());
+        assert_eq!(lanes.len(), profiled.len());
         let first = &lanes[0];
         let busy = first.get("busy_fraction").and_then(Json::as_f64).unwrap();
         let idle = first.get("idle_fraction").and_then(Json::as_f64).unwrap();

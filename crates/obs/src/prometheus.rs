@@ -263,29 +263,22 @@ pub fn parse(input: &str) -> Result<PromDoc, String> {
 
 fn parse_sample(line: &str, lineno: usize) -> Result<PromSample, String> {
     let err = |msg: &str| format!("line {lineno}: {msg}");
-    let (name_and_labels, value_text) = match line.find('}') {
-        Some(close) => {
-            let (head, tail) = line.split_at(close + 1);
-            (head, tail.trim())
-        }
-        None => {
-            let mut parts = line.splitn(2, ' ');
+    let (name, labels, value_text) = match line.find('{') {
+        Some(open) => {
+            // Label values may hold `}`, so the set closes at the first `}`
+            // outside a quoted value.
+            let body = &line[open + 1..];
+            let close = label_set_len(body).ok_or_else(|| err("unterminated label set"))?;
             (
-                parts.next().unwrap(),
-                parts.next().ok_or_else(|| err("missing value"))?.trim(),
+                line[..open].to_string(),
+                parse_labels(&body[..close], lineno)?,
+                body[close + 1..].trim(),
             )
         }
-    };
-    let (name, labels) = match name_and_labels.find('{') {
-        Some(open) => {
-            if !name_and_labels.ends_with('}') {
-                return Err(err("unterminated label set"));
-            }
-            let name = &name_and_labels[..open];
-            let body = &name_and_labels[open + 1..name_and_labels.len() - 1];
-            (name.to_string(), parse_labels(body, lineno)?)
+        None => {
+            let (name, value) = line.split_once(' ').ok_or_else(|| err("missing value"))?;
+            (name.to_string(), Vec::new(), value.trim())
         }
-        None => (name_and_labels.to_string(), Vec::new()),
     };
     if name.is_empty()
         || !name
@@ -305,6 +298,23 @@ fn parse_sample(line: &str, lineno: usize) -> Result<PromSample, String> {
         labels,
         value,
     })
+}
+
+/// Byte length of a label-set body up to its closing `}`, skipping quoted
+/// values and their escapes; `None` when the set never closes.
+fn label_set_len(body: &str) -> Option<usize> {
+    let mut quoted = false;
+    let mut escaped = false;
+    for (i, c) in body.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if quoted => escaped = true,
+            '"' => quoted = !quoted,
+            '}' if !quoted => return Some(i),
+            _ => {}
+        }
+    }
+    None
 }
 
 fn parse_labels(body: &str, lineno: usize) -> Result<Vec<(String, String)>, String> {
@@ -466,6 +476,23 @@ mod tests {
         let text = render(&reg.snapshot());
         let doc = parse(&text).unwrap();
         assert_eq!(doc.samples[0].labels[0].1, "w\"d\\l\nx");
+    }
+
+    #[test]
+    fn label_values_with_separators_round_trip() {
+        let reg = MetricsRegistry::new();
+        let values = ["a}b", "{x}", "a,b=c", "two words", "} 1", "\\}\""];
+        for (i, v) in values.iter().enumerate() {
+            reg.counter_add("x_total", &[("lane", v)], i as u64 + 1);
+        }
+        let doc = parse(&render(&reg.snapshot())).expect("round trip");
+        for (i, v) in values.iter().enumerate() {
+            let sample = doc.find("x_total", &[("lane", v)]).expect(v);
+            assert_eq!(sample.labels, [("lane".to_string(), v.to_string())]);
+            assert_eq!(sample.value, i as f64 + 1.0);
+        }
+        let line = parse("x_total{lane=\"a}b\",k=\"v\"} 1").unwrap();
+        assert_eq!(line.samples[0].labels[0].1, "a}b");
     }
 
     #[test]

@@ -142,17 +142,6 @@ pub struct ResourceSummary {
     pub ops_served: u64,
 }
 
-impl ResourceSummary {
-    /// Busy fraction over the run's makespan (can exceed 1.0 only if the
-    /// resource has multiple channels; it is normalized per channel).
-    pub fn utilization(&self, makespan: SimTime) -> f64 {
-        if makespan == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / (makespan.as_secs_f64() * self.spec.channels as f64)
-    }
-}
-
 /// Output of [`Engine::run`].
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -210,17 +199,6 @@ impl RunResult {
             *per.entry(kind).or_insert(SimDuration::ZERO) += rec.end - rec.start;
         }
         per.into_iter().collect()
-    }
-
-    /// Total busy time of all resources of a given kind.
-    pub fn busy_by_kind(&self, kind: ResourceKind) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for r in &self.resources {
-            if r.spec.kind == kind {
-                total += r.busy;
-            }
-        }
-        total
     }
 }
 
@@ -649,12 +627,13 @@ mod tests {
             .unwrap();
         let r = e.run().unwrap();
         assert_eq!(r.resources[0].ops_served, 2);
-        assert!((r.resources[0].utilization(r.makespan) - 1.0).abs() < 1e-9);
-        assert_eq!(
-            r.busy_by_kind(ResourceKind::GpuSm),
-            SimDuration::from_secs_f64(4.0)
-        );
-        assert_eq!(r.busy_by_kind(ResourceKind::Pcie), SimDuration::ZERO);
+        // Busy for the whole run: one channel, fully utilized.
+        assert_eq!(r.resources[0].busy, r.makespan - SimTime::ZERO);
+        assert_eq!(r.resources[0].busy, SimDuration::from_secs_f64(4.0));
+        assert!(r
+            .resources
+            .iter()
+            .all(|s| s.spec.kind != ResourceKind::Pcie || s.busy == SimDuration::ZERO));
     }
 
     #[test]

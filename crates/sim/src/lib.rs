@@ -47,9 +47,7 @@ pub use engine::{Binding, Engine, EngineError, RunResult, Task, TaskCategory, Ta
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use intern::{NameId, NameInterner};
 pub use intervals::IntervalSet;
-pub use metrics::{
-    BandwidthTimeline, Breakdown, ResourceTimeline, RunAnalysis, UtilizationTimeline,
-};
+pub use metrics::{measure, Breakdown, Measurement, ResourceTimeline, Timeline};
 pub use observe::export_metrics;
 pub use resource::{CongestionSpec, ResourceId, ResourceKind, ResourceSpec};
 pub use time::{SimDuration, SimTime};

@@ -2,8 +2,9 @@
 //!
 //! The paper inspects GPU SM utilization and PCIe/NVLink bandwidth at a
 //! 10-millisecond granularity (Figs. 11 and 12) and reports worker-side time
-//! breakdowns (Fig. 5). This module derives all of those from the raw task
-//! records produced by the engine.
+//! breakdowns (Fig. 5). [`measure`] derives all of those from the engine's
+//! task records in one pass. The run report keeps the [`Measurement`], and
+//! the metrics exporters publish it rather than measuring the run again.
 
 use crate::engine::{RunResult, TaskCategory};
 use crate::intervals::IntervalSet;
@@ -11,17 +12,15 @@ use crate::resource::ResourceKind;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Bucketed utilization samples for one resource kind.
-#[derive(Debug, Clone)]
-pub struct UtilizationTimeline {
-    /// Bucket width.
-    pub bucket: SimDuration,
-    /// Per-bucket busy fraction in `[0, 1]` (union over channels/devices).
+/// Per-bucket samples of one quantity over schedule time.
+#[derive(Debug, Clone, Default)]
+pub struct Timeline {
+    /// One sample per bucket, in time order.
     pub samples: Vec<f64>,
 }
 
-impl UtilizationTimeline {
-    /// Mean utilization over all buckets.
+impl Timeline {
+    /// Mean over all buckets.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
@@ -32,20 +31,12 @@ impl UtilizationTimeline {
     /// Empirical CDF as `(value, cumulative fraction)` points, sorted by value.
     pub fn cdf(&self) -> Vec<(f64, f64)> {
         let mut v = self.samples.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("utilization samples are finite"));
+        v.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
         let n = v.len();
         v.into_iter()
             .enumerate()
             .map(|(i, x)| (x, (i + 1) as f64 / n as f64))
             .collect()
-    }
-
-    /// Fraction of buckets with utilization below `threshold`.
-    pub fn fraction_below(&self, threshold: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().filter(|&&s| s < threshold).count() as f64 / self.samples.len() as f64
     }
 }
 
@@ -63,38 +54,14 @@ pub struct ResourceTimeline {
     pub node: usize,
     /// Fraction of the makespan the resource was busy, in `[0, 1]`.
     pub busy_fraction: f64,
-    /// Bucketed busy-fraction samples over schedule time.
-    pub timeline: UtilizationTimeline,
+    /// Per-bucket busy fraction.
+    pub timeline: Timeline,
 }
 
 impl ResourceTimeline {
     /// Fraction of the makespan the resource sat idle.
     pub fn idle_fraction(&self) -> f64 {
         (1.0 - self.busy_fraction).max(0.0)
-    }
-}
-
-/// Bucketed throughput samples (bytes/s) for one resource kind.
-#[derive(Debug, Clone)]
-pub struct BandwidthTimeline {
-    /// Bucket width.
-    pub bucket: SimDuration,
-    /// Per-bucket average bandwidth in bytes per second.
-    pub samples: Vec<f64>,
-}
-
-impl BandwidthTimeline {
-    /// Mean bandwidth over all buckets, bytes/s.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Peak bucket bandwidth, bytes/s.
-    pub fn peak(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
     }
 }
 
@@ -126,213 +93,146 @@ impl Breakdown {
     }
 }
 
-/// Analyzes a finished [`RunResult`].
-#[derive(Debug)]
-pub struct RunAnalysis<'a> {
-    result: &'a RunResult,
+/// Everything measured of one run, every timeline sampled at `bucket`.
+#[derive(Debug, Clone)]
+pub struct Measurement {
+    /// Bucket width of every timeline.
+    pub bucket: SimDuration,
+    /// Per-bucket GPU SM busy fraction, averaged over the GPU-SM devices
+    /// (what DCGM reports when averaging over GPUs).
+    pub sm: Timeline,
+    /// Per-bucket PCIe throughput over all PCIe links, bytes/s.
+    pub pcie: Timeline,
+    /// Per-bucket NVLink throughput over all NVLinks, bytes/s.
+    pub nvlink: Timeline,
+    /// Per-bucket network throughput over all NICs, bytes/s.
+    pub network: Timeline,
+    /// Busy and exposed time per task category.
+    pub breakdown: Breakdown,
+    /// Busy/idle profile of every resource in declaration order, idle ones
+    /// included.
+    pub resources: Vec<ResourceTimeline>,
 }
 
-impl<'a> RunAnalysis<'a> {
-    /// Wraps a run result for analysis.
-    pub fn new(result: &'a RunResult) -> Self {
-        RunAnalysis { result }
-    }
+/// Measures a finished run in `bucket` windows (the paper uses 10 ms).
+///
+/// One pass over the records groups their spans by resource and by category
+/// and spreads each link task's bytes uniformly over its service interval.
+/// One pass over the buckets then takes each resource's overlap once, for
+/// both its own lane and the GPU-SM average.
+pub fn measure(result: &RunResult, bucket: SimDuration) -> Measurement {
+    let width = bucket.as_nanos();
+    assert!(width > 0, "bucket must be nonzero");
+    let makespan = result.makespan;
+    let n_buckets = makespan.as_nanos().div_ceil(width) as usize;
 
-    /// Union busy intervals of all resources of a given kind.
-    pub fn busy_intervals(&self, kind: ResourceKind) -> IntervalSet {
-        let spans = self
-            .result
-            .records
-            .iter()
-            .filter(|r| self.result.resources[r.resource.0].spec.kind == kind)
-            .map(|r| (r.start, r.end))
-            .collect();
-        IntervalSet::from_spans(spans)
-    }
-
-    /// Union busy intervals of all tasks of a given category.
-    pub fn category_intervals(&self, cat: TaskCategory) -> IntervalSet {
-        let spans = self
-            .result
-            .records
-            .iter()
-            .filter(|r| r.category == cat)
-            .map(|r| (r.start, r.end))
-            .collect();
-        IntervalSet::from_spans(spans)
-    }
-
-    /// Average utilization timeline across all resources of a kind: each
-    /// bucket is the mean busy fraction of the individual devices (what
-    /// DCGM reports when averaging over GPUs). Use this for multi-executor
-    /// clusters; [`RunAnalysis::utilization`] unions all devices instead.
-    pub fn utilization_avg(&self, kind: ResourceKind, bucket: SimDuration) -> UtilizationTimeline {
-        assert!(bucket.as_nanos() > 0, "bucket must be nonzero");
-        let per_resource: Vec<IntervalSet> = self
-            .result
-            .resources
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.spec.kind == kind)
-            .map(|(i, _)| {
-                IntervalSet::from_spans(
-                    self.result
-                        .records
-                        .iter()
-                        .filter(|rec| rec.resource.0 == i)
-                        .map(|rec| (rec.start, rec.end))
-                        .collect(),
-                )
-            })
-            .collect();
-        let makespan = self.result.makespan;
-        let n_buckets = makespan.as_nanos().div_ceil(bucket.as_nanos());
-        let mut samples = Vec::with_capacity(n_buckets as usize);
-        let n = per_resource.len().max(1) as f64;
-        for b in 0..n_buckets {
-            let s = SimTime(b * bucket.as_nanos());
-            let e = SimTime(((b + 1) * bucket.as_nanos()).min(makespan.as_nanos()));
-            let width = e - s;
-            if width == SimDuration::ZERO {
-                break;
-            }
-            let busy: f64 = per_resource
-                .iter()
-                .map(|set| set.overlap_with(s, e).as_secs_f64())
-                .sum();
-            samples.push(busy / (width.as_secs_f64() * n));
+    let mut by_resource = vec![Vec::new(); result.resources.len()];
+    // Indexed by discriminant, which is the order of `TaskCategory::ALL`.
+    let mut by_category: [Vec<(SimTime, SimTime)>; 5] = Default::default();
+    // Bytes per bucket on PCIe, NVLink and network links, in that order.
+    let mut link_bytes = [0; 3].map(|_| vec![0.0f64; n_buckets]);
+    for r in &result.records {
+        by_resource[r.resource.0].push((r.start, r.end));
+        by_category[r.category as usize].push((r.start, r.end));
+        let bytes = match result.resources[r.resource.0].spec.kind {
+            ResourceKind::Pcie => &mut link_bytes[0],
+            ResourceKind::NvLink => &mut link_bytes[1],
+            ResourceKind::Network => &mut link_bytes[2],
+            _ => continue,
+        };
+        let dur = (r.end - r.start).as_secs_f64();
+        if dur <= 0.0 || r.work <= 0.0 {
+            continue;
         }
-        UtilizationTimeline { bucket, samples }
-    }
-
-    /// Utilization timeline of a resource kind, sampled in `bucket` windows
-    /// (the paper uses 10 ms).
-    pub fn utilization(&self, kind: ResourceKind, bucket: SimDuration) -> UtilizationTimeline {
-        assert!(bucket.as_nanos() > 0, "bucket must be nonzero");
-        let busy = self.busy_intervals(kind);
-        let makespan = self.result.makespan;
-        let n_buckets = makespan.as_nanos().div_ceil(bucket.as_nanos());
-        let mut samples = Vec::with_capacity(n_buckets as usize);
-        for b in 0..n_buckets {
-            let s = SimTime(b * bucket.as_nanos());
-            let e = SimTime(((b + 1) * bucket.as_nanos()).min(makespan.as_nanos()));
-            let width = e - s;
-            if width == SimDuration::ZERO {
-                break;
-            }
-            let overlap = busy.overlap_with(s, e);
-            samples.push(overlap.as_secs_f64() / width.as_secs_f64());
-        }
-        UtilizationTimeline { bucket, samples }
-    }
-
-    /// Per-resource busy/idle profile over the whole run, one entry per
-    /// concrete resource in declaration order (idle resources included, with
-    /// an all-zero timeline). This is the data behind the `utilization`
-    /// section of the run report and the Chrome-trace counter lanes.
-    pub fn resource_timelines(&self, bucket: SimDuration) -> Vec<ResourceTimeline> {
-        assert!(bucket.as_nanos() > 0, "bucket must be nonzero");
-        let makespan = self.result.makespan;
-        let makespan_secs = makespan.as_secs_f64();
-        let n_buckets = makespan.as_nanos().div_ceil(bucket.as_nanos());
-        self.result
-            .resources
-            .iter()
-            .enumerate()
-            .map(|(i, res)| {
-                let busy = IntervalSet::from_spans(
-                    self.result
-                        .records
-                        .iter()
-                        .filter(|rec| rec.resource.0 == i)
-                        .map(|rec| (rec.start, rec.end))
-                        .collect(),
-                );
-                let mut samples = Vec::with_capacity(n_buckets as usize);
-                for b in 0..n_buckets {
-                    let s = SimTime(b * bucket.as_nanos());
-                    let e = SimTime(((b + 1) * bucket.as_nanos()).min(makespan.as_nanos()));
-                    let width = e - s;
-                    if width == SimDuration::ZERO {
-                        break;
-                    }
-                    samples.push(busy.overlap_with(s, e).as_secs_f64() / width.as_secs_f64());
-                }
-                let busy_fraction = if makespan_secs > 0.0 {
-                    busy.measure().as_secs_f64() / makespan_secs
-                } else {
-                    0.0
-                };
-                ResourceTimeline {
-                    resource: res.spec.name.clone(),
-                    kind: res.spec.kind,
-                    node: res.spec.node,
-                    busy_fraction,
-                    timeline: UtilizationTimeline { bucket, samples },
-                }
-            })
-            .collect()
-    }
-
-    /// Bandwidth timeline of a resource kind: bytes served per bucket,
-    /// attributing each task's bytes uniformly over its service interval.
-    pub fn bandwidth(&self, kind: ResourceKind, bucket: SimDuration) -> BandwidthTimeline {
-        assert!(bucket.as_nanos() > 0, "bucket must be nonzero");
-        let makespan = self.result.makespan;
-        let n_buckets = makespan.as_nanos().div_ceil(bucket.as_nanos()) as usize;
-        let mut bytes = vec![0.0f64; n_buckets];
-        for r in &self.result.records {
-            if self.result.resources[r.resource.0].spec.kind != kind {
-                continue;
-            }
-            let dur = (r.end - r.start).as_secs_f64();
-            if dur <= 0.0 || r.work <= 0.0 {
-                continue;
-            }
-            let rate = r.work / dur;
-            let first = (r.start.as_nanos() / bucket.as_nanos()) as usize;
-            let last = ((r.end.as_nanos().saturating_sub(1)) / bucket.as_nanos()) as usize;
-            for (b, slot) in bytes.iter_mut().enumerate().take(last + 1).skip(first) {
-                let bs = SimTime(b as u64 * bucket.as_nanos());
-                let be = SimTime((b as u64 + 1) * bucket.as_nanos());
-                let lo = bs.max(r.start);
-                let hi = be.min(r.end);
-                if hi > lo {
-                    *slot += rate * (hi - lo).as_secs_f64();
-                }
+        let rate = r.work / dur;
+        let first = (r.start.as_nanos() / width) as usize;
+        let last = (r.end.as_nanos().saturating_sub(1) / width) as usize;
+        for (b, slot) in bytes.iter_mut().enumerate().take(last + 1).skip(first) {
+            let lo = SimTime(b as u64 * width).max(r.start);
+            let hi = SimTime((b as u64 + 1) * width).min(r.end);
+            if hi > lo {
+                *slot += rate * (hi - lo).as_secs_f64();
             }
         }
-        let bucket_secs = bucket.as_secs_f64();
-        BandwidthTimeline {
-            bucket,
-            samples: bytes.into_iter().map(|b| b / bucket_secs).collect(),
-        }
     }
 
-    /// Worker-side breakdown by category (Fig. 5): busy and exposed time.
-    pub fn breakdown(&self) -> Breakdown {
-        let mut busy = BTreeMap::new();
-        let mut sets: BTreeMap<TaskCategory, IntervalSet> = BTreeMap::new();
-        for cat in TaskCategory::ALL {
-            let set = self.category_intervals(cat);
-            busy.insert(cat, set.measure());
-            sets.insert(cat, set);
+    let sets: Vec<IntervalSet> = by_resource
+        .into_iter()
+        .map(IntervalSet::from_spans)
+        .collect();
+    let gpus: Vec<usize> = (0..sets.len())
+        .filter(|&i| result.resources[i].spec.kind == ResourceKind::GpuSm)
+        .collect();
+    let n_gpus = gpus.len().max(1) as f64;
+    let mut sm = Vec::with_capacity(n_buckets);
+    let mut lanes = vec![Vec::with_capacity(n_buckets); sets.len()];
+    let mut overlap = vec![0.0f64; sets.len()];
+    for b in 0..n_buckets as u64 {
+        let s = SimTime(b * width);
+        let e = SimTime(((b + 1) * width).min(makespan.as_nanos()));
+        let width_secs = (e - s).as_secs_f64();
+        for (i, set) in sets.iter().enumerate() {
+            overlap[i] = set.overlap_with(s, e).as_secs_f64();
+            lanes[i].push(overlap[i] / width_secs);
         }
-        let mut exposed = BTreeMap::new();
-        for cat in TaskCategory::ALL {
-            let mut others = IntervalSet::new();
-            for (other_cat, set) in &sets {
-                if *other_cat != cat {
-                    others = others.union(set);
-                }
+        let busy: f64 = gpus.iter().map(|&i| overlap[i]).sum();
+        sm.push(busy / (width_secs * n_gpus));
+    }
+
+    let makespan_secs = makespan.as_secs_f64();
+    let resources = result
+        .resources
+        .iter()
+        .zip(&sets)
+        .zip(lanes)
+        .map(|((res, set), samples)| ResourceTimeline {
+            resource: res.spec.name.clone(),
+            kind: res.spec.kind,
+            node: res.spec.node,
+            busy_fraction: if makespan_secs > 0.0 {
+                set.measure().as_secs_f64() / makespan_secs
+            } else {
+                0.0
+            },
+            timeline: Timeline { samples },
+        })
+        .collect();
+
+    let bucket_secs = bucket.as_secs_f64();
+    let [pcie, nvlink, network] = link_bytes.map(|bytes| Timeline {
+        samples: bytes.into_iter().map(|b| b / bucket_secs).collect(),
+    });
+
+    Measurement {
+        bucket,
+        sm: Timeline { samples: sm },
+        pcie,
+        nvlink,
+        network,
+        breakdown: breakdown(by_category, makespan),
+        resources,
+    }
+}
+
+/// Busy time per category, and the time each category runs alone.
+fn breakdown(spans: [Vec<(SimTime, SimTime)>; 5], makespan: SimTime) -> Breakdown {
+    let sets = spans.map(IntervalSet::from_spans);
+    let mut busy = BTreeMap::new();
+    let mut exposed = BTreeMap::new();
+    for (i, cat) in TaskCategory::ALL.into_iter().enumerate() {
+        let mut others = IntervalSet::new();
+        for (j, set) in sets.iter().enumerate() {
+            if j != i {
+                others = others.union(set);
             }
-            exposed.insert(cat, sets[&cat].subtract(&others).measure());
         }
-        Breakdown {
-            busy,
-            exposed,
-            makespan: self.result.makespan,
-        }
+        busy.insert(cat, sets[i].measure());
+        exposed.insert(cat, sets[i].subtract(&others).measure());
+    }
+    Breakdown {
+        busy,
+        exposed,
+        makespan,
     }
 }
 
@@ -359,22 +259,19 @@ mod tests {
     #[test]
     fn utilization_shows_pulse() {
         let r = two_phase_run();
-        let a = RunAnalysis::new(&r);
-        let u = a.utilization(ResourceKind::GpuSm, SimDuration::from_micros(100));
+        let u = measure(&r, SimDuration::from_micros(100)).sm;
         assert_eq!(u.samples.len(), 20);
         // GPU idle in first 10 buckets, busy in last 10.
         assert!(u.samples[..10].iter().all(|&s| s == 0.0));
         assert!(u.samples[10..].iter().all(|&s| (s - 1.0).abs() < 1e-9));
         assert!((u.mean() - 0.5).abs() < 1e-9);
-        assert!((u.fraction_below(0.5) - 0.5).abs() < 1e-9);
+        assert_eq!(u.samples.iter().filter(|&&s| s < 0.5).count(), 10);
     }
 
     #[test]
     fn cdf_is_monotone_and_complete() {
         let r = two_phase_run();
-        let a = RunAnalysis::new(&r);
-        let u = a.utilization(ResourceKind::GpuSm, SimDuration::from_micros(100));
-        let cdf = u.cdf();
+        let cdf = measure(&r, SimDuration::from_micros(100)).sm.cdf();
         assert_eq!(cdf.len(), 20);
         for w in cdf.windows(2) {
             assert!(w[0].0 <= w[1].0);
@@ -386,13 +283,13 @@ mod tests {
     #[test]
     fn bandwidth_attributes_bytes_to_buckets() {
         let r = two_phase_run();
-        let a = RunAnalysis::new(&r);
-        let bw = a.bandwidth(ResourceKind::Network, SimDuration::from_micros(500));
+        let bw = measure(&r, SimDuration::from_micros(500)).network;
         // 1e6 bytes in the first 1 ms: both first two 0.5 ms buckets at 1 GB/s.
         assert!((bw.samples[0] - 1e9).abs() < 1.0);
         assert!((bw.samples[1] - 1e9).abs() < 1.0);
         assert!(bw.samples[2] < 1.0);
-        assert!((bw.peak() - 1e9).abs() < 1.0);
+        let peak = bw.samples.iter().copied().fold(0.0, f64::max);
+        assert!((peak - 1e9).abs() < 1.0);
         // Total bytes conserved.
         let total: f64 = bw.samples.iter().sum::<f64>() * 500e-6;
         assert!((total - 1e6).abs() < 1.0);
@@ -401,7 +298,7 @@ mod tests {
     #[test]
     fn breakdown_exposes_serial_phases() {
         let r = two_phase_run();
-        let b = RunAnalysis::new(&r).breakdown();
+        let b = measure(&r, SimDuration::from_micros(100)).breakdown;
         // Fully serial: each phase is 100% exposed, 50% of the makespan.
         assert!((b.exposed_fraction(TaskCategory::Communication) - 0.5).abs() < 1e-9);
         assert!((b.exposed_fraction(TaskCategory::Computation) - 0.5).abs() < 1e-9);
@@ -413,25 +310,24 @@ mod tests {
 
     #[test]
     fn utilization_avg_averages_over_devices() {
-        // Two GPUs: one busy the whole run, one idle -> avg 50%, union 100%.
+        // Two GPUs: one busy the whole run, one idle -> avg 50%, while each
+        // lane shows its own device.
         let mut e = Engine::new();
         let g0 = e.add_resource(ResourceSpec::new("gpu0", ResourceKind::GpuSm, 1e9, 0));
         let _g1 = e.add_resource(ResourceSpec::new("gpu1", ResourceKind::GpuSm, 1e9, 0));
         e.add_task(Task::new(g0, 1e6, TaskCategory::Computation))
             .unwrap();
         let r = e.run().unwrap();
-        let a = RunAnalysis::new(&r);
-        let avg = a.utilization_avg(ResourceKind::GpuSm, SimDuration::from_micros(100));
-        let union = a.utilization(ResourceKind::GpuSm, SimDuration::from_micros(100));
-        assert!((avg.mean() - 0.5).abs() < 1e-9, "avg {}", avg.mean());
-        assert!((union.mean() - 1.0).abs() < 1e-9);
+        let m = measure(&r, SimDuration::from_micros(100));
+        assert!((m.sm.mean() - 0.5).abs() < 1e-9, "avg {}", m.sm.mean());
+        assert!((m.resources[0].timeline.mean() - 1.0).abs() < 1e-9);
+        assert_eq!(m.resources[1].timeline.mean(), 0.0);
     }
 
     #[test]
     fn resource_timelines_profile_every_resource() {
         let r = two_phase_run();
-        let a = RunAnalysis::new(&r);
-        let lanes = a.resource_timelines(SimDuration::from_micros(100));
+        let lanes = measure(&r, SimDuration::from_micros(100)).resources;
         assert_eq!(lanes.len(), 2);
         let gpu = lanes.iter().find(|l| l.resource == "gpu").unwrap();
         let net = lanes.iter().find(|l| l.resource == "net").unwrap();
@@ -459,7 +355,7 @@ mod tests {
         e.add_task(Task::new(g0, 1e6, TaskCategory::Computation))
             .unwrap();
         let r = e.run().unwrap();
-        let lanes = RunAnalysis::new(&r).resource_timelines(SimDuration::from_micros(100));
+        let lanes = measure(&r, SimDuration::from_micros(100)).resources;
         assert_eq!(lanes.len(), 2);
         assert!((lanes[0].busy_fraction - 1.0).abs() < 1e-9);
         assert_eq!(lanes[1].busy_fraction, 0.0);
@@ -476,7 +372,7 @@ mod tests {
         e.add_task(Task::new(g, 1e6, TaskCategory::Computation))
             .unwrap();
         let r = e.run().unwrap();
-        let b = RunAnalysis::new(&r).breakdown();
+        let b = measure(&r, SimDuration::from_micros(100)).breakdown;
         assert_eq!(b.exposed[&TaskCategory::Communication], SimDuration::ZERO);
         assert_eq!(b.exposed[&TaskCategory::Computation], SimDuration::ZERO);
     }

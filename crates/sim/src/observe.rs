@@ -1,24 +1,25 @@
 //! Exports a finished run into the [`picasso_obs`] metrics registry.
 //!
-//! This is the simulator side of the observability layer: task counts,
-//! per-resource service totals, task-duration and queue-wait histograms, and
-//! the clock-stamped time series the Chrome exporter renders as counter
-//! lanes — SM busy fraction, per-link bytes/s, queue depth, and congestion
+//! This is the simulator side of the observability layer. It publishes the
+//! run's one [`Measurement`] — exposed fractions, SM busy fraction, per-link
+//! bytes/s and per-resource busy lanes — and walks the records only for what
+//! the measurement does not hold: task counts, per-resource service totals,
+//! task-duration and queue-wait histograms, queue depth and congestion
 //! backlog. Everything is derived from the immutable [`RunResult`], so
 //! exporting is observation-only and cannot perturb the schedule.
 
 use crate::engine::{RunResult, TaskCategory};
-use crate::metrics::RunAnalysis;
+use crate::metrics::Measurement;
 use crate::resource::ResourceKind;
-use crate::time::SimDuration;
 use picasso_obs::{MetricKind, MetricsRegistry};
 
 /// Histogram bounds for task service and queue-wait times, seconds.
 pub const TASK_SECONDS_BOUNDS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
 
-/// Records a run's metrics into `registry`, bucketing time series at
-/// `bucket` (the paper's DCGM sampling uses 10 ms).
-pub fn export_metrics(result: &RunResult, registry: &MetricsRegistry, bucket: SimDuration) {
+/// Records a run's metrics into `registry`. `measured` is the run's
+/// measurement ([`crate::measure`] of `result`); its time series are
+/// published at its bucket width.
+pub fn export_metrics(result: &RunResult, measured: &Measurement, registry: &MetricsRegistry) {
     registry.describe(
         "sim_tasks_total",
         MetricKind::Counter,
@@ -80,32 +81,30 @@ pub fn export_metrics(result: &RunResult, registry: &MetricsRegistry, bucket: Si
     registry.gauge_set("sim_makespan_seconds", &[], result.makespan.as_secs_f64());
 
     for rec in &result.records {
-        let category = rec.category.to_string();
-        let kind = result.resources[rec.resource.0].spec.kind.to_string();
-        registry.counter_add("sim_tasks_total", &[("category", &category)], 1);
+        let category = rec.category.name();
+        let kind = result.resources[rec.resource.0].spec.kind.name();
+        registry.counter_add("sim_tasks_total", &[("category", category)], 1);
         registry.histogram_observe(
             "sim_task_seconds",
-            &[("category", &category)],
+            &[("category", category)],
             (rec.end - rec.start).as_secs_f64(),
         );
         registry.histogram_observe(
             "sim_queue_wait_seconds",
-            &[("kind", &kind)],
+            &[("kind", kind)],
             (rec.start - rec.ready).as_secs_f64(),
         );
     }
     for summary in &result.resources {
-        let kind = summary.spec.kind.to_string();
-        registry.counter_add("sim_ops_total", &[("kind", &kind)], summary.ops_served);
+        let kind = summary.spec.kind.name();
+        registry.counter_add("sim_ops_total", &[("kind", kind)], summary.ops_served);
     }
 
-    let analysis = RunAnalysis::new(result);
-    let breakdown = analysis.breakdown();
     for cat in TaskCategory::ALL {
         registry.gauge_set(
             "sim_exposed_fraction",
-            &[("category", &cat.to_string())],
-            breakdown.exposed_fraction(cat),
+            &[("category", cat.name())],
+            measured.breakdown.exposed_fraction(cat),
         );
     }
 
@@ -115,22 +114,20 @@ pub fn export_metrics(result: &RunResult, registry: &MetricsRegistry, bucket: Si
         return;
     }
 
-    let sm = analysis.utilization_avg(ResourceKind::GpuSm, bucket);
-    for (i, &value) in sm.samples.iter().enumerate() {
-        registry.record_sample("sim_sm_busy", &[], i as u64 * bucket.as_nanos(), value);
+    let at = |i: usize| i as u64 * measured.bucket.as_nanos();
+    for (i, &value) in measured.sm.samples.iter().enumerate() {
+        registry.record_sample("sim_sm_busy", &[], at(i), value);
     }
-    for kind in [
-        ResourceKind::Pcie,
-        ResourceKind::NvLink,
-        ResourceKind::Network,
+    for (kind, bw) in [
+        (ResourceKind::Pcie, &measured.pcie),
+        (ResourceKind::NvLink, &measured.nvlink),
+        (ResourceKind::Network, &measured.network),
     ] {
-        let bw = analysis.bandwidth(kind, bucket);
-        let link = kind.to_string();
         for (i, &value) in bw.samples.iter().enumerate() {
             registry.record_sample(
                 "sim_link_bytes_per_sec",
-                &[("link", &link)],
-                i as u64 * bucket.as_nanos(),
+                &[("link", kind.name())],
+                at(i),
                 value,
             );
         }
@@ -139,22 +136,16 @@ pub fn export_metrics(result: &RunResult, registry: &MetricsRegistry, bucket: Si
     // One counter lane per resource that ever served work; all-idle resources
     // still show up in the report's utilization block but would only clutter
     // the trace here.
-    for lane in analysis.resource_timelines(bucket) {
+    for lane in &measured.resources {
         if lane.busy_fraction == 0.0 {
             continue;
         }
-        let kind = lane.kind.to_string();
         let labels = [
             ("resource", lane.resource.as_str()),
-            ("kind", kind.as_str()),
+            ("kind", lane.kind.name()),
         ];
         for (i, &value) in lane.timeline.samples.iter().enumerate() {
-            registry.record_sample(
-                "sim_resource_busy",
-                &labels,
-                i as u64 * bucket.as_nanos(),
-                value,
-            );
+            registry.record_sample("sim_resource_busy", &labels, at(i), value);
         }
     }
 
@@ -184,7 +175,7 @@ pub fn export_metrics(result: &RunResult, registry: &MetricsRegistry, bucket: Si
         if spec.congestion.is_some() {
             registry.record_sample(
                 "sim_congestion_backlog_seconds",
-                &[("link", &spec.kind.to_string())],
+                &[("link", spec.kind.name())],
                 rec.start.as_nanos(),
                 (rec.start - rec.ready).as_secs_f64(),
             );
@@ -197,6 +188,14 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, Task};
     use crate::resource::{CongestionSpec, ResourceSpec};
+    use crate::time::SimDuration;
+
+    fn export(result: &RunResult) -> MetricsRegistry {
+        let registry = MetricsRegistry::new();
+        let measured = crate::measure(result, SimDuration::from_micros(100));
+        export_metrics(result, &measured, &registry);
+        registry
+    }
 
     fn run_with_queueing() -> RunResult {
         let mut e = Engine::new();
@@ -224,8 +223,7 @@ mod tests {
     #[test]
     fn exports_counters_histograms_and_series() {
         let result = run_with_queueing();
-        let registry = MetricsRegistry::new();
-        export_metrics(&result, &registry, SimDuration::from_micros(100));
+        let registry = export(&result);
 
         assert_eq!(
             registry.counter_value("sim_tasks_total", &[("category", "communication")]),
@@ -278,8 +276,7 @@ mod tests {
         e.add_task(Task::new(g0, 1e6, TaskCategory::Computation))
             .unwrap();
         let result = e.run().unwrap();
-        let registry = MetricsRegistry::new();
-        export_metrics(&result, &registry, SimDuration::from_micros(100));
+        let registry = export(&result);
 
         let snap = registry.snapshot();
         let lanes: Vec<_> = snap
@@ -298,8 +295,7 @@ mod tests {
     #[test]
     fn empty_run_exports_without_timeline() {
         let result = Engine::new().run().unwrap();
-        let registry = MetricsRegistry::new();
-        export_metrics(&result, &registry, SimDuration::from_micros(100));
+        let registry = export(&result);
         assert_eq!(registry.gauge_value("sim_makespan_seconds", &[]), Some(0.0));
         let snap = registry.snapshot();
         assert!(snap.series.is_empty());

@@ -11,7 +11,7 @@ use picasso::embedding::{PackPlan, PlannerConfig};
 use picasso::exec::{chrome_trace, observe, simulate, SimConfig, Strategy};
 use picasso::graph::{d_packing, k_packing};
 use picasso::obs::{prometheus, MetricsRegistry};
-use picasso::sim::MachineSpec;
+use picasso::sim::{measure, MachineSpec};
 use picasso::ModelKind;
 use std::collections::BTreeMap;
 
@@ -48,9 +48,11 @@ fn main() {
     let picasso = simulate(&packed, Strategy::Hybrid, &cfg).unwrap();
     std::fs::write("trace_picasso.json", chrome_trace(&picasso).to_json()).unwrap();
 
-    // Metrics registry dump of the PICASSO run in Prometheus text format.
+    // Metrics registry dump of the PICASSO run in Prometheus text format,
+    // publishing one measurement at the telemetry bucket.
+    let measured = measure(&picasso.result, observe::telemetry_bucket(&picasso.result));
     let registry = MetricsRegistry::new();
-    observe::export_metrics(&picasso, &registry);
+    observe::export_metrics(&picasso, &measured, &registry);
     std::fs::write(
         "metrics_picasso.prom",
         prometheus::render(&registry.snapshot()),
