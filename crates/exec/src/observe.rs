@@ -13,6 +13,7 @@ use crate::scheduler::SimulationOutput;
 use picasso_obs::flight::{FlightConfig, FlightRecorder};
 use picasso_obs::{ChromeTrace, ManualClock, MetricKind, MetricsRegistry, Tracer};
 use picasso_sim::{Binding, Measurement, RunResult, SimDuration};
+use std::fmt::Write;
 
 /// Half-open `[start, end)` range of engine task ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,11 +150,15 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
     for (i, r) in result.resources.iter().enumerate() {
         trace.set_sort_index(&r.spec.name, 1000 + i as i64);
     }
+    // Two arg buffers reused across records: no per-record allocation.
+    let (mut work, mut task) = (String::new(), String::new());
     for rec in &result.records {
         let lane = &result.resources[rec.resource.0].spec.name;
         let cat = rec.category.name();
-        let work = format!("{:.0}", rec.work);
-        let task = rec.task.0.to_string();
+        work.clear();
+        task.clear();
+        let _ = write!(work, "{:.0}", rec.work);
+        let _ = write!(task, "{}", rec.task.0);
         trace.complete(
             lane,
             cat,

@@ -8,64 +8,28 @@
 //! events, dependencies use `"ph":"s"`/`"ph":"f"` flow pairs, and frame
 //! markers are global instants (`"ph":"i","s":"g"`).
 
-use crate::json::{write_escaped, write_f64};
+use crate::json::{write_escaped, write_f64, write_micros, write_u64};
 use crate::metrics::MetricsSnapshot;
 use crate::span::Tracer;
 use crate::Clock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One recorded event, serialized by [`ChromeTrace::to_json`]. Tids are
-/// provisional (first-seen order) until then.
-#[derive(Debug)]
-enum Event {
-    ThreadName {
-        tid: u64,
-        track: String,
-    },
-    SortIndex {
-        tid: u64,
-        sort_index: i64,
-    },
-    Complete {
-        tid: u64,
-        name: String,
-        cat: String,
-        start_ns: u64,
-        end_ns: u64,
-        args: Vec<(String, String)>,
-    },
-    Instant {
-        tid: u64,
-        name: String,
-        t_ns: u64,
-    },
-    Frame {
-        name: String,
-        t_ns: u64,
-    },
-    Counter {
-        name: String,
-        t_ns: u64,
-        values: Vec<(String, f64)>,
-    },
-    /// An `"s"`/`"f"` pair: two events of the document.
-    Flow {
-        name: String,
-        id: u64,
-        from_tid: u64,
-        from_ns: u64,
-        to_tid: u64,
-        to_ns: u64,
-    },
-}
-
 /// Incrementally built Chrome trace document.
+///
+/// Each event is rendered to JSON once, when it is added, into one text
+/// arena. The only part left open is a lane event's tid: tids are
+/// provisional (first-seen order) until [`ChromeTrace::to_json`] remaps
+/// them, so the arena leaves a hole where each tid goes.
 #[derive(Debug, Default)]
 pub struct ChromeTrace {
-    events: Vec<Event>,
-    tids: BTreeMap<String, u64>,
-    flows: usize,
+    /// The rendered events, comma-separated, minus their tids.
+    text: String,
+    /// `(offset into text, provisional tid)` of every tid hole, in order.
+    holes: Vec<(usize, usize)>,
+    tids: BTreeMap<String, usize>,
+    events: usize,
+    flows: u64,
 }
 
 impl ChromeTrace {
@@ -74,28 +38,51 @@ impl ChromeTrace {
         ChromeTrace::default()
     }
 
-    /// The `tid` for a track, assigning one (with a `thread_name` metadata
-    /// event) on first use. Tids start at 1 in first-seen order while the
-    /// trace is being built; [`ChromeTrace::to_json`] remaps them so the
-    /// serialized document numbers tracks by sorted lane name, making
-    /// same-scenario traces diff cleanly regardless of insertion order.
-    pub fn tid_for_track(&mut self, track: &str) -> u64 {
+    /// The provisional `tid` for a track, assigning one (with a
+    /// `thread_name` metadata event) on first use. Tids start at 1 in
+    /// first-seen order while the trace is being built.
+    fn tid_for_track(&mut self, track: &str) -> usize {
         if let Some(&tid) = self.tids.get(track) {
             return tid;
         }
-        let tid = self.tids.len() as u64 + 1;
+        let tid = self.tids.len() + 1;
         self.tids.insert(track.to_string(), tid);
-        self.events.push(Event::ThreadName {
-            tid,
-            track: track.to_string(),
-        });
+        self.open("thread_name");
+        self.lane(",\"ph\":\"M\",\"pid\":1,\"tid\":", tid);
+        self.text.push_str(",\"args\":{\"name\":");
+        write_escaped(track, &mut self.text);
+        self.text.push_str("}}");
         tid
+    }
+
+    /// Starts an event: the separator, then its `name` field.
+    fn open(&mut self, name: &str) {
+        if self.events > 0 {
+            self.text.push(',');
+        }
+        self.events += 1;
+        self.text.push_str("{\"name\":");
+        write_escaped(name, &mut self.text);
+    }
+
+    /// Writes `fields` (ending in `"tid":`) and leaves the tid's hole.
+    fn lane(&mut self, fields: &str, tid: usize) {
+        self.text.push_str(fields);
+        self.holes.push((self.text.len(), tid));
+    }
+
+    /// Writes `key` and a nanosecond time in microseconds.
+    fn ts(&mut self, key: &str, ns: u64) {
+        self.text.push_str(key);
+        write_micros(ns, &mut self.text);
     }
 
     /// Pins a track's vertical position in the viewer.
     pub fn set_sort_index(&mut self, track: &str, sort_index: i64) {
         let tid = self.tid_for_track(track);
-        self.events.push(Event::SortIndex { tid, sort_index });
+        self.open("thread_sort_index");
+        self.lane(",\"ph\":\"M\",\"pid\":1,\"tid\":", tid);
+        let _ = write!(self.text, ",\"args\":{{\"sort_index\":{sort_index}}}}}");
     }
 
     /// Adds a complete (`"ph":"X"`) span.
@@ -109,63 +96,75 @@ impl ChromeTrace {
         args: &[(&str, &str)],
     ) {
         let tid = self.tid_for_track(track);
-        self.events.push(Event::Complete {
-            tid,
-            name: name.to_string(),
-            cat: cat.to_string(),
-            start_ns,
-            end_ns,
-            args: args
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-        });
+        self.open(name);
+        self.text.push_str(",\"cat\":");
+        write_escaped(cat, &mut self.text);
+        self.lane(",\"ph\":\"X\",\"pid\":1,\"tid\":", tid);
+        self.ts(",\"ts\":", start_ns);
+        self.ts(",\"dur\":", end_ns.saturating_sub(start_ns));
+        for (i, (k, v)) in args.iter().enumerate() {
+            self.text.push_str(if i == 0 { ",\"args\":{" } else { "," });
+            write_escaped(k, &mut self.text);
+            self.text.push(':');
+            write_escaped(v, &mut self.text);
+        }
+        self.text.push_str(if args.is_empty() { "}" } else { "}}" });
     }
 
     /// Adds a thread-scoped instant event.
     pub fn instant(&mut self, track: &str, name: &str, t_ns: u64) {
         let tid = self.tid_for_track(track);
-        self.events.push(Event::Instant {
-            tid,
-            name: name.to_string(),
-            t_ns,
-        });
+        self.open(name);
+        self.lane(",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":", tid);
+        self.ts(",\"ts\":", t_ns);
+        self.text.push('}');
     }
 
     /// Adds a global frame marker (`"ph":"i","s":"g"`), e.g. an iteration
     /// boundary visible across every lane.
     pub fn frame_marker(&mut self, name: &str, t_ns: u64) {
-        self.events.push(Event::Frame {
-            name: name.to_string(),
+        self.open(name);
+        self.ts(
+            ",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":",
             t_ns,
-        });
+        );
+        self.text.push('}');
     }
 
     /// Adds a counter (`"ph":"C"`) sample; each entry of `values` becomes a
     /// stacked series of the lane named `name`.
     pub fn counter(&mut self, name: &str, t_ns: u64, values: &[(&str, f64)]) {
-        self.events.push(Event::Counter {
-            name: name.to_string(),
-            t_ns,
-            values: values.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        });
+        self.open(name);
+        self.ts(",\"ph\":\"C\",\"pid\":1,\"ts\":", t_ns);
+        self.text.push_str(",\"args\":{");
+        for (i, &(k, v)) in values.iter().enumerate() {
+            if i > 0 {
+                self.text.push(',');
+            }
+            write_escaped(k, &mut self.text);
+            self.text.push(':');
+            write_f64(v, &mut self.text);
+        }
+        self.text.push_str("}}");
     }
 
     /// Adds a flow arrow: an `"s"` event at the source and a matching `"f"`
     /// (binding enclosing slice) at the destination, sharing a fresh id.
     pub fn flow(&mut self, name: &str, from_track: &str, from_ns: u64, to_track: &str, to_ns: u64) {
-        let id = self.flows as u64;
+        let id = self.flows;
         self.flows += 1;
         let from_tid = self.tid_for_track(from_track);
         let to_tid = self.tid_for_track(to_track);
-        self.events.push(Event::Flow {
-            name: name.to_string(),
-            id,
-            from_tid,
-            from_ns,
-            to_tid,
-            to_ns,
-        });
+        let start = ",\"cat\":\"flow\",\"ph\":\"s\",\"id\":";
+        let finish = ",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":";
+        for (fields, tid, ns) in [(start, from_tid, from_ns), (finish, to_tid, to_ns)] {
+            self.open(name);
+            self.text.push_str(fields);
+            write_u64(id, &mut self.text);
+            self.lane(",\"pid\":1,\"tid\":", tid);
+            self.ts(",\"ts\":", ns);
+            self.text.push('}');
+        }
     }
 
     /// Imports everything a [`Tracer`] recorded: spans as `"X"`, instants as
@@ -222,164 +221,36 @@ impl ChromeTrace {
 
     /// Number of events added so far (a flow counts as its two events).
     pub fn len(&self) -> usize {
-        self.events.len() + self.flows
+        self.events
     }
 
     /// True when no events have been added.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events == 0
     }
 
     /// Serializes the document with deterministic track numbering: tids
     /// are remapped so track names in sorted order get tids 1, 2, ...
-    /// (tid 0 — global frame markers — is left alone). One pass writes
-    /// every event into a single pre-sized buffer.
+    /// (tid 0 — global frame markers — is written literally), filling the
+    /// arena's holes as it is copied out.
     pub fn to_json(&self) -> String {
         // self.tids is a BTreeMap, so iteration is already name-sorted.
-        let mut remap = vec![0; self.tids.len() + 1];
+        let mut remap = vec![String::new(); self.tids.len() + 1];
         for (rank, &provisional) in self.tids.values().enumerate() {
-            remap[provisional as usize] = rank as u64 + 1;
+            remap[provisional] = (rank + 1).to_string();
         }
-        // Sized above a typical event so the buffer rarely has to regrow.
-        let capacity = 128 * (self.events.len() + self.flows) + 64;
-        let mut out = String::with_capacity(capacity);
+        let widest = remap.iter().map(String::len).max().unwrap_or(0);
+        let mut out = String::with_capacity(self.text.len() + widest * self.holes.len() + 64);
         out.push_str("{\"traceEvents\":[");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            event.write(&remap, &mut out);
+        let mut copied = 0;
+        for &(at, tid) in &self.holes {
+            out.push_str(&self.text[copied..at]);
+            out.push_str(&remap[tid]);
+            copied = at;
         }
+        out.push_str(&self.text[copied..]);
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
         out
-    }
-}
-
-impl Event {
-    /// Writes one event (both halves of a flow) with its fields in the
-    /// document's fixed order.
-    fn write(&self, remap: &[u64], out: &mut String) {
-        let tid = |t: u64| remap[t as usize];
-        let head = |out: &mut String, name: &str| {
-            out.push_str("{\"name\":");
-            write_escaped(name, out);
-        };
-        let ts = |out: &mut String, key: &str, ns: u64| {
-            out.push_str(key);
-            write_f64(ns as f64 / 1e3, out);
-        };
-        match *self {
-            Event::ThreadName { tid: t, ref track } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":",
-                    tid(t)
-                );
-                write_escaped(track, out);
-                out.push_str("}}");
-            }
-            Event::SortIndex { tid: t, sort_index } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"sort_index\":{sort_index}}}}}",
-                    tid(t)
-                );
-            }
-            Event::Complete {
-                tid: t,
-                ref name,
-                ref cat,
-                start_ns,
-                end_ns,
-                ref args,
-            } => {
-                head(out, name);
-                out.push_str(",\"cat\":");
-                write_escaped(cat, out);
-                let _ = write!(out, ",\"ph\":\"X\",\"pid\":1,\"tid\":{}", tid(t));
-                ts(out, ",\"ts\":", start_ns);
-                ts(out, ",\"dur\":", end_ns.saturating_sub(start_ns));
-                if !args.is_empty() {
-                    out.push_str(",\"args\":{");
-                    for (i, (k, v)) in args.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        write_escaped(k, out);
-                        out.push(':');
-                        write_escaped(v, out);
-                    }
-                    out.push('}');
-                }
-                out.push('}');
-            }
-            Event::Instant {
-                tid: t,
-                ref name,
-                t_ns,
-            } => {
-                head(out, name);
-                let _ = write!(
-                    out,
-                    ",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{}",
-                    tid(t)
-                );
-                ts(out, ",\"ts\":", t_ns);
-                out.push('}');
-            }
-            Event::Frame { ref name, t_ns } => {
-                head(out, name);
-                ts(
-                    out,
-                    ",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":",
-                    t_ns,
-                );
-                out.push('}');
-            }
-            Event::Counter {
-                ref name,
-                t_ns,
-                ref values,
-            } => {
-                head(out, name);
-                ts(out, ",\"ph\":\"C\",\"pid\":1,\"ts\":", t_ns);
-                out.push_str(",\"args\":{");
-                for (i, (k, v)) in values.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    write_f64(*v, out);
-                }
-                out.push_str("}}");
-            }
-            Event::Flow {
-                ref name,
-                id,
-                from_tid,
-                from_ns,
-                to_tid,
-                to_ns,
-            } => {
-                head(out, name);
-                let _ = write!(
-                    out,
-                    ",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{id},\"pid\":1,\"tid\":{}",
-                    tid(from_tid)
-                );
-                ts(out, ",\"ts\":", from_ns);
-                out.push_str("},");
-                head(out, name);
-                let _ = write!(
-                    out,
-                    ",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"pid\":1,\"tid\":{}",
-                    tid(to_tid)
-                );
-                ts(out, ",\"ts\":", to_ns);
-                out.push('}');
-            }
-        }
     }
 }
 
@@ -437,12 +308,37 @@ mod tests {
     #[test]
     fn tracks_get_stable_tids_and_metadata() {
         let mut trace = ChromeTrace::new();
-        assert_eq!(trace.tid_for_track("a"), 1);
-        assert_eq!(trace.tid_for_track("b"), 2);
-        assert_eq!(trace.tid_for_track("a"), 1);
+        trace.instant("a", "x", 0);
+        trace.instant("b", "x", 0);
+        trace.instant("a", "x", 0);
         trace.set_sort_index("a", -1);
         let doc = json::parse(&trace.to_json()).unwrap();
         assert_eq!(phase_count(&doc, "M"), 3); // 2 names + 1 sort index
+        let events = doc.get("traceEvents").and_then(Json::items).unwrap();
+        let tids: Vec<u64> = events
+            .iter()
+            .map(|e| e.get("tid").and_then(Json::as_u64).unwrap())
+            .collect();
+        // name a, instant, name b, instant, instant, sort index of a.
+        assert_eq!(tids, vec![1, 1, 2, 2, 1, 1]);
+    }
+
+    #[test]
+    fn far_timestamps_and_non_finite_counters_serialize() {
+        // One nanosecond past 2^43 µs the float fallback takes over: the
+        // nearest f64 to 8796093022208.001 prints as ...208.002.
+        let far = (1 << 43) * 1000 + 1;
+        let mut t = ChromeTrace::new();
+        t.complete("lane", "late", "c", far, far + 1_500, &[]);
+        t.counter("gauge", far, &[("nan", f64::NAN), ("inf", f64::INFINITY)]);
+        let want = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"lane"}},"#,
+            r#"{"name":"late","cat":"c","ph":"X","pid":1,"tid":1,"ts":8796093022208.002,"dur":1.5},"#,
+            r#"{"name":"gauge","ph":"C","pid":1,"ts":8796093022208.002,"args":{"nan":null,"inf":null}}"#,
+            r#"],"displayTimeUnit":"ms"}"#,
+        );
+        assert_eq!(t.to_json(), want);
     }
 
     #[test]

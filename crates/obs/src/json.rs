@@ -193,6 +193,50 @@ pub fn write_f64(x: f64, out: &mut String) {
     }
 }
 
+/// Writes `n` in decimal, as `{n}` formats it, without the formatting
+/// machinery.
+pub fn write_u64(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+}
+
+/// Nanosecond times below this (2^43 µs) print exactly as three-decimal
+/// microseconds: the f64 spacing there is under 0.001 µs, so the trimmed
+/// three-decimal string is the shortest one that round-trips.
+const EXACT_MICROS_BELOW_NS: u64 = (1 << 43) * 1000;
+
+/// Writes `ns` nanoseconds as microseconds, byte for byte as
+/// `write_f64(ns as f64 / 1e3)`, from integer digits: `ns / 1000`, a `.`,
+/// then the digits of `ns % 1000` with trailing zeros trimmed (`.0` when
+/// it is 0). At or above 2^43 µs it falls back to [`write_f64`].
+pub fn write_micros(ns: u64, out: &mut String) {
+    if ns >= EXACT_MICROS_BELOW_NS {
+        return write_f64(ns as f64 / 1e3, out);
+    }
+    write_u64(ns / 1000, out);
+    let frac = ns % 1000;
+    let digits = [
+        b'.',
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ];
+    let mut end = digits.len();
+    while end > 2 && digits[end - 1] == b'0' {
+        end -= 1;
+    }
+    out.push_str(std::str::from_utf8(&digits[..end]).expect("ASCII digits"));
+}
+
 /// Writes `s` as a quoted JSON string literal: `"`, `\`, `\n`, `\r` and
 /// `\t` get short escapes, other control characters `\u00XX`. Runs of
 /// characters that need no escape are copied in one piece.
@@ -223,12 +267,19 @@ pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest. The deepest document the
+/// workspace writes nests fewer than 10 levels; the limit keeps a hostile
+/// document from overflowing the parser's stack.
+const MAX_DEPTH: usize = 256;
+
 /// Parses a JSON document. Intended for validating this crate's own
-/// exports in tests; it accepts standard JSON, without extensions.
+/// exports in tests; it accepts standard JSON, without extensions, with
+/// arrays and objects nested at most 256 levels deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -257,6 +308,8 @@ impl fmt::Display for ParseError {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -301,11 +354,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// `MAX_DEPTH`.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -537,6 +605,17 @@ mod tests {
         assert_eq!(esc("gpu·0 ✓"), "\"gpu·0 ✓\"", "non-ASCII passes through");
         let tricky = "é\u{1f}x\"ü\\\u{7f}";
         assert_eq!(parse(&esc(tricky)).unwrap().as_str(), Some(tricky));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(100_000)).expect_err(open);
+            assert_eq!(err.message, "nested too deeply");
+        }
+        let nest = |depth| format!("{}0{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

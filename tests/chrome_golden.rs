@@ -7,10 +7,17 @@
 //! moves one of these pins. The two W&D runs also pin their
 //! `picasso.analysis_report` document, the one `repro analyze` writes per
 //! scenario: critical path, overlap, idle-gap attribution and the analysis
-//! lints.
+//! lints. A crash-and-recover run pins the trace `RecoveryRun` renders:
+//! checkpoint spans with args, crash instants and fractional-second times.
 
-use picasso::exec::{analysis_report_json, chrome_trace, run, RunArtifacts, WarmupConfig};
+use picasso::ckpt::CheckpointStore;
+use picasso::exec::{
+    analysis_report_json, chrome_trace, run, run_recovery, RecoveryOptions, RunArtifacts,
+    WarmupConfig,
+};
 use picasso::obs::analysis::fnv1a64;
+use picasso::sim::FaultPlan;
+use picasso::train::auc_datasets;
 use picasso::{ModelKind, Optimizations, PassId, PicassoConfig, Session, Strategy};
 
 /// The perf-suite session shape (`picasso_bench::scenarios::suite_config`)
@@ -109,4 +116,25 @@ fn trace_with_counter_lanes_is_pinned() {
     let text = picasso::observe::chrome_trace(&arts).to_json();
     assert!(text.contains("\"ph\":\"C\""), "counter lanes present");
     assert_eq!(pin(&text), (418_199, "1dae62552137e1d6".to_string()));
+}
+
+#[test]
+fn recovery_trace_bytes_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("picasso-chrome-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).expect("open temp store");
+    let opts = RecoveryOptions {
+        iterations: 12,
+        batch_size: 16,
+        seed: 23,
+        ckpt_every: 2,
+        full_every: 3,
+        fault_plan: FaultPlan::parse("seed=9;crash@5").expect("plan parses"),
+        ..RecoveryOptions::default()
+    };
+    let recovered = run_recovery(&auc_datasets::criteo_like(), Some(&store), &opts).expect("run");
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = recovered.chrome_trace().to_json();
+    assert!(text.contains("crash@5") && text.contains("restore->"));
+    assert_eq!(pin(&text), (1_281, "38e5caa12ed76f09".to_string()));
 }
