@@ -577,12 +577,19 @@ fn restore_model(
 /// the run still finishes — it just loses all progress.
 ///
 /// Errors with [`TrainError::Unrecoverable`] when the checkpoint store is
-/// unusable or a NIC outage outlasts the bounded retry budget.
+/// unusable or a NIC outage outlasts the bounded retry budget, and before
+/// the first step when the batch size is zero or a straggler event targets
+/// a worker outside the detector panel.
 pub fn run_recovery(
     data: &Arc<DatasetSpec>,
     store: Option<&CheckpointStore>,
     opts: &RecoveryOptions,
 ) -> Result<RecoveryRun, TrainError> {
+    if opts.batch_size == 0 {
+        return Err(TrainError::Unrecoverable(
+            "batch size 0: a training step needs at least one instance".into(),
+        ));
+    }
     let plan = &opts.fault_plan;
     // The detector panel compares every synchronous worker; a straggler
     // event must target one of them.
@@ -988,6 +995,16 @@ mod tests {
         let err = run_recovery(&data, None, &o).expect_err("outage must exhaust retries");
         assert!(matches!(err, TrainError::Unrecoverable(_)));
         assert!(err.to_string().contains("retry budget"));
+    }
+
+    #[test]
+    fn a_zero_batch_size_is_rejected_before_the_first_step() {
+        let data = auc_datasets::criteo_like();
+        let mut o = opts(0, "seed=5;crash@1");
+        o.batch_size = 0;
+        let err = run_recovery(&data, None, &o).expect_err("batch size 0");
+        assert!(matches!(err, TrainError::Unrecoverable(_)), "{err}");
+        assert!(err.to_string().contains("batch size 0"), "{err}");
     }
 
     #[test]

@@ -8,10 +8,9 @@
 use crate::nn::{bce_with_logits, predict, Linear};
 use crate::optimizer::Adagrad;
 use crate::tensor::Matrix;
-use picasso_data::{Batch, DatasetSpec};
+use picasso_data::{Batch, DatasetSpec, IdHash};
 use picasso_embedding::EmbeddingTable;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The interaction stage of a trainable model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,13 +33,13 @@ pub const EMB_DIM: usize = 8;
 #[derive(Debug)]
 pub struct CtrModel {
     variant: Variant,
-    /// One embedding table per table group.
-    tables: BTreeMap<usize, EmbeddingTable>,
+    /// One embedding table per table group, in `table_order`.
+    tables: Vec<EmbeddingTable>,
     /// Table ids in order (the feature layout).
     table_order: Vec<usize>,
     /// Which tables are sequences (attention-pooled under
-    /// Attention/Evolution).
-    is_seq: BTreeMap<usize, bool>,
+    /// Attention/Evolution), in `table_order`.
+    is_seq: Vec<bool>,
     l1: Linear,
     l2: Linear,
     opt1: Adagrad,
@@ -63,7 +62,8 @@ pub struct DenseGrads {
     db1: Vec<f32>,
     dw2: Matrix,
     db2: Vec<f32>,
-    /// Sparse gradients: (table, id, grad).
+    /// Sparse gradients, one per distinct `(table index, id)` of the batch
+    /// in first-occurrence order: (table index, id, grad).
     sparse: Vec<(usize, u64, [f32; EMB_DIM])>,
 }
 
@@ -71,23 +71,23 @@ impl CtrModel {
     /// Builds a model for `data` (tables of `data` are embedded at
     /// [`EMB_DIM`] regardless of the spec's logical dims).
     pub fn new(data: &DatasetSpec, variant: Variant, lr: f32, seed: u64) -> CtrModel {
-        let mut tables = BTreeMap::new();
-        let mut is_seq = BTreeMap::new();
         let mut per_table_fields: BTreeMap<usize, usize> = BTreeMap::new();
         let mut multi_hot: BTreeMap<usize, bool> = BTreeMap::new();
         for f in &data.fields {
-            tables
-                .entry(f.table_group)
-                .or_insert_with(|| EmbeddingTable::new(EMB_DIM, seed ^ f.table_group as u64));
             *per_table_fields.entry(f.table_group).or_insert(0) += 1;
             if f.avg_ids > 1.5 {
                 multi_hot.insert(f.table_group, true);
             }
         }
-        for (&t, &n) in &per_table_fields {
-            is_seq.insert(t, n > 1 || multi_hot.get(&t).copied().unwrap_or(false));
-        }
-        let table_order: Vec<usize> = tables.keys().copied().collect();
+        let table_order: Vec<usize> = per_table_fields.keys().copied().collect();
+        let tables = table_order
+            .iter()
+            .map(|&t| EmbeddingTable::new(EMB_DIM, seed ^ t as u64))
+            .collect();
+        let is_seq = per_table_fields
+            .iter()
+            .map(|(t, &n)| n > 1 || multi_hot.get(t).copied().unwrap_or(false))
+            .collect();
         let n = table_order.len();
         let dots = if variant == Variant::DotDeep {
             n * (n - 1) / 2
@@ -115,39 +115,36 @@ impl CtrModel {
         self.input_width
     }
 
-    /// Pools one instance's IDs for one table; returns the pooled vector and
-    /// the attention weights per id (uniform when not attending).
+    /// Pools one instance's IDs of table `ti` into the returned vector and
+    /// writes each id's pooling weight into `weights` (attention weights, or
+    /// uniform when not attending). `rows` is scratch for the gathered rows.
     fn pool(
         &mut self,
-        table: usize,
+        ti: usize,
         ids: &[u64],
         target: Option<&[f32; EMB_DIM]>,
-    ) -> ([f32; EMB_DIM], Vec<f32>) {
+        weights: &mut [f32],
+        rows: &mut Vec<[f32; EMB_DIM]>,
+    ) -> [f32; EMB_DIM] {
         let mut out = [0.0f32; EMB_DIM];
         if ids.is_empty() {
-            return (out, Vec::new());
+            return out;
         }
         let attend = matches!(self.variant, Variant::Attention | Variant::Evolution)
-            && self.is_seq[&table]
-            && target.is_some()
+            && self.is_seq[ti]
             && ids.len() > 1;
-        let t = self.tables.get_mut(&table).expect("known table");
-        let rows: Vec<[f32; EMB_DIM]> = ids
-            .iter()
-            .map(|&id| {
-                let mut r = [0.0f32; EMB_DIM];
-                r.copy_from_slice(t.row(id));
-                r
-            })
-            .collect();
-        let weights = if attend {
-            let tgt = target.expect("attention needs a target");
-            let scale = 1.0 / (EMB_DIM as f32).sqrt();
-            let recency = matches!(self.variant, Variant::Evolution);
-            let mut scores: Vec<f32> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
+        let t = &mut self.tables[ti];
+        rows.clear();
+        rows.extend(ids.iter().map(|&id| {
+            let mut r = [0.0f32; EMB_DIM];
+            r.copy_from_slice(t.row(id));
+            r
+        }));
+        match target {
+            Some(tgt) if attend => {
+                let scale = 1.0 / (EMB_DIM as f32).sqrt();
+                let recency = matches!(self.variant, Variant::Evolution);
+                for (i, (s, r)) in weights.iter_mut().zip(rows.iter()).enumerate() {
                     let dot: f32 = r.iter().zip(tgt).map(|(a, b)| a * b).sum();
                     let prior = if recency {
                         // Later positions (more recent behaviour) weigh more.
@@ -155,100 +152,84 @@ impl CtrModel {
                     } else {
                         0.0
                     };
-                    dot * scale + prior
-                })
-                .collect();
-            let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for s in &mut scores {
-                *s = (*s - max).exp();
-                sum += *s;
+                    *s = dot * scale + prior;
+                }
+                let max = weights.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                let mut sum = 0.0;
+                for s in weights.iter_mut() {
+                    *s = (*s - max).exp();
+                    sum += *s;
+                }
+                for s in weights.iter_mut() {
+                    *s /= sum;
+                }
             }
-            for s in &mut scores {
-                *s /= sum;
-            }
-            scores
-        } else {
-            vec![1.0 / ids.len() as f32; ids.len()]
-        };
-        for (r, &w) in rows.iter().zip(&weights) {
+            _ => weights.fill(1.0 / ids.len() as f32),
+        }
+        for (r, &w) in rows.iter().zip(weights.iter()) {
             for (o, &v) in out.iter_mut().zip(r) {
                 *o += w * v;
             }
         }
-        (out, weights)
+        out
     }
 
     /// Forward pass over a batch: builds the MLP input and returns logits
     /// plus the pooling bookkeeping needed for backward.
     fn forward(&mut self, batch: &Batch, data: &DatasetSpec) -> (Matrix, ForwardState) {
         let n_tables = self.table_order.len();
-        let mut x = Matrix::zeros(batch.size, self.input_width);
-        let mut pooled = vec![[0.0f32; EMB_DIM]; batch.size * n_tables];
-        let mut weights: Vec<Vec<f32>> = Vec::with_capacity(batch.size * n_tables);
-
-        // Group the batch's fields by table.
-        let mut table_fields: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        // Each table's fields in spec order.
+        let mut table_fields = vec![Vec::new(); n_tables];
         for (fi, f) in data.fields.iter().enumerate() {
-            table_fields.entry(f.table_group).or_default().push(fi);
+            let ti = self.table_order.binary_search(&f.table_group);
+            table_fields[ti.expect("known table")].push(fi);
         }
-        // Target for attention: pooled first non-sequence table.
-        let target_table = self
-            .table_order
-            .iter()
-            .copied()
-            .find(|t| !self.is_seq[t])
-            .unwrap_or(self.table_order[0]);
-
-        let mut instance_ids: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
+        let mut ids = Vec::new();
+        let mut spans = Vec::with_capacity(batch.size * n_tables + 1);
+        spans.push(0);
         for i in 0..batch.size {
-            for (&table, fields) in &table_fields {
-                let mut ids = Vec::new();
+            for fields in &table_fields {
                 for &fi in fields {
                     ids.extend_from_slice(batch.fields[fi].instance(i));
                 }
-                instance_ids.insert((i, table), ids);
+                spans.push(ids.len());
             }
         }
+        let mut weights = vec![0.0f32; ids.len()];
+        let mut pooled = vec![[0.0f32; EMB_DIM]; batch.size * n_tables];
+        let mut rows = Vec::new();
+        let mut x = Matrix::zeros(batch.size, self.input_width);
+        // Target for attention: pooled first non-sequence table.
+        let target = self.is_seq.iter().position(|&s| !s).unwrap_or(0);
 
         for i in 0..batch.size {
-            // Pool the target table first.
-            let (tgt, wt) = {
-                let ids = instance_ids[&(i, target_table)].clone();
-                self.pool(target_table, &ids, None)
-            };
-            for (ti, &table) in self.table_order.clone().iter().enumerate() {
-                let (p, w) = if table == target_table {
-                    (tgt, wt.clone())
-                } else {
-                    let ids = instance_ids[&(i, table)].clone();
-                    self.pool(table, &ids, Some(&tgt))
-                };
-                pooled[i * n_tables + ti] = p;
-                weights.push(w);
-                let xrow = x.row_mut(i);
-                xrow[ti * EMB_DIM..(ti + 1) * EMB_DIM].copy_from_slice(&p);
+            let k = i * n_tables;
+            // Pool the target table first; the others attend to it.
+            let others = (0..n_tables).filter(|&ti| ti != target);
+            for ti in std::iter::once(target).chain(others) {
+                let span = spans[k + ti]..spans[k + ti + 1];
+                let tgt = (ti != target).then(|| pooled[k + target]);
+                let (ids, weights) = (&ids[span.clone()], &mut weights[span]);
+                pooled[k + ti] = self.pool(ti, ids, tgt.as_ref(), weights, &mut rows);
+            }
+            let xrow = x.row_mut(i);
+            for (ti, p) in pooled[k..k + n_tables].iter().enumerate() {
+                xrow[ti * EMB_DIM..(ti + 1) * EMB_DIM].copy_from_slice(p);
             }
             // Pairwise dots.
             if self.variant == Variant::DotDeep {
-                let mut k = n_tables * EMB_DIM;
+                let mut c = n_tables * EMB_DIM;
                 for a in 0..n_tables {
                     for b in (a + 1)..n_tables {
-                        let pa = pooled[i * n_tables + a];
-                        let pb = pooled[i * n_tables + b];
-                        let dot: f32 = pa.iter().zip(&pb).map(|(x, y)| x * y).sum();
-                        x.set(i, k, dot);
-                        k += 1;
+                        let (pa, pb) = (&pooled[k + a], &pooled[k + b]);
+                        xrow[c] = pa.iter().zip(pb).map(|(x, y)| x * y).sum();
+                        c += 1;
                     }
                 }
             }
             // Dense features.
-            if data.numeric > 0 {
-                let base = self.input_width - data.numeric;
-                let xrow = x.row_mut(i);
-                xrow[base..]
-                    .copy_from_slice(&batch.dense[i * data.numeric..(i + 1) * data.numeric]);
-            }
+            let base = self.input_width - data.numeric;
+            xrow[base..].copy_from_slice(&batch.dense[i * data.numeric..(i + 1) * data.numeric]);
         }
 
         let h = self.l1.forward(&x);
@@ -256,10 +237,10 @@ impl CtrModel {
         (
             z,
             ForwardState {
-                pooled,
+                ids,
+                spans,
                 weights,
-                instance_ids,
-                target_table,
+                pooled,
             },
         )
     }
@@ -276,7 +257,7 @@ impl CtrModel {
         let (mut dw1, mut db1) = self.l1.grad_buffers();
         let dx = self.l1.backward(dh, &mut dw1, &mut db1);
 
-        let sparse = self.embedding_grads(&dx, batch.size, &state);
+        let sparse = self.embedding_grads(&dx, &state);
         (
             StepStats { loss },
             DenseGrads {
@@ -295,11 +276,8 @@ impl CtrModel {
             .step(&mut self.l1.w, &mut self.l1.b, &g.dw1, &g.db1);
         self.opt2
             .step(&mut self.l2.w, &mut self.l2.b, &g.dw2, &g.db2);
-        for (table, id, grad) in &g.sparse {
-            self.tables
-                .get_mut(table)
-                .expect("known table")
-                .apply_gradient(*id, grad, self.emb_lr);
+        for (ti, id, grad) in &g.sparse {
+            self.tables[*ti].apply_gradient(*id, grad, self.emb_lr);
         }
     }
 
@@ -310,61 +288,57 @@ impl CtrModel {
     }
 
     /// Propagates `dx` (gradient of the MLP input) back into per-ID
-    /// embedding gradients, through the pooling weights and pairwise dots.
+    /// embedding gradients, through the pooling weights and pairwise dots,
+    /// coalesced per `(table index, id)` in first-occurrence order.
     /// Attention weights are treated as constants (a straight-through
     /// approximation documented in DESIGN.md).
     fn embedding_grads(
         &self,
         dx: &Matrix,
-        batch_size: usize,
         state: &ForwardState,
     ) -> Vec<(usize, u64, [f32; EMB_DIM])> {
         let n_tables = self.table_order.len();
-        let mut grads: HashMap<(usize, u64), [f32; EMB_DIM]> = HashMap::new();
-        for i in 0..batch_size {
+        let mut slots: HashMap<(usize, u64), usize, IdHash> =
+            HashMap::with_capacity_and_hasher(state.ids.len(), IdHash::default());
+        let mut grads: Vec<(usize, u64, [f32; EMB_DIM])> = Vec::new();
+        let mut dpooled = vec![[0.0f32; EMB_DIM]; n_tables];
+        for i in 0..dx.rows() {
+            let k = i * n_tables;
             // Gradient w.r.t. each pooled vector: direct slice + dot terms.
-            let mut dpooled = vec![[0.0f32; EMB_DIM]; n_tables];
             let xrow = dx.row(i);
             for (ti, dp) in dpooled.iter_mut().enumerate() {
                 dp.copy_from_slice(&xrow[ti * EMB_DIM..(ti + 1) * EMB_DIM]);
             }
             if self.variant == Variant::DotDeep {
-                let mut k = n_tables * EMB_DIM;
+                let mut c = n_tables * EMB_DIM;
                 for a in 0..n_tables {
                     for b in (a + 1)..n_tables {
-                        let g = xrow[k];
-                        let pa = state.pooled[i * n_tables + a];
-                        let pb = state.pooled[i * n_tables + b];
+                        let g = xrow[c];
+                        let (pa, pb) = (&state.pooled[k + a], &state.pooled[k + b]);
                         for j in 0..EMB_DIM {
                             dpooled[a][j] += g * pb[j];
                             dpooled[b][j] += g * pa[j];
                         }
-                        k += 1;
+                        c += 1;
                     }
                 }
             }
             // Through the pooling weights to each id.
-            for (ti, &table) in self.table_order.iter().enumerate() {
-                let ids = &state.instance_ids[&(i, table)];
-                if ids.is_empty() {
-                    continue;
-                }
-                let w = &state.weights[i * n_tables + ti];
-                for (pos, &id) in ids.iter().enumerate() {
-                    let weight = if w.is_empty() {
-                        1.0 / ids.len() as f32
-                    } else {
-                        w[pos]
-                    };
-                    let e = grads.entry((table, id)).or_insert([0.0; EMB_DIM]);
+            for (ti, dp) in dpooled.iter().enumerate() {
+                let span = state.spans[k + ti]..state.spans[k + ti + 1];
+                for (&id, &weight) in state.ids[span.clone()].iter().zip(&state.weights[span]) {
+                    let slot = *slots.entry((ti, id)).or_insert_with(|| {
+                        grads.push((ti, id, [0.0; EMB_DIM]));
+                        grads.len() - 1
+                    });
+                    let e = &mut grads[slot].2;
                     for j in 0..EMB_DIM {
-                        e[j] += weight * dpooled[ti][j];
+                        e[j] += weight * dp[j];
                     }
                 }
             }
         }
-        let _ = state.target_table;
-        grads.into_iter().map(|((t, id), g)| (t, id, g)).collect()
+        grads
     }
 }
 
@@ -457,17 +431,19 @@ impl CtrModel {
 
     /// Read access to one embedding table.
     pub fn table(&self, group: usize) -> Option<&EmbeddingTable> {
-        self.tables.get(&group)
+        let ti = self.table_order.binary_search(&group).ok()?;
+        Some(&self.tables[ti])
     }
 
     /// Mutable access to one embedding table (checkpoint restore).
     pub fn table_mut(&mut self, group: usize) -> Option<&mut EmbeddingTable> {
-        self.tables.get_mut(&group)
+        let ti = self.table_order.binary_search(&group).ok()?;
+        Some(&mut self.tables[ti])
     }
 
     /// Clears the dirty sets of every table after a checkpoint captured them.
     pub fn mark_tables_clean(&mut self) {
-        for t in self.tables.values_mut() {
+        for t in &mut self.tables {
             t.mark_clean();
         }
     }
@@ -478,7 +454,7 @@ impl CtrModel {
     /// state is bit-identical; the crash-and-recover proof rests on it.
     pub fn state_digest(&self) -> u64 {
         let mut bytes = self.dense_snapshot();
-        for (&group, table) in &self.tables {
+        for (&group, table) in self.table_order.iter().zip(&self.tables) {
             let mut e = picasso_ckpt::Encoder::new();
             e.u64(group as u64);
             for id in table.materialized_ids() {
@@ -491,12 +467,18 @@ impl CtrModel {
     }
 }
 
-/// Forward bookkeeping for backward.
+/// Forward bookkeeping for backward, flat over the batch: entry
+/// `k = i * n_tables + ti` is instance `i`'s table `ti`.
 struct ForwardState {
+    /// Every instance's IDs, table by table, each table's fields in spec
+    /// order; entry `k` owns `ids[spans[k]..spans[k + 1]]`.
+    ids: Vec<u64>,
+    /// Offsets into `ids`, `batch * n_tables + 1` of them.
+    spans: Vec<usize>,
+    /// The pooling weight of each entry of `ids`.
+    weights: Vec<f32>,
+    /// The pooled vector of each entry.
     pooled: Vec<[f32; EMB_DIM]>,
-    weights: Vec<Vec<f32>>,
-    instance_ids: HashMap<(usize, usize), Vec<u64>>,
-    target_table: usize,
 }
 
 #[cfg(test)]

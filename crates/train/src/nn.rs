@@ -14,9 +14,10 @@ pub struct Linear {
     pub b: Vec<f32>,
     /// Whether a ReLU follows.
     pub relu: bool,
-    // Cached forward state for backward.
-    input: Option<Matrix>,
-    pre_act: Option<Matrix>,
+    // Forward state cached for backward; the buffers are reused step to
+    // step, and `pre_act` is only kept under a ReLU.
+    input: Matrix,
+    pre_act: Matrix,
 }
 
 impl Linear {
@@ -28,8 +29,8 @@ impl Linear {
             w: Matrix::from_fn(in_dim, out_dim, |_, _| rng.gen_range(-scale..scale)),
             b: vec![0.0; out_dim],
             relu,
-            input: None,
-            pre_act: None,
+            input: Matrix::zeros(0, 0),
+            pre_act: Matrix::zeros(0, 0),
         }
     }
 
@@ -42,9 +43,9 @@ impl Linear {
                 *v += b;
             }
         }
-        self.pre_act = Some(y.clone());
-        self.input = Some(x.clone());
+        self.input.clone_from(x);
         if self.relu {
+            self.pre_act.clone_from(&y);
             for v in y.as_mut_slice() {
                 if *v < 0.0 {
                     *v = 0.0;
@@ -57,16 +58,15 @@ impl Linear {
     /// Backward pass: consumes `dy`, returns `dx` and accumulates parameter
     /// gradients into `dw`/`db`.
     pub fn backward(&mut self, mut dy: Matrix, dw: &mut Matrix, db: &mut [f32]) -> Matrix {
-        let x = self.input.take().expect("forward before backward");
-        let pre = self.pre_act.take().expect("forward before backward");
+        assert_eq!(self.input.rows(), dy.rows(), "forward before backward");
         if self.relu {
-            for (g, &z) in dy.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+            for (g, &z) in dy.as_mut_slice().iter_mut().zip(self.pre_act.as_slice()) {
                 if z <= 0.0 {
                     *g = 0.0;
                 }
             }
         }
-        dw.add_scaled(&x.t_matmul(&dy), 1.0);
+        dw.add_scaled(&self.input.t_matmul(&dy), 1.0);
         for (d, s) in db.iter_mut().zip(dy.col_sums()) {
             *d += s;
         }

@@ -4,11 +4,28 @@
 //! MLPs with manual backpropagation. No external numeric dependencies.
 
 /// A row-major matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Matrix {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies into `self`'s buffer, reallocating only to grow it.
+    fn clone_from(&mut self, source: &Matrix) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -80,19 +97,19 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `self @ other`.
+    /// `self @ other`. Each output sums its terms in index order from
+    /// `0.0`; a zero term of `self` is skipped, which is exact when `other`
+    /// is finite (the sum is never `-0.0`, so adding `±0.0` keeps it).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "shape mismatch in matmul");
         let mut out = Matrix::zeros(self.rows, other.cols);
         for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(r, k);
+            let out_row = out.row_mut(r);
+            for (k, &a) in self.row(r).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                let orow = other.row(k);
-                let out_row = out.row_mut(r);
-                for (o, &b) in out_row.iter_mut().zip(orow) {
+                for (o, &b) in out_row.iter_mut().zip(other.row(k)) {
                     *o += a * b;
                 }
             }
@@ -120,22 +137,13 @@ impl Matrix {
         out
     }
 
-    /// `self @ other^T` without materializing the transpose.
+    /// `self @ other^T`, as [`Matrix::matmul`]'s row axpys over a
+    /// transposed copy of `other`: the same per-output term order, with
+    /// the inner loop running across outputs.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "shape mismatch in matmul_t");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for r in 0..self.rows {
-            let srow = self.row(r);
-            for k in 0..other.rows {
-                let orow = other.row(k);
-                let mut acc = 0.0;
-                for (a, b) in srow.iter().zip(orow) {
-                    acc += a * b;
-                }
-                out.set(r, k, acc);
-            }
-        }
-        out
+        let other_t = Matrix::from_fn(other.cols, other.rows, |r, c| other.get(c, r));
+        self.matmul(&other_t)
     }
 
     /// Adds `other` scaled by `alpha` in place.

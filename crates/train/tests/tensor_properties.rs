@@ -1,0 +1,112 @@
+//! Bit-exact oracle of the trainer's matrix products.
+//!
+//! `matmul`, `t_matmul` and `matmul_t` must each equal a naive reference
+//! bit for bit: every output element is `acc = 0.0; acc += a * b` over the
+//! inner index in ascending order. The kernels may loop in any order and
+//! skip zero terms, but no output may see its terms summed in a different
+//! order. Shapes are random, with 0 and 1 drawn for every dimension; values
+//! are finite, spread over sixteen binades, and an eighth of them each are
+//! an exact `0.0` or `-0.0`.
+
+use picasso_data::splitmix64;
+use picasso_train::Matrix;
+use proptest::prelude::*;
+
+/// A `rows x cols` matrix of finite values drawn from `seed`.
+fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = seed;
+    Matrix::from_fn(rows, cols, |_, _| {
+        state = splitmix64(state);
+        match state % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => {
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+                let binade = ((state >> 3) % 16) as i32 - 8;
+                (unit * 2f64.powi(binade)) as f32
+            }
+        }
+    })
+}
+
+/// The reference: `out[i][j] = 0.0 + a(i, 0) * b(0, j) + ... + a(i, k-1) *
+/// b(k-1, j)`, summed left to right.
+fn naive(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<u32> {
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a(i, p) * b(p, j);
+            }
+            out.push(acc.to_bits());
+        }
+    }
+    out
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn signed_zeros_sum_from_positive_zero() {
+    let neg = Matrix::from_vec(1, 2, vec![-0.0, -0.0]);
+    let one = Matrix::from_vec(2, 1, vec![1.0, 1.0]);
+    // 0.0 + (-0.0) + (-0.0) is +0.0, and so is the empty sum.
+    assert_eq!(bits(&neg.matmul(&one)), vec![0.0f32.to_bits()]);
+    assert_eq!(bits(&neg.matmul_t(&neg)), vec![0.0f32.to_bits()]);
+    assert_eq!(bits(&one.t_matmul(&one)), vec![2.0f32.to_bits()]);
+    let empty = Matrix::zeros(2, 0);
+    assert_eq!(bits(&empty.matmul_t(&empty)), vec![0; 4]);
+}
+
+proptest! {
+    /// `a @ b` with `a: m x k`, `b: k x n`.
+    #[test]
+    fn matmul_matches_the_reference(
+        m in 0usize..7,
+        k in 0usize..9,
+        n in 0usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        let a = random(m, k, seed);
+        let b = random(k, n, seed ^ 0x5eed);
+        let want = naive(m, n, k, |i, p| a.get(i, p), |p, j| b.get(p, j));
+        prop_assert_eq!(bits(&a.matmul(&b)), want, "{}x{} @ {}x{}", m, k, k, n);
+    }
+
+    /// `a^T @ b` with `a: k x m`, `b: k x n`.
+    #[test]
+    fn t_matmul_matches_the_reference(
+        m in 0usize..7,
+        k in 0usize..9,
+        n in 0usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        let a = random(k, m, seed);
+        let b = random(k, n, seed ^ 0x5eed);
+        let want = naive(m, n, k, |i, p| a.get(p, i), |p, j| b.get(p, j));
+        prop_assert_eq!(bits(&a.t_matmul(&b)), want, "({}x{})^T @ {}x{}", k, m, k, n);
+    }
+
+    /// `a @ b^T` with `a: m x k`, `b: n x k`.
+    #[test]
+    fn matmul_t_matches_the_reference(
+        m in 0usize..7,
+        k in 0usize..9,
+        n in 0usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        let a = random(m, k, seed);
+        let b = random(n, k, seed ^ 0x5eed);
+        let want = naive(m, n, k, |i, p| a.get(i, p), |p, j| b.get(j, p));
+        prop_assert_eq!(bits(&a.matmul_t(&b)), want, "{}x{} @ ({}x{})^T", m, k, n, k);
+    }
+}
