@@ -112,9 +112,13 @@ fn hot_path_lint(g: &StageGraph, spec: &WdlSpec, cfg: &SimConfig) -> Option<Diag
 /// Runs the stage-surface rules, plus the run-surface hot-path task-census
 /// rule, on the lowered graph of `spec`.
 pub fn stage_lints(spec: &WdlSpec, strategy: Strategy, cfg: &SimConfig) -> Vec<Diagnostic> {
-    let g = stage_graph(spec, strategy, cfg);
+    graph_lints(&stage_graph(spec, strategy, cfg), spec, cfg)
+}
+
+/// [`stage_lints`] over `g`, the already-built stage graph of `spec`.
+pub(crate) fn graph_lints(g: &StageGraph, spec: &WdlSpec, cfg: &SimConfig) -> Vec<Diagnostic> {
     let mut out = g.analyze();
-    out.extend(hot_path_lint(&g, spec, cfg));
+    out.extend(hot_path_lint(g, spec, cfg));
     out
 }
 

@@ -147,6 +147,17 @@ pub fn simulate(
     strategy: Strategy,
     cfg: &SimConfig,
 ) -> Result<SimulationOutput, EngineError> {
+    simulate_lowered(spec, strategy, cfg, &Lowering::first(spec, strategy, cfg))
+}
+
+/// [`simulate`] over `first`, the already-built [`Lowering::first`] of
+/// the same `spec`, `strategy` and `cfg`.
+pub(crate) fn simulate_lowered(
+    spec: &WdlSpec,
+    strategy: Strategy,
+    cfg: &SimConfig,
+    first: &Lowering,
+) -> Result<SimulationOutput, EngineError> {
     let mut engine = Engine::new();
     let cluster = Cluster::build(
         cfg.machine.clone(),
@@ -160,14 +171,13 @@ pub fn simulate(
     // the larger first. Empty micro-batches (more micro-batches than
     // instances) are skipped; they can only trail.
     let micro = spec.micro_batches.max(1);
-    let first = Lowering::first(spec, strategy, cfg);
     let last_b = split_batch(cfg.batch_per_executor, micro, micro - 1);
     let smaller =
         (last_b > 0 && last_b != first.b).then(|| Lowering::new(spec, strategy, cfg, last_b));
     let micro_lowerings: Vec<&Lowering> = (0..micro)
         .map(|m| split_batch(cfg.batch_per_executor, micro, m))
         .take_while(|&b| b > 0)
-        .map(|b| smaller.as_ref().filter(|l| l.b == b).unwrap_or(&first))
+        .map(|b| smaller.as_ref().filter(|l| l.b == b).unwrap_or(first))
         .collect();
     let nodes = first.tasks.len();
     let sync_start = first.sync_start;

@@ -70,16 +70,11 @@ pub fn prepare_serving(
     queue_capacity: Option<usize>,
 ) -> Result<ServingPlan, TrainError> {
     let p = prepare(model, data, strategy, PipelineConfig::serving(), opts)?;
-    // Keep the shared spec/plan surface findings, but replace the training
-    // stage-graph findings with the serving graph's own: drop rules scoped
-    // to stages (they were computed over the graph with a backward half)
-    // and re-analyze the forward-only lowering.
-    let mut diagnostics: Vec<Diagnostic> = p
-        .diagnostics
-        .into_iter()
-        .filter(|d| !matches!(d.span, Span::Stage(_) | Span::Run(_)))
-        .collect();
-    let g = serving_stage_graph(&p.spec, strategy, &p.cfg);
+    // The shared spec/plan surface findings, then the stage rules over the
+    // forward half of the prepared lowering: the training graph's backward
+    // half is never analyzed.
+    let mut diagnostics = p.diagnostics;
+    let g = p.lowering.forward_half();
     diagnostics.extend(g.analyze());
     diagnostics.extend(serving_lints(&g, queue_capacity));
     Ok(ServingPlan {

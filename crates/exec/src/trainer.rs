@@ -2,7 +2,9 @@
 //! passes, batch sizing, simulation, and reporting.
 
 use crate::framework::{Framework, Optimizations};
-use crate::scheduler::{simulate, SimConfig, SimulationOutput};
+use crate::lint::graph_lints;
+use crate::lower::Lowering;
+use crate::scheduler::{simulate_lowered, SimConfig, SimulationOutput};
 use crate::strategy::Strategy;
 use crate::telemetry::TrainingReport;
 use crate::warmup::{count_warmup, lint_warmup, WarmupConfig, WarmupCounts};
@@ -197,7 +199,10 @@ pub fn lint(
     optimizations: Optimizations,
     opts: &TrainerOptions,
 ) -> Result<Vec<Diagnostic>, TrainError> {
-    Ok(prepare(model, data, strategy, optimizations, opts)?.diagnostics)
+    let mut p = prepare(model, data, strategy, optimizations, opts)?;
+    p.diagnostics
+        .extend(graph_lints(&p.lowering.g, &p.spec, &p.cfg));
+    Ok(p.diagnostics)
 }
 
 /// Runs `model` with an explicit strategy and optimization pipeline (used
@@ -210,7 +215,9 @@ pub fn run(
     label: &str,
     opts: &TrainerOptions,
 ) -> Result<RunArtifacts, TrainError> {
-    let p = prepare(model, data, strategy, optimizations, opts)?;
+    let mut p = prepare(model, data, strategy, optimizations, opts)?;
+    p.diagnostics
+        .extend(graph_lints(&p.lowering.g, &p.spec, &p.cfg));
     let errors: Vec<Diagnostic> = p
         .diagnostics
         .iter()
@@ -220,7 +227,7 @@ pub fn run(
     if !errors.is_empty() {
         return Err(TrainError::Lint(errors));
     }
-    let out = simulate(&p.spec, strategy, &p.cfg)?;
+    let out = simulate_lowered(&p.spec, strategy, &p.cfg, &p.lowering)?;
     let report = TrainingReport::from_simulation(
         label,
         p.spec.name.clone(),
@@ -241,10 +248,12 @@ pub fn run(
 }
 
 /// Everything [`prepare`] derives before the simulation gate: the planned
-/// spec, measurement context, simulation shape, and every static-analysis
-/// finding over all three surfaces.
+/// spec, measurement context, simulation shape, the spec and plan
+/// findings, and the lowering the stage rules check and the scheduler
+/// replays.
 pub(crate) struct Prepared {
     pub(crate) spec: WdlSpec,
+    pub(crate) lowering: Lowering,
     pub(crate) warmup: WarmupCounts,
     pub(crate) pass_reports: Vec<PassReport>,
     pub(crate) diagnostics: Vec<Diagnostic>,
@@ -254,8 +263,9 @@ pub(crate) struct Prepared {
     pub(crate) hit: f64,
 }
 
-/// Warm-up, pass pipeline, batch sizing, analytic ratios, and the full
-/// static analysis — everything up to (but excluding) the simulation.
+/// Warm-up, pass pipeline, batch sizing, analytic ratios, spec and plan
+/// analysis, and the first micro-batch's lowering — everything up to (but
+/// excluding) the stage rules and the simulation.
 pub(crate) fn prepare(
     model: ModelKind,
     data: &Arc<DatasetSpec>,
@@ -339,22 +349,22 @@ pub(crate) fn prepare(
         quantized_comm: opts.quantized_comm,
     };
 
-    // Static analysis over the remaining two surfaces (the plan surface
-    // was linted inside `pipeline.run`): spec rules against the dataset's
-    // per-table dims (the Eq. 1 homogeneity oracle), then stage rules on
-    // the lowered execution graph.
+    // Spec rules against the dataset's per-table dims (the Eq. 1
+    // homogeneity oracle), ahead of the plan findings `pipeline.run`
+    // collected. The stage rules run over `lowering` in the caller, which
+    // knows whether it checks the training graph or its forward half.
     let table_dims: BTreeMap<usize, usize> =
         data.fields.iter().map(|f| (f.table_group, f.dim)).collect();
     let mut spec_diags = lint_spec(&spec, Some(&table_dims));
     spec_diags.append(&mut diagnostics);
-    let mut diagnostics = spec_diags;
-    diagnostics.extend(crate::lint::stage_lints(&spec, strategy, &cfg));
+    let lowering = Lowering::first(&spec, strategy, &cfg);
 
     Ok(Prepared {
         spec,
+        lowering,
         warmup,
         pass_reports,
-        diagnostics,
+        diagnostics: spec_diags,
         cfg,
         micro,
         groups,

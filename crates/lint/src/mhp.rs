@@ -16,7 +16,9 @@
 //! and nodes on it are mutually reachable, hence ordered, hence never MHP
 //! — the race pass stays quiet instead of double-reporting a broken graph.
 
-use crate::effects::{conflicts, Conflict, ConflictKind, RaceAllowlist, RaceSig};
+use std::collections::BTreeMap;
+
+use crate::effects::{conflicts, Conflict, ConflictKind, RaceAllowlist, RaceSig, Resource};
 use crate::{Diagnostic, Severity, Span, StageGraph};
 
 /// The transitive ordering relation of a stage graph.
@@ -30,7 +32,8 @@ pub struct MhpRelation {
 
 impl MhpRelation {
     /// Computes the relation for `n` nodes and the given ordering edges.
-    /// Out-of-range endpoints are ignored (the graph rules report them).
+    /// Out-of-range endpoints are ignored (`stage.dangling-edge` reports
+    /// them).
     pub fn new(n: usize, edges: &[(usize, usize)]) -> MhpRelation {
         let words = n.div_ceil(64);
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -157,34 +160,51 @@ pub struct StaticRace {
 /// Finds every MHP pair of `g` whose declared effects conflict. Pairs
 /// come out in `(a, b)` index order; multiple contended resources on the
 /// same pair produce one `StaticRace` each.
+///
+/// Effects on distinct resources never conflict, so only nodes that share
+/// a resource are paired: each resource's bucket of nodes is paired within
+/// itself, and the unordered pairs are sorted and de-duplicated (a pair
+/// may share several resources) before [`conflicts`] classifies them.
 pub fn static_races(g: &StageGraph, allow: &RaceAllowlist) -> Vec<StaticRace> {
     let rel = MhpRelation::of_graph(g);
+    let mut buckets: BTreeMap<&Resource, Vec<usize>> = BTreeMap::new();
+    for (i, node) in g.nodes.iter().enumerate() {
+        for e in &node.effects.effects {
+            let bucket = buckets.entry(&e.resource).or_default();
+            if bucket.last() != Some(&i) {
+                bucket.push(i);
+            }
+        }
+    }
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for bucket in buckets.values() {
+        for (k, &a) in bucket.iter().enumerate() {
+            pairs.extend(
+                bucket[k + 1..]
+                    .iter()
+                    .filter(|&&b| !rel.ordered(a, b))
+                    .map(|&b| (a, b)),
+            );
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
     let mut out = Vec::new();
-    // Only nodes with declared effects can participate; skip the pure
-    // majority before the quadratic pass.
-    let effectful: Vec<usize> = (0..g.nodes.len())
-        .filter(|&i| !g.nodes[i].effects.is_empty())
-        .collect();
-    for (ai, &a) in effectful.iter().enumerate() {
-        for &b in &effectful[ai + 1..] {
-            if rel.ordered(a, b) {
-                continue;
-            }
-            for conflict in conflicts(&g.nodes[a].effects, &g.nodes[b].effects, allow) {
-                let sig = RaceSig::new(
-                    conflict.kind.rule_id(),
-                    &conflict.resource,
-                    &g.nodes[a].kind,
-                    &g.nodes[b].kind,
-                );
-                out.push(StaticRace {
-                    a,
-                    b,
-                    labels: (g.nodes[a].label.clone(), g.nodes[b].label.clone()),
-                    conflict,
-                    sig,
-                });
-            }
+    for (a, b) in pairs {
+        for conflict in conflicts(&g.nodes[a].effects, &g.nodes[b].effects, allow) {
+            let sig = RaceSig::new(
+                conflict.kind.rule_id(),
+                &conflict.resource,
+                &g.nodes[a].kind,
+                &g.nodes[b].kind,
+            );
+            out.push(StaticRace {
+                a,
+                b,
+                labels: (g.nodes[a].label.clone(), g.nodes[b].label.clone()),
+                conflict,
+                sig,
+            });
         }
     }
     out

@@ -183,6 +183,13 @@ pub const RULES: &[RuleInfo] = &[
         grounding: "Fig. 8c chained control dependencies must stay acyclic or scheduling deadlocks",
     },
     RuleInfo {
+        id: "stage.dangling-edge",
+        surface: Surface::Stage,
+        severity: Severity::Error,
+        summary: "a control dependency names a node outside the stage graph",
+        grounding: "Fig. 8c control dependencies order lowered stages; an edge to no stage orders nothing",
+    },
+    RuleInfo {
         id: "stage.cross-class-fusion",
         surface: Surface::Stage,
         severity: Severity::Error,

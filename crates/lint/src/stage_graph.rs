@@ -108,6 +108,7 @@ impl StageGraph {
     /// the declared effect sets) and returns the findings.
     pub fn analyze(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
+        self.check_edges(&mut out);
         self.check_cycles(&mut out);
         self.check_fusions(&mut out);
         self.check_reachability(&mut out);
@@ -125,6 +126,35 @@ impl StageGraph {
     /// `race.*`: flags MHP pairs whose declared effects conflict.
     fn check_races(&self, out: &mut Vec<Diagnostic>) {
         out.extend(mhp::race_diagnostics(&self.static_races()));
+    }
+
+    /// `stage.dangling-edge`: an edge naming a node past the end of the
+    /// graph orders nothing. Every other rule skips such edges.
+    fn check_edges(&self, out: &mut Vec<Diagnostic>) {
+        let n = self.nodes.len();
+        for e in &self.edges {
+            let Some(bad) = [e.from, e.to].into_iter().find(|&i| i >= n) else {
+                continue;
+            };
+            let anchor = [e.from, e.to].into_iter().find(|&i| i < n);
+            let span = anchor.map_or_else(
+                || format!("edge {} -> {}", e.from, e.to),
+                |i| self.nodes[i].label.clone(),
+            );
+            out.push(
+                Diagnostic::new(
+                    "stage.dangling-edge",
+                    Severity::Error,
+                    Span::Stage(span),
+                    format!(
+                        "control dependency {} -> {} names node {bad}, but the graph has {n} \
+                         stage(s)",
+                        e.from, e.to,
+                    ),
+                )
+                .with_hint("edges must connect lowered stages; drop or re-index the edge"),
+            );
+        }
     }
 
     /// `stage.dependency-cycle`: Kahn's algorithm; any node left with a
@@ -159,7 +189,7 @@ impl StageGraph {
         let stuck: Vec<usize> = (0..n).filter(|&i| indeg[i] > 0).collect();
         let mut pred: Vec<Vec<usize>> = vec![Vec::new(); n];
         for e in &self.edges {
-            if indeg[e.from] > 0 && indeg[e.to] > 0 {
+            if e.from < n && e.to < n && indeg[e.from] > 0 && indeg[e.to] > 0 {
                 pred[e.to].push(e.from);
             }
         }
@@ -349,6 +379,36 @@ mod tests {
         g.dep(1, 1);
         let diags = g.analyze();
         assert!(diags.iter().any(|d| d.rule == "stage.dependency-cycle"));
+    }
+
+    #[test]
+    fn cycle_with_an_out_of_range_edge_is_reported_without_panicking() {
+        let mut g = clean_graph();
+        g.dep(2, 1);
+        g.dep(99, 1);
+        g.dep(1, 99);
+        let diags = g.analyze();
+        assert!(diags.iter().any(|d| d.rule == "stage.dependency-cycle"));
+        assert_eq!(
+            diags
+                .iter()
+                .filter(|d| d.rule == "stage.dangling-edge")
+                .count(),
+            2,
+            "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn dangling_edge_is_an_error() {
+        let mut g = clean_graph();
+        g.dep(1, 7);
+        let diags = g.analyze();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "stage.dangling-edge");
+        assert_eq!(diags[0].severity, Severity::Error);
+        assert_eq!(diags[0].span, crate::Span::Stage("chain0/gather".into()));
+        assert!(diags[0].message.contains("node 7"), "{}", diags[0].message);
     }
 
     #[test]
