@@ -1,6 +1,6 @@
 //! Causal analysis of a finished simulation.
 //!
-//! Joins the scheduler's causal event log ([`crate::scheduler::CausalStage`])
+//! Joins the run's one dependency table ([`picasso_sim::RunResult::deps`])
 //! with the engine's observed timestamps to build the executed DAG, then
 //! runs the [`picasso_obs::analysis`] machinery over it: the critical path,
 //! achieved overlap per resource pair versus the pass pipeline's planned
@@ -27,23 +27,24 @@ pub const LOW_OVERLAP_FRAC: f64 = 0.5;
 /// trips `run.idle-dominant-resource`.
 pub const IDLE_DOMINANT_FRAC: f64 = 0.5;
 
-/// Builds the executed DAG: causal edges from the scheduler, timestamps
-/// and lane assignment from the engine trace. Lane names borrow from `out`.
+/// Builds the executed DAG from the engine trace: edges from the run's
+/// edge table, timestamps and lane assignment from the records. Lane names
+/// borrow from `out`.
 pub fn executed_dag(out: &SimulationOutput) -> ExecutedDag<'_> {
-    let nodes = out
-        .causal
+    let result = &out.result;
+    let nodes = result
+        .records
         .iter()
-        .map(|st| {
-            let rec = &out.result.records[st.task.0];
-            let res = &out.result.resources[rec.resource.0];
+        .map(|rec| {
+            let res = &result.resources[rec.resource.0];
             DagNode {
-                id: st.task.0 as u64,
+                id: rec.task.0 as u64,
                 lane: &res.spec.name,
                 res_kind: res.spec.kind.name(),
                 category: rec.category.name(),
                 start_ns: rec.start.as_nanos(),
                 end_ns: rec.end.as_nanos(),
-                deps: st.deps.iter().map(|d| d.0 as u64).collect(),
+                deps: result.deps(rec.task).iter().map(|d| d.0 as u64).collect(),
             }
         })
         .collect();
@@ -327,8 +328,7 @@ pub fn observed_conflicts(out: &SimulationOutput) -> Vec<ObservedOverlap> {
         }
     }
     let tasks: Vec<EffectfulTask> = out
-        .causal
-        .iter()
+        .causal()
         .filter(|st| !st.effects.is_empty())
         .filter_map(|st| {
             let (iteration, executor, micro) = labels[st.task.0]?;
@@ -460,14 +460,14 @@ mod tests {
     fn causal_log_covers_every_executed_task() {
         let (out, _) = run(1);
         assert_eq!(
-            out.causal.len(),
+            out.causal().len(),
             out.result.records.len(),
             "every engine task must appear in the causal log"
         );
         // Ids are exactly 0..n in creation order, and edges point backward.
-        for (i, st) in out.causal.iter().enumerate() {
+        for (i, st) in out.causal().enumerate() {
             assert_eq!(st.task.0, i);
-            for d in &st.deps {
+            for d in st.deps {
                 assert!(d.0 < i, "dependency edges must point to earlier tasks");
             }
         }

@@ -12,7 +12,7 @@
 use crate::scheduler::SimulationOutput;
 use picasso_obs::flight::{FlightConfig, FlightRecorder};
 use picasso_obs::{ChromeTrace, ManualClock, MetricKind, MetricsRegistry, Tracer};
-use picasso_sim::{Binding, Measurement, RunResult, SimDuration};
+use picasso_sim::{Binding, Measurement, RunResult, SimDuration, TaskId};
 use std::fmt::Write;
 
 /// Half-open `[start, end)` range of engine task ids.
@@ -191,7 +191,7 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
     let mut prev_end: Option<u64> = None;
     for id in dag.critical_path() {
         let node = &dag.nodes[id as usize];
-        let stage = &out.causal[id as usize];
+        let stage = out.stage(TaskId(id as usize));
         let name = if stage.launcher {
             format!("launch:{:?}", stage.kind)
         } else {

@@ -25,7 +25,6 @@ use crate::strategy::Strategy;
 use picasso_graph::{OpKind, WdlSpec};
 use picasso_lint::EffectSet;
 use picasso_sim::{Cluster, Engine, EngineError, MachineSpec, ResourceId, RunResult, Task, TaskId};
-use std::cell::RefCell;
 
 /// Simulation shape.
 #[derive(Debug, Clone)]
@@ -42,36 +41,13 @@ pub struct SimConfig {
     pub quantized_comm: bool,
 }
 
-impl SimConfig {
-    /// A single EFLOPS node, 6 iterations — the default experiment shape.
-    pub fn eflops(machines: usize, batch: usize) -> SimConfig {
-        SimConfig {
-            batch_per_executor: batch,
-            iterations: 6,
-            machines,
-            machine: MachineSpec::eflops(),
-            quantized_comm: false,
-        }
-    }
-
-    /// A Gn6e node (8 GPUs), 6 iterations.
-    pub fn gn6e(machines: usize, batch: usize) -> SimConfig {
-        SimConfig {
-            batch_per_executor: batch,
-            iterations: 6,
-            machines,
-            machine: MachineSpec::gn6e(),
-            quantized_comm: false,
-        }
-    }
-}
-
 /// One node of the causal event log: an executed stage with its true
-/// dependency edges, recorded while the schedule was built. The engine's
-/// [`RunResult`] carries the matching timestamps and resource assignment;
-/// joining the two reconstructs the executed DAG (see [`crate::analysis`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CausalStage {
+/// dependency edges. The stage fields were recorded while the schedule was
+/// built; the edges are the run's one edge table, [`RunResult::deps`],
+/// which also carries the matching timestamps and resource assignment.
+/// Joining the two reconstructs the executed DAG (see [`crate::analysis`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CausalStage<'a> {
     /// Engine task id (indexes `result.records`).
     pub task: TaskId,
     /// Operator the stage lowers (the launcher node carries its stage's op).
@@ -82,12 +58,21 @@ pub struct CausalStage {
     /// opposed to the hardware work itself.
     pub launcher: bool,
     /// The tasks this node waited for (exactly the engine dependency edges).
-    pub deps: Vec<TaskId>,
+    pub deps: &'a [TaskId],
     /// Declared effect set over shared resources (empty for launcher
     /// dispatches and pure stages); derived by the same table the static
     /// race rules use, and verified against observed overlap by the
     /// trace cross-check.
-    pub effects: EffectSet,
+    pub effects: &'a EffectSet,
+}
+
+/// What the causal log records per task besides its edges.
+#[derive(Debug)]
+struct StageInfo {
+    kind: OpKind,
+    executor: usize,
+    launcher: bool,
+    effects: EffectSet,
 }
 
 /// A finished simulation plus its shape.
@@ -110,9 +95,9 @@ pub struct SimulationOutput {
     /// the engine's observed durations (see [`crate::calibration`]). Launcher
     /// dispatch tasks are not predicted and not recorded.
     pub costs: Vec<CostRecord>,
-    /// Causal event log: every executed task (launcher and hardware alike)
-    /// with its dependency edges, in creation order.
-    pub causal: Vec<CausalStage>,
+    /// Stage fields of every executed task, indexed by task id; see
+    /// [`SimulationOutput::causal`].
+    stages: Vec<StageInfo>,
     /// Handles of every parameter-server resource, precomputed from the
     /// cluster topology so consumers never filter resources by name prefix.
     /// Empty for strategies without PS nodes.
@@ -120,6 +105,25 @@ pub struct SimulationOutput {
 }
 
 impl SimulationOutput {
+    /// Causal event log: every executed task (launcher and hardware alike)
+    /// with its dependency edges, in creation order.
+    pub fn causal(&self) -> impl ExactSizeIterator<Item = CausalStage<'_>> {
+        (0..self.stages.len()).map(|t| self.stage(TaskId(t)))
+    }
+
+    /// The causal log's node for `task`.
+    pub fn stage(&self, task: TaskId) -> CausalStage<'_> {
+        let info = &self.stages[task.0];
+        CausalStage {
+            task,
+            kind: info.kind,
+            executor: info.executor,
+            launcher: info.launcher,
+            deps: self.result.deps(task),
+            effects: &info.effects,
+        }
+    }
+
     /// Training throughput in instances per second per machine (the paper's
     /// IPS metric). Zero for degenerate runs (no iterations, no machines, or
     /// an empty schedule) rather than NaN/infinity.
@@ -183,21 +187,23 @@ pub(crate) fn simulate_lowered(
     let sync_start = first.sync_start;
 
     let dispatch_secs = cfg.machine.overheads.op_dispatch.as_secs_f64();
-    // Predicted stage costs, appended as tasks are created. A RefCell because
-    // `add` is shared by every call site below; recording is append-only
-    // bookkeeping the schedule never reads back.
-    let cost_log: RefCell<Vec<CostRecord>> = RefCell::new(Vec::new());
-    // Causal event log: every task the closure creates, with the dependency
-    // edges it was actually given. Same append-only discipline as cost_log —
-    // scheduling never reads it back.
-    let causal_log: RefCell<Vec<CausalStage>> = RefCell::new(Vec::new());
-    let add = |engine: &mut Engine,
-               exec: usize,
-               (st, effects): (&StageTask, &EffectSet),
-               deps: &[TaskId],
-               dispatch_scale: f64|
+    // Predicted stage costs and the causal log's stage fields, appended as
+    // tasks are created; the schedule never reads them back. The edges are
+    // written once, into the engine.
+    let mut costs: Vec<CostRecord> = Vec::new();
+    let mut stages: Vec<StageInfo> = Vec::new();
+    let mut add = |engine: &mut Engine,
+                   exec: usize,
+                   (st, effects): (&StageTask, &EffectSet),
+                   deps: &[TaskId],
+                   dispatch_scale: f64|
      -> Result<TaskId, EngineError> {
         let h = &cluster.executors[exec];
+        let next = TaskId(engine.task_count());
+        let server = cluster
+            .servers
+            .get(exec % cluster.servers.len().max(1))
+            .ok_or(EngineError::NoServer { task: next });
         let (resource, server_side) = match st.target {
             ResTarget::GpuSm => (h.gpu_sm, false),
             ResTarget::GpuMem => (h.gpu_mem, false),
@@ -206,38 +212,33 @@ pub(crate) fn simulate_lowered(
             ResTarget::Cpu => (h.cpu, false),
             ResTarget::Nic => (h.nic, false),
             ResTarget::NvLink => (h.nvlink.unwrap_or(h.nic), false),
-            ResTarget::ServerNic => {
-                let s = exec % cluster.servers.len().max(1);
-                (cluster.servers[s].nic, true)
-            }
-            ResTarget::ServerDram => {
-                let s = exec % cluster.servers.len().max(1);
-                (cluster.servers[s].dram, true)
-            }
+            ResTarget::ServerNic => (server?.nic, true),
+            ResTarget::ServerDram => (server?.dram, true),
+        };
+        let mut info = |launcher: bool, effects: EffectSet| {
+            stages.push(StageInfo {
+                kind: st.kind,
+                executor: exec,
+                launcher,
+                effects,
+            })
         };
         // Framework op dispatch: the stage's `launches` graph operations are
         // scheduled by the executor's launcher threads before the hardware
         // sees them. This serialized host cost is what packing amortizes —
         // a packed stage dispatches once for many tables. Server-side work
         // is dispatched by the server process and skips the worker launcher.
-        let mut stage_deps: Vec<TaskId> = deps.to_vec();
+        let launched;
+        let mut stage_deps = deps;
         if !server_side && st.launches > 0 && dispatch_scale > 0.0 {
-            let mut launch = Task::new(
+            let launch = Task::new(
                 h.launcher,
                 st.launches as f64 * dispatch_secs * dispatch_scale,
                 st.kind.class().category(),
             );
-            launch.deps.extend_from_slice(deps);
-            let launch_id = engine.add_task(launch)?;
-            causal_log.borrow_mut().push(CausalStage {
-                task: launch_id,
-                kind: st.kind,
-                executor: exec,
-                launcher: true,
-                deps: deps.to_vec(),
-                effects: EffectSet::empty(),
-            });
-            stage_deps = vec![launch_id];
+            launched = [engine.add_task(launch, deps)?];
+            info(true, EffectSet::empty());
+            stage_deps = &launched;
         }
         let mut task = Task::new(resource, st.work, st.kind.class().category());
         if server_side && st.launches > 1 {
@@ -247,26 +248,18 @@ pub(crate) fn simulate_lowered(
             let rate = engine.resource_spec(resource).rate;
             task.work += (st.launches - 1) as f64 * overhead * rate;
         }
-        task.deps = stage_deps.clone();
         // Predict with the same closed-form the cost model uses — overhead
         // plus rate-scaled work, after any server-side inflation — so the
         // calibration gap isolates queueing and congestion.
         let spec = engine.resource_spec(resource);
         let predicted_secs = spec.launch_overhead.as_secs_f64() + task.work / spec.rate;
-        let id = engine.add_task(task)?;
-        cost_log.borrow_mut().push(CostRecord {
+        let id = engine.add_task(task, stage_deps)?;
+        costs.push(CostRecord {
             task: id,
             kind: st.kind,
             predicted_secs,
         });
-        causal_log.borrow_mut().push(CausalStage {
-            task: id,
-            kind: st.kind,
-            executor: exec,
-            launcher: false,
-            deps: stage_deps,
-            effects: effects.clone(),
-        });
+        info(false, effects.clone());
         Ok(id)
     };
 
@@ -279,6 +272,9 @@ pub(crate) fn simulate_lowered(
     // Task count before each node of the micro-batch being replayed, for
     // the K-group scopes.
     let mut node_start: Vec<usize> = vec![0; nodes];
+    // The dependencies of the task being added, rebuilt per task; the
+    // engine copies them into its edge table.
+    let mut deps: Vec<TaskId> = Vec::new();
 
     // Tasks are added contiguously per logical scope, so `task_count()`
     // snapshots delimit each scope as a half-open task-id range. This is
@@ -295,9 +291,10 @@ pub(crate) fn simulate_lowered(
             let mut micro_scopes: Vec<MicroBatchScope> = Vec::new();
             // Data transmission (prefetched: depends only on the previous
             // load and the previous-iteration gate, not on compute).
-            let mut io_deps: Vec<TaskId> = prev_load[e].into_iter().collect();
-            io_deps.extend(iter_dep[e].iter().copied());
-            task[0] = add(&mut engine, e, first.node(0), &io_deps, 1.0)?;
+            deps.clear();
+            deps.extend(prev_load[e]);
+            deps.extend(iter_dep[e].iter().copied());
+            task[0] = add(&mut engine, e, first.node(0), &deps, 1.0)?;
             prev_load[e] = Some(task[0]);
 
             // The first sync stage waits for every micro-batch's backward
@@ -314,7 +311,7 @@ pub(crate) fn simulate_lowered(
                 // the same operations re-execute through a warm executor.
                 let dispatch_scale = if m == 0 { 1.0 } else { 0.35 };
                 for n in 1..sync_start {
-                    let mut deps: Vec<TaskId> = Vec::new();
+                    deps.clear();
                     for &(from, kind) in &l.in_edges[n] {
                         match kind {
                             EdgeKind::Wiring if from == 0 => {
@@ -360,14 +357,12 @@ pub(crate) fn simulate_lowered(
 
             // Dense parameter synchronization once per iteration.
             for n in sync_start..nodes {
-                let deps: Vec<TaskId> = if n == sync_start {
-                    std::mem::take(&mut bwd_ends)
+                deps.clear();
+                if n == sync_start {
+                    deps.append(&mut bwd_ends);
                 } else {
-                    first.in_edges[n]
-                        .iter()
-                        .map(|&(from, _)| task[from])
-                        .collect()
-                };
+                    deps.extend(first.in_edges[n].iter().map(|&(from, _)| task[from]));
+                }
                 task[n] = add(&mut engine, e, first.node(n), &deps, 1.0)?;
             }
             iter_ends.push(task[nodes - 1]);
@@ -423,8 +418,8 @@ pub(crate) fn simulate_lowered(
         executors: n_exec,
         machines: cfg.machines,
         scopes,
-        costs: cost_log.into_inner(),
-        causal: causal_log.into_inner(),
+        costs,
+        stages,
         server_resources,
     })
 }
@@ -511,12 +506,11 @@ mod tests {
         spec.modules.clear();
         let out = simulate(&spec, Strategy::Hybrid, &quick_cfg()).unwrap();
         // The first task of each kind is its launcher dispatch.
-        let first = |kind: OpKind| out.causal.iter().find(|c| c.kind == kind).unwrap();
+        let first = |kind: OpKind| out.causal().find(|c| c.kind == kind).unwrap();
         let load = out
-            .causal
-            .iter()
+            .causal()
             .find(|c| !c.launcher && c.kind == OpKind::DataLoad);
-        assert_eq!(first(OpKind::MlpCompute).deps, vec![load.unwrap().task]);
+        assert_eq!(first(OpKind::MlpCompute).deps, [load.unwrap().task]);
     }
 
     #[test]
@@ -537,6 +531,18 @@ mod tests {
             .map(|&id| out.result.resources[id.0].busy.as_secs_f64())
             .sum();
         assert!(server_busy > 0.0, "PS server should carry load");
+    }
+
+    #[test]
+    fn ps_without_servers_is_an_error() {
+        let spec = ModelKind::Dlrm.build(&DatasetSpec::criteo());
+        for strategy in [
+            Strategy::PsAsync { servers: 0 },
+            Strategy::PsSync { servers: 0 },
+        ] {
+            let err = simulate(&spec, strategy, &quick_cfg()).unwrap_err();
+            assert!(matches!(err, EngineError::NoServer { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use picasso_graph::{
     graph_stats, lint_spec, Diagnostic, PassId, PassReport, Pipeline, PipelineError, PlanContext,
     Severity, WdlSpec,
 };
+use picasso_lint::Span;
 use picasso_models::ModelKind;
 use picasso_obs::{Tracer, WallClock};
 use picasso_sim::{EngineError, MachineSpec};
@@ -190,8 +191,9 @@ pub fn train(
 /// spec rules (with the dataset's per-table dims as the Eq. 1 oracle),
 /// plan rules on the pass pipeline, and stage rules on the lowered graph.
 /// Returns *all* diagnostics, errors included. A warm-up shape no warm-up
-/// can run (`run.warmup-shape`) is the one finding returned as
-/// [`TrainError::Lint`] instead, since planning cannot start without it.
+/// can run (`run.warmup-shape`) and a parameter-server strategy without
+/// servers (`run.ps-without-servers`) are the findings returned as
+/// [`TrainError::Lint`] instead, since planning cannot start without them.
 pub fn lint(
     model: ModelKind,
     data: &Arc<DatasetSpec>,
@@ -283,9 +285,17 @@ pub(crate) fn prepare(
     // distort them at production vocabulary scales — see DESIGN.md.)
     let mut wcfg = opts.warmup.clone();
     wcfg.hot_bytes = if caching { opts.hot_bytes } else { 0 };
-    let shape_errors = lint_warmup(&wcfg);
-    if !shape_errors.is_empty() {
-        return Err(TrainError::Lint(shape_errors));
+    let mut errors = lint_warmup(&wcfg);
+    if let Strategy::PsAsync { servers: 0 } | Strategy::PsSync { servers: 0 } = strategy {
+        errors.push(Diagnostic::new(
+            "run.ps-without-servers",
+            Severity::Error,
+            Span::Run("strategy".into()),
+            format!("{strategy:?} places its parameters on servers but has none"),
+        ));
+    }
+    if !errors.is_empty() {
+        return Err(TrainError::Lint(errors));
     }
     let warmup = count_warmup(data, &wcfg);
 
@@ -684,6 +694,46 @@ mod tests {
             assert_eq!(diags[0].span, picasso_lint::Span::Run("warmup".into()));
             assert!(diags[0].message.contains(knob), "{}", diags[0].message);
         }
+    }
+
+    /// `run`, `lint` and `prepare_serving` all reject a parameter-server
+    /// `strategy` without servers with one `run.ps-without-servers` error.
+    fn assert_serverless_ps_rejected(strategy: Strategy) {
+        let data = DatasetSpec::criteo().shared();
+        let opts = quick_opts();
+        let picasso = Optimizations::all();
+        let errors = [
+            run(
+                ModelKind::Dlrm,
+                &data,
+                strategy,
+                picasso.clone(),
+                "bad",
+                &opts,
+            )
+            .map(drop),
+            lint(ModelKind::Dlrm, &data, strategy, picasso, &opts).map(drop),
+            crate::prepare_serving(ModelKind::Dlrm, &data, strategy, &opts, Some(64)).map(drop),
+        ];
+        for err in errors {
+            let Err(TrainError::Lint(diags)) = err else {
+                panic!("expected a lint error, got {err:?}");
+            };
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].rule, "run.ps-without-servers");
+            assert_eq!(diags[0].severity, Severity::Error);
+            assert_eq!(diags[0].span, Span::Run("strategy".into()));
+        }
+    }
+
+    #[test]
+    fn async_ps_without_servers_is_a_lint_error() {
+        assert_serverless_ps_rejected(Strategy::PsAsync { servers: 0 });
+    }
+
+    #[test]
+    fn sync_ps_without_servers_is_a_lint_error() {
+        assert_serverless_ps_rejected(Strategy::PsSync { servers: 0 });
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use picasso_exec::{simulate, stage_graph, SimConfig, Strategy as TrainStrategy};
 use picasso_graph::{EmbeddingChain, InteractionModule, Layer, MlpSpec, ModuleKind, WdlSpec};
-use picasso_sim::MachineSpec;
+use picasso_sim::{MachineSpec, TaskId};
 use proptest::prelude::*;
 
 fn small_spec_strategy() -> impl Strategy<Value = WdlSpec> {
@@ -239,7 +239,7 @@ proptest! {
         let exec0 = &out.scopes.iterations[0].executors[0];
         let micros = &exec0.micro_batches;
         let hardware =
-            |r: std::ops::Range<usize>| r.filter(|&t| !out.causal[t].launcher).collect::<Vec<_>>();
+            |r: std::ops::Range<usize>| r.filter(|&t| !out.stage(TaskId(t)).launcher).collect::<Vec<_>>();
         // Graph nodes in scheduling order: the load, the per-micro-batch
         // template, the sync stages.
         let template: Vec<usize> = (1..g.nodes.len())
@@ -264,19 +264,18 @@ proptest! {
         };
         for &(t, m, n) in &slots {
             let node = &g.nodes[n];
-            let stage = &out.causal[t];
+            let stage = out.stage(TaskId(t));
             let record = &out.result.records[t];
             prop_assert_eq!(stage.executor, 0);
             prop_assert_eq!(format!("{:?}", stage.kind), node.kind.clone());
-            prop_assert_eq!(&stage.effects, &node.effects);
+            prop_assert_eq!(stage.effects, &node.effects);
             if m.unwrap_or(0) == 0 && !out.server_resources.contains(&record.resource) {
                 prop_assert_eq!(record.work.to_bits(), node.cost.to_bits());
             }
             let mut deps: Vec<usize> = Vec::new();
-            for &d in &stage.deps {
-                let via = &out.causal[d.0];
-                if via.launcher {
-                    deps.extend(via.deps.iter().map(|d| d.0));
+            for &d in out.result.deps(TaskId(t)) {
+                if out.stage(d).launcher {
+                    deps.extend(out.result.deps(d).iter().map(|d| d.0));
                 } else {
                     deps.push(d.0);
                 }

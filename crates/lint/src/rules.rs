@@ -245,6 +245,14 @@ pub const RULES: &[RuleInfo] = &[
                     warms on the first half of at least two batches",
     },
     RuleInfo {
+        id: "run.ps-without-servers",
+        surface: Surface::Run,
+        severity: Severity::Error,
+        summary: "a parameter-server strategy is configured with zero servers",
+        grounding: "§II-C parameter-server training keeps the embedding and dense parameters on \
+                    CPU server nodes; with none, every pull and push has nowhere to go",
+    },
+    RuleInfo {
         id: "run.low-overlap",
         surface: Surface::Run,
         severity: Severity::Warn,

@@ -8,11 +8,10 @@
 //! interval of every task, from which the metrics module derives utilization
 //! timelines, bandwidth traces, and time breakdowns.
 
-use crate::intern::{NameId, NameInterner};
 use crate::resource::{ResourceId, ResourceKind, ResourceSpec, ResourceState};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Identifies a task within one engine run.
@@ -62,7 +61,8 @@ impl fmt::Display for TaskCategory {
     }
 }
 
-/// One node of the task DAG.
+/// One node of the task DAG. Its dependency edges are passed to
+/// [`Engine::add_task`] and stored once, in the engine's edge table.
 #[derive(Debug, Clone)]
 pub struct Task {
     /// Resource the task executes on.
@@ -71,28 +71,16 @@ pub struct Task {
     pub work: f64,
     /// Attribution category for breakdowns.
     pub category: TaskCategory,
-    /// Tasks that must complete before this one may start.
-    pub deps: Vec<TaskId>,
-    /// Earliest allowed start (e.g. data arrival), independent of deps.
-    pub earliest: SimTime,
 }
 
 impl Task {
-    /// Creates a task with no dependencies.
+    /// Creates a task.
     pub fn new(resource: ResourceId, work: f64, category: TaskCategory) -> Self {
         Task {
             resource,
             work,
             category,
-            deps: Vec::new(),
-            earliest: SimTime::ZERO,
         }
-    }
-
-    /// Adds dependencies.
-    pub fn after(mut self, deps: impl IntoIterator<Item = TaskId>) -> Self {
-        self.deps.extend(deps);
-        self
     }
 }
 
@@ -142,6 +130,22 @@ pub struct ResourceSummary {
     pub ops_served: u64,
 }
 
+/// The run's dependency edges, stored once: task `t`'s dependencies are
+/// `ids[ends[t - 1]..ends[t]]` (from 0 for the first task), in the order
+/// they were added.
+#[derive(Debug, Clone, Default)]
+struct Edges {
+    ends: Vec<u32>,
+    ids: Vec<TaskId>,
+}
+
+impl Edges {
+    fn of(&self, task: usize) -> &[TaskId] {
+        let start = if task == 0 { 0 } else { self.ends[task - 1] };
+        &self.ids[start as usize..self.ends[task] as usize]
+    }
+}
+
 /// Output of [`Engine::run`].
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -151,12 +155,19 @@ pub struct RunResult {
     pub makespan: SimTime,
     /// Per-resource summaries, indexed by `ResourceId`.
     pub resources: Vec<ResourceSummary>,
+    /// The dependency edges the tasks were added with.
+    edges: Edges,
 }
 
 impl RunResult {
     /// Record for a given task.
     pub fn record(&self, task: TaskId) -> &TaskRecord {
         &self.records[task.0]
+    }
+
+    /// The tasks `task` waited for: exactly the slice it was added with.
+    pub fn deps(&self, task: TaskId) -> &[TaskId] {
+        self.edges.of(task.0)
     }
 
     /// Walks the chain of binding constraints back from the last-finishing
@@ -224,6 +235,11 @@ pub enum EngineError {
         /// Number of tasks that never completed.
         stuck: usize,
     },
+    /// A task targets a parameter server, but the cluster has none.
+    NoServer {
+        /// The task that would have been added.
+        task: TaskId,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -241,6 +257,11 @@ impl fmt::Display for EngineError {
                     "task graph has a cycle; {stuck} tasks never became ready"
                 )
             }
+            EngineError::NoServer { task } => write!(
+                f,
+                "task {} targets a parameter server, but the cluster has none",
+                task.0
+            ),
         }
     }
 }
@@ -249,21 +270,16 @@ impl std::error::Error for EngineError {}
 
 /// A discrete-event engine holding resources and a task DAG.
 ///
-/// Resource names are interned into dense [`NameId`] handles at registration
-/// time; the event loop itself touches only flat integer-indexed arrays
-/// (struct-of-arrays task fields, CSR successor lists, one channel arena) —
-/// no strings, hash maps, or nested `Vec`s on the hot path.
+/// Every dependency edge is stored once, in one flat table of offsets plus
+/// task ids that [`Engine::run`] hands on to its [`RunResult`]. The event
+/// loop touches only flat integer-indexed arrays (the task array, CSR
+/// successor lists, one channel arena) — no strings, hash maps, or nested
+/// `Vec`s on the hot path.
 #[derive(Debug, Default)]
 pub struct Engine {
     resources: Vec<ResourceState>,
     tasks: Vec<Task>,
-    /// Interner over resource names; handles are resolved at build time.
-    names: NameInterner,
-    /// Interned name per resource, indexed by `ResourceId`.
-    name_ids: Vec<NameId>,
-    /// First resource registered under each interned name, indexed by
-    /// `NameId` (dense, since names are interned in registration order).
-    name_owner: Vec<u32>,
+    edges: Edges,
 }
 
 impl Engine {
@@ -272,38 +288,11 @@ impl Engine {
         Engine::default()
     }
 
-    /// Registers a resource and returns its id. The resource's name is
-    /// interned here — this is the last point on the execution path where
-    /// the name exists as a string.
+    /// Registers a resource and returns its id.
     pub fn add_resource(&mut self, spec: ResourceSpec) -> ResourceId {
         let id = ResourceId(self.resources.len());
-        let name_id = self.names.intern(&spec.name);
-        if name_id.0 as usize == self.name_owner.len() {
-            self.name_owner.push(id.0 as u32);
-        }
-        self.name_ids.push(name_id);
         self.resources.push(ResourceState::new(spec));
         id
-    }
-
-    /// Interned handle of a resource's name.
-    pub fn resource_name_id(&self, id: ResourceId) -> NameId {
-        self.name_ids[id.0]
-    }
-
-    /// The engine's name interner, for resolving handles back to strings at
-    /// the reporting edges.
-    pub fn names(&self) -> &NameInterner {
-        &self.names
-    }
-
-    /// Looks up a resource by exact name through the interner (no scan over
-    /// specs). If several resources share a name, the first one registered
-    /// wins.
-    pub fn resource_by_name(&self, name: &str) -> Option<ResourceId> {
-        self.names
-            .get(name)
-            .map(|nid| ResourceId(self.name_owner[nid.0 as usize] as usize))
     }
 
     /// Number of registered tasks.
@@ -316,9 +305,10 @@ impl Engine {
         &self.resources[id.0].spec
     }
 
-    /// Adds a task; dependencies must already have been added (this enforces
-    /// acyclicity by construction for the common builder pattern).
-    pub fn add_task(&mut self, task: Task) -> Result<TaskId, EngineError> {
+    /// Adds a task that waits for `deps`; dependencies must already have
+    /// been added (this enforces acyclicity by construction for the common
+    /// builder pattern). The edges are appended to the engine's edge table.
+    pub fn add_task(&mut self, task: Task, deps: &[TaskId]) -> Result<TaskId, EngineError> {
         let id = TaskId(self.tasks.len());
         if task.resource.0 >= self.resources.len() {
             return Err(EngineError::UnknownResource {
@@ -326,58 +316,50 @@ impl Engine {
                 resource: task.resource,
             });
         }
-        for &dep in &task.deps {
-            if dep.0 >= self.tasks.len() {
-                return Err(EngineError::UnknownDependency { task: id, dep });
-            }
+        if let Some(&dep) = deps.iter().find(|d| d.0 >= id.0) {
+            return Err(EngineError::UnknownDependency { task: id, dep });
         }
         self.tasks.push(task);
+        self.edges.ids.extend_from_slice(deps);
+        self.edges.ends.push(self.edges.ids.len() as u32);
         Ok(id)
     }
 
     /// Executes the DAG to completion and returns the full trace.
     ///
-    /// Before the loop starts, the DAG is flattened into dense arrays: the
-    /// hot task fields (resource, work) as struct-of-arrays columns,
-    /// successor lists in CSR form (one flat edge array plus offsets), and
-    /// every resource's channels in a single arena sliced by per-resource
-    /// offsets. The loop then moves `u32` handles between a global ready
-    /// heap and preallocated per-resource FIFO queues — it performs no
-    /// allocation, string comparison, or map lookup.
+    /// Tasks are plain values (resource, work, category) with no heap
+    /// fields. Before the loop starts, successor lists are built in CSR form
+    /// from the edge table, and every resource's channels are laid out in a
+    /// single arena sliced by per-resource offsets. The loop then pops
+    /// `u32` handles off one global ready heap; it performs no string
+    /// comparison or map lookup.
     pub fn run(mut self) -> Result<RunResult, EngineError> {
         let n = self.tasks.len();
         let n_res = self.resources.len();
 
-        // Struct-of-arrays columns for the two task fields the loop reads
-        // on every dispatch; `deps` stays behind in the cold Task structs.
-        let task_res: Vec<u32> = self.tasks.iter().map(|t| t.resource.0 as u32).collect();
-        let task_work: Vec<f64> = self.tasks.iter().map(|t| t.work).collect();
-
-        // Successor lists in CSR form, preserving per-dependency insertion
-        // order (tasks are scanned in id order, exactly the order the old
-        // per-task Vec<TaskId> lists were appended in).
-        let mut indegree: Vec<u32> = vec![0; n];
+        // In-degrees from the edge table, and successor lists in CSR form
+        // from its ids, preserving per-dependency insertion order (tasks are
+        // scanned in id order).
+        let edges = &self.edges;
+        let mut indegree: Vec<u32> = (0..n).map(|i| edges.of(i).len() as u32).collect();
         let mut succ_off: Vec<u32> = vec![0; n + 1];
-        for t in &self.tasks {
-            for &dep in &t.deps {
-                succ_off[dep.0 + 1] += 1;
-            }
+        for &dep in &edges.ids {
+            succ_off[dep.0 + 1] += 1;
         }
         for i in 0..n {
             succ_off[i + 1] += succ_off[i];
         }
         let mut succ: Vec<u32> = vec![0; succ_off[n] as usize];
         let mut cursor: Vec<u32> = succ_off[..n].to_vec();
-        for (i, t) in self.tasks.iter().enumerate() {
-            indegree[i] = t.deps.len() as u32;
-            for &dep in &t.deps {
+        for i in 0..n {
+            for &dep in edges.of(i) {
                 succ[cursor[dep.0] as usize] = i as u32;
                 cursor[dep.0] += 1;
             }
         }
 
-        // ready_at[t] = max(earliest, latest dep end); updated as deps finish.
-        let mut ready_at: Vec<SimTime> = self.tasks.iter().map(|t| t.earliest).collect();
+        // ready_at[t] = latest dep end; updated as deps finish.
+        let mut ready_at: Vec<SimTime> = vec![SimTime::ZERO; n];
         // The dependency that set ready_at (u32::MAX = none), for
         // critical-path analysis.
         let mut ready_by: Vec<u32> = vec![u32::MAX; n];
@@ -403,62 +385,55 @@ impl Engine {
             }
         }
 
-        // Per-resource FIFO staging between the global event order and each
-        // resource's dispatch order. Tasks drain immediately (per-resource
-        // order must equal global ready order exactly — a zero-duration task
-        // can release a same-timestamp successor, so batching pops would
-        // reorder dispatches), but routing through the handle-indexed queues
-        // keeps the loop free of any per-event allocation.
-        let mut ready_q: Vec<VecDeque<u32>> =
-            (0..n_res).map(|_| VecDeque::with_capacity(4)).collect();
-
+        // One dispatch per pop, in global ready order, which is also each
+        // resource's FIFO order (a zero-duration task can release a
+        // same-timestamp successor, so batching pops would reorder
+        // dispatches).
         let mut completed = 0usize;
         let mut makespan = SimTime::ZERO;
-        while let Some(Reverse((_, popped))) = heap.pop() {
-            let r = task_res[popped as usize] as usize;
-            ready_q[r].push_back(popped);
-            while let Some(idx) = ready_q[r].pop_front() {
-                let i = idx as usize;
-                let ready = ready_at[i];
-                let lo = chan_off[r] as usize;
-                let hi = chan_off[r + 1] as usize;
-                let (ch, start, end) =
-                    self.resources[r].dispatch_on(&mut chan_free[lo..hi], ready, task_work[i]);
-                let binding = if start > ready {
-                    match chan_last[lo + ch] {
-                        u32::MAX => Binding::Immediate,
-                        last => Binding::Resource(TaskId(last as usize)),
-                    }
-                } else {
-                    match ready_by[i] {
-                        u32::MAX => Binding::Immediate,
-                        by => Binding::Dependency(TaskId(by as usize)),
-                    }
-                };
-                chan_last[lo + ch] = idx;
-                records[i] = Some(TaskRecord {
-                    task: TaskId(i),
-                    resource: ResourceId(r),
-                    category: self.tasks[i].category,
-                    ready,
-                    start,
-                    end,
-                    work: task_work[i],
-                    binding,
-                });
-                completed += 1;
-                makespan = makespan.max(end);
-                // Complete: release successors via the CSR edge list.
-                for &edge in &succ[succ_off[i] as usize..succ_off[i + 1] as usize] {
-                    let s = edge as usize;
-                    if end >= ready_at[s] {
-                        ready_at[s] = end;
-                        ready_by[s] = idx;
-                    }
-                    indegree[s] -= 1;
-                    if indegree[s] == 0 {
-                        heap.push(Reverse((ready_at[s], s as u32)));
-                    }
+        while let Some(Reverse((_, idx))) = heap.pop() {
+            let i = idx as usize;
+            let task = &self.tasks[i];
+            let r = task.resource.0;
+            let ready = ready_at[i];
+            let lo = chan_off[r] as usize;
+            let hi = chan_off[r + 1] as usize;
+            let (ch, start, end) =
+                self.resources[r].dispatch_on(&mut chan_free[lo..hi], ready, task.work);
+            let binding = if start > ready {
+                match chan_last[lo + ch] {
+                    u32::MAX => Binding::Immediate,
+                    last => Binding::Resource(TaskId(last as usize)),
+                }
+            } else {
+                match ready_by[i] {
+                    u32::MAX => Binding::Immediate,
+                    by => Binding::Dependency(TaskId(by as usize)),
+                }
+            };
+            chan_last[lo + ch] = idx;
+            records[i] = Some(TaskRecord {
+                task: TaskId(i),
+                resource: ResourceId(r),
+                category: task.category,
+                ready,
+                start,
+                end,
+                work: task.work,
+                binding,
+            });
+            completed += 1;
+            makespan = makespan.max(end);
+            // Complete: release successors via the CSR edge list.
+            for &edge in &succ[succ_off[i] as usize..succ_off[i + 1] as usize] {
+                let s = edge as usize;
+                if end >= ready_at[s] {
+                    ready_at[s] = end;
+                    ready_by[s] = idx;
+                }
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    heap.push(Reverse((ready_at[s], s as u32)));
                 }
             }
         }
@@ -487,6 +462,7 @@ impl Engine {
                 .collect(),
             makespan,
             resources,
+            edges: self.edges,
         })
     }
 }
@@ -508,10 +484,10 @@ mod tests {
         let mut e = Engine::new();
         let g = gpu(&mut e);
         let a = e
-            .add_task(Task::new(g, 1e6, TaskCategory::Computation))
+            .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let b = e
-            .add_task(Task::new(g, 1e6, TaskCategory::Computation).after([a]))
+            .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[a])
             .unwrap();
         let r = e.run().unwrap();
         assert_eq!(r.record(a).start, SimTime::ZERO);
@@ -525,10 +501,10 @@ mod tests {
         let g = gpu(&mut e);
         let nw = net(&mut e);
         let a = e
-            .add_task(Task::new(g, 1e6, TaskCategory::Computation))
+            .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let b = e
-            .add_task(Task::new(nw, 1e6, TaskCategory::Communication))
+            .add_task(Task::new(nw, 1e6, TaskCategory::Communication), &[])
             .unwrap();
         let r = e.run().unwrap();
         assert_eq!(r.record(a).start, SimTime::ZERO);
@@ -542,13 +518,13 @@ mod tests {
         let g = gpu(&mut e);
         let nw = net(&mut e);
         let a = e
-            .add_task(Task::new(g, 1e6, TaskCategory::Computation))
+            .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let b = e
-            .add_task(Task::new(nw, 5e6, TaskCategory::Communication))
+            .add_task(Task::new(nw, 5e6, TaskCategory::Communication), &[])
             .unwrap();
         let c = e
-            .add_task(Task::new(g, 1e6, TaskCategory::Computation).after([a, b]))
+            .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[a, b])
             .unwrap();
         let r = e.run().unwrap();
         assert_eq!(r.record(c).ready, r.record(b).end);
@@ -567,7 +543,7 @@ mod tests {
             ResourceSpec::new("gpu", ResourceKind::GpuSm, 1e9, 0).with_launch_overhead(overhead),
         );
         for _ in 0..1000 {
-            frag.add_task(Task::new(g, total_work / 1000.0, TaskCategory::Memory))
+            frag.add_task(Task::new(g, total_work / 1000.0, TaskCategory::Memory), &[])
                 .unwrap();
         }
         let frag_time = frag.run().unwrap().makespan;
@@ -577,7 +553,7 @@ mod tests {
             ResourceSpec::new("gpu", ResourceKind::GpuSm, 1e9, 0).with_launch_overhead(overhead),
         );
         packed
-            .add_task(Task::new(g, total_work, TaskCategory::Memory))
+            .add_task(Task::new(g, total_work, TaskCategory::Memory), &[])
             .unwrap();
         let packed_time = packed.run().unwrap().makespan;
 
@@ -588,22 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn earliest_start_is_honoured() {
-        let mut e = Engine::new();
-        let g = gpu(&mut e);
-        let mut t = Task::new(g, 1e6, TaskCategory::Computation);
-        t.earliest = SimTime(42_000);
-        let a = e.add_task(t).unwrap();
-        let r = e.run().unwrap();
-        assert_eq!(r.record(a).start, SimTime(42_000));
-    }
-
-    #[test]
     fn forward_dependency_is_rejected() {
         let mut e = Engine::new();
         let g = gpu(&mut e);
         let err = e
-            .add_task(Task::new(g, 1.0, TaskCategory::Computation).after([TaskId(7)]))
+            .add_task(Task::new(g, 1.0, TaskCategory::Computation), &[TaskId(7)])
             .unwrap_err();
         assert!(matches!(err, EngineError::UnknownDependency { .. }));
     }
@@ -612,7 +577,10 @@ mod tests {
     fn unknown_resource_is_rejected() {
         let mut e = Engine::new();
         let err = e
-            .add_task(Task::new(ResourceId(3), 1.0, TaskCategory::Computation))
+            .add_task(
+                Task::new(ResourceId(3), 1.0, TaskCategory::Computation),
+                &[],
+            )
             .unwrap_err();
         assert!(matches!(err, EngineError::UnknownResource { .. }));
     }
@@ -621,9 +589,9 @@ mod tests {
     fn summaries_report_busy_and_ops() {
         let mut e = Engine::new();
         let g = gpu(&mut e);
-        e.add_task(Task::new(g, 2e9, TaskCategory::Computation))
+        e.add_task(Task::new(g, 2e9, TaskCategory::Computation), &[])
             .unwrap();
-        e.add_task(Task::new(g, 2e9, TaskCategory::Computation))
+        e.add_task(Task::new(g, 2e9, TaskCategory::Computation), &[])
             .unwrap();
         let r = e.run().unwrap();
         assert_eq!(r.resources[0].ops_served, 2);
@@ -643,13 +611,13 @@ mod tests {
         let nw = net(&mut e);
         // Slow comm (5 ms) feeding compute (1 ms); a fast independent task.
         let slow = e
-            .add_task(Task::new(nw, 5e6, TaskCategory::Communication))
+            .add_task(Task::new(nw, 5e6, TaskCategory::Communication), &[])
             .unwrap();
         let _fast = e
-            .add_task(Task::new(g, 1e5, TaskCategory::Computation))
+            .add_task(Task::new(g, 1e5, TaskCategory::Computation), &[])
             .unwrap();
         let tail = e
-            .add_task(Task::new(g, 1e6, TaskCategory::Computation).after([slow]))
+            .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[slow])
             .unwrap();
         let r = e.run().unwrap();
         let path = r.critical_path();
@@ -669,38 +637,15 @@ mod tests {
         let g = gpu(&mut e);
         // Two independent 1-ms tasks on one resource: the second queues.
         let a = e
-            .add_task(Task::new(g, 1e6, TaskCategory::Computation))
+            .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let b = e
-            .add_task(Task::new(g, 1e6, TaskCategory::Computation))
+            .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let r = e.run().unwrap();
         assert_eq!(r.record(b).binding, Binding::Resource(a));
         assert_eq!(r.record(a).binding, Binding::Immediate);
         assert_eq!(r.critical_path(), vec![a, b]);
-    }
-
-    #[test]
-    fn resource_names_are_interned_at_registration() {
-        let mut e = Engine::new();
-        let g = gpu(&mut e);
-        let nw = net(&mut e);
-        let gid = e.resource_name_id(g);
-        let nid = e.resource_name_id(nw);
-        assert_ne!(gid, nid);
-        assert_eq!(e.names().resolve(gid), "gpu");
-        assert_eq!(e.names().resolve(nid), "net");
-        assert_eq!(e.resource_by_name("net"), Some(nw));
-        assert_eq!(e.resource_by_name("tpu"), None);
-    }
-
-    #[test]
-    fn duplicate_names_resolve_to_first_registration() {
-        let mut e = Engine::new();
-        let a = e.add_resource(ResourceSpec::new("x", ResourceKind::HostCpu, 1e9, 0));
-        let b = e.add_resource(ResourceSpec::new("x", ResourceKind::HostCpu, 1e9, 1));
-        assert_eq!(e.resource_name_id(a), e.resource_name_id(b));
-        assert_eq!(e.resource_by_name("x"), Some(a));
     }
 
     #[test]
@@ -712,13 +657,9 @@ mod tests {
             let mut prev = None;
             for i in 0..50 {
                 let res = if i % 3 == 0 { nw } else { g };
-                let mut t = Task::new(res, (i as f64 + 1.0) * 1e4, TaskCategory::Memory);
-                if let Some(p) = prev {
-                    if i % 2 == 0 {
-                        t = t.after([p]);
-                    }
-                }
-                prev = Some(e.add_task(t).unwrap());
+                let t = Task::new(res, (i as f64 + 1.0) * 1e4, TaskCategory::Memory);
+                let deps: Vec<TaskId> = prev.filter(|_| i % 2 == 0).into_iter().collect();
+                prev = Some(e.add_task(t, &deps).unwrap());
             }
             e.run().unwrap()
         };

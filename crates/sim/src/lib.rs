@@ -21,20 +21,20 @@
 //! let net = engine.add_resource(ResourceSpec::new("nic", ResourceKind::Network, 1e9, 0));
 //! let gpu = engine.add_resource(ResourceSpec::new("gpu", ResourceKind::GpuSm, 1e12, 0));
 //! let shuffle = engine
-//!     .add_task(Task::new(net, 4e6, TaskCategory::Communication))
+//!     .add_task(Task::new(net, 4e6, TaskCategory::Communication), &[])
 //!     .unwrap();
 //! let matmul = engine
-//!     .add_task(Task::new(gpu, 1e9, TaskCategory::Computation).after([shuffle]))
+//!     .add_task(Task::new(gpu, 1e9, TaskCategory::Computation), &[shuffle])
 //!     .unwrap();
 //! let result = engine.run().unwrap();
 //! assert!(result.record(matmul).start >= result.record(shuffle).end);
+//! assert_eq!(result.deps(matmul), &[shuffle]);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod fault;
-pub mod intern;
 pub mod intervals;
 pub mod metrics;
 pub mod observe;
@@ -45,7 +45,6 @@ pub mod traffic;
 
 pub use engine::{Binding, Engine, EngineError, RunResult, Task, TaskCategory, TaskId, TaskRecord};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use intern::{NameId, NameInterner};
 pub use intervals::IntervalSet;
 pub use metrics::{measure, Breakdown, Measurement, ResourceTimeline, Timeline};
 pub use observe::export_metrics;

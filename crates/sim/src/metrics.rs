@@ -249,9 +249,9 @@ mod tests {
         let g = e.add_resource(ResourceSpec::new("gpu", ResourceKind::GpuSm, 1e9, 0));
         let nw = e.add_resource(ResourceSpec::new("net", ResourceKind::Network, 1e9, 0));
         let comm = e
-            .add_task(Task::new(nw, 1e6, TaskCategory::Communication))
+            .add_task(Task::new(nw, 1e6, TaskCategory::Communication), &[])
             .unwrap();
-        e.add_task(Task::new(g, 1e6, TaskCategory::Computation).after([comm]))
+        e.add_task(Task::new(g, 1e6, TaskCategory::Computation), &[comm])
             .unwrap();
         e.run().unwrap()
     }
@@ -315,7 +315,7 @@ mod tests {
         let mut e = Engine::new();
         let g0 = e.add_resource(ResourceSpec::new("gpu0", ResourceKind::GpuSm, 1e9, 0));
         let _g1 = e.add_resource(ResourceSpec::new("gpu1", ResourceKind::GpuSm, 1e9, 0));
-        e.add_task(Task::new(g0, 1e6, TaskCategory::Computation))
+        e.add_task(Task::new(g0, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let r = e.run().unwrap();
         let m = measure(&r, SimDuration::from_micros(100));
@@ -352,7 +352,7 @@ mod tests {
         let mut e = Engine::new();
         let g0 = e.add_resource(ResourceSpec::new("gpu0", ResourceKind::GpuSm, 1e9, 0));
         let _g1 = e.add_resource(ResourceSpec::new("gpu1", ResourceKind::GpuSm, 1e9, 0));
-        e.add_task(Task::new(g0, 1e6, TaskCategory::Computation))
+        e.add_task(Task::new(g0, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let r = e.run().unwrap();
         let lanes = measure(&r, SimDuration::from_micros(100)).resources;
@@ -367,9 +367,9 @@ mod tests {
         let mut e = Engine::new();
         let g = e.add_resource(ResourceSpec::new("gpu", ResourceKind::GpuSm, 1e9, 0));
         let nw = e.add_resource(ResourceSpec::new("net", ResourceKind::Network, 1e9, 0));
-        e.add_task(Task::new(nw, 1e6, TaskCategory::Communication))
+        e.add_task(Task::new(nw, 1e6, TaskCategory::Communication), &[])
             .unwrap();
-        e.add_task(Task::new(g, 1e6, TaskCategory::Computation))
+        e.add_task(Task::new(g, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let r = e.run().unwrap();
         let b = measure(&r, SimDuration::from_micros(100)).breakdown;

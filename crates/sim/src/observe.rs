@@ -210,12 +210,12 @@ mod tests {
         );
         // Two independent network tasks (second queues) feeding one compute.
         let a = e
-            .add_task(Task::new(nw, 1e6, TaskCategory::Communication))
+            .add_task(Task::new(nw, 1e6, TaskCategory::Communication), &[])
             .unwrap();
         let b = e
-            .add_task(Task::new(nw, 1e6, TaskCategory::Communication))
+            .add_task(Task::new(nw, 1e6, TaskCategory::Communication), &[])
             .unwrap();
-        e.add_task(Task::new(g, 1e6, TaskCategory::Computation).after([a, b]))
+        e.add_task(Task::new(g, 1e6, TaskCategory::Computation), &[a, b])
             .unwrap();
         e.run().unwrap()
     }
@@ -273,7 +273,7 @@ mod tests {
         let mut e = Engine::new();
         let g0 = e.add_resource(ResourceSpec::new("gpu0", ResourceKind::GpuSm, 1e9, 0));
         let _g1 = e.add_resource(ResourceSpec::new("gpu1", ResourceKind::GpuSm, 1e9, 0));
-        e.add_task(Task::new(g0, 1e6, TaskCategory::Computation))
+        e.add_task(Task::new(g0, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let result = e.run().unwrap();
         let registry = export(&result);

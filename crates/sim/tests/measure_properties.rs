@@ -89,8 +89,8 @@ fn run(spec: &RunSpec) -> RunResult {
     for (i, (r, nonzero, work, cat, deps)) in spec.tasks.iter().enumerate() {
         let work = if *nonzero == 0 { 0.0 } else { *work };
         let deps: Vec<_> = deps.iter().filter(|&&d| d < i).map(|&d| tids[d]).collect();
-        let task = Task::new(rids[*r], work, TaskCategory::ALL[*cat]).after(deps);
-        tids.push(e.add_task(task).unwrap());
+        let task = Task::new(rids[*r], work, TaskCategory::ALL[*cat]);
+        tids.push(e.add_task(task, &deps).unwrap());
     }
     e.run().unwrap()
 }

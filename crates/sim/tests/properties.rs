@@ -1,8 +1,7 @@
 //! Property-based tests of the discrete-event engine and interval algebra.
 
 use picasso_sim::{
-    Engine, IntervalSet, NameId, NameInterner, ResourceKind, ResourceSpec, SimDuration, SimTime,
-    Task, TaskCategory,
+    Engine, IntervalSet, ResourceKind, ResourceSpec, SimDuration, SimTime, Task, TaskCategory,
 };
 use proptest::prelude::*;
 
@@ -58,7 +57,7 @@ fn run_dag(spec: &DagSpec) -> picasso_sim::RunResult {
     for (r, w, deps) in &spec.tasks {
         let deps: Vec<_> = deps.iter().map(|&d| tids[d]).collect();
         let t = e
-            .add_task(Task::new(rids[*r], *w, TaskCategory::Computation).after(deps))
+            .add_task(Task::new(rids[*r], *w, TaskCategory::Computation), &deps)
             .unwrap();
         tids.push(t);
     }
@@ -126,63 +125,6 @@ proptest! {
         let span = result.makespan.as_secs_f64();
         prop_assert!(span + 1e-12 >= max_busy, "makespan {span} < busiest resource {max_busy}");
         prop_assert!(span <= total_busy + 1e-9, "makespan {span} > serial bound {total_busy}");
-    }
-}
-
-proptest! {
-    /// Interned names round-trip (name -> id -> name), handles are dense in
-    /// first-intern order, and re-interning is idempotent — the contract
-    /// every handle-indexed side table in the engine depends on.
-    #[test]
-    fn interned_names_round_trip(
-        parts in proptest::collection::vec((0usize..12, 0usize..5), 1..40)
-    ) {
-        // Hierarchical names off a small alphabet so duplicates are common.
-        let names: Vec<String> = parts
-            .into_iter()
-            .map(|(node, unit)| format!("node{node}/unit{unit}"))
-            .collect();
-        let mut interner = NameInterner::new();
-        let ids: Vec<NameId> = names.iter().map(|n| interner.intern(n)).collect();
-        for (name, &id) in names.iter().zip(&ids) {
-            prop_assert_eq!(interner.resolve(id), name.as_str());
-            prop_assert_eq!(interner.intern(name), id, "re-intern changed the handle");
-            prop_assert_eq!(interner.get(name), Some(id));
-        }
-        // Handles are dense and ordered by first occurrence.
-        let mut first_seen: Vec<&str> = Vec::new();
-        for n in &names {
-            if !first_seen.contains(&n.as_str()) {
-                first_seen.push(n);
-            }
-        }
-        prop_assert_eq!(interner.len(), first_seen.len());
-        for (i, n) in first_seen.iter().enumerate() {
-            prop_assert_eq!(interner.resolve(NameId(i as u32)), *n);
-        }
-    }
-
-    /// The engine's registration-time interning agrees with a standalone
-    /// interner over the same name sequence, and `resource_by_name` finds
-    /// the first resource registered under each name.
-    #[test]
-    fn engine_name_handles_match_a_reference_interner(
-        name_keys in proptest::collection::vec(0usize..8, 1..20)
-    ) {
-        let names: Vec<String> = name_keys.into_iter().map(|k| format!("res{k}")).collect();
-        let mut engine = Engine::new();
-        let mut reference = NameInterner::new();
-        let mut first_by_name: Vec<(&str, picasso_sim::ResourceId)> = Vec::new();
-        for n in &names {
-            let rid = engine.add_resource(ResourceSpec::new(n, ResourceKind::HostCpu, 1e9, 0));
-            prop_assert_eq!(engine.resource_name_id(rid), reference.intern(n));
-            if !first_by_name.iter().any(|&(seen, _)| seen == n.as_str()) {
-                first_by_name.push((n, rid));
-            }
-        }
-        for (name, rid) in first_by_name {
-            prop_assert_eq!(engine.resource_by_name(name), Some(rid));
-        }
     }
 }
 

@@ -86,7 +86,7 @@ fn hash_output(h: &mut Fnv1a, out: &SimulationOutput) {
         h.write(&r.work.to_bits().to_le_bytes());
         h.write(format!("{:?}", r.binding).as_bytes());
     }
-    for c in &out.causal {
+    for c in out.causal() {
         h.write(format!("{c:?}").as_bytes());
     }
     for c in &out.costs {
