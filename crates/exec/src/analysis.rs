@@ -4,16 +4,23 @@
 //! with the engine's observed timestamps to build the executed DAG, then
 //! runs the [`picasso_obs::analysis`] machinery over it: the critical path,
 //! achieved overlap per resource pair versus the pass pipeline's planned
-//! D×K interleaving, and per-lane idle-gap attribution. Everything derives
-//! from the immutable [`SimulationOutput`] after the run — the analysis
-//! can never perturb scheduling.
+//! D×K interleaving, and per-lane idle-gap attribution. A run builds its
+//! DAG once, on first use ([`SimulationOutput::dag`]); [`analyze_run`],
+//! [`analysis_report_json`] and the Chrome trace
+//! ([`crate::observe::chrome_trace`]) all read that one DAG and its one
+//! critical path. Everything derives from the immutable
+//! [`SimulationOutput`] after the run — the analysis can never perturb
+//! scheduling.
 
 use crate::scheduler::SimulationOutput;
 use picasso_lint::effects::{conflicts, ConflictKind, RaceAllowlist, RaceSig};
 use picasso_lint::{Diagnostic, EffectSet, LintReport, Severity, Span, StaticRace};
-use picasso_obs::analysis::{DagAnalysis, DagNode, ExecutedDag, PairSpec, PlannedInterleaving};
+use picasso_obs::analysis::{
+    DagAnalysis, DagLane, DagNode, ExecutedDag, PairSpec, PlannedInterleaving,
+};
 use picasso_obs::json::Json;
 use picasso_obs::metrics::{MetricKind, MetricsRegistry};
+use picasso_sim::{TaskCategory, TaskId};
 use std::collections::BTreeSet;
 
 /// Schema version of the `picasso.analysis_report` document.
@@ -27,28 +34,40 @@ pub const LOW_OVERLAP_FRAC: f64 = 0.5;
 /// trips `run.idle-dominant-resource`.
 pub const IDLE_DOMINANT_FRAC: f64 = 0.5;
 
-/// Builds the executed DAG from the engine trace: edges from the run's
-/// edge table, timestamps and lane assignment from the records. Lane names
-/// borrow from `out`.
-pub fn executed_dag(out: &SimulationOutput) -> ExecutedDag<'_> {
+/// Builds the executed DAG from the engine trace: one lane per resource,
+/// one category per [`TaskCategory`], timestamps and lane assignment from
+/// the records, edges from the run's edge table. Task ids are record
+/// indices, so every id resolves to itself. [`SimulationOutput::dag`]
+/// calls this once per run.
+pub(crate) fn executed_dag(out: &SimulationOutput) -> ExecutedDag {
     let result = &out.result;
+    let lanes = result
+        .resources
+        .iter()
+        .map(|r| DagLane {
+            name: r.spec.name.clone(),
+            kind: r.spec.kind.name().to_string(),
+        })
+        .collect();
+    // `TaskCategory::ALL` is in declaration order, so a category's
+    // discriminant is its index there.
+    let categories = TaskCategory::ALL
+        .iter()
+        .map(|c| c.name().to_string())
+        .collect();
     let nodes = result
         .records
         .iter()
-        .map(|rec| {
-            let res = &result.resources[rec.resource.0];
-            DagNode {
-                id: rec.task.0 as u64,
-                lane: &res.spec.name,
-                res_kind: res.spec.kind.name(),
-                category: rec.category.name(),
-                start_ns: rec.start.as_nanos(),
-                end_ns: rec.end.as_nanos(),
-                deps: result.deps(rec.task).iter().map(|d| d.0 as u64).collect(),
-            }
+        .map(|rec| DagNode {
+            id: rec.task.0 as u64,
+            lane: rec.resource.0,
+            category: rec.category as usize,
+            start_ns: rec.start.as_nanos(),
+            end_ns: rec.end.as_nanos(),
         })
         .collect();
-    ExecutedDag { nodes }
+    let deps = (0..result.records.len()).map(|t| result.deps(TaskId(t)).iter().map(|d| d.0 as u64));
+    ExecutedDag::new(lanes, categories, nodes, deps)
 }
 
 /// The two overlap pairs PICASSO's interleaving is supposed to win:
@@ -74,7 +93,7 @@ pub fn overlap_pairs() -> Vec<PairSpec> {
 /// Runs the full causal analysis of a finished simulation against the
 /// planned `micro_batches` × `groups` interleaving.
 pub fn analyze_run(out: &SimulationOutput, micro_batches: usize, groups: usize) -> DagAnalysis {
-    executed_dag(out).analyze(
+    out.dag().analyze(
         &overlap_pairs(),
         PlannedInterleaving {
             micro_batches,
@@ -159,12 +178,11 @@ pub fn lint_analysis(
         }
     }
     // Lanes that carry critical-path work but mostly idle.
-    let path: BTreeSet<u64> = a.critical_path.iter().copied().collect();
-    let critical_lanes: BTreeSet<&str> = dag
-        .nodes
+    let critical_lanes: BTreeSet<&str> = a
+        .critical_path
         .iter()
-        .filter(|n| path.contains(&n.id))
-        .map(|n| n.lane)
+        .filter_map(|&id| dag.index_of(id))
+        .map(|i| dag.lane(&dag.nodes()[i]).name.as_str())
         .collect();
     if let Some(worst) = a
         .lanes
@@ -210,9 +228,9 @@ pub fn analysis_report_json(
         micro_batches,
         groups,
     };
-    let dag = executed_dag(out);
+    let dag = out.dag();
     let a = dag.analyze(&overlap_pairs(), planned);
-    let lint = LintReport::new(lint_analysis(&dag, &a, planned));
+    let lint = LintReport::new(lint_analysis(dag, &a, planned));
     Json::obj([
         (
             "schema_version",
@@ -228,8 +246,8 @@ pub fn analysis_report_json(
                 ("planned_overlap", planned.planned_overlap().into()),
             ]),
         ),
-        ("tasks", Json::UInt(dag.nodes.len() as u64)),
-        ("analysis", a.to_json(&dag)),
+        ("tasks", Json::UInt(dag.nodes().len() as u64)),
+        ("analysis", a.to_json(dag)),
         ("lint", lint.to_json()),
     ])
 }
@@ -476,15 +494,23 @@ mod tests {
     #[test]
     fn executed_dag_joins_timestamps_and_lanes() {
         let (out, _) = run(1);
-        let dag = executed_dag(&out);
-        assert_eq!(dag.nodes.len(), out.result.records.len());
+        let dag = out.dag();
+        assert_eq!(dag.nodes().len(), out.result.records.len());
         assert_eq!(
             dag.makespan_ns(),
             out.result.makespan.as_nanos(),
             "DAG makespan equals the engine makespan"
         );
-        assert!(dag.nodes.iter().any(|n| n.res_kind == "gpu-sm"));
-        assert!(dag.nodes.iter().all(|n| n.end_ns >= n.start_ns));
+        assert!(dag.nodes().iter().any(|n| dag.lane(n).kind == "gpu-sm"));
+        assert!(dag.nodes().iter().all(|n| n.end_ns >= n.start_ns));
+        for (i, n) in dag.nodes().iter().enumerate() {
+            assert_eq!(dag.index_of(n.id), Some(i), "a run's ids are indices");
+            let want: Vec<u32> = (out.result.deps(TaskId(i)).iter())
+                .map(|d| d.0 as u32)
+                .collect();
+            assert_eq!(dag.deps(i), want, "edges come from the run's table");
+        }
+        assert!(std::ptr::eq(dag, out.dag()), "the run builds its DAG once");
     }
 
     #[test]
@@ -566,33 +592,41 @@ mod tests {
         assert_eq!(a.result.records.len(), b.result.records.len());
     }
 
-    fn node<'a>(
-        id: u64,
-        lane: &'a str,
-        category: &'a str,
-        span: (u64, u64),
-        deps: &[u64],
-    ) -> DagNode<'a> {
-        DagNode {
-            id,
-            lane,
-            res_kind: lane.split('/').next_back().unwrap_or(lane),
-            category,
-            start_ns: span.0,
-            end_ns: span.1,
-            deps: deps.to_vec(),
-        }
+    /// A hand-built chain of `(lane, category, span)` steps: node `i` (id
+    /// `i`) runs on lane `i` after node `i - 1`. Each lane's kind is its
+    /// name's last `/` segment.
+    fn chain(steps: &[(&str, &str, (u64, u64))]) -> ExecutedDag {
+        const CATEGORIES: [&str; 2] = ["communication", "computation"];
+        let lanes = steps
+            .iter()
+            .map(|&(lane, ..)| DagLane {
+                name: lane.to_string(),
+                kind: lane.split('/').next_back().unwrap_or(lane).to_string(),
+            })
+            .collect();
+        let categories = CATEGORIES.iter().map(|c| c.to_string()).collect();
+        let nodes = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, cat, (start_ns, end_ns)))| DagNode {
+                id: i as u64,
+                lane: i,
+                category: CATEGORIES.iter().position(|&c| c == cat).unwrap(),
+                start_ns,
+                end_ns,
+            })
+            .collect();
+        let deps = (0..steps.len() as u64).map(|i| i.checked_sub(1));
+        ExecutedDag::new(lanes, categories, nodes, deps)
     }
 
     #[test]
     fn low_overlap_lint_fires_only_when_the_plan_is_missed() {
         // Serial comm after compute with D*K planned = 4: achieved 0.
-        let dag = ExecutedDag {
-            nodes: vec![
-                node(0, "n0/gpu-sm", "computation", (0, 10), &[]),
-                node(1, "n0/network", "communication", (10, 30), &[0]),
-            ],
-        };
+        let dag = chain(&[
+            ("n0/gpu-sm", "computation", (0, 10)),
+            ("n0/network", "communication", (10, 30)),
+        ]);
         let planned = PlannedInterleaving {
             micro_batches: 2,
             groups: 2,
@@ -617,13 +651,11 @@ mod tests {
         // A three-lane chain: every lane is on the critical path and idles
         // 20 of 30 ns, so all three tie; the lexicographic tie-break names
         // the gpu lane, not the last lane scanned.
-        let dag = ExecutedDag {
-            nodes: vec![
-                node(0, "n0/network", "communication", (0, 10), &[]),
-                node(1, "n0/gpu-sm", "computation", (10, 20), &[0]),
-                node(2, "n1/cpu", "computation", (20, 30), &[1]),
-            ],
-        };
+        let dag = chain(&[
+            ("n0/network", "communication", (0, 10)),
+            ("n0/gpu-sm", "computation", (10, 20)),
+            ("n1/cpu", "computation", (20, 30)),
+        ]);
         let planned = PlannedInterleaving {
             micro_batches: 1,
             groups: 1,

@@ -92,18 +92,29 @@ impl CalibrationReport {
     /// records.
     pub fn from_simulation(out: &SimulationOutput) -> CalibrationReport {
         let mut report = CalibrationReport::default();
+        // Per kind, indexed by discriminant; each kind's name is rendered
+        // once, after the loop.
+        let mut per_kind: Vec<Option<(OpKind, CalibrationStats)>> = Vec::new();
         for (cost, secs, category) in joined(out) {
             report
                 .per_class
                 .entry(category)
                 .or_default()
                 .observe(cost.predicted_secs, secs);
-            report
-                .per_kind
-                .entry(format!("{:?}", cost.kind))
-                .or_default()
+            let at = cost.kind as usize;
+            if per_kind.len() <= at {
+                per_kind.resize(at + 1, None);
+            }
+            per_kind[at]
+                .get_or_insert((cost.kind, CalibrationStats::default()))
+                .1
                 .observe(cost.predicted_secs, secs);
         }
+        report.per_kind = per_kind
+            .into_iter()
+            .flatten()
+            .map(|(kind, stats)| (format!("{kind:?}"), stats))
+            .collect();
         report
     }
 

@@ -8,12 +8,19 @@
 //! [`RunResult`], which makes the whole layer observation-only: exporting
 //! (or not exporting) cannot perturb the schedule, so a run with
 //! observability on is bit-identical to one with it off.
+//!
+//! [`chrome_trace`] builds no DAG of its own: its critical-path track
+//! reads the run's one executed DAG ([`SimulationOutput::dag`]), the one
+//! the causal analysis reads, so the track and the analysis report the
+//! same path. It resolves each resource's Chrome track once, up front,
+//! and renders each record's arguments with the integer writers of
+//! [`picasso_obs::json`].
 
 use crate::scheduler::SimulationOutput;
 use picasso_obs::flight::{FlightConfig, FlightRecorder};
-use picasso_obs::{ChromeTrace, ManualClock, MetricKind, MetricsRegistry, Tracer};
+use picasso_obs::json::{write_rounded, write_u64};
+use picasso_obs::{ChromeTrace, ManualClock, MetricKind, MetricsRegistry, Tracer, Track};
 use picasso_sim::{Binding, Measurement, RunResult, SimDuration, TaskId};
-use std::fmt::Write;
 
 /// Half-open `[start, end)` range of engine task ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -145,20 +152,26 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
     let mut trace = ChromeTrace::new();
     let result = &out.result;
     // Scheduler tracks first so they sort above the hardware lanes.
-    trace.set_sort_index("schedule", -1);
+    let schedule = trace.track("schedule");
+    trace.set_sort_index(schedule, -1);
     trace.add_tracer(&span_tracer(out));
-    for (i, r) in result.resources.iter().enumerate() {
-        trace.set_sort_index(&r.spec.name, 1000 + i as i64);
-    }
+    // One track per resource, resolved once; records index it by resource.
+    let lanes: Vec<Track> = (result.resources.iter().enumerate())
+        .map(|(i, r)| {
+            let lane = trace.track(&r.spec.name);
+            trace.set_sort_index(lane, 1000 + i as i64);
+            lane
+        })
+        .collect();
     // Two arg buffers reused across records: no per-record allocation.
     let (mut work, mut task) = (String::new(), String::new());
     for rec in &result.records {
-        let lane = &result.resources[rec.resource.0].spec.name;
+        let lane = lanes[rec.resource.0];
         let cat = rec.category.name();
         work.clear();
         task.clear();
-        let _ = write!(work, "{:.0}", rec.work);
-        let _ = write!(task, "{}", rec.task.0);
+        write_rounded(rec.work, &mut work);
+        write_u64(rec.task.0 as u64, &mut task);
         trace.complete(
             lane,
             cat,
@@ -171,7 +184,7 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
             let prod = &result.records[producer.0];
             trace.flow(
                 "dep",
-                &result.resources[prod.resource.0].spec.name,
+                lanes[prod.resource.0],
                 prod.end.as_nanos(),
                 lane,
                 rec.start.as_nanos(),
@@ -186,33 +199,31 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
     // Critical-path highlighting: the causal chain that explains the
     // makespan gets its own track between the schedule and hardware lanes,
     // with chained flow arrows so Perfetto draws the path across lanes.
-    let dag = crate::analysis::executed_dag(out);
-    trace.set_sort_index("critical path", 0);
+    // The path is the run's one critical path, the analysis's.
+    let dag = out.dag();
+    let critical = trace.track("critical path");
+    trace.set_sort_index(critical, 0);
     let mut prev_end: Option<u64> = None;
-    for id in dag.critical_path() {
-        let node = &dag.nodes[id as usize];
-        let stage = out.stage(TaskId(id as usize));
+    for &i in dag.critical_path() {
+        let node = &dag.nodes()[i];
+        let stage = out.stage(TaskId(node.id as usize));
         let name = if stage.launcher {
             format!("launch:{:?}", stage.kind)
         } else {
             format!("{:?}", stage.kind)
         };
+        task.clear();
+        write_u64(node.id, &mut task);
         trace.complete(
-            "critical path",
+            critical,
             &name,
             "critical",
             node.start_ns,
             node.end_ns,
-            &[("task", &id.to_string()), ("lane", node.lane)],
+            &[("task", &task), ("lane", &dag.lane(node).name)],
         );
         if let Some(pe) = prev_end {
-            trace.flow(
-                "critical",
-                "critical path",
-                pe,
-                "critical path",
-                node.start_ns,
-            );
+            trace.flow("critical", critical, pe, critical, node.start_ns);
         }
         prev_end = Some(node.end_ns);
     }
@@ -462,6 +473,36 @@ mod tests {
             })
             .count();
         assert_eq!(critical_flows, slices.len() - 1, "one flow per path edge");
+    }
+
+    #[test]
+    fn chrome_critical_track_lists_the_analyzed_critical_path() {
+        let out = run(2);
+        let doc = picasso_obs::json::parse(&chrome_trace(&out).to_json()).unwrap();
+        let events = doc
+            .get("traceEvents")
+            .and_then(picasso_obs::Json::items)
+            .unwrap();
+        let listed: Vec<u64> = events
+            .iter()
+            .filter(|e| {
+                e.get("cat").and_then(picasso_obs::Json::as_str) == Some("critical")
+                    && e.get("ph").and_then(picasso_obs::Json::as_str) == Some("X")
+            })
+            .map(|e| {
+                let task = e.get("args").and_then(|a| a.get("task"));
+                task.and_then(picasso_obs::Json::as_str)
+                    .unwrap()
+                    .parse()
+                    .unwrap()
+            })
+            .collect();
+        let analyzed = crate::analysis::analyze_run(&out, 2, 1).critical_path;
+        assert!(!analyzed.is_empty());
+        assert_eq!(
+            listed, analyzed,
+            "the track and the analysis share one path"
+        );
     }
 
     #[test]

@@ -295,9 +295,12 @@ impl RecoveryRun {
     pub fn chrome_trace(&self) -> ChromeTrace {
         let ns = |s: f64| (s * 1e9) as u64;
         let mut trace = ChromeTrace::new();
+        // Each track is created at its first event, so a run without
+        // checkpoints, crashes or detections has no empty lane for them.
         for c in &self.checkpoints {
+            let track = trace.track("checkpoint");
             trace.complete(
-                "checkpoint",
+                track,
                 &format!("ckpt@{} ({})", c.step, c.kind.name()),
                 "checkpoint",
                 ns(c.at_s),
@@ -309,9 +312,10 @@ impl RecoveryRun {
             );
         }
         for r in &self.recoveries {
-            trace.instant("recovery", &format!("crash@{}", r.at_iter), ns(r.at_s));
+            let track = trace.track("recovery");
+            trace.instant(track, &format!("crash@{}", r.at_iter), ns(r.at_s));
             trace.complete(
-                "recovery",
+                track,
                 &format!("restore->{}", r.restored_step),
                 "recovery",
                 ns(r.at_s),
@@ -327,8 +331,9 @@ impl RecoveryRun {
             );
         }
         for a in &self.detections {
+            let track = trace.track("anomaly");
             trace.instant(
-                "anomaly",
+                track,
                 &format!("{}@{}", a.kind, a.at_iter),
                 a.at_iter * 1_000_000,
             );

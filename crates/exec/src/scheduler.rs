@@ -24,7 +24,11 @@ use crate::observe::{ExecutorScope, IterationScope, MicroBatchScope, ScheduleSco
 use crate::strategy::Strategy;
 use picasso_graph::{OpKind, WdlSpec};
 use picasso_lint::EffectSet;
-use picasso_sim::{Cluster, Engine, EngineError, MachineSpec, ResourceId, RunResult, Task, TaskId};
+use picasso_obs::analysis::ExecutedDag;
+use picasso_sim::{
+    Cluster, Engine, EngineError, MachineSpec, ResourceId, RunResult, Task, TaskCategory, TaskId,
+};
+use std::sync::OnceLock;
 
 /// Simulation shape.
 #[derive(Debug, Clone)]
@@ -72,7 +76,8 @@ struct StageInfo {
     kind: OpKind,
     executor: usize,
     launcher: bool,
-    effects: EffectSet,
+    /// The stage's entry in [`SimulationOutput`]'s effect-set table.
+    effects: usize,
 }
 
 /// A finished simulation plus its shape.
@@ -98,6 +103,11 @@ pub struct SimulationOutput {
     /// Stage fields of every executed task, indexed by task id; see
     /// [`SimulationOutput::causal`].
     stages: Vec<StageInfo>,
+    /// The lowerings' effect sets, one per lowering node, that the stages
+    /// refer to; entry 0 is the empty set of launchers and the barrier.
+    effects: Vec<EffectSet>,
+    /// The executed DAG, built on first use by [`SimulationOutput::dag`].
+    dag: OnceLock<ExecutedDag>,
     /// Handles of every parameter-server resource, precomputed from the
     /// cluster topology so consumers never filter resources by name prefix.
     /// Empty for strategies without PS nodes.
@@ -120,8 +130,15 @@ impl SimulationOutput {
             executor: info.executor,
             launcher: info.launcher,
             deps: self.result.deps(task),
-            effects: &info.effects,
+            effects: &self.effects[info.effects],
         }
+    }
+
+    /// The run's executed DAG (see [`crate::analysis`]): built on first use,
+    /// then shared by every overlay that reads it: the analysis, its
+    /// report and the Chrome trace.
+    pub fn dag(&self) -> &ExecutedDag {
+        self.dag.get_or_init(|| crate::analysis::executed_dag(self))
     }
 
     /// Training throughput in instances per second per machine (the paper's
@@ -178,15 +195,46 @@ pub(crate) fn simulate_lowered(
     let last_b = split_batch(cfg.batch_per_executor, micro, micro - 1);
     let smaller =
         (last_b > 0 && last_b != first.b).then(|| Lowering::new(spec, strategy, cfg, last_b));
-    let micro_lowerings: Vec<&Lowering> = (0..micro)
+    // Slot 0 is `first`, slot 1 the smaller lowering; each micro-batch
+    // replays the slot of its size.
+    let lowerings: Vec<&Lowering> = std::iter::once(first).chain(smaller.as_ref()).collect();
+    let micro_slots: Vec<usize> = (0..micro)
         .map(|m| split_batch(cfg.batch_per_executor, micro, m))
         .take_while(|&b| b > 0)
-        .map(|b| smaller.as_ref().filter(|l| l.b == b).unwrap_or(first))
+        .map(|b| usize::from(smaller.as_ref().is_some_and(|l| l.b == b)))
         .collect();
     let nodes = first.tasks.len();
     let sync_start = first.sync_start;
 
-    let dispatch_secs = cfg.machine.overheads.op_dispatch.as_secs_f64();
+    // Every node of every lowering, resolved once per executor; the
+    // iterations and micro-batches that replay it reuse the entry. The
+    // causal log refers to the lowerings' effect sets, copied here once.
+    let mut effects = vec![EffectSet::empty()];
+    let mut resolved: Vec<Resolved> = Vec::with_capacity(lowerings.len() * n_exec * nodes);
+    for l in &lowerings {
+        let effects_at = effects.len();
+        effects.extend((0..nodes).map(|n| l.node(n).1.clone()));
+        for e in 0..n_exec {
+            resolved.extend(
+                (0..nodes)
+                    .map(|n| Resolved::new(&engine, &cluster, e, l.node(n).0, effects_at + n)),
+            );
+        }
+    }
+    let node_of = |slot: usize, e: usize, n: usize| &resolved[(slot * n_exec + e) * nodes + n];
+    let barrier = Resolved::new(
+        &engine,
+        &cluster,
+        0,
+        &StageTask {
+            kind: OpKind::Sync,
+            target: ResTarget::Cpu,
+            work: 1.0,
+            launches: 1,
+        },
+        0,
+    );
+
     // Predicted stage costs and the causal log's stage fields, appended as
     // tasks are created; the schedule never reads them back. The edges are
     // written once, into the engine.
@@ -194,30 +242,16 @@ pub(crate) fn simulate_lowered(
     let mut stages: Vec<StageInfo> = Vec::new();
     let mut add = |engine: &mut Engine,
                    exec: usize,
-                   (st, effects): (&StageTask, &EffectSet),
+                   r: &Resolved,
                    deps: &[TaskId],
                    dispatch_scale: f64|
      -> Result<TaskId, EngineError> {
-        let h = &cluster.executors[exec];
-        let next = TaskId(engine.task_count());
-        let server = cluster
-            .servers
-            .get(exec % cluster.servers.len().max(1))
-            .ok_or(EngineError::NoServer { task: next });
-        let (resource, server_side) = match st.target {
-            ResTarget::GpuSm => (h.gpu_sm, false),
-            ResTarget::GpuMem => (h.gpu_mem, false),
-            ResTarget::Pcie => (h.pcie, false),
-            ResTarget::Dram => (h.dram, false),
-            ResTarget::Cpu => (h.cpu, false),
-            ResTarget::Nic => (h.nic, false),
-            ResTarget::NvLink => (h.nvlink.unwrap_or(h.nic), false),
-            ResTarget::ServerNic => (server?.nic, true),
-            ResTarget::ServerDram => (server?.dram, true),
-        };
-        let mut info = |launcher: bool, effects: EffectSet| {
+        let resource = r.resource.ok_or(EngineError::NoServer {
+            task: TaskId(engine.task_count()),
+        })?;
+        let mut info = |launcher: bool, effects: usize| {
             stages.push(StageInfo {
-                kind: st.kind,
+                kind: r.kind,
                 executor: exec,
                 launcher,
                 effects,
@@ -230,36 +264,20 @@ pub(crate) fn simulate_lowered(
         // is dispatched by the server process and skips the worker launcher.
         let launched;
         let mut stage_deps = deps;
-        if !server_side && st.launches > 0 && dispatch_scale > 0.0 {
-            let launch = Task::new(
-                h.launcher,
-                st.launches as f64 * dispatch_secs * dispatch_scale,
-                st.kind.class().category(),
-            );
+        if !r.server_side && r.launches > 0 && dispatch_scale > 0.0 {
+            let launcher = cluster.executors[exec].launcher;
+            let launch = Task::new(launcher, r.dispatch_secs * dispatch_scale, r.category);
             launched = [engine.add_task(launch, deps)?];
-            info(true, EffectSet::empty());
+            info(true, 0);
             stage_deps = &launched;
         }
-        let mut task = Task::new(resource, st.work, st.kind.class().category());
-        if server_side && st.launches > 1 {
-            // Server processes dispatch their own ops; charge the
-            // multiplicity as inflated work on the server resource.
-            let overhead = engine.resource_spec(resource).launch_overhead.as_secs_f64();
-            let rate = engine.resource_spec(resource).rate;
-            task.work += (st.launches - 1) as f64 * overhead * rate;
-        }
-        // Predict with the same closed-form the cost model uses — overhead
-        // plus rate-scaled work, after any server-side inflation — so the
-        // calibration gap isolates queueing and congestion.
-        let spec = engine.resource_spec(resource);
-        let predicted_secs = spec.launch_overhead.as_secs_f64() + task.work / spec.rate;
-        let id = engine.add_task(task, stage_deps)?;
+        let id = engine.add_task(Task::new(resource, r.work, r.category), stage_deps)?;
         costs.push(CostRecord {
             task: id,
-            kind: st.kind,
-            predicted_secs,
+            kind: r.kind,
+            predicted_secs: r.predicted_secs,
         });
-        info(false, effects.clone());
+        info(false, r.effects);
         Ok(id)
     };
 
@@ -294,7 +312,7 @@ pub(crate) fn simulate_lowered(
             deps.clear();
             deps.extend(prev_load[e]);
             deps.extend(iter_dep[e].iter().copied());
-            task[0] = add(&mut engine, e, first.node(0), &deps, 1.0)?;
+            task[0] = add(&mut engine, e, node_of(0, e, 0), &deps, 1.0)?;
             prev_load[e] = Some(task[0]);
 
             // The first sync stage waits for every micro-batch's backward
@@ -305,7 +323,8 @@ pub(crate) fn simulate_lowered(
             // micro-batches stream through the interconnects instead of
             // bursting all at once.
             let mut prev_micro_comm: Vec<Option<TaskId>> = vec![None; spec.chains.len()];
-            for (m, l) in micro_lowerings.iter().enumerate() {
+            for (m, &slot) in micro_slots.iter().enumerate() {
+                let l = lowerings[slot];
                 let micro_start = engine.task_count();
                 // First micro-batch pays full framework dispatch; repeats of
                 // the same operations re-execute through a warm executor.
@@ -331,7 +350,7 @@ pub(crate) fn simulate_lowered(
                         }
                     }
                     node_start[n] = engine.task_count();
-                    task[n] = add(&mut engine, e, l.node(n), &deps, dispatch_scale)?;
+                    task[n] = add(&mut engine, e, node_of(slot, e, n), &deps, dispatch_scale)?;
                 }
                 for (ci, &c) in l.chain_comm.iter().enumerate() {
                     prev_micro_comm[ci] = Some(task[c]);
@@ -363,7 +382,7 @@ pub(crate) fn simulate_lowered(
                 } else {
                     deps.extend(first.in_edges[n].iter().map(|&(from, _)| task[from]));
                 }
-                task[n] = add(&mut engine, e, first.node(n), &deps, 1.0)?;
+                task[n] = add(&mut engine, e, node_of(0, e, n), &deps, 1.0)?;
             }
             iter_ends.push(task[nodes - 1]);
             executor_scopes.push(ExecutorScope {
@@ -382,19 +401,7 @@ pub(crate) fn simulate_lowered(
                 iter_dep[e] = vec![end];
             }
         } else {
-            let barrier = StageTask {
-                kind: OpKind::Sync,
-                target: ResTarget::Cpu,
-                work: 1.0,
-                launches: 1,
-            };
-            let b = add(
-                &mut engine,
-                0,
-                (&barrier, &EffectSet::empty()),
-                &iter_ends,
-                1.0,
-            )?;
+            let b = add(&mut engine, 0, &barrier, &iter_ends, 1.0)?;
             for dep in iter_dep.iter_mut() {
                 *dep = vec![b];
             }
@@ -420,8 +427,84 @@ pub(crate) fn simulate_lowered(
         scopes,
         costs,
         stages,
+        effects,
+        dag: OnceLock::new(),
         server_resources,
     })
+}
+
+/// One lowering node resolved for one executor: everything its tasks need
+/// that the iterations and micro-batches replaying it share.
+struct Resolved {
+    kind: OpKind,
+    category: TaskCategory,
+    /// The stage's resource; `None` for a server-side stage on a cluster
+    /// without servers, which fails when a task is added.
+    resource: Option<ResourceId>,
+    /// Server-side work is dispatched by the server process, without a
+    /// worker launcher task.
+    server_side: bool,
+    launches: u32,
+    /// Launcher dispatch seconds at full scale: `launches × op_dispatch`.
+    dispatch_secs: f64,
+    /// The stage's work, after any server-side inflation.
+    work: f64,
+    /// Model-predicted duration, seconds (see [`CostRecord`]).
+    predicted_secs: f64,
+    /// The stage's entry in the output's effect-set table.
+    effects: usize,
+}
+
+impl Resolved {
+    fn new(
+        engine: &Engine,
+        cluster: &Cluster,
+        exec: usize,
+        st: &StageTask,
+        effects: usize,
+    ) -> Resolved {
+        let h = &cluster.executors[exec];
+        let server = cluster.servers.get(exec % cluster.servers.len().max(1));
+        let (resource, server_side) = match st.target {
+            ResTarget::GpuSm => (Some(h.gpu_sm), false),
+            ResTarget::GpuMem => (Some(h.gpu_mem), false),
+            ResTarget::Pcie => (Some(h.pcie), false),
+            ResTarget::Dram => (Some(h.dram), false),
+            ResTarget::Cpu => (Some(h.cpu), false),
+            ResTarget::Nic => (Some(h.nic), false),
+            ResTarget::NvLink => (Some(h.nvlink.unwrap_or(h.nic)), false),
+            ResTarget::ServerNic => (server.map(|s| s.nic), true),
+            ResTarget::ServerDram => (server.map(|s| s.dram), true),
+        };
+        let mut work = st.work;
+        let mut predicted_secs = 0.0;
+        if let Some(resource) = resource {
+            let spec = engine.resource_spec(resource);
+            let overhead = spec.launch_overhead.as_secs_f64();
+            if server_side && st.launches > 1 {
+                // Server processes dispatch their own ops; charge the
+                // multiplicity as inflated work on the server resource.
+                work += (st.launches - 1) as f64 * overhead * spec.rate;
+            }
+            // Predict with the same closed-form the cost model uses —
+            // overhead plus rate-scaled work, after any server-side
+            // inflation — so the calibration gap isolates queueing and
+            // congestion.
+            predicted_secs = overhead + work / spec.rate;
+        }
+        let dispatch_secs = cluster.machine.overheads.op_dispatch.as_secs_f64();
+        Resolved {
+            kind: st.kind,
+            category: st.kind.class().category(),
+            resource,
+            server_side,
+            launches: st.launches,
+            dispatch_secs: st.launches as f64 * dispatch_secs,
+            work,
+            predicted_secs,
+            effects,
+        }
+    }
 }
 
 /// Splits `batch` into `micro` near-equal parts; part `m` gets the

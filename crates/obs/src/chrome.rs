@@ -1,10 +1,12 @@
 //! Chrome trace-event exporter (Perfetto / `chrome://tracing` compatible).
 //!
 //! Builds a `{"traceEvents": [...]}` document from spans, instants, counter
-//! samples, and flow edges. Tracks map to thread lanes: the first time a
-//! track name is seen it is assigned a `tid` plus a `thread_name` metadata
-//! event, and [`ChromeTrace::set_sort_index`] pins its position in the UI
-//! with a `thread_sort_index` metadata event. Counter lanes use `"ph":"C"`
+//! samples, and flow edges. Tracks map to thread lanes:
+//! [`ChromeTrace::track`] resolves a track name to a [`Track`] handle,
+//! assigning a `tid` plus a `thread_name` metadata event the first time the
+//! name is seen, and every lane event takes the handle.
+//! [`ChromeTrace::set_sort_index`] pins a track's position in the UI with a
+//! `thread_sort_index` metadata event. Counter lanes use `"ph":"C"`
 //! events, dependencies use `"ph":"s"`/`"ph":"f"` flow pairs, and frame
 //! markers are global instants (`"ph":"i","s":"g"`).
 
@@ -14,6 +16,12 @@ use crate::span::Tracer;
 use crate::Clock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// A track (thread lane) of a [`ChromeTrace`], from [`ChromeTrace::track`].
+/// Lane events take the handle, so a track's name is resolved once, not
+/// once per event. A handle belongs to the trace that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Track(usize);
 
 /// Incrementally built Chrome trace document.
 ///
@@ -38,21 +46,21 @@ impl ChromeTrace {
         ChromeTrace::default()
     }
 
-    /// The provisional `tid` for a track, assigning one (with a
-    /// `thread_name` metadata event) on first use. Tids start at 1 in
-    /// first-seen order while the trace is being built.
-    fn tid_for_track(&mut self, track: &str) -> usize {
-        if let Some(&tid) = self.tids.get(track) {
-            return tid;
+    /// The track named `name`, created (with a `thread_name` metadata
+    /// event) on first use. Provisional tids start at 1 in first-seen
+    /// order while the trace is being built.
+    pub fn track(&mut self, name: &str) -> Track {
+        if let Some(&tid) = self.tids.get(name) {
+            return Track(tid);
         }
         let tid = self.tids.len() + 1;
-        self.tids.insert(track.to_string(), tid);
+        self.tids.insert(name.to_string(), tid);
         self.open("thread_name");
-        self.lane(",\"ph\":\"M\",\"pid\":1,\"tid\":", tid);
+        self.lane(",\"ph\":\"M\",\"pid\":1,\"tid\":", Track(tid));
         self.text.push_str(",\"args\":{\"name\":");
-        write_escaped(track, &mut self.text);
+        write_escaped(name, &mut self.text);
         self.text.push_str("}}");
-        tid
+        Track(tid)
     }
 
     /// Starts an event: the separator, then its `name` field.
@@ -65,10 +73,10 @@ impl ChromeTrace {
         write_escaped(name, &mut self.text);
     }
 
-    /// Writes `fields` (ending in `"tid":`) and leaves the tid's hole.
-    fn lane(&mut self, fields: &str, tid: usize) {
+    /// Writes `fields` (ending in `"tid":`) and leaves the track's tid hole.
+    fn lane(&mut self, fields: &str, track: Track) {
         self.text.push_str(fields);
-        self.holes.push((self.text.len(), tid));
+        self.holes.push((self.text.len(), track.0));
     }
 
     /// Writes `key` and a nanosecond time in microseconds.
@@ -78,28 +86,26 @@ impl ChromeTrace {
     }
 
     /// Pins a track's vertical position in the viewer.
-    pub fn set_sort_index(&mut self, track: &str, sort_index: i64) {
-        let tid = self.tid_for_track(track);
+    pub fn set_sort_index(&mut self, track: Track, sort_index: i64) {
         self.open("thread_sort_index");
-        self.lane(",\"ph\":\"M\",\"pid\":1,\"tid\":", tid);
+        self.lane(",\"ph\":\"M\",\"pid\":1,\"tid\":", track);
         let _ = write!(self.text, ",\"args\":{{\"sort_index\":{sort_index}}}}}");
     }
 
     /// Adds a complete (`"ph":"X"`) span.
     pub fn complete(
         &mut self,
-        track: &str,
+        track: Track,
         name: &str,
         cat: &str,
         start_ns: u64,
         end_ns: u64,
         args: &[(&str, &str)],
     ) {
-        let tid = self.tid_for_track(track);
         self.open(name);
         self.text.push_str(",\"cat\":");
         write_escaped(cat, &mut self.text);
-        self.lane(",\"ph\":\"X\",\"pid\":1,\"tid\":", tid);
+        self.lane(",\"ph\":\"X\",\"pid\":1,\"tid\":", track);
         self.ts(",\"ts\":", start_ns);
         self.ts(",\"dur\":", end_ns.saturating_sub(start_ns));
         for (i, (k, v)) in args.iter().enumerate() {
@@ -112,10 +118,9 @@ impl ChromeTrace {
     }
 
     /// Adds a thread-scoped instant event.
-    pub fn instant(&mut self, track: &str, name: &str, t_ns: u64) {
-        let tid = self.tid_for_track(track);
+    pub fn instant(&mut self, track: Track, name: &str, t_ns: u64) {
         self.open(name);
-        self.lane(",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":", tid);
+        self.lane(",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":", track);
         self.ts(",\"ts\":", t_ns);
         self.text.push('}');
     }
@@ -150,18 +155,16 @@ impl ChromeTrace {
 
     /// Adds a flow arrow: an `"s"` event at the source and a matching `"f"`
     /// (binding enclosing slice) at the destination, sharing a fresh id.
-    pub fn flow(&mut self, name: &str, from_track: &str, from_ns: u64, to_track: &str, to_ns: u64) {
+    pub fn flow(&mut self, name: &str, from: Track, from_ns: u64, to: Track, to_ns: u64) {
         let id = self.flows;
         self.flows += 1;
-        let from_tid = self.tid_for_track(from_track);
-        let to_tid = self.tid_for_track(to_track);
         let start = ",\"cat\":\"flow\",\"ph\":\"s\",\"id\":";
         let finish = ",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":";
-        for (fields, tid, ns) in [(start, from_tid, from_ns), (finish, to_tid, to_ns)] {
+        for (fields, track, ns) in [(start, from, from_ns), (finish, to, to_ns)] {
             self.open(name);
             self.text.push_str(fields);
             write_u64(id, &mut self.text);
-            self.lane(",\"pid\":1,\"tid\":", tid);
+            self.lane(",\"pid\":1,\"tid\":", track);
             self.ts(",\"ts\":", ns);
             self.text.push('}');
         }
@@ -176,26 +179,17 @@ impl ChromeTrace {
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect();
-            self.complete(
-                &span.track,
-                &span.name,
-                "span",
-                span.start_ns,
-                span.end_ns,
-                &args,
-            );
+            let track = self.track(&span.track);
+            self.complete(track, &span.name, "span", span.start_ns, span.end_ns, &args);
         }
         for instant in tracer.instants() {
-            self.instant(&instant.track, &instant.name, instant.t_ns);
+            let track = self.track(&instant.track);
+            self.instant(track, &instant.name, instant.t_ns);
         }
         for flow in tracer.flows() {
-            self.flow(
-                &flow.name,
-                &flow.from_track,
-                flow.from_ns,
-                &flow.to_track,
-                flow.to_ns,
-            );
+            let from = self.track(&flow.from_track);
+            let to = self.track(&flow.to_track);
+            self.flow(&flow.name, from, flow.from_ns, to, flow.to_ns);
         }
     }
 
@@ -272,20 +266,23 @@ mod tests {
     #[test]
     fn serializes_every_event_kind_byte_for_byte() {
         let mut t = ChromeTrace::new();
-        t.set_sort_index("zeta \"lane\"", -1);
+        let zeta = t.track("zeta \"lane\"");
+        t.set_sort_index(zeta, -1);
         t.complete(
-            "zeta \"lane\"",
+            zeta,
             "op\n1",
             "cat",
             1_500,
             4_000,
             &[("k", "v\t"), ("task", "7")],
         );
-        t.complete("alpha", "bare", "c", 2_000, 1_000, &[]);
-        t.instant("alpha", "tick", 999);
+        let alpha = t.track("alpha");
+        t.complete(alpha, "bare", "c", 2_000, 1_000, &[]);
+        t.instant(alpha, "tick", 999);
         t.frame_marker("iteration 0", 0);
         t.counter("bytes", 12_345, &[("pcie", 0.5), ("nvlink", 3.0)]);
-        t.flow("dep", "alpha", 10, "beta", 1_000_000_001);
+        let beta = t.track("beta");
+        t.flow("dep", alpha, 10, beta, 1_000_000_001);
         assert_eq!(t.len(), 11, "a flow counts as two events");
         let want = concat!(
             r#"{"traceEvents":["#,
@@ -308,10 +305,13 @@ mod tests {
     #[test]
     fn tracks_get_stable_tids_and_metadata() {
         let mut trace = ChromeTrace::new();
-        trace.instant("a", "x", 0);
-        trace.instant("b", "x", 0);
-        trace.instant("a", "x", 0);
-        trace.set_sort_index("a", -1);
+        let a = trace.track("a");
+        trace.instant(a, "x", 0);
+        let b = trace.track("b");
+        trace.instant(b, "x", 0);
+        assert_eq!(trace.track("a"), a, "a name resolves to its one track");
+        trace.instant(a, "x", 0);
+        trace.set_sort_index(a, -1);
         let doc = json::parse(&trace.to_json()).unwrap();
         assert_eq!(phase_count(&doc, "M"), 3); // 2 names + 1 sort index
         let events = doc.get("traceEvents").and_then(Json::items).unwrap();
@@ -329,7 +329,8 @@ mod tests {
         // nearest f64 to 8796093022208.001 prints as ...208.002.
         let far = (1 << 43) * 1000 + 1;
         let mut t = ChromeTrace::new();
-        t.complete("lane", "late", "c", far, far + 1_500, &[]);
+        let lane = t.track("lane");
+        t.complete(lane, "late", "c", far, far + 1_500, &[]);
         t.counter("gauge", far, &[("nan", f64::NAN), ("inf", f64::INFINITY)]);
         let want = concat!(
             r#"{"traceEvents":["#,
@@ -345,12 +346,16 @@ mod tests {
     fn serialized_tids_are_name_sorted_regardless_of_insertion_order() {
         // Build two traces registering the same lanes in opposite orders;
         // the serialized documents must number tracks identically.
+        let span = |trace: &mut ChromeTrace, name: &str| {
+            let track = trace.track(name);
+            trace.complete(track, "t", "span", 0, 10, &[]);
+        };
         let mut forward = ChromeTrace::new();
-        forward.complete("alpha", "t", "span", 0, 10, &[]);
-        forward.complete("beta", "t", "span", 0, 10, &[]);
+        span(&mut forward, "alpha");
+        span(&mut forward, "beta");
         let mut reverse = ChromeTrace::new();
-        reverse.complete("beta", "t", "span", 0, 10, &[]);
-        reverse.complete("alpha", "t", "span", 0, 10, &[]);
+        span(&mut reverse, "beta");
+        span(&mut reverse, "alpha");
 
         for text in [forward.to_json(), reverse.to_json()] {
             let doc = json::parse(&text).unwrap();
@@ -385,7 +390,8 @@ mod tests {
     #[test]
     fn frame_marker_tid_zero_survives_the_remap() {
         let mut trace = ChromeTrace::new();
-        trace.complete("zeta", "t", "span", 0, 10, &[]);
+        let zeta = trace.track("zeta");
+        trace.complete(zeta, "t", "span", 0, 10, &[]);
         trace.frame_marker("iteration 0", 0);
         let doc = json::parse(&trace.to_json()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::items).unwrap();
@@ -399,8 +405,9 @@ mod tests {
     #[test]
     fn flows_pair_s_and_f_with_same_id() {
         let mut trace = ChromeTrace::new();
-        trace.flow("dep", "a", 10, "b", 20);
-        trace.flow("dep", "a", 30, "b", 40);
+        let (a, b) = (trace.track("a"), trace.track("b"));
+        trace.flow("dep", a, 10, b, 20);
+        trace.flow("dep", a, 30, b, 40);
         let doc = json::parse(&trace.to_json()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::items).unwrap();
         let flows: Vec<_> = events

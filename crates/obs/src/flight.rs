@@ -93,7 +93,8 @@ pub struct FlightEvent {
     pub code: String,
     /// Iteration the event belongs to.
     pub iter: u64,
-    /// Payload value (duration, metric sample, or `0.0`).
+    /// Payload value (duration, metric sample, or `0.0`). A non-finite
+    /// value is written as `null`, which reads back as NaN.
     pub value: f64,
 }
 
@@ -122,7 +123,10 @@ impl FlightEvent {
                 .ok_or("event code not a string")?
                 .to_string(),
             iter: field("iter")?.as_u64().ok_or("bad event iter")?,
-            value: field("value")?.as_f64().ok_or("bad event value")?,
+            value: match field("value")? {
+                Json::Null => f64::NAN,
+                v => v.as_f64().ok_or("bad event value")?,
+            },
         })
     }
 }
@@ -308,18 +312,25 @@ impl FlightRecorder {
             self.overhead_ns += t0.elapsed().as_nanos() as u64;
             return;
         }
-        let event = FlightEvent {
-            seq,
-            t_ns,
-            category,
-            code: code.to_string(),
-            iter,
-            value,
-        };
         if self.ring.len() < self.config.capacity {
-            self.ring.push(event);
+            self.ring.push(FlightEvent {
+                seq,
+                t_ns,
+                category,
+                code: code.to_string(),
+                iter,
+                value,
+            });
         } else {
-            self.ring[self.head] = event;
+            // Evict the oldest event in place, reusing its code buffer.
+            let slot = &mut self.ring[self.head];
+            slot.seq = seq;
+            slot.t_ns = t_ns;
+            slot.category = category;
+            slot.code.clear();
+            slot.code.push_str(code);
+            slot.iter = iter;
+            slot.value = value;
             self.head = (self.head + 1) % self.config.capacity;
             self.overwritten += 1;
         }
@@ -658,6 +669,40 @@ mod tests {
             back.last_of(FlightCategory::Fault).map(|e| e.iter),
             Some(20)
         );
+    }
+
+    #[test]
+    fn non_finite_values_round_trip_with_their_checksum() {
+        let mut rec = FlightRecorder::new(8);
+        rec.metric("loss", 0, 10, f64::NAN);
+        rec.metric("loss", 1, 20, f64::INFINITY);
+        rec.task("compute", 2, 30, f64::NEG_INFINITY);
+        rec.metric("loss", 3, 40, 0.25);
+        let dump = rec.post_mortem();
+        let text = dump.to_json().to_json();
+        assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
+        let back = FlightDump::from_text(&text).expect("a written dump decodes");
+        assert_eq!(back.digest(), dump.digest());
+        assert_eq!(back.to_json().to_json(), text);
+        assert!(back.events[..3].iter().all(|e| e.value.is_nan()));
+        assert_eq!(back.events[3].value, 0.25);
+    }
+
+    #[test]
+    fn a_wrapped_ring_reuses_its_slots() {
+        let mut rec = FlightRecorder::new(2);
+        rec.task("a-long-code", 0, 0, 0.0);
+        rec.task("b", 1, 1, 0.0);
+        let buffer = rec.ring[0].code.as_ptr();
+        // The third event evicts the first and writes into its buffer.
+        rec.task("c", 2, 2, 0.5);
+        assert_eq!(rec.ring[0].code.as_ptr(), buffer);
+        let events: Vec<(u64, &str, u64, f64)> = rec
+            .events()
+            .iter()
+            .map(|e| (e.seq, e.code.as_str(), e.iter, e.value))
+            .collect();
+        assert_eq!(events, [(1, "b", 1, 0.0), (2, "c", 2, 0.5)]);
     }
 
     #[test]

@@ -209,6 +209,25 @@ pub fn write_u64(mut n: u64, out: &mut String) {
     out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
 }
 
+/// Below this magnitude (2^53) every `f64` rounds to an integer that `u64`
+/// holds exactly.
+const EXACT_INTEGERS_BELOW: f64 = 9_007_199_254_740_992.0;
+
+/// Writes `x` rounded to an integer, byte for byte as `{x:.0}` formats it:
+/// ties round to even, and a negative sign (`-0.0` included) prints as `-`.
+/// Below 2^53 it prints the integer digits; non-finite and larger values
+/// take the `{x:.0}` formatter.
+pub fn write_rounded(x: f64, out: &mut String) {
+    if x.abs() >= EXACT_INTEGERS_BELOW || x.is_nan() {
+        let _ = write!(out, "{x:.0}");
+        return;
+    }
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    write_u64(x.abs().round_ties_even() as u64, out);
+}
+
 /// Nanosecond times below this (2^43 µs) print exactly as three-decimal
 /// microseconds: the f64 spacing there is under 0.001 µs, so the trimmed
 /// three-decimal string is the shortest one that round-trips.

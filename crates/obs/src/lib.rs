@@ -46,8 +46,8 @@ pub mod prometheus;
 pub mod report;
 pub mod span;
 
-pub use analysis::{DagAnalysis, DagNode, ExecutedDag, PairSpec, PlannedInterleaving};
-pub use chrome::ChromeTrace;
+pub use analysis::{DagAnalysis, DagLane, DagNode, ExecutedDag, PairSpec, PlannedInterleaving};
+pub use chrome::{ChromeTrace, Track};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use detect::{Anomaly, AnomalyKind, QueueDepthDetector, SlopeDetector, StragglerDetector};
 pub use flight::{
