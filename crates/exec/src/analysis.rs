@@ -1,26 +1,21 @@
 //! Causal analysis of a finished simulation.
 //!
-//! Joins the run's one dependency table ([`picasso_sim::RunResult::deps`])
-//! with the engine's observed timestamps to build the executed DAG, then
-//! runs the [`picasso_obs::analysis`] machinery over it: the critical path,
-//! achieved overlap per resource pair versus the pass pipeline's planned
-//! D×K interleaving, and per-lane idle-gap attribution. A run builds its
-//! DAG once, on first use ([`SimulationOutput::dag`]); [`analyze_run`],
-//! [`analysis_report_json`] and the Chrome trace
-//! ([`crate::observe::chrome_trace`]) all read that one DAG and its one
-//! critical path. Everything derives from the immutable
-//! [`SimulationOutput`] after the run — the analysis can never perturb
-//! scheduling.
+//! [`analyze_run`] runs [`picasso_sim::analysis`] over the run's records in
+//! place, with PICASSO's two overlap pairs ([`overlap_pairs`]) and the pass
+//! pipeline's planned D×K interleaving: the critical path, achieved overlap
+//! per resource pair and per-lane idle-gap attribution. The Chrome trace's
+//! critical-path track ([`crate::observe::chrome_trace`]) walks the same
+//! [`picasso_sim::analysis::critical_path`]. Everything derives from the
+//! immutable [`SimulationOutput`] after the run — the analysis can never
+//! perturb scheduling.
 
 use crate::scheduler::SimulationOutput;
 use picasso_lint::effects::{conflicts, ConflictKind, RaceAllowlist, RaceSig};
 use picasso_lint::{Diagnostic, EffectSet, LintReport, Severity, Span, StaticRace};
-use picasso_obs::analysis::{
-    DagAnalysis, DagLane, DagNode, ExecutedDag, PairSpec, PlannedInterleaving,
-};
 use picasso_obs::json::Json;
 use picasso_obs::metrics::{MetricKind, MetricsRegistry};
-use picasso_sim::{TaskCategory, TaskId};
+use picasso_sim::analysis::{analyze, DagAnalysis, LaneIdle, PairSpec, PlannedInterleaving};
+use picasso_sim::{ResourceKind, RunResult, TaskCategory};
 use std::collections::BTreeSet;
 
 /// Schema version of the `picasso.analysis_report` document.
@@ -34,42 +29,6 @@ pub const LOW_OVERLAP_FRAC: f64 = 0.5;
 /// trips `run.idle-dominant-resource`.
 pub const IDLE_DOMINANT_FRAC: f64 = 0.5;
 
-/// Builds the executed DAG from the engine trace: one lane per resource,
-/// one category per [`TaskCategory`], timestamps and lane assignment from
-/// the records, edges from the run's edge table. Task ids are record
-/// indices, so every id resolves to itself. [`SimulationOutput::dag`]
-/// calls this once per run.
-pub(crate) fn executed_dag(out: &SimulationOutput) -> ExecutedDag {
-    let result = &out.result;
-    let lanes = result
-        .resources
-        .iter()
-        .map(|r| DagLane {
-            name: r.spec.name.clone(),
-            kind: r.spec.kind.name().to_string(),
-        })
-        .collect();
-    // `TaskCategory::ALL` is in declaration order, so a category's
-    // discriminant is its index there.
-    let categories = TaskCategory::ALL
-        .iter()
-        .map(|c| c.name().to_string())
-        .collect();
-    let nodes = result
-        .records
-        .iter()
-        .map(|rec| DagNode {
-            id: rec.task.0 as u64,
-            lane: rec.resource.0,
-            category: rec.category as usize,
-            start_ns: rec.start.as_nanos(),
-            end_ns: rec.end.as_nanos(),
-        })
-        .collect();
-    let deps = (0..result.records.len()).map(|t| result.deps(TaskId(t)).iter().map(|d| d.0 as u64));
-    ExecutedDag::new(lanes, categories, nodes, deps)
-}
-
 /// The two overlap pairs PICASSO's interleaving is supposed to win:
 /// communication hidden under computation (Eq. 2/Eq. 3), and host-side
 /// work (CPU + DRAM) hidden under device work (SM + device memory).
@@ -77,14 +36,14 @@ pub fn overlap_pairs() -> Vec<PairSpec> {
     vec![
         PairSpec {
             name: "comm_under_compute".into(),
-            under_categories: vec!["communication".into()],
-            over_categories: vec!["computation".into()],
+            under_categories: vec![TaskCategory::Communication],
+            over_categories: vec![TaskCategory::Computation],
             ..PairSpec::default()
         },
         PairSpec {
             name: "host_under_device".into(),
-            under_kinds: vec!["cpu".into(), "dram".into()],
-            over_kinds: vec!["gpu-sm".into(), "gpu-mem".into()],
+            under_kinds: vec![ResourceKind::HostCpu, ResourceKind::DramBw],
+            over_kinds: vec![ResourceKind::GpuSm, ResourceKind::GpuMem],
             ..PairSpec::default()
         },
     ]
@@ -93,7 +52,8 @@ pub fn overlap_pairs() -> Vec<PairSpec> {
 /// Runs the full causal analysis of a finished simulation against the
 /// planned `micro_batches` × `groups` interleaving.
 pub fn analyze_run(out: &SimulationOutput, micro_batches: usize, groups: usize) -> DagAnalysis {
-    out.dag().analyze(
+    analyze(
+        &out.result,
         &overlap_pairs(),
         PlannedInterleaving {
             micro_batches,
@@ -144,8 +104,10 @@ pub fn export_analysis_metrics(a: &DagAnalysis, registry: &MetricsRegistry) {
 /// * `run.idle-dominant-resource` — a lane that carries critical-path work
 ///   sat idle for more than [`IDLE_DOMINANT_FRAC`] of the makespan: the
 ///   resource that gates the run is mostly starved.
+///
+/// `a` is the analysis of `result`.
 pub fn lint_analysis(
-    dag: &ExecutedDag,
+    result: &RunResult,
     a: &DagAnalysis,
     planned: PlannedInterleaving,
 ) -> Vec<Diagnostic> {
@@ -178,30 +140,28 @@ pub fn lint_analysis(
         }
     }
     // Lanes that carry critical-path work but mostly idle.
-    let critical_lanes: BTreeSet<&str> = a
-        .critical_path
-        .iter()
-        .filter_map(|&id| dag.index_of(id))
-        .map(|i| dag.lane(&dag.nodes()[i]).name.as_str())
+    let critical_lanes: BTreeSet<_> = (a.critical_path.iter())
+        .map(|&id| result.records[id as usize].resource)
         .collect();
+    let name = |l: &LaneIdle| result.resources[l.resource.0].spec.name.as_str();
     if let Some(worst) = a
         .lanes
         .iter()
-        .filter(|l| critical_lanes.contains(l.lane.as_str()))
+        .filter(|l| critical_lanes.contains(&l.resource))
         .filter(|l| {
             a.makespan_ns > 0 && l.idle_ns as f64 > a.makespan_ns as f64 * IDLE_DOMINANT_FRAC
         })
-        .max_by(|x, y| x.idle_ns.cmp(&y.idle_ns).then(y.lane.cmp(&x.lane)))
+        .max_by(|x, y| x.idle_ns.cmp(&y.idle_ns).then(name(y).cmp(name(x))))
     {
         diags.push(
             Diagnostic::new(
                 "run.idle-dominant-resource",
                 Severity::Warn,
-                Span::Run(worst.lane.clone()),
+                Span::Run(name(worst).to_string()),
                 format!(
                     "lane {} carries critical-path work yet idles {:.0}% of the makespan \
                      ({} gaps, longest blocked on upstream work)",
-                    worst.lane,
+                    name(worst),
                     worst.idle_ns as f64 / a.makespan_ns as f64 * 100.0,
                     worst.gaps.len(),
                 ),
@@ -228,9 +188,8 @@ pub fn analysis_report_json(
         micro_batches,
         groups,
     };
-    let dag = out.dag();
-    let a = dag.analyze(&overlap_pairs(), planned);
-    let lint = LintReport::new(lint_analysis(dag, &a, planned));
+    let a = analyze(&out.result, &overlap_pairs(), planned);
+    let lint = LintReport::new(lint_analysis(&out.result, &a, planned));
     Json::obj([
         (
             "schema_version",
@@ -246,8 +205,8 @@ pub fn analysis_report_json(
                 ("planned_overlap", planned.planned_overlap().into()),
             ]),
         ),
-        ("tasks", Json::UInt(dag.nodes().len() as u64)),
-        ("analysis", a.to_json(dag)),
+        ("tasks", Json::UInt(out.result.records.len() as u64)),
+        ("analysis", a.to_json(&out.result)),
         ("lint", lint.to_json()),
     ])
 }
@@ -457,7 +416,7 @@ mod tests {
     use crate::strategy::Strategy;
     use picasso_data::DatasetSpec;
     use picasso_models::ModelKind;
-    use picasso_sim::MachineSpec;
+    use picasso_sim::{Engine, MachineSpec, ResourceSpec, Task, TaskId};
 
     fn run(micro: usize) -> (SimulationOutput, usize) {
         let data = DatasetSpec::criteo();
@@ -493,24 +452,24 @@ mod tests {
 
     #[test]
     fn executed_dag_joins_timestamps_and_lanes() {
-        let (out, _) = run(1);
-        let dag = out.dag();
-        assert_eq!(dag.nodes().len(), out.result.records.len());
-        assert_eq!(
-            dag.makespan_ns(),
-            out.result.makespan.as_nanos(),
-            "DAG makespan equals the engine makespan"
-        );
-        assert!(dag.nodes().iter().any(|n| dag.lane(n).kind == "gpu-sm"));
-        assert!(dag.nodes().iter().all(|n| n.end_ns >= n.start_ns));
-        for (i, n) in dag.nodes().iter().enumerate() {
-            assert_eq!(dag.index_of(n.id), Some(i), "a run's ids are indices");
-            let want: Vec<u32> = (out.result.deps(TaskId(i)).iter())
-                .map(|d| d.0 as u32)
-                .collect();
-            assert_eq!(dag.deps(i), want, "edges come from the run's table");
+        // The run's records are its executed DAG: the analysis reads their
+        // timestamps, lanes and edges in place.
+        let (out, g) = run(1);
+        let a = analyze_run(&out, 1, g);
+        assert_eq!(a.makespan_ns, out.result.makespan.as_nanos());
+        let used: BTreeSet<_> = out.result.records.iter().map(|r| r.resource).collect();
+        let lanes: BTreeSet<_> = a.lanes.iter().map(|l| l.resource).collect();
+        assert_eq!(lanes, used, "one lane per resource that ran a task");
+        assert!(lanes
+            .iter()
+            .any(|r| out.result.resources[r.0].spec.kind == picasso_sim::ResourceKind::GpuSm));
+        for step in a.critical_path.windows(2) {
+            let (dep, task) = (TaskId(step[0] as usize), TaskId(step[1] as usize));
+            assert!(
+                out.result.deps(task).contains(&dep),
+                "path steps follow the run's edges"
+            );
         }
-        assert!(std::ptr::eq(dag, out.dag()), "the run builds its DAG once");
     }
 
     #[test]
@@ -592,47 +551,41 @@ mod tests {
         assert_eq!(a.result.records.len(), b.result.records.len());
     }
 
-    /// A hand-built chain of `(lane, category, span)` steps: node `i` (id
-    /// `i`) runs on lane `i` after node `i - 1`. Each lane's kind is its
-    /// name's last `/` segment.
-    fn chain(steps: &[(&str, &str, (u64, u64))]) -> ExecutedDag {
-        const CATEGORIES: [&str; 2] = ["communication", "computation"];
-        let lanes = steps
-            .iter()
-            .map(|&(lane, ..)| DagLane {
-                name: lane.to_string(),
-                kind: lane.split('/').next_back().unwrap_or(lane).to_string(),
-            })
-            .collect();
-        let categories = CATEGORIES.iter().map(|c| c.to_string()).collect();
-        let nodes = steps
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, cat, (start_ns, end_ns)))| DagNode {
-                id: i as u64,
-                lane: i,
-                category: CATEGORIES.iter().position(|&c| c == cat).unwrap(),
-                start_ns,
-                end_ns,
-            })
-            .collect();
-        let deps = (0..steps.len() as u64).map(|i| i.checked_sub(1));
-        ExecutedDag::new(lanes, categories, nodes, deps)
+    /// A chain of `(lane, category, span)` steps run through the engine:
+    /// step `i` runs on a lane of its own after step `i - 1`, one work unit
+    /// per nanosecond, so contiguous spans from 0 keep their timestamps.
+    /// Each lane's kind is its name's last `/` segment.
+    fn chain(steps: &[(&str, TaskCategory, (u64, u64))]) -> RunResult {
+        let mut engine = Engine::new();
+        let mut prev: Option<TaskId> = None;
+        for &(lane, category, (start, end)) in steps {
+            let kind = (picasso_sim::ResourceKind::ALL.into_iter())
+                .find(|k| lane.rsplit('/').next() == Some(k.name()))
+                .unwrap();
+            let r = engine.add_resource(ResourceSpec::new(lane, kind, 1e9, 0));
+            let task = Task::new(r, (end - start) as f64, category);
+            prev = Some(engine.add_task(task, prev.as_slice()).unwrap());
+        }
+        let result = engine.run().unwrap();
+        for (rec, &(.., span)) in result.records.iter().zip(steps) {
+            assert_eq!((rec.start.as_nanos(), rec.end.as_nanos()), span);
+        }
+        result
     }
 
     #[test]
     fn low_overlap_lint_fires_only_when_the_plan_is_missed() {
         // Serial comm after compute with D*K planned = 4: achieved 0.
-        let dag = chain(&[
-            ("n0/gpu-sm", "computation", (0, 10)),
-            ("n0/network", "communication", (10, 30)),
+        let result = chain(&[
+            ("n0/gpu-sm", TaskCategory::Computation, (0, 10)),
+            ("n0/network", TaskCategory::Communication, (10, 30)),
         ]);
         let planned = PlannedInterleaving {
             micro_batches: 2,
             groups: 2,
         };
-        let a = dag.analyze(&overlap_pairs(), planned);
-        let diags = lint_analysis(&dag, &a, planned);
+        let a = analyze(&result, &overlap_pairs(), planned);
+        let diags = lint_analysis(&result, &a, planned);
         assert!(diags.iter().any(|d| d.rule == "run.low-overlap"));
         // The GPU lane is on the critical path and idles 2/3 of the run.
         assert!(diags.iter().any(|d| d.rule == "run.idle-dominant-resource"));
@@ -641,8 +594,8 @@ mod tests {
             micro_batches: 1,
             groups: 1,
         };
-        let a1 = dag.analyze(&overlap_pairs(), unplanned);
-        let d1 = lint_analysis(&dag, &a1, unplanned);
+        let a1 = analyze(&result, &overlap_pairs(), unplanned);
+        let d1 = lint_analysis(&result, &a1, unplanned);
         assert!(!d1.iter().any(|d| d.rule == "run.low-overlap"));
     }
 
@@ -651,18 +604,18 @@ mod tests {
         // A three-lane chain: every lane is on the critical path and idles
         // 20 of 30 ns, so all three tie; the lexicographic tie-break names
         // the gpu lane, not the last lane scanned.
-        let dag = chain(&[
-            ("n0/network", "communication", (0, 10)),
-            ("n0/gpu-sm", "computation", (10, 20)),
-            ("n1/cpu", "computation", (20, 30)),
+        let result = chain(&[
+            ("n0/network", TaskCategory::Communication, (0, 10)),
+            ("n0/gpu-sm", TaskCategory::Computation, (10, 20)),
+            ("n1/cpu", TaskCategory::Computation, (20, 30)),
         ]);
         let planned = PlannedInterleaving {
             micro_batches: 1,
             groups: 1,
         };
-        let a = dag.analyze(&overlap_pairs(), planned);
+        let a = analyze(&result, &overlap_pairs(), planned);
         assert!(a.lanes.iter().all(|l| l.idle_ns == 20));
-        let idle: Vec<_> = lint_analysis(&dag, &a, planned)
+        let idle: Vec<_> = lint_analysis(&result, &a, planned)
             .into_iter()
             .filter(|d| d.rule == "run.idle-dominant-resource")
             .collect();

@@ -9,18 +9,17 @@
 //! (or not exporting) cannot perturb the schedule, so a run with
 //! observability on is bit-identical to one with it off.
 //!
-//! [`chrome_trace`] builds no DAG of its own: its critical-path track
-//! reads the run's one executed DAG ([`SimulationOutput::dag`]), the one
-//! the causal analysis reads, so the track and the analysis report the
-//! same path. It resolves each resource's Chrome track once, up front,
-//! and renders each record's arguments with the integer writers of
-//! [`picasso_obs::json`].
+//! [`chrome_trace`]'s critical-path track walks
+//! [`picasso_sim::analysis::critical_path`] over the run's records, the
+//! path the causal analysis reports. It resolves each resource's Chrome
+//! track once, up front, and renders each record's arguments with the
+//! integer writers of [`picasso_obs::json`].
 
 use crate::scheduler::SimulationOutput;
 use picasso_obs::flight::{FlightConfig, FlightRecorder};
 use picasso_obs::json::{write_rounded, write_u64};
 use picasso_obs::{ChromeTrace, ManualClock, MetricKind, MetricsRegistry, Tracer, Track};
-use picasso_sim::{Binding, Measurement, RunResult, SimDuration, TaskId};
+use picasso_sim::{Binding, Measurement, RunResult, SimDuration};
 
 /// Half-open `[start, end)` range of engine task ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -199,33 +198,34 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
     // Critical-path highlighting: the causal chain that explains the
     // makespan gets its own track between the schedule and hardware lanes,
     // with chained flow arrows so Perfetto draws the path across lanes.
-    // The path is the run's one critical path, the analysis's.
-    let dag = out.dag();
+    // The path is the one the analysis reports.
     let critical = trace.track("critical path");
     trace.set_sort_index(critical, 0);
     let mut prev_end: Option<u64> = None;
-    for &i in dag.critical_path() {
-        let node = &dag.nodes()[i];
-        let stage = out.stage(TaskId(node.id as usize));
+    for t in picasso_sim::analysis::critical_path(result) {
+        let rec = &result.records[t.0];
+        let stage = out.stage(t);
         let name = if stage.launcher {
             format!("launch:{:?}", stage.kind)
         } else {
             format!("{:?}", stage.kind)
         };
+        let (start, end) = (rec.start.as_nanos(), rec.end.as_nanos());
         task.clear();
-        write_u64(node.id, &mut task);
+        write_u64(t.0 as u64, &mut task);
+        let lane = &result.resources[rec.resource.0].spec.name;
         trace.complete(
             critical,
             &name,
             "critical",
-            node.start_ns,
-            node.end_ns,
-            &[("task", &task), ("lane", &dag.lane(node).name)],
+            start,
+            end,
+            &[("task", &task), ("lane", lane)],
         );
         if let Some(pe) = prev_end {
-            trace.flow("critical", critical, pe, critical, node.start_ns);
+            trace.flow("critical", critical, pe, critical, start);
         }
-        prev_end = Some(node.end_ns);
+        prev_end = Some(end);
     }
     trace
 }

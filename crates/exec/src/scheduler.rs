@@ -24,11 +24,9 @@ use crate::observe::{ExecutorScope, IterationScope, MicroBatchScope, ScheduleSco
 use crate::strategy::Strategy;
 use picasso_graph::{OpKind, WdlSpec};
 use picasso_lint::EffectSet;
-use picasso_obs::analysis::ExecutedDag;
 use picasso_sim::{
     Cluster, Engine, EngineError, MachineSpec, ResourceId, RunResult, Task, TaskCategory, TaskId,
 };
-use std::sync::OnceLock;
 
 /// Simulation shape.
 #[derive(Debug, Clone)]
@@ -47,9 +45,9 @@ pub struct SimConfig {
 
 /// One node of the causal event log: an executed stage with its true
 /// dependency edges. The stage fields were recorded while the schedule was
-/// built; the edges are the run's one edge table, [`RunResult::deps`],
-/// which also carries the matching timestamps and resource assignment.
-/// Joining the two reconstructs the executed DAG (see [`crate::analysis`]).
+/// built; the edges are the run's one edge table, [`RunResult::deps`].
+/// That table and the run's records are the executed DAG the causal
+/// analysis reads (see [`picasso_sim::analysis`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CausalStage<'a> {
     /// Engine task id (indexes `result.records`).
@@ -106,8 +104,6 @@ pub struct SimulationOutput {
     /// The lowerings' effect sets, one per lowering node, that the stages
     /// refer to; entry 0 is the empty set of launchers and the barrier.
     effects: Vec<EffectSet>,
-    /// The executed DAG, built on first use by [`SimulationOutput::dag`].
-    dag: OnceLock<ExecutedDag>,
     /// Handles of every parameter-server resource, precomputed from the
     /// cluster topology so consumers never filter resources by name prefix.
     /// Empty for strategies without PS nodes.
@@ -132,13 +128,6 @@ impl SimulationOutput {
             deps: self.result.deps(task),
             effects: &self.effects[info.effects],
         }
-    }
-
-    /// The run's executed DAG (see [`crate::analysis`]): built on first use,
-    /// then shared by every overlay that reads it: the analysis, its
-    /// report and the Chrome trace.
-    pub fn dag(&self) -> &ExecutedDag {
-        self.dag.get_or_init(|| crate::analysis::executed_dag(self))
     }
 
     /// Training throughput in instances per second per machine (the paper's
@@ -428,7 +417,6 @@ pub(crate) fn simulate_lowered(
         costs,
         stages,
         effects,
-        dag: OnceLock::new(),
         server_resources,
     })
 }

@@ -8,8 +8,6 @@
 //! * [`span`] — scoped span and instant-event tracing against an explicit
 //!   [`clock::Clock`], so the simulator records in simulated nanoseconds while
 //!   the real trainer records wall time through the same API.
-//! * [`analysis`] — causal analysis over the executed task DAG: critical
-//!   path, achieved-vs-planned overlap ratios and idle-gap attribution.
 //! * [`detect`] — online anomaly detectors (straggler z-score, NIC
 //!   degradation slope, queue-depth runaway) fed from the metrics stream.
 //! * [`flight`] — an always-on bounded flight recorder: a fixed-capacity
@@ -28,11 +26,12 @@
 //!   and splitmix64, the deterministic mixer behind every seeded stream.
 //!
 //! The crate has no dependencies and sits at the bottom of the workspace
-//! graph; `sim`, `graph`, `embedding`, `exec`, and `core` all feed it.
+//! graph; `sim`, `graph`, `embedding`, `exec`, and `core` all feed it. The
+//! causal analysis of a run reads the simulator's records in place, so it
+//! lives beside them, in `picasso_sim::analysis`.
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod checksum;
 pub mod chrome;
 pub mod clock;
@@ -46,7 +45,6 @@ pub mod prometheus;
 pub mod report;
 pub mod span;
 
-pub use analysis::{DagAnalysis, DagLane, DagNode, ExecutedDag, PairSpec, PlannedInterleaving};
 pub use chrome::{ChromeTrace, Track};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use detect::{Anomaly, AnomalyKind, QueueDepthDetector, SlopeDetector, StragglerDetector};

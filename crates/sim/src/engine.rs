@@ -230,6 +230,19 @@ pub enum EngineError {
         /// The missing resource.
         resource: ResourceId,
     },
+    /// A task's work is negative or not finite.
+    InvalidWork {
+        /// The task that would have been added.
+        task: TaskId,
+    },
+    /// A task targets a resource that cannot serve it: one with no
+    /// channels, or a rate that is not positive.
+    InvalidResource {
+        /// The task that would have been added.
+        task: TaskId,
+        /// The resource it targets.
+        resource: ResourceId,
+    },
     /// The DAG contains a cycle (some tasks never became ready).
     Cycle {
         /// Number of tasks that never completed.
@@ -251,6 +264,14 @@ impl fmt::Display for EngineError {
             EngineError::UnknownResource { task, resource } => {
                 write!(f, "task {} uses unknown resource {}", task.0, resource.0)
             }
+            EngineError::InvalidWork { task } => {
+                write!(f, "task {} has negative or non-finite work", task.0)
+            }
+            EngineError::InvalidResource { task, resource } => write!(
+                f,
+                "task {} targets resource {}, which has no channels or a non-positive rate",
+                task.0, resource.0
+            ),
             EngineError::Cycle { stuck } => {
                 write!(
                     f,
@@ -308,13 +329,26 @@ impl Engine {
     /// Adds a task that waits for `deps`; dependencies must already have
     /// been added (this enforces acyclicity by construction for the common
     /// builder pattern). The edges are appended to the engine's edge table.
+    ///
+    /// Invalid input is refused here, so [`Engine::run`] cannot panic on
+    /// it: an unknown resource or dependency, a resource with no channels
+    /// or a non-positive (or NaN) rate, and negative or non-finite work.
     pub fn add_task(&mut self, task: Task, deps: &[TaskId]) -> Result<TaskId, EngineError> {
         let id = TaskId(self.tasks.len());
-        if task.resource.0 >= self.resources.len() {
+        let Some(res) = self.resources.get(task.resource.0) else {
             return Err(EngineError::UnknownResource {
                 task: id,
                 resource: task.resource,
             });
+        };
+        if res.spec.channels == 0 || res.spec.rate.is_nan() || res.spec.rate <= 0.0 {
+            return Err(EngineError::InvalidResource {
+                task: id,
+                resource: task.resource,
+            });
+        }
+        if !task.work.is_finite() || task.work < 0.0 {
+            return Err(EngineError::InvalidWork { task: id });
         }
         if let Some(&dep) = deps.iter().find(|d| d.0 >= id.0) {
             return Err(EngineError::UnknownDependency { task: id, dep });
@@ -455,11 +489,15 @@ impl Engine {
             })
             .collect();
 
+        // The loop dispatched all `n` tasks (the cycle check returned
+        // otherwise), and a dispatch sets its task's record.
+        #[allow(clippy::expect_used)]
+        let records = records
+            .into_iter()
+            .map(|r| r.expect("all tasks completed"))
+            .collect();
         Ok(RunResult {
-            records: records
-                .into_iter()
-                .map(|r| r.expect("all tasks completed"))
-                .collect(),
+            records,
             makespan,
             resources,
             edges: self.edges,
@@ -583,6 +621,58 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::UnknownResource { .. }));
+    }
+
+    #[test]
+    fn a_resource_with_no_channels_is_rejected() {
+        let mut e = Engine::new();
+        let mut spec = ResourceSpec::new("gpu", ResourceKind::GpuSm, 1e9, 0);
+        spec.channels = 0;
+        let g = e.add_resource(spec);
+        let err = e
+            .add_task(Task::new(g, 1.0, TaskCategory::Computation), &[])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::InvalidResource {
+                task: TaskId(0),
+                resource: g
+            }
+        );
+    }
+
+    #[test]
+    fn a_resource_rate_that_is_not_positive_is_rejected() {
+        for rate in [0.0, f64::NAN, -1.0] {
+            let mut e = Engine::new();
+            let mut spec = ResourceSpec::new("gpu", ResourceKind::GpuSm, 1e9, 0);
+            spec.rate = rate;
+            let g = e.add_resource(spec);
+            let err = e
+                .add_task(Task::new(g, 1.0, TaskCategory::Computation), &[])
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::InvalidResource { .. }),
+                "rate {rate}"
+            );
+        }
+    }
+
+    #[test]
+    fn work_that_is_negative_or_not_finite_is_rejected() {
+        for work in [f64::INFINITY, -1.0, f64::NAN] {
+            let mut e = Engine::new();
+            let g = gpu(&mut e);
+            let err = e
+                .add_task(Task::new(g, work, TaskCategory::Computation), &[])
+                .unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::InvalidWork { task: TaskId(0) },
+                "work {work}"
+            );
+            assert_eq!(e.task_count(), 0, "a refused task is not added");
+        }
     }
 
     #[test]

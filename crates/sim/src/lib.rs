@@ -12,6 +12,11 @@
 //! cross-resource overlap (interleaving), and service-rate selection
 //! (caching) — so they emerge from the engine rather than being hard-coded.
 //!
+//! A finished [`RunResult`] is read in place by two layers: [`measure`]
+//! (DCGM-style timelines and the Fig. 5 breakdown) and [`analysis`] (the
+//! causal analysis: critical path, achieved overlap, idle-gap
+//! attribution). Both do their interval work with [`IntervalSet`].
+//!
 //! ## Quick example
 //!
 //! ```
@@ -32,7 +37,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod analysis;
 pub mod engine;
 pub mod fault;
 pub mod intervals;

@@ -28,10 +28,11 @@ impl Timeline {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Empirical CDF as `(value, cumulative fraction)` points, sorted by value.
+    /// Empirical CDF as `(value, cumulative fraction)` points, sorted by
+    /// value in [`f64::total_cmp`] order (a NaN sample sorts last).
     pub fn cdf(&self) -> Vec<(f64, f64)> {
         let mut v = self.samples.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+        v.sort_by(f64::total_cmp);
         let n = v.len();
         v.into_iter()
             .enumerate()
@@ -278,6 +279,17 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
         }
         assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cdf_of_a_nan_sample_sorts_it_last() {
+        let t = Timeline {
+            samples: vec![0.5, f64::NAN, 0.25],
+        };
+        let cdf = t.cdf();
+        assert_eq!((cdf[0].0, cdf[1].0), (0.25, 0.5));
+        assert!(cdf[2].0.is_nan());
+        assert_eq!(cdf[2].1, 1.0);
     }
 
     #[test]

@@ -192,6 +192,10 @@ pub(crate) struct ResourceState {
 
 /// Index of the channel in `channel_free` that frees up earliest (ties broken
 /// by index for determinism).
+///
+/// `channel_free` is never empty: `Engine::add_task` refuses a task on a
+/// resource with no channels, so every dispatched resource has one.
+#[allow(clippy::expect_used)]
 pub(crate) fn earliest_channel(channel_free: &[SimTime]) -> usize {
     channel_free
         .iter()

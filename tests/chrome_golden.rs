@@ -15,7 +15,7 @@ use picasso::exec::{
     analysis_report_json, chrome_trace, run, run_recovery, RecoveryOptions, RunArtifacts,
     WarmupConfig,
 };
-use picasso::obs::analysis::fnv1a64;
+use picasso::obs::checksum::fnv1a64;
 use picasso::sim::FaultPlan;
 use picasso::train::auc_datasets;
 use picasso::{ModelKind, Optimizations, PassId, PicassoConfig, Session, Strategy};

@@ -12,7 +12,7 @@
 //! left out of the pinned text; their `HELP` and `TYPE` lines stay in.
 
 use picasso::exec::{RunArtifacts, WarmupConfig};
-use picasso::obs::analysis::fnv1a64;
+use picasso::obs::checksum::fnv1a64;
 use picasso::{ModelKind, Optimizations, PassId, PicassoConfig, Session, Strategy};
 
 /// Metric families whose samples are wall-clock measurements.

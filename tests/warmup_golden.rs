@@ -12,7 +12,7 @@
 
 use picasso::data::DatasetSpec;
 use picasso::exec::{run_warmup, WarmupConfig};
-use picasso::obs::analysis::fnv1a64;
+use picasso::obs::checksum::fnv1a64;
 use picasso::train::auc_datasets;
 
 fn digest(data: DatasetSpec, hot_bytes: u64) -> String {
