@@ -57,6 +57,13 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// An empty encoder whose buffer holds `bytes` before it grows.
+    pub fn with_capacity(bytes: usize) -> Encoder {
+        Encoder {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Writes a `u64`.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -80,9 +87,8 @@ impl Encoder {
     /// Writes a length-prefixed `f32` slice.
     pub fn f32_slice(&mut self, vs: &[f32]) {
         self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f32(v);
-        }
+        self.buf
+            .extend(vs.iter().flat_map(|v| v.to_bits().to_le_bytes()));
     }
 
     /// Bytes written so far.

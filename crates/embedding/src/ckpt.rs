@@ -3,7 +3,10 @@
 //! [`TableSnapshot`] holds rows of one [`EmbeddingTable`]. It encodes with
 //! the `picasso-ckpt` codec — flat little-endian, rows sorted by ID — so the
 //! same state always produces the same bytes and the crash-and-recover
-//! proof can compare checkpoints bit for bit.
+//! proof can compare checkpoints bit for bit. Checkpoint capture writes
+//! those bytes straight from the table's arena
+//! ([`TableSnapshot::encode_full`], [`TableSnapshot::encode_dirty`]);
+//! a `TableSnapshot` is what a shard decodes to and restores from.
 
 use crate::table::EmbeddingTable;
 use picasso_ckpt::{CodecError, Decoder, Encoder};
@@ -55,29 +58,67 @@ impl TableSnapshot {
         self.rows.is_empty()
     }
 
+    /// Errors, leaving `table` untouched, when the snapshot's dim is not
+    /// the table's: a checksum-valid shard of another model shape.
+    fn check_dim(&self, table: &EmbeddingTable) -> Result<(), CodecError> {
+        if self.dim as usize == table.dim() {
+            Ok(())
+        } else {
+            Err(CodecError::Invalid(format!(
+                "snapshot dim {} does not match table dim {}",
+                self.dim,
+                table.dim()
+            )))
+        }
+    }
+
     /// Resets `table` to exactly this snapshot's rows; `table` ends clean.
-    pub fn restore_full(&self, table: &mut EmbeddingTable) {
-        assert_eq!(
-            self.dim as usize,
-            table.dim(),
-            "snapshot dim must match table"
-        );
+    /// Errors without touching `table` on a dim mismatch.
+    pub fn restore_full(&self, table: &mut EmbeddingTable) -> Result<(), CodecError> {
+        self.check_dim(table)?;
         table.clear_rows();
-        self.apply(table);
+        self.apply(table)
     }
 
     /// Overwrites this snapshot's rows into `table` (incremental restore on
-    /// top of the parent state); `table` ends clean.
-    pub fn apply(&self, table: &mut EmbeddingTable) {
-        assert_eq!(
-            self.dim as usize,
-            table.dim(),
-            "snapshot dim must match table"
-        );
+    /// top of the parent state); `table` ends clean. Errors without
+    /// touching `table` on a dim mismatch.
+    pub fn apply(&self, table: &mut EmbeddingTable) -> Result<(), CodecError> {
+        self.check_dim(table)?;
         for (id, row) in &self.rows {
             table.put(*id, row);
         }
         table.mark_clean();
+        Ok(())
+    }
+
+    /// The bytes of `TableSnapshot::full(table).encode()`, written straight
+    /// from the table's arena.
+    pub fn encode_full(table: &EmbeddingTable) -> Vec<u8> {
+        Self::encode_rows(table, false)
+    }
+
+    /// The bytes of `TableSnapshot::dirty(table).encode()`, written straight
+    /// from the table's arena.
+    pub fn encode_dirty(table: &EmbeddingTable) -> Vec<u8> {
+        Self::encode_rows(table, true)
+    }
+
+    /// [`TableSnapshot::encode`]'s layout over the table's rows (dirty ones
+    /// only when `dirty_only`), ascending by ID, read from the arena by slot
+    /// into one buffer sized up front.
+    fn encode_rows(table: &EmbeddingTable, dirty_only: bool) -> Vec<u8> {
+        let rows = table.sorted_rows(dirty_only);
+        let dim = table.dim();
+        let mut e = Encoder::with_capacity(4 + 8 + rows.len() * (8 + 8 + 4 * dim));
+        e.u32(dim as u32);
+        e.u64(rows.len() as u64);
+        let arena = table.arena();
+        for (id, slot) in rows {
+            e.u64(id);
+            e.f32_slice(arena.row(slot));
+        }
+        e.finish()
     }
 
     /// Serializes the snapshot to shard bytes.
@@ -142,8 +183,9 @@ mod tests {
         let snap = TableSnapshot::full(&t);
         let back = TableSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
+        assert_eq!(TableSnapshot::encode_full(&t), snap.encode());
         let mut restored = EmbeddingTable::new(4, 9);
-        back.restore_full(&mut restored);
+        back.restore_full(&mut restored).unwrap();
         assert!(table_eq(&t, &restored));
         assert_eq!(restored.dirty_count(), 0, "restore ends clean");
     }
@@ -162,6 +204,24 @@ mod tests {
             [2, 3]
         );
         assert!(delta.len() < TableSnapshot::full(&t).len());
+        assert_eq!(TableSnapshot::encode_dirty(&t), delta.encode());
+    }
+
+    #[test]
+    fn a_snapshot_of_another_dim_is_refused_and_leaves_the_table() {
+        let mut wide = EmbeddingTable::new(4, 1);
+        wide.row(7);
+        let snap = TableSnapshot::full(&wide);
+        let mut t = EmbeddingTable::new(2, 1);
+        t.row(3);
+        let before = TableSnapshot::full(&t);
+        assert!(matches!(
+            snap.restore_full(&mut t),
+            Err(CodecError::Invalid(_))
+        ));
+        assert!(matches!(snap.apply(&mut t), Err(CodecError::Invalid(_))));
+        assert_eq!(TableSnapshot::full(&t), before);
+        assert_eq!(t.dirty_count(), 1, "the dirty set is untouched too");
     }
 
     #[test]

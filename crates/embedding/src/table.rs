@@ -11,18 +11,19 @@
 //! slot. The hot path (gather / scatter over a batch of IDs) then streams
 //! through contiguous memory instead of chasing one heap allocation per row.
 
-use picasso_data::splitmix64;
-use std::collections::{BTreeSet, HashMap};
+use picasso_data::{splitmix64, IdHash};
+use std::collections::HashMap;
 
 /// A struct-of-arrays row store: one contiguous `Vec<f32>` holding all rows
-/// (`dim` floats each, slot-major) plus an id→slot index. Rows are only
-/// appended or overwritten, never removed individually, so slots stay dense
-/// and stable for the arena's lifetime.
+/// (`dim` floats each, slot-major) plus an id→slot index hashed through
+/// [`IdHash`] (one splitmix64 mix per ID). Rows are only appended or
+/// overwritten, never removed individually, so slots stay dense and stable
+/// for the arena's lifetime.
 #[derive(Debug, Clone, Default)]
 pub struct RowArena {
     dim: usize,
     data: Vec<f32>,
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, IdHash>,
     slot_ids: Vec<u64>,
 }
 
@@ -33,7 +34,7 @@ impl RowArena {
         RowArena {
             dim,
             data: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             slot_ids: Vec::new(),
         }
     }
@@ -83,19 +84,22 @@ impl RowArena {
         (slot, true)
     }
 
-    /// Overwrites the row for `id`, appending a new slot if absent.
-    pub fn insert(&mut self, id: u64, values: &[f32]) {
+    /// Overwrites the row for `id`, appending a new slot if absent, and
+    /// returns its slot.
+    pub fn insert(&mut self, id: u64, values: &[f32]) -> u32 {
         assert_eq!(values.len(), self.dim, "row length must equal dim");
         match self.index.get(&id) {
             Some(&s) => {
                 let lo = s as usize * self.dim;
                 self.data[lo..lo + self.dim].copy_from_slice(values);
+                s
             }
             None => {
                 let slot = self.slot_ids.len() as u32;
                 self.data.extend_from_slice(values);
                 self.slot_ids.push(id);
                 self.index.insert(id, slot);
+                slot
             }
         }
     }
@@ -126,12 +130,19 @@ impl RowArena {
 /// The table tracks which rows changed since [`EmbeddingTable::mark_clean`]
 /// (materialization counts: an uninterrupted run and a restored run must
 /// agree on *which* rows exist, not just their values). Incremental
-/// checkpoints serialize only this dirty set.
+/// checkpoints serialize only this dirty set. It is one flag per arena slot
+/// plus a count of the set flags, so marking a row costs no lookup beyond
+/// the one that found its slot; [`EmbeddingTable::dirty_ids`] sorts the
+/// flagged IDs when a checkpoint asks for them.
 #[derive(Debug, Clone)]
 pub struct EmbeddingTable {
     seed: u64,
     arena: RowArena,
-    dirty: BTreeSet<u64>,
+    /// `dirty[slot]`: whether the row in `slot` changed since the last
+    /// `mark_clean`; as long as the arena.
+    dirty: Vec<bool>,
+    /// How many of `dirty` are set.
+    dirty_count: usize,
 }
 
 impl EmbeddingTable {
@@ -141,7 +152,8 @@ impl EmbeddingTable {
         EmbeddingTable {
             seed,
             arena: RowArena::new(dim),
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
+            dirty_count: 0,
         }
     }
 
@@ -172,6 +184,19 @@ impl EmbeddingTable {
         ((unit - 0.5) * 0.2) as f32
     }
 
+    /// Flags the row in `slot` dirty; a slot one past the flags is the
+    /// arena's newest row, whose flag is added here.
+    fn mark_dirty(&mut self, slot: u32) {
+        let slot = slot as usize;
+        if slot == self.dirty.len() {
+            self.dirty.push(false);
+        }
+        if !self.dirty[slot] {
+            self.dirty[slot] = true;
+            self.dirty_count += 1;
+        }
+    }
+
     /// Materializes the row for `id` if absent, returning its arena slot.
     fn ensure(&mut self, id: u64) -> u32 {
         let seed = self.seed;
@@ -179,7 +204,7 @@ impl EmbeddingTable {
             .arena
             .ensure_with(id, |j| Self::init_value(seed, id, j));
         if created {
-            self.dirty.insert(id);
+            self.mark_dirty(slot);
         }
         slot
     }
@@ -219,8 +244,8 @@ impl EmbeddingTable {
 
     /// Overwrites the row for `id` (used by cache write-back).
     pub fn put(&mut self, id: u64, values: &[f32]) {
-        self.arena.insert(id, values);
-        self.dirty.insert(id);
+        let slot = self.arena.insert(id, values);
+        self.mark_dirty(slot);
     }
 
     /// Applies a gradient step `row -= lr * grad` to the row for `id`.
@@ -232,7 +257,7 @@ impl EmbeddingTable {
         for (w, g) in row.iter_mut().zip(grad) {
             *w -= lr * g;
         }
-        self.dirty.insert(id);
+        self.mark_dirty(slot);
     }
 
     /// Batched scatter: applies `row -= lr * grad` for each ID, reading the
@@ -251,19 +276,48 @@ impl EmbeddingTable {
 
     /// IDs of rows touched (materialized, written, or updated) since the last
     /// [`EmbeddingTable::mark_clean`], ascending.
-    pub fn dirty_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.dirty.iter().copied()
+    pub fn dirty_ids(&self) -> impl Iterator<Item = u64> {
+        self.sorted_rows(true).into_iter().map(|(id, _)| id)
     }
 
     /// Number of dirty rows.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.dirty_count
     }
 
     /// Forgets the dirty set — called after a checkpoint captures it (and
     /// after a restore, which reconstructs a just-checkpointed state).
     pub fn mark_clean(&mut self) {
-        self.dirty.clear();
+        self.dirty.fill(false);
+        self.dirty_count = 0;
+    }
+
+    /// `(id, slot)` of every materialized row, or of every dirty one when
+    /// `dirty_only`, ascending by ID (IDs are unique, so the order is
+    /// total).
+    pub(crate) fn sorted_rows(&self, dirty_only: bool) -> Vec<(u64, u32)> {
+        let ids = self.arena.ids();
+        let mut rows: Vec<(u64, u32)> = if dirty_only {
+            let mut rows = Vec::with_capacity(self.dirty_count);
+            for (slot, (&id, &dirty)) in ids.iter().zip(&self.dirty).enumerate() {
+                if dirty {
+                    rows.push((id, slot as u32));
+                }
+            }
+            rows
+        } else {
+            ids.iter()
+                .enumerate()
+                .map(|(s, &id)| (id, s as u32))
+                .collect()
+        };
+        rows.sort_unstable_by_key(|&(id, _)| id);
+        rows
+    }
+
+    /// The row store (checkpoint capture reads rows by slot).
+    pub(crate) fn arena(&self) -> &RowArena {
+        &self.arena
     }
 
     /// IDs of every materialized row, ascending.
@@ -275,6 +329,7 @@ impl EmbeddingTable {
     pub fn clear_rows(&mut self) {
         self.arena.clear();
         self.dirty.clear();
+        self.dirty_count = 0;
     }
 }
 

@@ -37,7 +37,7 @@ proptest! {
         prop_assert_eq!(&decoded, &snap);
 
         let mut restored = EmbeddingTable::new(DIM, seed);
-        decoded.restore_full(&mut restored);
+        decoded.restore_full(&mut restored).unwrap();
         prop_assert_eq!(restored.materialized_ids(), table.materialized_ids());
         for id in table.materialized_ids() {
             prop_assert_eq!(restored.peek(id), table.peek(id));
@@ -66,8 +66,8 @@ proptest! {
         prop_assert_eq!(delta.len(), table.dirty_count());
 
         let mut restored = EmbeddingTable::new(DIM, seed);
-        TableSnapshot::decode(&base.encode()).unwrap().restore_full(&mut restored);
-        TableSnapshot::decode(&delta.encode()).unwrap().apply(&mut restored);
+        TableSnapshot::decode(&base.encode()).unwrap().restore_full(&mut restored).unwrap();
+        TableSnapshot::decode(&delta.encode()).unwrap().apply(&mut restored).unwrap();
 
         prop_assert_eq!(&TableSnapshot::full(&restored), &TableSnapshot::full(&table));
     }

@@ -510,7 +510,9 @@ fn unrec(what: &str, e: impl std::fmt::Display) -> TrainError {
     TrainError::Unrecoverable(format!("{what}: {e}"))
 }
 
-/// Writes one checkpoint of `model` at `step` and marks tables clean.
+/// Writes one checkpoint of `model` at `step` and marks tables clean. Each
+/// table shard is encoded straight from the table's arena: the bytes of
+/// `TableSnapshot::{full,dirty}(table).encode()`, with no snapshot built.
 fn write_checkpoint(
     store: &CheckpointStore,
     model: &mut CtrModel,
@@ -525,11 +527,11 @@ fn write_checkpoint(
         .map_err(|e| unrec("checkpoint dense shard", e))?;
     for group in model.table_groups() {
         let table = model.table(group).expect("group came from table_groups");
-        let snap = match kind {
-            CheckpointKind::Full => TableSnapshot::full(table),
-            CheckpointKind::Incremental => TableSnapshot::dirty(table),
+        let bytes = match kind {
+            CheckpointKind::Full => TableSnapshot::encode_full(table),
+            CheckpointKind::Incremental => TableSnapshot::encode_dirty(table),
         };
-        w.add_shard(&format!("table{group}"), &snap.encode())
+        w.add_shard(&format!("table{group}"), &bytes)
             .map_err(|e| unrec("checkpoint table shard", e))?;
     }
     let summary = w.commit().map_err(|e| unrec("checkpoint commit", e))?;
@@ -538,7 +540,9 @@ fn write_checkpoint(
 }
 
 /// Restores `model` from `manifest` (base-first `chain` of table deltas,
-/// dense bits from the final manifest). Returns shard bytes read.
+/// dense bits from the final manifest). Returns shard bytes read; a shard
+/// that does not decode, or decodes to another shape than the model's, is
+/// unrecoverable.
 fn restore_model(
     store: &CheckpointStore,
     model: &mut CtrModel,
@@ -559,10 +563,11 @@ fn restore_model(
                 .table_mut(group)
                 .expect("group came from table_groups");
             if i == 0 {
-                snap.restore_full(table);
+                snap.restore_full(table)
             } else {
-                snap.apply(table);
+                snap.apply(table)
             }
+            .map_err(|e| unrec("restore table shard", e))?;
         }
     }
     let dense = store
@@ -925,6 +930,38 @@ mod tests {
         );
         assert!(faulty.sim_time_s > baseline.sim_time_s);
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_table_shard_of_another_dim_is_unrecoverable_not_a_panic() {
+        // A checksum-valid full checkpoint at step 4 whose dense shard fits
+        // the model but whose table shards hold dim-4 rows.
+        let data = auc_datasets::criteo_like();
+        let o = opts(0, "seed=6;crash@6");
+        let model = CtrModel::new(&data, o.variant, o.lr, o.seed);
+        let store = temp_store("wrongdim");
+        let mut w = store.begin(4, CheckpointKind::Full, None).expect("begin");
+        w.add_shard("dense", &model.dense_snapshot())
+            .expect("dense");
+        for group in model.table_groups() {
+            let mut narrow = picasso_embedding::EmbeddingTable::new(4, group as u64);
+            narrow.row(1);
+            w.add_shard(
+                &format!("table{group}"),
+                &TableSnapshot::full(&narrow).encode(),
+            )
+            .expect("table shard");
+        }
+        w.commit().expect("commit");
+        let err = run_recovery(&data, Some(&store), &o).expect_err("wrong dim must not restore");
+        let _ = std::fs::remove_dir_all(store.dir());
+        match err {
+            TrainError::Unrecoverable(msg) => {
+                assert!(msg.contains("restore table shard"), "{msg}");
+                assert!(msg.contains("dim 4"), "{msg}");
+            }
+            other => panic!("expected Unrecoverable, got {other:?}"),
+        }
     }
 
     #[test]

@@ -569,7 +569,8 @@ mod tests {
         other.restore_dense(&snap).unwrap();
         for group in model.table_groups() {
             picasso_embedding::TableSnapshot::full(model.table(group).unwrap())
-                .restore_full(other.table_mut(group).unwrap());
+                .restore_full(other.table_mut(group).unwrap())
+                .unwrap();
         }
         assert_eq!(other.state_digest(), digest, "restore reproduces every bit");
         assert_eq!(other.dense_snapshot(), snap);

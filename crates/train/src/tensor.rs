@@ -97,53 +97,107 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `self @ other`. Each output sums its terms in index order from
-    /// `0.0`; a zero term of `self` is skipped, which is exact when `other`
-    /// is finite (the sum is never `-0.0`, so adding `±0.0` keeps it).
+    /// `self @ other`. Each output sums its terms in index order from `0.0`
+    /// (see [`Matrix::fill_product`] for the blocking).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "shape mismatch in matmul");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            let out_row = out.row_mut(r);
-            for (k, &a) in self.row(r).iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out_row.iter_mut().zip(other.row(k)) {
-                    *o += a * b;
-                }
-            }
-        }
+        let a = |i: usize, p: usize| self.data[i * self.cols + p];
+        out.fill_product(self.cols, a, |p| other.row(p));
         out
     }
 
-    /// `self^T @ other` without materializing the transpose.
+    /// `self^T @ other` without materializing the transpose: output row
+    /// `i` reads column `i` of `self` down the shared rows.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "shape mismatch in t_matmul");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let srow = self.row(r);
-            let orow = other.row(r);
-            for (k, &a) in srow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(k);
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
+        let a = |i: usize, p: usize| self.data[p * self.cols + i];
+        out.fill_product(self.rows, a, |p| other.row(p));
         out
     }
 
-    /// `self @ other^T`, as [`Matrix::matmul`]'s row axpys over a
-    /// transposed copy of `other`: the same per-output term order, with
-    /// the inner loop running across outputs.
+    /// `self @ other^T`, as [`Matrix::matmul`] over a transposed copy of
+    /// `other`: the same per-output term order.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "shape mismatch in matmul_t");
         let other_t = Matrix::from_fn(other.cols, other.rows, |r, c| other.get(c, r));
         self.matmul(&other_t)
+    }
+
+    /// Overwrites `self` with the product `out[i][j] = 0.0 + a(i, 0) *
+    /// b(0)[j] + ... + a(i, k-1) * b(k-1)[j]`, summed left to right.
+    ///
+    /// The outputs go in register tiles: each tile of `R` rows by `W`
+    /// columns sits in a fixed-size accumulator array for the whole inner
+    /// loop, so every output keeps the exact term order of the naive
+    /// triple loop. Columns go 32 at a time (one row per tile), then the
+    /// remainder 8, 4 and 1 at a time, with 4, 8 and 8 rows per tile so
+    /// that narrow tiles still hold enough independent sums to hide the
+    /// add latency. No zero term is skipped: for finite inputs a `±0.0`
+    /// product is exact to add, since a sum that starts at `0.0` is never
+    /// `-0.0`.
+    fn fill_product<'b>(
+        &mut self,
+        k: usize,
+        a: impl Fn(usize, usize) -> f32 + Copy,
+        b: impl Fn(usize) -> &'b [f32] + Copy,
+    ) {
+        let c = self.fill_cols::<1, 32>(0, k, a, b);
+        let c = self.fill_cols::<4, 8>(c, k, a, b);
+        let c = self.fill_cols::<8, 4>(c, k, a, b);
+        self.fill_cols::<8, 1>(c, k, a, b);
+    }
+
+    /// Fills `W`-wide column blocks from column `c` on while they fit, `R`
+    /// rows per tile and then the leftover rows one at a time; returns the
+    /// first column left unfilled.
+    #[inline(always)]
+    fn fill_cols<'b, const R: usize, const W: usize>(
+        &mut self,
+        mut c: usize,
+        k: usize,
+        a: impl Fn(usize, usize) -> f32 + Copy,
+        b: impl Fn(usize) -> &'b [f32] + Copy,
+    ) -> usize {
+        while c + W <= self.cols {
+            let mut r = 0;
+            while r + R <= self.rows {
+                self.tile::<R, W>(r, c, k, a, b);
+                r += R;
+            }
+            while r < self.rows {
+                self.tile::<1, W>(r, c, k, a, b);
+                r += 1;
+            }
+            c += W;
+        }
+        c
+    }
+
+    /// One `R x W` tile of [`Matrix::fill_product`] at row `r`, column `c`.
+    #[inline(always)]
+    fn tile<'b, const R: usize, const W: usize>(
+        &mut self,
+        r: usize,
+        c: usize,
+        k: usize,
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize) -> &'b [f32],
+    ) {
+        let mut acc = [[0.0f32; W]; R];
+        for p in 0..k {
+            let row: &[f32; W] = b(p)[c..c + W].try_into().expect("tile width");
+            for (i, sums) in acc.iter_mut().enumerate() {
+                let x = a(r + i, p);
+                for (o, &v) in sums.iter_mut().zip(row) {
+                    *o += x * v;
+                }
+            }
+        }
+        for (i, sums) in acc.iter().enumerate() {
+            self.row_mut(r + i)[c..c + W].copy_from_slice(sums);
+        }
     }
 
     /// Adds `other` scaled by `alpha` in place.

@@ -3,10 +3,15 @@
 //! `matmul`, `t_matmul` and `matmul_t` must each equal a naive reference
 //! bit for bit: every output element is `acc = 0.0; acc += a * b` over the
 //! inner index in ascending order. The kernels may loop in any order and
-//! skip zero terms, but no output may see its terms summed in a different
-//! order. Shapes are random, with 0 and 1 drawn for every dimension; values
-//! are finite, spread over sixteen binades, and an eighth of them each are
-//! an exact `0.0` or `-0.0`.
+//! tile the outputs however they like, but no output may see its terms
+//! summed in a different order. The output row count is drawn from
+//! `0..=20`, so the 4- and 8-row tiles run with and without leftover rows;
+//! the output column count and the inner dimension from `0..=80`, with half
+//! of the draws taken from the widths the blocked kernels treat specially
+//! (0, 1, 4, 8, 32, 64 and 68: empty, one column, one 4- and one 8-wide
+//! tail, one and two 32-wide blocks, and the trainer's 68-wide input with
+//! its 4-wide remainder). Values are finite, spread over sixteen binades,
+//! and an eighth of them each are an exact `0.0` or `-0.0`.
 
 use picasso_data::splitmix64;
 use picasso_train::Matrix;
@@ -27,6 +32,23 @@ fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
             }
         }
     })
+}
+
+/// Widths the blocked kernels treat specially.
+const EDGES: [usize; 7] = [0, 1, 4, 8, 32, 64, 68];
+
+/// A column or inner dimension: one of [`EDGES`] half of the time, else
+/// uniform in `0..=80`.
+fn width() -> impl Strategy<Value = usize> {
+    (0usize..2, 0usize..EDGES.len(), 0usize..81).prop_map(
+        |(pick, edge, any)| {
+            if pick == 0 {
+                EDGES[edge]
+            } else {
+                any
+            }
+        },
+    )
 }
 
 /// The reference: `out[i][j] = 0.0 + a(i, 0) * b(0, j) + ... + a(i, k-1) *
@@ -71,9 +93,9 @@ proptest! {
     /// `a @ b` with `a: m x k`, `b: k x n`.
     #[test]
     fn matmul_matches_the_reference(
-        m in 0usize..7,
-        k in 0usize..9,
-        n in 0usize..9,
+        m in 0usize..21,
+        k in width(),
+        n in width(),
         seed in 0u64..u64::MAX,
     ) {
         let a = random(m, k, seed);
@@ -85,9 +107,9 @@ proptest! {
     /// `a^T @ b` with `a: k x m`, `b: k x n`.
     #[test]
     fn t_matmul_matches_the_reference(
-        m in 0usize..7,
-        k in 0usize..9,
-        n in 0usize..9,
+        m in 0usize..21,
+        k in width(),
+        n in width(),
         seed in 0u64..u64::MAX,
     ) {
         let a = random(k, m, seed);
@@ -99,9 +121,9 @@ proptest! {
     /// `a @ b^T` with `a: m x k`, `b: n x k`.
     #[test]
     fn matmul_t_matches_the_reference(
-        m in 0usize..7,
-        k in 0usize..9,
-        n in 0usize..9,
+        m in 0usize..21,
+        k in width(),
+        n in width(),
         seed in 0u64..u64::MAX,
     ) {
         let a = random(m, k, seed);
