@@ -9,18 +9,24 @@
 //! Hot-storage, everything is promoted.
 //!
 //! [`HotSetPolicy`] decides *which* IDs Hot-storage holds; it owns the
-//! iteration counter, the warm-up/flush cadence, the frequency counter, the
+//! iteration counter, the warm-up/flush cadence, the frequency counts, the
 //! top-k flush and the cache statistics, but no embedding rows. Hit ratios
 //! depend only on which IDs are hot, so warm-up and serving drive it alone
 //! through [`HotSetPolicy::measure_batch`].
 //!
-//! Counters follow the ID space: with a known rank bound (a table's working
-//! vocabulary) the frequency counter and the hot-set membership are dense
-//! arrays indexed by rank; without one (serving's open-ended user IDs) they
-//! are a hashmap on [`picasso_data::IdHash`] and a sorted list.
+//! Each counted ID has one slot holding its count and a hot bit
+//! (`count << 1 | hot`), so a lookup is one probe that bumps the count and
+//! reads the hit. With a known rank bound (a table's working vocabulary)
+//! the slots are a dense array indexed by rank; without one (serving's
+//! open-ended user IDs) they are a hashmap on [`picasso_data::IdHash`].
+//! A flush re-marks the slots in place: while every counted ID fits it
+//! sets every hot bit, and once they no longer fit, one selection finds
+//! the k-th ID of the (count desc, ID asc) ranking and one pass marks the
+//! IDs ranked at or before it. Neither sorts.
 
-use picasso_data::FrequencyStats;
+use picasso_data::IdHash;
 use picasso_obs::{MetricKind, MetricsRegistry};
+use std::collections::HashMap;
 
 /// Configuration of the HybridHash cache.
 #[derive(Debug, Clone)]
@@ -81,87 +87,132 @@ pub struct LookupReport {
     pub cold_hits: u64,
 }
 
-/// The hot set: its IDs ascending, plus a mark per rank when IDs are
-/// bounded so that membership is one load.
+/// One slot per counted ID: its count shifted left by one, and the hot bit
+/// in bit 0, so a lookup bumps the count and reads the hit in one probe.
+/// Dense by rank under a known bound, hashed otherwise.
 #[derive(Debug, Clone)]
-struct HotSet {
-    ids: Vec<u64>,
-    marks: Option<Vec<bool>>,
+enum Slots {
+    Dense { slots: Vec<u64>, distinct: usize },
+    Hashed(HashMap<u64, u64, IdHash>),
 }
 
-impl HotSet {
-    #[inline]
-    fn contains(&self, id: u64) -> bool {
-        match &self.marks {
-            Some(marks) => marks.get(id as usize).copied().unwrap_or(false),
-            None => self.ids.binary_search(&id).is_ok(),
+/// One count in a slot's bits.
+const ONE: u64 = 2;
+/// The hot bit of a slot.
+const HOT: u64 = 1;
+
+impl Slots {
+    fn distinct(&self) -> usize {
+        match self {
+            Slots::Dense { distinct, .. } => *distinct,
+            Slots::Hashed(map) => map.len(),
         }
     }
 
-    /// Replaces the members with `ids` (ascending, distinct), returning how
-    /// many current members are not kept.
-    fn replace(&mut self, ids: Vec<u64>) -> u64 {
-        let kept = count_common(&self.ids, &ids);
-        let evicted = (self.ids.len() - kept) as u64;
-        if let Some(marks) = &mut self.marks {
-            for &id in &self.ids {
-                marks[id as usize] = false;
-            }
-            for &id in &ids {
-                marks[id as usize] = true;
-            }
+    /// The slot of `id`, or 0 when it was never counted.
+    fn get(&self, id: u64) -> u64 {
+        match self {
+            Slots::Dense { slots, .. } => usize::try_from(id)
+                .ok()
+                .and_then(|i| slots.get(i))
+                .copied()
+                .unwrap_or(0),
+            Slots::Hashed(map) => map.get(&id).copied().unwrap_or(0),
         }
-        self.ids = ids;
-        evicted
     }
-}
 
-/// Number of IDs present in both ascending lists.
-fn count_common(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
+    /// Counts every ID of `ids` once, returning how many were hot.
+    fn count_hits(&mut self, ids: &[u64]) -> u64 {
+        let mut hits = 0;
+        match self {
+            Slots::Dense { slots, distinct } => {
+                for &id in ids {
+                    let s = &mut slots[id as usize];
+                    *distinct += usize::from(*s == 0);
+                    *s += ONE;
+                    hits += *s & HOT;
+                }
+            }
+            Slots::Hashed(map) => {
+                for &id in ids {
+                    let s = map.entry(id).or_insert(0);
+                    *s += ONE;
+                    hits += *s & HOT;
+                }
+            }
+        }
+        hits
+    }
+
+    /// Calls `f` on every counted `(id, slot)`, in storage order.
+    fn for_each(&mut self, mut f: impl FnMut(u64, &mut u64)) {
+        match self {
+            Slots::Dense { slots, .. } => {
+                for (id, s) in slots.iter_mut().enumerate() {
+                    if *s != 0 {
+                        f(id as u64, s);
+                    }
+                }
+            }
+            Slots::Hashed(map) => {
+                for (&id, s) in map.iter_mut() {
+                    f(id, s);
+                }
             }
         }
     }
-    n
+
+    /// Every counted `(id, slot)`, ascending by ID.
+    fn sorted(&self) -> Vec<(u64, u64)> {
+        match self {
+            Slots::Dense { slots, .. } => slots
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s != 0)
+                .map(|(id, &s)| (id as u64, s))
+                .collect(),
+            Slots::Hashed(map) => {
+                let mut items: Vec<(u64, u64)> = map.iter().map(|(&id, &s)| (id, s)).collect();
+                items.sort_unstable();
+                items
+            }
+        }
+    }
 }
 
 /// Algorithm 1's hit policy: counts ID frequencies, and on the flush
-/// cadence replaces the hot set with the top-k most frequent IDs (ties
-/// broken by ID), or with every counted ID when they all fit.
+/// cadence makes the top-k most frequent IDs hot (ties broken by ID), or
+/// every counted ID when they all fit.
 #[derive(Debug, Clone)]
 pub struct HotSetPolicy {
     warmup_iters: u64,
     flush_iters: u64,
     capacity: usize,
-    counter: FrequencyStats,
-    hot: HotSet,
+    slots: Slots,
+    /// Slots whose hot bit is set.
+    hot: usize,
     itr: u64,
     stats: CacheStats,
 }
 
 impl HotSetPolicy {
     /// A policy with the cadence of `cfg` and room for `cfg.hot_bytes` of
-    /// `dim`-float rows. With `bound`, IDs must be ranks below it and every
-    /// per-ID structure is dense.
+    /// `dim`-float rows. With `bound`, IDs must be ranks below it and the
+    /// slots are dense.
     pub fn new(cfg: &HybridHashConfig, dim: usize, bound: Option<usize>) -> Self {
         assert!(cfg.flush_iters > 0, "flush_iters must be positive");
         HotSetPolicy {
             warmup_iters: cfg.warmup_iters,
             flush_iters: cfg.flush_iters,
             capacity: (cfg.hot_bytes as usize) / (dim * 4),
-            counter: bound.map_or_else(FrequencyStats::new, FrequencyStats::dense),
-            hot: HotSet {
-                ids: Vec::new(),
-                marks: bound.map(|b| vec![false; b]),
+            slots: match bound {
+                Some(b) => Slots::Dense {
+                    slots: vec![0; b],
+                    distinct: 0,
+                },
+                None => Slots::Hashed(HashMap::default()),
             },
+            hot: 0,
             itr: 0,
             stats: CacheStats::default(),
         }
@@ -177,33 +228,45 @@ impl HotSetPolicy {
         self.stats
     }
 
-    /// The frequency counter.
-    pub fn counter(&self) -> &FrequencyStats {
-        &self.counter
+    /// Number of distinct IDs counted.
+    pub fn distinct(&self) -> usize {
+        self.slots.distinct()
+    }
+
+    /// How often `id` was counted.
+    pub fn count(&self, id: u64) -> u64 {
+        self.slots.get(id) >> 1
+    }
+
+    /// Every counted `(id, count)` pair, ascending by ID.
+    pub fn counts(&self) -> Vec<(u64, u64)> {
+        let slots = self.slots.sorted().into_iter();
+        slots.map(|(id, s)| (id, s >> 1)).collect()
     }
 
     /// The hot IDs, ascending.
-    pub fn hot_ids(&self) -> &[u64] {
-        &self.hot.ids
+    pub fn hot_ids(&self) -> Vec<u64> {
+        let slots = self.slots.sorted().into_iter();
+        slots
+            .filter(|&(_, s)| s & HOT != 0)
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// One iteration of Algorithm 1 over `ids`: an ID hits when it is in the
     /// hot set, and everything is served cold during warm-up. Returns where
     /// the IDs were served from.
     pub fn measure_batch(&mut self, ids: &[u64]) -> LookupReport {
-        let mut report = LookupReport::default();
         self.itr += 1;
         // L9-12: during warm-up only the counter trains; L14-21 afterwards.
-        let warm = self.itr <= self.warmup_iters;
-        for &id in ids {
-            if !warm && self.hot.contains(id) {
-                report.hot_hits += 1;
-            } else {
-                report.cold_hits += 1;
-            }
-            self.counter.record(id);
-        }
-        let flush_due = if warm {
+        // The first flush ends the warm-up, so no ID is hot before it.
+        let hot_hits = self.slots.count_hits(ids);
+        let report = LookupReport {
+            hot_hits,
+            cold_hits: ids.len() as u64 - hot_hits,
+        };
+        let flush_due = if self.itr <= self.warmup_iters {
+            debug_assert_eq!(hot_hits, 0, "an ID was hot during warm-up");
             self.stats.warmup_lookups += ids.len() as u64;
             self.itr == self.warmup_iters
         } else {
@@ -218,27 +281,38 @@ impl HotSetPolicy {
         report
     }
 
-    /// Replaces the hot set with the top-k most frequent IDs (L24-25), or
-    /// with every counted ID when they all fit: the two select the same set
-    /// then, and listing the counter avoids the ranking. Changes nothing
-    /// when the hot set has no room at all.
+    /// Makes the top-k most frequent IDs hot (L24-25), or every counted ID
+    /// when they all fit. Changes nothing when the hot set has no room at
+    /// all.
     fn flush(&mut self) {
         if self.capacity == 0 {
             return;
         }
         self.stats.flushes += 1;
-        let hot_ids: Vec<u64> = if self.counter.distinct() <= self.capacity {
-            self.counter
-                .counts()
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect()
-        } else {
-            let mut top = self.counter.top_k(self.capacity);
-            top.sort_unstable();
-            top
-        };
-        self.stats.evictions += self.hot.replace(hot_ids);
+        let distinct = self.slots.distinct();
+        if distinct <= self.capacity {
+            // Every counted ID fits. The distinct count never falls, so
+            // every earlier flush promoted all too: no hot ID leaves.
+            self.slots.for_each(|_, s| *s |= HOT);
+            self.hot = distinct;
+            return;
+        }
+        // The k-th pair of the (count desc, ID asc) ranking: a slot is hot
+        // when it ranks at or before it.
+        let k = self.capacity;
+        let mut ranked: Vec<(u64, u64)> = Vec::with_capacity(distinct);
+        self.slots.for_each(|id, s| ranked.push((*s >> 1, id)));
+        let (_, &mut (kc, kid), _) =
+            ranked.select_nth_unstable_by(k - 1, |a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut evicted = 0;
+        self.slots.for_each(|id, s| {
+            let c = *s >> 1;
+            let hot = u64::from(c > kc || (c == kc && id <= kid));
+            evicted += *s & HOT & !hot;
+            *s = c << 1 | hot;
+        });
+        self.hot = k;
+        self.stats.evictions += evicted;
     }
 }
 
@@ -258,7 +332,7 @@ impl CacheMetrics {
     pub fn of(policy: &HotSetPolicy) -> CacheMetrics {
         CacheMetrics {
             stats: policy.stats(),
-            hot_rows: policy.hot_ids().len(),
+            hot_rows: policy.hot,
             hot_capacity: policy.capacity(),
         }
     }
@@ -361,7 +435,7 @@ mod tests {
         for mut p in both(1, 10, 2) {
             let r = p.measure_batch(&[1, 1, 2, 2, 3]);
             assert_eq!((r.hot_hits, r.cold_hits), (0, 5), "warm-up is cold");
-            assert_eq!(p.hot_ids(), &[1, 2]);
+            assert_eq!(p.hot_ids(), [1, 2]);
             let r = p.measure_batch(&[1, 2, 3]);
             assert_eq!((r.hot_hits, r.cold_hits), (2, 1));
             assert_eq!(p.stats().flushes, 1);
@@ -374,7 +448,7 @@ mod tests {
             let r = p.measure_batch(&[1, 2, 1]);
             assert_eq!((r.hot_hits, r.cold_hits), (0, 3));
             assert_eq!(p.stats().warmup_lookups, 3);
-            assert_eq!(p.counter().count(1), 2);
+            assert_eq!(p.count(1), 2);
             assert!(p.hot_ids().is_empty(), "no flush before warm-up ends");
         }
     }
@@ -383,7 +457,7 @@ mod tests {
     fn capacity_bounds_hot_rows() {
         for mut p in both(1, 1, 2) {
             p.measure_batch(&[1, 1, 1, 2, 2, 3]);
-            assert_eq!(p.hot_ids(), &[1, 2], "the two hottest ids are cached");
+            assert_eq!(p.hot_ids(), [1, 2], "the two hottest ids are cached");
             let r = p.measure_batch(&[1, 2, 3]);
             assert_eq!((r.hot_hits, r.cold_hits), (2, 1));
         }
@@ -408,7 +482,7 @@ mod tests {
             for _ in 0..3 {
                 p.measure_batch(&[3, 3, 3, 4, 4, 4]);
             }
-            assert_eq!(p.hot_ids(), &[3, 4]);
+            assert_eq!(p.hot_ids(), [3, 4]);
             assert_eq!(p.stats().evictions, 2, "ids 1 and 2 are demoted");
         }
     }

@@ -4,7 +4,7 @@
 //! counters apply.
 
 use picasso_data::{IdDistribution, IdSampler};
-use picasso_embedding::{CacheStats, HotSetPolicy, HybridHashConfig, LookupReport};
+use picasso_embedding::{CacheMetrics, CacheStats, HotSetPolicy, HybridHashConfig, LookupReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,11 +113,13 @@ fn run_both(cfg: &HybridHashConfig, batches: &[Vec<u64>]) -> HotSetPolicy {
         assert_eq!(dense.stats(), reference.stats);
         assert_eq!(hashed.hot_ids(), reference.hot_ids());
         assert_eq!(dense.hot_ids(), reference.hot_ids());
+        assert_eq!(CacheMetrics::of(&hashed).hot_rows, reference.hot.len());
+        assert_eq!(CacheMetrics::of(&dense).hot_rows, reference.hot.len());
     }
     let counts: Vec<(u64, u64)> = reference.counts.into_iter().collect();
-    assert_eq!(hashed.counter().counts(), counts);
-    assert_eq!(dense.counter().counts(), counts);
-    assert_eq!(hashed.counter().distinct(), dense.counter().distinct());
+    assert_eq!(hashed.counts(), counts);
+    assert_eq!(dense.counts(), counts);
+    assert_eq!(hashed.distinct(), dense.distinct());
     dense
 }
 
@@ -126,25 +128,17 @@ fn top_k_path_agrees_and_breaks_ties_by_id() {
     // Capacity well below the distinct count: every flush ranks.
     let batches = zipf_stream(3, 1.05, 1, 12, 0);
     let p = run_both(&config(4, 4, 20), &batches);
-    assert!(p.counter().distinct() > 20);
+    assert!(p.distinct() > 20);
     assert_eq!(p.hot_ids().len(), 20);
     // The hot set is a prefix of the (count desc, id asc) ranking, so every
     // ID left out with the boundary count has a larger ID than every ID
     // kept with it.
-    let min_hot = p
-        .hot_ids()
-        .iter()
-        .map(|&id| p.counter().count(id))
-        .min()
-        .unwrap();
-    let max_tied_hot = p
-        .hot_ids()
-        .iter()
-        .filter(|&&id| p.counter().count(id) == min_hot)
-        .max();
+    let hot = p.hot_ids();
+    let min_hot = hot.iter().map(|&id| p.count(id)).min().unwrap();
+    let max_tied_hot = hot.iter().filter(|&&id| p.count(id) == min_hot).max();
     let mut ties_left_out = 0;
-    for (id, c) in p.counter().counts() {
-        if p.hot_ids().binary_search(&id).is_err() {
+    for (id, c) in p.counts() {
+        if hot.binary_search(&id).is_err() {
             assert!(c <= min_hot);
             if c == min_hot {
                 assert!(Some(&id) > max_tied_hot, "tie at {id} broken by ID");
@@ -162,15 +156,62 @@ fn top_k_path_agrees_and_breaks_ties_by_id() {
 fn promote_all_path_agrees() {
     // Capacity at and above the distinct count: every counted ID is hot.
     let batches = zipf_stream(5, 1.2, 1, 6, 0);
-    let distinct = run_both(&config(6, 6, 1000), &batches[..6])
-        .counter()
-        .distinct();
+    let distinct = run_both(&config(6, 6, 1000), &batches[..6]).distinct();
     for rows in [distinct, distinct + 1, 1000] {
         let p = run_both(&config(6, 6, rows), &batches);
         assert_eq!(
             p.hot_ids(),
-            &p.counter().counts().iter().map(|c| c.0).collect::<Vec<_>>()[..]
+            &p.counts().iter().map(|c| c.0).collect::<Vec<_>>()[..]
         );
+    }
+}
+
+/// The distinct count at each flush of a policy that warms up for `flush`
+/// batches and flushes every `flush` batches after.
+fn distinct_at_flushes(flush: usize, batches: &[Vec<u64>]) -> Vec<usize> {
+    let mut seen = BTreeSet::new();
+    let mut at = Vec::new();
+    for (i, ids) in batches.iter().enumerate() {
+        seen.extend(ids.iter().copied());
+        if (i + 1) % flush == 0 {
+            at.push(seen.len());
+        }
+    }
+    at
+}
+
+#[test]
+fn distinct_count_crossing_capacity_between_flushes_agrees() {
+    // The hot set moves every phase, so every flush sees new IDs.
+    let batches = zipf_stream(21, 1.1, 4, 2, 61);
+    let at = distinct_at_flushes(2, &batches);
+    assert!(at.windows(2).all(|w| w[0] < w[1]), "{at:?}");
+    let mut evictions = 0;
+    for j in 0..at.len() - 1 {
+        // Every flush up to j promotes all; every flush after ranks.
+        for rows in [at[j], at[j] + 1, at[j + 1] - 1] {
+            let p = run_both(&config(2, 2, rows), &batches);
+            assert_eq!(p.hot_ids().len(), rows);
+            evictions += p.stats().evictions;
+        }
+    }
+    assert!(evictions > 0, "the ranked flushes must demote rows");
+}
+
+#[test]
+fn flush_at_exactly_capacity_promotes_all_and_evicts_nothing() {
+    let batches = zipf_stream(23, 1.1, 3, 2, 83);
+    let at = distinct_at_flushes(2, &batches);
+    for (j, &rows) in at.iter().enumerate() {
+        // The stream ends on the flush that finds exactly `rows` IDs.
+        let p = run_both(&config(2, 2, rows), &batches[..2 * (j + 1)]);
+        assert_eq!(p.distinct(), rows);
+        assert_eq!(
+            p.hot_ids(),
+            p.counts().iter().map(|c| c.0).collect::<Vec<_>>()
+        );
+        assert_eq!(p.stats().flushes, j as u64 + 1);
+        assert_eq!(p.stats().evictions, 0);
     }
 }
 
@@ -254,7 +295,7 @@ fn hashed_policy_matches_the_reference_over_open_ids() {
     assert!(policy.hot_ids().iter().any(|&id| id >= 1 << 32));
     assert!(policy.hot_ids().iter().any(|&id| id > u64::MAX - 1024));
     assert_eq!(
-        policy.counter().counts(),
+        policy.counts(),
         reference.counts.into_iter().collect::<Vec<_>>()
     );
 }

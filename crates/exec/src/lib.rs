@@ -53,7 +53,8 @@ pub use recovery::{
 };
 pub use scheduler::{simulate, CausalStage, SimConfig, SimulationOutput};
 pub use serving::{
-    forward_latency_ns, prepare_serving, serving_lints, serving_stage_graph, ServingPlan,
+    capacity_rps, forward_latency_ns, prepare_serving, serving_lints, serving_stage_graph,
+    slo_floor_ns, ServingPlan,
 };
 pub use strategy::{DenseSync, EmbeddingExchange, Strategy};
 pub use telemetry::TrainingReport;

@@ -157,6 +157,21 @@ pub fn forward_latency_ns(
     (secs * 1e9).round() as u64
 }
 
+/// The latency of a request that arrives at an idle replica and finds no
+/// company: it waits out the linger bound `max_linger_ns`, then rides a
+/// batch of one. At light load most requests see about this much, so an
+/// SLO below it is missed at every low rate.
+pub fn slo_floor_ns(plan: &ServingPlan, max_linger_ns: u64) -> u64 {
+    max_linger_ns + forward_latency_ns(&plan.spec, plan.strategy, &plan.cfg, 1)
+}
+
+/// The service capacity, in requests per second, of a replica whose
+/// batches hold at most `max_batch` requests: full batches back to back.
+pub fn capacity_rps(plan: &ServingPlan, max_batch: usize) -> f64 {
+    let batch_ns = forward_latency_ns(&plan.spec, plan.strategy, &plan.cfg, max_batch);
+    max_batch as f64 * 1e9 / batch_ns as f64
+}
+
 /// Resource kinds whose mutation marks a stage as a *training* stage: all
 /// persistent model state. A serving graph may read any of these (and
 /// reduce into private scratch), but writing them means a gradient,

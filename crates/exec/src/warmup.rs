@@ -301,7 +301,9 @@ pub fn run_warmup(data: &Arc<DatasetSpec>, cfg: &WarmupConfig) -> WarmupReport {
     for s in &streams {
         let mass = s.ids.len() as f64 / total_ids as f64;
         let unique: u64 = s.batches().map(|ids| distinct.count(ids)).sum();
-        let (coverage_top20, hit_ratio) = if cfg.hot_bytes > 0 {
+        let mut freq = FrequencyStats::dense(s.bound);
+        freq.record_all(&s.ids);
+        let hit_ratio = if cfg.hot_bytes > 0 {
             // Cache measurement: a hot-set policy with the budget split by
             // mass, warm on the first half of the batches, measured on the
             // second half.
@@ -313,22 +315,16 @@ pub fn run_warmup(data: &Arc<DatasetSpec>, cfg: &WarmupConfig) -> WarmupReport {
                 flush_iters: cfg.batches as u64,
                 hot_bytes: measure_bytes,
             };
-            // The policy counts every batch, so its counter is the table's
-            // frequency statistics too.
             let mut policy = HotSetPolicy::new(&hh, MEASURE_DIM, Some(s.bound));
             for ids in s.batches() {
                 policy.measure_batch(ids);
             }
             caches.insert(s.table, CacheMetrics::of(&policy));
-            (
-                policy.counter().coverage_of_top(0.2),
-                policy.stats().hit_ratio(),
-            )
+            policy.stats().hit_ratio()
         } else {
-            let mut freq = FrequencyStats::dense(s.bound);
-            freq.record_all(&s.ids);
-            (freq.coverage_of_top(0.2), 0.0)
+            0.0
         };
+        let coverage_top20 = freq.coverage_of_top(0.2);
         let t = s.ids.len() as u64;
         let table_stats = TableStats {
             unique_ratio: if t == 0 {

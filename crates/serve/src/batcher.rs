@@ -32,22 +32,19 @@ impl Default for BatchPolicy {
     }
 }
 
-/// One admitted request waiting for (or riding in) a batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One admitted request waiting for (or riding in) a batch. Its embedding
+/// IDs wait in the replica's ID ring, in the same order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedRequest {
     /// Admission sequence number (deterministic tiebreaker).
     pub seq: u64,
     /// Arrival time in virtual nanoseconds.
     pub at_ns: u64,
-    /// Embedding IDs the request looks up (`ids[0]` is the user ID).
-    pub ids: Vec<u64>,
 }
 
 /// A formed batch, ready for service.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
-    /// When the batcher released it.
-    pub formed_at_ns: u64,
     /// The coalesced requests, in arrival order.
     pub requests: Vec<QueuedRequest>,
 }
@@ -61,15 +58,6 @@ impl Batch {
     /// True for an (impossible by construction) empty batch.
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
-    }
-
-    /// All embedding IDs of the batch, flattened in arrival order — the
-    /// batched lookup the serving cache's hit policy counts.
-    pub fn gather_ids(&self) -> Vec<u64> {
-        self.requests
-            .iter()
-            .flat_map(|r| r.ids.iter().copied())
-            .collect()
     }
 }
 
@@ -137,41 +125,14 @@ impl Batcher {
     /// this the moment its server is free and [`Batcher::ready`] holds, so
     /// the batch coalesces everything that queued up while the server was
     /// busy. `None` when nothing is pending.
-    pub fn take(&mut self, now: u64) -> Option<Batch> {
+    pub fn take(&mut self) -> Option<Batch> {
         if self.pending.is_empty() {
             return None;
         }
         let n = self.pending.len().min(self.policy.max_batch);
-        let requests: Vec<QueuedRequest> = self.pending.drain(..n).collect();
         Some(Batch {
-            formed_at_ns: now,
-            requests,
+            requests: self.pending.drain(..n).collect(),
         })
-    }
-
-    /// [`Batcher::take`] gated on [`Batcher::ready`]: release a batch only
-    /// if the policy requires one at `now`.
-    pub fn pop_ready(&mut self, now: u64) -> Option<Batch> {
-        if self.ready(now) {
-            self.take(now)
-        } else {
-            None
-        }
-    }
-
-    /// Release everything still pending (end-of-stream drain), in batches
-    /// of at most `max_batch`.
-    pub fn drain_all(&mut self, now: u64) -> Vec<Batch> {
-        let mut out = Vec::new();
-        while !self.pending.is_empty() {
-            let n = self.pending.len().min(self.policy.max_batch);
-            let requests: Vec<QueuedRequest> = self.pending.drain(..n).collect();
-            out.push(Batch {
-                formed_at_ns: now,
-                requests,
-            });
-        }
-        out
     }
 }
 
@@ -180,11 +141,7 @@ mod tests {
     use super::*;
 
     fn req(seq: u64, at_ns: u64) -> QueuedRequest {
-        QueuedRequest {
-            seq,
-            at_ns,
-            ids: vec![seq, 100 + seq],
-        }
+        QueuedRequest { seq, at_ns }
     }
 
     #[test]
@@ -196,13 +153,14 @@ mod tests {
         for i in 0..9 {
             b.push(req(i, 10 * i));
         }
-        let batch = b.pop_ready(90).expect("full");
+        assert!(b.ready(90), "full");
+        let batch = b.take().unwrap();
         assert_eq!(batch.len(), 4);
         assert_eq!(batch.requests[0].seq, 0);
-        let batch = b.pop_ready(90).expect("still full");
-        assert_eq!(batch.len(), 4);
+        assert!(b.ready(90), "still full");
+        assert_eq!(b.take().unwrap().len(), 4);
         // One request left: not full, linger not expired.
-        assert!(b.pop_ready(90).is_none());
+        assert!(!b.ready(90));
         assert_eq!(b.pending_len(), 1);
     }
 
@@ -215,26 +173,44 @@ mod tests {
         b.push(req(0, 100));
         b.push(req(1, 300));
         assert_eq!(b.deadline_ns(), Some(600));
-        assert!(b.pop_ready(599).is_none());
-        let batch = b.pop_ready(600).expect("linger expired");
-        assert_eq!(batch.len(), 2);
+        assert!(!b.ready(599));
+        assert!(b.ready(600), "linger expired");
+        assert_eq!(b.take().unwrap().len(), 2);
         assert!(b.deadline_ns().is_none());
+        assert!(b.take().is_none(), "nothing pending");
     }
 
     #[test]
     fn gather_ids_flatten_in_arrival_order() {
+        // The replica keeps every admitted request's IDs in one FIFO ring
+        // and drains `len · ids_per_request` of them per batch; that is
+        // the batch's flattened IDs only if `take` hands out the oldest
+        // requests, in arrival order.
         let mut b = Batcher::new(BatchPolicy {
             max_batch: 2,
             max_linger_ns: 1,
         });
-        b.push(req(7, 0));
-        b.push(req(9, 0));
-        let batch = b.pop_ready(0).unwrap();
-        assert_eq!(batch.gather_ids(), vec![7, 107, 9, 109]);
+        let mut ring = std::collections::VecDeque::new();
+        for seq in [7, 9, 4] {
+            b.push(req(seq, 0));
+            ring.extend([seq, 100 + seq]);
+        }
+        assert!(b.ready(0));
+        let batch = b.take().unwrap();
+        let gathered: Vec<u64> = ring.drain(..batch.len() * 2).collect();
+        assert_eq!(gathered, vec![7, 107, 9, 109]);
+        let from_requests: Vec<u64> = batch
+            .requests
+            .iter()
+            .flat_map(|r| [r.seq, 100 + r.seq])
+            .collect();
+        assert_eq!(gathered, from_requests);
     }
 
     #[test]
     fn drain_all_chunks_by_max_batch() {
+        // End-of-stream drain: repeated `take` empties the queue in
+        // `max_batch` chunks, in arrival order.
         let mut b = Batcher::new(BatchPolicy {
             max_batch: 3,
             max_linger_ns: u64::MAX / 2,
@@ -242,11 +218,17 @@ mod tests {
         for i in 0..7 {
             b.push(req(i, i));
         }
-        let batches = b.drain_all(1_000);
+        let batches: Vec<Batch> = std::iter::from_fn(|| b.take()).collect();
         assert_eq!(
             batches.iter().map(Batch::len).collect::<Vec<_>>(),
             vec![3, 3, 1]
         );
+        let seqs: Vec<u64> = batches
+            .iter()
+            .flat_map(|b| &b.requests)
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(seqs, (0..7).collect::<Vec<_>>());
         assert_eq!(b.pending_len(), 0);
     }
 }

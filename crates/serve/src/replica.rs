@@ -16,6 +16,15 @@
 //! rows: the service time never reads gathered values, and hit counts
 //! depend only on which IDs are hot, so the replica pays for no cold-row
 //! index, row initialisation or hot-arena rebuild.
+//!
+//! A request's IDs never get a heap allocation of their own. The generator
+//! appends the next arrival's IDs to one reused buffer; an admitted
+//! request's IDs move into one FIFO ring of IDs, and a shed request's are
+//! dropped. Every request of a plan looks up the same number of IDs, so a
+//! dispatched batch of `n` requests drains the ring's oldest
+//! `n · ids_per_request` IDs into one reused buffer for the policy: the
+//! same IDs, in the same arrival order, as flattening the batch's
+//! requests.
 
 use crate::batcher::{Batch, BatchPolicy, Batcher, QueuedRequest};
 use crate::report::ServeReport;
@@ -23,6 +32,7 @@ use picasso_embedding::{HotSetPolicy, HybridHashConfig};
 use picasso_exec::{forward_latency_ns, ServingPlan};
 use picasso_obs::{LatencyRecorder, SloTracker};
 use picasso_sim::TrafficPlan;
+use std::collections::VecDeque;
 
 /// Configuration of one serving replica.
 #[derive(Debug, Clone)]
@@ -101,7 +111,13 @@ pub fn serve(
     scenario: &str,
 ) -> ServeRun {
     let mut gen = traffic.generator();
-    let mut next_arrival = gen.next();
+    let per_request = traffic.ids_per_request as usize;
+    // The next arrival's time and IDs, drawn ahead of its admission.
+    let mut arrival_ids: Vec<u64> = Vec::new();
+    let mut next_arrival = gen.next_into(&mut arrival_ids);
+    // Every admitted, undispatched request's IDs, oldest first.
+    let mut ring: VecDeque<u64> = VecDeque::new();
+    let mut batch_ids: Vec<u64> = Vec::new();
 
     let mut batcher = Batcher::new(cfg.policy);
     let mut in_service: Option<(u64, Batch)> = None;
@@ -128,8 +144,10 @@ pub fn serve(
     macro_rules! maybe_dispatch {
         ($now:expr) => {
             if in_service.is_none() && batcher.ready($now) {
-                if let Some(batch) = batcher.take($now) {
-                    cache.measure_batch(&batch.gather_ids());
+                if let Some(batch) = batcher.take() {
+                    batch_ids.clear();
+                    batch_ids.extend(ring.drain(..batch.len() * per_request));
+                    cache.measure_batch(&batch_ids);
                     let t = svc.service_ns(batch.len());
                     total_service_ns += t;
                     in_service = Some(($now + t, batch));
@@ -148,10 +166,9 @@ pub fn serve(
         } else {
             None
         };
-        let t_arrival = next_arrival.as_ref().map(|r| r.at_ns);
         // Next event; fixed tie-break order: completion, then linger
         // deadline, then arrival.
-        let Some(t) = [t_done, t_deadline, t_arrival]
+        let Some(t) = [t_done, t_deadline, next_arrival]
             .iter()
             .flatten()
             .min()
@@ -176,8 +193,6 @@ pub fn serve(
         } else if t_deadline == Some(t) {
             maybe_dispatch!(now);
         } else {
-            let req = next_arrival.take().unwrap();
-            next_arrival = gen.next();
             let over = cfg
                 .queue_capacity
                 .map(|cap| admitted_unserved >= cap)
@@ -186,14 +201,13 @@ pub fn serve(
                 shed += 1;
             } else {
                 admitted_unserved += 1;
-                batcher.push(QueuedRequest {
-                    seq,
-                    at_ns: req.at_ns,
-                    ids: req.ids,
-                });
+                ring.extend(&arrival_ids);
+                batcher.push(QueuedRequest { seq, at_ns: t });
                 seq += 1;
                 maybe_dispatch!(now);
             }
+            arrival_ids.clear();
+            next_arrival = gen.next_into(&mut arrival_ids);
         }
         recorder.sample_queue_depth(now, batcher.pending_len().min(u32::MAX as usize) as u32);
     }

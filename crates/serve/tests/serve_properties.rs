@@ -1,12 +1,22 @@
 //! Property and end-to-end tests of the serving subsystem: batcher
 //! invariants under random arrival sequences, replica determinism, the
-//! batch-size-vs-latency tradeoff, and deterministic shedding.
+//! batch-size-vs-latency tradeoff, deterministic shedding, and the
+//! replica against a plain reference loop over random small plans.
 
 use picasso_data::DatasetSpec;
-use picasso_exec::{prepare_serving, ModelKind, ServingPlan, TrainerOptions};
-use picasso_serve::{serve, BatchPolicy, Batcher, QueuedRequest, ReplicaConfig};
+use picasso_embedding::{HotSetPolicy, HybridHashConfig};
+use picasso_exec::{
+    capacity_rps, forward_latency_ns, prepare_serving, slo_floor_ns, ModelKind, ServingPlan,
+    TrainerOptions,
+};
+use picasso_obs::{exact_quantile, LatencyRecorder, SloTracker};
+use picasso_serve::{
+    serve, BatchPolicy, Batcher, QueuedRequest, ReplicaConfig, ServeReport, ServeRun,
+};
 use picasso_sim::TrafficPlan;
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// One dispatched request as observed by [`drive`]: `(seq, arrival,
 /// dispatched_at, batch_len, server_free_at)`, where `server_free_at` is
@@ -47,14 +57,10 @@ fn drive(policy: BatchPolicy, arrivals: &[(u64, u64)], service_ns: u64) -> Vec<D
         } else if t_deadline != Some(t) {
             let (seq, at) = arrivals[i];
             i += 1;
-            b.push(QueuedRequest {
-                seq,
-                at_ns: at,
-                ids: vec![seq],
-            });
+            b.push(QueuedRequest { seq, at_ns: at });
         }
         if busy_until.is_none() && b.ready(t) {
-            let batch = b.take(t).expect("ready implies pending");
+            let batch = b.take().expect("ready implies pending");
             for r in &batch.requests {
                 out.push((r.seq, r.at_ns, t, batch.len(), free_at));
             }
@@ -248,4 +254,250 @@ fn serving_cache_serves_hot_traffic_from_hot_storage() {
         "skewed traffic should hit hot storage, got {:.3}",
         r.cache_hit_ratio()
     );
+}
+
+#[test]
+fn srv_b256_floor_exceeds_its_slo_and_its_capacity_bounds_the_queue() {
+    // The bench suite's srv_b256 replica.
+    let plan = plan(Some(4096));
+    let cfg = ReplicaConfig {
+        policy: BatchPolicy {
+            max_batch: 256,
+            max_linger_ns: 1_000_000,
+        },
+        queue_capacity: Some(4096),
+        ..ReplicaConfig::default()
+    };
+    // A lone request lingers 1 ms, then its batch of one takes ~4.1 ms:
+    // past the 5 ms SLO, so no swept rate meets it.
+    let floor = slo_floor_ns(&plan, cfg.policy.max_linger_ns);
+    assert_eq!(floor, 5_101_196);
+    assert!(floor > cfg.slo_ns);
+    let capacity = capacity_rps(&plan, cfg.policy.max_batch);
+    assert!(
+        (capacity - 58_100.0).abs() < 100.0,
+        "capacity {capacity:.0}"
+    );
+    // Below capacity the queue stays within two full batches; past it,
+    // the backlog grows.
+    let max_depth = |rate: u64| {
+        let traffic: TrafficPlan =
+            format!("seed=101;poisson@{rate};users=200000;zipf=105;ids=8;reqs=6000")
+                .parse()
+                .unwrap();
+        serve(&plan, &traffic, &cfg, "capacity")
+            .report
+            .max_queue_depth
+    };
+    let bound = 2 * cfg.policy.max_batch as u64;
+    assert!(max_depth(56_000) <= bound, "{}", max_depth(56_000));
+    assert!(max_depth(80_000) > bound, "{}", max_depth(80_000));
+}
+
+/// The serving plan every replica-oracle case prices, planned once.
+fn oracle_plan() -> &'static ServingPlan {
+    static PLAN: OnceLock<ServingPlan> = OnceLock::new();
+    PLAN.get_or_init(|| plan(Some(4096)))
+}
+
+/// A request admitted to the reference loop: its arrival and its IDs.
+type Admitted = (u64, Vec<u64>);
+
+/// The replica loop written plainly: every admitted request keeps its own
+/// `Vec` of IDs, a dispatched batch flattens them in arrival order for the
+/// cache, and every service time is computed afresh.
+fn reference_serve(
+    plan: &ServingPlan,
+    traffic: &TrafficPlan,
+    cfg: &ReplicaConfig,
+    scenario: &str,
+) -> ServeRun {
+    let BatchPolicy {
+        max_batch,
+        max_linger_ns,
+    } = cfg.policy;
+    let mut gen = traffic.generator();
+    let mut next_arrival = gen.next();
+    let mut pending: VecDeque<Admitted> = VecDeque::new();
+    let mut in_service: Option<(u64, Vec<Admitted>)> = None;
+    let mut unserved = 0usize;
+    let mut cache = HotSetPolicy::new(&cfg.cache, cfg.cache_dim.max(1), None);
+    let mut recorder = LatencyRecorder::new();
+    let mut slo = SloTracker::new(cfg.slo_ns);
+    let (mut shed, mut served, mut batches) = (0u64, 0u64, 0u64);
+    let (mut service_ns, mut last_end, mut now) = (0u64, 0u64, 0u64);
+    loop {
+        let t_done = in_service.as_ref().map(|&(end, _)| end);
+        let t_deadline = if in_service.is_none() {
+            pending.front().map(|&(at, _)| at + max_linger_ns)
+        } else {
+            None
+        };
+        let t_arrival = next_arrival.as_ref().map(|r| r.at_ns);
+        let Some(t) = [t_done, t_deadline, t_arrival]
+            .iter()
+            .flatten()
+            .min()
+            .copied()
+        else {
+            break;
+        };
+        now = now.max(t);
+        if t_done == Some(t) {
+            let (end, batch) = in_service.take().unwrap();
+            for &(at, _) in &batch {
+                recorder.observe(end - at);
+                slo.observe(end - at);
+            }
+            served += batch.len() as u64;
+            batches += 1;
+            unserved -= batch.len();
+            last_end = end;
+        } else if t_deadline != Some(t) {
+            let req = next_arrival.take().unwrap();
+            next_arrival = gen.next();
+            if cfg.queue_capacity.is_some_and(|cap| unserved >= cap) {
+                shed += 1;
+                recorder.sample_queue_depth(now, pending.len() as u32);
+                continue;
+            }
+            unserved += 1;
+            pending.push_back((req.at_ns, req.ids));
+        }
+        // Dispatch to an idle server once a batch is full or the oldest
+        // request's linger bound has passed.
+        let ready = pending.len() >= max_batch
+            || pending
+                .front()
+                .is_some_and(|&(at, _)| now >= at + max_linger_ns);
+        if in_service.is_none() && ready {
+            let n = pending.len().min(max_batch);
+            let batch: Vec<Admitted> = pending.drain(..n).collect();
+            let ids: Vec<u64> = batch.iter().flat_map(|(_, ids)| ids.clone()).collect();
+            cache.measure_batch(&ids);
+            let t = forward_latency_ns(&plan.spec, plan.strategy, &plan.cfg, n);
+            service_ns += t;
+            in_service = Some((now + t, batch));
+        }
+        recorder.sample_queue_depth(now, pending.len() as u32);
+    }
+
+    let stats = cache.stats();
+    let sorted = recorder.sorted_ns();
+    let report = ServeReport {
+        scenario: scenario.to_string(),
+        traffic: traffic.to_string(),
+        max_batch: max_batch as u64,
+        max_linger_ns,
+        queue_capacity: cfg.queue_capacity.map(|c| c as u64),
+        slo_ns: cfg.slo_ns,
+        requests: traffic.requests,
+        served,
+        shed,
+        batches,
+        p50_ns: exact_quantile(&sorted, 0.50),
+        p95_ns: exact_quantile(&sorted, 0.95),
+        p99_ns: exact_quantile(&sorted, 0.99),
+        mean_ns: recorder.mean_ns().round() as u64,
+        max_queue_depth: recorder.max_queue_depth() as u64,
+        slo_violations: slo.violations,
+        cache_hot_hits: stats.hot_hits,
+        cache_cold_hits: stats.cold_hits,
+        duration_ns: last_end,
+        service_ns,
+    };
+    ServeRun {
+        report,
+        latency: recorder,
+    }
+}
+
+/// A random small traffic plan: Poisson or MMPP arrivals around the
+/// replica's capacity, over one to a million users.
+fn oracle_traffic() -> impl Strategy<Value = TrafficPlan> {
+    (
+        0u64..1_000_000,
+        proptest::bool::ANY,
+        (0u32..3, 1u64..1_000_000),
+        0u32..150,
+        1u32..16,
+        1u64..400,
+        (500u64..200_000, 1u64..20),
+    )
+        .prop_map(
+            |(seed, mmpp, (scale, users), zipf, ids, reqs, (rate, dwell))| {
+                // Users on three scales: a handful, thousands, up to a
+                // million.
+                let users = match scale {
+                    0 => 1 + users % 16,
+                    1 => 1 + users % 5_000,
+                    _ => users,
+                };
+                let process = if mmpp {
+                    format!("mmpp@{}:b{}:d{dwell}", rate / 4 + 1, rate * 2)
+                } else {
+                    format!("poisson@{rate}")
+                };
+                format!("seed={seed};{process};users={users};zipf={zipf};ids={ids};reqs={reqs}")
+                    .parse()
+                    .expect("valid plan")
+            },
+        )
+}
+
+/// A random small replica: batch and linger bounds, an admission bound of
+/// none, zero or a few requests, and a cache of at most a few dozen rows,
+/// so that both the promote-all and the top-k flush occur.
+fn oracle_replica() -> impl Strategy<Value = ReplicaConfig> {
+    (
+        1usize..64,
+        0u64..8_000_000,
+        (0u32..3, 1usize..40),
+        (0u64..4, 1u64..5, 0u64..48),
+        1_000_000u64..20_000_000,
+    )
+        .prop_map(
+            |(max_batch, max_linger_ns, (bound, cap), (warmup, flush, rows), slo_ns)| {
+                ReplicaConfig {
+                    policy: BatchPolicy {
+                        max_batch,
+                        max_linger_ns,
+                    },
+                    queue_capacity: match bound {
+                        0 => None,
+                        1 => Some(0),
+                        _ => Some(cap),
+                    },
+                    slo_ns,
+                    cache: HybridHashConfig {
+                        warmup_iters: warmup,
+                        flush_iters: flush,
+                        hot_bytes: rows * 4,
+                    },
+                    cache_dim: 1,
+                }
+            },
+        )
+}
+
+proptest! {
+    /// Over random small plans the replica reproduces the plain
+    /// reference loop exactly: the report, every latency sample (their
+    /// order shows in the mean's bits) and the queue-depth timeline.
+    #[test]
+    fn replica_matches_the_reference_loop(
+        traffic in oracle_traffic(),
+        cfg in oracle_replica(),
+    ) {
+        let plan = oracle_plan();
+        let got = serve(plan, &traffic, &cfg, "oracle");
+        let want = reference_serve(plan, &traffic, &cfg, "oracle");
+        prop_assert_eq!(&got.report, &want.report, "{} under {:?}", traffic, cfg);
+        prop_assert_eq!(got.latency.sorted_ns(), want.latency.sorted_ns());
+        prop_assert_eq!(
+            got.latency.mean_ns().to_bits(),
+            want.latency.mean_ns().to_bits()
+        );
+        prop_assert_eq!(got.latency.queue_depth(), want.latency.queue_depth());
+    }
 }

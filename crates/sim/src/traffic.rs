@@ -407,23 +407,32 @@ impl TrafficGen {
     }
 }
 
-impl Iterator for TrafficGen {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
+impl TrafficGen {
+    /// Generates the next request: appends its embedding IDs to `ids`
+    /// (the user ID first) and returns its arrival time, or `None` once
+    /// the plan's requests are all emitted. A replay that only needs the
+    /// IDs for a moment reuses one buffer instead of allocating per
+    /// request.
+    pub fn next_into(&mut self, ids: &mut Vec<u64>) -> Option<u64> {
         if self.emitted >= self.plan.requests {
             return None;
         }
         self.advance_clock();
-        let mut ids = Vec::with_capacity(self.plan.ids_per_request as usize);
         for _ in 0..self.plan.ids_per_request {
             ids.push(self.zipf.sample(&mut self.ids));
         }
         self.emitted += 1;
-        Some(Request {
-            at_ns: self.now_ns,
-            ids,
-        })
+        Some(self.now_ns)
+    }
+}
+
+impl Iterator for TrafficGen {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        let mut ids = Vec::new();
+        let at_ns = self.next_into(&mut ids)?;
+        Some(Request { at_ns, ids })
     }
 }
 
@@ -497,6 +506,24 @@ mod tests {
             .unwrap()
             .generator();
         assert_ne!(a[0], c.next().unwrap(), "different seed, different stream");
+    }
+
+    #[test]
+    fn next_into_appends_what_next_returns() {
+        let plan =
+            TrafficPlan::parse("seed=4;mmpp@3000:b40000:d5;users=5000;zipf=90;ids=3;reqs=300")
+                .unwrap();
+        let mut gen = plan.generator();
+        let mut ids = vec![u64::MAX];
+        for want in plan.generator() {
+            ids.truncate(1);
+            assert_eq!(gen.next_into(&mut ids), Some(want.at_ns));
+            assert_eq!(ids[0], u64::MAX, "appends, never clears");
+            assert_eq!(&ids[1..], &want.ids[..]);
+        }
+        ids.truncate(1);
+        assert_eq!(gen.next_into(&mut ids), None);
+        assert_eq!(ids.len(), 1, "an exhausted generator appends nothing");
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Matrix {
     }
 
     /// `self @ other`. Each output sums its terms in index order from `0.0`
-    /// (see [`Matrix::fill_product`] for the blocking).
+    /// (see `Matrix::fill_product` for the blocking).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "shape mismatch in matmul");
         let mut out = Matrix::zeros(self.rows, other.cols);
