@@ -68,15 +68,6 @@ impl SloTracker {
             self.violations += 1;
         }
     }
-
-    /// Fraction of observed requests violating the budget (0 when empty).
-    pub fn violation_ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.total as f64
-        }
-    }
 }
 
 /// Collects per-request latencies plus a queue-depth timeline, and exports
@@ -129,11 +120,6 @@ impl LatencyRecorder {
     /// Maximum queue depth ever sampled (0 when never sampled).
     pub fn max_queue_depth(&self) -> u32 {
         self.queue_depth.iter().map(|&(_, d)| d).max().unwrap_or(0)
-    }
-
-    /// Exact nearest-rank quantile of the recorded latencies.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        exact_quantile(&self.sorted_ns(), q)
     }
 
     /// Mean latency in nanoseconds (0 when empty).
@@ -225,8 +211,6 @@ mod tests {
         slo.observe(5_000);
         assert_eq!(slo.total, 4);
         assert_eq!(slo.violations, 2);
-        assert!((slo.violation_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(SloTracker::new(1).violation_ratio(), 0.0);
     }
 
     #[test]
@@ -239,8 +223,11 @@ mod tests {
         rec.sample_queue_depth(10, 7);
         rec.sample_queue_depth(20, 3);
         assert_eq!(rec.len(), 5);
-        assert_eq!(rec.quantile_ns(0.5), 300);
-        assert_eq!(rec.quantile_ns(1.0), 500);
+        // The serving report's quantiles: nearest rank over `sorted_ns`.
+        let sorted = rec.sorted_ns();
+        assert_eq!(sorted, [100, 200, 300, 400, 500]);
+        assert_eq!(exact_quantile(&sorted, 0.5), 300);
+        assert_eq!(exact_quantile(&sorted, 1.0), 500);
         assert_eq!(rec.max_queue_depth(), 7);
         assert!((rec.mean_ns() - 300.0).abs() < 1e-12);
     }

@@ -82,16 +82,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The largest iteration any event fires at, if any.
-    pub fn last_iter(&self) -> Option<u64> {
-        self.events.iter().map(|e| e.at_iter).max()
-    }
-
-    /// Events firing exactly at iteration `iter`.
-    pub fn events_at(&self, iter: u64) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(move |e| e.at_iter == iter)
-    }
-
     /// Parses the `--fault-plan` grammar (see the module docs).
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
@@ -220,13 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn events_at_filters_by_iteration() {
+    fn events_keep_their_iteration_in_plan_order() {
+        // The recovery loop fires each event whose `at_iter` is the step
+        // about to run, scanning `events` in plan order.
         let plan = FaultPlan::parse("crash@3;nic@3:p50;slow@9:w2:p40").unwrap();
-        assert_eq!(plan.events_at(3).count(), 2);
-        assert_eq!(plan.events_at(9).count(), 1);
-        assert_eq!(plan.events_at(4).count(), 0);
-        assert_eq!(plan.last_iter(), Some(9));
-        assert!(FaultPlan::none().last_iter().is_none());
+        let iters: Vec<u64> = plan.events.iter().map(|e| e.at_iter).collect();
+        assert_eq!(iters, [3, 3, 9]);
+        assert!(FaultPlan::none().events.is_empty());
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl ResourceKind {
         ResourceKind::Network,
     ];
 
-    /// Whether the work units on this resource are bytes (as opposed to FLOPs).
-    pub fn is_bandwidth(self) -> bool {
-        !matches!(self, ResourceKind::GpuSm | ResourceKind::HostCpu)
-    }
-
     /// The kind's display name, e.g. `gpu-sm`.
     pub fn name(self) -> &'static str {
         match self {
@@ -317,10 +312,6 @@ mod tests {
 
     #[test]
     fn kind_classification() {
-        assert!(ResourceKind::Pcie.is_bandwidth());
-        assert!(ResourceKind::Network.is_bandwidth());
-        assert!(!ResourceKind::GpuSm.is_bandwidth());
-        assert!(!ResourceKind::HostCpu.is_bandwidth());
         assert_eq!(ResourceKind::ALL.len(), 7);
     }
 

@@ -392,11 +392,6 @@ impl Cluster {
         self.executors.len()
     }
 
-    /// Whether two executors are on the same machine (NVLink reachable).
-    pub fn same_machine(&self, a: usize, b: usize) -> bool {
-        self.executors[a].node == self.executors[b].node
-    }
-
     /// Resource handles of every parameter-server node, flattened in
     /// registration order. This is the precomputed handle set consumers
     /// filter by instead of matching on `"ps<N>/..."` name prefixes.
@@ -438,8 +433,8 @@ mod tests {
         let mut e = Engine::new();
         let c = Cluster::build(MachineSpec::gn6e(), 2, 0, &mut e);
         assert_eq!(c.executor_count(), 16);
-        assert!(c.same_machine(0, 7));
-        assert!(!c.same_machine(0, 8));
+        assert_eq!(c.executors[0].node, c.executors[7].node);
+        assert_ne!(c.executors[0].node, c.executors[8].node);
         // Executors on one machine share dram/cpu/nic/nvlink.
         assert_eq!(c.executors[0].nic, c.executors[7].nic);
         assert_ne!(c.executors[0].nic, c.executors[8].nic);

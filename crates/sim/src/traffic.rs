@@ -30,6 +30,15 @@
 //! * `reqs=N` — total requests the stream generates.
 //!
 //! Every field is an integer, so `parse` ∘ `Display` is exact.
+//!
+//! Each ID is one step of Hörmann's rejection-inversion, one `powf` per
+//! draw, except in the skewed head (the paper's Fig. 3): there a small
+//! table built per plan answers most draws with an integer lookup. Each
+//! table entry is the range of draw words in which the exact path provably
+//! accepts one rank, shrunk by a guard band far wider than the float
+//! path's rounding error. So the table changes how fast a draw is and
+//! never its result: ranks, the RNG stream and every digest downstream are
+//! the exact path's.
 
 use picasso_obs::checksum::splitmix64;
 use std::fmt;
@@ -237,15 +246,93 @@ impl SplitMix {
 
     /// Uniform in `(0, 1]` — safe as a `ln` argument.
     fn open_unit(&mut self) -> f64 {
-        1.0 - (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        open_unit(self.next_u64())
     }
 }
 
-/// Zipf sampler over ranks `0..n` by Hörmann's rejection-inversion —
-/// O(1) memory and time per draw, so vocabularies of millions cost nothing
-/// to set up (an exact-CDF table at this scale would be tens of megabytes;
-/// cf. `picasso_data::IdSampler`, which serves the *training* side where
-/// vocabularies are clamped).
+/// The `(0, 1]` uniform of one draw word: `1 − m·2⁻⁵³` for its 53-bit draw
+/// `m = word >> 11`. Both operations are exact, so the result is strictly
+/// decreasing in `m`.
+#[inline]
+fn open_unit(word: u64) -> f64 {
+    1.0 - (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Ranks a [`HeadTable`] holds at most. A plan expected to draw more
+/// distinct ranks answers the rest on the exact path.
+const MAX_HEAD_RANKS: usize = 1 << 12;
+
+/// Cells of the draw space: cell `c` holds the words whose high 32 bits are
+/// `c`, which are the 53-bit draws `m` in `[c·2²¹, (c + 1)·2²¹)`.
+const CELLS: f64 = (1u64 << 32) as f64;
+
+/// The guarded head of a [`ZipfSampler`]: for each of its hottest ranks,
+/// the cells of the draw space in which the exact path accepts that rank on
+/// its first step (see [`ZipfSampler`] for why).
+#[derive(Debug, Clone, Default)]
+struct HeadTable {
+    /// `bounds[2i]..bounds[2i + 1]`: the cells of rank `i` (0-based).
+    /// Ascending; a rank with no provable cell has equal bounds.
+    bounds: Vec<u32>,
+    /// One entry per `2^shift` cells, up to the last rank's cells.
+    guide: Vec<GuideEntry>,
+    shift: u32,
+}
+
+/// Where a lookup in one guide bucket starts counting bounds.
+#[derive(Debug, Clone, Copy)]
+struct GuideEntry {
+    /// The bounds at or below the bucket's first cell.
+    below: u32,
+    /// The next bound, `bounds[below]`: a cell under it needs no scan.
+    next: u32,
+}
+
+impl HeadTable {
+    /// The rank whose cells hold `word`, if any. The count of bounds at or
+    /// below the word's cell is odd exactly inside a rank's cells.
+    #[inline]
+    fn rank(&self, word: u64) -> Option<u64> {
+        let cell = word >> 32;
+        let entry = self.guide.get((cell >> self.shift) as usize)?;
+        let mut p = entry.below as usize;
+        if cell >= u64::from(entry.next) {
+            p += 1;
+            while self.bounds.get(p).is_some_and(|&b| u64::from(b) <= cell) {
+                p += 1;
+            }
+        }
+        (p % 2 == 1).then_some(p as u64 / 2)
+    }
+}
+
+/// Zipf sampler over ranks `0..n` by Hörmann's rejection-inversion, with a
+/// small table over the ranks a plan is expected to draw.
+///
+/// The exact path costs one `powf` per draw and O(1) memory, so
+/// vocabularies of millions cost nothing to set up (an exact-CDF table at
+/// this scale would be tens of megabytes; cf. `picasso_data::IdSampler`,
+/// which serves the *training* side where vocabularies are clamped). Most
+/// draws land in the skewed head, though, so a [`HeadTable`] over the
+/// ranks the plan is expected to draw at least once — at most
+/// [`MAX_HEAD_RANKS`], 64 KiB — answers them without a float operation,
+/// and the exact path keeps the tail.
+///
+/// Why the table answers bit for bit: the exact path maps a draw word to
+/// `u` through [`open_unit`] (exact), one product and one sum. A correctly
+/// rounded product or sum never reverses order, so `u` is monotone in the
+/// 53-bit draw `m`, and rank `k` is accepted on the first step whenever
+/// `x = H⁻¹(u)` lies in `[k − reject_s, k + 0.5)`. In exact arithmetic
+/// those `x` form one interval of `m`. The table stores it in cells of
+/// `2²¹` draws, computed from `H(k − reject_s)` and `H(k + 0.5)`, rounded
+/// inward to whole cells and then shrunk by one more cell on each side.
+/// That guard band of at least `2²¹` draws dwarfs the combined rounding
+/// error of the bound and of the exact path's `powf`, which in units of
+/// `m` is a few over `|1 − s|·span` (the span of `u` is at least 1): a few
+/// hundred draws at most for any plan exponent, a multiple of 0.01. Every
+/// other word — the gaps between ranks and the tail past the table — runs
+/// the exact path on the same word, and a rejection draws its next word as
+/// before, so ranks and the RNG stream are the exact sampler's.
 #[derive(Debug, Clone)]
 struct ZipfSampler {
     n: f64,
@@ -253,10 +340,13 @@ struct ZipfSampler {
     h_x1: f64,
     h_n: f64,
     reject_s: f64,
+    head: HeadTable,
 }
 
 impl ZipfSampler {
-    fn new(n: u64, s: f64) -> ZipfSampler {
+    /// A sampler tabulating the ranks that `draws` draws are expected to hit
+    /// at least once.
+    fn new(n: u64, s: f64, draws: f64) -> ZipfSampler {
         assert!(n >= 1, "zipf vocabulary must be nonempty");
         assert!(s.is_finite() && s >= 0.0, "zipf exponent must be >= 0");
         let nf = n as f64;
@@ -264,12 +354,75 @@ impl ZipfSampler {
         let h_n = Self::h_integral(nf + 0.5, s);
         let reject_s =
             2.0 - Self::h_integral_inverse(Self::h_integral(2.5, s) - Self::h(2.0, s), s);
-        ZipfSampler {
+        let mut sampler = ZipfSampler {
             n: nf,
             s,
             h_x1,
             h_n,
             reject_s,
+            head: HeadTable::default(),
+        };
+        sampler.head = sampler.head_table(draws);
+        sampler
+    }
+
+    /// The guarded head table (see the type docs). Empty for uniform
+    /// draws, and for exponents so close to 1 outside the `ln` branch that
+    /// the error bound would not hold.
+    fn head_table(&self, draws: f64) -> HeadTable {
+        let s = self.s;
+        let near_one = (s - 1.0).abs();
+        if s == 0.0 || (1e-9..1e-3).contains(&near_one) || !(0.0..0.5).contains(&self.reject_s) {
+            return HeadTable::default();
+        }
+        let span = self.h_n - self.h_x1;
+        // Rank k takes about h(k) / span of the draws, so the plan is
+        // expected to draw it at least once while k^s <= draws / span.
+        let ranks = (draws / span)
+            .powf(1.0 / s)
+            .min(self.n)
+            .min(MAX_HEAD_RANKS as f64) as usize;
+        // The cell, as a real number, where the exact path's x reaches `x`.
+        let cell_of = |x: f64| (Self::h_integral(x, s) - self.h_x1) / span * CELLS;
+        let mut bounds = Vec::with_capacity(2 * ranks);
+        let mut last = 0u32;
+        for k in 1..=ranks {
+            let k = k as f64;
+            let lo = cell_of(k - self.reject_s).ceil() + 1.0;
+            let hi = cell_of(k + 0.5).floor() - 1.0;
+            if !(lo.is_finite() && hi.is_finite()) {
+                break;
+            }
+            // `as` saturates, and every clamp here only shrinks a rank.
+            let lo = (lo.max(0.0) as u32).max(last);
+            let hi = (hi.max(0.0) as u32).max(lo);
+            bounds.extend([lo, hi]);
+            last = hi;
+        }
+        // At most one guide bucket per rank, covering the cells below the
+        // last bound, so each bucket has a next bound.
+        let end = u64::from(last);
+        let mut shift = 0;
+        while end >> shift >= ranks.max(1) as u64 {
+            shift += 1;
+        }
+        let buckets = end.div_ceil(1 << shift) as usize;
+        let mut guide = Vec::with_capacity(buckets);
+        let mut p = 0;
+        for j in 0..buckets {
+            let first = (j as u64) << shift;
+            while u64::from(bounds[p]) <= first {
+                p += 1;
+            }
+            guide.push(GuideEntry {
+                below: p as u32,
+                next: bounds[p],
+            });
+        }
+        HeadTable {
+            bounds,
+            guide,
+            shift,
         }
     }
 
@@ -301,14 +454,27 @@ impl ZipfSampler {
             return (rng.next_u64() % self.n as u64).min(self.n as u64 - 1);
         }
         loop {
-            let u = self.h_n + rng.open_unit() * (self.h_x1 - self.h_n);
-            let x = Self::h_integral_inverse(u, self.s);
-            let k = x.clamp(1.0, self.n).round();
-            if k - x <= self.reject_s || u >= Self::h_integral(k + 0.5, self.s) - Self::h(k, self.s)
-            {
-                return (k as u64 - 1).min(self.n as u64 - 1);
+            if let Some(rank) = self.draw(rng.next_u64()) {
+                return rank;
             }
         }
+    }
+
+    /// One rejection-inversion step on one draw word: the head table's
+    /// rank when it holds the word, else the exact path's.
+    #[inline]
+    fn draw(&self, word: u64) -> Option<u64> {
+        self.head.rank(word).or_else(|| self.exact(word))
+    }
+
+    /// Hörmann's rejection-inversion step on one draw word: the accepted
+    /// rank, or `None` when the word is rejected.
+    fn exact(&self, word: u64) -> Option<u64> {
+        let u = self.h_n + open_unit(word) * (self.h_x1 - self.h_n);
+        let x = Self::h_integral_inverse(u, self.s);
+        let k = x.clamp(1.0, self.n).round();
+        (k - x <= self.reject_s || u >= Self::h_integral(k + 0.5, self.s) - Self::h(k, self.s))
+            .then(|| (k as u64 - 1).min(self.n as u64 - 1))
     }
 }
 
@@ -330,7 +496,8 @@ pub struct TrafficGen {
 impl TrafficGen {
     /// Builds the generator (position 0, calm state).
     pub fn new(plan: TrafficPlan) -> TrafficGen {
-        let zipf = ZipfSampler::new(plan.users, plan.zipf_s());
+        let draws = plan.requests as f64 * plan.ids_per_request as f64;
+        let zipf = ZipfSampler::new(plan.users, plan.zipf_s(), draws);
         // Two decorrelated streams from one seed: arrival clock and ID draws
         // advance independently, so adding an ID per request never shifts
         // the arrival sequence.
@@ -430,7 +597,10 @@ impl Iterator for TrafficGen {
     type Item = Request;
 
     fn next(&mut self) -> Option<Request> {
-        let mut ids = Vec::new();
+        if self.emitted >= self.plan.requests {
+            return None;
+        }
+        let mut ids = Vec::with_capacity(self.plan.ids_per_request as usize);
         let at_ns = self.next_into(&mut ids)?;
         Some(Request { at_ns, ids })
     }
@@ -524,6 +694,58 @@ mod tests {
         ids.truncate(1);
         assert_eq!(gen.next_into(&mut ids), None);
         assert_eq!(ids.len(), 1, "an exhausted generator appends nothing");
+    }
+
+    #[test]
+    fn head_cells_answer_what_the_exact_path_does_at_their_edges() {
+        // (users, s, draws): the serving sweep's two skews, the `ln`/`exp`
+        // branch, steep and nearly flat exponents, one- and two-rank
+        // vocabularies, and heads just under, at and over the rank cap.
+        let draws_for = |ranks: f64, n: u64, s: f64| {
+            let z = ZipfSampler::new(n, s, 0.0);
+            ranks.powf(s) * (z.h_n - z.h_x1) + 1e-6
+        };
+        let mut cases = vec![
+            (200_000, 1.05, 320_000.0),
+            (3_000_000, 0.8, 48_000.0),
+            (1_000_000, 1.0, 1e6),
+            (50_000, 3.0, 1e9),
+            (1_000_000_000, 0.01, 1e12),
+            (1_000_000_000, 1.01, 1e6),
+            (1, 1.5, 1e3),
+            (2, 0.5, 1e3),
+        ];
+        for ranks in [4095.0, 4096.0, 4097.0] {
+            cases.push((100_000, 1.2, draws_for(ranks, 100_000, 1.2)));
+        }
+        for (n, s, draws) in cases {
+            let z = ZipfSampler::new(n, s, draws);
+            let head = &z.head;
+            assert!(!head.bounds.is_empty(), "users={n} s={s}: empty head");
+            let mut fast = 0;
+            for (i, cells) in head.bounds.chunks_exact(2).enumerate() {
+                let (lo, hi) = ((cells[0] as u64) << 21, (cells[1] as u64) << 21);
+                if lo == hi {
+                    continue;
+                }
+                fast += 1;
+                for m in [lo.saturating_sub(1), lo, hi - 1, hi] {
+                    let word = m << 11 | (m & 0x7ff);
+                    let inside = (lo..hi).contains(&m);
+                    assert_eq!(head.rank(word), inside.then_some(i as u64), "m={m}");
+                    assert_eq!(z.draw(word), z.exact(word), "users={n} s={s} m={m}");
+                    if inside {
+                        assert_eq!(z.exact(word), Some(i as u64), "users={n} s={s} m={m}");
+                    }
+                }
+            }
+            assert!(fast > 0, "users={n} s={s}: no rank has cells");
+        }
+        let ranks = |draws| ZipfSampler::new(100_000, 1.2, draws).head.bounds.len() / 2;
+        assert_eq!(ranks(draws_for(4095.0, 100_000, 1.2)), 4095);
+        assert_eq!(ranks(draws_for(4096.0, 100_000, 1.2)), MAX_HEAD_RANKS);
+        assert_eq!(ranks(draws_for(4097.0, 100_000, 1.2)), MAX_HEAD_RANKS);
+        assert!(ZipfSampler::new(100_000, 0.0, 1e9).head.guide.is_empty());
     }
 
     #[test]
