@@ -163,11 +163,6 @@ impl<'a> Decoder<'a> {
         (0..n).map(|_| self.f32()).collect()
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Asserts the payload was consumed exactly.
     pub fn finish(self) -> Result<(), CodecError> {
         if self.pos == self.buf.len() {

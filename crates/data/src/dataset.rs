@@ -41,14 +41,6 @@ impl DatasetSpec {
         groups.len()
     }
 
-    /// Distinct embedding dimensions in use, ascending.
-    pub fn distinct_dims(&self) -> Vec<usize> {
-        let mut dims: Vec<usize> = self.fields.iter().map(|f| f.dim).collect();
-        dims.sort_unstable();
-        dims.dedup();
-        dims
-    }
-
     /// Total logical embedding parameters (floats), counting shared tables
     /// once.
     pub fn total_params(&self) -> f64 {
@@ -71,15 +63,6 @@ impl DatasetSpec {
             .iter()
             .map(|f| f.embedding_bytes_per_instance())
             .sum()
-    }
-
-    /// Fields grouped by embedding dimension (the D-packing criterion).
-    pub fn fields_by_dim(&self) -> BTreeMap<usize, Vec<usize>> {
-        let mut by_dim: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, f) in self.fields.iter().enumerate() {
-            by_dim.entry(f.dim).or_default().push(i);
-        }
-        by_dim
     }
 
     /// Wraps in an [`Arc`] for cheap sharing.
@@ -262,13 +245,19 @@ impl DatasetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// The embedding dimensions `d`'s fields use.
+    fn dims(d: &DatasetSpec) -> BTreeSet<usize> {
+        d.fields.iter().map(|f| f.dim).collect()
+    }
 
     #[test]
     fn criteo_matches_table_two() {
         let d = DatasetSpec::criteo();
         assert_eq!(d.numeric, 13);
         assert_eq!(d.sparse_field_count(), 26);
-        assert_eq!(d.distinct_dims(), vec![128]);
+        assert_eq!(dims(&d), BTreeSet::from([128]));
         let params = d.total_params();
         assert!(
             (5e9..7e9).contains(&params),
@@ -281,7 +270,7 @@ mod tests {
         let d = DatasetSpec::alibaba();
         assert_eq!(d.sparse_field_count(), 1207);
         assert_eq!(d.table_count(), 19, "7 base + 12 sequence tables");
-        assert_eq!(d.distinct_dims(), vec![4]);
+        assert_eq!(dims(&d), BTreeSet::from([4]));
         let params = d.total_params();
         assert!((5e9..7e9).contains(&params), "got {params:.2e}");
     }
@@ -291,7 +280,7 @@ mod tests {
         let d = DatasetSpec::product1();
         assert_eq!(d.sparse_field_count(), 204);
         assert_eq!(d.numeric, 10);
-        assert_eq!(d.distinct_dims(), vec![8, 16, 32]);
+        assert_eq!(dims(&d), BTreeSet::from([8, 16, 32]));
         let params = d.total_params();
         assert!(
             (1.3e11..2e11).contains(&params),
@@ -337,15 +326,6 @@ mod tests {
         // naive per-field sum.
         let naive: f64 = base.fields.iter().map(|f| f.table_params()).sum();
         assert!(base.total_params() < naive / 10.0);
-    }
-
-    #[test]
-    fn fields_by_dim_partitions_all_fields() {
-        let d = DatasetSpec::product2();
-        let by_dim = d.fields_by_dim();
-        let total: usize = by_dim.values().map(|v| v.len()).sum();
-        assert_eq!(total, d.sparse_field_count());
-        assert_eq!(by_dim.len(), d.distinct_dims().len());
     }
 
     #[test]

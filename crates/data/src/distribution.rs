@@ -49,6 +49,8 @@ const GUIDE_PER_RANK: usize = 4;
 pub struct IdSampler {
     vocab: u64,
     cumulative: Arc<[f64]>,
+    /// The last cumulative weight: the mass of the whole vocabulary.
+    total: f64,
     /// `guide[j]` counts the ranks whose cumulative weight falls in a
     /// bucket below `j`: where a draw in bucket `j` starts looking.
     guide: Arc<[u32]>,
@@ -99,6 +101,7 @@ impl IdSampler {
         IdSampler {
             vocab,
             cumulative: cumulative.into(),
+            total,
             guide: guide.into(),
             scale,
         }
@@ -124,8 +127,7 @@ impl IdSampler {
 
     /// Draws one ID rank (0 = hottest).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let total = *self.cumulative.last().expect("nonempty vocabulary");
-        let u: f64 = rng.gen_range(0.0..total);
+        let u: f64 = rng.gen_range(0.0..self.total);
         self.rank_of(u) as u64
     }
 
@@ -167,9 +169,8 @@ impl IdSampler {
     pub fn probability(&self, k: u64) -> f64 {
         let k = k as usize;
         assert!(k < self.cumulative.len(), "rank out of range");
-        let total = self.cumulative[self.cumulative.len() - 1];
         let prev = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
-        (self.cumulative[k] - prev) / total
+        (self.cumulative[k] - prev) / self.total
     }
 
     /// CDF points `(fraction of IDs, fraction of mass)` at `points` evenly

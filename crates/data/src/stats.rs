@@ -157,23 +157,6 @@ impl FrequencyStats {
         }
     }
 
-    /// The `k` most frequent IDs, most frequent first (ties broken by ID for
-    /// determinism).
-    pub fn top_k(&self, k: usize) -> Vec<u64> {
-        let mut items = self.unordered();
-        let by_rank = |a: &(u64, u64), b: &(u64, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-        if k < items.len() {
-            // The ranking is a total order (IDs are unique), so selecting
-            // the first k and sorting them equals sorting everything.
-            if k > 0 {
-                items.select_nth_unstable_by(k - 1, by_rank);
-            }
-            items.truncate(k);
-        }
-        items.sort_unstable_by(by_rank);
-        items.into_iter().map(|(id, _)| id).collect()
-    }
-
     /// Fraction of observations covered by the top `fraction` of *distinct*
     /// IDs — the empirical version of Fig. 3's coverage curve.
     pub fn coverage_of_top(&self, fraction: f64) -> f64 {
@@ -223,17 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_orders_by_frequency_then_id() {
-        for mut s in both() {
-            s.record_all(&[5, 5, 9, 9, 2]);
-            assert_eq!(s.top_k(2), vec![5, 9], "tie broken by smaller id");
-            assert_eq!(s.top_k(1), vec![5]);
-            assert_eq!(s.top_k(10), vec![5, 9, 2]);
-            assert!(s.top_k(0).is_empty());
-        }
-    }
-
-    #[test]
     fn coverage_of_skewed_stream() {
         for mut s in both() {
             // One id covers 90 of 100 observations; 10 ids cover the rest.
@@ -255,7 +227,6 @@ mod tests {
         for s in both() {
             assert_eq!(s.coverage_of_top(0.5), 0.0);
             assert_eq!(s.cdf_points(3).len(), 3);
-            assert!(s.top_k(3).is_empty());
             assert!(s.counts().is_empty());
         }
     }
@@ -309,9 +280,6 @@ mod tests {
         }
         assert_eq!(hashed.distinct(), dense.distinct());
         assert_eq!(hashed.counts(), dense.counts());
-        for k in [0, 1, 7, 40, 127, 128, 500] {
-            assert_eq!(hashed.top_k(k), dense.top_k(k), "top-{k}");
-        }
         for f in [0.0, 0.1, 0.2, 0.5, 1.0] {
             assert_eq!(
                 hashed.coverage_of_top(f).to_bits(),

@@ -21,31 +21,29 @@ pub struct TableSnapshot {
 }
 
 impl TableSnapshot {
-    /// Captures the rows for `ids` (which must be materialized and sorted
-    /// ascending) via one batched read of the table's arena.
-    fn capture(table: &EmbeddingTable, ids: Vec<u64>) -> TableSnapshot {
-        let dim = table.dim();
-        let mut buf = Vec::new();
-        table.gather_materialized(&ids, &mut buf);
-        let rows = ids
+    /// Captures the table's rows (dirty ones only when `dirty_only`),
+    /// ascending by ID, read from the arena by slot.
+    fn capture(table: &EmbeddingTable, dirty_only: bool) -> TableSnapshot {
+        let arena = table.arena();
+        let rows = table
+            .sorted_rows(dirty_only)
             .into_iter()
-            .enumerate()
-            .map(|(i, id)| (id, buf[i * dim..(i + 1) * dim].to_vec()))
+            .map(|(id, slot)| (id, arena.row(slot).to_vec()))
             .collect();
         TableSnapshot {
-            dim: dim as u32,
+            dim: table.dim() as u32,
             rows,
         }
     }
 
     /// Captures every materialized row of `table`.
     pub fn full(table: &EmbeddingTable) -> TableSnapshot {
-        Self::capture(table, table.materialized_ids())
+        Self::capture(table, false)
     }
 
     /// Captures only rows dirtied since the table's last `mark_clean`.
     pub fn dirty(table: &EmbeddingTable) -> TableSnapshot {
-        Self::capture(table, table.dirty_ids().collect())
+        Self::capture(table, true)
     }
 
     /// Number of rows captured.
@@ -205,6 +203,20 @@ mod tests {
         );
         assert!(delta.len() < TableSnapshot::full(&t).len());
         assert_eq!(TableSnapshot::encode_dirty(&t), delta.encode());
+    }
+
+    #[test]
+    fn capture_reads_rows_without_dirtying() {
+        let mut t = EmbeddingTable::new(2, 5);
+        t.row(4);
+        t.row(1);
+        t.mark_clean();
+        let snap = TableSnapshot::full(&t);
+        assert_eq!(snap.rows.len(), 2);
+        assert_eq!(snap.rows[0].0, 1);
+        assert_eq!(&snap.rows[0].1[..], t.peek(1).unwrap());
+        assert!(TableSnapshot::dirty(&t).is_empty());
+        assert_eq!(t.dirty_count(), 0, "capture must not dirty");
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! over the tables `T`, where `N` is the total number of categorical IDs and
 //! the frequencies come from warm-up statistics.
 
-use picasso_data::FrequencyStats;
-
 /// Per-table inputs to Eq. 1: dimension and the warm-up relative frequency
 /// mass of the IDs hitting it.
 #[derive(Debug, Clone, Copy)]
@@ -19,19 +17,6 @@ pub struct TableLoad {
 }
 
 impl TableLoad {
-    /// Builds the load of one table from warm-up statistics.
-    ///
-    /// `table_stats` counts this table's observed IDs; `total_ids` is `N`,
-    /// the total categorical IDs observed across all tables.
-    pub fn from_stats(dim: usize, table_stats: &FrequencyStats, total_ids: u64) -> TableLoad {
-        let freq_mass = if total_ids == 0 {
-            0.0
-        } else {
-            table_stats.total() as f64 / total_ids as f64
-        };
-        TableLoad { dim, freq_mass }
-    }
-
     /// This table's contribution to Eq. 1: `N * t_dim * sum_{ID in t}
     /// ID_freq` floats, given `total_ids = N` observed IDs. Calibration
     /// tooling uses the per-table term directly; [`calc_vparam`] sums it
@@ -90,16 +75,6 @@ mod tests {
         let one = calc_vparam(&[t], 100);
         let two = calc_vparam(&[t, t], 100);
         assert!((two - 2.0 * one).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_stats_computes_mass() {
-        let mut s = FrequencyStats::new();
-        s.record_all(&[1, 2, 2, 3]);
-        let load = TableLoad::from_stats(16, &s, 16);
-        assert!((load.freq_mass - 0.25).abs() < 1e-12);
-        let empty = TableLoad::from_stats(16, &FrequencyStats::new(), 0);
-        assert_eq!(empty.freq_mass, 0.0);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! # picasso-embedding
 //!
 //! The embedding-layer substrate of the PICASSO reproduction: hashmap-backed
-//! embedding tables, the sparse operators of §II-D (Unique, Partition,
-//! Gather, Shuffle, Stitch, SegmentReduction), the HybridHash cache
-//! (Algorithm 1) as its hot-set policy, the Eq. 1 `CalcVParam` cost model,
-//! and the D-Packing planner that groups tables into packed operations.
+//! embedding tables over one row arena, the HybridHash cache (Algorithm 1)
+//! as its hot-set policy, the Eq. 1 `CalcVParam` cost model, and the
+//! D-Packing planner that groups tables into packed operations.
 //!
-//! Everything in this crate executes for real on the CPU over materialized
-//! ID streams; the measured outputs (hit ratios, unique counts, comm bytes)
-//! parameterize the hardware simulator.
+//! The tables and the cache policy execute for real on the CPU: the trainer
+//! looks rows up and applies gradients through [`EmbeddingTable`], and the
+//! warm-up measures hit ratios through [`HotSetPolicy`]. The §II-D sparse
+//! operators (Unique, Partition, Gather, Shuffle, Stitch,
+//! SegmentReduction) are not executed here; `picasso_exec::costs` prices
+//! them for the hardware simulator.
 //!
 //! ```
 //! use picasso_embedding::{HotSetPolicy, HybridHashConfig};
@@ -21,20 +23,16 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ckpt;
 pub mod cost;
-pub mod ops;
 pub mod planner;
 pub mod policy;
 pub mod table;
 
 pub use ckpt::TableSnapshot;
 pub use cost::{calc_vparam, shard_count, TableLoad};
-pub use ops::{
-    expand_unique, gather, partition, segment_reduce, shuffle_stitch, unique, OpCost,
-    PartitionOutput, Reduction, UniqueOutput,
-};
 pub use planner::{Pack, PackPlan, PlannerConfig};
 pub use policy::{CacheMetrics, CacheStats, HotSetPolicy, HybridHashConfig, LookupReport};
-pub use table::{EmbeddingTable, RowArena, ShardedTable};
+pub use table::{EmbeddingTable, RowArena};

@@ -52,11 +52,6 @@ pub struct PackPlan {
 }
 
 impl PackPlan {
-    /// Number of packed embedding operations (Table V's right column).
-    pub fn pack_count(&self) -> usize {
-        self.packs.len()
-    }
-
     /// The Eq. 1 assignment in the form the D-Packing pass consumes:
     /// embedding table group → pack index.
     pub fn table_to_pack(&self) -> BTreeMap<usize, usize> {
@@ -100,6 +95,10 @@ impl PackPlan {
     }
 
     /// Plans packs using measured per-table loads (from warm-up iterations).
+    ///
+    /// # Panics
+    /// If `cfg.max_tables_per_pack` is 0, or if `loads` lacks the table of
+    /// one of `spec`'s fields.
     pub fn with_loads(
         spec: &DatasetSpec,
         cfg: &PlannerConfig,
@@ -151,6 +150,10 @@ impl PackPlan {
         // Route fields to packs through their tables.
         let mut field_to_pack = Vec::with_capacity(spec.fields.len());
         for (i, f) in spec.fields.iter().enumerate() {
+            // Invariant: `loads` holds every field's table, so every table
+            // a field names was packed above. `plan` derives `loads` from
+            // the fields, and the warm-up counts one load per field table.
+            #[allow(clippy::expect_used)]
             let p = *table_to_pack
                 .get(&f.table_group)
                 .expect("every field's table has a load entry");
@@ -209,7 +212,7 @@ mod tests {
         ] {
             let plan = PackPlan::plan(&spec, &cfg);
             let tables = spec.table_count();
-            let packs = plan.pack_count();
+            let packs = plan.packs.len();
             assert!(
                 packs >= paper_packs / 3 && packs <= paper_packs * 3,
                 "{}: {packs} packs for {tables} tables (paper: {paper_packs})",
@@ -248,7 +251,7 @@ mod tests {
         }
         // Tighter cap means more packs.
         let loose = PackPlan::plan(&spec, &PlannerConfig::default());
-        assert!(plan.pack_count() >= loose.pack_count());
+        assert!(plan.packs.len() >= loose.packs.len());
     }
 
     #[test]
@@ -260,6 +263,6 @@ mod tests {
                 max_tables_per_pack: 10,
             },
         );
-        assert!(plan.pack_count() >= 3, "26 tables / cap 10 -> >= 3 packs");
+        assert!(plan.packs.len() >= 3, "26 tables / cap 10 -> >= 3 packs");
     }
 }

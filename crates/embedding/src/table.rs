@@ -8,8 +8,8 @@
 //!
 //! Storage is struct-of-arrays: all rows live in one contiguous `f32` arena
 //! ([`RowArena`]) with a hashmap used only to translate an ID to its dense
-//! slot. The hot path (gather / scatter over a batch of IDs) then streams
-//! through contiguous memory instead of chasing one heap allocation per row.
+//! slot. Row lookups, gradient steps and checkpoint capture then read and
+//! write contiguous memory instead of chasing one heap allocation per row.
 
 use picasso_data::{splitmix64, IdHash};
 use std::collections::HashMap;
@@ -132,8 +132,8 @@ impl RowArena {
 /// agree on *which* rows exist, not just their values). Incremental
 /// checkpoints serialize only this dirty set. It is one flag per arena slot
 /// plus a count of the set flags, so marking a row costs no lookup beyond
-/// the one that found its slot; [`EmbeddingTable::dirty_ids`] sorts the
-/// flagged IDs when a checkpoint asks for them.
+/// the one that found its slot; checkpoint capture sorts the flagged rows
+/// when it asks for them.
 #[derive(Debug, Clone)]
 pub struct EmbeddingTable {
     seed: u64,
@@ -220,28 +220,6 @@ impl EmbeddingTable {
         self.arena.get(id)
     }
 
-    /// Batched gather: appends `dim` floats per ID to `out`, materializing
-    /// absent rows. One pass over contiguous arena memory.
-    pub fn gather_rows(&mut self, ids: &[u64], out: &mut Vec<f32>) {
-        out.reserve(ids.len() * self.arena.dim());
-        for &id in ids {
-            let slot = self.ensure(id);
-            out.extend_from_slice(self.arena.row(slot));
-        }
-    }
-
-    /// Batched read-only gather over rows that must already be materialized
-    /// (checkpoint capture): appends `dim` floats per ID to `out`.
-    ///
-    /// # Panics
-    /// Panics if any ID has no materialized row.
-    pub fn gather_materialized(&self, ids: &[u64], out: &mut Vec<f32>) {
-        out.reserve(ids.len() * self.arena.dim());
-        for &id in ids {
-            out.extend_from_slice(self.arena.get(id).expect("row must be materialized"));
-        }
-    }
-
     /// Overwrites the row for `id` (used by cache write-back).
     pub fn put(&mut self, id: u64, values: &[f32]) {
         let slot = self.arena.insert(id, values);
@@ -258,20 +236,6 @@ impl EmbeddingTable {
             *w -= lr * g;
         }
         self.mark_dirty(slot);
-    }
-
-    /// Batched scatter: applies `row -= lr * grad` for each ID, reading the
-    /// i-th gradient from `grads[i*dim..(i+1)*dim]`.
-    pub fn scatter_grads(&mut self, ids: &[u64], grads: &[f32], lr: f32) {
-        let dim = self.dim();
-        assert_eq!(
-            grads.len(),
-            ids.len() * dim,
-            "need one dim-wide gradient per id"
-        );
-        for (i, &id) in ids.iter().enumerate() {
-            self.apply_gradient(id, &grads[i * dim..(i + 1) * dim], lr);
-        }
     }
 
     /// IDs of rows touched (materialized, written, or updated) since the last
@@ -333,58 +297,6 @@ impl EmbeddingTable {
     }
 }
 
-/// An embedding table partitioned across `n_shards` workers (the MP layout:
-/// embedding parameters are partitioned across PICASSO-Executors).
-#[derive(Debug, Clone)]
-pub struct ShardedTable {
-    shards: Vec<EmbeddingTable>,
-}
-
-impl ShardedTable {
-    /// Creates a table split over `n_shards` partitions.
-    pub fn new(dim: usize, seed: u64, n_shards: usize) -> Self {
-        assert!(n_shards > 0, "need at least one shard");
-        ShardedTable {
-            shards: (0..n_shards)
-                // Same seed on every shard: the shard of an ID is a pure
-                // function of the ID, so values do not depend on layout.
-                .map(|_| EmbeddingTable::new(dim, seed))
-                .collect(),
-        }
-    }
-
-    /// Number of partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard owns `id`.
-    pub fn shard_of(&self, id: u64) -> usize {
-        (splitmix64(id) % self.shards.len() as u64) as usize
-    }
-
-    /// Mutable access to one shard.
-    pub fn shard_mut(&mut self, s: usize) -> &mut EmbeddingTable {
-        &mut self.shards[s]
-    }
-
-    /// Shared access to one shard.
-    pub fn shard(&self, s: usize) -> &EmbeddingTable {
-        &self.shards[s]
-    }
-
-    /// Looks up `id` on its owning shard.
-    pub fn row(&mut self, id: u64) -> &[f32] {
-        let s = self.shard_of(id);
-        self.shards[s].row(id)
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.shards[0].dim()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,50 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_gather_matches_single_row_lookups() {
-        let mut batched = EmbeddingTable::new(4, 11);
-        let mut single = EmbeddingTable::new(4, 11);
-        let ids = [9u64, 2, 9, 100, 2];
-        let mut out = Vec::new();
-        batched.gather_rows(&ids, &mut out);
-        let mut want = Vec::new();
-        for &id in &ids {
-            want.extend_from_slice(single.row(id));
-        }
-        assert_eq!(out, want);
-        assert_eq!(batched.dirty_count(), single.dirty_count());
-        assert_eq!(batched.materialized_ids(), single.materialized_ids());
-    }
-
-    #[test]
-    fn batched_scatter_matches_single_gradients() {
-        let mut batched = EmbeddingTable::new(2, 3);
-        let mut single = EmbeddingTable::new(2, 3);
-        let ids = [7u64, 8, 7];
-        let grads = [1.0f32, 2.0, -1.0, 0.5, 0.25, 4.0];
-        batched.scatter_grads(&ids, &grads, 0.1);
-        for (i, &id) in ids.iter().enumerate() {
-            single.apply_gradient(id, &grads[i * 2..(i + 1) * 2], 0.1);
-        }
-        for &id in &ids {
-            assert_eq!(batched.peek(id), single.peek(id));
-        }
-    }
-
-    #[test]
-    fn gather_materialized_reads_without_dirtying() {
-        let mut t = EmbeddingTable::new(2, 5);
-        t.row(4);
-        t.row(1);
-        t.mark_clean();
-        let mut out = Vec::new();
-        t.gather_materialized(&[1, 4], &mut out);
-        assert_eq!(out.len(), 4);
-        assert_eq!(&out[..2], t.peek(1).unwrap());
-        assert_eq!(t.dirty_count(), 0, "read-only gather must not dirty");
-    }
-
-    #[test]
     fn arena_rows_are_contiguous_slots() {
         let mut a = RowArena::new(2);
         let (s0, c0) = a.ensure_with(50, |j| j as f32);
@@ -498,29 +366,6 @@ mod tests {
         a.insert(10, &[9.0, 9.0]);
         assert_eq!(a.get(10).unwrap(), &[9.0, 9.0]);
         assert_eq!(a.len(), 2, "overwrite does not grow the arena");
-    }
-
-    #[test]
-    fn shards_partition_ids_consistently() {
-        let mut t = ShardedTable::new(4, 7, 4);
-        assert_eq!(t.shard_count(), 4);
-        let s = t.shard_of(99);
-        assert_eq!(s, t.shard_of(99), "stable mapping");
-        // Value equals an unsharded table's value: layout-independent.
-        let mut plain = EmbeddingTable::new(4, 7);
-        assert_eq!(t.row(99), plain.row(99));
-    }
-
-    #[test]
-    fn shard_distribution_is_roughly_balanced() {
-        let t = ShardedTable::new(4, 0, 8);
-        let mut counts = [0usize; 8];
-        for id in 0..8000 {
-            counts[t.shard_of(id)] += 1;
-        }
-        for &c in &counts {
-            assert!((700..1300).contains(&c), "imbalanced shard: {counts:?}");
-        }
     }
 
     #[test]

@@ -22,9 +22,11 @@ const DIM: usize = 3;
 #[derive(Debug, Clone)]
 enum Op {
     Row(u64),
+    /// A batch's row lookups, one `row` per ID, as the trainer does them.
     Gather(Vec<u64>),
     Put(u64, f32),
     Gradient(u64, f32),
+    /// A batch's gradient steps, one `apply_gradient` per ID.
     Scatter(Vec<u64>, f32),
     MarkClean,
     ClearRows,
@@ -112,10 +114,8 @@ proptest! {
                     }
                 }
                 Op::Gather(ids) => {
-                    let mut out = Vec::new();
-                    table.gather_rows(ids, &mut out);
-                    prop_assert_eq!(out.len(), ids.len() * DIM);
                     for id in ids {
+                        prop_assert_eq!(table.row(*id).len(), DIM);
                         if present.insert(*id) {
                             dirty.insert(*id);
                         }
@@ -133,7 +133,9 @@ proptest! {
                 }
                 Op::Scatter(ids, x) => {
                     let grads: Vec<f32> = (0..ids.len() * DIM).map(|j| x * j as f32).collect();
-                    table.scatter_grads(ids, &grads, 0.05);
+                    for (id, grad) in ids.iter().zip(grads.chunks(DIM)) {
+                        table.apply_gradient(*id, grad, 0.05);
+                    }
                     present.extend(ids);
                     dirty.extend(ids);
                 }

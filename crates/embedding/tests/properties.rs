@@ -1,65 +1,18 @@
-//! Property tests: operator-pipeline equivalence, the arena table against a
-//! per-row model, and planner invariants.
+//! Property tests: the arena table against a per-row model, and planner
+//! invariants.
 
 use picasso_data::DatasetSpec;
-use picasso_embedding::{
-    expand_unique, gather, partition, shuffle_stitch, unique, EmbeddingTable, PackPlan,
-    PlannerConfig, ShardedTable,
-};
+use picasso_embedding::{EmbeddingTable, PackPlan, PlannerConfig};
 use proptest::prelude::*;
 
 proptest! {
-    /// The unique/partition/gather/shuffle-stitch/expand pipeline equals a
-    /// direct row-by-row lookup for any id stream and shard count.
-    #[test]
-    fn embedding_pipeline_equivalence(
-        ids in proptest::collection::vec(0u64..500, 1..120),
-        shards in 1usize..6,
-        dim in 1usize..9,
-    ) {
-        let mut table = ShardedTable::new(dim, 3, shards);
-        let (u, _) = unique(&ids);
-        let (parts, _) = partition(&u.unique_ids, &table);
-        let gathered: Vec<Vec<f32>> = (0..shards)
-            .map(|s| {
-                let part = parts.parts[s].clone();
-                gather(&mut table, s, &part).0
-            })
-            .collect();
-        let (stitched, _) = shuffle_stitch(&parts, &gathered, dim, 0);
-        let (expanded, _) = expand_unique(&stitched, &u.inverse, dim);
-
-        let mut want = Vec::with_capacity(ids.len() * dim);
-        for &id in &ids {
-            want.extend_from_slice(table.row(id));
-        }
-        prop_assert_eq!(expanded, want);
-    }
-
-    /// Unique produces a minimal, consistent mapping.
-    #[test]
-    fn unique_is_minimal_and_consistent(ids in proptest::collection::vec(0u64..50, 0..200)) {
-        let (u, _) = unique(&ids);
-        // Every input id maps back through inverse.
-        for (i, &id) in ids.iter().enumerate() {
-            prop_assert_eq!(u.unique_ids[u.inverse[i] as usize], id);
-        }
-        // No duplicates in unique list.
-        let mut sorted = u.unique_ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), u.unique_ids.len());
-    }
-
     /// The SoA arena table is observationally identical to a per-row model
     /// (the old `HashMap<u64, Box<[f32]>>` storage): same values, same
     /// materialized-ID set, same dirty-ID tracking, under any interleaving
-    /// of row/put/gradient/batched-gather/batched-scatter/mark-clean ops.
+    /// of row/put/gradient/mark-clean ops.
     #[test]
     fn arena_table_matches_per_row_reference_model(
-        ops in proptest::collection::vec(
-            (0usize..6, proptest::collection::vec(0u64..60, 1..8), -1.0f32..1.0),
-            1..60),
+        ops in proptest::collection::vec((0usize..4, 0u64..60, -1.0f32..1.0), 1..60),
     ) {
         let dim = 4;
         let mut table = EmbeddingTable::new(dim, 42);
@@ -69,8 +22,7 @@ proptest! {
         let mut init = EmbeddingTable::new(dim, 42);
         let mut rows: std::collections::HashMap<u64, Vec<f32>> = Default::default();
         let mut dirty: std::collections::BTreeSet<u64> = Default::default();
-        for (kind, ids, x) in &ops {
-            let id = ids[0];
+        for &(kind, id, x) in &ops {
             match kind {
                 0 => {
                     let want = rows.entry(id).or_insert_with(|| {
@@ -93,30 +45,6 @@ proptest! {
                         *w -= 0.1 * g;
                     }
                     dirty.insert(id);
-                }
-                3 => {
-                    let mut got = Vec::new();
-                    table.gather_rows(ids, &mut got);
-                    let mut want = Vec::new();
-                    for &i in ids {
-                        let row = rows.entry(i).or_insert_with(|| {
-                            dirty.insert(i);
-                            init.row(i).to_vec()
-                        });
-                        want.extend_from_slice(row);
-                    }
-                    prop_assert_eq!(got, want);
-                }
-                4 => {
-                    let grads: Vec<f32> = (0..ids.len() * dim).map(|j| x * j as f32).collect();
-                    table.scatter_grads(ids, &grads, 0.05);
-                    for (i, &id) in ids.iter().enumerate() {
-                        let row = rows.entry(id).or_insert_with(|| init.row(id).to_vec());
-                        for (j, w) in row.iter_mut().enumerate() {
-                            *w -= 0.05 * grads[i * dim + j];
-                        }
-                        dirty.insert(id);
-                    }
                 }
                 _ => {
                     table.mark_clean();

@@ -13,7 +13,6 @@ use crate::scheduler::SimulationOutput;
 use picasso_lint::effects::{conflicts, ConflictKind, RaceAllowlist, RaceSig};
 use picasso_lint::{Diagnostic, EffectSet, LintReport, Severity, Span, StaticRace};
 use picasso_obs::json::Json;
-use picasso_obs::metrics::{MetricKind, MetricsRegistry};
 use picasso_sim::analysis::{analyze, DagAnalysis, LaneIdle, PairSpec, PlannedInterleaving};
 use picasso_sim::{ResourceKind, RunResult, TaskCategory};
 use std::collections::BTreeSet;
@@ -60,40 +59,6 @@ pub fn analyze_run(out: &SimulationOutput, micro_batches: usize, groups: usize) 
             groups,
         },
     )
-}
-
-/// Exports the analysis as Prometheus-style gauges: `overlap_ratio{pair=}`
-/// (achieved and planned), `critical_path_frac`, and the critical path's
-/// per-category time share.
-pub fn export_analysis_metrics(a: &DagAnalysis, registry: &MetricsRegistry) {
-    registry.describe(
-        "overlap_ratio",
-        MetricKind::Gauge,
-        "Achieved overlap per resource pair (fraction of hidden-side busy time)",
-    );
-    registry.describe(
-        "overlap_planned_ratio",
-        MetricKind::Gauge,
-        "Planned overlap from the pass pipeline's D*K interleaving",
-    );
-    registry.describe(
-        "critical_path_frac",
-        MetricKind::Gauge,
-        "Fraction of the makespan explained by the dependency-critical path",
-    );
-    registry.describe(
-        "critical_path_category_frac",
-        MetricKind::Gauge,
-        "Critical-path time share per task category",
-    );
-    for o in &a.overlaps {
-        registry.gauge_set("overlap_ratio", &[("pair", &o.pair)], o.achieved);
-        registry.gauge_set("overlap_planned_ratio", &[("pair", &o.pair)], o.planned);
-    }
-    registry.gauge_set("critical_path_frac", &[], a.critical_path_frac);
-    for (cat, frac) in &a.critical_frac_by_category {
-        registry.gauge_set("critical_path_category_frac", &[("category", cat)], *frac);
-    }
 }
 
 /// Lints the analysis:
@@ -494,26 +459,6 @@ mod tests {
         let last = *a.critical_path.last().unwrap();
         let rec = &out.result.records[last as usize];
         assert_eq!(rec.end.as_nanos(), out.result.makespan.as_nanos());
-    }
-
-    #[test]
-    fn metrics_export_includes_overlap_and_critical_path_gauges() {
-        let (out, g) = run(2);
-        let a = analyze_run(&out, 2, g);
-        let reg = MetricsRegistry::new();
-        export_analysis_metrics(&a, &reg);
-        let snap = reg.snapshot();
-        let names: Vec<&str> = snap.gauges.iter().map(|((n, _), _)| n.as_str()).collect();
-        assert!(names.contains(&"overlap_ratio"));
-        assert!(names.contains(&"critical_path_frac"));
-        let pairs: Vec<&str> = snap
-            .gauges
-            .iter()
-            .filter(|((n, _), _)| n == "overlap_ratio")
-            .flat_map(|((_, l), _)| l.iter().map(|(_, v)| v.as_str()))
-            .collect();
-        assert!(pairs.contains(&"comm_under_compute"));
-        assert!(pairs.contains(&"host_under_device"));
     }
 
     #[test]

@@ -37,14 +37,6 @@ pub fn split_intra_inter(remote_bytes: f64, n: usize, per_node: usize) -> (f64, 
     (remote_bytes * intra, remote_bytes * (1.0 - intra))
 }
 
-/// Bytes a parameter-server node serves per iteration when `n_workers`
-/// each pull `bytes_per_worker`, spread over `n_servers` (the server-side
-/// NIC load that congests PS training).
-pub fn ps_server_bytes(bytes_per_worker: f64, n_workers: usize, n_servers: usize) -> f64 {
-    assert!(n_servers >= 1);
-    bytes_per_worker * n_workers as f64 / n_servers as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,12 +69,5 @@ mod tests {
         assert_eq!(nic, 1000.0);
         // Single executor: no remote traffic at all.
         assert_eq!(split_intra_inter(1000.0, 1, 8), (0.0, 0.0));
-    }
-
-    #[test]
-    fn ps_load_concentrates_on_few_servers() {
-        // 8 workers pulling 1 MB each from one server: 8 MB through one NIC.
-        assert_eq!(ps_server_bytes(1e6, 8, 1), 8e6);
-        assert_eq!(ps_server_bytes(1e6, 8, 4), 2e6);
     }
 }

@@ -36,8 +36,8 @@ pub mod trainer;
 pub mod warmup;
 
 pub use analysis::{
-    analysis_report_json, analyze_run, crosscheck_races, export_analysis_metrics, lint_analysis,
-    observed_conflicts, overlap_pairs, ObservedOverlap, RACE_CHECK_RUNS,
+    analysis_report_json, analyze_run, crosscheck_races, lint_analysis, observed_conflicts,
+    overlap_pairs, ObservedOverlap, RACE_CHECK_RUNS,
 };
 pub use calibration::{CalibrationReport, CalibrationStats, CostRecord};
 pub use framework::{Framework, Optimizations};

@@ -10,6 +10,7 @@
 //! spec- and plan-surface rules of the `picasso-lint` static analyzer.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod lint;
 pub mod ops;

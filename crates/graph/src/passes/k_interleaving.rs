@@ -16,7 +16,6 @@
 //! module-position scan over a cloned spec.
 
 use crate::spec::WdlSpec;
-use picasso_lint::{EffectSet, Resource, ResourceKind};
 
 /// Eq. 3: `Capacity_g = min_op (RBound_op / RParam_op)` — the parameter
 /// volume one interleaving group may process without being bounded by any
@@ -149,15 +148,6 @@ pub fn mark_excluded_in_place(spec: &mut WdlSpec, tables: &[usize]) {
     }
 }
 
-/// Returns `spec` with every chain touching one of `tables` marked
-/// `interleave_excluded`. Marked chains keep group 0 in [`apply`] and don't
-/// count toward the Eq. 3 volume in [`auto_group_count`].
-pub fn mark_excluded(spec: &WdlSpec, tables: &[usize]) -> WdlSpec {
-    let mut out = spec.clone();
-    mark_excluded_in_place(&mut out, tables);
-    out
-}
-
 /// Chooses a group count from the Eq. 3 capacity: enough groups that no
 /// group processes more than `capacity` parameters per instance, bounded by
 /// the number of chains. `excluded` overrides the chains' own flags (one
@@ -176,63 +166,6 @@ pub fn auto_group_count_filtered(spec: &WdlSpec, capacity: f64, excluded: &[bool
         .sum();
     let wanted = (total_params_per_instance / capacity).ceil() as usize;
     wanted.clamp(1, spec.chains.len().max(1))
-}
-
-/// Chooses a group count from the Eq. 3 capacity using the chains' own
-/// `interleave_excluded` flags.
-pub fn auto_group_count(spec: &WdlSpec, capacity: f64) -> usize {
-    let excluded: Vec<bool> = spec.chains.iter().map(|c| c.interleave_excluded).collect();
-    auto_group_count_filtered(spec, capacity, &excluded)
-}
-
-/// Per-group effect summaries: for every interleaving group, the union of
-/// shared-resource effects its chains' lowered stages will declare (the
-/// same key convention the executor's derivation table uses — chain `i`
-/// owns `shard:c{i}`, `cache:c{i}`, `dirty:c{i}`).
-///
-/// A chain's forward gather reads its shard (and hot cache when caching is
-/// on); its backward scatter reduce-adds into the same storage and marks
-/// the checkpoint dirty set. The summary is the provenance record for why
-/// K-Interleaving's staggered groups are safe to overlap: every mutation a
-/// group performs lands on resources keyed by its own chains, so the
-/// cross-group effect sets are disjoint (see [`groups_effect_disjoint`]).
-/// Indexing is by group id; groups with no chains summarize as empty.
-pub fn group_effects(spec: &WdlSpec) -> Vec<EffectSet> {
-    let n_groups = spec.group_count();
-    let mut out = vec![EffectSet::empty(); n_groups];
-    for (ci, chain) in spec.chains.iter().enumerate() {
-        let key = format!("c{ci}");
-        let mut set = std::mem::take(&mut out[chain.group as usize])
-            .read(Resource::new(ResourceKind::EmbeddingShard, &key))
-            .reduce(Resource::new(ResourceKind::EmbeddingShard, &key))
-            .reduce(Resource::new(ResourceKind::CkptDirty, &key));
-        if chain.cache_hit_ratio > 0.0 {
-            set = set
-                .read(Resource::new(ResourceKind::CacheHot, &key))
-                .reduce(Resource::new(ResourceKind::CacheHot, &key));
-        }
-        out[chain.group as usize] = set;
-    }
-    out
-}
-
-/// True when no two groups' effect summaries touch a common resource —
-/// the invariant that makes the staggered group schedule race-free by
-/// construction (each group mutates only storage keyed by its own chains).
-pub fn groups_effect_disjoint(groups: &[EffectSet]) -> bool {
-    let mut seen = std::collections::BTreeSet::new();
-    for g in groups {
-        let mut mine = std::collections::BTreeSet::new();
-        for e in &g.effects {
-            mine.insert(e.resource.to_string());
-        }
-        for r in mine {
-            if !seen.insert(r) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -357,14 +290,21 @@ mod tests {
         assert_eq!(s.chains[7].group, 0);
     }
 
+    /// `spec` with every chain touching one of `tables` marked excluded.
+    fn marked(spec: &WdlSpec, tables: &[usize]) -> WdlSpec {
+        let mut out = spec.clone();
+        mark_excluded_in_place(&mut out, tables);
+        out
+    }
+
     #[test]
     fn mark_excluded_flags_matching_chains_only() {
-        let s = mark_excluded(&spec(8), &[2, 5]);
+        let s = marked(&spec(8), &[2, 5]);
         for c in &s.chains {
             assert_eq!(c.interleave_excluded, c.tables == [2] || c.tables == [5]);
         }
         // Empty exclusion list marks nothing.
-        let base = mark_excluded(&spec(4), &[]);
+        let base = marked(&spec(4), &[]);
         assert!(base.chains.iter().all(|c| !c.interleave_excluded));
     }
 
@@ -372,8 +312,7 @@ mod tests {
     fn exclusion_flags_match_mark_excluded() {
         let s = spec(8);
         let flags = exclusion_flags(&s, &[2, 5]);
-        let marked = mark_excluded(&s, &[2, 5]);
-        let from_spec: Vec<bool> = marked
+        let from_spec: Vec<bool> = marked(&s, &[2, 5])
             .chains
             .iter()
             .map(|c| c.interleave_excluded)
@@ -385,11 +324,19 @@ mod tests {
     #[test]
     fn auto_group_count_scales_with_volume() {
         let s = spec(10); // 10 chains x 1 id x dim 8 = 80 params/instance
-        assert_eq!(auto_group_count(&s, 40.0), 2);
-        assert_eq!(auto_group_count(&s, 8.0), 10);
-        assert_eq!(auto_group_count(&s, 1.0), 10, "clamped to chain count");
-        assert_eq!(auto_group_count(&s, f64::INFINITY), 1);
-        assert_eq!(auto_group_count(&s, 0.0), 1);
+        assert_eq!(auto_group_count_filtered(&s, 40.0, &[]), 2);
+        assert_eq!(auto_group_count_filtered(&s, 8.0, &[]), 10);
+        assert_eq!(
+            auto_group_count_filtered(&s, 1.0, &[]),
+            10,
+            "clamped to chain count"
+        );
+        assert_eq!(auto_group_count_filtered(&s, f64::INFINITY, &[]), 1);
+        assert_eq!(auto_group_count_filtered(&s, 0.0, &[]), 1);
+        // Excluded chains don't count toward the volume.
+        let mut half = vec![false; 10];
+        half[..5].fill(true);
+        assert_eq!(auto_group_count_filtered(&s, 8.0, &half), 5);
     }
 
     #[test]
@@ -397,50 +344,5 @@ mod tests {
         let s = apply(&spec(2), 8);
         // Only 2 chains exist; group ids stay dense and small.
         assert!(s.group_count() <= 2);
-    }
-
-    #[test]
-    fn group_effect_summaries_are_keyed_by_chain_and_disjoint() {
-        let s = apply(&spec(8), 2);
-        let groups = group_effects(&s);
-        assert_eq!(groups.len(), 2);
-        // Every chain's shard + dirty set appears in exactly its group.
-        for (ci, chain) in s.chains.iter().enumerate() {
-            let g = &groups[chain.group as usize];
-            let shard = format!("shard:c{ci}");
-            let dirty = format!("dirty:c{ci}");
-            assert!(
-                g.effects.iter().any(|e| e.resource.to_string() == shard),
-                "group {} missing {shard}",
-                chain.group
-            );
-            assert!(g.effects.iter().any(|e| e.resource.to_string() == dirty));
-        }
-        // No caching configured => no cache effects anywhere.
-        assert!(groups
-            .iter()
-            .flat_map(|g| &g.effects)
-            .all(|e| !e.resource.to_string().starts_with("cache:")));
-        assert!(
-            groups_effect_disjoint(&groups),
-            "staggered groups must not share mutable storage"
-        );
-    }
-
-    #[test]
-    fn cached_chains_add_hot_storage_to_their_group_summary() {
-        let mut s = spec(4);
-        s.chains[1].cache_hit_ratio = 0.4;
-        let s = apply(&s, 2);
-        let groups = group_effects(&s);
-        let g = &groups[s.chains[1].group as usize];
-        assert!(g
-            .effects
-            .iter()
-            .any(|e| e.resource.to_string() == "cache:c1"));
-        assert!(groups_effect_disjoint(&groups));
-        // A shared resource across groups breaks disjointness.
-        let shared = EffectSet::empty().reduce(Resource::new(ResourceKind::CacheHot, "c1"));
-        assert!(!groups_effect_disjoint(&[shared.clone(), shared]));
     }
 }

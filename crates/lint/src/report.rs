@@ -3,6 +3,7 @@
 use crate::diag::escape_control;
 use crate::{Diagnostic, Severity};
 use picasso_obs::json::{self, Json};
+use picasso_obs::report::check_schema_version;
 
 /// Schema version stamped into the JSON form.
 pub const LINT_REPORT_SCHEMA_VERSION: u32 = 1;
@@ -34,11 +35,6 @@ impl LintReport {
     /// The error-severity subset.
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.at(Severity::Error)
-    }
-
-    /// The warn-severity subset.
-    pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.at(Severity::Warn)
     }
 
     fn at(&self, severity: Severity) -> impl Iterator<Item = &Diagnostic> {
@@ -86,11 +82,14 @@ impl LintReport {
         ])
     }
 
-    /// Rebuilds a report from [`LintReport::to_json`] output.
+    /// Rebuilds a report from [`LintReport::to_json`] output. `None` for
+    /// another kind, or for a `schema_version` that is missing or is not
+    /// the one `to_json` writes.
     pub fn from_json(v: &Json) -> Option<LintReport> {
         if v.get("kind")?.as_str()? != "picasso.lint_report" {
             return None;
         }
+        check_schema_version(v, LINT_REPORT_SCHEMA_VERSION.into()).ok()?;
         let diagnostics = v
             .get("diagnostics")?
             .items()?
@@ -188,6 +187,13 @@ mod tests {
     fn from_json_rejects_foreign_payloads() {
         let v = Json::obj([("kind", Json::str("picasso.table"))]);
         assert!(LintReport::from_json(&v).is_none());
+        // A lint report of another schema version, or of none, is foreign.
+        let kind = || ("kind", Json::str("picasso.lint_report"));
+        let empty = || ("diagnostics", Json::Arr(Vec::new()));
+        let v = |n| Json::obj([("schema_version", Json::UInt(n)), kind(), empty()]);
+        assert!(LintReport::from_json(&v(1)).is_some());
+        assert!(LintReport::from_json(&v(999)).is_none());
+        assert!(LintReport::from_json(&Json::obj([kind(), empty()])).is_none());
     }
 
     #[test]

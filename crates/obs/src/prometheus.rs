@@ -8,8 +8,8 @@
 //! their final value and exposed as gauges, since the exposition format is a
 //! point-in-time scrape.
 //!
-//! Label cardinality is capped per metric family ([`RenderOptions`],
-//! default 256 series): snapshot sections are sorted, so the surviving
+//! Label cardinality is capped per metric family
+//! ([`MAX_SERIES_PER_FAMILY`]): snapshot sections are sorted, so the surviving
 //! series are deterministic, and every eviction is counted in an
 //! `obs_dropped_series_total{family=...}` counter instead of silently
 //! growing the scrape without bound.
@@ -18,30 +18,12 @@ use crate::metrics::{Labels, MetricKind, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Renderer knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RenderOptions {
-    /// Maximum series rendered per metric family (at least 1); the rest
-    /// are evicted and counted in `obs_dropped_series_total`.
-    pub max_series_per_family: usize,
-}
-
-impl Default for RenderOptions {
-    fn default() -> RenderOptions {
-        RenderOptions {
-            max_series_per_family: 256,
-        }
-    }
-}
-
-/// Renders a snapshot with the default [`RenderOptions`].
-pub fn render(snapshot: &MetricsSnapshot) -> String {
-    render_with(snapshot, &RenderOptions::default())
-}
+/// Maximum series rendered per metric family; the rest are evicted and
+/// counted in `obs_dropped_series_total`.
+pub const MAX_SERIES_PER_FAMILY: usize = 256;
 
 /// Renders a snapshot in Prometheus text exposition format.
-pub fn render_with(snapshot: &MetricsSnapshot, options: &RenderOptions) -> String {
-    let cap = options.max_series_per_family.max(1);
+pub fn render(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let mut last_header: Option<String> = None;
     let mut header = |out: &mut String, name: &str, default_kind: MetricKind| {
@@ -59,13 +41,14 @@ pub fn render_with(snapshot: &MetricsSnapshot, options: &RenderOptions) -> Strin
         }
         let _ = writeln!(out, "# TYPE {name} {}", kind_str(kind));
     };
-    // Per-family admission: sections are sorted maps, so the first `cap`
-    // series of a family (by label order) survive deterministically.
+    // Per-family admission: sections are sorted maps, so the first
+    // `MAX_SERIES_PER_FAMILY` series of a family (by label order) survive
+    // deterministically.
     let mut kept: BTreeMap<String, usize> = BTreeMap::new();
     let mut dropped: BTreeMap<String, u64> = BTreeMap::new();
     let mut admit = |name: &str| -> bool {
         let n = kept.entry(name.to_string()).or_insert(0);
-        if *n < cap {
+        if *n < MAX_SERIES_PER_FAMILY {
             *n += 1;
             true
         } else {
@@ -506,31 +489,26 @@ mod tests {
     #[test]
     fn per_family_cap_evicts_and_counts_drops() {
         let reg = MetricsRegistry::new();
-        for i in 0..10 {
-            reg.gauge_set("wide_family", &[("shard", &format!("{i:02}"))], i as f64);
+        for i in 0..MAX_SERIES_PER_FAMILY + 10 {
+            reg.gauge_set("wide_family", &[("shard", &format!("{i:04}"))], i as f64);
         }
         reg.gauge_set("small_family", &[], 1.0);
 
-        let text = render_with(
-            &reg.snapshot(),
-            &RenderOptions {
-                max_series_per_family: 4,
-            },
-        );
-        let doc = parse(&text).expect("round trip");
+        let doc = parse(&render(&reg.snapshot())).expect("round trip");
         let wide = doc
             .samples
             .iter()
             .filter(|s| s.name == "wide_family")
             .count();
-        assert_eq!(wide, 4, "first four series by label order survive");
-        assert!(doc.find("wide_family", &[("shard", "03")]).is_some());
-        assert!(doc.find("wide_family", &[("shard", "04")]).is_none());
+        assert_eq!(wide, MAX_SERIES_PER_FAMILY);
+        // The first series by label order survive.
+        assert!(doc.find("wide_family", &[("shard", "0255")]).is_some());
+        assert!(doc.find("wide_family", &[("shard", "0256")]).is_none());
         assert_eq!(
             doc.find("obs_dropped_series_total", &[("family", "wide_family")])
                 .expect("drop counter present")
                 .value,
-            6.0
+            10.0
         );
         assert!(
             doc.find("small_family", &[]).is_some(),

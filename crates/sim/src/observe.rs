@@ -201,12 +201,12 @@ mod tests {
         let mut e = Engine::new();
         let g = e.add_resource(ResourceSpec::new("gpu", ResourceKind::GpuSm, 1e9, 0));
         let nw = e.add_resource(
-            ResourceSpec::new("net", ResourceKind::Network, 1e9, 0).with_congestion(
+            ResourceSpec::new("net", ResourceKind::Network, 1e9, 0).with_congestion_opt(Some(
                 CongestionSpec {
                     alpha: 0.0,
                     tau: SimDuration::from_millis(1),
                 },
-            ),
+            )),
         );
         // Two independent network tasks (second queues) feeding one compute.
         let a = e

@@ -149,12 +149,6 @@ impl ResourceSpec {
         self
     }
 
-    /// Enables burst-congestion behaviour.
-    pub fn with_congestion(mut self, congestion: CongestionSpec) -> Self {
-        self.congestion = Some(congestion);
-        self
-    }
-
     /// Sets (or clears) burst-congestion behaviour.
     pub fn with_congestion_opt(mut self, congestion: Option<CongestionSpec>) -> Self {
         self.congestion = congestion;
@@ -331,7 +325,7 @@ mod tests {
         assert!((c.slowdown(SimDuration::from_millis(1)) - 1.5).abs() < 1e-9);
         assert!(c.slowdown(SimDuration::from_millis(100)) < 2.0);
 
-        let mut st = ResourceState::new(spec(1e9).with_congestion(c));
+        let mut st = ResourceState::new(spec(1e9).with_congestion_opt(Some(c)));
         let mut free = channels_for(&st.spec);
         // A burst of 3 tasks, all ready at t=0, 1 ms of work each.
         let (_, _, e1) = st.dispatch_on(&mut free, SimTime::ZERO, 1e6);
@@ -339,7 +333,7 @@ mod tests {
         let (_, _, e2) = st.dispatch_on(&mut free, SimTime::ZERO, 1e6);
         assert!(e2.as_nanos() > 2_400_000, "queued task slows down: {e2:?}");
         // The same work paced (ready when the channel frees) stays fast.
-        let mut paced = ResourceState::new(spec(1e9).with_congestion(c));
+        let mut paced = ResourceState::new(spec(1e9).with_congestion_opt(Some(c)));
         let mut pfree = channels_for(&paced.spec);
         let (_, _, p1) = paced.dispatch_on(&mut pfree, SimTime::ZERO, 1e6);
         let (_, _, p2) = paced.dispatch_on(&mut pfree, p1, 1e6);

@@ -36,12 +36,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Duration elapsed since `earlier`, saturating at zero.
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -154,7 +148,6 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_millis(3);
         assert_eq!(t.as_nanos(), 3_000_000);
         assert_eq!(t - SimTime::ZERO, SimDuration::from_millis(3));
-        assert_eq!(t.since(SimTime(5_000_000)), SimDuration::ZERO);
     }
 
     #[test]
