@@ -9,8 +9,9 @@
 
 use std::fmt;
 
-/// The integrity checksum of every shard file (FNV-1a 64).
-pub use picasso_obs::checksum::fnv1a64;
+/// The integrity checksum of every shard file (FNV-1a 64), and its
+/// incremental form.
+pub use picasso_obs::checksum::{fnv1a64, Fnv1a};
 
 /// Why a payload could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,14 +131,21 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
+    /// Reads the next `N` bytes.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads an `f32` by bit pattern.

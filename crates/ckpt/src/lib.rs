@@ -23,11 +23,14 @@
 //! the recovery driver in `picasso-exec` ties them together.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
 pub mod manifest;
 pub mod store;
 
-pub use codec::{fnv1a64, CodecError, Decoder, Encoder};
+pub use codec::{fnv1a64, CodecError, Decoder, Encoder, Fnv1a};
 pub use manifest::{CheckpointKind, Manifest, ShardEntry, CKPT_SCHEMA_VERSION};
-pub use store::{CheckpointStore, CheckpointSummary, CheckpointWriter, GcReport, StoreError};
+pub use store::{
+    ChainLink, CheckpointStore, CheckpointSummary, CheckpointWriter, GcReport, StoreError,
+};

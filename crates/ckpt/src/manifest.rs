@@ -150,6 +150,11 @@ impl Manifest {
         if kind == CheckpointKind::Incremental && parent.is_none() {
             return Err("incremental manifest without a parent".into());
         }
+        if let Some(p) = parent.filter(|&p| p >= step) {
+            return Err(format!(
+                "step {step} claims parent {p} (parents must be older)"
+            ));
+        }
         let mut shards = Vec::new();
         for s in doc
             .get("shards")
@@ -257,6 +262,19 @@ mod tests {
         // Incremental without parent.
         let orphan = r#"{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":5,"snapshot":"incremental","parent":null,"shards":[]}"#;
         assert!(Manifest::parse(orphan).unwrap_err().contains("parent"));
+    }
+
+    #[test]
+    fn a_parent_not_older_than_its_child_is_rejected() {
+        for parent in [8, 9, u64::MAX] {
+            let doc = format!(
+                r#"{{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":8,"snapshot":"incremental","parent":{parent},"shards":[]}}"#
+            );
+            let err = Manifest::parse(&doc).unwrap_err();
+            assert!(err.contains("parents must be older"), "{parent}: {err}");
+        }
+        let older = r#"{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":8,"snapshot":"incremental","parent":7,"shards":[]}"#;
+        assert_eq!(Manifest::parse(older).unwrap().parent, Some(7));
     }
 
     #[test]

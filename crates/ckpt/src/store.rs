@@ -5,10 +5,10 @@
 //! rename is the commit point, so a crash mid-checkpoint leaves at worst
 //! orphaned shard files (reclaimed by [`CheckpointStore::gc`]) and never a
 //! manifest describing missing data. Read protocol: [`CheckpointStore::latest_valid`]
-//! walks manifests newest-first, checksums every shard in the manifest's
-//! parent chain, and falls back to the previous manifest when validation
-//! fails, so a corrupted newest checkpoint degrades recovery instead of
-//! breaking it.
+//! walks manifests newest-first, reads and checksums every shard in the
+//! manifest's parent chain once, handing the payloads to the caller, and
+//! falls back to the previous manifest when validation fails, so a
+//! corrupted newest checkpoint degrades recovery instead of breaking it.
 
 use crate::codec::fnv1a64;
 use crate::manifest::{CheckpointKind, Manifest, ShardEntry};
@@ -66,6 +66,30 @@ pub struct GcReport {
     pub removed: Vec<u64>,
     /// Orphaned shard files (no committed manifest references them) removed.
     pub orphans_removed: usize,
+}
+
+/// One link of a validated restore chain: a manifest and the payload of
+/// each of its shards, in manifest order, each read and checksummed once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainLink {
+    /// The link's manifest.
+    pub manifest: Manifest,
+    /// `payloads[i]` is the payload of `manifest.shards[i]`.
+    pub payloads: Vec<Vec<u8>>,
+}
+
+impl ChainLink {
+    /// Moves the payload of shard `name` out of the link, leaving it
+    /// empty.
+    pub fn take(&mut self, name: &str) -> Result<Vec<u8>, StoreError> {
+        match self.manifest.shards.iter().position(|s| s.name == name) {
+            Some(i) => Ok(std::mem::take(&mut self.payloads[i])),
+            None => Err(StoreError::NotFound(format!(
+                "step {} has no shard '{name}'",
+                self.manifest.step
+            ))),
+        }
+    }
 }
 
 /// A checkpoint directory.
@@ -132,7 +156,9 @@ impl CheckpointStore {
         out
     }
 
-    /// Loads (without validating shards) the manifest for `step`.
+    /// Loads (without validating shards) the manifest for `step`. A
+    /// document that describes another step than its file name is
+    /// corrupt.
     pub fn manifest(&self, step: u64) -> Result<Manifest, StoreError> {
         let path = self.dir.join(Manifest::file_name(step));
         let text = fs::read_to_string(&path).map_err(|e| match e.kind() {
@@ -141,17 +167,19 @@ impl CheckpointStore {
             }
             _ => io_err(&path, e),
         })?;
-        Manifest::parse(&text).map_err(|e| StoreError::Corrupt(format!("step {step}: {e}")))
+        let manifest =
+            Manifest::parse(&text).map_err(|e| StoreError::Corrupt(format!("step {step}: {e}")))?;
+        if manifest.step != step {
+            return Err(StoreError::Corrupt(format!(
+                "{} describes step {}",
+                Manifest::file_name(step),
+                manifest.step
+            )));
+        }
+        Ok(manifest)
     }
 
     /// Reads one shard's payload, verifying length and checksum.
-    pub fn read_shard(&self, manifest: &Manifest, name: &str) -> Result<Vec<u8>, StoreError> {
-        let entry = manifest.shard(name).ok_or_else(|| {
-            StoreError::NotFound(format!("step {} has no shard '{name}'", manifest.step))
-        })?;
-        self.read_entry(manifest.step, entry)
-    }
-
     fn read_entry(&self, step: u64, entry: &ShardEntry) -> Result<Vec<u8>, StoreError> {
         let path = self.dir.join(&entry.file);
         let payload = fs::read(&path).map_err(|e| io_err(&path, e))?;
@@ -173,22 +201,20 @@ impl CheckpointStore {
         Ok(payload)
     }
 
-    /// Validates every shard of `manifest` (existence, length, checksum).
-    pub fn validate(&self, manifest: &Manifest) -> Result<(), StoreError> {
-        for entry in &manifest.shards {
-            self.read_entry(manifest.step, entry)?;
-        }
-        Ok(())
-    }
-
     /// Resolves the restore chain for `manifest`: the nearest full ancestor
     /// first, then every incremental up to and including `manifest` itself.
-    /// Every link is validated.
-    pub fn chain(&self, manifest: &Manifest) -> Result<Vec<Manifest>, StoreError> {
+    /// Every shard of every link is read and validated once, and its
+    /// payload returned with the link.
+    pub fn chain(&self, manifest: &Manifest) -> Result<Vec<ChainLink>, StoreError> {
         let mut chain = vec![manifest.clone()];
         let mut cursor = manifest.clone();
         while cursor.kind == CheckpointKind::Incremental {
-            let parent_step = cursor.parent.expect("incremental manifests carry a parent");
+            let Some(parent_step) = cursor.parent else {
+                return Err(StoreError::Corrupt(format!(
+                    "incremental step {} has no parent",
+                    cursor.step
+                )));
+            };
             if parent_step >= cursor.step {
                 return Err(StoreError::Corrupt(format!(
                     "step {} claims parent {parent_step} (parents must be older)",
@@ -199,19 +225,26 @@ impl CheckpointStore {
             chain.push(cursor.clone());
         }
         chain.reverse();
-        for link in &chain {
-            self.validate(link)?;
-        }
-        Ok(chain)
+        chain
+            .into_iter()
+            .map(|manifest| {
+                let payloads = manifest
+                    .shards
+                    .iter()
+                    .map(|entry| self.read_entry(manifest.step, entry))
+                    .collect::<Result<_, _>>()?;
+                Ok(ChainLink { manifest, payloads })
+            })
+            .collect()
     }
 
-    /// The newest checkpoint whose full parent chain validates, together
-    /// with its restore chain and one reason per rejected newer checkpoint.
-    /// `Ok(None)` when the store holds no usable checkpoint at all.
+    /// The newest checkpoint whose full parent chain validates, as its
+    /// restore chain (base first, the checkpoint itself last, with every
+    /// shard's payload), together with one reason per rejected newer
+    /// checkpoint. `Ok(None)` when the store holds no usable checkpoint at
+    /// all.
     #[allow(clippy::type_complexity)]
-    pub fn latest_valid(
-        &self,
-    ) -> Result<Option<(Manifest, Vec<Manifest>, Vec<String>)>, StoreError> {
+    pub fn latest_valid(&self) -> Result<Option<(Vec<ChainLink>, Vec<String>)>, StoreError> {
         let mut rejected = Vec::new();
         for &step in self.steps().iter().rev() {
             let manifest = match self.manifest(step) {
@@ -222,7 +255,7 @@ impl CheckpointStore {
                 }
             };
             match self.chain(&manifest) {
-                Ok(chain) => return Ok(Some((manifest, chain, rejected))),
+                Ok(chain) => return Ok(Some((chain, rejected))),
                 Err(e) => rejected.push(format!("step {step}: {e}")),
             }
         }
@@ -390,9 +423,10 @@ mod tests {
         assert_eq!(summary.bytes, 11);
         assert_eq!(summary.shards, 1);
         let m = store.manifest(3).unwrap();
-        assert_eq!(store.read_shard(&m, "dense").unwrap(), b"hello world");
+        let mut chain = store.chain(&m).unwrap();
+        assert_eq!(chain[0].take("dense").unwrap(), b"hello world");
         assert!(matches!(
-            store.read_shard(&m, "nope"),
+            chain[0].take("nope"),
             Err(StoreError::NotFound(_))
         ));
         fs::remove_dir_all(store.dir()).unwrap();
@@ -436,10 +470,14 @@ mod tests {
         bytes[0] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
-        assert!(matches!(store.validate(&m2), Err(StoreError::Corrupt(_))));
-        let (best, chain, rejected) = store.latest_valid().unwrap().expect("step 1 still valid");
-        assert_eq!(best.step, 1, "fell back past the corrupted checkpoint");
+        assert!(matches!(store.chain(&m2), Err(StoreError::Corrupt(_))));
+        let (chain, rejected) = store.latest_valid().unwrap().expect("step 1 still valid");
         assert_eq!(chain.len(), 1);
+        assert_eq!(
+            chain[0].manifest.step, 1,
+            "fell back past the corrupted checkpoint"
+        );
+        assert_eq!(chain[0].payloads, [b"good old state".to_vec()]);
         assert_eq!(rejected.len(), 1);
         assert!(
             rejected[0].contains("checksum"),
@@ -455,7 +493,7 @@ mod tests {
         let m = store.manifest(1).unwrap();
         let path = store.dir().join(&m.shards[0].file);
         fs::write(&path, b"01234").unwrap();
-        let err = store.validate(&m).unwrap_err();
+        let err = store.chain(&m).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)));
         assert!(err.to_string().contains("bytes"));
         fs::remove_dir_all(store.dir()).unwrap();
@@ -468,11 +506,17 @@ mod tests {
         write_incr(&store, 12, 10, b"d1");
         write_incr(&store, 14, 12, b"d2");
         let m = store.manifest(14).unwrap();
-        let chain = store.chain(&m).unwrap();
+        let mut chain = store.chain(&m).unwrap();
         assert_eq!(
-            chain.iter().map(|c| c.step).collect::<Vec<_>>(),
+            chain.iter().map(|c| c.manifest.step).collect::<Vec<_>>(),
             [10, 12, 14]
         );
+        assert_eq!(chain[1].take("dense").unwrap(), b"d1");
+        assert!(chain[1].take("dense").unwrap().is_empty(), "taken once");
+        assert!(matches!(
+            chain[1].take("table0"),
+            Err(StoreError::NotFound(_))
+        ));
         // Corrupting the *base* invalidates the whole chain.
         let base = store.manifest(10).unwrap();
         let path = store.dir().join(&base.shards[0].file);
@@ -489,9 +533,61 @@ mod tests {
         write_incr(&store, 3, 2, b"points at nothing");
         let m = store.manifest(3).unwrap();
         assert!(matches!(store.chain(&m), Err(StoreError::NotFound(_))));
-        let (best, _, rejected) = store.latest_valid().unwrap().unwrap();
-        assert_eq!(best.step, 1);
+        let (chain, rejected) = store.latest_valid().unwrap().unwrap();
+        assert_eq!(chain.last().unwrap().manifest.step, 1);
         assert_eq!(rejected.len(), 1);
+        fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    /// Writes `text` as the manifest file of `step`, bypassing the writer.
+    fn forge_manifest(store: &CheckpointStore, step: u64, text: &str) {
+        fs::write(store.dir().join(Manifest::file_name(step)), text).unwrap();
+    }
+
+    /// An incremental manifest document for `step` with parent `parent`.
+    fn incremental_doc(step: u64, parent: u64) -> String {
+        format!(
+            r#"{{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":{step},"snapshot":"incremental","parent":{parent},"shards":[]}}"#
+        )
+    }
+
+    #[test]
+    fn a_manifest_that_is_its_own_parent_is_corrupt_and_gc_returns() {
+        let store = temp_store("selfparent");
+        write_full(&store, 4, b"base");
+        forge_manifest(&store, 8, &incremental_doc(8, 8));
+        assert!(matches!(store.manifest(8), Err(StoreError::Corrupt(_))));
+        // gc reads every manifest; it refuses the store instead of chasing
+        // the parent link forever.
+        assert!(matches!(store.gc(1), Err(StoreError::Corrupt(_))));
+        let (chain, rejected) = store.latest_valid().unwrap().expect("step 4 still valid");
+        assert_eq!(chain.last().unwrap().manifest.step, 4);
+        assert_eq!(rejected.len(), 1);
+        assert!(
+            rejected[0].contains("parents must be older"),
+            "{rejected:?}"
+        );
+        fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn a_manifest_filed_under_another_step_is_corrupt() {
+        let store = temp_store("misfiled");
+        write_full(&store, 4, b"base");
+        write_full(&store, 8, b"older");
+        // Step 12's document (parent 8) lands in MANIFEST_8.json: the
+        // chain from step 12 would revisit it forever.
+        forge_manifest(&store, 8, &incremental_doc(12, 8));
+        forge_manifest(&store, 12, &incremental_doc(12, 8));
+        let err = store.manifest(8).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("describes step 12"), "{err}");
+        // Both newer checkpoints are rejected; restore falls back to step 4.
+        let (chain, rejected) = store.latest_valid().unwrap().expect("step 4 still valid");
+        assert_eq!(chain.len(), 1);
+        assert_eq!(chain[0].manifest.step, 4);
+        assert_eq!(chain[0].payloads, [b"base".to_vec()]);
+        assert_eq!(rejected.len(), 2, "{rejected:?}");
         fs::remove_dir_all(store.dir()).unwrap();
     }
 

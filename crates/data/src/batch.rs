@@ -178,6 +178,24 @@ impl BatchGenerator {
         }
     }
 
+    /// Skips `batches` batches of `size` instances: the generator is left
+    /// exactly where `batches` calls of [`BatchGenerator::next_batch`]
+    /// would leave it, without sampling an ID or computing a label.
+    ///
+    /// It counts the batches' IDs as [`BatchGenerator::count_ids`] does,
+    /// drawing only the multi-hot lengths, then steps past the words still
+    /// owed after the last length draw.
+    ///
+    /// # Panics
+    /// If `size == 0`.
+    pub fn skip_batches(&mut self, batches: usize, size: usize) {
+        let slots = vec![0; self.spec.fields.len()];
+        let owed = self.count_ids_in_place(batches, size, &slots, &mut [0]);
+        for _ in 0..owed {
+            self.rng.next_u64();
+        }
+    }
+
     /// Adds to `counts[slots[f]]` the number of IDs that `batches` calls of
     /// [`BatchGenerator::next_ids_into`] with this `size` and `slots` would
     /// append for field `f`, without drawing an ID.
@@ -197,16 +215,16 @@ impl BatchGenerator {
         self.count_ids_in_place(batches, size, slots, counts);
     }
 
-    /// [`BatchGenerator::count_ids`] on a borrowed generator, whose RNG
-    /// state afterwards is unspecified (it trails `next_ids_into`'s by the
-    /// words owed after the last length draw).
+    /// [`BatchGenerator::count_ids`] on a borrowed generator. Returns the
+    /// RNG words owed after the last length draw: the generator's state
+    /// trails `next_ids_into`'s by exactly that many words.
     pub(crate) fn count_ids_in_place(
         &mut self,
         batches: usize,
         size: usize,
         slots: &[usize],
         counts: &mut [u64],
-    ) {
+    ) -> usize {
         assert!(size > 0, "batch size must be positive");
         assert_eq!(slots.len(), self.spec.fields.len(), "one slot per field");
         let mut owed = 0;
@@ -229,6 +247,7 @@ impl BatchGenerator {
             }
             owed += size * (self.spec.numeric + 1);
         }
+        owed
     }
 
     /// Appends field `fi`'s IDs for `size` instances to `ids`, pushing each
@@ -369,6 +388,39 @@ mod tests {
         g.count_ids_in_place(5, 64, &[0, 1, 0], &mut counts);
         assert_eq!(counts, [5 * 64 * 2, 5 * 64]);
         assert_eq!(format!("{:?}", g.rng), before, "no RNG word stepped");
+    }
+
+    #[test]
+    fn skipping_batches_leaves_the_generator_where_drawing_them_does() {
+        use crate::distribution::IdDistribution;
+        let one_hot = DatasetSpec {
+            name: "one-hot".into(),
+            numeric: 2,
+            fields: vec![
+                FieldSpec::one_hot("a", 100, 8, IdDistribution::Zipf { s: 1.1 }, 0),
+                FieldSpec::one_hot("b", 1000, 8, IdDistribution::Uniform, 1),
+            ],
+            instances: None,
+        }
+        .shared();
+        for spec in [one_hot, tiny_spec()] {
+            for (batches, size) in [(0, 16), (1, 1), (3, 16), (12, 7)] {
+                let mut drawn = BatchGenerator::new(Arc::clone(&spec), 31);
+                for _ in 0..batches {
+                    drawn.next_batch(size);
+                }
+                let mut skipped = BatchGenerator::new(Arc::clone(&spec), 31);
+                skipped.skip_batches(batches, size);
+                let (want, got) = (drawn.next_batch(5), skipped.next_batch(5));
+                for (w, g) in want.fields.iter().zip(&got.fields) {
+                    assert_eq!(w.ids, g.ids, "{} after {batches}x{size}", spec.name);
+                    assert_eq!(w.offsets, g.offsets);
+                }
+                assert_eq!(want.dense, got.dense);
+                assert_eq!(want.labels, got.labels);
+                assert_eq!(format!("{:?}", drawn.rng), format!("{:?}", skipped.rng));
+            }
+        }
     }
 
     #[test]

@@ -175,9 +175,10 @@ mod tests {
     fn table_snapshot_round_trips_bytes() {
         let mut t = EmbeddingTable::new(4, 9);
         for id in [5u64, 1, 99] {
-            t.row(id);
+            t.slot(id);
         }
-        t.apply_gradient(5, &[0.5; 4], 0.1);
+        let slot = t.slot(5);
+        t.apply_gradient_at(slot, 5, &[0.5; 4], 0.1);
         let snap = TableSnapshot::full(&t);
         let back = TableSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
@@ -191,11 +192,12 @@ mod tests {
     #[test]
     fn dirty_snapshot_covers_exactly_the_touched_rows() {
         let mut t = EmbeddingTable::new(2, 0);
-        t.row(1);
-        t.row(2);
+        t.slot(1);
+        t.slot(2);
         t.mark_clean();
-        t.apply_gradient(2, &[1.0, 1.0], 0.1);
-        t.row(3);
+        let slot = t.slot(2);
+        t.apply_gradient_at(slot, 2, &[1.0, 1.0], 0.1);
+        t.slot(3);
         let delta = TableSnapshot::dirty(&t);
         assert_eq!(
             delta.rows.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
@@ -208,8 +210,8 @@ mod tests {
     #[test]
     fn capture_reads_rows_without_dirtying() {
         let mut t = EmbeddingTable::new(2, 5);
-        t.row(4);
-        t.row(1);
+        t.slot(4);
+        t.slot(1);
         t.mark_clean();
         let snap = TableSnapshot::full(&t);
         assert_eq!(snap.rows.len(), 2);
@@ -222,10 +224,10 @@ mod tests {
     #[test]
     fn a_snapshot_of_another_dim_is_refused_and_leaves_the_table() {
         let mut wide = EmbeddingTable::new(4, 1);
-        wide.row(7);
+        wide.slot(7);
         let snap = TableSnapshot::full(&wide);
         let mut t = EmbeddingTable::new(2, 1);
-        t.row(3);
+        t.slot(3);
         let before = TableSnapshot::full(&t);
         assert!(matches!(
             snap.restore_full(&mut t),
@@ -239,7 +241,7 @@ mod tests {
     #[test]
     fn decode_rejects_malformed_snapshots() {
         let mut t = EmbeddingTable::new(2, 0);
-        t.row(1);
+        t.slot(1);
         let good = TableSnapshot::full(&t).encode();
         // Truncated.
         assert!(TableSnapshot::decode(&good[..good.len() - 1]).is_err());

@@ -8,8 +8,9 @@
 //!
 //! Storage is struct-of-arrays: all rows live in one contiguous `f32` arena
 //! ([`RowArena`]) with a hashmap used only to translate an ID to its dense
-//! slot. Row lookups, gradient steps and checkpoint capture then read and
-//! write contiguous memory instead of chasing one heap allocation per row.
+//! slot. A caller resolves an ID to its slot once ([`EmbeddingTable::slot`])
+//! and then reads and steps the row by slot, so row lookups, gradient steps
+//! and checkpoint capture touch contiguous memory and hash each ID once.
 
 use picasso_data::{splitmix64, IdHash};
 use std::collections::HashMap;
@@ -109,13 +110,6 @@ impl RowArena {
         &self.slot_ids
     }
 
-    /// IDs of every row, ascending.
-    pub fn sorted_ids(&self) -> Vec<u64> {
-        let mut ids = self.slot_ids.clone();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Drops every row.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -197,8 +191,11 @@ impl EmbeddingTable {
         }
     }
 
-    /// Materializes the row for `id` if absent, returning its arena slot.
-    fn ensure(&mut self, id: u64) -> u32 {
+    /// The arena slot of `id`'s row, materializing the row (and flagging it
+    /// dirty) on first access. A slot stays `id`'s until
+    /// [`EmbeddingTable::clear_rows`], so a caller can resolve an ID once
+    /// and then read and step its row by slot.
+    pub fn slot(&mut self, id: u64) -> u32 {
         let seed = self.seed;
         let (slot, created) = self
             .arena
@@ -209,9 +206,9 @@ impl EmbeddingTable {
         slot
     }
 
-    /// Returns the row for `id`, materializing it on first access.
-    pub fn row(&mut self, id: u64) -> &[f32] {
-        let slot = self.ensure(id);
+    /// The row in `slot` (from [`EmbeddingTable::slot`]).
+    #[inline]
+    pub fn row_at(&self, slot: u32) -> &[f32] {
         self.arena.row(slot)
     }
 
@@ -226,13 +223,22 @@ impl EmbeddingTable {
         self.mark_dirty(slot);
     }
 
-    /// Applies a gradient step `row -= lr * grad` to the row for `id`.
-    pub fn apply_gradient(&mut self, id: u64, grad: &[f32], lr: f32) {
+    /// Applies a gradient step `row -= lr * grad` to the row in `slot`,
+    /// which must still hold `id`'s row.
+    ///
+    /// # Panics
+    /// If `slot` does not hold `id` (the rows were cleared since the slot
+    /// was resolved), or if `grad` is not `dim` long.
+    pub fn apply_gradient_at(&mut self, slot: u32, id: u64, grad: &[f32], lr: f32) {
         assert_eq!(grad.len(), self.dim(), "gradient length must equal dim");
-        let slot = self.ensure(id);
-        let lo = slot as usize * self.arena.dim;
-        let row = &mut self.arena.data[lo..lo + self.arena.dim];
-        for (w, g) in row.iter_mut().zip(grad) {
+        assert_eq!(
+            self.arena.ids().get(slot as usize),
+            Some(&id),
+            "slot {slot} does not hold id {id}"
+        );
+        let dim = self.arena.dim;
+        let lo = slot as usize * dim;
+        for (w, g) in self.arena.data[lo..lo + dim].iter_mut().zip(grad) {
             *w -= lr * g;
         }
         self.mark_dirty(slot);
@@ -284,9 +290,12 @@ impl EmbeddingTable {
         &self.arena
     }
 
-    /// IDs of every materialized row, ascending.
-    pub fn materialized_ids(&self) -> Vec<u64> {
-        self.arena.sorted_ids()
+    /// Every materialized row with its ID, ascending by ID, read by slot
+    /// from the arena.
+    pub fn rows_by_id(&self) -> impl Iterator<Item = (u64, &[f32])> {
+        self.sorted_rows(false)
+            .into_iter()
+            .map(|(id, slot)| (id, self.arena.row(slot)))
     }
 
     /// Drops all materialized rows and the dirty set (full-restore staging).
@@ -301,19 +310,25 @@ impl EmbeddingTable {
 mod tests {
     use super::*;
 
+    /// `id`'s row, materialized on first access.
+    fn row(t: &mut EmbeddingTable, id: u64) -> Vec<f32> {
+        let slot = t.slot(id);
+        t.row_at(slot).to_vec()
+    }
+
     #[test]
     fn rows_are_deterministic() {
         let mut a = EmbeddingTable::new(8, 42);
         let mut b = EmbeddingTable::new(8, 42);
-        assert_eq!(a.row(17), b.row(17));
+        assert_eq!(row(&mut a, 17), row(&mut b, 17));
         let mut c = EmbeddingTable::new(8, 43);
-        assert_ne!(a.row(17), c.row(17), "different seeds differ");
+        assert_ne!(row(&mut a, 17), row(&mut c, 17), "different seeds differ");
     }
 
     #[test]
     fn rows_are_small_and_varied() {
         let mut t = EmbeddingTable::new(16, 1);
-        let r = t.row(5).to_vec();
+        let r = row(&mut t, 5);
         assert!(r.iter().all(|v| v.abs() <= 0.1));
         let distinct = r
             .iter()
@@ -327,7 +342,8 @@ mod tests {
         let mut t = EmbeddingTable::new(4, 0);
         assert!(t.is_empty());
         assert!(t.peek(1).is_none());
-        t.row(1);
+        assert_eq!(t.slot(1), 0);
+        assert_eq!(t.slot(1), 0, "a second lookup reuses the slot");
         assert_eq!(t.len(), 1);
         assert_eq!(t.bytes(), 16);
         assert!(t.peek(1).is_some());
@@ -336,11 +352,36 @@ mod tests {
     #[test]
     fn gradient_updates_row() {
         let mut t = EmbeddingTable::new(2, 0);
-        let before = t.row(9).to_vec();
-        t.apply_gradient(9, &[1.0, -1.0], 0.5);
+        let before = row(&mut t, 9);
+        let slot = t.slot(9);
+        t.apply_gradient_at(slot, 9, &[1.0, -1.0], 0.5);
         let after = t.peek(9).unwrap();
         assert!((after[0] - (before[0] - 0.5)).abs() < 1e-6);
         assert!((after[1] - (before[1] + 0.5)).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold id")]
+    fn a_gradient_through_a_stale_slot_is_refused() {
+        let mut t = EmbeddingTable::new(2, 0);
+        let slot = t.slot(9);
+        t.clear_rows();
+        t.slot(4);
+        t.apply_gradient_at(slot, 9, &[1.0, -1.0], 0.5);
+    }
+
+    #[test]
+    fn rows_by_id_reads_every_row_in_id_order() {
+        let mut t = EmbeddingTable::new(2, 0);
+        for id in [30, 10, 20] {
+            t.slot(id);
+        }
+        let rows: Vec<(u64, Vec<f32>)> = t.rows_by_id().map(|(id, r)| (id, r.to_vec())).collect();
+        let want: Vec<(u64, Vec<f32>)> = [10, 20, 30]
+            .into_iter()
+            .map(|id| (id, t.peek(id).unwrap().to_vec()))
+            .collect();
+        assert_eq!(rows, want);
     }
 
     #[test]
@@ -361,7 +402,6 @@ mod tests {
         assert_eq!(s1, 1);
         assert_eq!(s0b, s0);
         assert_eq!(a.ids(), &[50, 10], "slot order is insertion order");
-        assert_eq!(a.sorted_ids(), vec![10, 50]);
         assert_eq!(a.row(0), &[0.0, 1.0], "re-ensure must not reinit");
         a.insert(10, &[9.0, 9.0]);
         assert_eq!(a.get(10).unwrap(), &[9.0, 9.0]);

@@ -2,7 +2,7 @@
 //!
 //! Random sequences of every operation that reads, writes, cleans or
 //! restores a table must leave `dirty_ids()` and `dirty_count()` equal to a
-//! `BTreeSet` model of the dirty IDs, and `materialized_ids()` equal to a
+//! `BTreeSet` model of the dirty IDs, and the IDs of `rows_by_id()` equal to a
 //! second one of the materialized IDs. After every operation, the shard
 //! bytes checkpoint capture writes straight from the arena
 //! (`TableSnapshot::encode_full` / `encode_dirty`) must equal
@@ -22,11 +22,13 @@ const DIM: usize = 3;
 #[derive(Debug, Clone)]
 enum Op {
     Row(u64),
-    /// A batch's row lookups, one `row` per ID, as the trainer does them.
+    /// A batch's row lookups, one `slot` per ID, as the trainer's gather
+    /// does them.
     Gather(Vec<u64>),
     Put(u64, f32),
     Gradient(u64, f32),
-    /// A batch's gradient steps, one `apply_gradient` per ID.
+    /// A batch's gradient steps, one `apply_gradient_at` per ID through
+    /// the slot its lookup resolved, as the trainer's apply does them.
     Scatter(Vec<u64>, f32),
     MarkClean,
     ClearRows,
@@ -108,14 +110,15 @@ proptest! {
         for op in &ops {
             match op {
                 Op::Row(id) => {
-                    table.row(*id);
+                    table.slot(*id);
                     if present.insert(*id) {
                         dirty.insert(*id);
                     }
                 }
                 Op::Gather(ids) => {
                     for id in ids {
-                        prop_assert_eq!(table.row(*id).len(), DIM);
+                        let slot = table.slot(*id);
+                        prop_assert_eq!(table.row_at(slot).len(), DIM);
                         if present.insert(*id) {
                             dirty.insert(*id);
                         }
@@ -127,14 +130,16 @@ proptest! {
                     dirty.insert(*id);
                 }
                 Op::Gradient(id, x) => {
-                    table.apply_gradient(*id, &[*x; DIM], 0.1);
+                    let slot = table.slot(*id);
+                    table.apply_gradient_at(slot, *id, &[*x; DIM], 0.1);
                     present.insert(*id);
                     dirty.insert(*id);
                 }
                 Op::Scatter(ids, x) => {
                     let grads: Vec<f32> = (0..ids.len() * DIM).map(|j| x * j as f32).collect();
-                    for (id, grad) in ids.iter().zip(grads.chunks(DIM)) {
-                        table.apply_gradient(*id, grad, 0.05);
+                    let slots: Vec<u32> = ids.iter().map(|&id| table.slot(id)).collect();
+                    for ((&id, &slot), grad) in ids.iter().zip(&slots).zip(grads.chunks(DIM)) {
+                        table.apply_gradient_at(slot, id, grad, 0.05);
                     }
                     present.extend(ids);
                     dirty.extend(ids);
@@ -182,7 +187,7 @@ proptest! {
             );
             prop_assert_eq!(table.dirty_count(), dirty.len());
             prop_assert_eq!(
-                table.materialized_ids(),
+                table.rows_by_id().map(|(id, _)| id).collect::<Vec<u64>>(),
                 present.iter().copied().collect::<Vec<u64>>()
             );
             let full = TableSnapshot::encode_full(&table);

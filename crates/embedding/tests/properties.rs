@@ -5,11 +5,18 @@ use picasso_data::DatasetSpec;
 use picasso_embedding::{EmbeddingTable, PackPlan, PlannerConfig};
 use proptest::prelude::*;
 
+/// `id`'s initial row, read from `init`, a table nothing else steps.
+fn first_touch(init: &mut EmbeddingTable, id: u64) -> Vec<f32> {
+    let slot = init.slot(id);
+    init.row_at(slot).to_vec()
+}
+
 proptest! {
     /// The SoA arena table is observationally identical to a per-row model
     /// (the old `HashMap<u64, Box<[f32]>>` storage): same values, same
     /// materialized-ID set, same dirty-ID tracking, under any interleaving
-    /// of row/put/gradient/mark-clean ops.
+    /// of row/put/gradient/mark-clean ops. Rows are read and stepped
+    /// through the slot API, one `slot` lookup per access.
     #[test]
     fn arena_table_matches_per_row_reference_model(
         ops in proptest::collection::vec((0usize..4, 0u64..60, -1.0f32..1.0), 1..60),
@@ -27,9 +34,10 @@ proptest! {
                 0 => {
                     let want = rows.entry(id).or_insert_with(|| {
                         dirty.insert(id);
-                        init.row(id).to_vec()
+                        first_touch(&mut init, id)
                     }).clone();
-                    prop_assert_eq!(table.row(id), &want[..]);
+                    let slot = table.slot(id);
+                    prop_assert_eq!(table.row_at(slot), &want[..]);
                 }
                 1 => {
                     let vals: Vec<f32> = (0..dim).map(|j| x + j as f32).collect();
@@ -39,8 +47,9 @@ proptest! {
                 }
                 2 => {
                     let grad: Vec<f32> = (0..dim).map(|j| x * (j + 1) as f32).collect();
-                    table.apply_gradient(id, &grad, 0.1);
-                    let row = rows.entry(id).or_insert_with(|| init.row(id).to_vec());
+                    let slot = table.slot(id);
+                    table.apply_gradient_at(slot, id, &grad, 0.1);
+                    let row = rows.entry(id).or_insert_with(|| first_touch(&mut init, id));
                     for (w, g) in row.iter_mut().zip(&grad) {
                         *w -= 0.1 * g;
                     }
@@ -55,7 +64,7 @@ proptest! {
         // Final state agrees exactly: values, materialization, dirtiness.
         let mut want_ids: Vec<u64> = rows.keys().copied().collect();
         want_ids.sort_unstable();
-        prop_assert_eq!(table.materialized_ids(), want_ids);
+        prop_assert_eq!(table.rows_by_id().map(|(id, _)| id).collect::<Vec<u64>>(), want_ids);
         prop_assert_eq!(
             table.dirty_ids().collect::<Vec<u64>>(),
             dirty.iter().copied().collect::<Vec<u64>>()

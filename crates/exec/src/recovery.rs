@@ -18,13 +18,14 @@
 //!    marking tables clean — the same dirty-set state an uninterrupted run
 //!    has right after writing that checkpoint;
 //! 2. the batch cursor is rewound by recreating the seeded
-//!    [`BatchGenerator`] and replaying it to the restored step, so every
-//!    post-restore batch is identical;
+//!    [`BatchGenerator`] and skipping it to the restored step
+//!    ([`BatchGenerator::skip_batches`] steps past exactly the words the
+//!    skipped batches draw), so every post-restore batch is identical;
 //! 3. wall-clock effects (detection latency, restore time, retry backoff)
 //!    live on a simulated clock that never feeds back into the math.
 
 use crate::trainer::TrainError;
-use picasso_ckpt::{CheckpointKind, CheckpointStore, Manifest};
+use picasso_ckpt::{ChainLink, CheckpointKind, CheckpointStore};
 use picasso_data::{BatchGenerator, DatasetSpec};
 use picasso_embedding::TableSnapshot;
 use picasso_lint::{Diagnostic, Severity, Span};
@@ -539,22 +540,18 @@ fn write_checkpoint(
     Ok((summary.bytes, summary.shards))
 }
 
-/// Restores `model` from `manifest` (base-first `chain` of table deltas,
-/// dense bits from the final manifest). Returns shard bytes read; a shard
-/// that does not decode, or decodes to another shape than the model's, is
-/// unrecoverable.
-fn restore_model(
-    store: &CheckpointStore,
-    model: &mut CtrModel,
-    manifest: &Manifest,
-    chain: &[Manifest],
-) -> Result<u64, TrainError> {
+/// Restores `model` from a validated restore `chain` (base first): the
+/// table shards of every link in turn, then the dense shard of the last.
+/// Each payload is consumed as it is decoded. Returns shard bytes read; a
+/// shard that is missing, does not decode, or decodes to another shape
+/// than the model's, is unrecoverable.
+fn restore_model(model: &mut CtrModel, chain: Vec<ChainLink>) -> Result<u64, TrainError> {
     let mut bytes = 0u64;
-    for (i, link) in chain.iter().enumerate() {
+    let links = chain.len();
+    for (i, mut link) in chain.into_iter().enumerate() {
         for group in model.table_groups() {
-            let name = format!("table{group}");
-            let payload = store
-                .read_shard(link, &name)
+            let payload = link
+                .take(&format!("table{group}"))
                 .map_err(|e| unrec("restore table shard", e))?;
             bytes += payload.len() as u64;
             let snap =
@@ -569,14 +566,16 @@ fn restore_model(
             }
             .map_err(|e| unrec("restore table shard", e))?;
         }
+        if i + 1 == links {
+            let dense = link
+                .take("dense")
+                .map_err(|e| unrec("restore dense shard", e))?;
+            bytes += dense.len() as u64;
+            model
+                .restore_dense(&dense)
+                .map_err(|e| unrec("decode dense shard", e))?;
+        }
     }
-    let dense = store
-        .read_shard(manifest, "dense")
-        .map_err(|e| unrec("restore dense shard", e))?;
-    bytes += dense.len() as u64;
-    model
-        .restore_dense(&dense)
-        .map_err(|e| unrec("decode dense shard", e))?;
     Ok(bytes)
 }
 
@@ -718,11 +717,11 @@ pub fn run_recovery(
             let mut from_scratch = true;
             if let Some(store) = store {
                 match store.latest_valid().map_err(|e| unrec("scan store", e))? {
-                    Some((manifest, chain, rejected)) => {
+                    Some((chain, rejected)) => {
                         rejected_manifests.extend(rejected);
+                        restored_step = chain.last().map_or(0, |link| link.manifest.step);
                         model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
-                        restored_bytes = restore_model(store, &mut model, &manifest, &chain)?;
-                        restored_step = manifest.step;
+                        restored_bytes = restore_model(&mut model, chain)?;
                         from_scratch = false;
                     }
                     None => model = CtrModel::new(data, opts.variant, opts.lr, opts.seed),
@@ -733,9 +732,7 @@ pub fn run_recovery(
             ttr += restored_bytes as f64 / RESTORE_BPS + RESTORE_LATENCY_S;
             // Rewind the deterministic batch cursor to the restored step.
             gen = BatchGenerator::new(Arc::clone(data), opts.seed);
-            for _ in 0..restored_step {
-                gen.next_batch(opts.batch_size);
-            }
+            gen.skip_batches(restored_step as usize, opts.batch_size);
             step = restored_step;
             t += ttr;
             // The rewind replays iterations whose collective latencies the
@@ -945,7 +942,7 @@ mod tests {
             .expect("dense");
         for group in model.table_groups() {
             let mut narrow = picasso_embedding::EmbeddingTable::new(4, group as u64);
-            narrow.row(1);
+            narrow.slot(1);
             w.add_shard(
                 &format!("table{group}"),
                 &TableSnapshot::full(&narrow).encode(),

@@ -17,6 +17,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod metrics;
 pub mod models;
@@ -29,5 +30,5 @@ pub use metrics::auc;
 pub use models::{CtrModel, StepStats, Variant, EMB_DIM};
 pub use nn::{bce_with_logits, predict, BatchNorm, Linear};
 pub use optimizer::{Adagrad, Lamb, StalenessQueue};
-pub use tensor::Matrix;
+pub use tensor::{Kernel, Matrix};
 pub use trainer::{auc_datasets, train_ctr, SyncMode, TrainConfig, TrainOutcome};

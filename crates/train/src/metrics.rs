@@ -1,11 +1,13 @@
 //! Evaluation metrics: AUC.
 
 /// Area under the ROC curve via the rank statistic (Mann–Whitney U), with
-/// proper tie handling. Returns 0.5 when either class is absent.
+/// proper tie handling. Returns 0.5 when either class is absent. Scores
+/// are ranked by `f64::total_cmp`: `-0.0` and `0.0` sit next to each other
+/// and tie, and a NaN ranks above every number and ties with nothing.
 pub fn auc(scores: &[f64], labels: &[f32]) -> f64 {
     assert_eq!(scores.len(), labels.len());
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"));
+    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
 
     // Average ranks for tied scores (1-based ranks).
     let mut ranks = vec![0.0f64; scores.len()];
@@ -59,6 +61,12 @@ mod tests {
         let scores = [0.5, 0.5, 0.5, 0.5];
         let labels = [1.0, 0.0, 1.0, 0.0];
         assert_eq!(auc(&scores, &labels), 0.5, "all ties average to 0.5");
+    }
+
+    #[test]
+    fn signed_zeros_tie_and_nan_ranks_last_instead_of_panicking() {
+        assert_eq!(auc(&[0.0, -0.0], &[1.0, 0.0]), 0.5);
+        assert_eq!(auc(&[f64::NAN, 0.2], &[1.0, 0.0]), 1.0);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 use crate::nn::{bce_with_logits, predict, Linear};
 use crate::optimizer::Adagrad;
 use crate::tensor::Matrix;
-use picasso_data::{Batch, DatasetSpec, IdHash};
+use picasso_ckpt::{CodecError, Decoder, Encoder, Fnv1a};
+use picasso_data::{Batch, DatasetSpec};
 use picasso_embedding::EmbeddingTable;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The interaction stage of a trainable model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +30,9 @@ pub enum Variant {
 /// Embedding dimension of the trainable models.
 pub const EMB_DIM: usize = 8;
 
+/// An empty entry of [`CtrModel`]'s slot→gradient index.
+const NO_GRAD: u32 = u32::MAX;
+
 /// A trainable CTR model over a dataset's tables.
 #[derive(Debug)]
 pub struct CtrModel {
@@ -37,15 +41,29 @@ pub struct CtrModel {
     tables: Vec<EmbeddingTable>,
     /// Table ids in order (the feature layout).
     table_order: Vec<usize>,
+    /// Each table's fields in spec order, in `table_order`.
+    table_fields: Vec<Vec<usize>>,
     /// Which tables are sequences (attention-pooled under
     /// Attention/Evolution), in `table_order`.
     is_seq: Vec<bool>,
+    /// The table the others attend to: the first non-sequence one.
+    target: usize,
     l1: Linear,
     l2: Linear,
     opt1: Adagrad,
     opt2: Adagrad,
     emb_lr: f32,
     input_width: usize,
+    /// The last forward pass's bookkeeping, its buffers reused step to
+    /// step.
+    fwd: ForwardState,
+    /// Per table, the index into a step's sparse gradients of the row in
+    /// each arena slot, or [`NO_GRAD`]. Every entry is `NO_GRAD` between
+    /// steps.
+    grad_index: Vec<Vec<u32>>,
+    /// Backward working buffer: the gradient of each table's pooled
+    /// vector for one instance.
+    dpooled: Vec<[f32; EMB_DIM]>,
 }
 
 /// Per-step training telemetry.
@@ -63,31 +81,44 @@ pub struct DenseGrads {
     dw2: Matrix,
     db2: Vec<f32>,
     /// Sparse gradients, one per distinct `(table index, id)` of the batch
-    /// in first-occurrence order: (table index, id, grad).
-    sparse: Vec<(usize, u64, [f32; EMB_DIM])>,
+    /// in first-occurrence order.
+    sparse: Vec<SparseGrad>,
+}
+
+/// The gradient of one embedding row over a batch.
+#[derive(Debug)]
+struct SparseGrad {
+    /// Table index (position in `table_order`).
+    table: usize,
+    /// The row's arena slot, resolved by the forward gather.
+    slot: u32,
+    /// The row's ID, which `slot` must still hold when the gradient lands.
+    id: u64,
+    grad: [f32; EMB_DIM],
 }
 
 impl CtrModel {
     /// Builds a model for `data` (tables of `data` are embedded at
     /// [`EMB_DIM`] regardless of the spec's logical dims).
     pub fn new(data: &DatasetSpec, variant: Variant, lr: f32, seed: u64) -> CtrModel {
-        let mut per_table_fields: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut multi_hot: BTreeMap<usize, bool> = BTreeMap::new();
-        for f in &data.fields {
-            *per_table_fields.entry(f.table_group).or_insert(0) += 1;
-            if f.avg_ids > 1.5 {
-                multi_hot.insert(f.table_group, true);
-            }
+        // Per table group: its fields in spec order, and whether one is
+        // multi-hot.
+        let mut groups: BTreeMap<usize, (Vec<usize>, bool)> = BTreeMap::new();
+        for (fi, f) in data.fields.iter().enumerate() {
+            let (fields, multi_hot) = groups.entry(f.table_group).or_default();
+            fields.push(fi);
+            *multi_hot |= f.avg_ids > 1.5;
         }
-        let table_order: Vec<usize> = per_table_fields.keys().copied().collect();
+        let table_order: Vec<usize> = groups.keys().copied().collect();
         let tables = table_order
             .iter()
             .map(|&t| EmbeddingTable::new(EMB_DIM, seed ^ t as u64))
             .collect();
-        let is_seq = per_table_fields
-            .iter()
-            .map(|(t, &n)| n > 1 || multi_hot.get(t).copied().unwrap_or(false))
+        let is_seq: Vec<bool> = groups
+            .values()
+            .map(|(fields, multi_hot)| fields.len() > 1 || *multi_hot)
             .collect();
+        let table_fields = groups.into_values().map(|(fields, _)| fields).collect();
         let n = table_order.len();
         let dots = if variant == Variant::DotDeep {
             n * (n - 1) / 2
@@ -100,6 +131,8 @@ impl CtrModel {
             variant,
             tables,
             table_order,
+            table_fields,
+            target: is_seq.iter().position(|&s| !s).unwrap_or(0),
             is_seq,
             l1: Linear::new(input_width, hidden, true, seed ^ 0xAA),
             l2: Linear::new(hidden, 1, false, seed ^ 0xBB),
@@ -107,6 +140,9 @@ impl CtrModel {
             opt2: Adagrad::new(hidden, 1, lr),
             emb_lr: lr,
             input_width,
+            fwd: ForwardState::default(),
+            grad_index: vec![Vec::new(); n],
+            dpooled: vec![[0.0; EMB_DIM]; n],
         }
     }
 
@@ -115,40 +151,33 @@ impl CtrModel {
         self.input_width
     }
 
-    /// Pools one instance's IDs of table `ti` into the returned vector and
-    /// writes each id's pooling weight into `weights` (attention weights, or
-    /// uniform when not attending). `rows` is scratch for the gathered rows.
+    /// Pools the rows in `slots` of table `ti` into the returned vector and
+    /// writes each row's pooling weight into `weights` (attention weights,
+    /// or uniform when not attending).
     fn pool(
-        &mut self,
+        &self,
         ti: usize,
-        ids: &[u64],
+        slots: &[u32],
         target: Option<&[f32; EMB_DIM]>,
         weights: &mut [f32],
-        rows: &mut Vec<[f32; EMB_DIM]>,
     ) -> [f32; EMB_DIM] {
         let mut out = [0.0f32; EMB_DIM];
-        if ids.is_empty() {
+        if slots.is_empty() {
             return out;
         }
         let attend = matches!(self.variant, Variant::Attention | Variant::Evolution)
             && self.is_seq[ti]
-            && ids.len() > 1;
-        let t = &mut self.tables[ti];
-        rows.clear();
-        rows.extend(ids.iter().map(|&id| {
-            let mut r = [0.0f32; EMB_DIM];
-            r.copy_from_slice(t.row(id));
-            r
-        }));
+            && slots.len() > 1;
+        let t = &self.tables[ti];
         match target {
             Some(tgt) if attend => {
                 let scale = 1.0 / (EMB_DIM as f32).sqrt();
                 let recency = matches!(self.variant, Variant::Evolution);
-                for (i, (s, r)) in weights.iter_mut().zip(rows.iter()).enumerate() {
-                    let dot: f32 = r.iter().zip(tgt).map(|(a, b)| a * b).sum();
+                for (i, (s, &slot)) in weights.iter_mut().zip(slots).enumerate() {
+                    let dot: f32 = t.row_at(slot).iter().zip(tgt).map(|(a, b)| a * b).sum();
                     let prior = if recency {
                         // Later positions (more recent behaviour) weigh more.
-                        0.1 * (i as f32 - ids.len() as f32 + 1.0)
+                        0.1 * (i as f32 - slots.len() as f32 + 1.0)
                     } else {
                         0.0
                     };
@@ -164,56 +193,59 @@ impl CtrModel {
                     *s /= sum;
                 }
             }
-            _ => weights.fill(1.0 / ids.len() as f32),
+            _ => weights.fill(1.0 / slots.len() as f32),
         }
-        for (r, &w) in rows.iter().zip(weights.iter()) {
-            for (o, &v) in out.iter_mut().zip(r) {
+        // Rows are `EMB_DIM` long; saying so lets the compiler add the
+        // lanes side by side (each lane's sum keeps its order).
+        for (&slot, &w) in slots.iter().zip(weights.iter()) {
+            for (o, &v) in out.iter_mut().zip(&t.row_at(slot)[..EMB_DIM]) {
                 *o += w * v;
             }
         }
         out
     }
 
-    /// Forward pass over a batch: builds the MLP input and returns logits
-    /// plus the pooling bookkeeping needed for backward.
-    fn forward(&mut self, batch: &Batch, data: &DatasetSpec) -> (Matrix, ForwardState) {
-        let n_tables = self.table_order.len();
-        // Each table's fields in spec order.
-        let mut table_fields = vec![Vec::new(); n_tables];
-        for (fi, f) in data.fields.iter().enumerate() {
-            let ti = self.table_order.binary_search(&f.table_group);
-            table_fields[ti.expect("known table")].push(fi);
-        }
-        let mut ids = Vec::new();
-        let mut spans = Vec::with_capacity(batch.size * n_tables + 1);
-        spans.push(0);
+    /// Forward pass over a batch: gathers and pools the embeddings into
+    /// the MLP input and returns the logits, leaving the pooling
+    /// bookkeeping in `self.fwd` for backward.
+    fn forward(&mut self, batch: &Batch, data: &DatasetSpec) -> Matrix {
+        let n_tables = self.tables.len();
+        let mut fwd = std::mem::take(&mut self.fwd);
+        fwd.clear();
+        // The gather: each ID occurrence resolves to its row's arena slot
+        // once, instance by instance and table by table, so each table
+        // materializes its rows in first-occurrence order.
+        fwd.spans.push(0);
         for i in 0..batch.size {
-            for fields in &table_fields {
+            for (fields, table) in self.table_fields.iter().zip(&mut self.tables) {
                 for &fi in fields {
-                    ids.extend_from_slice(batch.fields[fi].instance(i));
+                    for &id in batch.fields[fi].instance(i) {
+                        fwd.ids.push(id);
+                        fwd.slots.push(table.slot(id));
+                    }
                 }
-                spans.push(ids.len());
+                fwd.spans.push(fwd.ids.len());
             }
         }
-        let mut weights = vec![0.0f32; ids.len()];
-        let mut pooled = vec![[0.0f32; EMB_DIM]; batch.size * n_tables];
-        let mut rows = Vec::new();
-        let mut x = Matrix::zeros(batch.size, self.input_width);
-        // Target for attention: pooled first non-sequence table.
-        let target = self.is_seq.iter().position(|&s| !s).unwrap_or(0);
+        fwd.weights.resize(fwd.ids.len(), 0.0);
+        fwd.pooled.resize(batch.size * n_tables, [0.0; EMB_DIM]);
+        // The MLP input reuses the buffer the first layer kept.
+        let mut x = self.l1.take_input();
+        x.reset(batch.size, self.input_width);
+        let target = self.target;
 
         for i in 0..batch.size {
             let k = i * n_tables;
             // Pool the target table first; the others attend to it.
             let others = (0..n_tables).filter(|&ti| ti != target);
             for ti in std::iter::once(target).chain(others) {
-                let span = spans[k + ti]..spans[k + ti + 1];
-                let tgt = (ti != target).then(|| pooled[k + target]);
-                let (ids, weights) = (&ids[span.clone()], &mut weights[span]);
-                pooled[k + ti] = self.pool(ti, ids, tgt.as_ref(), weights, &mut rows);
+                let span = fwd.spans[k + ti]..fwd.spans[k + ti + 1];
+                let tgt = (ti != target).then(|| fwd.pooled[k + target]);
+                let (slots, weights) = (&fwd.slots[span.clone()], &mut fwd.weights[span]);
+                fwd.pooled[k + ti] = self.pool(ti, slots, tgt.as_ref(), weights);
             }
             let xrow = x.row_mut(i);
-            for (ti, p) in pooled[k..k + n_tables].iter().enumerate() {
+            for (ti, p) in fwd.pooled[k..k + n_tables].iter().enumerate() {
                 xrow[ti * EMB_DIM..(ti + 1) * EMB_DIM].copy_from_slice(p);
             }
             // Pairwise dots.
@@ -221,7 +253,7 @@ impl CtrModel {
                 let mut c = n_tables * EMB_DIM;
                 for a in 0..n_tables {
                     for b in (a + 1)..n_tables {
-                        let (pa, pb) = (&pooled[k + a], &pooled[k + b]);
+                        let (pa, pb) = (&fwd.pooled[k + a], &fwd.pooled[k + b]);
                         xrow[c] = pa.iter().zip(pb).map(|(x, y)| x * y).sum();
                         c += 1;
                     }
@@ -231,25 +263,17 @@ impl CtrModel {
             let base = self.input_width - data.numeric;
             xrow[base..].copy_from_slice(&batch.dense[i * data.numeric..(i + 1) * data.numeric]);
         }
+        self.fwd = fwd;
 
-        let h = self.l1.forward(&x);
-        let z = self.l2.forward(&h);
-        (
-            z,
-            ForwardState {
-                ids,
-                spans,
-                weights,
-                pooled,
-            },
-        )
+        let h = self.l1.forward(x);
+        self.l2.forward(h)
     }
 
     /// One training step: forward, loss, backward; returns the loss and the
     /// gradients (application is the caller's choice — immediate for
     /// synchronous training, delayed for async PS).
     pub fn step(&mut self, batch: &Batch, data: &DatasetSpec) -> (StepStats, DenseGrads) {
-        let (z, state) = self.forward(batch, data);
+        let z = self.forward(batch, data);
         let (loss, dz) = bce_with_logits(&z, &batch.labels);
 
         let (mut dw2, mut db2) = self.l2.grad_buffers();
@@ -257,7 +281,7 @@ impl CtrModel {
         let (mut dw1, mut db1) = self.l1.grad_buffers();
         let dx = self.l1.backward(dh, &mut dw1, &mut db1);
 
-        let sparse = self.embedding_grads(&dx, &state);
+        let sparse = self.embedding_grads(&dx);
         (
             StepStats { loss },
             DenseGrads {
@@ -270,43 +294,45 @@ impl CtrModel {
         )
     }
 
-    /// Applies a (possibly stale) gradient.
+    /// Applies a (possibly stale) gradient. Each sparse gradient lands on
+    /// the arena slot its step's gather resolved.
+    ///
+    /// # Panics
+    /// If a table's rows were replaced (a restore) since the step that
+    /// computed `g`, so that a slot no longer holds its row.
     pub fn apply(&mut self, g: &DenseGrads) {
         self.opt1
             .step(&mut self.l1.w, &mut self.l1.b, &g.dw1, &g.db1);
         self.opt2
             .step(&mut self.l2.w, &mut self.l2.b, &g.dw2, &g.db2);
-        for (ti, id, grad) in &g.sparse {
-            self.tables[*ti].apply_gradient(*id, grad, self.emb_lr);
+        for s in &g.sparse {
+            self.tables[s.table].apply_gradient_at(s.slot, s.id, &s.grad, self.emb_lr);
         }
     }
 
     /// Scores a batch (no caching of state).
     pub fn predict(&mut self, batch: &Batch, data: &DatasetSpec) -> Vec<f64> {
-        let (z, _) = self.forward(batch, data);
-        predict(&z)
+        predict(&self.forward(batch, data))
     }
 
-    /// Propagates `dx` (gradient of the MLP input) back into per-ID
+    /// Propagates `dx` (gradient of the MLP input) back into per-row
     /// embedding gradients, through the pooling weights and pairwise dots,
-    /// coalesced per `(table index, id)` in first-occurrence order.
-    /// Attention weights are treated as constants (a straight-through
-    /// approximation documented in DESIGN.md).
-    fn embedding_grads(
-        &self,
-        dx: &Matrix,
-        state: &ForwardState,
-    ) -> Vec<(usize, u64, [f32; EMB_DIM])> {
-        let n_tables = self.table_order.len();
-        let mut slots: HashMap<(usize, u64), usize, IdHash> =
-            HashMap::with_capacity_and_hasher(state.ids.len(), IdHash::default());
-        let mut grads: Vec<(usize, u64, [f32; EMB_DIM])> = Vec::new();
-        let mut dpooled = vec![[0.0f32; EMB_DIM]; n_tables];
+    /// coalesced per `(table index, slot)` in first-occurrence order: each
+    /// row's contributions are summed in (instance, table, position)
+    /// order. Attention weights are treated as constants (a
+    /// straight-through approximation documented in DESIGN.md).
+    fn embedding_grads(&mut self, dx: &Matrix) -> Vec<SparseGrad> {
+        let n_tables = self.tables.len();
+        let fwd = &self.fwd;
+        for (index, table) in self.grad_index.iter_mut().zip(&self.tables) {
+            index.resize(table.len(), NO_GRAD);
+        }
+        let mut grads: Vec<SparseGrad> = Vec::new();
         for i in 0..dx.rows() {
             let k = i * n_tables;
             // Gradient w.r.t. each pooled vector: direct slice + dot terms.
             let xrow = dx.row(i);
-            for (ti, dp) in dpooled.iter_mut().enumerate() {
+            for (ti, dp) in self.dpooled.iter_mut().enumerate() {
                 dp.copy_from_slice(&xrow[ti * EMB_DIM..(ti + 1) * EMB_DIM]);
             }
             if self.variant == Variant::DotDeep {
@@ -314,55 +340,100 @@ impl CtrModel {
                 for a in 0..n_tables {
                     for b in (a + 1)..n_tables {
                         let g = xrow[c];
-                        let (pa, pb) = (&state.pooled[k + a], &state.pooled[k + b]);
+                        let (pa, pb) = (&fwd.pooled[k + a], &fwd.pooled[k + b]);
                         for j in 0..EMB_DIM {
-                            dpooled[a][j] += g * pb[j];
-                            dpooled[b][j] += g * pa[j];
+                            self.dpooled[a][j] += g * pb[j];
+                            self.dpooled[b][j] += g * pa[j];
                         }
                         c += 1;
                     }
                 }
             }
-            // Through the pooling weights to each id.
-            for (ti, dp) in dpooled.iter().enumerate() {
-                let span = state.spans[k + ti]..state.spans[k + ti + 1];
-                for (&id, &weight) in state.ids[span.clone()].iter().zip(&state.weights[span]) {
-                    let slot = *slots.entry((ti, id)).or_insert_with(|| {
-                        grads.push((ti, id, [0.0; EMB_DIM]));
-                        grads.len() - 1
-                    });
-                    let e = &mut grads[slot].2;
+            // Through the pooling weights to each row.
+            for (ti, (dp, index)) in self.dpooled.iter().zip(&mut self.grad_index).enumerate() {
+                let span = fwd.spans[k + ti]..fwd.spans[k + ti + 1];
+                let occurrences = fwd.slots[span.clone()]
+                    .iter()
+                    .zip(&fwd.ids[span.clone()])
+                    .zip(&fwd.weights[span]);
+                for ((&slot, &id), &weight) in occurrences {
+                    let at = &mut index[slot as usize];
+                    if *at == NO_GRAD {
+                        *at = grads.len() as u32;
+                        grads.push(SparseGrad {
+                            table: ti,
+                            slot,
+                            id,
+                            grad: [0.0; EMB_DIM],
+                        });
+                    }
+                    let e = &mut grads[*at as usize].grad;
                     for j in 0..EMB_DIM {
                         e[j] += weight * dp[j];
                     }
                 }
             }
         }
+        for g in &grads {
+            self.grad_index[g.table][g.slot as usize] = NO_GRAD;
+        }
         grads
     }
 }
 
-fn encode_matrix(e: &mut picasso_ckpt::Encoder, m: &Matrix) {
+/// Where the model's state goes byte by byte: a checkpoint shard's
+/// [`Encoder`], or the [`Fnv1a`] of [`CtrModel::state_digest`], which
+/// hashes the same bytes without buffering them.
+trait StateSink {
+    fn u64(&mut self, v: u64);
+    /// A length-prefixed `f32` slice, as [`Encoder::f32_slice`] writes it.
+    fn f32_slice(&mut self, vs: &[f32]);
+}
+
+impl StateSink for Encoder {
+    fn u64(&mut self, v: u64) {
+        Encoder::u64(self, v);
+    }
+
+    fn f32_slice(&mut self, vs: &[f32]) {
+        Encoder::f32_slice(self, vs);
+    }
+}
+
+impl StateSink for Fnv1a {
+    fn u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn f32_slice(&mut self, vs: &[f32]) {
+        self.write(&(vs.len() as u64).to_le_bytes());
+        for v in vs {
+            self.write(&v.to_bits().to_le_bytes());
+        }
+    }
+}
+
+fn encode_matrix(e: &mut impl StateSink, m: &Matrix) {
     e.u64(m.rows() as u64);
     e.u64(m.cols() as u64);
     e.f32_slice(m.as_slice());
 }
 
 fn decode_matrix(
-    d: &mut picasso_ckpt::Decoder<'_>,
+    d: &mut Decoder<'_>,
     want_rows: usize,
     want_cols: usize,
-) -> Result<Matrix, picasso_ckpt::CodecError> {
+) -> Result<Matrix, CodecError> {
     let rows = d.u64()? as usize;
     let cols = d.u64()? as usize;
     if rows != want_rows || cols != want_cols {
-        return Err(picasso_ckpt::CodecError::Invalid(format!(
+        return Err(CodecError::Invalid(format!(
             "matrix shape {rows}x{cols}, model expects {want_rows}x{want_cols}"
         )));
     }
     let data = d.f32_slice()?;
     if data.len() != rows * cols {
-        return Err(picasso_ckpt::CodecError::Invalid(format!(
+        return Err(CodecError::Invalid(format!(
             "matrix payload {} values for {rows}x{cols}",
             data.len()
         )));
@@ -370,13 +441,10 @@ fn decode_matrix(
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-fn decode_bias(
-    d: &mut picasso_ckpt::Decoder<'_>,
-    want: usize,
-) -> Result<Vec<f32>, picasso_ckpt::CodecError> {
+fn decode_bias(d: &mut Decoder<'_>, want: usize) -> Result<Vec<f32>, CodecError> {
     let b = d.f32_slice()?;
     if b.len() != want {
-        return Err(picasso_ckpt::CodecError::Invalid(format!(
+        return Err(CodecError::Invalid(format!(
             "bias length {}, model expects {want}",
             b.len()
         )));
@@ -390,22 +458,30 @@ fn decode_bias(
 impl CtrModel {
     /// Serializes every dense parameter and optimizer accumulator.
     pub fn dense_snapshot(&self) -> Vec<u8> {
-        let mut e = picasso_ckpt::Encoder::new();
-        encode_matrix(&mut e, &self.l1.w);
-        e.f32_slice(&self.l1.b);
-        encode_matrix(&mut e, &self.l2.w);
-        e.f32_slice(&self.l2.b);
-        encode_matrix(&mut e, self.opt1.acc_w());
-        e.f32_slice(self.opt1.acc_b());
-        encode_matrix(&mut e, self.opt2.acc_w());
-        e.f32_slice(self.opt2.acc_b());
+        let mut e = Encoder::new();
+        self.write_dense(&mut e);
         e.finish()
+    }
+
+    /// Writes the dense shard's bytes: each layer's weights and bias, then
+    /// each optimizer's accumulators.
+    fn write_dense(&self, e: &mut impl StateSink) {
+        let parts = [
+            (&self.l1.w, &self.l1.b[..]),
+            (&self.l2.w, &self.l2.b[..]),
+            (self.opt1.acc_w(), self.opt1.acc_b()),
+            (self.opt2.acc_w(), self.opt2.acc_b()),
+        ];
+        for (w, b) in parts {
+            encode_matrix(e, w);
+            e.f32_slice(b);
+        }
     }
 
     /// Restores dense parameters from [`CtrModel::dense_snapshot`] bytes.
     /// Shapes are validated against the live model.
-    pub fn restore_dense(&mut self, bytes: &[u8]) -> Result<(), picasso_ckpt::CodecError> {
-        let mut d = picasso_ckpt::Decoder::new(bytes);
+    pub fn restore_dense(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        let mut d = Decoder::new(bytes);
         let w1 = decode_matrix(&mut d, self.l1.w.rows(), self.l1.w.cols())?;
         let b1 = decode_bias(&mut d, self.l1.b.len())?;
         let w2 = decode_matrix(&mut d, self.l2.w.rows(), self.l2.w.cols())?;
@@ -452,33 +528,50 @@ impl CtrModel {
     /// weights, optimizer accumulators, and all materialized embedding rows
     /// in sorted order. Two models agree on this digest iff their trainable
     /// state is bit-identical; the crash-and-recover proof rests on it.
+    ///
+    /// The hashed bytes are the dense shard's, then per table its group
+    /// and each row's ID and length-prefixed values, ascending by ID; they
+    /// stream through the hash as they are read.
     pub fn state_digest(&self) -> u64 {
-        let mut bytes = self.dense_snapshot();
+        let mut h = Fnv1a::default();
+        self.write_dense(&mut h);
         for (&group, table) in self.table_order.iter().zip(&self.tables) {
-            let mut e = picasso_ckpt::Encoder::new();
-            e.u64(group as u64);
-            for id in table.materialized_ids() {
-                e.u64(id);
-                e.f32_slice(table.peek(id).expect("materialized"));
+            h.u64(group as u64);
+            for (id, row) in table.rows_by_id() {
+                h.u64(id);
+                h.f32_slice(row);
             }
-            bytes.extend_from_slice(&e.finish());
         }
-        picasso_ckpt::fnv1a64(&bytes)
+        h.finish()
     }
 }
 
 /// Forward bookkeeping for backward, flat over the batch: entry
 /// `k = i * n_tables + ti` is instance `i`'s table `ti`.
+#[derive(Debug, Default)]
 struct ForwardState {
     /// Every instance's IDs, table by table, each table's fields in spec
     /// order; entry `k` owns `ids[spans[k]..spans[k + 1]]`.
     ids: Vec<u64>,
+    /// The arena slot of each entry of `ids` in its table.
+    slots: Vec<u32>,
     /// Offsets into `ids`, `batch * n_tables + 1` of them.
     spans: Vec<usize>,
     /// The pooling weight of each entry of `ids`.
     weights: Vec<f32>,
     /// The pooled vector of each entry.
     pooled: Vec<[f32; EMB_DIM]>,
+}
+
+impl ForwardState {
+    /// Empties every buffer, keeping its allocation.
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.slots.clear();
+        self.spans.clear();
+        self.weights.clear();
+        self.pooled.clear();
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@ pub struct Linear {
     pub b: Vec<f32>,
     /// Whether a ReLU follows.
     pub relu: bool,
-    // Forward state cached for backward; the buffers are reused step to
-    // step, and `pre_act` is only kept under a ReLU.
+    // Forward state kept for backward: the input the last forward pass
+    // took (handed back by `take_input` for reuse), and, under a ReLU, the
+    // pre-activation in a buffer reused step to step.
     input: Matrix,
     pre_act: Matrix,
 }
@@ -34,8 +35,8 @@ impl Linear {
         }
     }
 
-    /// Forward pass; caches activations for backward.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+    /// Forward pass; keeps `x` (and the pre-activation) for backward.
+    pub fn forward(&mut self, x: Matrix) -> Matrix {
         let mut y = x.matmul(&self.w);
         for r in 0..y.rows() {
             let row = y.row_mut(r);
@@ -43,13 +44,14 @@ impl Linear {
                 *v += b;
             }
         }
-        self.input.clone_from(x);
+        self.input = x;
         if self.relu {
             self.pre_act.clone_from(&y);
+            // A select rather than a branch: the signs are data, so a
+            // branch mispredicts about half the time. Both keep `-0.0`
+            // and NaN as they are.
             for v in y.as_mut_slice() {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
+                *v = if *v < 0.0 { 0.0 } else { *v };
             }
         }
         y
@@ -61,9 +63,7 @@ impl Linear {
         assert_eq!(self.input.rows(), dy.rows(), "forward before backward");
         if self.relu {
             for (g, &z) in dy.as_mut_slice().iter_mut().zip(self.pre_act.as_slice()) {
-                if z <= 0.0 {
-                    *g = 0.0;
-                }
+                *g = if z <= 0.0 { 0.0 } else { *g };
             }
         }
         dw.add_scaled(&self.input.t_matmul(&dy), 1.0);
@@ -71,6 +71,13 @@ impl Linear {
             *d += s;
         }
         dy.matmul_t(&self.w)
+    }
+
+    /// Hands back the input the last forward pass kept (an empty matrix
+    /// if none), so a caller can refill its buffer for the next pass.
+    /// Backward needs that input, so call this only after it.
+    pub fn take_input(&mut self) -> Matrix {
+        std::mem::replace(&mut self.input, Matrix::zeros(0, 0))
     }
 
     /// Allocates zeroed gradient buffers matching this layer.
@@ -122,14 +129,14 @@ mod tests {
         let loss_fn = |l1: &Linear, l2: &Linear| -> f64 {
             let mut a = l1.clone();
             let mut b = l2.clone();
-            let h = a.forward(&x);
-            let z = b.forward(&h);
+            let h = a.forward(x.clone());
+            let z = b.forward(h);
             bce_with_logits(&z, &labels).0
         };
 
         // Analytic gradients.
-        let h = l1.forward(&x);
-        let z = l2.forward(&h);
+        let h = l1.forward(x.clone());
+        let z = l2.forward(h);
         let (_, dz) = bce_with_logits(&z, &labels);
         let (mut dw2, mut db2) = l2.grad_buffers();
         let dh = l2.backward(dz, &mut dw2, &mut db2);
@@ -169,7 +176,7 @@ mod tests {
         l.w.set(0, 0, 1.0);
         l.b[0] = -5.0; // pre-activation strongly negative
         let x = Matrix::from_vec(1, 1, vec![1.0]);
-        let y = l.forward(&x);
+        let y = l.forward(x);
         assert_eq!(y.get(0, 0), 0.0);
         let (mut dw, mut db) = l.grad_buffers();
         let dx = l.backward(Matrix::from_vec(1, 1, vec![1.0]), &mut dw, &mut db);
@@ -207,9 +214,9 @@ pub struct BatchNorm {
     /// Learnable shift, length `features`.
     pub beta: Vec<f32>,
     eps: f32,
-    // Cached forward state.
-    x_hat: Option<Matrix>,
-    inv_std: Option<Vec<f32>>,
+    // The last forward pass's normalized input and per-column inverse
+    // standard deviation, until backward consumes them.
+    cache: Option<(Matrix, Vec<f32>)>,
 }
 
 impl BatchNorm {
@@ -219,8 +226,7 @@ impl BatchNorm {
             gamma: vec![1.0; features],
             beta: vec![0.0; features],
             eps: 1e-5,
-            x_hat: None,
-            inv_std: None,
+            cache: None,
         }
     }
 
@@ -258,15 +264,18 @@ impl BatchNorm {
                 y.set(r, c, self.gamma[c] * h + self.beta[c]);
             }
         }
-        self.x_hat = Some(x_hat);
-        self.inv_std = Some(inv_std);
+        self.cache = Some((x_hat, inv_std));
         y
     }
 
     /// Backward pass: returns `dx`; accumulates `dgamma`/`dbeta`.
+    ///
+    /// # Panics
+    /// Unless a forward pass ran since the last backward.
     pub fn backward(&mut self, dy: &Matrix, dgamma: &mut [f32], dbeta: &mut [f32]) -> Matrix {
-        let x_hat = self.x_hat.take().expect("forward before backward");
-        let inv_std = self.inv_std.take().expect("forward before backward");
+        let Some((x_hat, inv_std)) = self.cache.take() else {
+            panic!("forward before backward");
+        };
         let (n, f) = (dy.rows(), dy.cols());
         let mut sum_dy = vec![0.0f32; f];
         let mut sum_dy_xhat = vec![0.0f32; f];

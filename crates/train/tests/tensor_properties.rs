@@ -5,16 +5,21 @@
 //! inner index in ascending order. The kernels may loop in any order and
 //! tile the outputs however they like, but no output may see its terms
 //! summed in a different order. The output row count is drawn from
-//! `0..=20`, so the 4- and 8-row tiles run with and without leftover rows;
+//! `0..=20`, so the 2-, 4- and 8-row tiles run with and without leftover rows;
 //! the output column count and the inner dimension from `0..=80`, with half
 //! of the draws taken from the widths the blocked kernels treat specially
 //! (0, 1, 4, 8, 32, 64 and 68: empty, one column, one 4- and one 8-wide
 //! tail, one and two 32-wide blocks, and the trainer's 68-wide input with
 //! its 4-wide remainder). Values are finite, spread over sixteen binades,
 //! and an eighth of them each are an exact `0.0` or `-0.0`.
+//!
+//! Each product is checked through the plain method, which dispatches to
+//! [`Kernel::native`], and on every instantiation this CPU runs
+//! ([`Kernel::available`]): the portable one, the only one other CPUs run,
+//! and AVX2 and AVX-512 where the CPU has them.
 
 use picasso_data::splitmix64;
-use picasso_train::Matrix;
+use picasso_train::{Kernel, Matrix};
 use proptest::prelude::*;
 
 /// A `rows x cols` matrix of finite values drawn from `seed`.
@@ -101,7 +106,10 @@ proptest! {
         let a = random(m, k, seed);
         let b = random(k, n, seed ^ 0x5eed);
         let want = naive(m, n, k, |i, p| a.get(i, p), |p, j| b.get(p, j));
-        prop_assert_eq!(bits(&a.matmul(&b)), want, "{}x{} @ {}x{}", m, k, k, n);
+        prop_assert_eq!(bits(&a.matmul(&b)), want.clone(), "{}x{} @ {}x{}", m, k, k, n);
+        for kernel in Kernel::available() {
+            prop_assert_eq!(bits(&a.matmul_with(&b, kernel)), want.clone(), "{:?}", kernel);
+        }
     }
 
     /// `a^T @ b` with `a: k x m`, `b: k x n`.
@@ -115,7 +123,10 @@ proptest! {
         let a = random(k, m, seed);
         let b = random(k, n, seed ^ 0x5eed);
         let want = naive(m, n, k, |i, p| a.get(p, i), |p, j| b.get(p, j));
-        prop_assert_eq!(bits(&a.t_matmul(&b)), want, "({}x{})^T @ {}x{}", k, m, k, n);
+        prop_assert_eq!(bits(&a.t_matmul(&b)), want.clone(), "({}x{})^T @ {}x{}", k, m, k, n);
+        for kernel in Kernel::available() {
+            prop_assert_eq!(bits(&a.t_matmul_with(&b, kernel)), want.clone(), "{:?}", kernel);
+        }
     }
 
     /// `a @ b^T` with `a: m x k`, `b: n x k`.
@@ -129,6 +140,9 @@ proptest! {
         let a = random(m, k, seed);
         let b = random(n, k, seed ^ 0x5eed);
         let want = naive(m, n, k, |i, p| a.get(i, p), |p, j| b.get(j, p));
-        prop_assert_eq!(bits(&a.matmul_t(&b)), want, "{}x{} @ ({}x{})^T", m, k, n, k);
+        prop_assert_eq!(bits(&a.matmul_t(&b)), want.clone(), "{}x{} @ ({}x{})^T", m, k, n, k);
+        for kernel in Kernel::available() {
+            prop_assert_eq!(bits(&a.matmul_t_with(&b, kernel)), want.clone(), "{:?}", kernel);
+        }
     }
 }
