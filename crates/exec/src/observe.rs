@@ -148,12 +148,17 @@ pub fn span_tracer(out: &SimulationOutput) -> Tracer<ManualClock> {
 /// each iteration start. Counter lanes are added separately from a metrics
 /// snapshot via [`ChromeTrace::add_counter_series`].
 pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
-    let mut trace = ChromeTrace::new();
     let result = &out.result;
+    let spans = span_tracer(out);
+    let span_tracks = spans.tracks();
+    let names = (["schedule", "critical path"].into_iter())
+        .chain(span_tracks.iter().map(String::as_str))
+        .chain(result.resources.iter().map(|r| r.spec.name.as_str()));
+    let mut trace = ChromeTrace::new(names);
     // Scheduler tracks first so they sort above the hardware lanes.
     let schedule = trace.track("schedule");
     trace.set_sort_index(schedule, -1);
-    trace.add_tracer(&span_tracer(out));
+    trace.add_tracer(&spans);
     // One track per resource, resolved once; records index it by resource.
     let lanes: Vec<Track> = (result.resources.iter().enumerate())
         .map(|(i, r)| {
@@ -238,7 +243,8 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
 /// Like every exporter in this module the tap is derived post-hoc from the
 /// immutable [`RunResult`], so the recorder observes the run without ever
 /// perturbing it, and its dumps digest deterministically for a fixed
-/// scenario and config.
+/// scenario and config. An iteration's task events go in as one
+/// [`FlightRecorder::tasks`] run, timed once.
 pub fn flight_record(out: &SimulationOutput, config: &FlightConfig) -> FlightRecorder {
     let mut rec = FlightRecorder::with_config(config);
     let result = &out.result;
@@ -249,14 +255,13 @@ pub fn flight_record(out: &SimulationOutput, config: &FlightConfig) -> FlightRec
         let idx = iter.index as u64;
         rec.span_open("iteration", idx, s);
         let end = iter.range.end.min(result.records.len());
-        for r in &result.records[iter.range.start..end] {
-            rec.task(
-                r.category.name(),
-                idx,
-                r.end.as_nanos(),
-                (r.end.as_nanos() - r.start.as_nanos()) as f64 / 1e9,
-            );
-        }
+        rec.tasks(
+            idx,
+            result.records[iter.range.start..end].iter().map(|r| {
+                let dur_s = (r.end.as_nanos() - r.start.as_nanos()) as f64 / 1e9;
+                (r.category.name(), r.end.as_nanos(), dur_s)
+            }),
+        );
         rec.metric("iteration_secs", idx, e, (e - s) as f64 / 1e9);
         rec.span_close("iteration", idx, e, (e - s) as f64 / 1e9);
     }

@@ -295,9 +295,14 @@ impl RecoveryRun {
     /// spans plus crash instants.
     pub fn chrome_trace(&self) -> ChromeTrace {
         let ns = |s: f64| (s * 1e9) as u64;
-        let mut trace = ChromeTrace::new();
-        // Each track is created at its first event, so a run without
-        // checkpoints, crashes or detections has no empty lane for them.
+        // Only lanes that get events are declared (an empty one would still
+        // take a tid), and each track is named at its first event.
+        let lanes = [
+            ("checkpoint", !self.checkpoints.is_empty()),
+            ("recovery", !self.recoveries.is_empty()),
+            ("anomaly", !self.detections.is_empty()),
+        ];
+        let mut trace = ChromeTrace::new(lanes.into_iter().filter(|l| l.1).map(|l| l.0));
         for c in &self.checkpoints {
             let track = trace.track("checkpoint");
             trace.complete(

@@ -1,10 +1,12 @@
 //! Chrome trace-event exporter (Perfetto / `chrome://tracing` compatible).
 //!
 //! Builds a `{"traceEvents": [...]}` document from spans, instants, counter
-//! samples, and flow edges. Tracks map to thread lanes:
-//! [`ChromeTrace::track`] resolves a track name to a [`Track`] handle,
-//! assigning a `tid` plus a `thread_name` metadata event the first time the
-//! name is seen, and every lane event takes the handle.
+//! samples, and flow edges. Tracks map to thread lanes. The trace takes its
+//! lane set when it is created ([`ChromeTrace::new`]) and numbers the lanes
+//! by name: the lane that sorts first gets tid 1, the next tid 2, and so
+//! on. [`ChromeTrace::track`] resolves a declared name to a [`Track`]
+//! handle, writing the lane's `thread_name` metadata event the first time
+//! the name is used, and every lane event takes the handle.
 //! [`ChromeTrace::set_sort_index`] pins a track's position in the UI with a
 //! `thread_sort_index` metadata event. Counter lanes use `"ph":"C"`
 //! events, dependencies use `"ph":"s"`/`"ph":"f"` flow pairs, and frame
@@ -14,7 +16,6 @@ use crate::json::{write_escaped, write_f64, write_micros, write_u64};
 use crate::metrics::MetricsSnapshot;
 use crate::span::Tracer;
 use crate::Clock;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A track (thread lane) of a [`ChromeTrace`], from [`ChromeTrace::track`].
@@ -25,42 +26,69 @@ pub struct Track(usize);
 
 /// Incrementally built Chrome trace document.
 ///
-/// Each event is rendered to JSON once, when it is added, into one text
-/// arena. The only part left open is a lane event's tid: tids are
-/// provisional (first-seen order) until [`ChromeTrace::to_json`] remaps
-/// them, so the arena leaves a hole where each tid goes.
-#[derive(Debug, Default)]
+/// Each event is rendered to JSON once, when it is added, into the
+/// document itself: the lane set is fixed at creation, so every lane
+/// event's tid is final when it is written, and [`ChromeTrace::to_json`]
+/// only closes the document.
+#[derive(Debug)]
 pub struct ChromeTrace {
-    /// The rendered events, comma-separated, minus their tids.
+    /// The document so far: its opening, then the rendered events,
+    /// comma-separated.
     text: String,
-    /// `(offset into text, provisional tid)` of every tid hole, in order.
-    holes: Vec<(usize, usize)>,
-    tids: BTreeMap<String, usize>,
+    /// The declared lane names, sorted and deduplicated; a lane's tid is
+    /// its index + 1.
+    lanes: Vec<String>,
+    /// Whether each lane's `thread_name` event has been written.
+    named: Vec<bool>,
     events: usize,
     flows: u64,
 }
 
 impl ChromeTrace {
-    /// An empty trace.
-    pub fn new() -> ChromeTrace {
-        ChromeTrace::default()
+    /// An empty trace over the lanes named in `lanes`. Duplicates are
+    /// dropped, and the names in sorted order get tids 1, 2, ... (tid 0
+    /// is the global frame markers'). Declare exactly the lanes that get
+    /// events: a declared lane that never does still takes a tid, which
+    /// shifts the tids of the lanes that sort after it.
+    pub fn new<I>(lanes: I) -> ChromeTrace
+    where
+        I: IntoIterator,
+        I::Item: Into<String>,
+    {
+        let mut lanes: Vec<String> = lanes.into_iter().map(Into::into).collect();
+        lanes.sort_unstable();
+        lanes.dedup();
+        ChromeTrace {
+            text: "{\"traceEvents\":[".to_string(),
+            named: vec![false; lanes.len()],
+            lanes,
+            events: 0,
+            flows: 0,
+        }
     }
 
-    /// The track named `name`, created (with a `thread_name` metadata
-    /// event) on first use. Provisional tids start at 1 in first-seen
-    /// order while the trace is being built.
+    /// The track named `name`. Its `thread_name` metadata event is written
+    /// the first time the name is used, so lane metadata appears in
+    /// first-use order.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is not one of the lanes the trace was created with: the
+    /// lane set fixes every tid, so an undeclared lane is a caller bug.
     pub fn track(&mut self, name: &str) -> Track {
-        if let Some(&tid) = self.tids.get(name) {
-            return Track(tid);
+        let Ok(rank) = self.lanes.binary_search_by(|lane| lane.as_str().cmp(name)) else {
+            panic!("Chrome trace lane {name:?} was not declared");
+        };
+        let track = Track(rank);
+        if !self.named[rank] {
+            self.named[rank] = true;
+            self.open("thread_name");
+            self.lane(",\"ph\":\"M\",\"pid\":1,\"tid\":", track);
+            self.text.push_str(",\"args\":{\"name\":");
+            write_escaped(name, &mut self.text);
+            self.text.push_str("}}");
         }
-        let tid = self.tids.len() + 1;
-        self.tids.insert(name.to_string(), tid);
-        self.open("thread_name");
-        self.lane(",\"ph\":\"M\",\"pid\":1,\"tid\":", Track(tid));
-        self.text.push_str(",\"args\":{\"name\":");
-        write_escaped(name, &mut self.text);
-        self.text.push_str("}}");
-        Track(tid)
+        track
     }
 
     /// Starts an event: the separator, then its `name` field.
@@ -73,10 +101,10 @@ impl ChromeTrace {
         write_escaped(name, &mut self.text);
     }
 
-    /// Writes `fields` (ending in `"tid":`) and leaves the track's tid hole.
+    /// Writes `fields` (ending in `"tid":`) and the track's tid.
     fn lane(&mut self, fields: &str, track: Track) {
         self.text.push_str(fields);
-        self.holes.push((self.text.len(), track.0));
+        write_u64(track.0 as u64 + 1, &mut self.text);
     }
 
     /// Writes `key` and a nanosecond time in microseconds.
@@ -171,7 +199,8 @@ impl ChromeTrace {
     }
 
     /// Imports everything a [`Tracer`] recorded: spans as `"X"`, instants as
-    /// thread instants, and flows as `"s"/"f"` pairs.
+    /// thread instants, and flows as `"s"/"f"` pairs. Every track the
+    /// tracer used ([`Tracer::tracks`]) must be declared.
     pub fn add_tracer<C: Clock>(&mut self, tracer: &Tracer<C>) {
         for span in tracer.spans() {
             let args: Vec<(&str, &str)> = span
@@ -223,28 +252,11 @@ impl ChromeTrace {
         self.events == 0
     }
 
-    /// Serializes the document with deterministic track numbering: tids
-    /// are remapped so track names in sorted order get tids 1, 2, ...
-    /// (tid 0 — global frame markers — is written literally), filling the
-    /// arena's holes as it is copied out.
-    pub fn to_json(&self) -> String {
-        // self.tids is a BTreeMap, so iteration is already name-sorted.
-        let mut remap = vec![String::new(); self.tids.len() + 1];
-        for (rank, &provisional) in self.tids.values().enumerate() {
-            remap[provisional] = (rank + 1).to_string();
-        }
-        let widest = remap.iter().map(String::len).max().unwrap_or(0);
-        let mut out = String::with_capacity(self.text.len() + widest * self.holes.len() + 64);
-        out.push_str("{\"traceEvents\":[");
-        let mut copied = 0;
-        for &(at, tid) in &self.holes {
-            out.push_str(&self.text[copied..at]);
-            out.push_str(&remap[tid]);
-            copied = at;
-        }
-        out.push_str(&self.text[copied..]);
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+    /// The finished document. Closing it is all that is left to do:
+    /// every event, tid included, was written when it was added.
+    pub fn to_json(mut self) -> String {
+        self.text.push_str("],\"displayTimeUnit\":\"ms\"}");
+        self.text
     }
 }
 
@@ -265,7 +277,7 @@ mod tests {
 
     #[test]
     fn serializes_every_event_kind_byte_for_byte() {
-        let mut t = ChromeTrace::new();
+        let mut t = ChromeTrace::new(["zeta \"lane\"", "beta", "alpha", "beta"]);
         let zeta = t.track("zeta \"lane\"");
         t.set_sort_index(zeta, -1);
         t.complete(
@@ -304,7 +316,7 @@ mod tests {
 
     #[test]
     fn tracks_get_stable_tids_and_metadata() {
-        let mut trace = ChromeTrace::new();
+        let mut trace = ChromeTrace::new(["b", "a"]);
         let a = trace.track("a");
         trace.instant(a, "x", 0);
         let b = trace.track("b");
@@ -324,11 +336,34 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Chrome trace lane \"gamma\" was not declared")]
+    fn an_undeclared_lane_is_a_caller_bug() {
+        let mut t = ChromeTrace::new(["alpha", "beta"]);
+        t.track("gamma");
+    }
+
+    #[test]
+    fn a_declared_lane_takes_its_tid_with_or_without_events() {
+        let mut t = ChromeTrace::new(["a", "b", "c"]);
+        let c = t.track("c");
+        t.instant(c, "x", 0);
+        assert_eq!(
+            t.to_json(),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"c"}},"#,
+                r#"{"name":"x","ph":"i","s":"t","pid":1,"tid":3,"ts":0.0}"#,
+                r#"],"displayTimeUnit":"ms"}"#,
+            )
+        );
+    }
+
+    #[test]
     fn far_timestamps_and_non_finite_counters_serialize() {
         // One nanosecond past 2^43 µs the float fallback takes over: the
         // nearest f64 to 8796093022208.001 prints as ...208.002.
         let far = (1 << 43) * 1000 + 1;
-        let mut t = ChromeTrace::new();
+        let mut t = ChromeTrace::new(["lane"]);
         let lane = t.track("lane");
         t.complete(lane, "late", "c", far, far + 1_500, &[]);
         t.counter("gauge", far, &[("nan", f64::NAN), ("inf", f64::INFINITY)]);
@@ -350,10 +385,10 @@ mod tests {
             let track = trace.track(name);
             trace.complete(track, "t", "span", 0, 10, &[]);
         };
-        let mut forward = ChromeTrace::new();
+        let mut forward = ChromeTrace::new(["alpha", "beta"]);
         span(&mut forward, "alpha");
         span(&mut forward, "beta");
-        let mut reverse = ChromeTrace::new();
+        let mut reverse = ChromeTrace::new(["beta", "alpha"]);
         span(&mut reverse, "beta");
         span(&mut reverse, "alpha");
 
@@ -375,7 +410,7 @@ mod tests {
             };
             assert_eq!(tid_of("alpha"), 1, "alpha sorts first");
             assert_eq!(tid_of("beta"), 2);
-            // Slices follow their lane's remapped tid.
+            // Slices follow their lane's tid.
             let slice_tids: Vec<u64> = events
                 .iter()
                 .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
@@ -389,7 +424,7 @@ mod tests {
 
     #[test]
     fn frame_marker_tid_zero_survives_the_remap() {
-        let mut trace = ChromeTrace::new();
+        let mut trace = ChromeTrace::new(["zeta"]);
         let zeta = trace.track("zeta");
         trace.complete(zeta, "t", "span", 0, 10, &[]);
         trace.frame_marker("iteration 0", 0);
@@ -404,7 +439,7 @@ mod tests {
 
     #[test]
     fn flows_pair_s_and_f_with_same_id() {
-        let mut trace = ChromeTrace::new();
+        let mut trace = ChromeTrace::new(["a", "b"]);
         let (a, b) = (trace.track("a"), trace.track("b"));
         trace.flow("dep", a, 10, b, 20);
         trace.flow("dep", a, 30, b, 40);
@@ -428,7 +463,7 @@ mod tests {
 
     #[test]
     fn counters_and_frames_export() {
-        let mut trace = ChromeTrace::new();
+        let mut trace = ChromeTrace::new(Vec::<String>::new());
         trace.counter("sm_busy", 1_000, &[("gpu0", 0.5)]);
         trace.frame_marker("iteration 0", 0);
         let doc = json::parse(&trace.to_json()).unwrap();
@@ -448,7 +483,7 @@ mod tests {
         tracer.record_span("sched", "iteration", 0, 2_000, &[("iter", "0")]);
         tracer.instant_at("sched", "flush", 1_000);
         tracer.flow("dep", "sched", 2_000, "comm", 2_500);
-        let mut trace = ChromeTrace::new();
+        let mut trace = ChromeTrace::new(tracer.tracks());
         trace.add_tracer(&tracer);
         let doc = json::parse(&trace.to_json()).unwrap();
         assert_eq!(phase_count(&doc, "X"), 1);
@@ -471,7 +506,7 @@ mod tests {
         reg.record_sample("link_bytes", &[("link", "pcie")], 0, 1.0);
         reg.record_sample("link_bytes", &[("link", "nvlink")], 0, 2.0);
         reg.record_sample("queue_depth", &[], 5, 3.0);
-        let mut trace = ChromeTrace::new();
+        let mut trace = ChromeTrace::new(Vec::<String>::new());
         trace.add_counter_series(&reg.snapshot());
         let doc = json::parse(&trace.to_json()).unwrap();
         assert_eq!(phase_count(&doc, "C"), 3);

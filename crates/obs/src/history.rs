@@ -271,7 +271,9 @@ impl HistoryStore {
                 fnv: 0,
             });
         }
-        let seg = self.segments.last_mut().expect("segment exists");
+        // Not empty: a missing or full last segment was just replaced.
+        let last = self.segments.len() - 1;
+        let seg = &mut self.segments[last];
         let path = self.dir.join(&seg.file);
         let mut fh = fs::OpenOptions::new()
             .create(true)

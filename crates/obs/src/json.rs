@@ -206,7 +206,7 @@ pub fn write_u64(mut n: u64, out: &mut String) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+    out.extend(buf[start..].iter().map(|&d| char::from(d)));
 }
 
 /// Below this magnitude (2^53) every `f64` rounds to an integer that `u64`
@@ -253,7 +253,7 @@ pub fn write_micros(ns: u64, out: &mut String) {
     while end > 2 && digits[end - 1] == b'0' {
         end -= 1;
     }
-    out.push_str(std::str::from_utf8(&digits[..end]).expect("ASCII digits"));
+    out.extend(digits[..end].iter().map(|&d| char::from(d)));
 }
 
 /// Writes `s` as a quoted JSON string literal: `"`, `\`, `\n`, `\r` and
@@ -292,10 +292,16 @@ pub fn write_escaped(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 256;
 
 /// Parses a JSON document. Intended for validating this crate's own
-/// exports in tests; it accepts standard JSON, without extensions, with
-/// arrays and objects nested at most 256 levels deep.
+/// exports in tests; it accepts standard JSON (RFC 8259), without
+/// extensions, with arrays and objects nested at most 256 levels deep.
+/// Numbers take no leading zeros and need digits after a `.` and in an
+/// exponent; strings take no raw control characters, and a `\u` escape
+/// is exactly four hex digits. One departure: a `\u` escape of a UTF-16
+/// surrogate is rejected, pairs included, because the workspace writes
+/// every non-ASCII character as UTF-8 and never needs one.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -325,6 +331,8 @@ impl fmt::Display for ParseError {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around the current position.
@@ -468,34 +476,58 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let code = self.hex4()?;
                             // Surrogates are not needed for our exports.
                             out.push(
                                 char::from_u32(code).ok_or_else(|| self.err("bad code point"))?,
                             );
-                            self.pos += 4;
                         }
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
                 }
+                Some(0..0x20) => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy up to the next quote, backslash or control
+                    // character. Each is ASCII, so the run ends on a char
+                    // boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
+    }
+
+    /// Reads the four hex digits of a `\u` escape (the cursor is on the
+    /// `u`, and is left on the last digit).
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in digits {
+            let digit = char::from(b).to_digit(16);
+            code = code * 16 + digit.ok_or_else(|| self.err("bad \\u escape"))?;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Skips a run of ASCII digits; an error unless there is at least one.
+    fn digits(&mut self, what: &str) -> Result<(), ParseError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err(what));
+        }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -503,16 +535,19 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero"));
+            }
+        } else {
+            self.digits("expected digits")?;
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("expected fraction digits")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -520,12 +555,9 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("expected exponent digits")?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::UInt(u));
@@ -587,6 +619,51 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn rejects_leading_zeros() {
+        for text in ["01", "00", "-01.5", "-00", "[01]", "{\"a\":007}"] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+        for text in ["0", "-0", "0.5", "-0.0e1", "10", "[0,0]"] {
+            assert!(parse(text).is_ok(), "{text}");
+        }
+    }
+
+    #[test]
+    fn rejects_numbers_without_fraction_or_exponent_digits() {
+        for text in ["1.", "1.e5", "-.5", ".5", "-", "1e", "1e+", "[1.]"] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+        for text in ["1.0", "1.5e5", "-0.5", "1e5", "1E-5", "1e+05"] {
+            assert!(parse(text).is_ok(), "{text}");
+        }
+    }
+
+    #[test]
+    fn rejects_u_escapes_that_are_not_four_hex_digits() {
+        for text in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+            "\"\\u00é\"",
+        ] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+        assert_eq!(parse(r#""\u004a\u004B""#).unwrap().as_str(), Some("JK"));
+    }
+
+    #[test]
+    fn rejects_raw_control_characters_in_strings() {
+        for c in ['\n', '\t', '\r', '\u{0}', '\u{1f}'] {
+            let text = format!("\"a{c}b\"");
+            assert!(parse(&text).is_err(), "{text:?}");
+        }
+        // DEL and non-ASCII need no escape.
+        assert_eq!(parse("\"a\u{7f}é✓\"").unwrap().as_str(), Some("a\u{7f}é✓"));
     }
 
     #[test]

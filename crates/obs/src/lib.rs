@@ -31,6 +31,7 @@
 //! lives beside them, in `picasso_sim::analysis`.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checksum;
 pub mod chrome;

@@ -8,7 +8,7 @@
 //! (name- and label-sorted) view.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What a metric name measures; drives the Prometheus `# TYPE` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,9 +127,17 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The registry's state. A poisoned lock is taken as is: a thread that
+    /// panicked while holding it could at worst have left one series
+    /// update half done, and the exporters would rather publish that than
+    /// fail every later read.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Attaches help text to a metric name (shown in Prometheus output).
     pub fn describe(&self, name: &str, kind: MetricKind, help: &str) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner
             .help
             .insert(name.to_string(), (kind, help.to_string()));
@@ -137,28 +145,28 @@ impl MetricsRegistry {
 
     /// Adds `delta` to a counter series, creating it at zero first.
     pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         let key = (name.to_string(), canon_labels(labels));
         *inner.counters.entry(key).or_insert(0) += delta;
     }
 
     /// Reads a counter series (0 if never written).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner();
         let key = (name.to_string(), canon_labels(labels));
         inner.counters.get(&key).copied().unwrap_or(0)
     }
 
     /// Sets a gauge series.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         let key = (name.to_string(), canon_labels(labels));
         inner.gauges.insert(key, value);
     }
 
     /// Reads a gauge series.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner();
         let key = (name.to_string(), canon_labels(labels));
         inner.gauges.get(&key).copied()
     }
@@ -166,7 +174,7 @@ impl MetricsRegistry {
     /// Fixes the bucket upper bounds for a histogram name. Must be called
     /// before the first observation of that name; later calls are ignored.
     pub fn histogram_buckets(&self, name: &str, bounds: &[f64]) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner
             .histogram_bounds
             .entry(name.to_string())
@@ -176,7 +184,7 @@ impl MetricsRegistry {
     /// Records one observation into a histogram series. Names without
     /// declared buckets get a log-spaced default covering 1µs–10s.
     pub fn histogram_observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         let bounds = inner
             .histogram_bounds
             .entry(name.to_string())
@@ -192,7 +200,7 @@ impl MetricsRegistry {
 
     /// Appends one `(t_ns, value)` sample to a time series.
     pub fn record_sample(&self, name: &str, labels: &[(&str, &str)], t_ns: u64, value: f64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         let key = (name.to_string(), canon_labels(labels));
         inner
             .series
@@ -204,7 +212,7 @@ impl MetricsRegistry {
 
     /// An owned, deterministic view of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner();
         MetricsSnapshot {
             help: inner.help.clone(),
             counters: inner

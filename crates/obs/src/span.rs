@@ -9,7 +9,7 @@
 //! arrows.
 
 use crate::clock::Clock;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A completed span.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +80,13 @@ impl<C: Clock> Tracer<C> {
         &self.clock
     }
 
+    /// The record store. A poisoned lock is taken as is: records are
+    /// pushed whole, so a thread that panicked while holding it left no
+    /// record half written.
+    fn store(&self) -> MutexGuard<'_, TraceStore> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Opens a live span; it is recorded when the guard drops.
     pub fn span(&self, track: &str, name: &str) -> SpanGuard<'_, C> {
         SpanGuard {
@@ -100,7 +107,7 @@ impl<C: Clock> Tracer<C> {
         end_ns: u64,
         args: &[(&str, &str)],
     ) {
-        let mut store = self.store.lock().unwrap();
+        let mut store = self.store();
         store.spans.push(SpanRecord {
             name: name.to_string(),
             track: track.to_string(),
@@ -121,7 +128,7 @@ impl<C: Clock> Tracer<C> {
 
     /// Records an instant event with an explicit timestamp.
     pub fn instant_at(&self, track: &str, name: &str, t_ns: u64) {
-        let mut store = self.store.lock().unwrap();
+        let mut store = self.store();
         store.instants.push(InstantRecord {
             name: name.to_string(),
             track: track.to_string(),
@@ -131,7 +138,7 @@ impl<C: Clock> Tracer<C> {
 
     /// Records a flow edge with explicit endpoints.
     pub fn flow(&self, name: &str, from_track: &str, from_ns: u64, to_track: &str, to_ns: u64) {
-        let mut store = self.store.lock().unwrap();
+        let mut store = self.store();
         store.flows.push(FlowRecord {
             from_track: from_track.to_string(),
             from_ns,
@@ -143,17 +150,31 @@ impl<C: Clock> Tracer<C> {
 
     /// All completed spans so far.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.store.lock().unwrap().spans.clone()
+        self.store().spans.clone()
     }
 
     /// All instant events so far.
     pub fn instants(&self) -> Vec<InstantRecord> {
-        self.store.lock().unwrap().instants.clone()
+        self.store().instants.clone()
     }
 
     /// All flow edges so far.
     pub fn flows(&self) -> Vec<FlowRecord> {
-        self.store.lock().unwrap().flows.clone()
+        self.store().flows.clone()
+    }
+
+    /// The distinct tracks the spans, instants and flows so far name,
+    /// sorted: the lanes a [`crate::ChromeTrace`] importing this tracer
+    /// declares.
+    pub fn tracks(&self) -> Vec<String> {
+        let store = self.store();
+        let mut names: Vec<&str> = (store.spans.iter().map(|s| s.track.as_str()))
+            .chain(store.instants.iter().map(|i| i.track.as_str()))
+            .chain((store.flows.iter()).flat_map(|f| [f.from_track.as_str(), f.to_track.as_str()]))
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        names.into_iter().map(str::to_string).collect()
     }
 }
 
@@ -176,7 +197,7 @@ impl<C: Clock> SpanGuard<'_, C> {
 impl<C: Clock> Drop for SpanGuard<'_, C> {
     fn drop(&mut self) {
         let end_ns = self.tracer.clock.now_ns();
-        let mut store = self.tracer.store.lock().unwrap();
+        let mut store = self.tracer.store();
         store.spans.push(SpanRecord {
             name: std::mem::take(&mut self.name),
             track: std::mem::take(&mut self.track),
@@ -215,6 +236,17 @@ mod tests {
         let tracer = Tracer::new(ManualClock::new());
         tracer.record_span("t", "s", 50, 20, &[]);
         assert_eq!(tracer.spans()[0].end_ns, 50);
+    }
+
+    #[test]
+    fn tracks_lists_every_named_track_once_sorted() {
+        let tracer = Tracer::new(ManualClock::new());
+        assert!(tracer.tracks().is_empty());
+        tracer.record_span("sched", "s", 0, 1, &[]);
+        tracer.instant_at("frames", "i", 0);
+        tracer.flow("dep", "sched", 1, "comm", 2);
+        tracer.record_span("frames", "s", 0, 1, &[]);
+        assert_eq!(tracer.tracks(), ["comm", "frames", "sched"]);
     }
 
     #[test]

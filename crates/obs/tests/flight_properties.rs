@@ -1,11 +1,46 @@
 //! Property tests for the flight recorder: ring wraparound, sampling
-//! determinism under a fixed seed, overhead-counter accounting, and
-//! dump checksum integrity.
+//! determinism under a fixed seed, overhead-counter accounting, dump
+//! checksum integrity, and the batched task tap against one `task` call
+//! per event.
 
 use picasso_obs::flight::{
-    FlightCategory, FlightConfig, FlightDump, FlightRecorder, SamplingConfig,
+    FlightCategory, FlightConfig, FlightDump, FlightRecorder, FlightStats, SamplingConfig,
 };
 use proptest::prelude::*;
+
+/// Task codes the batch oracle draws from.
+const CODES: [&str; 4] = ["compute", "collective", "", "h2d \"copy\""];
+
+/// One step of a recorder program: a run of one iteration's tasks, or a
+/// single span, metric, fault or recovery event.
+type Step = (u8, u64, Vec<(usize, u64, f64)>);
+
+/// Replays `steps`, offering each task run through `tasks` when `batched`
+/// and as one `task` call per event otherwise.
+fn replay(config: &FlightConfig, steps: &[Step], batched: bool) -> FlightRecorder {
+    let mut rec = FlightRecorder::with_config(config);
+    for (i, (kind, iter, tasks)) in steps.iter().enumerate() {
+        let (iter, t_ns) = (*iter, i as u64 * 1_000);
+        match kind {
+            0 => rec.span_open("iteration", iter, t_ns),
+            1 => rec.span_close("iteration", iter, t_ns, 0.25),
+            2 => rec.metric("iteration_secs", iter, t_ns, iter as f64 * 0.5),
+            3 => rec.fault("crash", iter, t_ns),
+            4 => rec.recovery("restore", iter, t_ns, 1.5),
+            _ => {
+                let events = tasks.iter().map(|&(c, t, d)| (CODES[c], t, d));
+                if batched {
+                    rec.tasks(iter, events);
+                } else {
+                    for (code, t, d) in events {
+                        rec.task(code, iter, t, d);
+                    }
+                }
+            }
+        }
+    }
+    rec
+}
 
 /// Drives a recorder with a reproducible event stream.
 fn drive(rec: &mut FlightRecorder, events: &[(u8, u64)]) {
@@ -127,5 +162,43 @@ proptest! {
         if let Ok(reparsed) = FlightDump::from_text(&corrupted) {
             prop_assert_eq!(reparsed, dump);
         }
+    }
+
+    /// Offering a run through `tasks` leaves the recorder exactly where the
+    /// same `task` calls one by one do: held events, accounting apart from
+    /// the wall-clock overhead, and the post-mortem with its digest.
+    #[test]
+    fn batched_tasks_match_one_call_per_event(
+        capacity in 1usize..65,
+        seed in 0u64..u64::MAX,
+        rates in proptest::collection::vec(0u32..6, 5..6),
+        steps in proptest::collection::vec(
+            (
+                0u8..8,
+                0u64..100,
+                proptest::collection::vec((0usize..4, 0u64..1 << 40, 0.0f64..1.0), 0..12),
+            ),
+            0..40,
+        ),
+    ) {
+        let config = FlightConfig {
+            capacity,
+            dump_last: 16,
+            sampling: SamplingConfig {
+                seed,
+                keep_1_in: rates.clone().try_into().unwrap(),
+            },
+        };
+        let batched = replay(&config, &steps, true);
+        let single = replay(&config, &steps, false);
+        prop_assert_eq!(batched.events(), single.events());
+        let volatile_free = |rec: &FlightRecorder| FlightStats {
+            overhead_ns: 0,
+            ..rec.stats()
+        };
+        prop_assert_eq!(volatile_free(&batched), volatile_free(&single));
+        let (a, b) = (batched.post_mortem(), single.post_mortem());
+        prop_assert_eq!(a.digest(), b.digest());
+        prop_assert_eq!(a, b);
     }
 }
