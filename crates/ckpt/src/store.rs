@@ -66,6 +66,8 @@ pub struct GcReport {
     pub removed: Vec<u64>,
     /// Orphaned shard files (no committed manifest references them) removed.
     pub orphans_removed: usize,
+    /// Steps whose manifest could not be read; left on disk untouched.
+    pub unreadable: Vec<u64>,
 }
 
 /// One link of a validated restore chain: a manifest and the payload of
@@ -135,13 +137,13 @@ impl CheckpointStore {
         })
     }
 
-    /// Steps of every committed manifest, ascending.
-    pub fn steps(&self) -> Vec<u64> {
+    /// Steps of every committed manifest, ascending. A store directory
+    /// that cannot be listed is an error, not an empty store.
+    pub fn steps(&self) -> Result<Vec<u64>, StoreError> {
         let mut out = Vec::new();
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return out;
-        };
-        for entry in entries.flatten() {
+        let entries = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
+        for entry in entries {
+            let entry = entry.map_err(|e| io_err(&self.dir, e))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if let Some(step) = name
@@ -153,7 +155,7 @@ impl CheckpointStore {
             }
         }
         out.sort_unstable();
-        out
+        Ok(out)
     }
 
     /// Loads (without validating shards) the manifest for `step`. A
@@ -246,7 +248,7 @@ impl CheckpointStore {
     #[allow(clippy::type_complexity)]
     pub fn latest_valid(&self) -> Result<Option<(Vec<ChainLink>, Vec<String>)>, StoreError> {
         let mut rejected = Vec::new();
-        for &step in self.steps().iter().rev() {
+        for &step in self.steps()?.iter().rev() {
             let manifest = match self.manifest(step) {
                 Ok(m) => m,
                 Err(e) => {
@@ -266,12 +268,21 @@ impl CheckpointStore {
     /// checkpoint whose restore chain reaches a kept manifest, and nothing
     /// else. Orphaned shard files (from aborted writes) are deleted too.
     /// Chains are preserved by construction: the keep set is closed under
-    /// the parent relation.
+    /// the parent relation. A manifest that cannot be read is skipped, as
+    /// [`CheckpointStore::latest_valid`] skips it: it stays on disk with
+    /// its files and is listed in [`GcReport::unreadable`].
     pub fn gc(&self, keep_full: usize) -> Result<GcReport, StoreError> {
-        let steps = self.steps();
+        let mut report = GcReport::default();
+        let mut referenced: BTreeSet<String> = BTreeSet::new();
         let mut manifests = Vec::new();
-        for &step in &steps {
-            manifests.push(self.manifest(step)?);
+        for step in self.steps()? {
+            match self.manifest(step) {
+                Ok(m) => manifests.push(m),
+                Err(_) => {
+                    report.unreadable.push(step);
+                    referenced.insert(Manifest::file_name(step));
+                }
+            }
         }
         // Newest keep_full full snapshots seed the keep set.
         let mut keep: BTreeSet<u64> = manifests
@@ -306,8 +317,6 @@ impl CheckpointStore {
             }
         }
 
-        let mut report = GcReport::default();
-        let mut referenced: BTreeSet<String> = BTreeSet::new();
         for m in &manifests {
             if keep.contains(&m.step) {
                 report.kept.push(m.step);
@@ -328,7 +337,10 @@ impl CheckpointStore {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             let sweepable = name.starts_with("ckpt-") || name.ends_with(".tmp");
-            if sweepable && !referenced.contains(name) {
+            let unreadable_shard = report.unreadable.iter().any(|step| {
+                name.starts_with(&format!("ckpt-{step:08}-")) && !name.ends_with(".tmp")
+            });
+            if sweepable && !unreadable_shard && !referenced.contains(name) {
                 let path = entry.path();
                 fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
                 report.orphans_removed += 1;
@@ -438,7 +450,10 @@ mod tests {
         let mut w = store.begin(1, CheckpointKind::Full, None).unwrap();
         w.add_shard("dense", b"staged").unwrap();
         drop(w); // no commit
-        assert!(store.steps().is_empty(), "no manifest, no checkpoint");
+        assert!(
+            store.steps().unwrap().is_empty(),
+            "no manifest, no checkpoint"
+        );
         assert!(store.latest_valid().unwrap().is_none());
         // The orphaned shard is reclaimed by gc.
         let report = store.gc(1).unwrap();
@@ -557,9 +572,12 @@ mod tests {
         write_full(&store, 4, b"base");
         forge_manifest(&store, 8, &incremental_doc(8, 8));
         assert!(matches!(store.manifest(8), Err(StoreError::Corrupt(_))));
-        // gc reads every manifest; it refuses the store instead of chasing
-        // the parent link forever.
-        assert!(matches!(store.gc(1), Err(StoreError::Corrupt(_))));
+        // gc skips the unreadable manifest instead of chasing the parent
+        // link forever, and leaves it on disk.
+        let report = store.gc(1).unwrap();
+        assert_eq!(report.unreadable, [8]);
+        assert_eq!(report.kept, [4]);
+        assert!(store.dir().join(Manifest::file_name(8)).exists());
         let (chain, rejected) = store.latest_valid().unwrap().expect("step 4 still valid");
         assert_eq!(chain.last().unwrap().manifest.step, 4);
         assert_eq!(rejected.len(), 1);
@@ -602,7 +620,7 @@ mod tests {
         let report = store.gc(1).unwrap();
         assert_eq!(report.kept, [20, 22, 24]);
         assert_eq!(report.removed, [10, 12]);
-        assert_eq!(store.steps(), [20, 22, 24]);
+        assert_eq!(store.steps().unwrap(), [20, 22, 24]);
         // Everything kept still restores.
         let m = store.manifest(24).unwrap();
         assert_eq!(store.chain(&m).unwrap().len(), 3);
@@ -614,6 +632,41 @@ mod tests {
             .collect();
         assert!(!files.iter().any(|f| f.contains("00000010")), "{files:?}");
         fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn gc_skips_and_keeps_a_manifest_it_cannot_parse() {
+        let store = temp_store("gc-garbage");
+        write_full(&store, 4, b"old");
+        write_full(&store, 8, b"new");
+        let original = fs::read(store.dir().join(Manifest::file_name(4))).unwrap();
+        forge_manifest(&store, 4, "{\"schema_version\": garbage");
+        let report = store.gc(1).unwrap();
+        assert_eq!(report.kept, [8]);
+        assert!(report.removed.is_empty(), "{report:?}");
+        assert_eq!(report.unreadable, [4]);
+        assert_eq!(
+            report.orphans_removed, 0,
+            "the unreadable step's files stay"
+        );
+        assert_eq!(store.steps().unwrap(), [4, 8]);
+        // Repairing the manifest makes the checkpoint whole again.
+        fs::write(store.dir().join(Manifest::file_name(4)), original).unwrap();
+        let m4 = store.manifest(4).unwrap();
+        assert_eq!(store.chain(&m4).unwrap()[0].payloads, [b"old".to_vec()]);
+        fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn an_unlistable_store_is_an_io_error_not_an_empty_store() {
+        let store = temp_store("notadir");
+        write_full(&store, 1, b"state");
+        fs::remove_dir_all(store.dir()).unwrap();
+        fs::write(store.dir(), b"a plain file where the store was").unwrap();
+        assert!(matches!(store.steps(), Err(StoreError::Io(_))));
+        assert!(matches!(store.latest_valid(), Err(StoreError::Io(_))));
+        assert!(matches!(store.gc(1), Err(StoreError::Io(_))));
+        fs::remove_file(store.dir()).unwrap();
     }
 
     #[test]

@@ -1157,6 +1157,28 @@ mod tests {
     }
 
     #[test]
+    fn an_unparseable_old_manifest_neither_stops_gc_nor_moves_the_run() {
+        let data = auc_datasets::criteo_like();
+        let baseline = run_recovery(&data, None, &opts(0, "seed=1")).expect("baseline");
+        let store = temp_store("garbage");
+        // Step 3 lies between the step-2 full and the step-4 incremental:
+        // every gc after a full meets it, and the step-6 restore skips it.
+        let garbage = store.dir().join("MANIFEST_3.json");
+        std::fs::write(&garbage, "{\"kind\": \x00 not a manifest").expect("write garbage");
+        let faulty =
+            run_recovery(&data, Some(&store), &opts(2, "seed=1;crash@7")).expect("faulty run");
+        assert_eq!(faulty.recoveries.len(), 1);
+        assert_eq!(faulty.recoveries[0].restored_step, 6);
+        assert_eq!(faulty.final_digest, baseline.final_digest);
+        assert_eq!(faulty.final_loss.to_bits(), baseline.final_loss.to_bits());
+        assert!(
+            garbage.exists(),
+            "gc leaves the unreadable manifest on disk"
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
     fn fault_free_run_raises_no_anomalies() {
         let data = auc_datasets::criteo_like();
         let run = run_recovery(&data, None, &opts(0, "seed=20")).expect("clean");
