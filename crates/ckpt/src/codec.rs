@@ -1,4 +1,4 @@
-//! Deterministic binary codec and shard checksums.
+//! Deterministic binary codec and the shard checksum.
 //!
 //! Shards are flat little-endian byte streams: the encoder writes fixed-width
 //! integers and floats in declaration order, the decoder reads them back and
@@ -9,9 +9,9 @@
 
 use std::fmt;
 
-/// The integrity checksum of every shard file (FNV-1a 64), and its
-/// incremental form.
-pub use picasso_obs::checksum::{fnv1a64, Fnv1a};
+/// The integrity checksum of every checkpoint shard (FNV-1a over 64-bit
+/// words), and the byte-wise FNV-1a the trainer's state digest hashes with.
+pub use picasso_obs::checksum::{fnv1a64_words, Fnv1a};
 
 /// Why a payload could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -256,10 +256,10 @@ mod tests {
 
     #[test]
     fn fnv_is_stable_and_sensitive() {
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        let a = fnv1a64(b"picasso");
-        let b = fnv1a64(b"picassp");
+        assert_eq!(fnv1a64_words(b""), 0x0f42_c414_7dbb_93f2);
+        let a = fnv1a64_words(b"picasso");
+        let b = fnv1a64_words(b"picassp");
         assert_ne!(a, b, "one-bit change moves the checksum");
-        assert_eq!(a, fnv1a64(b"picasso"), "hash is a pure function");
+        assert_eq!(a, fnv1a64_words(b"picasso"), "hash is a pure function");
     }
 }

@@ -1,16 +1,21 @@
 //! Checkpoint manifests.
 //!
 //! A manifest is the small JSON document that makes a checkpoint *exist*:
-//! shard files are staged first, and the atomic rename of the manifest is
-//! the commit point. It records the training step, whether the snapshot is
-//! full or incremental (with a parent link for the chain), and the byte
-//! length + FNV-1a checksum of every shard so the store can validate
-//! integrity before trusting a restore.
+//! the checkpoint's one data file is written and renamed into place first,
+//! and the atomic rename of the manifest is the commit point. It records
+//! the training step, whether the snapshot is full or incremental (with a
+//! parent link for the chain), and the name, byte length and checksum of
+//! every shard. The data file is the shard payloads concatenated in
+//! manifest order, so a shard's offset is the sum of the lengths before
+//! it, and the file's name follows from the step
+//! ([`Manifest::data_file_name`]).
 
 use picasso_obs::json::{self, Json};
 
 /// Version of the manifest layout; bump when a required field changes shape.
-pub const CKPT_SCHEMA_VERSION: u64 = 1;
+/// Version 2 holds every shard in one data file per checkpoint; version 1
+/// (one file per shard) is refused.
+pub const CKPT_SCHEMA_VERSION: u64 = 2;
 
 /// Identifies checkpoint manifests among other JSON artifacts.
 pub const CKPT_MANIFEST_KIND: &str = "picasso.checkpoint_manifest";
@@ -44,16 +49,14 @@ impl CheckpointKind {
     }
 }
 
-/// One shard file of a checkpoint.
+/// One shard of a checkpoint: a slice of its data file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardEntry {
-    /// Logical shard name (e.g. `dense`, `table3`).
+    /// Logical shard name (e.g. `dense`, `table3`), unique per manifest.
     pub name: String,
-    /// File name within the checkpoint directory.
-    pub file: String,
     /// Payload length in bytes.
     pub bytes: u64,
-    /// FNV-1a checksum of the payload.
+    /// [`fnv1a64_words`](crate::codec::fnv1a64_words) of the payload.
     pub checksum: u64,
 }
 
@@ -66,14 +69,17 @@ pub struct Manifest {
     pub kind: CheckpointKind,
     /// Step of the parent checkpoint (`None` for full snapshots).
     pub parent: Option<u64>,
-    /// Shard files, in write order.
+    /// Shards, in write order: their order in the data file.
     pub shards: Vec<ShardEntry>,
 }
 
 impl Manifest {
-    /// Sum of shard payload bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.bytes).sum()
+    /// Sum of shard payload bytes: the data file's length. `None` when the
+    /// lengths overflow `u64`, which no parsed manifest does.
+    pub fn total_bytes(&self) -> Option<u64> {
+        self.shards
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.bytes))
     }
 
     /// Looks up a shard by logical name.
@@ -84,6 +90,11 @@ impl Manifest {
     /// The manifest's file name for `step` (`MANIFEST_<step>.json`).
     pub fn file_name(step: u64) -> String {
         format!("MANIFEST_{step}.json")
+    }
+
+    /// The data file's name for `step` (`ckpt-<step:08>.bin`).
+    pub fn data_file_name(step: u64) -> String {
+        format!("ckpt-{step:08}.bin")
     }
 
     /// Serializes the manifest document.
@@ -108,7 +119,6 @@ impl Manifest {
                         .map(|s| {
                             Json::obj([
                                 ("name", Json::str(&s.name)),
-                                ("file", Json::str(&s.file)),
                                 ("bytes", Json::UInt(s.bytes)),
                                 ("checksum", Json::UInt(s.checksum)),
                             ])
@@ -119,7 +129,9 @@ impl Manifest {
         ])
     }
 
-    /// Parses a manifest document (inverse of [`Manifest::to_json`]).
+    /// Parses a manifest document (inverse of [`Manifest::to_json`]). A
+    /// document of another schema version, a repeated shard name, or shard
+    /// lengths whose sum overflows `u64` is an error.
     pub fn from_json(doc: &Json) -> Result<Manifest, String> {
         match doc.get("kind").and_then(Json::as_str) {
             Some(CKPT_MANIFEST_KIND) => {}
@@ -131,7 +143,7 @@ impl Manifest {
             .ok_or("missing schema_version")?;
         if version != CKPT_SCHEMA_VERSION {
             return Err(format!(
-                "schema_version {version} != supported {CKPT_SCHEMA_VERSION}"
+                "schema_version {version} is not supported (this build reads version {CKPT_SCHEMA_VERSION})"
             ));
         }
         let step = doc
@@ -155,27 +167,30 @@ impl Manifest {
                 "step {step} claims parent {p} (parents must be older)"
             ));
         }
-        let mut shards = Vec::new();
+        let mut shards: Vec<ShardEntry> = Vec::new();
+        let mut total = 0u64;
         for s in doc
             .get("shards")
             .and_then(Json::items)
             .ok_or("missing shards")?
         {
+            let name = s
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or("shard missing name")?;
+            if shards.iter().any(|seen| seen.name == name) {
+                return Err(format!("duplicate shard '{name}'"));
+            }
+            let bytes = s
+                .get("bytes")
+                .and_then(Json::as_u64)
+                .ok_or("shard missing bytes")?;
+            total = total
+                .checked_add(bytes)
+                .ok_or("shard lengths overflow u64")?;
             shards.push(ShardEntry {
-                name: s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("shard missing name")?
-                    .to_string(),
-                file: s
-                    .get("file")
-                    .and_then(Json::as_str)
-                    .ok_or("shard missing file")?
-                    .to_string(),
-                bytes: s
-                    .get("bytes")
-                    .and_then(Json::as_u64)
-                    .ok_or("shard missing bytes")?,
+                name: name.to_string(),
+                bytes,
                 checksum: s
                     .get("checksum")
                     .and_then(Json::as_u64)
@@ -209,13 +224,11 @@ mod tests {
             shards: vec![
                 ShardEntry {
                     name: "dense".into(),
-                    file: "ckpt-00000042-dense.bin".into(),
                     bytes: 128,
                     checksum: 0xdead_beef,
                 },
                 ShardEntry {
                     name: "table0".into(),
-                    file: "ckpt-00000042-table0.bin".into(),
                     bytes: 64,
                     checksum: 7,
                 },
@@ -229,7 +242,8 @@ mod tests {
         let text = m.to_json().to_json();
         let back = Manifest::parse(&text).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.total_bytes(), 192);
+        assert_eq!(back.total_bytes(), Some(192));
+        assert_eq!(Manifest::data_file_name(42), "ckpt-00000042.bin");
         assert_eq!(back.shard("dense").unwrap().bytes, 128);
         assert!(back.shard("missing").is_none());
     }
@@ -260,7 +274,7 @@ mod tests {
             .unwrap_err()
             .contains("schema_version"));
         // Incremental without parent.
-        let orphan = r#"{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":5,"snapshot":"incremental","parent":null,"shards":[]}"#;
+        let orphan = r#"{"schema_version":2,"kind":"picasso.checkpoint_manifest","step":5,"snapshot":"incremental","parent":null,"shards":[]}"#;
         assert!(Manifest::parse(orphan).unwrap_err().contains("parent"));
     }
 
@@ -268,13 +282,48 @@ mod tests {
     fn a_parent_not_older_than_its_child_is_rejected() {
         for parent in [8, 9, u64::MAX] {
             let doc = format!(
-                r#"{{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":8,"snapshot":"incremental","parent":{parent},"shards":[]}}"#
+                r#"{{"schema_version":2,"kind":"picasso.checkpoint_manifest","step":8,"snapshot":"incremental","parent":{parent},"shards":[]}}"#
             );
             let err = Manifest::parse(&doc).unwrap_err();
             assert!(err.contains("parents must be older"), "{parent}: {err}");
         }
-        let older = r#"{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":8,"snapshot":"incremental","parent":7,"shards":[]}"#;
+        let older = r#"{"schema_version":2,"kind":"picasso.checkpoint_manifest","step":8,"snapshot":"incremental","parent":7,"shards":[]}"#;
         assert_eq!(Manifest::parse(older).unwrap().parent, Some(7));
+    }
+
+    /// The sample document with its shard list replaced by `shards`.
+    fn with_shards(shards: &str) -> String {
+        format!(
+            r#"{{"schema_version":2,"kind":"picasso.checkpoint_manifest","step":3,"snapshot":"full","parent":null,"shards":[{shards}]}}"#
+        )
+    }
+
+    #[test]
+    fn shard_lengths_that_overflow_u64_are_rejected() {
+        let max = u64::MAX;
+        let doc = with_shards(&format!(
+            r#"{{"name":"a","bytes":{max},"checksum":0}},{{"name":"b","bytes":1,"checksum":0}}"#
+        ));
+        let err = Manifest::parse(&doc).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        let fits = with_shards(&format!(r#"{{"name":"a","bytes":{max},"checksum":0}}"#));
+        assert_eq!(Manifest::parse(&fits).unwrap().total_bytes(), Some(max));
+    }
+
+    #[test]
+    fn duplicate_shard_names_are_rejected() {
+        let doc = with_shards(
+            r#"{"name":"dense","bytes":1,"checksum":0},{"name":"dense","bytes":2,"checksum":0}"#,
+        );
+        let err = Manifest::parse(&doc).unwrap_err();
+        assert!(err.contains("duplicate shard 'dense'"), "{err}");
+    }
+
+    #[test]
+    fn a_version_1_manifest_is_refused_by_its_version() {
+        let v1 = r#"{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":3,"snapshot":"full","parent":null,"shards":[{"name":"dense","file":"ckpt-00000003-dense.bin","bytes":1,"checksum":0}]}"#;
+        let err = Manifest::parse(v1).unwrap_err();
+        assert!(err.contains("schema_version 1 is not supported"), "{err}");
     }
 
     #[test]

@@ -1,20 +1,31 @@
 //! The directory-level checkpoint store.
 //!
-//! Write protocol: every shard is written to a `.tmp` file and renamed into
-//! place, then the manifest itself is written the same way — the manifest
-//! rename is the commit point, so a crash mid-checkpoint leaves at worst
-//! orphaned shard files (reclaimed by [`CheckpointStore::gc`]) and never a
-//! manifest describing missing data. Read protocol: [`CheckpointStore::latest_valid`]
-//! walks manifests newest-first, reads and checksums every shard in the
-//! manifest's parent chain once, handing the payloads to the caller, and
-//! falls back to the previous manifest when validation fails, so a
-//! corrupted newest checkpoint degrades recovery instead of breaking it.
+//! Layout: each checkpoint is two files, its manifest `MANIFEST_<step>.json`
+//! and one data file `ckpt-<step:08>.bin` holding the shard payloads
+//! concatenated in manifest order, with no header and no padding.
+//!
+//! Write protocol: [`CheckpointStore::begin`] opens `ckpt-<step:08>.bin.tmp`,
+//! [`CheckpointWriter::add_shard`] appends each payload to it as it arrives
+//! and checksums it on the way, and [`CheckpointWriter::commit`] renames the
+//! data file into place and then writes the manifest to a `.tmp` file and
+//! renames it. The manifest rename is the commit point, so a crash
+//! mid-checkpoint leaves at worst orphaned files (reclaimed by
+//! [`CheckpointStore::gc`]) and never a manifest describing missing data.
+//!
+//! Read protocol: [`CheckpointStore::latest_valid`] walks manifests
+//! newest-first and reads each data file of the manifest's parent chain
+//! once. A data file whose length is not the sum of its shard lengths, or a
+//! shard whose checksum does not match, rejects the manifest, and the walk
+//! falls back to the previous one, so a corrupted newest checkpoint
+//! degrades recovery instead of breaking it. The validated payloads are
+//! handed to the caller without reading the files again.
 
-use crate::codec::fnv1a64;
+use crate::codec::fnv1a64_words;
 use crate::manifest::{CheckpointKind, Manifest, ShardEntry};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Why a store operation failed.
@@ -51,9 +62,9 @@ pub struct CheckpointSummary {
     pub step: u64,
     /// Full or incremental.
     pub kind: CheckpointKind,
-    /// Total shard payload bytes.
+    /// Total shard payload bytes: the data file's length.
     pub bytes: u64,
-    /// Number of shard files.
+    /// Number of shards.
     pub shards: usize,
 }
 
@@ -64,33 +75,43 @@ pub struct GcReport {
     pub kept: Vec<u64>,
     /// Steps of checkpoints removed.
     pub removed: Vec<u64>,
-    /// Orphaned shard files (no committed manifest references them) removed.
+    /// Orphaned files (data files no committed manifest describes, and
+    /// `.tmp` files) removed.
     pub orphans_removed: usize,
     /// Steps whose manifest could not be read; left on disk untouched.
     pub unreadable: Vec<u64>,
 }
 
-/// One link of a validated restore chain: a manifest and the payload of
-/// each of its shards, in manifest order, each read and checksummed once.
+/// One link of a validated restore chain: a manifest and its data file,
+/// read once, whose length and shard checksums have been checked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainLink {
-    /// The link's manifest.
-    pub manifest: Manifest,
-    /// `payloads[i]` is the payload of `manifest.shards[i]`.
-    pub payloads: Vec<Vec<u8>>,
+    manifest: Manifest,
+    data: Vec<u8>,
 }
 
 impl ChainLink {
-    /// Moves the payload of shard `name` out of the link, leaving it
-    /// empty.
-    pub fn take(&mut self, name: &str) -> Result<Vec<u8>, StoreError> {
-        match self.manifest.shards.iter().position(|s| s.name == name) {
-            Some(i) => Ok(std::mem::take(&mut self.payloads[i])),
-            None => Err(StoreError::NotFound(format!(
-                "step {} has no shard '{name}'",
-                self.manifest.step
-            ))),
+    /// The link's manifest.
+    pub fn manifest(&self) -> &Manifest {
+        &self.manifest
+    }
+
+    /// The payload of shard `name`.
+    pub fn payload(&self, name: &str) -> Result<&[u8], StoreError> {
+        // The data file's length is the manifest's checked total, so every
+        // prefix sum fits and every range is in bounds.
+        let mut start = 0usize;
+        for entry in &self.manifest.shards {
+            let end = start + entry.bytes as usize;
+            if entry.name == name {
+                return Ok(&self.data[start..end]);
+            }
+            start = end;
         }
+        Err(StoreError::NotFound(format!(
+            "step {} has no shard '{name}'",
+            self.manifest.step
+        )))
     }
 }
 
@@ -113,8 +134,8 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Begins writing a checkpoint for `step`. Shards are staged as they are
-    /// added; nothing is visible until [`CheckpointWriter::commit`].
+    /// Begins writing a checkpoint for `step`: opens its data file under a
+    /// `.tmp` name. Nothing is visible until [`CheckpointWriter::commit`].
     pub fn begin(
         &self,
         step: u64,
@@ -126,6 +147,10 @@ impl CheckpointStore {
                 "incremental checkpoint at step {step} needs a parent"
             )));
         }
+        let tmp = self
+            .dir
+            .join(format!("{}.tmp", Manifest::data_file_name(step)));
+        let data = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
         Ok(CheckpointWriter {
             store: self,
             manifest: Manifest {
@@ -134,6 +159,9 @@ impl CheckpointStore {
                 parent,
                 shards: Vec::new(),
             },
+            tmp,
+            data,
+            bytes: 0,
         })
     }
 
@@ -159,18 +187,20 @@ impl CheckpointStore {
     }
 
     /// Loads (without validating shards) the manifest for `step`. A
-    /// document that describes another step than its file name is
-    /// corrupt.
+    /// document that is not UTF-8, does not parse, or describes another
+    /// step than its file name is corrupt.
     pub fn manifest(&self, step: u64) -> Result<Manifest, StoreError> {
         let path = self.dir.join(Manifest::file_name(step));
-        let text = fs::read_to_string(&path).map_err(|e| match e.kind() {
+        let bytes = fs::read(&path).map_err(|e| match e.kind() {
             std::io::ErrorKind::NotFound => {
                 StoreError::NotFound(format!("no manifest for step {step}"))
             }
             _ => io_err(&path, e),
         })?;
-        let manifest =
-            Manifest::parse(&text).map_err(|e| StoreError::Corrupt(format!("step {step}: {e}")))?;
+        let manifest = std::str::from_utf8(&bytes)
+            .map_err(|e| e.to_string())
+            .and_then(Manifest::parse)
+            .map_err(|e| StoreError::Corrupt(format!("step {step}: {e}")))?;
         if manifest.step != step {
             return Err(StoreError::Corrupt(format!(
                 "{} describes step {}",
@@ -181,32 +211,40 @@ impl CheckpointStore {
         Ok(manifest)
     }
 
-    /// Reads one shard's payload, verifying length and checksum.
-    fn read_entry(&self, step: u64, entry: &ShardEntry) -> Result<Vec<u8>, StoreError> {
-        let path = self.dir.join(&entry.file);
-        let payload = fs::read(&path).map_err(|e| io_err(&path, e))?;
-        if payload.len() as u64 != entry.bytes {
+    /// Reads `manifest`'s data file once and validates it: its length must
+    /// be the sum of the shard lengths, and each shard's checksum must match.
+    fn read_link(&self, manifest: Manifest) -> Result<ChainLink, StoreError> {
+        let step = manifest.step;
+        let total = manifest.total_bytes().ok_or_else(|| {
+            StoreError::Corrupt(format!("step {step}: shard lengths overflow u64"))
+        })?;
+        let path = self.dir.join(Manifest::data_file_name(step));
+        let data = fs::read(&path).map_err(|e| io_err(&path, e))?;
+        if data.len() as u64 != total {
             return Err(StoreError::Corrupt(format!(
-                "step {step} shard '{}': {} bytes on disk, manifest says {}",
-                entry.name,
-                payload.len(),
-                entry.bytes
+                "step {step} data file: {} bytes on disk, manifest says {total}",
+                data.len()
             )));
         }
-        let sum = fnv1a64(&payload);
-        if sum != entry.checksum {
-            return Err(StoreError::Corrupt(format!(
-                "step {step} shard '{}': checksum {sum:#x} != manifest {:#x}",
-                entry.name, entry.checksum
-            )));
+        let mut start = 0usize;
+        for entry in &manifest.shards {
+            let end = start + entry.bytes as usize;
+            let sum = fnv1a64_words(&data[start..end]);
+            if sum != entry.checksum {
+                return Err(StoreError::Corrupt(format!(
+                    "step {step} shard '{}': checksum {sum:#x} != manifest {:#x}",
+                    entry.name, entry.checksum
+                )));
+            }
+            start = end;
         }
-        Ok(payload)
+        Ok(ChainLink { manifest, data })
     }
 
     /// Resolves the restore chain for `manifest`: the nearest full ancestor
     /// first, then every incremental up to and including `manifest` itself.
-    /// Every shard of every link is read and validated once, and its
-    /// payload returned with the link.
+    /// Every link's data file is read and validated once, and returned with
+    /// the link.
     pub fn chain(&self, manifest: &Manifest) -> Result<Vec<ChainLink>, StoreError> {
         let mut chain = vec![manifest.clone()];
         let mut cursor = manifest.clone();
@@ -229,14 +267,7 @@ impl CheckpointStore {
         chain.reverse();
         chain
             .into_iter()
-            .map(|manifest| {
-                let payloads = manifest
-                    .shards
-                    .iter()
-                    .map(|entry| self.read_entry(manifest.step, entry))
-                    .collect::<Result<_, _>>()?;
-                Ok(ChainLink { manifest, payloads })
-            })
+            .map(|manifest| self.read_link(manifest))
             .collect()
     }
 
@@ -281,6 +312,7 @@ impl CheckpointStore {
                 Err(_) => {
                     report.unreadable.push(step);
                     referenced.insert(Manifest::file_name(step));
+                    referenced.insert(Manifest::data_file_name(step));
                 }
             }
         }
@@ -320,8 +352,8 @@ impl CheckpointStore {
         for m in &manifests {
             if keep.contains(&m.step) {
                 report.kept.push(m.step);
-                referenced.extend(m.shards.iter().map(|s| s.file.clone()));
                 referenced.insert(Manifest::file_name(m.step));
+                referenced.insert(Manifest::data_file_name(m.step));
             }
         }
         for m in &manifests {
@@ -331,16 +363,13 @@ impl CheckpointStore {
                 fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
             }
         }
-        // Sweep unreferenced shard/tmp files.
+        // Sweep unreferenced data and tmp files.
         let entries = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             let sweepable = name.starts_with("ckpt-") || name.ends_with(".tmp");
-            let unreadable_shard = report.unreadable.iter().any(|step| {
-                name.starts_with(&format!("ckpt-{step:08}-")) && !name.ends_with(".tmp")
-            });
-            if sweepable && !unreadable_shard && !referenced.contains(name) {
+            if sweepable && !referenced.contains(name) {
                 let path = entry.path();
                 fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
                 report.orphans_removed += 1;
@@ -358,18 +387,22 @@ impl CheckpointStore {
     }
 }
 
-/// Stages shards for one checkpoint; the manifest write in
-/// [`CheckpointWriter::commit`] makes them visible. Dropping the writer
-/// without committing leaves only orphaned shard files, which the next
-/// [`CheckpointStore::gc`] reclaims.
+/// Streams one checkpoint's shards into its data file; the manifest write
+/// in [`CheckpointWriter::commit`] makes them visible. Dropping the writer
+/// without committing leaves only an orphaned `.tmp` data file, which the
+/// next [`CheckpointStore::gc`] reclaims.
 #[derive(Debug)]
 pub struct CheckpointWriter<'a> {
     store: &'a CheckpointStore,
     manifest: Manifest,
+    tmp: PathBuf,
+    data: fs::File,
+    bytes: u64,
 }
 
 impl CheckpointWriter<'_> {
-    /// Writes one shard atomically and records it in the pending manifest.
+    /// Appends one shard's payload to the data file and records its length
+    /// and checksum in the pending manifest.
     pub fn add_shard(&mut self, name: &str, payload: &[u8]) -> Result<(), StoreError> {
         if self.manifest.shard(name).is_some() {
             return Err(StoreError::Corrupt(format!(
@@ -377,28 +410,38 @@ impl CheckpointWriter<'_> {
                 self.manifest.step
             )));
         }
-        let file = format!("ckpt-{:08}-{name}.bin", self.manifest.step);
-        self.store.write_atomic(&file, payload)?;
+        self.data
+            .write_all(payload)
+            .map_err(|e| io_err(&self.tmp, e))?;
+        self.bytes += payload.len() as u64;
         self.manifest.shards.push(ShardEntry {
             name: name.to_string(),
-            file,
             bytes: payload.len() as u64,
-            checksum: fnv1a64(payload),
+            checksum: fnv1a64_words(payload),
         });
         Ok(())
     }
 
-    /// Commits: writes the manifest atomically, making the checkpoint
-    /// restorable.
+    /// Commits: renames the data file into place, then writes the manifest
+    /// atomically, making the checkpoint restorable.
     pub fn commit(self) -> Result<CheckpointSummary, StoreError> {
-        let text = self.manifest.to_json().to_json() + "\n";
-        self.store
-            .write_atomic(&Manifest::file_name(self.manifest.step), text.as_bytes())?;
+        let CheckpointWriter {
+            store,
+            manifest,
+            tmp,
+            data,
+            bytes,
+        } = self;
+        drop(data);
+        let dst = store.dir.join(Manifest::data_file_name(manifest.step));
+        fs::rename(&tmp, &dst).map_err(|e| io_err(&dst, e))?;
+        let text = manifest.to_json().to_json() + "\n";
+        store.write_atomic(&Manifest::file_name(manifest.step), text.as_bytes())?;
         Ok(CheckpointSummary {
-            step: self.manifest.step,
-            kind: self.manifest.kind,
-            bytes: self.manifest.total_bytes(),
-            shards: self.manifest.shards.len(),
+            step: manifest.step,
+            kind: manifest.kind,
+            bytes,
+            shards: manifest.shards.len(),
         })
     }
 }
@@ -435,12 +478,43 @@ mod tests {
         assert_eq!(summary.bytes, 11);
         assert_eq!(summary.shards, 1);
         let m = store.manifest(3).unwrap();
-        let mut chain = store.chain(&m).unwrap();
-        assert_eq!(chain[0].take("dense").unwrap(), b"hello world");
+        let chain = store.chain(&m).unwrap();
+        assert_eq!(chain[0].payload("dense").unwrap(), b"hello world");
         assert!(matches!(
-            chain[0].take("nope"),
+            chain[0].payload("nope"),
             Err(StoreError::NotFound(_))
         ));
+        fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_is_a_manifest_and_its_shards_concatenated() {
+        let store = temp_store("layout");
+        let mut w = store.begin(5, CheckpointKind::Full, None).unwrap();
+        w.add_shard("dense", b"dense!").unwrap();
+        w.add_shard("table0", b"").unwrap();
+        w.add_shard("table1", b"rows").unwrap();
+        let summary = w.commit().unwrap();
+        assert_eq!((summary.bytes, summary.shards), (10, 3));
+        let mut files: Vec<_> = fs::read_dir(store.dir())
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["MANIFEST_5.json", "ckpt-00000005.bin"]);
+        let data = fs::read(store.dir().join("ckpt-00000005.bin")).unwrap();
+        assert_eq!(data, b"dense!rows", "no header, no padding");
+        let m = store.manifest(5).unwrap();
+        assert_eq!(m.total_bytes(), Some(10));
+        let chain = store.chain(&m).unwrap();
+        assert_eq!(chain[0].manifest(), &m);
+        assert_eq!(chain[0].payload("dense").unwrap(), b"dense!");
+        assert_eq!(chain[0].payload("table0").unwrap(), b"");
+        assert_eq!(chain[0].payload("table1").unwrap(), b"rows");
+        for (entry, payload) in m.shards.iter().zip([&b"dense!"[..], b"", b"rows"]) {
+            assert_eq!(entry.checksum, fnv1a64_words(payload), "{}", entry.name);
+        }
         fs::remove_dir_all(store.dir()).unwrap();
     }
 
@@ -455,7 +529,7 @@ mod tests {
             "no manifest, no checkpoint"
         );
         assert!(store.latest_valid().unwrap().is_none());
-        // The orphaned shard is reclaimed by gc.
+        // The orphaned data file is reclaimed by gc.
         let report = store.gc(1).unwrap();
         assert_eq!(report.orphans_removed, 1);
         fs::remove_dir_all(store.dir()).unwrap();
@@ -478,9 +552,9 @@ mod tests {
         let store = temp_store("corrupt");
         write_full(&store, 1, b"good old state");
         write_full(&store, 2, b"shiny new state");
-        // Flip a byte in the newest shard file.
+        // Flip a byte in the newest data file.
         let m2 = store.manifest(2).unwrap();
-        let path = store.dir().join(&m2.shards[0].file);
+        let path = store.dir().join(Manifest::data_file_name(2));
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
@@ -489,10 +563,11 @@ mod tests {
         let (chain, rejected) = store.latest_valid().unwrap().expect("step 1 still valid");
         assert_eq!(chain.len(), 1);
         assert_eq!(
-            chain[0].manifest.step, 1,
+            chain[0].manifest().step,
+            1,
             "fell back past the corrupted checkpoint"
         );
-        assert_eq!(chain[0].payloads, [b"good old state".to_vec()]);
+        assert_eq!(chain[0].payload("dense").unwrap(), b"good old state");
         assert_eq!(rejected.len(), 1);
         assert!(
             rejected[0].contains("checksum"),
@@ -506,11 +581,16 @@ mod tests {
         let store = temp_store("trunc");
         write_full(&store, 1, b"0123456789");
         let m = store.manifest(1).unwrap();
-        let path = store.dir().join(&m.shards[0].file);
+        let path = store.dir().join(Manifest::data_file_name(1));
         fs::write(&path, b"01234").unwrap();
         let err = store.chain(&m).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)));
         assert!(err.to_string().contains("bytes"));
+        // A data file longer than its shards is corrupt too.
+        fs::write(&path, b"0123456789!").unwrap();
+        let err = store.chain(&m).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)));
+        assert!(err.to_string().contains("11 bytes on disk"), "{err}");
         fs::remove_dir_all(store.dir()).unwrap();
     }
 
@@ -521,20 +601,18 @@ mod tests {
         write_incr(&store, 12, 10, b"d1");
         write_incr(&store, 14, 12, b"d2");
         let m = store.manifest(14).unwrap();
-        let mut chain = store.chain(&m).unwrap();
+        let chain = store.chain(&m).unwrap();
         assert_eq!(
-            chain.iter().map(|c| c.manifest.step).collect::<Vec<_>>(),
+            chain.iter().map(|c| c.manifest().step).collect::<Vec<_>>(),
             [10, 12, 14]
         );
-        assert_eq!(chain[1].take("dense").unwrap(), b"d1");
-        assert!(chain[1].take("dense").unwrap().is_empty(), "taken once");
+        assert_eq!(chain[1].payload("dense").unwrap(), b"d1");
         assert!(matches!(
-            chain[1].take("table0"),
+            chain[1].payload("table0"),
             Err(StoreError::NotFound(_))
         ));
         // Corrupting the *base* invalidates the whole chain.
-        let base = store.manifest(10).unwrap();
-        let path = store.dir().join(&base.shards[0].file);
+        let path = store.dir().join(Manifest::data_file_name(10));
         fs::write(&path, b"XXXX").unwrap();
         assert!(store.chain(&m).is_err());
         assert!(store.latest_valid().unwrap().is_none());
@@ -549,7 +627,7 @@ mod tests {
         let m = store.manifest(3).unwrap();
         assert!(matches!(store.chain(&m), Err(StoreError::NotFound(_))));
         let (chain, rejected) = store.latest_valid().unwrap().unwrap();
-        assert_eq!(chain.last().unwrap().manifest.step, 1);
+        assert_eq!(chain.last().unwrap().manifest().step, 1);
         assert_eq!(rejected.len(), 1);
         fs::remove_dir_all(store.dir()).unwrap();
     }
@@ -562,7 +640,7 @@ mod tests {
     /// An incremental manifest document for `step` with parent `parent`.
     fn incremental_doc(step: u64, parent: u64) -> String {
         format!(
-            r#"{{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":{step},"snapshot":"incremental","parent":{parent},"shards":[]}}"#
+            r#"{{"schema_version":2,"kind":"picasso.checkpoint_manifest","step":{step},"snapshot":"incremental","parent":{parent},"shards":[]}}"#
         )
     }
 
@@ -579,7 +657,7 @@ mod tests {
         assert_eq!(report.kept, [4]);
         assert!(store.dir().join(Manifest::file_name(8)).exists());
         let (chain, rejected) = store.latest_valid().unwrap().expect("step 4 still valid");
-        assert_eq!(chain.last().unwrap().manifest.step, 4);
+        assert_eq!(chain.last().unwrap().manifest().step, 4);
         assert_eq!(rejected.len(), 1);
         assert!(
             rejected[0].contains("parents must be older"),
@@ -603,8 +681,8 @@ mod tests {
         // Both newer checkpoints are rejected; restore falls back to step 4.
         let (chain, rejected) = store.latest_valid().unwrap().expect("step 4 still valid");
         assert_eq!(chain.len(), 1);
-        assert_eq!(chain[0].manifest.step, 4);
-        assert_eq!(chain[0].payloads, [b"base".to_vec()]);
+        assert_eq!(chain[0].manifest().step, 4);
+        assert_eq!(chain[0].payload("dense").unwrap(), b"base");
         assert_eq!(rejected.len(), 2, "{rejected:?}");
         fs::remove_dir_all(store.dir()).unwrap();
     }
@@ -624,7 +702,7 @@ mod tests {
         // Everything kept still restores.
         let m = store.manifest(24).unwrap();
         assert_eq!(store.chain(&m).unwrap().len(), 3);
-        // Removed checkpoints' shard files are gone too.
+        // Removed checkpoints' data files are gone too.
         let files: Vec<_> = fs::read_dir(store.dir())
             .unwrap()
             .flatten()
@@ -653,7 +731,10 @@ mod tests {
         // Repairing the manifest makes the checkpoint whole again.
         fs::write(store.dir().join(Manifest::file_name(4)), original).unwrap();
         let m4 = store.manifest(4).unwrap();
-        assert_eq!(store.chain(&m4).unwrap()[0].payloads, [b"old".to_vec()]);
+        assert_eq!(
+            store.chain(&m4).unwrap()[0].payload("dense").unwrap(),
+            b"old"
+        );
         fs::remove_dir_all(store.dir()).unwrap();
     }
 
@@ -667,6 +748,29 @@ mod tests {
         assert!(matches!(store.latest_valid(), Err(StoreError::Io(_))));
         assert!(matches!(store.gc(1), Err(StoreError::Io(_))));
         fs::remove_file(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_store_is_refused_by_its_schema_version() {
+        let store = temp_store("v1");
+        forge_manifest(
+            &store,
+            4,
+            r#"{"schema_version":1,"kind":"picasso.checkpoint_manifest","step":4,"snapshot":"full","parent":null,"shards":[{"name":"dense","file":"ckpt-00000004-dense.bin","bytes":4,"checksum":0}]}"#,
+        );
+        fs::write(store.dir().join("ckpt-00000004-dense.bin"), b"base").unwrap();
+        let err = store.manifest(4).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("schema_version 1 is not supported"),
+            "{err}"
+        );
+        assert!(
+            store.latest_valid().unwrap().is_none(),
+            "a v1 checkpoint must not restore"
+        );
+        fs::remove_dir_all(store.dir()).unwrap();
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn torn_commit_falls_back(tag: &str, parent: Option<u64>) {
         &[("dense", b"dense state at eight!"), ("table0", b"delta@8")],
     );
     let (whole, _) = store.latest_valid().unwrap().unwrap();
-    assert_eq!(whole.last().unwrap().manifest.step, 8);
+    assert_eq!(whole.last().unwrap().manifest().step, 8);
     let after = snapshot(&dir);
     let torn: Vec<&String> = after.keys().filter(|n| !before.contains_key(*n)).collect();
     assert!(!torn.is_empty());

@@ -547,20 +547,19 @@ fn write_checkpoint(
 
 /// Restores `model` from a validated restore `chain` (base first): the
 /// table shards of every link in turn, then the dense shard of the last.
-/// Each payload is consumed as it is decoded. Returns shard bytes read; a
-/// shard that is missing, does not decode, or decodes to another shape
-/// than the model's, is unrecoverable.
-fn restore_model(model: &mut CtrModel, chain: Vec<ChainLink>) -> Result<u64, TrainError> {
+/// Each payload is decoded in place from its link's data file. Returns
+/// shard bytes read; a shard that is missing, does not decode, or decodes
+/// to another shape than the model's, is unrecoverable.
+fn restore_model(model: &mut CtrModel, chain: &[ChainLink]) -> Result<u64, TrainError> {
     let mut bytes = 0u64;
-    let links = chain.len();
-    for (i, mut link) in chain.into_iter().enumerate() {
+    for (i, link) in chain.iter().enumerate() {
         for group in model.table_groups() {
             let payload = link
-                .take(&format!("table{group}"))
+                .payload(&format!("table{group}"))
                 .map_err(|e| unrec("restore table shard", e))?;
             bytes += payload.len() as u64;
             let snap =
-                TableSnapshot::decode(&payload).map_err(|e| unrec("decode table shard", e))?;
+                TableSnapshot::decode(payload).map_err(|e| unrec("decode table shard", e))?;
             let table = model
                 .table_mut(group)
                 .expect("group came from table_groups");
@@ -571,13 +570,13 @@ fn restore_model(model: &mut CtrModel, chain: Vec<ChainLink>) -> Result<u64, Tra
             }
             .map_err(|e| unrec("restore table shard", e))?;
         }
-        if i + 1 == links {
+        if i + 1 == chain.len() {
             let dense = link
-                .take("dense")
+                .payload("dense")
                 .map_err(|e| unrec("restore dense shard", e))?;
             bytes += dense.len() as u64;
             model
-                .restore_dense(&dense)
+                .restore_dense(dense)
                 .map_err(|e| unrec("decode dense shard", e))?;
         }
     }
@@ -724,9 +723,9 @@ pub fn run_recovery(
                 match store.latest_valid().map_err(|e| unrec("scan store", e))? {
                     Some((chain, rejected)) => {
                         rejected_manifests.extend(rejected);
-                        restored_step = chain.last().map_or(0, |link| link.manifest.step);
+                        restored_step = chain.last().map_or(0, |link| link.manifest().step);
                         model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
-                        restored_bytes = restore_model(&mut model, chain)?;
+                        restored_bytes = restore_model(&mut model, &chain)?;
                         from_scratch = false;
                     }
                     None => model = CtrModel::new(data, opts.variant, opts.lr, opts.seed),

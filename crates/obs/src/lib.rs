@@ -22,8 +22,9 @@
 //!   JSON run reports).
 //! * [`json`] — the dependency-free JSON document model and parser the
 //!   exporters are built on.
-//! * [`checksum`] — FNV-1a 64, the content checksum behind every digest,
-//!   and splitmix64, the deterministic mixer behind every seeded stream.
+//! * [`checksum`] — FNV-1a 64 and its word-wise variant, the content
+//!   checksums behind every digest and checkpoint shard, and splitmix64,
+//!   the deterministic mixer behind every seeded stream.
 //!
 //! The crate has no dependencies and sits at the bottom of the workspace
 //! graph; `sim`, `graph`, `embedding`, `exec`, and `core` all feed it. The
