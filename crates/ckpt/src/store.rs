@@ -26,6 +26,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Why a store operation failed.
@@ -98,21 +99,25 @@ impl ChainLink {
 
     /// The payload of shard `name`.
     pub fn payload(&self, name: &str) -> Result<&[u8], StoreError> {
-        // The data file's length is the manifest's checked total, so every
-        // prefix sum fits and every range is in bounds.
-        let mut start = 0usize;
-        for entry in &self.manifest.shards {
-            let end = start + entry.bytes as usize;
-            if entry.name == name {
-                return Ok(&self.data[start..end]);
-            }
-            start = end;
-        }
-        Err(StoreError::NotFound(format!(
-            "step {} has no shard '{name}'",
-            self.manifest.step
-        )))
+        shard_ranges(&self.manifest)
+            .find(|(entry, _)| entry.name == name)
+            .map(|(_, range)| &self.data[range])
+            .ok_or_else(|| {
+                StoreError::NotFound(format!("step {} has no shard '{name}'", self.manifest.step))
+            })
     }
+}
+
+/// Each shard of `manifest` with its byte range in the data file: the
+/// prefix sums of the shard lengths. Once the data file's length is known
+/// to equal the manifest's checked total, every sum fits and every range
+/// is in bounds.
+fn shard_ranges(manifest: &Manifest) -> impl Iterator<Item = (&ShardEntry, Range<usize>)> {
+    manifest.shards.iter().scan(0usize, |start, entry| {
+        let range = *start..*start + entry.bytes as usize;
+        *start = range.end;
+        Some((entry, range))
+    })
 }
 
 /// A checkpoint directory.
@@ -226,17 +231,14 @@ impl CheckpointStore {
                 data.len()
             )));
         }
-        let mut start = 0usize;
-        for entry in &manifest.shards {
-            let end = start + entry.bytes as usize;
-            let sum = fnv1a64_words(&data[start..end]);
+        for (entry, range) in shard_ranges(&manifest) {
+            let sum = fnv1a64_words(&data[range]);
             if sum != entry.checksum {
                 return Err(StoreError::Corrupt(format!(
                     "step {step} shard '{}': checksum {sum:#x} != manifest {:#x}",
                     entry.name, entry.checksum
                 )));
             }
-            start = end;
         }
         Ok(ChainLink { manifest, data })
     }
