@@ -11,6 +11,7 @@
 //! ([`Manifest::data_file_name`]).
 
 use picasso_obs::json::{self, Json};
+use std::collections::BTreeSet;
 
 /// Version of the manifest layout; bump when a required field changes shape.
 /// Version 2 holds every shard in one data file per checkpoint; version 1
@@ -167,7 +168,8 @@ impl Manifest {
                 "step {step} claims parent {p} (parents must be older)"
             ));
         }
-        let mut shards: Vec<ShardEntry> = Vec::new();
+        let mut shards = Vec::new();
+        let mut names = BTreeSet::new();
         let mut total = 0u64;
         for s in doc
             .get("shards")
@@ -178,7 +180,7 @@ impl Manifest {
                 .get("name")
                 .and_then(Json::as_str)
                 .ok_or("shard missing name")?;
-            if shards.iter().any(|seen| seen.name == name) {
+            if !names.insert(name) {
                 return Err(format!("duplicate shard '{name}'"));
             }
             let bytes = s

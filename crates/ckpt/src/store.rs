@@ -299,7 +299,8 @@ impl CheckpointStore {
 
     /// Retention: keeps the newest `keep_full` full checkpoints, every
     /// checkpoint whose restore chain reaches a kept manifest, and nothing
-    /// else. Orphaned shard files (from aborted writes) are deleted too.
+    /// else. Orphaned data and `.tmp` files (from aborted writes) are
+    /// deleted too.
     /// Chains are preserved by construction: the keep set is closed under
     /// the parent relation. A manifest that cannot be read is skipped, as
     /// [`CheckpointStore::latest_valid`] skips it: it stays on disk with

@@ -68,10 +68,11 @@ fn word_step(state: u64, word: u64) -> u64 {
 ///
 /// The input is read as little-endian `u64` words, the last one
 /// zero-padded; word `k` goes to lane `k % 4`, and each of the four lanes,
-/// all starting at the FNV-1a offset basis, takes a [`word_step`] per
-/// word. The result folds the lanes, in order, into the offset basis with
-/// the same step, then folds in the input's length in bytes (so zero
-/// padding and trailing zero bytes differ). Every step is a bijection of
+/// all starting at the FNV-1a offset basis, takes one step per word:
+/// `m = (lane ^ word) * FNV_PRIME`, then `lane = m ^ (m >> 32)`. The
+/// result folds the lanes, in order, into the offset basis with the same
+/// step, then folds in the input's length in bytes (so zero padding and
+/// trailing zero bytes differ). Every step is a bijection of
 /// the state, so a change confined to one word, such as a flipped bit,
 /// always changes the result. The four lanes have no data dependence on
 /// each other, so the loop takes 32 bytes per round.
