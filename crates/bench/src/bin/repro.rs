@@ -15,6 +15,8 @@
 //! codes. A flag the chosen subcommand does not read is a usage error
 //! (exit 2), as is an unknown flag or a flag without its value.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 use picasso_bench::recovery::run_scenario;
 use picasso_bench::scenarios::{perf_scenarios, recovery_scenarios, Scenario, ServeScenario};
 use picasso_bench::snapshot::{
@@ -621,7 +623,7 @@ fn recover(
     let mut sc = recovery_scenarios()
         .into_iter()
         .next()
-        .expect("the suite registers a recovery scenario");
+        .unwrap_or_else(|| fail(3, "the suite registers no recovery scenario"));
     if let Some(plan) = fault_plan {
         sc.opts.fault_plan = plan.clone();
         sc.opts.seed = plan.seed;

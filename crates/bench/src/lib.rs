@@ -18,6 +18,7 @@
 //! links this crate's scenario tables.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analysis;
 pub mod observatory;

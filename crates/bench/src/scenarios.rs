@@ -105,6 +105,9 @@ pub fn perf_scenarios() -> Vec<Scenario> {
 /// recovery restores an incremental chain (full at step 8, delta at 12)
 /// and loses exactly one iteration of work.
 pub fn recovery_scenarios() -> Vec<RecoveryScenario> {
+    // The plan is a constant of the grammar `FaultPlan::parse` accepts.
+    #[allow(clippy::expect_used)]
+    let fault_plan = FaultPlan::parse("seed=41;crash@13").expect("static plan parses");
     vec![RecoveryScenario {
         name: "crash_recover".into(),
         opts: RecoveryOptions {
@@ -114,7 +117,7 @@ pub fn recovery_scenarios() -> Vec<RecoveryScenario> {
             ckpt_every: 4,
             full_every: 2,
             keep_full: 2,
-            fault_plan: FaultPlan::parse("seed=41;crash@13").expect("static plan parses"),
+            fault_plan,
             ..RecoveryOptions::default()
         },
     }]

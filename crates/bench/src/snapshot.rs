@@ -159,7 +159,8 @@ impl BenchSnapshot {
         });
         let mut scenarios = Vec::with_capacity(suite.len());
         for (slot, sc) in slots.into_iter().zip(&suite) {
-            let result = slot.expect("scenario thread ran to completion");
+            let result =
+                slot.ok_or_else(|| format!("{}: the scenario thread left no result", sc.name))?;
             scenarios.push(result.map_err(|e| format!("{}: {e}", sc.name))?);
         }
         // The serving suite rides behind the perf rows: the replica runs in

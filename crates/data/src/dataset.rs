@@ -41,6 +41,18 @@ impl DatasetSpec {
         groups.len()
     }
 
+    /// Each embedding table's dim, indexed by table id: `None` for an id
+    /// no field uses. Fields sharing a table should agree on its dim; when
+    /// they do not, the last field wins.
+    pub fn table_dims(&self) -> Vec<Option<usize>> {
+        let n = self.fields.iter().map(|f| f.table_group + 1).max();
+        let mut dims = vec![None; n.unwrap_or(0)];
+        for f in &self.fields {
+            dims[f.table_group] = Some(f.dim);
+        }
+        dims
+    }
+
     /// Total logical embedding parameters (floats), counting shared tables
     /// once.
     pub fn total_params(&self) -> f64 {

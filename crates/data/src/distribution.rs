@@ -299,6 +299,14 @@ pub fn harmonic_partial(v: f64, s: f64) -> f64 {
 /// Zipf(`s`) distribution over `vocab` IDs (the quantity HybridHash's hit
 /// ratio converges to when Hot-storage holds `k` rows).
 pub fn coverage_top_k(vocab: u64, s: f64, k: f64) -> f64 {
+    coverage_top_k_with(vocab, s, k, || harmonic_partial(vocab as f64, s))
+}
+
+/// [`coverage_top_k`] with its normaliser `harmonic_partial(vocab, s)`
+/// supplied by `norm`, which is called only when the result needs it
+/// (`vocab >= 1`, `k >= 1`, `s != 0`). A caller covering many `k` over one
+/// `(vocab, s)` computes the normaliser once; the result is bit-identical.
+pub fn coverage_top_k_with(vocab: u64, s: f64, k: f64, norm: impl FnOnce() -> f64) -> f64 {
     if vocab == 0 {
         return 0.0;
     }
@@ -309,7 +317,7 @@ pub fn coverage_top_k(vocab: u64, s: f64, k: f64) -> f64 {
     if s == 0.0 {
         return k / vocab as f64;
     }
-    harmonic_partial(k, s) / harmonic_partial(vocab as f64, s)
+    harmonic_partial(k, s) / norm()
 }
 
 /// Expected fraction of IDs remaining after `Unique` when `draws` IDs are

@@ -16,12 +16,18 @@
 //! - **counting is drawing's lengths**: on the same specs,
 //!   `BatchGenerator::count_ids` adds to each slot exactly the number of
 //!   IDs that as many `next_ids_into` calls append to it, over up to four
-//!   batches of one instance or more.
+//!   batches of one instance or more;
+//! - **the split coverage is the whole one**: `coverage_top_k_with`, fed a
+//!   normaliser computed once per `(vocab, s)` and reused across many `k`,
+//!   equals `coverage_top_k` and the formula it was split from bit for bit,
+//!   at `vocab = 0`, `s = 0`, `k < 1` and `k > vocab` included.
 
+use picasso_data::distribution::{coverage_top_k, coverage_top_k_with, harmonic_partial};
 use picasso_data::{BatchGenerator, DatasetSpec, FieldSpec, IdDistribution, IdSampler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// A sampler over 1–50,000 ranks, small vocabularies as likely as large
@@ -113,6 +119,56 @@ fn spec_strategy() -> impl Strategy<Value = Arc<DatasetSpec>> {
     })
 }
 
+/// `coverage_top_k` as one expression, before its normaliser was split
+/// out.
+fn reference_coverage(vocab: u64, s: f64, k: f64) -> f64 {
+    if vocab == 0 {
+        return 0.0;
+    }
+    let k = k.clamp(0.0, vocab as f64);
+    if k < 1.0 {
+        return 0.0;
+    }
+    if s == 0.0 {
+        return k / vocab as f64;
+    }
+    harmonic_partial(k, s) / harmonic_partial(vocab as f64, s)
+}
+
+/// A vocabulary of 0, 1–63 (the exact harmonic sum), 64–10⁵ or up to 10⁹
+/// (the integral form); an exponent of exactly 0 or 1, or up to 2.5; and
+/// 1–8 row counts from below 1 (negative included) to past the
+/// vocabulary, some of them integers.
+fn coverage_strategy() -> impl Strategy<Value = (u64, f64, Vec<f64>)> {
+    let vocab = (
+        0usize..4,
+        1u64..64,
+        64u64..100_001,
+        100_001u64..1_000_000_001,
+    )
+        .prop_map(|(band, small, mid, large)| [0, small, mid, large][band]);
+    let s = (0usize..4, 0.0f64..2.5).prop_map(|(pick, s)| [0.0, 1.0, s, s][pick]);
+    let k = (0usize..4, -2.0f64..1.0, 0.0f64..1.5, proptest::bool::ANY);
+    (vocab, s, proptest::collection::vec(k, 1..9)).prop_map(|(vocab, s, ks)| {
+        let ks = ks
+            .into_iter()
+            .map(|(pick, small, frac, round)| {
+                let k = match pick {
+                    0 => small,
+                    1 => vocab as f64 * frac + 1.0,
+                    _ => vocab as f64 * frac,
+                };
+                if round {
+                    k.round()
+                } else {
+                    k
+                }
+            })
+            .collect();
+        (vocab, s, ks)
+    })
+}
+
 /// A batch size: a single instance half the time, else 2–47.
 fn size_strategy() -> impl Strategy<Value = usize> {
     (proptest::bool::ANY, 2usize..48).prop_map(|(single, size)| if single { 1 } else { size })
@@ -183,6 +239,33 @@ proptest! {
         let mut got = vec![0; n_slots];
         BatchGenerator::with_max_vocab(spec, seed, max_vocab).count_ids(batches, size, &slots, &mut got);
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn split_coverage_equals_the_whole(case in coverage_strategy()) {
+        let (vocab, s, ks) = case;
+        let norm: Cell<Option<f64>> = Cell::new(None);
+        let computed = Cell::new(0);
+        let once = || match norm.get() {
+            Some(h) => h,
+            None => {
+                computed.set(computed.get() + 1);
+                let h = harmonic_partial(vocab as f64, s);
+                norm.set(Some(h));
+                h
+            }
+        };
+        for &k in &ks {
+            let want = reference_coverage(vocab, s, k).to_bits();
+            prop_assert_eq!(coverage_top_k(vocab, s, k).to_bits(), want, "k = {}", k);
+            prop_assert_eq!(
+                coverage_top_k_with(vocab, s, k, once).to_bits(),
+                want,
+                "k = {}",
+                k
+            );
+        }
+        prop_assert!(computed.get() <= 1);
     }
 }
 

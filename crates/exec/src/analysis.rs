@@ -207,7 +207,7 @@ struct EffectfulTask {
     micro: Option<usize>,
     start_ns: u64,
     end_ns: u64,
-    kind: String,
+    kind: &'static str,
     effects: EffectSet,
 }
 
@@ -240,7 +240,7 @@ fn conflicts_among(tasks: &[EffectfulTask], allow: &RaceAllowlist) -> Vec<Observ
             }
             for c in conflicts(&a.effects, &b.effects, allow) {
                 out.push(ObservedOverlap {
-                    sig: RaceSig::new(c.kind.rule_id(), &c.resource, &a.kind, &b.kind),
+                    sig: RaceSig::new(c.kind.rule_id(), &c.resource, a.kind, b.kind),
                     tasks: (a.id, b.id),
                     iteration: a.iteration,
                     executor: a.executor,
@@ -282,7 +282,7 @@ pub fn observed_conflicts(out: &SimulationOutput) -> Vec<ObservedOverlap> {
                 micro,
                 start_ns: rec.start.as_nanos(),
                 end_ns: rec.end.as_nanos(),
-                kind: format!("{:?}", st.kind),
+                kind: st.kind.name(),
                 effects: st.effects.clone(),
             })
         })
@@ -578,7 +578,7 @@ mod tests {
         id: u64,
         micro: Option<usize>,
         span: (u64, u64),
-        kind: &str,
+        kind: &'static str,
         effects: EffectSet,
     ) -> EffectfulTask {
         EffectfulTask {
@@ -588,7 +588,7 @@ mod tests {
             micro,
             start_ns: span.0,
             end_ns: span.1,
-            kind: kind.into(),
+            kind,
             effects,
         }
     }

@@ -36,7 +36,7 @@ pub fn inject_cache_refresh(g: &mut StageGraph, ci: usize, ordered: bool) -> Opt
     let entry = g.nodes.iter().position(|n| n.entry).unwrap_or(0);
     let refresh = g.push(
         StageNode::new(
-            &format!("cache{ci}/refresh"),
+            format!("cache{ci}/refresh"),
             "CacheRefresh",
             "device_memory",
             1.0,

@@ -16,13 +16,14 @@ use crate::costs::{self, PlanContext, ResTarget, StageTask};
 use crate::scheduler::{split_batch, SimConfig};
 use crate::strategy::Strategy;
 use picasso_graph::{OpKind, WdlSpec};
-use picasso_lint::{EffectSet, Resource, ResourceKind, StageFusion, StageGraph, StageNode};
+use picasso_lint::{csr, EffectSet, Resource, ResourceKind, StageFusion, StageGraph, StageNode};
 use std::ops::Range;
 
 /// How the scheduler replays one edge of the lowered graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum EdgeKind {
     /// Lowering wiring, replayed as is.
+    #[default]
     Wiring,
     /// A declared `group_deps` edge from an earlier K-group, replayed once
     /// even when the wiring already carries it.
@@ -40,9 +41,13 @@ pub(crate) struct Lowering {
     pub g: StageGraph,
     /// The stage behind each node.
     pub tasks: Vec<StageTask>,
-    /// Per node, its in-edges in edge order: the source node and how the
-    /// scheduler replays the edge.
-    pub in_edges: Vec<Vec<(usize, EdgeKind)>>,
+    /// How the scheduler replays each edge of `g.edges`, in edge order.
+    edge_kinds: Vec<EdgeKind>,
+    /// Node `n`'s in-edges are `in_list[in_at[n]..in_at[n + 1]]`, in edge
+    /// order: the source node and how the scheduler replays the edge.
+    /// Indexed once the graph is complete.
+    in_at: Vec<usize>,
+    in_list: Vec<(usize, EdgeKind)>,
     /// Per node, the chain whose forward stages it starts.
     pub chain_start: Vec<Option<usize>>,
     /// Per chain, its communication node: the same chain's lookups in the
@@ -335,12 +340,18 @@ impl Lowering {
             }
             prev = Some(node);
         }
+        let edges = l.g.edges.iter().zip(&l.edge_kinds);
+        (l.in_at, l.in_list) = csr(
+            l.tasks.len(),
+            edges.map(|(e, &kind)| (e.to, (e.from, kind))),
+        );
         l
     }
 
-    /// Node `n`'s stage and declared effects.
-    pub fn node(&self, n: usize) -> (&StageTask, &EffectSet) {
-        (&self.tasks[n], &self.g.nodes[n].effects)
+    /// Node `n`'s in-edges in edge order: the source node and how the
+    /// scheduler replays the edge.
+    pub fn in_edges(&self, n: usize) -> &[(usize, EdgeKind)] {
+        &self.in_list[self.in_at[n]..self.in_at[n + 1]]
     }
 
     /// The forward half: load through MLP forward, the serving graph.
@@ -354,15 +365,14 @@ impl Lowering {
 
     fn push(&mut self, node: StageNode, st: StageTask) -> usize {
         self.tasks.push(st);
-        self.in_edges.push(Vec::new());
         self.chain_start.push(None);
         self.g.push(node)
     }
 
     fn stage(&mut self, label: String, st: &StageTask, scope: EffectScope) -> usize {
         let node = StageNode::new(
-            &label,
-            &format!("{:?}", st.kind),
+            label,
+            st.kind.name(),
             class_of(st.target),
             st.work,
             st.launches,
@@ -376,7 +386,7 @@ impl Lowering {
     }
 
     fn edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
-        self.in_edges[to].push((from, kind));
+        self.edge_kinds.push(kind);
         self.g.dep(from, to);
     }
 }
@@ -427,8 +437,8 @@ impl EffectScope {
 /// Per-micro-batch scratch ops (unique/partition/stitch/segment-reduce,
 /// H2D staging) touch only private buffers and derive the empty set.
 fn stage_effects(kind: OpKind, target: ResTarget, scope: EffectScope) -> EffectSet {
-    let key = scope.key();
-    let res = |k: ResourceKind| Resource::new(k, key.clone());
+    // Pure stages, most of the graph, allocate no key.
+    let res = |k: ResourceKind| Resource::new(k, scope.key());
     match kind {
         OpKind::DataLoad => EffectSet::empty().read(Resource::new(ResourceKind::InputStream, "in")),
         OpKind::Gather => match target {

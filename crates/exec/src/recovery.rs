@@ -532,7 +532,9 @@ fn write_checkpoint(
     w.add_shard("dense", &model.dense_snapshot())
         .map_err(|e| unrec("checkpoint dense shard", e))?;
     for group in model.table_groups() {
-        let table = model.table(group).expect("group came from table_groups");
+        let table = model
+            .table(group)
+            .ok_or_else(|| unrec("checkpoint table shard", format!("no table {group}")))?;
         let bytes = match kind {
             CheckpointKind::Full => TableSnapshot::encode_full(table),
             CheckpointKind::Incremental => TableSnapshot::encode_dirty(table),
@@ -562,7 +564,7 @@ fn restore_model(model: &mut CtrModel, chain: &[ChainLink]) -> Result<u64, Train
                 TableSnapshot::decode(payload).map_err(|e| unrec("decode table shard", e))?;
             let table = model
                 .table_mut(group)
-                .expect("group came from table_groups");
+                .ok_or_else(|| unrec("restore table shard", format!("no table {group}")))?;
             if i == 0 {
                 snap.restore_full(table)
             } else {

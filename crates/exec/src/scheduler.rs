@@ -157,16 +157,17 @@ pub fn simulate(
     strategy: Strategy,
     cfg: &SimConfig,
 ) -> Result<SimulationOutput, EngineError> {
-    simulate_lowered(spec, strategy, cfg, &Lowering::first(spec, strategy, cfg))
+    simulate_lowered(spec, strategy, cfg, Lowering::first(spec, strategy, cfg))
 }
 
 /// [`simulate`] over `first`, the already-built [`Lowering::first`] of
-/// the same `spec`, `strategy` and `cfg`.
+/// the same `spec`, `strategy` and `cfg`. The run's causal log takes over
+/// the lowerings' effect sets.
 pub(crate) fn simulate_lowered(
     spec: &WdlSpec,
     strategy: Strategy,
     cfg: &SimConfig,
-    first: &Lowering,
+    first: Lowering,
 ) -> Result<SimulationOutput, EngineError> {
     let mut engine = Engine::new();
     let cluster = Cluster::build(
@@ -186,30 +187,31 @@ pub(crate) fn simulate_lowered(
         (last_b > 0 && last_b != first.b).then(|| Lowering::new(spec, strategy, cfg, last_b));
     // Slot 0 is `first`, slot 1 the smaller lowering; each micro-batch
     // replays the slot of its size.
-    let lowerings: Vec<&Lowering> = std::iter::once(first).chain(smaller.as_ref()).collect();
+    let mut lowerings: Vec<Lowering> = std::iter::once(first).chain(smaller).collect();
     let micro_slots: Vec<usize> = (0..micro)
         .map(|m| split_batch(cfg.batch_per_executor, micro, m))
         .take_while(|&b| b > 0)
-        .map(|b| usize::from(smaller.as_ref().is_some_and(|l| l.b == b)))
+        .map(|b| usize::from(lowerings.get(1).is_some_and(|l| l.b == b)))
         .collect();
-    let nodes = first.tasks.len();
-    let sync_start = first.sync_start;
+    let nodes = lowerings[0].tasks.len();
+    let sync_start = lowerings[0].sync_start;
 
     // Every node of every lowering, resolved once per executor; the
     // iterations and micro-batches that replay it reuse the entry. The
-    // causal log refers to the lowerings' effect sets, copied here once.
+    // causal log refers to the lowerings' effect sets, moved here once.
     let mut effects = vec![EffectSet::empty()];
     let mut resolved: Vec<Resolved> = Vec::with_capacity(lowerings.len() * n_exec * nodes);
-    for l in &lowerings {
+    for l in &mut lowerings {
         let effects_at = effects.len();
-        effects.extend((0..nodes).map(|n| l.node(n).1.clone()));
+        effects.extend(l.g.nodes.iter_mut().map(|n| std::mem::take(&mut n.effects)));
         for e in 0..n_exec {
             resolved.extend(
                 (0..nodes)
-                    .map(|n| Resolved::new(&engine, &cluster, e, l.node(n).0, effects_at + n)),
+                    .map(|n| Resolved::new(&engine, &cluster, e, &l.tasks[n], effects_at + n)),
             );
         }
     }
+    let first = &lowerings[0];
     let node_of = |slot: usize, e: usize, n: usize| &resolved[(slot * n_exec + e) * nodes + n];
     let barrier = Resolved::new(
         &engine,
@@ -313,14 +315,14 @@ pub(crate) fn simulate_lowered(
             // bursting all at once.
             let mut prev_micro_comm: Vec<Option<TaskId>> = vec![None; spec.chains.len()];
             for (m, &slot) in micro_slots.iter().enumerate() {
-                let l = lowerings[slot];
+                let l = &lowerings[slot];
                 let micro_start = engine.task_count();
                 // First micro-batch pays full framework dispatch; repeats of
                 // the same operations re-execute through a warm executor.
                 let dispatch_scale = if m == 0 { 1.0 } else { 0.35 };
                 for n in 1..sync_start {
                     deps.clear();
-                    for &(from, kind) in &l.in_edges[n] {
+                    for &(from, kind) in l.in_edges(n) {
                         match kind {
                             EdgeKind::Wiring if from == 0 => {
                                 deps.push(task[0]);
@@ -344,7 +346,7 @@ pub(crate) fn simulate_lowered(
                 for (ci, &c) in l.chain_comm.iter().enumerate() {
                     prev_micro_comm[ci] = Some(task[c]);
                 }
-                bwd_ends.extend(l.in_edges[sync_start].iter().map(|&(from, _)| task[from]));
+                bwd_ends.extend(l.in_edges(sync_start).iter().map(|&(from, _)| task[from]));
                 micro_scopes.push(MicroBatchScope {
                     index: m,
                     range: TaskRange {
@@ -369,7 +371,7 @@ pub(crate) fn simulate_lowered(
                 if n == sync_start {
                     deps.append(&mut bwd_ends);
                 } else {
-                    deps.extend(first.in_edges[n].iter().map(|&(from, _)| task[from]));
+                    deps.extend(first.in_edges(n).iter().map(|&(from, _)| task[from]));
                 }
                 task[n] = add(&mut engine, e, node_of(0, e, n), &deps, 1.0)?;
             }

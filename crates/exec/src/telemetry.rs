@@ -139,7 +139,7 @@ impl TrainingReport {
     pub fn bottleneck(&self) -> Option<ResourceKind> {
         self.critical_path_secs
             .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite seconds"))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|&(k, _)| k)
     }
 

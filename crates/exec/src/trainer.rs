@@ -18,7 +18,7 @@ use picasso_lint::Span;
 use picasso_models::ModelKind;
 use picasso_obs::{Tracer, WallClock};
 use picasso_sim::{EngineError, MachineSpec};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -229,7 +229,7 @@ pub fn run(
     if !errors.is_empty() {
         return Err(TrainError::Lint(errors));
     }
-    let out = simulate_lowered(&p.spec, strategy, &p.cfg, &p.lowering)?;
+    let out = simulate_lowered(&p.spec, strategy, &p.cfg, p.lowering)?;
     let report = TrainingReport::from_simulation(
         label,
         p.spec.name.clone(),
@@ -363,9 +363,7 @@ pub(crate) fn prepare(
     // homogeneity oracle), ahead of the plan findings `pipeline.run`
     // collected. The stage rules run over `lowering` in the caller, which
     // knows whether it checks the training graph or its forward half.
-    let table_dims: BTreeMap<usize, usize> =
-        data.fields.iter().map(|f| (f.table_group, f.dim)).collect();
-    let mut spec_diags = lint_spec(&spec, Some(&table_dims));
+    let mut spec_diags = lint_spec(&spec, Some(&data.table_dims()));
     spec_diags.append(&mut diagnostics);
     let lowering = Lowering::first(&spec, strategy, &cfg);
 
@@ -393,7 +391,9 @@ pub(crate) fn prepare(
 /// - Cache: HybridHash converges to holding the top-k rows, so the hit
 ///   ratio is the analytic frequency mass of the `k` rows the table's share
 ///   of Hot-storage can hold (the per-table share follows the warm-up ID
-///   masses, mirroring how the planner splits the budget).
+///   masses, mirroring how the planner splits the budget). Its normaliser
+///   `harmonic_partial(vocab, s)` is likewise computed once per distinct
+///   `(vocab, s)` in this call.
 fn apply_analytic_ratios(
     spec: &mut WdlSpec,
     data: &DatasetSpec,
@@ -401,35 +401,54 @@ fn apply_analytic_ratios(
     hot_bytes: f64,
     warmup: &WarmupCounts,
 ) -> f64 {
-    use picasso_data::distribution::{coverage_top_k, expected_unique_ratio};
-    // Per-table aggregates from the dataset.
-    let mut table_vocab: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut table_skew: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut table_ids: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut table_dim: BTreeMap<usize, usize> = BTreeMap::new();
+    use picasso_data::distribution::{
+        coverage_top_k_with, expected_unique_ratio, harmonic_partial,
+    };
+    /// One table's aggregates over the dataset's fields.
+    #[derive(Clone, Copy, Default)]
+    struct Table {
+        vocab: u64,
+        skew: f64,
+        dim: usize,
+        ids: f64,
+    }
+    // Per-table aggregates from the dataset, indexed by table id; the last
+    // field of a shared table sets its shape.
+    let n_tables = data.fields.iter().map(|f| f.table_group + 1).max();
+    let mut tables = vec![Table::default(); n_tables.unwrap_or(0)];
     for f in &data.fields {
-        table_vocab.insert(f.table_group, f.vocab);
-        table_skew.insert(f.table_group, f.dist.exponent());
-        table_dim.insert(f.table_group, f.dim);
-        *table_ids.entry(f.table_group).or_insert(0.0) += f.avg_ids;
+        let t = &mut tables[f.table_group];
+        t.vocab = f.vocab;
+        t.skew = f.dist.exponent();
+        t.dim = f.dim;
+        t.ids += f.avg_ids;
     }
     let mut unique_by_shape: HashMap<(u64, u64, u64), f64> = HashMap::new();
+    let mut norm_by_shape: HashMap<(u64, u64), f64> = HashMap::new();
     let mut overall_hit = 0.0;
     for chain in &mut spec.chains {
         let mut unique = 0.0;
         let mut hit = 0.0;
         let mut weight = 0.0;
         for &t in &chain.tables {
-            let ids = table_ids[&t] * micro_batch as f64;
-            let vocab = table_vocab[&t];
-            let s = table_skew[&t];
+            let Table {
+                vocab,
+                skew: s,
+                dim,
+                ids,
+            } = tables[t];
+            let ids = ids * micro_batch as f64;
             let u = *unique_by_shape
                 .entry((vocab, s.to_bits(), ids.to_bits()))
                 .or_insert_with(|| expected_unique_ratio(vocab, s, ids));
             let mass = warmup.loads.get(&t).map_or(0.0, |l| l.freq_mass);
             let h = if hot_bytes > 0.0 {
-                let rows = hot_bytes * mass / (table_dim[&t] as f64 * 4.0);
-                coverage_top_k(vocab, s, rows)
+                let rows = hot_bytes * mass / (dim as f64 * 4.0);
+                coverage_top_k_with(vocab, s, rows, || {
+                    *norm_by_shape
+                        .entry((vocab, s.to_bits()))
+                        .or_insert_with(|| harmonic_partial(vocab as f64, s))
+                })
             } else {
                 0.0
             };

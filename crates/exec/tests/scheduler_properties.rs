@@ -267,7 +267,7 @@ proptest! {
             let stage = out.stage(TaskId(t));
             let record = &out.result.records[t];
             prop_assert_eq!(stage.executor, 0);
-            prop_assert_eq!(format!("{:?}", stage.kind), node.kind.clone());
+            prop_assert_eq!(format!("{:?}", stage.kind), node.kind);
             prop_assert_eq!(stage.effects, &node.effects);
             if m.unwrap_or(0) == 0 && !out.server_resources.contains(&record.resource) {
                 prop_assert_eq!(record.work.to_bits(), node.cost.to_bits());

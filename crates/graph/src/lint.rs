@@ -9,7 +9,7 @@
 //! error-severity subset of [`lint_spec`]; `Pipeline::run` appends
 //! [`lint_plan`]'s findings to its return value.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use picasso_lint::{Diagnostic, Severity, Span};
 
@@ -19,20 +19,34 @@ use crate::spec::{ModuleKind, WdlSpec};
 
 /// Runs every spec-surface rule on `spec`.
 ///
-/// `table_dims` is an optional oracle mapping embedding table id to its
-/// true embedding dim (from the dataset): a chain stores a single `dim`
+/// `table_dims` is an optional oracle holding, at each embedding table id,
+/// its true embedding dim from the dataset (`None` for an id no field
+/// uses; ids past the end are unknown too): a chain stores a single `dim`
 /// for all its tables, so Eq. 1 dim homogeneity (`spec.dim-mismatch`) is
 /// only checkable against an external source of per-table dims. Pass
 /// `None` when no dataset is at hand; the other rules still run.
-pub fn lint_spec(spec: &WdlSpec, table_dims: Option<&BTreeMap<usize, usize>>) -> Vec<Diagnostic> {
+///
+/// Fields are indexed densely by id, like the lowering's field-to-chain
+/// table: the per-field state is sized by the largest field a chain
+/// produces.
+pub fn lint_spec(spec: &WdlSpec, table_dims: Option<&[Option<usize>]>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     // spec.duplicate-field: each feature field belongs to exactly one
-    // chain (Eq. 1 assigns each field to one packed shard).
-    let mut owner: BTreeMap<u32, usize> = BTreeMap::new();
+    // chain (Eq. 1 assigns each field to one packed shard). A field is
+    // produced exactly when it has an owner.
+    let max_field = spec
+        .chains
+        .iter()
+        .flat_map(|c| c.fields.iter())
+        .copied()
+        .max()
+        .map_or(0, |f| f as usize + 1);
+    let mut owner = vec![usize::MAX; max_field];
     for (ci, chain) in spec.chains.iter().enumerate() {
         for &f in &chain.fields {
-            if let Some(&first) = owner.get(&f) {
+            let first = owner[f as usize];
+            if first != usize::MAX {
                 out.push(
                     Diagnostic::new(
                         "spec.duplicate-field",
@@ -43,7 +57,7 @@ pub fn lint_spec(spec: &WdlSpec, table_dims: Option<&BTreeMap<usize, usize>>) ->
                     .with_hint("assign each feature field to exactly one chain"),
                 );
             } else {
-                owner.insert(f, ci);
+                owner[f as usize] = ci;
             }
         }
     }
@@ -88,9 +102,11 @@ pub fn lint_spec(spec: &WdlSpec, table_dims: Option<&BTreeMap<usize, usize>>) ->
             let bad: Vec<String> = chain
                 .tables
                 .iter()
-                .filter_map(|t| {
+                .filter_map(|&t| {
                     dims.get(t)
-                        .filter(|&&d| d != chain.dim)
+                        .copied()
+                        .flatten()
+                        .filter(|&d| d != chain.dim)
                         .map(|d| format!("table {t} has dim {d}"))
                 })
                 .collect();
@@ -113,8 +129,9 @@ pub fn lint_spec(spec: &WdlSpec, table_dims: Option<&BTreeMap<usize, usize>>) ->
     }
 
     // spec.dangling-input / spec.no-input-module.
-    let produced: BTreeSet<u32> = spec.chains.iter().flat_map(|c| c.fields.clone()).collect();
-    let mut consumed: BTreeSet<u32> = BTreeSet::new();
+    // Only chain fields are ever asked whether they are consumed, so a
+    // field past `max_field` needs no slot.
+    let mut consumed = vec![false; max_field];
     for (mi, module) in spec.modules.iter().enumerate() {
         // A DnnTower with no embedding inputs is a dense tower over the
         // numeric features (DLRM's bottom MLP); every other module kind
@@ -134,8 +151,14 @@ pub fn lint_spec(spec: &WdlSpec, table_dims: Option<&BTreeMap<usize, usize>>) ->
             );
         }
         for &f in &module.input_fields {
-            consumed.insert(f);
-            if !produced.contains(&f) {
+            let produced = match consumed.get_mut(f as usize) {
+                Some(seen) => {
+                    *seen = true;
+                    owner[f as usize] != usize::MAX
+                }
+                None => false,
+            };
+            if !produced {
                 out.push(
                     Diagnostic::new(
                         "spec.dangling-input",
@@ -160,7 +183,7 @@ pub fn lint_spec(spec: &WdlSpec, table_dims: Option<&BTreeMap<usize, usize>>) ->
             let unused: Vec<String> = chain
                 .fields
                 .iter()
-                .filter(|f| !consumed.contains(f))
+                .filter(|&&f| !consumed[f as usize])
                 .map(|f| f.to_string())
                 .collect();
             if !unused.is_empty() {
@@ -505,7 +528,7 @@ mod tests {
         let s = spec(2);
         assert!(lint_spec(&s, None).is_empty());
         // Table 1 truly has dim 16, but its chain claims 8.
-        let dims: BTreeMap<usize, usize> = [(0, 8), (1, 16)].into_iter().collect();
+        let dims = [Some(8), Some(16)];
         let diags = lint_spec(&s, Some(&dims));
         let d = diags
             .iter()
@@ -514,7 +537,7 @@ mod tests {
         assert_eq!(d.span, Span::Chain(1));
         assert_eq!(d.severity, Severity::Error);
         // A matching oracle stays clean.
-        let ok: BTreeMap<usize, usize> = [(0, 8), (1, 8)].into_iter().collect();
+        let ok = [Some(8), Some(8)];
         assert!(lint_spec(&s, Some(&ok)).is_empty());
     }
 

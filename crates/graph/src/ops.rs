@@ -93,6 +93,33 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// The variant's name, exactly its `Debug` text: stage labels, race
+    /// signatures and rendered diagnostics carry it.
+    pub fn name(self) -> &'static str {
+        match self {
+            OpKind::DataLoad => "DataLoad",
+            OpKind::Preprocess => "Preprocess",
+            OpKind::Unique => "Unique",
+            OpKind::Partition => "Partition",
+            OpKind::UniquePartition => "UniquePartition",
+            OpKind::Gather => "Gather",
+            OpKind::Shuffle => "Shuffle",
+            OpKind::Stitch => "Stitch",
+            OpKind::ShuffleStitch => "ShuffleStitch",
+            OpKind::SegmentReduce => "SegmentReduce",
+            OpKind::HostToDevice => "HostToDevice",
+            OpKind::InteractionCompute => "InteractionCompute",
+            OpKind::MlpCompute => "MlpCompute",
+            OpKind::AllReduce => "AllReduce",
+            OpKind::AllToAll => "AllToAll",
+            OpKind::PsPull => "PsPull",
+            OpKind::PsPush => "PsPush",
+            OpKind::EmbeddingScatter => "EmbeddingScatter",
+            OpKind::OptimizerApply => "OptimizerApply",
+            OpKind::Sync => "Sync",
+        }
+    }
+
     /// The dominant hardware class of this operator.
     pub fn class(self) -> OpClass {
         match self {
@@ -176,32 +203,41 @@ mod tests {
         assert_eq!(OpKind::HostToDevice.class(), OpClass::IntraComm);
     }
 
+    /// Every variant, in declaration order.
+    const KINDS: [OpKind; 20] = [
+        OpKind::DataLoad,
+        OpKind::Preprocess,
+        OpKind::Unique,
+        OpKind::Partition,
+        OpKind::UniquePartition,
+        OpKind::Gather,
+        OpKind::Shuffle,
+        OpKind::Stitch,
+        OpKind::ShuffleStitch,
+        OpKind::SegmentReduce,
+        OpKind::HostToDevice,
+        OpKind::InteractionCompute,
+        OpKind::MlpCompute,
+        OpKind::AllReduce,
+        OpKind::AllToAll,
+        OpKind::PsPull,
+        OpKind::PsPush,
+        OpKind::EmbeddingScatter,
+        OpKind::OptimizerApply,
+        OpKind::Sync,
+    ];
+
     #[test]
     fn every_kind_has_positive_micro_ops() {
-        let kinds = [
-            OpKind::DataLoad,
-            OpKind::Preprocess,
-            OpKind::Unique,
-            OpKind::Partition,
-            OpKind::UniquePartition,
-            OpKind::Gather,
-            OpKind::Shuffle,
-            OpKind::Stitch,
-            OpKind::ShuffleStitch,
-            OpKind::SegmentReduce,
-            OpKind::HostToDevice,
-            OpKind::InteractionCompute,
-            OpKind::MlpCompute,
-            OpKind::AllReduce,
-            OpKind::AllToAll,
-            OpKind::PsPull,
-            OpKind::PsPush,
-            OpKind::EmbeddingScatter,
-            OpKind::OptimizerApply,
-            OpKind::Sync,
-        ];
-        for k in kinds {
+        for k in KINDS {
             assert!(k.micro_ops() >= 1, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn every_kind_name_is_its_debug_text() {
+        for k in KINDS {
+            assert_eq!(k.name(), format!("{k:?}"));
         }
     }
 }

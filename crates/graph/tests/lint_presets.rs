@@ -75,8 +75,7 @@ fn error_findings(
 ) -> Vec<Diagnostic> {
     let data = model.default_dataset();
     let spec = model.build(&data);
-    let table_dims: BTreeMap<usize, usize> =
-        data.fields.iter().map(|f| (f.table_group, f.dim)).collect();
+    let table_dims = data.table_dims();
     let pipeline = Pipeline::from_config(cfg).expect("preset validates");
     let mut ctx = PlanContext::new(MachineSpec::eflops());
     ctx.table_to_pack = eq1_mapping(&spec);

@@ -43,7 +43,7 @@ impl AccessMode {
 }
 
 /// The kinds of shared state a lowered stage can touch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ResourceKind {
     /// A packed embedding table shard (Eq. 1), keyed by chain.
     EmbeddingShard,
@@ -78,7 +78,7 @@ impl ResourceKind {
 
 /// One concrete resource instance: a kind plus an instance key
 /// (`c3` for chain 3's shard, `dense` for the shared tower).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Resource {
     /// What kind of state this is.
     pub kind: ResourceKind,

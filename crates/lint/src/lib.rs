@@ -33,6 +33,7 @@
 //!   set, or a collective buffer.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod diag;
 pub mod effects;
@@ -45,4 +46,4 @@ pub use diag::{Diagnostic, Severity, Span};
 pub use effects::{AccessMode, Effect, EffectSet, RaceAllowlist, Resource, ResourceKind};
 pub use mhp::{MhpRelation, StaticRace};
 pub use report::LintReport;
-pub use stage_graph::{StageEdge, StageFusion, StageGraph, StageNode};
+pub use stage_graph::{csr, StageEdge, StageFusion, StageGraph, StageNode};

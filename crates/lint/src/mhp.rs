@@ -9,25 +9,33 @@
 //!
 //! The closure is built in one pass in reverse topological order (Kahn's
 //! algorithm over out-degrees): each node's reach row is the OR of every
-//! successor's bit and row, `O(e·n/64)` word operations. Nodes Kahn cannot
-//! close — on a cycle or upstream of one — fall back to a DFS that stops
-//! at closed nodes and ORs in their rows. Cyclic inputs are handled
-//! gracefully: a cycle is already an error under `stage.dependency-cycle`,
-//! and nodes on it are mutually reachable, hence ordered, hence never MHP
-//! — the race pass stays quiet instead of double-reporting a broken graph.
+//! successor's bit and row, `O(e·n/64)` word operations, with all rows in
+//! one allocation and the successor and predecessor lists read from the
+//! graph's CSR adjacency table. Nodes Kahn cannot close — on a cycle or
+//! upstream of one — fall back to a DFS that stops at closed nodes and
+//! ORs in their rows. Cyclic inputs are handled gracefully: a cycle is
+//! already an error under `stage.dependency-cycle`, and nodes on it are
+//! mutually reachable, hence ordered, hence never MHP — the race pass
+//! stays quiet instead of double-reporting a broken graph.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-use crate::effects::{conflicts, Conflict, ConflictKind, RaceAllowlist, RaceSig, Resource};
+use crate::effects::{
+    conflicts, AccessMode, Conflict, ConflictKind, RaceAllowlist, RaceSig, Resource,
+};
+use crate::stage_graph::Adjacency;
 use crate::{Diagnostic, Severity, Span, StageGraph};
 
 /// The transitive ordering relation of a stage graph.
 #[derive(Debug, Clone)]
 pub struct MhpRelation {
     n: usize,
-    /// `reach[i]` holds bit `j` when an ordering path `i -> ... -> j`
-    /// exists (irreflexive unless `i` sits on a cycle through itself).
-    reach: Vec<Vec<u64>>,
+    /// `u64` words per row.
+    words: usize,
+    /// Row `i` (words `i * words..`) holds bit `j` when an ordering path
+    /// `i -> ... -> j` exists (irreflexive unless `i` sits on a cycle
+    /// through itself).
+    reach: Vec<u64>,
 }
 
 impl MhpRelation {
@@ -35,31 +43,35 @@ impl MhpRelation {
     /// Out-of-range endpoints are ignored (`stage.dangling-edge` reports
     /// them).
     pub fn new(n: usize, edges: &[(usize, usize)]) -> MhpRelation {
+        MhpRelation::of_adjacency(&Adjacency::new(n, edges.iter().copied()))
+    }
+
+    /// Builds the relation from a [`StageGraph`]'s edges.
+    pub fn of_graph(g: &StageGraph) -> MhpRelation {
+        MhpRelation::of_adjacency(&Adjacency::of_graph(g))
+    }
+
+    /// Computes the relation over an already-built adjacency table.
+    pub(crate) fn of_adjacency(adj: &Adjacency) -> MhpRelation {
+        let n = adj.len();
         let words = n.div_ceil(64);
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut pred: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(from, to) in edges {
-            if from < n && to < n {
-                succ[from].push(to);
-                pred[to].push(from);
-            }
-        }
-        let mut reach = vec![vec![0u64; words]; n];
+        let mut reach = vec![0u64; n * words];
+        let mut row = vec![0u64; words];
         // Kahn's algorithm over out-degrees closes nodes in reverse
         // topological order: a node's row is final once every successor's
         // is, and is the OR of each successor's bit and row.
-        let mut open: Vec<usize> = succ.iter().map(Vec::len).collect();
+        let mut open: Vec<usize> = (0..n).map(|i| adj.succ(i).len()).collect();
         let mut closed = vec![false; n];
         let mut ready: Vec<usize> = (0..n).filter(|&i| open[i] == 0).collect();
         while let Some(i) = ready.pop() {
             closed[i] = true;
-            let mut row = std::mem::take(&mut reach[i]);
-            for &j in &succ[i] {
+            row.fill(0);
+            for &j in adj.succ(i) {
                 row[j / 64] |= 1u64 << (j % 64);
-                or_into(&mut row, &reach[j]);
+                or_into(&mut row, &reach[j * words..(j + 1) * words]);
             }
-            reach[i] = row;
-            for &p in &pred[i] {
+            reach[i * words..(i + 1) * words].copy_from_slice(&row);
+            for &p in adj.pred(i) {
                 open[p] -= 1;
                 if open[p] == 0 {
                     ready.push(p);
@@ -70,28 +82,22 @@ impl MhpRelation {
         // those by DFS, stopping at closed nodes and taking their rows.
         let mut stack: Vec<usize> = Vec::new();
         for i in (0..n).filter(|&i| !closed[i]) {
-            let mut row = std::mem::take(&mut reach[i]);
-            stack.extend(&succ[i]);
+            row.fill(0);
+            stack.extend(adj.succ(i));
             while let Some(j) = stack.pop() {
                 let (word, bit) = (j / 64, 1u64 << (j % 64));
                 if row[word] & bit == 0 {
                     row[word] |= bit;
                     if closed[j] {
-                        or_into(&mut row, &reach[j]);
+                        or_into(&mut row, &reach[j * words..(j + 1) * words]);
                     } else {
-                        stack.extend(&succ[j]);
+                        stack.extend(adj.succ(j));
                     }
                 }
             }
-            reach[i] = row;
+            reach[i * words..(i + 1) * words].copy_from_slice(&row);
         }
-        MhpRelation { n, reach }
-    }
-
-    /// Builds the relation from a [`StageGraph`]'s edges.
-    pub fn of_graph(g: &StageGraph) -> MhpRelation {
-        let edges: Vec<(usize, usize)> = g.edges.iter().map(|e| (e.from, e.to)).collect();
-        MhpRelation::new(g.nodes.len(), &edges)
+        MhpRelation { n, words, reach }
     }
 
     /// Number of nodes the relation covers.
@@ -106,7 +112,9 @@ impl MhpRelation {
 
     /// True when an ordering path `from -> ... -> to` exists.
     pub fn reaches(&self, from: usize, to: usize) -> bool {
-        from < self.n && to < self.n && self.reach[from][to / 64] & (1u64 << (to % 64)) != 0
+        from < self.n
+            && to < self.n
+            && self.reach[from * self.words + to / 64] & (1u64 << (to % 64)) != 0
     }
 
     /// True when the pair is ordered in either direction (or identical).
@@ -161,29 +169,55 @@ pub struct StaticRace {
 /// come out in `(a, b)` index order; multiple contended resources on the
 /// same pair produce one `StaticRace` each.
 ///
-/// Effects on distinct resources never conflict, so only nodes that share
-/// a resource are paired: each resource's bucket of nodes is paired within
-/// itself, and the unordered pairs are sorted and de-duplicated (a pair
-/// may share several resources) before [`conflicts`] classifies them.
+/// Effects on distinct resources never conflict, and neither do two reads,
+/// so only nodes that share a resource one of them mutates are paired:
+/// each resource's bucket (hashed, so in no particular order) pairs its
+/// mutators with each other and with its readers, and the unordered pairs
+/// are sorted and de-duplicated (a pair may share several resources)
+/// before [`conflicts`] classifies them.
 pub fn static_races(g: &StageGraph, allow: &RaceAllowlist) -> Vec<StaticRace> {
-    let rel = MhpRelation::of_graph(g);
-    let mut buckets: BTreeMap<&Resource, Vec<usize>> = BTreeMap::new();
+    races_under(g, &MhpRelation::of_graph(g), allow)
+}
+
+/// The nodes that access one resource, in index order: `mutators` write
+/// or reduce into it, `readers` read it. A node that does both sits in
+/// both lists; pairing it with itself is ordered, so it adds no pair.
+#[derive(Default)]
+struct Bucket {
+    readers: Vec<usize>,
+    mutators: Vec<usize>,
+}
+
+/// [`static_races`] under `rel`, the already-built relation of `g`.
+pub(crate) fn races_under(
+    g: &StageGraph,
+    rel: &MhpRelation,
+    allow: &RaceAllowlist,
+) -> Vec<StaticRace> {
+    let mut buckets: HashMap<&Resource, Bucket> = HashMap::new();
     for (i, node) in g.nodes.iter().enumerate() {
         for e in &node.effects.effects {
             let bucket = buckets.entry(&e.resource).or_default();
-            if bucket.last() != Some(&i) {
-                bucket.push(i);
+            let nodes = match e.mode {
+                AccessMode::Read => &mut bucket.readers,
+                _ => &mut bucket.mutators,
+            };
+            if nodes.last() != Some(&i) {
+                nodes.push(i);
             }
         }
     }
+    // Two reads of a resource never conflict, so a pair is a candidate
+    // only through a resource at least one of them mutates.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for bucket in buckets.values() {
-        for (k, &a) in bucket.iter().enumerate() {
+        for (k, &a) in bucket.mutators.iter().enumerate() {
             pairs.extend(
-                bucket[k + 1..]
+                bucket.mutators[k + 1..]
                     .iter()
+                    .chain(&bucket.readers)
                     .filter(|&&b| !rel.ordered(a, b))
-                    .map(|&b| (a, b)),
+                    .map(|&b| (a.min(b), a.max(b))),
             );
         }
     }
@@ -195,8 +229,8 @@ pub fn static_races(g: &StageGraph, allow: &RaceAllowlist) -> Vec<StaticRace> {
             let sig = RaceSig::new(
                 conflict.kind.rule_id(),
                 &conflict.resource,
-                &g.nodes[a].kind,
-                &g.nodes[b].kind,
+                g.nodes[a].kind,
+                g.nodes[b].kind,
             );
             out.push(StaticRace {
                 a,

@@ -9,7 +9,8 @@
 //! only surface as silently-wrong numbers (zero-cost calibration points).
 
 use crate::effects::{EffectSet, RaceAllowlist};
-use crate::{mhp, Diagnostic, Severity, Span};
+use crate::mhp::{self, MhpRelation};
+use crate::{Diagnostic, Severity, Span};
 
 /// One lowered stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,11 +18,11 @@ pub struct StageNode {
     /// Unique human-readable label (`chain2/shuffle_stitch`, `mlp/fwd`).
     pub label: String,
     /// Operator kind name (informational).
-    pub kind: String,
+    pub kind: &'static str,
     /// Hardware resource class the stage is bound by (`compute`,
     /// `device_memory`, `host_memory`, `intra_comm`, `inter_comm`,
     /// `host_compute`, `io`).
-    pub class: String,
+    pub class: &'static str,
     /// Predicted cost in abstract work units (bytes or FLOPs).
     pub cost: f64,
     /// Kernel-launch count the stage contributes (dispatch overhead);
@@ -37,11 +38,17 @@ pub struct StageNode {
 
 impl StageNode {
     /// A new stage node (non-entry).
-    pub fn new(label: &str, kind: &str, class: &str, cost: f64, launches: u32) -> StageNode {
+    pub fn new(
+        label: impl Into<String>,
+        kind: &'static str,
+        class: &'static str,
+        cost: f64,
+        launches: u32,
+    ) -> StageNode {
         StageNode {
-            label: label.to_string(),
-            kind: kind.to_string(),
-            class: class.to_string(),
+            label: label.into(),
+            kind,
+            class,
             cost,
             launches,
             entry: false,
@@ -105,15 +112,17 @@ impl StageGraph {
     }
 
     /// Runs every stage-surface rule (including the `race.*` rules over
-    /// the declared effect sets) and returns the findings.
+    /// the declared effect sets) and returns the findings. The cycle,
+    /// reachability and race rules share one adjacency table of the edges.
     pub fn analyze(&self) -> Vec<Diagnostic> {
+        let adj = Adjacency::of_graph(self);
         let mut out = Vec::new();
         self.check_edges(&mut out);
-        self.check_cycles(&mut out);
+        self.check_cycles(&adj, &mut out);
         self.check_fusions(&mut out);
-        self.check_reachability(&mut out);
+        self.check_reachability(&adj, &mut out);
         self.check_costs(&mut out);
-        self.check_races(&mut out);
+        self.check_races(&adj, &mut out);
         out
     }
 
@@ -124,8 +133,10 @@ impl StageGraph {
     }
 
     /// `race.*`: flags MHP pairs whose declared effects conflict.
-    fn check_races(&self, out: &mut Vec<Diagnostic>) {
-        out.extend(mhp::race_diagnostics(&self.static_races()));
+    fn check_races(&self, adj: &Adjacency, out: &mut Vec<Diagnostic>) {
+        let rel = MhpRelation::of_adjacency(adj);
+        let races = mhp::races_under(self, &rel, &RaceAllowlist::default());
+        out.extend(mhp::race_diagnostics(&races));
     }
 
     /// `stage.dangling-edge`: an edge naming a node past the end of the
@@ -160,21 +171,14 @@ impl StageGraph {
     /// `stage.dependency-cycle`: Kahn's algorithm; any node left with a
     /// nonzero in-degree sits on (or downstream of) a cycle. The cycle
     /// itself is recovered by walking unresolved predecessors.
-    fn check_cycles(&self, out: &mut Vec<Diagnostic>) {
+    fn check_cycles(&self, adj: &Adjacency, out: &mut Vec<Diagnostic>) {
         let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            if e.from < n && e.to < n {
-                indeg[e.to] += 1;
-                succ[e.from].push(e.to);
-            }
-        }
+        let mut indeg: Vec<usize> = (0..n).map(|i| adj.pred(i).len()).collect();
         let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut done = 0usize;
         while let Some(i) = ready.pop() {
             done += 1;
-            for &j in &succ[i] {
+            for &j in adj.succ(i) {
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     ready.push(j);
@@ -185,18 +189,20 @@ impl StageGraph {
             return;
         }
         // Recover one concrete cycle among the stuck nodes: repeatedly
-        // step to an unresolved predecessor until a node repeats.
+        // step to the first unresolved predecessor (in edge order) until a
+        // node repeats.
         let stuck: Vec<usize> = (0..n).filter(|&i| indeg[i] > 0).collect();
-        let mut pred: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            if e.from < n && e.to < n && indeg[e.from] > 0 && indeg[e.to] > 0 {
-                pred[e.to].push(e.from);
-            }
-        }
-        let mut path = vec![stuck[0]];
+        let mut cur = stuck[0];
+        let mut path = vec![cur];
         let cycle = loop {
-            let cur = *path.last().unwrap();
-            let prev = pred[cur][0];
+            // A stuck node's remaining in-degree counts edges from stuck
+            // nodes only, so it always has an unresolved predecessor.
+            #[allow(clippy::expect_used)]
+            let prev = *adj
+                .pred(cur)
+                .iter()
+                .find(|&&p| indeg[p] > 0)
+                .expect("a stuck node has a stuck predecessor");
             if let Some(pos) = path.iter().position(|&x| x == prev) {
                 let mut cycle: Vec<usize> = path[pos..].to_vec();
                 cycle.reverse();
@@ -204,6 +210,7 @@ impl StageGraph {
                 break cycle;
             }
             path.push(prev);
+            cur = prev;
         };
         let labels: Vec<&str> = cycle
             .iter()
@@ -232,7 +239,7 @@ impl StageGraph {
                 .nodes
                 .iter()
                 .filter_map(|&i| self.nodes.get(i))
-                .map(|node| node.class.as_str())
+                .map(|node| node.class)
                 .collect();
             classes.sort_unstable();
             classes.dedup();
@@ -256,24 +263,18 @@ impl StageGraph {
 
     /// `stage.unreachable`: nodes not reachable from any entry node. With
     /// no declared entries the rule is vacuous (nothing to reach from).
-    fn check_reachability(&self, out: &mut Vec<Diagnostic>) {
+    fn check_reachability(&self, adj: &Adjacency, out: &mut Vec<Diagnostic>) {
         if !self.nodes.iter().any(|node| node.entry) {
             return;
         }
         let n = self.nodes.len();
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            if e.from < n && e.to < n {
-                succ[e.from].push(e.to);
-            }
-        }
         let mut seen = vec![false; n];
         let mut stack: Vec<usize> = (0..n).filter(|&i| self.nodes[i].entry).collect();
         for &i in &stack {
             seen[i] = true;
         }
         while let Some(i) = stack.pop() {
-            for &j in &succ[i] {
+            for &j in adj.succ(i) {
                 if !seen[j] {
                     seen[j] = true;
                     stack.push(j);
@@ -323,6 +324,86 @@ impl StageGraph {
             }
         }
     }
+}
+
+/// The successor and predecessor lists of a graph's control edges in CSR
+/// form: per direction, one flat index array plus per-node offsets. Each
+/// node's lists keep edge order, duplicates included. Edges naming a node
+/// out of range are dropped (`stage.dangling-edge` reports them).
+#[derive(Debug)]
+pub(crate) struct Adjacency {
+    /// `succ[succ_at[i]..succ_at[i + 1]]` are node `i`'s successors.
+    succ_at: Vec<usize>,
+    succ: Vec<usize>,
+    /// `pred[pred_at[i]..pred_at[i + 1]]` are node `i`'s predecessors.
+    pred_at: Vec<usize>,
+    pred: Vec<usize>,
+}
+
+impl Adjacency {
+    /// The lists of `n` nodes joined by the `(from, to)` edges.
+    pub(crate) fn new<I>(n: usize, edges: I) -> Adjacency
+    where
+        I: DoubleEndedIterator<Item = (usize, usize)> + Clone,
+    {
+        let edges = edges.filter(move |&(from, to)| from < n && to < n);
+        let (succ_at, succ) = csr(n, edges.clone());
+        let (pred_at, pred) = csr(n, edges.map(|(from, to)| (to, from)));
+        Adjacency {
+            succ_at,
+            succ,
+            pred_at,
+            pred,
+        }
+    }
+
+    /// The lists of `g`'s nodes and edges.
+    pub(crate) fn of_graph(g: &StageGraph) -> Adjacency {
+        Adjacency::new(g.nodes.len(), g.edges.iter().map(|e| (e.from, e.to)))
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.succ_at.len() - 1
+    }
+
+    /// Node `i`'s successors, in edge order.
+    pub(crate) fn succ(&self, i: usize) -> &[usize] {
+        &self.succ[self.succ_at[i]..self.succ_at[i + 1]]
+    }
+
+    /// Node `i`'s predecessors, in edge order.
+    pub(crate) fn pred(&self, i: usize) -> &[usize] {
+        &self.pred[self.pred_at[i]..self.pred_at[i + 1]]
+    }
+}
+
+/// Groups `(key, value)` pairs by key in CSR form: key `k`'s values are
+/// `values[at[k]..at[k + 1]]`, in input order. Every key must be below
+/// `n`. Returns `(at, values)`.
+pub fn csr<T, I>(n: usize, pairs: I) -> (Vec<usize>, Vec<T>)
+where
+    T: Copy + Default,
+    I: DoubleEndedIterator<Item = (usize, T)> + Clone,
+{
+    // `at[k]` first counts key `k`, then becomes the end of its range, and
+    // filling in reverse walks it back to the range's start.
+    let mut at = vec![0usize; n + 1];
+    for (k, _) in pairs.clone() {
+        at[k] += 1;
+    }
+    let mut end = 0;
+    for a in &mut at[..n] {
+        end += *a;
+        *a = end;
+    }
+    at[n] = end;
+    let mut values = vec![T::default(); end];
+    for (k, v) in pairs.rev() {
+        at[k] -= 1;
+        values[at[k]] = v;
+    }
+    (at, values)
 }
 
 #[cfg(test)]

@@ -114,7 +114,7 @@ fn effect_graph(effects: &[Vec<(usize, usize)>], edges: &[(usize, usize)]) -> St
             };
         }
         let kind = ["Gather", "EmbeddingScatter", "MlpCompute"][i % 3];
-        g.push(StageNode::new(&format!("s{i}"), kind, "compute", 1.0, 1).with_effects(set));
+        g.push(StageNode::new(format!("s{i}"), kind, "compute", 1.0, 1).with_effects(set));
     }
     for &(from, to) in edges {
         g.dep(from, to);
@@ -153,8 +153,8 @@ fn reference_races(g: &StageGraph, allow: &RaceAllowlist) -> Vec<StaticRace> {
                 let sig = RaceSig::new(
                     conflict.kind.rule_id(),
                     &conflict.resource,
-                    &g.nodes[a].kind,
-                    &g.nodes[b].kind,
+                    g.nodes[a].kind,
+                    g.nodes[b].kind,
                 );
                 out.push(StaticRace {
                     a,

@@ -44,7 +44,7 @@ pub fn dnn_tower(
         flops_per_instance: flops,
         bytes_per_instance: bytes,
         params,
-        output_width: *widths.last().unwrap(),
+        output_width: prev,
         micro_ops_forward: 12 * widths.len() as u32,
     }
 }

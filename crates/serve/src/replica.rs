@@ -178,8 +178,7 @@ pub fn serve(
         };
         now = now.max(t);
 
-        if t_done == Some(t) {
-            let (end, batch) = in_service.take().unwrap();
+        if let Some((end, batch)) = in_service.take_if(|&mut (end, _)| end == t) {
             for req in &batch.requests {
                 let latency = end - req.at_ns;
                 recorder.observe(latency);

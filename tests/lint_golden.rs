@@ -114,7 +114,7 @@ fn hand_built_graph_races_are_pinned() {
     let cache = |k: &str| Resource::new(ResourceKind::CacheHot, k);
     let dirty = |k: &str| Resource::new(ResourceKind::CkptDirty, k);
     let params = || Resource::new(ResourceKind::DenseParams, "dense");
-    let stage = |label: &str, kind: &str, effects: EffectSet| {
+    let stage = |label: &str, kind: &'static str, effects: EffectSet| {
         StageNode::new(label, kind, "device_memory", 1.0, 1).with_effects(effects)
     };
     let mut g = StageGraph::default();
