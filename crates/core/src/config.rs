@@ -1,6 +1,7 @@
 //! PICASSO configuration: the user-facing knobs of §III.
 
 use picasso_exec::{Optimizations, TrainerOptions, WarmupConfig};
+use picasso_graph::MAX_BATCH;
 use picasso_sim::MachineSpec;
 
 /// Builder-style configuration of a PICASSO training session.
@@ -142,7 +143,7 @@ impl PicassoConfig {
             groups: self.groups,
             hot_bytes: self.hot_bytes,
             warmup: self.warmup.clone(),
-            max_batch: 65_536,
+            max_batch: MAX_BATCH,
             excluded_tables: self.excluded_tables.clone(),
             quantized_comm: self.quantized_comm,
             group_deps: self.group_deps.clone(),

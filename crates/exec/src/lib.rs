@@ -59,7 +59,5 @@ pub use serving::{
 };
 pub use strategy::{DenseSync, EmbeddingExchange, Strategy};
 pub use telemetry::TrainingReport;
-pub use trainer::{
-    lint, run, train, RunArtifacts, TrainError, TrainerOptions, MEMORY_AMPLIFICATION,
-};
+pub use trainer::{lint, run, train, RunArtifacts, TrainError, TrainerOptions};
 pub use warmup::{count_warmup, run_warmup, TableStats, WarmupConfig, WarmupCounts, WarmupReport};

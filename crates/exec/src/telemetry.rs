@@ -408,7 +408,6 @@ mod tests {
             modules: vec![],
             mlp: picasso_graph::MlpSpec::new(8, vec![16, 1]),
             micro_batches: 1,
-            interleave_from: picasso_graph::Layer::Embedding,
             group_deps: Vec::new(),
         };
         let cfg = SimConfig {

@@ -12,7 +12,7 @@ use picasso_data::DatasetSpec;
 use picasso_embedding::{PackPlan, PlannerConfig};
 use picasso_graph::{
     graph_stats, lint_spec, Diagnostic, PassId, PassReport, Pipeline, PipelineError, PlanContext,
-    Severity, WdlSpec,
+    Severity, WdlSpec, MAX_BATCH, MIN_BATCH,
 };
 use picasso_lint::Span;
 use picasso_models::ModelKind;
@@ -21,8 +21,6 @@ use picasso_sim::{EngineError, MachineSpec};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-pub use picasso_graph::MEMORY_AMPLIFICATION;
 
 /// Why a training run could not produce a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,7 +137,7 @@ impl Default for TrainerOptions {
             groups: None,
             hot_bytes: 1 << 30,
             warmup: WarmupConfig::default(),
-            max_batch: 65_536,
+            max_batch: MAX_BATCH,
             excluded_tables: Vec::new(),
             quantized_comm: false,
             group_deps: Vec::new(),
@@ -191,8 +189,9 @@ pub fn train(
 /// spec rules (with the dataset's per-table dims as the Eq. 1 oracle),
 /// plan rules on the pass pipeline, and stage rules on the lowered graph.
 /// Returns *all* diagnostics, errors included. A warm-up shape no warm-up
-/// can run (`run.warmup-shape`) and a parameter-server strategy without
-/// servers (`run.ps-without-servers`) are the findings returned as
+/// can run (`run.warmup-shape`), trainer options no plan can meet
+/// (`run.trainer-shape`) and a parameter-server strategy without servers
+/// (`run.ps-without-servers`) are the findings returned as
 /// [`TrainError::Lint`] instead, since planning cannot start without them.
 pub fn lint(
     model: ModelKind,
@@ -286,6 +285,7 @@ pub(crate) fn prepare(
     let mut wcfg = opts.warmup.clone();
     wcfg.hot_bytes = if caching { opts.hot_bytes } else { 0 };
     let mut errors = lint_warmup(&wcfg);
+    errors.extend(lint_trainer_shape(opts));
     if let Strategy::PsAsync { servers: 0 } | Strategy::PsSync { servers: 0 } = strategy {
         errors.push(Diagnostic::new(
             "run.ps-without-servers",
@@ -378,6 +378,30 @@ pub(crate) fn prepare(
         groups,
         hit,
     })
+}
+
+/// `run.trainer-shape` errors: one per field of `opts` below the least
+/// value planning accepts (a batch cap under [`MIN_BATCH`], or zero
+/// micro-batches, groups or machines).
+fn lint_trainer_shape(opts: &TrainerOptions) -> Vec<Diagnostic> {
+    let checks = [
+        ("max_batch", Some(opts.max_batch), MIN_BATCH),
+        ("micro_batches", opts.micro_batches, 1),
+        ("groups", opts.groups, 1),
+        ("machines", Some(opts.machines), 1),
+    ];
+    checks
+        .into_iter()
+        .filter_map(|(field, value, least)| {
+            let value = value.filter(|&v| v < least)?;
+            Some(Diagnostic::new(
+                "run.trainer-shape",
+                Severity::Error,
+                Span::Run("trainer".into()),
+                format!("trainer option {field} is {value}; it must be at least {least}"),
+            ))
+        })
+        .collect()
 }
 
 /// Sets every chain's `unique_ratio` and `cache_hit_ratio` from the
@@ -774,6 +798,75 @@ mod tests {
         let mut warmup = quick_opts().warmup;
         warmup.max_vocab = 0;
         assert_warmup_shape_rejected(warmup, "max_vocab");
+    }
+
+    /// `train`, `run`, `lint` and `prepare_serving` all reject `opts` with
+    /// one `run.trainer-shape` error naming `field`, instead of panicking.
+    fn assert_trainer_shape_rejected(opts: TrainerOptions, field: &str) {
+        let data = DatasetSpec::criteo().shared();
+        let picasso = Optimizations::all();
+        let errors = [
+            train(ModelKind::Dlrm, &data, Framework::Picasso, &opts).map(drop),
+            run(
+                ModelKind::Dlrm,
+                &data,
+                Strategy::Hybrid,
+                picasso.clone(),
+                "bad",
+                &opts,
+            )
+            .map(drop),
+            lint(ModelKind::Dlrm, &data, Strategy::Hybrid, picasso, &opts).map(drop),
+            crate::prepare_serving(ModelKind::Dlrm, &data, Strategy::Hybrid, &opts, Some(64))
+                .map(drop),
+        ];
+        for err in errors {
+            let Err(TrainError::Lint(diags)) = err else {
+                panic!("expected a lint error, got {err:?}");
+            };
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].rule, "run.trainer-shape");
+            assert_eq!(diags[0].severity, Severity::Error);
+            assert_eq!(diags[0].span, Span::Run("trainer".into()));
+            assert!(diags[0].message.contains(field), "{}", diags[0].message);
+        }
+    }
+
+    #[test]
+    fn a_batch_cap_under_the_floor_is_a_lint_error_even_with_a_fixed_batch() {
+        let opts = TrainerOptions {
+            max_batch: 100,
+            batch_per_executor: Some(64),
+            ..quick_opts()
+        };
+        assert_trainer_shape_rejected(opts, "max_batch is 100; it must be at least 256");
+    }
+
+    #[test]
+    fn zero_micro_batches_is_a_lint_error() {
+        let opts = TrainerOptions {
+            micro_batches: Some(0),
+            ..quick_opts()
+        };
+        assert_trainer_shape_rejected(opts, "micro_batches is 0");
+    }
+
+    #[test]
+    fn zero_groups_is_a_lint_error() {
+        let opts = TrainerOptions {
+            groups: Some(0),
+            ..quick_opts()
+        };
+        assert_trainer_shape_rejected(opts, "groups is 0");
+    }
+
+    #[test]
+    fn zero_machines_is_a_lint_error() {
+        let opts = TrainerOptions {
+            machines: 0,
+            ..quick_opts()
+        };
+        assert_trainer_shape_rejected(opts, "machines is 0");
     }
 
     #[test]

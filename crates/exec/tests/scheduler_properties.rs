@@ -2,7 +2,7 @@
 //! hold for any model shape, strategy, and cluster size.
 
 use picasso_exec::{simulate, stage_graph, SimConfig, Strategy as TrainStrategy};
-use picasso_graph::{EmbeddingChain, InteractionModule, Layer, MlpSpec, ModuleKind, WdlSpec};
+use picasso_graph::{EmbeddingChain, InteractionModule, MlpSpec, ModuleKind, WdlSpec};
 use picasso_sim::{MachineSpec, TaskId};
 use proptest::prelude::*;
 
@@ -36,7 +36,6 @@ fn small_spec_strategy() -> impl Strategy<Value = WdlSpec> {
             modules,
             mlp: MlpSpec::new(16, vec![8, 1]),
             micro_batches: micro,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     })
@@ -197,7 +196,6 @@ fn parity_spec_strategy() -> impl Strategy<Value = WdlSpec> {
                 modules,
                 mlp: MlpSpec::new(16, vec![8, 1]),
                 micro_batches: micro,
-                interleave_from: Layer::Embedding,
                 // Forward edges only: `from < to`.
                 group_deps: deps
                     .into_iter()

@@ -21,11 +21,11 @@ pub mod stats;
 pub use lint::{lint_plan, lint_spec};
 pub use ops::{OpClass, OpKind};
 pub use passes::pipeline::{
-    DerivedPlan, Pass, PassId, Pipeline, PipelineConfig, PipelineError, PlanContext,
-    GROUP_WINDOW_SECS, MEMORY_AMPLIFICATION,
+    DerivedPlan, PassId, Pipeline, PipelineConfig, PipelineError, PlanContext, GROUP_WINDOW_SECS,
+    MAX_BATCH, MEMORY_AMPLIFICATION, MIN_BATCH,
 };
 pub use passes::report::{run_pass, PassReport};
 pub use passes::{d_interleaving, d_packing, k_interleaving, k_packing};
 pub use picasso_lint::{Diagnostic, LintReport, Severity, Span};
-pub use spec::{EmbeddingChain, InteractionModule, Layer, MlpSpec, ModuleKind, WdlSpec};
+pub use spec::{EmbeddingChain, InteractionModule, MlpSpec, ModuleKind, WdlSpec};
 pub use stats::{graph_stats, GraphStats};

@@ -416,7 +416,7 @@ pub fn lint_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{EmbeddingChain, InteractionModule, Layer, MlpSpec, ModuleKind};
+    use crate::spec::{EmbeddingChain, InteractionModule, MlpSpec, ModuleKind};
     use picasso_sim::MachineSpec;
 
     fn module(fields: Vec<u32>) -> InteractionModule {
@@ -443,7 +443,6 @@ mod tests {
             modules: vec![module(fields)],
             mlp: MlpSpec::new(16, vec![64, 1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }

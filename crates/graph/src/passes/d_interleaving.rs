@@ -2,11 +2,13 @@
 //!
 //! Large batches are desirable for accuracy and throughput but blow through
 //! GPU device memory (feature maps scale with batch size). D-interleaving
-//! slices the batch into micro-batches from a chosen layer onward and
-//! pipelines them, amortizing peak memory (Fig. 8a) or overlapping the whole
-//! iteration (Fig. 8b). The micro-batch size comes from Eq. 2.
+//! slices the batch into micro-batches and pipelines them. The paper can
+//! start the split at the MLP, amortizing peak memory (Fig. 8a), or at the
+//! embedding layer, overlapping the whole iteration (Fig. 8b); this
+//! reproduction models only Fig. 8b, so every lowering pipelines from the
+//! embedding layer. The micro-batch size comes from Eq. 2.
 
-use crate::spec::{Layer, WdlSpec};
+use crate::spec::WdlSpec;
 
 /// Eq. 2: `BS_micro = min_op (RBound_op / RInstance_op)` — the largest
 /// micro-batch no operator's dominant resource can be bounded by. Each entry
@@ -19,13 +21,12 @@ pub fn eq2_micro_batch(ops: &[(f64, f64)]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Returns `spec` with D-interleaving enabled: `micro_batches` slices
-/// starting at `from` (Fig. 8a: `Layer::Mlp`; Fig. 8b: `Layer::Embedding`).
-pub fn apply(spec: &WdlSpec, micro_batches: usize, from: Layer) -> WdlSpec {
+/// Returns `spec` with D-interleaving enabled: `micro_batches` slices,
+/// pipelined from the embedding layer on (Fig. 8b).
+pub fn apply(spec: &WdlSpec, micro_batches: usize) -> WdlSpec {
     assert!(micro_batches >= 1, "micro_batches must be >= 1");
     let mut spec = spec.clone();
     spec.micro_batches = micro_batches;
-    spec.interleave_from = from;
     spec
 }
 
@@ -88,7 +89,6 @@ mod tests {
             modules: vec![],
             mlp: MlpSpec::new(8, vec![1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }
@@ -104,9 +104,8 @@ mod tests {
 
     #[test]
     fn apply_sets_fields() {
-        let s = apply(&spec(), 4, Layer::Mlp);
+        let s = apply(&spec(), 4);
         assert_eq!(s.micro_batches, 4);
-        assert_eq!(s.interleave_from, Layer::Mlp);
         s.validate().unwrap();
     }
 
@@ -148,6 +147,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "micro_batches must be >= 1")]
     fn zero_micro_batches_rejected() {
-        apply(&spec(), 0, Layer::Mlp);
+        apply(&spec(), 0);
     }
 }

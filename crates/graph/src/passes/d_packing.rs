@@ -70,7 +70,7 @@ pub fn apply(spec: &WdlSpec, table_to_pack: &BTreeMap<usize, usize>) -> WdlSpec 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Layer, MlpSpec};
+    use crate::spec::MlpSpec;
 
     fn spec_with_tables(dims: &[usize]) -> WdlSpec {
         let chains = dims
@@ -85,7 +85,6 @@ mod tests {
             modules: vec![],
             mlp: MlpSpec::new(8, vec![1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }

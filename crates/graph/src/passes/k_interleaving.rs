@@ -10,10 +10,10 @@
 //!
 //! The affinity ordering is computed from a field→module inverted index
 //! built in one pass over the modules, and group assignment mutates the
-//! spec in place: the planner ([`crate::passes::pipeline`]) computes the
-//! ordering once per plan and reuses it in `apply`, so the pass costs one
-//! linear scan plus one sort instead of the historical quadratic
-//! module-position scan over a cloned spec.
+//! spec in place: `Pipeline::run` ([`crate::passes::pipeline`]) computes
+//! the ordering once while planning and hands it to the rewrite, so the
+//! pass costs one linear scan plus one sort instead of the historical
+//! quadratic module-position scan over a cloned spec.
 
 use crate::spec::WdlSpec;
 
@@ -171,7 +171,7 @@ pub fn auto_group_count_filtered(spec: &WdlSpec, capacity: f64, excluded: &[bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{EmbeddingChain, InteractionModule, Layer, MlpSpec, ModuleKind};
+    use crate::spec::{EmbeddingChain, InteractionModule, MlpSpec, ModuleKind};
 
     fn spec(n_chains: usize) -> WdlSpec {
         let chains: Vec<EmbeddingChain> = (0..n_chains)
@@ -206,7 +206,6 @@ mod tests {
             modules,
             mlp: MlpSpec::new(16, vec![1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }

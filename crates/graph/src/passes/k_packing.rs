@@ -44,7 +44,7 @@ pub fn apply(spec: &WdlSpec) -> WdlSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{EmbeddingChain, InteractionModule, Layer, MlpSpec, ModuleKind};
+    use crate::spec::{EmbeddingChain, InteractionModule, MlpSpec, ModuleKind};
 
     fn spec() -> WdlSpec {
         WdlSpec {
@@ -62,7 +62,6 @@ mod tests {
             }],
             mlp: MlpSpec::new(8, vec![1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }

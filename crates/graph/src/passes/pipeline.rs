@@ -4,26 +4,24 @@
 //! parameters come from workload measurement (Eq. 1–3). This module turns
 //! that sequence into a first-class, configurable object:
 //!
-//! - [`PassId`] names the built-in passes; [`PipelineConfig`] is the
+//! - [`PassId`] names the five passes; [`PipelineConfig`] is the
 //!   serializable, ordered pass list a run applies (ablations are pass
 //!   lists, not flag structs).
 //! - [`Pipeline`] validates a configuration — packing before interleaving,
 //!   at most one application per pass, unknown passes rejected at parse
-//!   time — and runs each pass instrumented through
-//!   [`run_pass`], so every configured
+//!   time — and runs it: one `match` on each [`PassId`] plans the pass and
+//!   then applies its rewrite through [`run_pass`], so every configured
 //!   pass produces a [`PassReport`] even when it derives a no-op (e.g. an
 //!   enabled interleaving pass whose planner lands on `groups == 1`).
 //! - [`PlanContext`] carries what pass planners consume: the machine
-//!   preset, memory budgets, warm-up-derived planner inputs (the Eq. 1
-//!   table→pack mapping), explicit knob overrides, and the parameters the
-//!   planners derive (Eq. 2 batch, micro-batch count, Eq. 3 group count).
-//! - [`Pass`] is the extension seam: `name`, `plan` (derive parameters
-//!   into the context), `apply` (an in-place graph rewrite on the
-//!   pipeline's working spec).
+//!   preset, the Hot-storage budget and batch cap, warm-up-derived planner
+//!   inputs (the Eq. 1 table→pack mapping), explicit knob overrides, and
+//!   the parameters the planners derive (Eq. 2 batch, micro-batch count,
+//!   Eq. 3 group count).
 
 use crate::passes::report::{run_pass, PassReport};
 use crate::passes::{d_interleaving, d_packing, k_interleaving, k_packing};
-use crate::spec::{Layer, WdlSpec};
+use crate::spec::WdlSpec;
 use picasso_obs::{Clock, Tracer};
 use picasso_sim::MachineSpec;
 use serde::{Deserialize, Serialize};
@@ -39,6 +37,13 @@ pub const MEMORY_AMPLIFICATION: f64 = 16.0;
 /// Pipeline-depth window used to derive the Eq. 3 group capacity: a group
 /// should occupy its tightest resource for at most this long.
 pub const GROUP_WINDOW_SECS: f64 = 0.002;
+
+/// Lower clamp on the Eq. 2 batch the planners derive.
+pub const MIN_BATCH: usize = 256;
+
+/// Default upper clamp on a derived batch (`PlanContext::max_batch` and the
+/// trainer's `max_batch` option start here).
+pub const MAX_BATCH: usize = 65_536;
 
 /// Identifier of one built-in optimization pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -266,65 +271,46 @@ impl Default for DerivedPlan {
     }
 }
 
-/// Everything a pass planner may consult: machine preset, memory budgets,
-/// warm-up-derived planner inputs, explicit knob overrides — plus the
-/// [`DerivedPlan`] the planners fill in as the pipeline runs.
+/// Everything a pass planner may consult: machine preset, Hot-storage
+/// budget, batch cap, warm-up-derived planner inputs, explicit knob
+/// overrides — plus the [`DerivedPlan`] the planners fill in as the
+/// pipeline runs.
 #[derive(Debug, Clone)]
 pub struct PlanContext {
     /// Machine preset of the cluster the run targets.
     pub machine: MachineSpec,
     /// HybridHash Hot-storage budget in bytes (0 = caching disabled).
     pub hot_bytes: u64,
-    /// Memory amplification applied to the analytic feature-map volume in
-    /// the Eq. 2 device-memory case.
-    pub memory_amplification: f64,
-    /// Lower clamp on the derived batch.
-    pub min_batch: usize,
-    /// Upper clamp on the derived batch.
+    /// Upper clamp on the derived batch (the lower clamp is [`MIN_BATCH`]).
     pub max_batch: usize,
     /// Explicit micro-batch override (None = heuristic).
     pub micro_batches: Option<usize>,
     /// Explicit group-count override (None = Eq. 3 auto).
     pub groups: Option<usize>,
-    /// Planner-provided Eq. 1 mapping: embedding table → pack index
-    /// (from [`PackPlan::table_to_pack`] in `picasso-embedding`; empty
-    /// means D-Packing is a no-op).
-    ///
-    /// [`PackPlan::table_to_pack`]: https://docs.rs/picasso-embedding
+    /// Planner-provided Eq. 1 mapping: embedding table → pack index (from
+    /// `picasso_embedding::PackPlan::table_to_pack`, the workspace's
+    /// packing planner; empty means D-Packing is a no-op).
     pub table_to_pack: BTreeMap<usize, usize>,
     /// Embedding tables excluded from K-interleaving control dependencies
     /// (the paper's *preset excluded embedding*, §III-C).
     pub excluded_tables: Vec<usize>,
-    /// Pipeline-depth window for the Eq. 3 group capacity.
-    pub group_window_secs: f64,
-    /// Layer from which D-interleaving applies (Fig. 8a vs 8b).
-    pub interleave_from: Layer,
     /// Parameters derived by the pass planners.
     pub derived: DerivedPlan,
-    /// Affinity-sorted chain ordering cached by the K-Interleaving planner
-    /// (over the post-exclusion graph), so `apply` assigns groups in place
-    /// without re-deriving the ordering. `None` until that planner runs.
-    pub(crate) interleave_order: Option<Vec<usize>>,
 }
 
 impl PlanContext {
-    /// A context for `machine` with the trainer's default budgets and no
+    /// A context for `machine` with the trainer's default batch cap and no
     /// explicit overrides.
     pub fn new(machine: MachineSpec) -> PlanContext {
         PlanContext {
             machine,
             hot_bytes: 0,
-            memory_amplification: MEMORY_AMPLIFICATION,
-            min_batch: 256,
-            max_batch: 65_536,
+            max_batch: MAX_BATCH,
             micro_batches: None,
             groups: None,
             table_to_pack: BTreeMap::new(),
             excluded_tables: Vec::new(),
-            group_window_secs: GROUP_WINDOW_SECS,
-            interleave_from: Layer::Embedding,
             derived: DerivedPlan::default(),
-            interleave_order: None,
         }
     }
 
@@ -340,76 +326,13 @@ impl PlanContext {
                 self.machine.gpu.mem_capacity as f64,
                 self.hot_bytes as f64,
                 resident,
-                spec.feature_map_bytes_per_instance() * self.memory_amplification,
+                spec.feature_map_bytes_per_instance() * MEMORY_AMPLIFICATION,
             )
-            .clamp(self.min_batch, self.max_batch);
+            .clamp(MIN_BATCH, self.max_batch);
         }
         self.derived.base_batch
     }
 }
-
-/// One optimization pass: a named planner + graph rewrite.
-///
-/// `plan` derives the pass's parameters from the current spec into the
-/// shared [`PlanContext`]; `apply` performs the rewrite in place on the
-/// pipeline's working spec (no per-pass clone). Implement this trait to
-/// plug a new optimization into the pipeline.
-pub trait Pass {
-    /// Which built-in pass this is (names the telemetry lane).
-    fn id(&self) -> PassId;
-
-    /// Stable pass name.
-    fn name(&self) -> &'static str {
-        self.id().name()
-    }
-
-    /// Derives this pass's parameters into `ctx.derived`. Runs immediately
-    /// before `apply`, on the spec as transformed by earlier passes.
-    fn plan(&self, spec: &WdlSpec, ctx: &mut PlanContext) {
-        let _ = (spec, ctx);
-    }
-
-    /// Applies the rewrite in place. Must be total: when the planner
-    /// derived a no-op (e.g. one group), leave the spec equivalent so the
-    /// pass still records a [`PassReport`].
-    fn apply(&self, spec: &mut WdlSpec, ctx: &PlanContext);
-}
-
-/// D-Packing: collapse chains according to the planner's Eq. 1 mapping.
-struct DPackingPass;
-
-impl Pass for DPackingPass {
-    fn id(&self) -> PassId {
-        PassId::DPacking
-    }
-
-    fn apply(&self, spec: &mut WdlSpec, ctx: &PlanContext) {
-        if ctx.table_to_pack.is_empty() {
-            // No planner mapping supplied: nothing to merge.
-            return;
-        }
-        *spec = d_packing::apply(spec, &ctx.table_to_pack);
-    }
-}
-
-/// K-Packing: fuse same-resource-class kernels.
-struct KPackingPass;
-
-impl Pass for KPackingPass {
-    fn id(&self) -> PassId {
-        PassId::KPacking
-    }
-
-    fn apply(&self, spec: &mut WdlSpec, _ctx: &PlanContext) {
-        *spec = k_packing::apply(spec);
-    }
-}
-
-/// K-Interleaving: derive the Eq. 3 group count and assign staggered
-/// groups. Preset-excluded tables are marked here — exclusion is part of
-/// the pass, so excluded chains neither constrain the group count nor
-/// participate in volume balancing.
-struct KInterleavingPass;
 
 /// Eq. 3-derived group count for the machine's interconnect bounds. Shared
 /// between the K-Interleaving planner and the plan-surface lint (which
@@ -432,125 +355,37 @@ fn eq3_auto_groups_filtered(
     // Params one group may process per pipeline window on its tightest
     // resource (network and PCIe both move ~4 bytes per parameter).
     let capacity_batch = k_interleaving::eq3_capacity(&[
-        (ctx.machine.nic_bw * ctx.group_window_secs, 4.0),
-        (ctx.machine.pcie_bw * ctx.group_window_secs, 4.0),
+        (ctx.machine.nic_bw * GROUP_WINDOW_SECS, 4.0),
+        (ctx.machine.pcie_bw * GROUP_WINDOW_SECS, 4.0),
     ]);
     let capacity_per_instance = capacity_batch / batch.max(1) as f64;
     k_interleaving::auto_group_count_filtered(spec, capacity_per_instance, excluded).clamp(1, 11)
 }
 
-impl Pass for KInterleavingPass {
-    fn id(&self) -> PassId {
-        PassId::KInterleaving
-    }
-
-    fn plan(&self, spec: &WdlSpec, ctx: &mut PlanContext) {
-        let base = ctx.plan_base_batch(spec);
-        // Exclusion flags as `apply` will set them, computed without
-        // cloning the spec: excluded chains neither count toward the Eq. 3
-        // volume nor appear in the affinity ordering.
-        let excluded = k_interleaving::exclusion_flags(spec, &ctx.excluded_tables);
-        ctx.derived.groups = match ctx.groups {
-            Some(g) => g,
-            None => eq3_auto_groups_filtered(spec, ctx, base, &excluded),
-        };
-        ctx.interleave_order = Some(k_interleaving::order_by_affinity(spec, &excluded));
-    }
-
-    fn apply(&self, spec: &mut WdlSpec, ctx: &PlanContext) {
-        k_interleaving::mark_excluded_in_place(spec, &ctx.excluded_tables);
-        match &ctx.interleave_order {
-            // The planner ran on this exact spec; reuse its ordering.
-            Some(order) => k_interleaving::assign_groups(spec, ctx.derived.groups, order),
-            None => k_interleaving::apply_in_place(spec, ctx.derived.groups),
-        }
-    }
+/// A validated pass sequence: holding one proves [`PipelineConfig::validate`]
+/// accepted the configuration it borrows.
+#[derive(Debug)]
+pub struct Pipeline<'a> {
+    config: &'a PipelineConfig,
 }
 
-/// D-Interleaving: derive the micro-batch count and enable pipelining.
-struct DInterleavingPass;
-
-impl Pass for DInterleavingPass {
-    fn id(&self) -> PassId {
-        PassId::DInterleaving
-    }
-
-    fn plan(&self, spec: &WdlSpec, ctx: &mut PlanContext) {
-        // Fix the Eq. 2 bound on the spec as it stands (packed, pre-split);
-        // the trainer scales the final batch by the micro count against it.
-        ctx.plan_base_batch(spec);
-        ctx.derived.micro_batches = ctx
-            .micro_batches
-            .unwrap_or_else(|| d_interleaving::default_micro_batches(spec));
-    }
-
-    fn apply(&self, spec: &mut WdlSpec, ctx: &PlanContext) {
-        *spec = d_interleaving::apply(spec, ctx.derived.micro_batches, ctx.interleave_from);
-    }
-}
-
-/// HybridHash caching: bookkeeping only. The Hot-storage budget travels in
-/// [`PlanContext::hot_bytes`] (consumed by warm-up measurement and Eq. 2
-/// batch sizing); the logical graph is untouched.
-struct CachingPass;
-
-impl Pass for CachingPass {
-    fn id(&self) -> PassId {
-        PassId::Caching
-    }
-
-    fn apply(&self, _spec: &mut WdlSpec, _ctx: &PlanContext) {
-        // Bookkeeping only: the logical graph is untouched (and no longer
-        // cloned just to say so).
-    }
-}
-
-fn builtin(id: PassId) -> Box<dyn Pass> {
-    match id {
-        PassId::DPacking => Box::new(DPackingPass),
-        PassId::KPacking => Box::new(KPackingPass),
-        PassId::KInterleaving => Box::new(KInterleavingPass),
-        PassId::DInterleaving => Box::new(DInterleavingPass),
-        PassId::Caching => Box::new(CachingPass),
-    }
-}
-
-/// A validated, runnable pass sequence.
-pub struct Pipeline {
-    config: PipelineConfig,
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("passes", &self.config.names())
-            .finish()
-    }
-}
-
-impl Pipeline {
-    /// Builds the pipeline for `config`, validating it first.
-    pub fn from_config(config: &PipelineConfig) -> Result<Pipeline, PipelineError> {
+impl<'a> Pipeline<'a> {
+    /// Validates `config` and borrows it as a runnable pipeline.
+    pub fn from_config(config: &'a PipelineConfig) -> Result<Pipeline<'a>, PipelineError> {
         config.validate()?;
-        Ok(Pipeline {
-            config: config.clone(),
-            passes: config.passes.iter().map(|&id| builtin(id)).collect(),
-        })
-    }
-
-    /// The configuration this pipeline was built from.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
+        Ok(Pipeline { config })
     }
 
     /// Plans and applies every pass in order, instrumented: each pass —
     /// including ones that derive a no-op — lands a span on the tracer's
-    /// `passes` track and a [`PassReport`] in the returned list. The
-    /// plan-surface analyzer then runs over the transformed spec and the
-    /// derived plan; its findings are returned as the third element
-    /// (enabled-but-no-op passes, Eq. 2 split problems, Eq. 3 capacity
-    /// violations — see `crate::lint`).
+    /// `passes` track and a [`PassReport`] in the returned list. A pass
+    /// plans on the spec as earlier passes left it, outside the timed
+    /// window, and rewrites it in place inside [`run_pass`], so
+    /// `duration_ns` times the rewrite alone. The plan-surface analyzer
+    /// then runs over the transformed spec and the derived plan; its
+    /// findings are returned as the third element (enabled-but-no-op
+    /// passes, Eq. 2 split problems, Eq. 3 capacity violations — see
+    /// `crate::lint`).
     pub fn run<C: Clock>(
         &self,
         spec: &WdlSpec,
@@ -558,13 +393,53 @@ impl Pipeline {
         tracer: &Tracer<C>,
     ) -> (WdlSpec, Vec<PassReport>, Vec<picasso_lint::Diagnostic>) {
         let mut spec = spec.clone();
-        let mut reports = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            pass.plan(&spec, ctx);
-            let report = run_pass(pass.name(), &mut spec, tracer, |s| pass.apply(s, ctx));
+        let mut reports = Vec::with_capacity(self.config.passes.len());
+        for &id in &self.config.passes {
+            let name = id.name();
+            let report = match id {
+                // Without a planner mapping there is nothing to merge.
+                PassId::DPacking => run_pass(name, &mut spec, tracer, |s| {
+                    if !ctx.table_to_pack.is_empty() {
+                        *s = d_packing::apply(s, &ctx.table_to_pack);
+                    }
+                }),
+                PassId::KPacking => run_pass(name, &mut spec, tracer, |s| *s = k_packing::apply(s)),
+                PassId::KInterleaving => {
+                    // Exclusion is part of the pass: excluded chains (flags
+                    // as the rewrite will set them) neither count toward the
+                    // Eq. 3 volume nor appear in the affinity order.
+                    let base = ctx.plan_base_batch(&spec);
+                    let excluded = k_interleaving::exclusion_flags(&spec, &ctx.excluded_tables);
+                    ctx.derived.groups = match ctx.groups {
+                        Some(g) => g,
+                        None => eq3_auto_groups_filtered(&spec, ctx, base, &excluded),
+                    };
+                    let order = k_interleaving::order_by_affinity(&spec, &excluded);
+                    run_pass(name, &mut spec, tracer, |s| {
+                        k_interleaving::mark_excluded_in_place(s, &ctx.excluded_tables);
+                        k_interleaving::assign_groups(s, ctx.derived.groups, &order);
+                    })
+                }
+                PassId::DInterleaving => {
+                    // Fix the Eq. 2 bound on the spec as it stands (packed,
+                    // pre-split); the trainer scales the final batch by the
+                    // micro count against it.
+                    ctx.plan_base_batch(&spec);
+                    ctx.derived.micro_batches = ctx
+                        .micro_batches
+                        .unwrap_or_else(|| d_interleaving::default_micro_batches(&spec));
+                    run_pass(name, &mut spec, tracer, |s| {
+                        *s = d_interleaving::apply(s, ctx.derived.micro_batches);
+                    })
+                }
+                // Bookkeeping only: the Hot-storage budget travels in
+                // `ctx.hot_bytes` (warm-up and Eq. 2 batch sizing); the
+                // logical graph is untouched.
+                PassId::Caching => run_pass(name, &mut spec, tracer, |_| {}),
+            };
             reports.push(report);
         }
-        let diagnostics = crate::lint::lint_plan(&spec, ctx, &self.config, &reports);
+        let diagnostics = crate::lint::lint_plan(&spec, ctx, self.config, &reports);
         (spec, reports, diagnostics)
     }
 }
@@ -585,7 +460,6 @@ mod tests {
             modules: vec![],
             mlp: MlpSpec::new(8, vec![64, 1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }
@@ -729,7 +603,8 @@ mod tests {
         ctx.table_to_pack = (0..40).map(|t| (t, t / 10)).collect();
         ctx.groups = Some(2);
         ctx.micro_batches = Some(3);
-        let pipeline = Pipeline::from_config(&PipelineConfig::all()).unwrap();
+        let cfg = PipelineConfig::all();
+        let pipeline = Pipeline::from_config(&cfg).unwrap();
         let tracer = Tracer::new(ManualClock::new());
         let (out, reports, diags) = pipeline.run(&base, &mut ctx, &tracer);
         assert!(
@@ -754,8 +629,8 @@ mod tests {
         let mut ctx = ctx();
         ctx.excluded_tables = vec![7];
         ctx.groups = Some(4);
-        let pipeline =
-            Pipeline::from_config(&PipelineConfig::new(vec![PassId::KInterleaving])).unwrap();
+        let cfg = PipelineConfig::new(vec![PassId::KInterleaving]);
+        let pipeline = Pipeline::from_config(&cfg).unwrap();
         let tracer = Tracer::new(ManualClock::new());
         let (out, _, _) = pipeline.run(&base, &mut ctx, &tracer);
         let excluded: Vec<_> = out
@@ -773,7 +648,7 @@ mod tests {
         let mut ctx = ctx();
         let s = spec(4);
         let b = ctx.plan_base_batch(&s);
-        assert!(b >= ctx.min_batch && b <= ctx.max_batch);
+        assert!(b >= MIN_BATCH && b <= ctx.max_batch);
         // Cached: changing the budget afterwards does not re-derive.
         ctx.hot_bytes = u64::MAX;
         assert_eq!(ctx.plan_base_batch(&s), b);

@@ -125,7 +125,7 @@ pub fn run_pass<C: Clock>(
 mod tests {
     use super::*;
     use crate::passes::{d_packing, k_packing};
-    use crate::spec::{EmbeddingChain, Layer, MlpSpec};
+    use crate::spec::{EmbeddingChain, MlpSpec};
     use picasso_obs::ManualClock;
     use std::collections::BTreeMap;
 
@@ -139,7 +139,6 @@ mod tests {
             modules: vec![],
             mlp: MlpSpec::new(8, vec![64, 1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }

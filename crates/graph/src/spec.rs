@@ -10,19 +10,6 @@
 use crate::ops::OpKind;
 use serde::{Deserialize, Serialize};
 
-/// The architectural layer an operation belongs to (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum Layer {
-    /// Data transmission layer.
-    Io,
-    /// Embedding layer.
-    Embedding,
-    /// Feature interaction layer.
-    Interaction,
-    /// Final multi-layer perceptron.
-    Mlp,
-}
-
 /// One embedding lookup pipeline: Preprocess → Unique → Partition → Gather →
 /// Shuffle → Stitch → SegmentReduce → H2D. In the baseline graph there is
 /// one chain per embedding table; D-packing merges chains that share an
@@ -218,10 +205,9 @@ pub struct WdlSpec {
     pub modules: Vec<InteractionModule>,
     /// Final MLP.
     pub mlp: MlpSpec,
-    /// D-interleaving micro-batch count (1 = off).
+    /// D-interleaving micro-batch count (1 = off), pipelined from the
+    /// embedding layer on (Fig. 8b).
     pub micro_batches: usize,
-    /// Layer from which D-interleaving applies (Fig. 8a vs 8b).
-    pub interleave_from: Layer,
     /// Extra control-dependency edges `(from, to)` between K-interleaving
     /// groups, on top of the implicit `g -> g+1` stagger chain (Fig. 8c).
     /// Group `to`'s communication gate additionally waits on group
@@ -327,7 +313,6 @@ mod tests {
             }],
             mlp: MlpSpec::new(16, vec![64, 1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }

@@ -64,7 +64,7 @@ pub fn graph_stats(spec: &WdlSpec) -> GraphStats {
 mod tests {
     use super::*;
     use crate::passes::{d_packing, k_packing};
-    use crate::spec::{EmbeddingChain, Layer, MlpSpec, WdlSpec};
+    use crate::spec::{EmbeddingChain, MlpSpec, WdlSpec};
     use std::collections::BTreeMap;
 
     fn spec(tables: usize) -> WdlSpec {
@@ -77,7 +77,6 @@ mod tests {
             modules: vec![],
             mlp: MlpSpec::new(8, vec![64, 1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     }

@@ -125,10 +125,9 @@ fn bench_suite_scenarios_lint_clean() {
 }
 
 proptest! {
-    // Each case runs every preset on a model; a handful of cases covers
-    // the override grid without making `cargo test` crawl.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
+    // Each case runs every preset on a model; the default case count (or
+    // `PROPTEST_CASES`, which CI's pass pipeline oracle sets to 1024)
+    // covers the 96-cell override grid.
     /// No built-in preset produces an error-severity diagnostic on the
     /// committed bench models, under any explicit group / micro-batch
     /// override a config could plausibly set.

@@ -11,8 +11,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use picasso_graph::{
-    lint_spec, Diagnostic, EmbeddingChain, InteractionModule, Layer, MlpSpec, ModuleKind, Severity,
-    Span, WdlSpec,
+    lint_spec, Diagnostic, EmbeddingChain, InteractionModule, MlpSpec, ModuleKind, Severity, Span,
+    WdlSpec,
 };
 use proptest::prelude::*;
 
@@ -274,7 +274,6 @@ fn case_strategy() -> impl Strategy<Value = (WdlSpec, Option<BTreeMap<usize, usi
                 modules,
                 mlp: MlpSpec::new(16, vec![64, 1]),
                 micro_batches: micro,
-                interleave_from: Layer::Embedding,
                 group_deps,
             };
             let dims = with_dims.then(|| dims.into_iter().map(|(t, d)| (t, DIMS[d])).collect());
@@ -336,7 +335,6 @@ fn the_oracle_sees_every_spec_rule() {
         ],
         mlp: MlpSpec::new(16, vec![64, 1]),
         micro_batches: 0,
-        interleave_from: Layer::Embedding,
         group_deps: vec![(0, 3)],
     };
     let dims: BTreeMap<usize, usize> = [(0, 8), (1, 16)].into_iter().collect();

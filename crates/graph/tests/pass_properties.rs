@@ -2,7 +2,7 @@
 
 use picasso_graph::{
     d_interleaving, d_packing, graph_stats, k_interleaving, k_packing, EmbeddingChain,
-    InteractionModule, Layer, MlpSpec, ModuleKind, WdlSpec,
+    InteractionModule, MlpSpec, ModuleKind, WdlSpec,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -47,7 +47,6 @@ fn spec_strategy() -> impl Strategy<Value = WdlSpec> {
             modules,
             mlp: MlpSpec::new(64, vec![32, 1]),
             micro_batches: 1,
-            interleave_from: Layer::Embedding,
             group_deps: Vec::new(),
         }
     })

@@ -245,6 +245,16 @@ pub const RULES: &[RuleInfo] = &[
                     warms on the first half of at least two batches",
     },
     RuleInfo {
+        id: "run.trainer-shape",
+        surface: Surface::Run,
+        severity: Severity::Error,
+        summary: "a trainer option is below the least value planning accepts: a batch cap \
+                  under the 256-instance floor, or zero micro-batches, groups or machines",
+        grounding: "§III-C sizes the batch by Eq. 2 between a floor and a cap, splits it into \
+                    at least one micro-batch and its chains into at least one Eq. 3 group, \
+                    and every run needs a worker to place them on",
+    },
+    RuleInfo {
         id: "run.ps-without-servers",
         surface: Surface::Run,
         severity: Severity::Error,

@@ -7,7 +7,7 @@
 //! PICASSO passes then transform.
 
 use picasso_data::DatasetSpec;
-use picasso_graph::{EmbeddingChain, Layer, MlpSpec, WdlSpec};
+use picasso_graph::{EmbeddingChain, MlpSpec, WdlSpec};
 use std::collections::BTreeMap;
 
 pub mod atbrg;
@@ -112,7 +112,6 @@ pub fn assemble(
         modules,
         mlp,
         micro_batches: 1,
-        interleave_from: Layer::Embedding,
         group_deps: Vec::new(),
     };
     debug_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
