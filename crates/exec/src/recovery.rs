@@ -451,9 +451,10 @@ impl RecoveryRun {
 
 /// Lints a run configuration before training starts.
 ///
-/// Emits the two `run.*` rules from the registry: a fault plan that
-/// schedules a crash while checkpointing is disabled, and a checkpoint
-/// interval longer than the run itself.
+/// Emits three `run.*` rules from the registry: a fault plan that
+/// schedules a crash while checkpointing is disabled, a checkpoint
+/// interval longer than the run itself, and checkpointing whose retention
+/// keeps fewer than two full checkpoints.
 pub fn lint_recovery(opts: &RecoveryOptions) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let schedules_crash = opts
@@ -484,6 +485,24 @@ pub fn lint_recovery(opts: &RecoveryOptions) -> Vec<Diagnostic> {
                 ),
             )
             .with_hint("lower --ckpt-every below the iteration count"),
+        );
+    }
+    // `CheckpointStore::gc` counts a full checkpoint by its manifest and
+    // never reads its data: with one kept, a torn newest full would cost
+    // the previous full and every chain that bottoms out in it.
+    if opts.ckpt_every > 0 && opts.keep_full < 2 {
+        out.push(
+            Diagnostic::new(
+                "run.ckpt-keep-one",
+                Severity::Warn,
+                Span::Run("keep-full".into()),
+                format!(
+                    "retention keeps {} full checkpoint(s); a torn newest full would leave \
+                     no restorable chain",
+                    opts.keep_full
+                ),
+            )
+            .with_hint("keep at least two full checkpoints"),
         );
     }
     out
@@ -1140,6 +1159,28 @@ mod tests {
         assert_eq!(diags[0].rule, "run.ckpt-beyond-horizon");
 
         assert!(lint_recovery(&opts(4, "seed=9;crash@3")).is_empty());
+    }
+
+    #[test]
+    fn lint_flags_retention_of_fewer_than_two_fulls() {
+        for keep_full in [0, 1] {
+            let o = RecoveryOptions {
+                keep_full,
+                ..opts(4, "seed=9;crash@3")
+            };
+            let diags = lint_recovery(&o);
+            assert_eq!(diags.len(), 1, "keep_full {keep_full}");
+            assert_eq!(diags[0].rule, "run.ckpt-keep-one");
+            assert_eq!(diags[0].severity, Severity::Warn);
+            assert_eq!(diags[0].span, Span::Run("keep-full".into()));
+            assert!(picasso_lint::rules::rule(&diags[0].rule).is_some());
+        }
+        // Without checkpointing nothing is retained, so nothing to warn of.
+        let o = RecoveryOptions {
+            keep_full: 1,
+            ..opts(0, "seed=9")
+        };
+        assert!(lint_recovery(&o).is_empty());
     }
 
     #[test]

@@ -235,6 +235,15 @@ pub const RULES: &[RuleInfo] = &[
         grounding: "a run shorter than one checkpoint interval never persists any state",
     },
     RuleInfo {
+        id: "run.ckpt-keep-one",
+        surface: Surface::Run,
+        severity: Severity::Warn,
+        summary: "checkpointing is on but retention keeps fewer than two full checkpoints",
+        grounding: "retention counts a full checkpoint by its manifest without reading its \
+                    data, so with one kept, a torn newest full costs the only chain a \
+                    restore could use",
+    },
+    RuleInfo {
         id: "run.warmup-shape",
         surface: Surface::Run,
         severity: Severity::Error,

@@ -19,7 +19,11 @@
 //!   Every batch's embedding IDs run through Algorithm 1's hit policy
 //!   ([`picasso_embedding::HotSetPolicy`], without rows: service time
 //!   never reads the gathered values), so cache hit/miss statistics
-//!   reflect the actual Zipf request stream.
+//!   reflect the actual Zipf request stream. The open-loop traffic is
+//!   generated on a producer thread that runs ahead of the event loop and
+//!   hands arrivals over in fixed-size chunks through a bounded channel;
+//!   the loop consumes them in generation order, so the report is the
+//!   same bit for bit as when one thread did both.
 //! * [`report`] — the `picasso.serve_report` summary: exact p50/p95/p99
 //!   latency, queue depth, SLO violations, cache hit rate, shed count, and
 //!   capacity vs. achieved throughput, under a digest that two same-seed

@@ -17,13 +17,27 @@
 //! depend only on which IDs are hot, so the replica pays for no cold-row
 //! index, row initialisation or hot-arena rebuild.
 //!
-//! A request's IDs never get a heap allocation of their own. The generator
-//! appends the next arrival's IDs to one reused buffer; an admitted
-//! request's IDs move into one FIFO ring of IDs, and a shed request's are
-//! dropped. Every request of a plan looks up the same number of IDs, so a
-//! dispatched batch of `n` requests drains the ring's oldest
-//! `n · ids_per_request` IDs into one reused buffer for the policy: the
-//! same IDs, in the same arrival order, as flattening the batch's
+//! The traffic stream is open-loop: no arrival time or ID depends on the
+//! replica's state, so the generator runs ahead of the event loop on a
+//! producer thread of its own, and two cores split a replay that one core
+//! would otherwise run end to end. The producer fills chunks of
+//! consecutive arrivals (their times, and their IDs back to back) and
+//! hands each over through a bounded channel. The event loop reads
+//! arrivals from its current chunk and sends each emptied chunk back for
+//! refilling. A chunk closes once it holds [`CHUNK_IDS`] IDs' worth of
+//! requests, and always holds at least one. The generator draws the same
+//! requests in the same order whichever thread drives it, and the event
+//! loop consumes them in that order, so every report, latency sample and
+//! queue-depth timeline is bit for bit what inline generation gives. The
+//! generator and every chunk buffer are built on the calling thread; the
+//! producer only fills buffers that already exist.
+//!
+//! A request's IDs never get a heap allocation of their own. An admitted
+//! request's IDs are copied from its chunk into one FIFO ring of IDs, and
+//! a shed request's are skipped. Every request of a plan looks up the same
+//! number of IDs, so a dispatched batch of `n` requests drains the ring's
+//! oldest `n · ids_per_request` IDs into one reused buffer for the policy:
+//! the same IDs, in the same arrival order, as flattening the batch's
 //! requests.
 
 use crate::batcher::{Batch, BatchPolicy, Batcher, QueuedRequest};
@@ -31,8 +45,24 @@ use crate::report::ServeReport;
 use picasso_embedding::{HotSetPolicy, HybridHashConfig};
 use picasso_exec::{forward_latency_ns, ServingPlan};
 use picasso_obs::{LatencyRecorder, SloTracker};
-use picasso_sim::TrafficPlan;
+use picasso_sim::{TrafficGen, TrafficPlan};
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread;
+
+/// IDs a handoff chunk holds before it closes: a chunk takes as many whole
+/// requests as fit, 256 at the usual eight IDs each, and at least one. A
+/// request with more IDs than this grows its chunk's buffer on first use.
+pub const CHUNK_IDS: usize = 2048;
+
+/// Chunks in circulation between the producer and the event loop: one
+/// being filled, one being read, and two queued between them.
+const CHUNKS: usize = 4;
+
+/// Stack of the producer thread. Filling a chunk needs only the
+/// generator's few frames, and a small stack keeps the thread's resident
+/// memory small.
+const PRODUCER_STACK: usize = 64 * 1024;
 
 /// Configuration of one serving replica.
 #[derive(Debug, Clone)]
@@ -102,19 +132,143 @@ impl<'a> ServiceModel<'a> {
     }
 }
 
+/// Consecutive arrivals of one traffic stream: their times, and their IDs
+/// back to back in the same order.
+struct Chunk {
+    at_ns: Vec<u64>,
+    ids: Vec<u64>,
+}
+
+/// Fills chunks from `gen` until the stream ends or the event loop has
+/// gone, and sends each down `full`. Chunks come from `spare` first, then
+/// back from the event loop through `free`.
+fn produce(
+    mut gen: TrafficGen,
+    per_chunk: usize,
+    mut spare: Vec<Chunk>,
+    free: Receiver<Chunk>,
+    full: SyncSender<Chunk>,
+) {
+    while gen.emitted() < gen.plan().requests {
+        let Some(mut chunk) = spare.pop().or_else(|| free.recv().ok()) else {
+            return;
+        };
+        chunk.at_ns.clear();
+        chunk.ids.clear();
+        while chunk.at_ns.len() < per_chunk {
+            let Some(at_ns) = gen.next_into(&mut chunk.ids) else {
+                break;
+            };
+            chunk.at_ns.push(at_ns);
+        }
+        if full.send(chunk).is_err() {
+            return;
+        }
+    }
+}
+
+/// The event loop's end of the handoff: a cursor over the current chunk.
+struct Arrivals {
+    full: Receiver<Chunk>,
+    free: SyncSender<Chunk>,
+    chunk: Option<Chunk>,
+    pos: usize,
+    per_request: usize,
+}
+
+impl Arrivals {
+    /// Steps to the next arrival and returns its time, or `None` once the
+    /// producer has sent its last chunk and gone.
+    fn advance(&mut self) -> Option<u64> {
+        self.pos += 1;
+        if self
+            .chunk
+            .as_ref()
+            .is_none_or(|chunk| self.pos == chunk.at_ns.len())
+        {
+            if let Some(spent) = self.chunk.take() {
+                // Fails only once the producer has finished; the chunk is
+                // then dropped here.
+                let _ = self.free.send(spent);
+            }
+            self.chunk = self.full.recv().ok();
+            self.pos = 0;
+        }
+        self.chunk.as_ref().map(|chunk| chunk.at_ns[self.pos])
+    }
+
+    /// The IDs of the arrival [`Arrivals::advance`] last returned.
+    fn ids(&self) -> &[u64] {
+        self.chunk.as_ref().map_or(&[], |chunk| {
+            &chunk.ids[self.pos * self.per_request..][..self.per_request]
+        })
+    }
+}
+
 /// Drives `traffic` through a replica serving `plan` under `cfg`,
 /// returning the deterministic run summary labeled `scenario`.
+///
+/// The traffic generator runs on a scoped producer thread ahead of the
+/// event loop (see the module docs); the result does not depend on how
+/// the two threads interleave.
+///
+/// # Panics
+///
+/// Panics if the operating system cannot spawn the producer thread, and
+/// re-raises a panic of the producer thread once the event loop is done.
 pub fn serve(
     plan: &ServingPlan,
     traffic: &TrafficPlan,
     cfg: &ReplicaConfig,
     scenario: &str,
 ) -> ServeRun {
-    let mut gen = traffic.generator();
+    let gen = traffic.generator();
     let per_request = traffic.ids_per_request as usize;
-    // The next arrival's time and IDs, drawn ahead of its admission.
-    let mut arrival_ids: Vec<u64> = Vec::new();
-    let mut next_arrival = gen.next_into(&mut arrival_ids);
+    let per_chunk = (CHUNK_IDS / per_request.max(1)).max(1);
+    let spare: Vec<Chunk> = (0..CHUNKS)
+        .map(|_| Chunk {
+            at_ns: Vec::with_capacity(per_chunk),
+            ids: Vec::with_capacity(CHUNK_IDS),
+        })
+        .collect();
+    // Neither send ever blocks: each channel has room for every chunk.
+    let (full_tx, full_rx) = mpsc::sync_channel(CHUNKS);
+    let (free_tx, free_rx) = mpsc::sync_channel(CHUNKS);
+    thread::scope(|scope| {
+        let producer = thread::Builder::new()
+            .name("serve-traffic".into())
+            .stack_size(PRODUCER_STACK)
+            .spawn_scoped(scope, move || {
+                produce(gen, per_chunk, spare, free_rx, full_tx)
+            })
+            .unwrap_or_else(|e| panic!("cannot spawn the traffic producer thread: {e}"));
+        let arrivals = Arrivals {
+            full: full_rx,
+            free: free_tx,
+            chunk: None,
+            pos: 0,
+            per_request,
+        };
+        let run = replay(plan, traffic, cfg, scenario, arrivals);
+        if let Err(panic) = producer.join() {
+            std::panic::resume_unwind(panic);
+        }
+        run
+    })
+}
+
+/// The event loop of [`serve`], fed by `arrivals`. Owning `arrivals`
+/// means that a panic here drops both channel ends, which releases a
+/// producer waiting for an emptied chunk.
+fn replay(
+    plan: &ServingPlan,
+    traffic: &TrafficPlan,
+    cfg: &ReplicaConfig,
+    scenario: &str,
+    mut arrivals: Arrivals,
+) -> ServeRun {
+    let per_request = traffic.ids_per_request as usize;
+    let mut next_arrival = arrivals.advance();
     // Every admitted, undispatched request's IDs, oldest first.
     let mut ring: VecDeque<u64> = VecDeque::new();
     let mut batch_ids: Vec<u64> = Vec::new();
@@ -200,13 +354,12 @@ pub fn serve(
                 shed += 1;
             } else {
                 admitted_unserved += 1;
-                ring.extend(&arrival_ids);
+                ring.extend(arrivals.ids());
                 batcher.push(QueuedRequest { seq, at_ns: t });
                 seq += 1;
                 maybe_dispatch!(now);
             }
-            arrival_ids.clear();
-            next_arrival = gen.next_into(&mut arrival_ids);
+            next_arrival = arrivals.advance();
         }
         recorder.sample_queue_depth(now, batcher.pending_len().min(u32::MAX as usize) as u32);
     }

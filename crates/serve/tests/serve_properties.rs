@@ -10,6 +10,7 @@ use picasso_exec::{
     TrainerOptions,
 };
 use picasso_obs::{exact_quantile, LatencyRecorder, SloTracker};
+use picasso_serve::replica::CHUNK_IDS;
 use picasso_serve::{
     serve, BatchPolicy, Batcher, QueuedRequest, ReplicaConfig, ServeReport, ServeRun,
 };
@@ -413,7 +414,9 @@ fn reference_serve(
 }
 
 /// A random small traffic plan: Poisson or MMPP arrivals around the
-/// replica's capacity, over one to a million users.
+/// replica's capacity, over one to a million users. Up to 1 500 requests
+/// cross several handoff chunks (128 to 2 048 requests each at these ID
+/// counts), and zero requests is the empty stream.
 fn oracle_traffic() -> impl Strategy<Value = TrafficPlan> {
     (
         0u64..1_000_000,
@@ -421,7 +424,7 @@ fn oracle_traffic() -> impl Strategy<Value = TrafficPlan> {
         (0u32..3, 1u64..1_000_000),
         0u32..150,
         1u32..16,
-        1u64..400,
+        0u64..1_500,
         (500u64..200_000, 1u64..20),
     )
         .prop_map(
@@ -500,4 +503,101 @@ proptest! {
         );
         prop_assert_eq!(got.latency.queue_depth(), want.latency.queue_depth());
     }
+}
+
+/// Runs `traffic` through the replica and the reference loop under `cfg`
+/// and asserts what the oracle above asserts, returning the replica's run.
+fn assert_matches_reference(traffic: &str, cfg: &ReplicaConfig) -> ServeRun {
+    let traffic: TrafficPlan = traffic.parse().expect("valid plan");
+    let plan = oracle_plan();
+    let got = serve(plan, &traffic, cfg, "handoff");
+    let want = reference_serve(plan, &traffic, cfg, "handoff");
+    assert_eq!(got.report, want.report, "{traffic}");
+    assert_eq!(
+        got.latency.sorted_ns(),
+        want.latency.sorted_ns(),
+        "{traffic}"
+    );
+    assert_eq!(
+        got.latency.mean_ns().to_bits(),
+        want.latency.mean_ns().to_bits(),
+        "{traffic}"
+    );
+    assert_eq!(
+        got.latency.queue_depth(),
+        want.latency.queue_depth(),
+        "{traffic}"
+    );
+    got
+}
+
+/// A replica small enough that a few thousand requests keep it busy.
+fn handoff_replica() -> ReplicaConfig {
+    ReplicaConfig {
+        policy: BatchPolicy {
+            max_batch: 16,
+            max_linger_ns: 500_000,
+        },
+        queue_capacity: Some(64),
+        ..ReplicaConfig::default()
+    }
+}
+
+#[test]
+fn handoff_matches_the_reference_at_chunk_boundaries() {
+    let ids = 8;
+    let chunk = (CHUNK_IDS / ids) as u64;
+    for reqs in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk] {
+        let run = assert_matches_reference(
+            &format!("seed=5;poisson@60000;users=5000;zipf=105;ids={ids};reqs={reqs}"),
+            &handoff_replica(),
+        );
+        assert_eq!(run.report.served + run.report.shed, reqs);
+    }
+}
+
+#[test]
+fn handoff_of_one_request_per_chunk_matches_the_reference() {
+    // Past half a chunk of IDs every chunk holds one request; past a whole
+    // chunk, the request outgrows the chunk's preallocated buffer.
+    for ids in [CHUNK_IDS / 2 + 1, CHUNK_IDS + 1] {
+        assert_matches_reference(
+            &format!("seed=6;mmpp@4000:b40000:d2;users=100000;zipf=90;ids={ids};reqs=9"),
+            &handoff_replica(),
+        );
+    }
+}
+
+#[test]
+fn handoff_drains_a_stream_that_is_all_shed() {
+    let cfg = ReplicaConfig {
+        queue_capacity: Some(0),
+        ..handoff_replica()
+    };
+    let reqs = 3 * (CHUNK_IDS / 8) as u64 + 1;
+    let run = assert_matches_reference(
+        &format!("seed=7;poisson@60000;users=5000;zipf=105;ids=8;reqs={reqs}"),
+        &cfg,
+    );
+    assert_eq!(run.report.shed, reqs);
+    assert_eq!(run.report.served, 0);
+}
+
+#[test]
+#[should_panic(expected = "max_batch must be at least 1")]
+fn handoff_releases_the_producer_when_the_event_loop_panics() {
+    // The event loop panics on its invalid batch policy while the producer
+    // waits for an emptied chunk; the panic must reach the caller instead
+    // of leaving the producer blocked.
+    let cfg = ReplicaConfig {
+        policy: BatchPolicy {
+            max_batch: 0,
+            max_linger_ns: 0,
+        },
+        ..ReplicaConfig::default()
+    };
+    let traffic: TrafficPlan = "seed=8;poisson@60000;users=5000;zipf=105;ids=8;reqs=100000"
+        .parse()
+        .expect("valid plan");
+    serve(oracle_plan(), &traffic, &cfg, "panic");
 }
