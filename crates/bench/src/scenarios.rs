@@ -263,7 +263,11 @@ mod tests {
                 "{}: no checkpoint fits the horizon",
                 sc.name
             );
-            assert!(!sc.opts.fault_plan.is_empty(), "{}: empty plan", sc.name);
+            assert!(
+                !sc.opts.fault_plan.events.is_empty(),
+                "{}: empty plan",
+                sc.name
+            );
         }
     }
 }

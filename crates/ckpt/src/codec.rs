@@ -75,31 +75,11 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes an `f32` by bit pattern (exact round trip, NaN included).
-    pub fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Writes an `f64` by bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
     /// Writes a length-prefixed `f32` slice.
     pub fn f32_slice(&mut self, vs: &[f32]) {
         self.u64(vs.len() as u64);
         self.buf
             .extend(vs.iter().flat_map(|v| v.to_bits().to_le_bytes()));
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Consumes the encoder, returning the payload.
@@ -153,11 +133,6 @@ impl<'a> Decoder<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    /// Reads an `f64` by bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Reads a length-prefixed `f32` slice.
     pub fn f32_slice(&mut self) -> Result<Vec<f32>, CodecError> {
         let n = self.u64()? as usize;
@@ -190,19 +165,16 @@ mod tests {
         let mut e = Encoder::new();
         e.u64(u64::MAX);
         e.u32(7);
-        e.f32(-0.0);
-        e.f64(f64::MIN_POSITIVE);
-        e.f32_slice(&[1.5, f32::NAN, -3.25]);
+        e.f32_slice(&[1.5, f32::NAN, -3.25, -0.0]);
         let bytes = e.finish();
 
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.u64().unwrap(), u64::MAX);
         assert_eq!(d.u32().unwrap(), 7);
-        assert_eq!(d.f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert_eq!(d.f64().unwrap(), f64::MIN_POSITIVE);
         let vs = d.f32_slice().unwrap();
-        assert_eq!(vs.len(), 3);
+        assert_eq!(vs.len(), 4);
         assert!(vs[1].is_nan(), "NaN bit patterns survive");
+        assert_eq!(vs[3].to_bits(), (-0.0f32).to_bits());
         d.finish().unwrap();
     }
 

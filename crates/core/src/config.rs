@@ -70,12 +70,6 @@ impl PicassoConfig {
         self
     }
 
-    /// Sets the machine preset.
-    pub fn machine(mut self, machine: MachineSpec) -> Self {
-        self.machine = machine;
-        self
-    }
-
     /// Sets the Hot-storage budget.
     pub fn hot_storage(mut self, bytes: u64) -> Self {
         self.hot_bytes = bytes;

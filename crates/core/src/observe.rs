@@ -126,27 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_output_round_trips() {
-        let a = artifacts();
-        let text = prometheus_text(&a);
-        let doc = picasso_obs::prometheus::parse(&text).expect("valid exposition format");
-        assert!(doc
-            .find("sim_tasks_total", &[("category", "computation")])
-            .is_some());
-        assert!(doc.find("exec_ips_per_node", &[]).is_some());
-        assert!(doc
-            .find("graph_pass_packing_ratio", &[("pass", "d_packing")])
-            .is_some());
-        assert!(doc
-            .find("embedding_lookups_total", &[("outcome", "hot")])
-            .is_some());
-        assert!(doc.find("flight_occupancy", &[]).is_some());
-        assert!(doc
-            .find("flight_events_seen_total", &[("category", "task")])
-            .is_some());
-    }
-
-    #[test]
     fn run_report_validates_against_the_pinned_schema() {
         let a = artifacts();
         let mut table = TextTable::new("Fig. 11", &["framework", "sm%"]);

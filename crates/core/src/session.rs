@@ -37,16 +37,6 @@ impl Session {
         }
     }
 
-    /// The session's dataset.
-    pub fn dataset(&self) -> &Arc<DatasetSpec> {
-        &self.data
-    }
-
-    /// The session's config.
-    pub fn config(&self) -> &PicassoConfig {
-        &self.config
-    }
-
     /// Trains under full PICASSO, surfacing pipeline-validation and
     /// graph-lowering failures instead of panicking.
     pub fn try_run_picasso(&self) -> Result<RunArtifacts, TrainError> {
@@ -120,15 +110,6 @@ impl Session {
         )
     }
 
-    /// Runs the static analyzer over the session's planned PICASSO run.
-    ///
-    /// Panics on an invalid pipeline; use [`Session::try_lint`] to handle
-    /// that as an error.
-    pub fn lint(&self) -> Vec<picasso_exec::Diagnostic> {
-        self.try_lint()
-            .unwrap_or_else(|e| panic!("lint failed: {e}"))
-    }
-
     /// Trains with an explicit strategy + pipeline combination.
     ///
     /// Panics on an invalid pipeline or task graph; use
@@ -198,12 +179,12 @@ mod tests {
             .interleaving_groups(3);
         cfg.group_deps = vec![(2, 0)];
         let s = Session::new(ModelKind::Dlrm, cfg);
-        let diags = s.lint();
+        let diags = s.try_lint().expect("valid pipeline");
         assert!(diags.iter().any(|d| d.rule == "stage.dependency-cycle"));
         let err = s.try_run_picasso().unwrap_err();
         assert!(matches!(err, TrainError::Lint(_)));
         // A healthy session lints clean of errors.
-        let clean = Session::new(ModelKind::Dlrm, quick()).lint();
+        let clean = (Session::new(ModelKind::Dlrm, quick()).try_lint()).expect("valid pipeline");
         assert!(
             clean.iter().all(|d| d.severity < Severity::Error),
             "{clean:?}"
@@ -214,7 +195,7 @@ mod tests {
     fn session_respects_custom_dataset() {
         let data = DatasetSpec::product1().shared();
         let s = Session::with_dataset(ModelKind::Lr, data, quick());
-        assert_eq!(s.dataset().name, "product-1");
+        assert_eq!(s.data.name, "product-1");
         let r = s.report();
         assert!(r.ips_per_node > 0.0);
     }

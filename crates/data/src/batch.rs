@@ -113,11 +113,6 @@ impl BatchGenerator {
         }
     }
 
-    /// The dataset this generator draws from.
-    pub fn spec(&self) -> &Arc<DatasetSpec> {
-        &self.spec
-    }
-
     /// Working vocabulary of a field after clamping.
     pub fn working_vocab(&self, field: usize) -> u64 {
         self.working_vocab[field]

@@ -69,14 +69,6 @@ impl DatasetSpec {
         ids + self.numeric as f64 * 4.0
     }
 
-    /// Average embedding-output bytes per instance across all fields.
-    pub fn embedding_bytes_per_instance(&self) -> f64 {
-        self.fields
-            .iter()
-            .map(|f| f.embedding_bytes_per_instance())
-            .sum()
-    }
-
     /// Wraps in an [`Arc`] for cheap sharing.
     pub fn shared(self) -> Arc<DatasetSpec> {
         Arc::new(self)
@@ -348,7 +340,6 @@ mod tests {
             DatasetSpec::product1(),
         ] {
             assert!(d.bytes_per_instance() > 0.0);
-            assert!(d.embedding_bytes_per_instance() > 0.0);
         }
     }
 }

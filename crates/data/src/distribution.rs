@@ -47,7 +47,6 @@ const GUIDE_PER_RANK: usize = 4;
 /// and guide tables are shared).
 #[derive(Debug, Clone)]
 pub struct IdSampler {
-    vocab: u64,
     cumulative: Arc<[f64]>,
     /// The last cumulative weight: the mass of the whole vocabulary.
     total: f64,
@@ -99,17 +98,11 @@ impl IdSampler {
             guide.push(k as u32);
         }
         IdSampler {
-            vocab,
             cumulative: cumulative.into(),
             total,
             guide: guide.into(),
             scale,
         }
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> u64 {
-        self.vocab
     }
 
     /// Cumulative weights: entry `k` is the unnormalized mass of ranks
@@ -164,26 +157,6 @@ impl IdSampler {
         }
         self.cumulative[k - 1] / self.cumulative[n - 1]
     }
-
-    /// Probability of the rank-`k` ID (0-based).
-    pub fn probability(&self, k: u64) -> f64 {
-        let k = k as usize;
-        assert!(k < self.cumulative.len(), "rank out of range");
-        let prev = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
-        (self.cumulative[k] - prev) / self.total
-    }
-
-    /// CDF points `(fraction of IDs, fraction of mass)` at `points` evenly
-    /// spaced fractions, suitable for reproducing Fig. 3.
-    pub fn cdf_points(&self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least two points");
-        (0..points)
-            .map(|i| {
-                let f = i as f64 / (points - 1) as f64;
-                (f, self.coverage_of_top(f))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +193,7 @@ mod tests {
             counts[s.sample(&mut rng) as usize] += 1;
         }
         // Rank 0 should be sampled close to its analytic probability.
-        let p0 = s.probability(0);
+        let p0 = s.cumulative()[0] / s.cumulative()[999];
         let emp = counts[0] as f64 / draws as f64;
         assert!((emp - p0).abs() / p0 < 0.05, "p0={p0} emp={emp}");
         // Monotone-ish: hottest rank clearly beats rank 100.
@@ -237,21 +210,15 @@ mod tests {
     }
 
     #[test]
-    fn probabilities_sum_to_one() {
-        let s = IdSampler::new(100, IdDistribution::Zipf { s: 0.9 });
-        let total: f64 = (0..100).map(|k| s.probability(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cdf_points_are_monotone() {
         let s = IdSampler::new(5000, IdDistribution::Zipf { s: 1.3 });
-        let pts = s.cdf_points(11);
-        assert_eq!(pts.len(), 11);
+        let pts: Vec<f64> = (0..11)
+            .map(|i| s.coverage_of_top(i as f64 / 10.0))
+            .collect();
         for w in pts.windows(2) {
-            assert!(w[1].1 >= w[0].1);
+            assert!(w[1] >= w[0]);
         }
-        assert!((pts[10].1 - 1.0).abs() < 1e-12);
+        assert!((pts[10] - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -297,15 +264,10 @@ pub fn harmonic_partial(v: f64, s: f64) -> f64 {
 
 /// Analytic fraction of ID mass covered by the `k` most frequent IDs of a
 /// Zipf(`s`) distribution over `vocab` IDs (the quantity HybridHash's hit
-/// ratio converges to when Hot-storage holds `k` rows).
-pub fn coverage_top_k(vocab: u64, s: f64, k: f64) -> f64 {
-    coverage_top_k_with(vocab, s, k, || harmonic_partial(vocab as f64, s))
-}
-
-/// [`coverage_top_k`] with its normaliser `harmonic_partial(vocab, s)`
-/// supplied by `norm`, which is called only when the result needs it
-/// (`vocab >= 1`, `k >= 1`, `s != 0`). A caller covering many `k` over one
-/// `(vocab, s)` computes the normaliser once; the result is bit-identical.
+/// ratio converges to when Hot-storage holds `k` rows). The normaliser
+/// `harmonic_partial(vocab, s)` is supplied by `norm`, which is called only
+/// when the result needs it (`vocab >= 1`, `k >= 1`, `s != 0`), so a caller
+/// covering many `k` over one `(vocab, s)` computes it once.
 pub fn coverage_top_k_with(vocab: u64, s: f64, k: f64, norm: impl FnOnce() -> f64) -> f64 {
     if vocab == 0 {
         return 0.0;
@@ -372,7 +334,8 @@ mod analytic_tests {
     #[test]
     fn coverage_matches_sampler() {
         let sampler = IdSampler::new(10_000, IdDistribution::Zipf { s: 0.9 });
-        let analytic = coverage_top_k(10_000, 0.9, 2_000.0);
+        let analytic =
+            coverage_top_k_with(10_000, 0.9, 2_000.0, || harmonic_partial(10_000.0, 0.9));
         let table = sampler.coverage_of_top(0.2);
         assert!((analytic - table).abs() < 0.01, "{analytic} vs {table}");
     }
@@ -381,8 +344,10 @@ mod analytic_tests {
     fn coverage_is_scale_free_below_one() {
         // For s < 1 the top-20% coverage barely depends on vocabulary size —
         // which is what makes the clamped working vocabularies faithful.
-        let small = coverage_top_k(10_000, 0.8, 2_000.0);
-        let large = coverage_top_k(100_000_000, 0.8, 20_000_000.0);
+        let small = coverage_top_k_with(10_000, 0.8, 2_000.0, || harmonic_partial(10_000.0, 0.8));
+        let large = coverage_top_k_with(100_000_000, 0.8, 20_000_000.0, || {
+            harmonic_partial(100_000_000.0, 0.8)
+        });
         assert!((small - large).abs() < 0.06, "{small} vs {large}");
     }
 

@@ -61,12 +61,6 @@ impl FieldSpec {
         self.vocab as f64 * self.dim as f64
     }
 
-    /// Bytes of embedding output this field produces per instance
-    /// (`avg_ids * dim * 4`).
-    pub fn embedding_bytes_per_instance(&self) -> f64 {
-        self.avg_ids * self.dim as f64 * 4.0
-    }
-
     /// Bytes of raw categorical-ID input per instance (8-byte IDs).
     pub fn id_bytes_per_instance(&self) -> f64 {
         self.avg_ids * 8.0
@@ -82,7 +76,6 @@ mod tests {
         let f = FieldSpec::one_hot("user", 1000, 16, IdDistribution::Uniform, 0);
         assert_eq!(f.avg_ids, 1.0);
         assert_eq!(f.table_params(), 16_000.0);
-        assert_eq!(f.embedding_bytes_per_instance(), 64.0);
         assert_eq!(f.id_bytes_per_instance(), 8.0);
     }
 
@@ -90,7 +83,6 @@ mod tests {
     fn multi_hot_scales_bytes() {
         let f = FieldSpec::one_hot("seq", 1000, 8, IdDistribution::Zipf { s: 1.1 }, 1)
             .with_avg_ids(50.0);
-        assert_eq!(f.embedding_bytes_per_instance(), 50.0 * 8.0 * 4.0);
         assert_eq!(f.id_bytes_per_instance(), 400.0);
     }
 

@@ -105,38 +105,12 @@ impl FrequencyStats {
         }
     }
 
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Number of distinct IDs observed.
     pub fn distinct(&self) -> usize {
         match &self.counts {
             Counts::Hashed(map) => map.len(),
             Counts::Dense { distinct, .. } => *distinct,
         }
-    }
-
-    /// Count of one ID.
-    pub fn count(&self, id: u64) -> u64 {
-        match &self.counts {
-            Counts::Hashed(map) => map.get(&id).copied().unwrap_or(0),
-            Counts::Dense { counts, .. } => usize::try_from(id)
-                .ok()
-                .and_then(|i| counts.get(i))
-                .copied()
-                .unwrap_or(0),
-        }
-    }
-
-    /// Every observed `(id, count)` pair, ascending by ID.
-    pub fn counts(&self) -> Vec<(u64, u64)> {
-        let mut items = self.unordered();
-        if matches!(self.counts, Counts::Hashed(_)) {
-            items.sort_unstable();
-        }
-        items
     }
 
     /// Every observed `(id, count)` pair, in storage order.
@@ -171,17 +145,6 @@ impl FrequencyStats {
         let covered: u64 = freqs[..k].iter().sum();
         covered as f64 / self.total as f64
     }
-
-    /// Empirical CDF points `(fraction of distinct IDs, coverage)`.
-    pub fn cdf_points(&self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2);
-        (0..points)
-            .map(|i| {
-                let f = i as f64 / (points - 1) as f64;
-                (f, self.coverage_of_top(f))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -197,11 +160,7 @@ mod tests {
     fn counting_and_totals() {
         for mut s in both() {
             s.record_all(&[1, 1, 1, 2, 3]);
-            assert_eq!(s.total(), 5);
             assert_eq!(s.distinct(), 3);
-            assert_eq!(s.count(1), 3);
-            assert_eq!(s.count(99), 0);
-            assert_eq!(s.count(1 << 40), 0);
         }
     }
 
@@ -226,16 +185,7 @@ mod tests {
     fn empty_counter_is_sane() {
         for s in both() {
             assert_eq!(s.coverage_of_top(0.5), 0.0);
-            assert_eq!(s.cdf_points(3).len(), 3);
-            assert!(s.counts().is_empty());
-        }
-    }
-
-    #[test]
-    fn counts_are_ascending_by_id() {
-        for mut s in both() {
-            s.record_all(&[70, 3, 70, 41, 3, 3]);
-            assert_eq!(s.counts(), vec![(3, 3), (41, 1), (70, 2)]);
+            assert_eq!(s.distinct(), 0);
         }
     }
 
@@ -255,13 +205,6 @@ mod tests {
             }
         }
         assert_eq!(s.distinct(), ids.len());
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(s.count(id), (i % 3 + 1) as u64, "id {id:#x}");
-        }
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        let listed: Vec<u64> = s.counts().into_iter().map(|(id, _)| id).collect();
-        assert_eq!(listed, sorted);
     }
 
     #[test]
@@ -279,7 +222,6 @@ mod tests {
             dense.record(id);
         }
         assert_eq!(hashed.distinct(), dense.distinct());
-        assert_eq!(hashed.counts(), dense.counts());
         for f in [0.0, 0.1, 0.2, 0.5, 1.0] {
             assert_eq!(
                 hashed.coverage_of_top(f).to_bits(),

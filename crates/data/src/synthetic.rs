@@ -46,18 +46,6 @@ impl ClickModel {
         (unit - 0.5) * self.scale
     }
 
-    /// The hidden logit of one instance.
-    pub fn logit(&self, fields: &[FieldBatch], dense: &[f32], numeric: usize, i: usize) -> f64 {
-        let mut z = self.bias;
-        for fb in fields {
-            self.add_field_terms(fb, i, &mut z);
-        }
-        for (j, &x) in dense[i * numeric..(i + 1) * numeric].iter().enumerate() {
-            z += self.dense_weight(j) * x as f64 * 0.5;
-        }
-        z
-    }
-
     /// Adds instance `i`'s terms for one field to its logit `z`.
     #[inline]
     fn add_field_terms(&self, fb: &FieldBatch, i: usize, z: &mut f64) {
@@ -81,8 +69,9 @@ impl ClickModel {
     /// Logits accumulate field by field over the whole batch (each
     /// [`FieldBatch`] is walked once, contiguously), then the dense terms
     /// are added and the labels drawn in instance order. Every instance
-    /// adds the same terms in the same order as [`ClickModel::logit`], so
-    /// the labels and the RNG stream are identical to the per-instance path.
+    /// adds the same terms in the same order as a per-instance sum (bias,
+    /// fields in order, then dense features), so the labels and the RNG
+    /// stream are identical to drawing them instance by instance.
     pub fn label_batch<R: Rng + ?Sized>(
         &self,
         fields: &[FieldBatch],
@@ -164,6 +153,20 @@ mod tests {
         assert!(sigmoid(-40.0) < 1e-6);
         assert!(sigmoid(-1000.0) >= 0.0);
         assert!(sigmoid(1000.0) <= 1.0);
+    }
+
+    impl ClickModel {
+        /// The hidden logit of one instance, summed on its own.
+        fn logit(&self, fields: &[FieldBatch], dense: &[f32], numeric: usize, i: usize) -> f64 {
+            let mut z = self.bias;
+            for fb in fields {
+                self.add_field_terms(fb, i, &mut z);
+            }
+            for (j, &x) in dense[i * numeric..(i + 1) * numeric].iter().enumerate() {
+                z += self.dense_weight(j) * x as f64 * 0.5;
+            }
+            z
+        }
     }
 
     #[test]

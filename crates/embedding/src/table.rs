@@ -55,11 +55,6 @@ impl RowArena {
         self.slot_ids.is_empty()
     }
 
-    /// Whether a row exists for `id`.
-    pub fn contains(&self, id: u64) -> bool {
-        self.index.contains_key(&id)
-    }
-
     /// The row for `id`, if present.
     pub fn get(&self, id: u64) -> Option<&[f32]> {
         self.index.get(&id).map(|&s| self.row(s))
@@ -164,11 +159,6 @@ impl EmbeddingTable {
     /// Whether no rows have been materialized.
     pub fn is_empty(&self) -> bool {
         self.arena.is_empty()
-    }
-
-    /// Bytes of parameter storage currently materialized.
-    pub fn bytes(&self) -> u64 {
-        (self.arena.len() * self.arena.dim() * 4) as u64
     }
 
     /// The deterministic initial value of `row[j]` for `id`.
@@ -345,7 +335,6 @@ mod tests {
         assert_eq!(t.slot(1), 0);
         assert_eq!(t.slot(1), 0, "a second lookup reuses the slot");
         assert_eq!(t.len(), 1);
-        assert_eq!(t.bytes(), 16);
         assert!(t.peek(1).is_some());
     }
 

@@ -118,11 +118,6 @@ impl CalibrationReport {
         report
     }
 
-    /// True when no stage predictions were joined (degenerate runs).
-    pub fn is_empty(&self) -> bool {
-        self.per_class.is_empty()
-    }
-
     /// JSON form: `{"classes": {...}, "kinds": {...}}` with per-group
     /// predicted/observed totals, bias, and error summaries.
     pub fn to_json(&self) -> Json {
@@ -220,7 +215,7 @@ mod tests {
         let out = sample_output();
         assert!(!out.costs.is_empty(), "scheduler should record predictions");
         let report = CalibrationReport::from_simulation(&out);
-        assert!(!report.is_empty());
+        assert!(!report.per_class.is_empty());
         let total: u64 = report.per_class.values().map(|s| s.tasks).sum();
         assert_eq!(total, out.costs.len() as u64);
         let by_kind: u64 = report.per_kind.values().map(|s| s.tasks).sum();

@@ -14,8 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Which optimizations a framework applies: a declarative, ordered pass
 /// pipeline. The `Optimizations::all()` / `none()` / `without_*()`
 /// constructors mirror the paper's ablation vocabulary; arbitrary pass
-/// lists come from [`PipelineConfig::new`] or
-/// [`PipelineConfig::from_names`].
+/// lists come from [`PipelineConfig::new`].
 pub type Optimizations = PipelineConfig;
 
 /// A named framework preset.
@@ -36,16 +35,6 @@ pub enum Framework {
 }
 
 impl Framework {
-    /// All presets, in comparison order.
-    pub const ALL: [Framework; 6] = [
-        Framework::TfPs,
-        Framework::PyTorch,
-        Framework::Horovod,
-        Framework::Xdl,
-        Framework::PicassoBase,
-        Framework::Picasso,
-    ];
-
     /// The four frameworks of the public benchmark (Figs. 10-12, Tab. III).
     pub const BENCHMARK: [Framework; 4] = [
         Framework::Picasso,
@@ -94,7 +83,15 @@ mod tests {
 
     #[test]
     fn only_picasso_optimizes() {
-        for f in Framework::ALL {
+        let all = [
+            Framework::TfPs,
+            Framework::PyTorch,
+            Framework::Horovod,
+            Framework::Xdl,
+            Framework::PicassoBase,
+            Framework::Picasso,
+        ];
+        for f in all {
             let o = f.optimizations();
             if f == Framework::Picasso {
                 assert_eq!(o, Optimizations::all());

@@ -35,7 +35,7 @@ use picasso_obs::detect::{
 };
 use picasso_obs::flight::{FlightConfig, FlightDump, FlightRecorder, FlightStats};
 use picasso_obs::json::Json;
-use picasso_obs::{ChromeTrace, MetricKind, MetricsRegistry};
+use picasso_obs::ChromeTrace;
 use picasso_sim::{FaultKind, FaultPlan};
 use picasso_train::{CtrModel, Variant};
 use std::sync::Arc;
@@ -193,102 +193,6 @@ impl RecoveryRun {
     /// Total time spent detecting crashes and restoring state.
     pub fn time_to_recover_s(&self) -> f64 {
         self.recoveries.iter().map(|r| r.time_to_recover_s).sum()
-    }
-
-    /// Publishes the recovery counters into a metrics registry.
-    pub fn export_metrics(&self, m: &MetricsRegistry) {
-        m.describe(
-            "recovery_events_total",
-            MetricKind::Counter,
-            "Worker crashes detected and recovered from",
-        );
-        m.describe(
-            "recovery_lost_iterations_total",
-            MetricKind::Counter,
-            "Iterations of training work lost to crashes",
-        );
-        m.describe(
-            "recovery_time_to_recover_seconds",
-            MetricKind::Gauge,
-            "Cumulative detection + restore time on the simulated clock",
-        );
-        m.describe(
-            "ckpt_writes_total",
-            MetricKind::Counter,
-            "Committed checkpoints by kind",
-        );
-        m.describe(
-            "ckpt_bytes_total",
-            MetricKind::Counter,
-            "Checkpoint shard bytes written",
-        );
-        m.describe(
-            "ckpt_write_seconds",
-            MetricKind::Gauge,
-            "Cumulative simulated checkpoint write time",
-        );
-        m.describe(
-            "collective_retries_total",
-            MetricKind::Counter,
-            "Collective retries spent backing off through NIC outages",
-        );
-        m.counter_add("recovery_events_total", &[], self.recoveries.len() as u64);
-        m.counter_add(
-            "recovery_lost_iterations_total",
-            &[],
-            self.lost_iterations(),
-        );
-        m.gauge_set(
-            "recovery_time_to_recover_seconds",
-            &[],
-            self.time_to_recover_s(),
-        );
-        for kind in [CheckpointKind::Full, CheckpointKind::Incremental] {
-            let of_kind: Vec<_> = self.checkpoints.iter().filter(|c| c.kind == kind).collect();
-            if of_kind.is_empty() {
-                continue;
-            }
-            let labels = [("kind", kind.name())];
-            m.counter_add("ckpt_writes_total", &labels, of_kind.len() as u64);
-            m.counter_add(
-                "ckpt_bytes_total",
-                &labels,
-                of_kind.iter().map(|c| c.bytes).sum(),
-            );
-        }
-        m.gauge_set(
-            "ckpt_write_seconds",
-            &[],
-            self.checkpoints.iter().map(|c| c.duration_s).sum(),
-        );
-        m.counter_add("collective_retries_total", &[], self.collective_retries);
-        m.describe(
-            "flight_post_mortems_total",
-            MetricKind::Counter,
-            "Post-mortem dumps captured at crash detection",
-        );
-        m.counter_add(
-            "flight_post_mortems_total",
-            &[],
-            self.post_mortems.len() as u64,
-        );
-        self.flight.export_metrics(m);
-        m.describe(
-            "anomalies_detected_total",
-            MetricKind::Counter,
-            "Online anomaly detections by detector kind",
-        );
-        for kind in [
-            AnomalyKind::Straggler,
-            AnomalyKind::NicDegradation,
-            AnomalyKind::QueueRunaway,
-        ] {
-            let n = self.detections.iter().filter(|a| a.kind == kind).count();
-            if n > 0 {
-                let label = kind.to_string();
-                m.counter_add("anomalies_detected_total", &[("kind", &label)], n as u64);
-            }
-        }
     }
 
     /// Renders the run as a Chrome trace: checkpoint-write and restore
@@ -1117,15 +1021,8 @@ mod tests {
         let data = auc_datasets::criteo_like();
         let store = temp_store("obs");
         let run = run_recovery(&data, Some(&store), &opts(2, "seed=8;crash@5")).expect("run");
-
-        let m = MetricsRegistry::new();
-        run.export_metrics(&m);
-        assert_eq!(m.counter_value("recovery_events_total", &[]), 1);
-        assert_eq!(
-            m.counter_value("recovery_lost_iterations_total", &[]),
-            run.lost_iterations()
-        );
-        assert!(m.counter_value("ckpt_bytes_total", &[("kind", "full")]) > 0);
+        assert_eq!(run.recoveries.len(), 1);
+        assert!(run.ckpt_bytes() > 0);
 
         let doc = run.to_json();
         assert!(doc.get("time_to_recover_s").is_some());
@@ -1361,12 +1258,6 @@ mod tests {
         let dumps = doc.get("post_mortems").and_then(Json::items).unwrap();
         assert_eq!(dumps.len(), 1);
         assert!(dumps[0].get("checksum").is_some());
-
-        let m = MetricsRegistry::new();
-        run.export_metrics(&m);
-        assert_eq!(m.counter_value("flight_post_mortems_total", &[]), 1);
-        assert!(m.gauge_value("flight_occupancy", &[]).unwrap() > 0.0);
-        assert!(m.counter_value("flight_events_seen_total", &[("category", "task")]) > 0);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

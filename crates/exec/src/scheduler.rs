@@ -175,7 +175,7 @@ pub(crate) fn simulate_lowered(
         cfg.machines,
         strategy.server_count(),
         &mut engine,
-    );
+    )?;
     let n_exec = cluster.executor_count();
 
     // One lowering per distinct micro-batch size: an uneven split has two,
@@ -530,6 +530,35 @@ mod tests {
                 assert_eq!(total, batch);
             }
         }
+    }
+
+    /// `simulate` under `cfg` fails with [`EngineError::EmptyCluster`]
+    /// under both a collective and a parameter-server strategy.
+    fn assert_empty_cluster(cfg: SimConfig) {
+        let spec = ModelKind::Dlrm.build(&DatasetSpec::criteo());
+        let want = EngineError::EmptyCluster {
+            machines: cfg.machines,
+            gpus_per_node: cfg.machine.gpus_per_node,
+        };
+        for strategy in [Strategy::Hybrid, Strategy::PsAsync { servers: 1 }] {
+            let err = simulate(&spec, strategy, &cfg).map(drop).unwrap_err();
+            assert_eq!(err, want);
+        }
+    }
+
+    #[test]
+    fn zero_machines_is_an_error_not_a_panic() {
+        assert_empty_cluster(SimConfig {
+            machines: 0,
+            ..quick_cfg()
+        });
+    }
+
+    #[test]
+    fn machines_without_gpus_are_an_error_not_a_panic() {
+        let mut cfg = quick_cfg();
+        cfg.machine.gpus_per_node = 0;
+        assert_empty_cluster(cfg);
     }
 
     #[test]

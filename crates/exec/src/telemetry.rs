@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn report_carries_calibration_and_utilization() {
         let r = report();
-        assert!(!r.calibration.is_empty());
+        assert!(!r.calibration.per_class.is_empty());
         let profiled = &r.measured.resources;
         assert!(!profiled.is_empty());
         // Every executor's SM shows up as a profiled resource, and at least

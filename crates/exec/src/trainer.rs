@@ -382,13 +382,14 @@ pub(crate) fn prepare(
 
 /// `run.trainer-shape` errors: one per field of `opts` below the least
 /// value planning accepts (a batch cap under [`MIN_BATCH`], or zero
-/// micro-batches, groups or machines).
+/// micro-batches, groups, machines or GPUs per machine).
 fn lint_trainer_shape(opts: &TrainerOptions) -> Vec<Diagnostic> {
     let checks = [
         ("max_batch", Some(opts.max_batch), MIN_BATCH),
         ("micro_batches", opts.micro_batches, 1),
         ("groups", opts.groups, 1),
         ("machines", Some(opts.machines), 1),
+        ("machine.gpus_per_node", Some(opts.machine.gpus_per_node), 1),
     ];
     checks
         .into_iter()
@@ -867,6 +868,13 @@ mod tests {
             ..quick_opts()
         };
         assert_trainer_shape_rejected(opts, "machines is 0");
+    }
+
+    #[test]
+    fn zero_gpus_per_node_is_a_lint_error() {
+        let mut opts = quick_opts();
+        opts.machine.gpus_per_node = 0;
+        assert_trainer_shape_rejected(opts, "machine.gpus_per_node is 0");
     }
 
     #[test]

@@ -83,14 +83,6 @@ impl PassId {
         }
     }
 
-    /// Parses a pass name; unknown names are rejected.
-    pub fn parse(name: &str) -> Result<PassId, PipelineError> {
-        PassId::ALL
-            .into_iter()
-            .find(|id| id.name() == name)
-            .ok_or_else(|| PipelineError::UnknownPass(name.to_string()))
-    }
-
     /// Packing passes must run before interleaving passes.
     pub(crate) fn is_packing(self) -> bool {
         matches!(self, PassId::DPacking | PassId::KPacking)
@@ -110,8 +102,6 @@ impl fmt::Display for PassId {
 /// Why a pipeline configuration was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
-    /// A pass name did not resolve to any built-in pass.
-    UnknownPass(String),
     /// A pass appears more than once (at most one application per pass).
     DuplicatePass(PassId),
     /// A packing pass is listed after an interleaving pass; interleaving
@@ -127,7 +117,6 @@ pub enum PipelineError {
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PipelineError::UnknownPass(name) => write!(f, "unknown pass '{name}'"),
             PipelineError::DuplicatePass(id) => {
                 write!(f, "pass '{id}' listed more than once")
             }
@@ -209,20 +198,6 @@ impl PipelineConfig {
                 .filter(|id| !removed.contains(id))
                 .collect(),
         }
-    }
-
-    /// Builds a pipeline from pass names, rejecting unknown ones.
-    pub fn from_names<S: AsRef<str>>(names: &[S]) -> Result<PipelineConfig, PipelineError> {
-        let passes = names
-            .iter()
-            .map(|n| PassId::parse(n.as_ref()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PipelineConfig { passes })
-    }
-
-    /// The configured pass names, in order (the serial form of the config).
-    pub fn names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|id| id.name()).collect()
     }
 
     /// Whether `id` is part of this pipeline.
@@ -472,8 +447,9 @@ mod tests {
     fn full_config_validates_and_lists_names() {
         let cfg = PipelineConfig::all();
         cfg.validate().unwrap();
+        let names: Vec<&str> = cfg.passes.iter().map(|id| id.name()).collect();
         assert_eq!(
-            cfg.names(),
+            names,
             [
                 "d_packing",
                 "k_packing",
@@ -533,22 +509,6 @@ mod tests {
         ])
         .validate()
         .unwrap();
-    }
-
-    #[test]
-    fn unknown_pass_names_are_rejected() {
-        let err = PipelineConfig::from_names(&["d_packing", "frobnicate"]).unwrap_err();
-        assert_eq!(err, PipelineError::UnknownPass("frobnicate".into()));
-        assert!(err.to_string().contains("frobnicate"));
-        let ok = PipelineConfig::from_names(&["d_packing", "caching"]).unwrap();
-        assert_eq!(ok.passes, vec![PassId::DPacking, PassId::Caching]);
-    }
-
-    #[test]
-    fn names_round_trip_through_from_names() {
-        let cfg = PipelineConfig::all();
-        let back = PipelineConfig::from_names(&cfg.names()).unwrap();
-        assert_eq!(back, cfg);
     }
 
     #[test]

@@ -116,9 +116,8 @@ fn bench_suite_scenarios_lint_clean() {
             let errors = error_findings(model, &cfg, None, None);
             assert!(
                 errors.is_empty(),
-                "{} x {:?}: {errors:?}",
-                model.name(),
-                cfg.names()
+                "{} x {passes:?}: {errors:?}",
+                model.name()
             );
         }
     }

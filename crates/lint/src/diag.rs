@@ -27,16 +27,6 @@ impl Severity {
             Severity::Error => "error",
         }
     }
-
-    /// Parses the stable name back (inverse of [`Severity::name`]).
-    pub fn parse(name: &str) -> Option<Severity> {
-        match name {
-            "info" => Some(Severity::Info),
-            "warn" => Some(Severity::Warn),
-            "error" => Some(Severity::Error),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Severity {
@@ -84,21 +74,6 @@ impl Span {
                 Json::obj([("kind", Json::str("stage")), ("name", Json::str(label))])
             }
             Span::Run(field) => Json::obj([("kind", Json::str("run")), ("name", Json::str(field))]),
-        }
-    }
-
-    fn from_json(v: &Json) -> Option<Span> {
-        let kind = v.get("kind")?.as_str()?;
-        let index = || v.get("index").and_then(Json::as_u64).map(|i| i as usize);
-        let name = || v.get("name").and_then(Json::as_str).map(str::to_string);
-        match kind {
-            "spec" => Some(Span::Spec),
-            "chain" => Some(Span::Chain(index()?)),
-            "module" => Some(Span::Module(index()?)),
-            "pass" => Some(Span::Pass(name()?)),
-            "stage" => Some(Span::Stage(name()?)),
-            "run" => Some(Span::Run(name()?)),
-            _ => None,
         }
     }
 }
@@ -169,17 +144,6 @@ impl Diagnostic {
             ("hint", Json::str(&self.hint)),
         ])
     }
-
-    /// Rebuilds a diagnostic from [`Diagnostic::to_json`] output.
-    pub fn from_json(v: &Json) -> Option<Diagnostic> {
-        Some(Diagnostic {
-            rule: v.get("rule")?.as_str()?.to_string(),
-            severity: Severity::parse(v.get("severity")?.as_str()?)?,
-            span: Span::from_json(v.get("span")?)?,
-            message: v.get("message")?.as_str()?.to_string(),
-            hint: v.get("hint")?.as_str()?.to_string(),
-        })
-    }
 }
 
 impl std::fmt::Display for Diagnostic {
@@ -227,29 +191,6 @@ mod tests {
     fn severity_orders_info_below_warn_below_error() {
         assert!(Severity::Info < Severity::Warn);
         assert!(Severity::Warn < Severity::Error);
-    }
-
-    #[test]
-    fn severity_names_round_trip() {
-        for s in [Severity::Info, Severity::Warn, Severity::Error] {
-            assert_eq!(Severity::parse(s.name()), Some(s));
-        }
-        assert_eq!(Severity::parse("fatal"), None);
-    }
-
-    #[test]
-    fn span_json_round_trips_every_variant() {
-        let spans = [
-            Span::Spec,
-            Span::Chain(3),
-            Span::Module(0),
-            Span::Pass("k_interleaving".into()),
-            Span::Stage("chain2/shuffle".into()),
-            Span::Run("fault-plan".into()),
-        ];
-        for span in spans {
-            assert_eq!(Span::from_json(&span.to_json()), Some(span));
-        }
     }
 
     #[test]

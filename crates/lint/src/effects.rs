@@ -111,12 +111,6 @@ pub struct Effect {
     pub resource: Resource,
 }
 
-impl std::fmt::Display for Effect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}({})", self.mode.name(), self.resource)
-    }
-}
-
 /// The declared effect set of one stage. Most stages are pure with
 /// respect to shared state (per-micro-batch scratch is private) and
 /// carry an empty set.
@@ -162,12 +156,6 @@ impl EffectSet {
     /// True when the stage declares no shared-state access.
     pub fn is_empty(&self) -> bool {
         self.effects.is_empty()
-    }
-
-    /// Human-readable `{read(shard:c0), reduce-add(dirty:c0)}` form.
-    pub fn render(&self) -> String {
-        let parts: Vec<String> = self.effects.iter().map(Effect::to_string).collect();
-        format!("{{{}}}", parts.join(", "))
     }
 }
 
@@ -438,13 +426,5 @@ mod tests {
         let s2 = RaceSig::new("race.write-write", &r, "EmbeddingScatter", "Gather");
         assert_eq!(s1, s2);
         assert_eq!(s1.resource, "shard:c0");
-    }
-
-    #[test]
-    fn effect_set_renders_compactly() {
-        let e = EffectSet::empty()
-            .read(shard("c0"))
-            .reduce(Resource::new(ResourceKind::CkptDirty, "c0"));
-        assert_eq!(e.render(), "{read(shard:c0), reduce-add(dirty:c0)}");
     }
 }

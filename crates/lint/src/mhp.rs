@@ -100,16 +100,6 @@ impl MhpRelation {
         MhpRelation { n, words, reach }
     }
 
-    /// Number of nodes the relation covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the relation covers zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// True when an ordering path `from -> ... -> to` exists.
     pub fn reaches(&self, from: usize, to: usize) -> bool {
         from < self.n

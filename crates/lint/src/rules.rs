@@ -24,19 +24,6 @@ pub enum Surface {
     Race,
 }
 
-impl Surface {
-    /// Stable lowercase name (also the rule-id prefix).
-    pub fn name(self) -> &'static str {
-        match self {
-            Surface::Spec => "spec",
-            Surface::Plan => "plan",
-            Surface::Stage => "stage",
-            Surface::Run => "run",
-            Surface::Race => "race",
-        }
-    }
-}
-
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
@@ -399,12 +386,23 @@ pub fn rule(id: &str) -> Option<&'static RuleInfo> {
 mod tests {
     use super::*;
 
+    /// A surface's lowercase name, the prefix of its rule ids.
+    fn name(surface: Surface) -> &'static str {
+        match surface {
+            Surface::Spec => "spec",
+            Surface::Plan => "plan",
+            Surface::Stage => "stage",
+            Surface::Run => "run",
+            Surface::Race => "race",
+        }
+    }
+
     #[test]
     fn rule_ids_are_unique_and_prefixed_by_surface() {
         let mut seen = std::collections::BTreeSet::new();
         for r in RULES {
             assert!(seen.insert(r.id), "duplicate rule id {}", r.id);
-            let prefix = format!("{}.", r.surface.name());
+            let prefix = format!("{}.", name(r.surface));
             assert!(
                 r.id.starts_with(&prefix),
                 "rule {} does not start with its surface prefix {prefix}",
@@ -430,7 +428,7 @@ mod tests {
             assert!(
                 RULES.iter().any(|r| r.surface == surface),
                 "no rules registered for surface {}",
-                surface.name()
+                name(surface)
             );
         }
     }

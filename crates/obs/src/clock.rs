@@ -55,13 +55,6 @@ impl ManualClock {
         ManualClock::default()
     }
 
-    /// A manual clock starting at `ns`.
-    pub fn at(ns: u64) -> ManualClock {
-        ManualClock {
-            ns: AtomicU64::new(ns),
-        }
-    }
-
     /// Moves the clock to `ns`. Monotonicity is the caller's contract;
     /// moving backwards is permitted (e.g. replaying a second run) but spans
     /// straddling the jump will be nonsensical.
@@ -99,7 +92,6 @@ mod tests {
         assert_eq!(clock.now_ns(), 42);
         clock.advance_ns(8);
         assert_eq!(clock.now_ns(), 50);
-        assert_eq!(ManualClock::at(7).now_ns(), 7);
     }
 
     #[test]

@@ -216,28 +216,6 @@ impl FlightStats {
     pub fn sampled_out_total(&self) -> u64 {
         self.sampled_out.iter().sum()
     }
-
-    /// JSON payload (`overhead_ns` included — callers embedding this in
-    /// deterministic artifacts should use the dump instead).
-    pub fn to_json(&self) -> Json {
-        let per_cat = |xs: &[u64; 5]| {
-            Json::Obj(
-                FlightCategory::ALL
-                    .iter()
-                    .map(|c| (c.name().to_string(), Json::UInt(xs[c.index()])))
-                    .collect(),
-            )
-        };
-        Json::obj([
-            ("capacity", Json::UInt(self.capacity as u64)),
-            ("occupancy", Json::UInt(self.occupancy as u64)),
-            ("seen", per_cat(&self.seen)),
-            ("sampled_out", per_cat(&self.sampled_out)),
-            ("recorded", Json::UInt(self.recorded)),
-            ("overwritten", Json::UInt(self.overwritten)),
-            ("overhead_ns", Json::UInt(self.overhead_ns)),
-        ])
-    }
 }
 
 /// The bounded ring-buffer recorder.
@@ -261,14 +239,6 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `capacity` events, no sampling.
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder::with_config(&FlightConfig {
-            capacity,
-            ..FlightConfig::default()
-        })
-    }
-
     /// A recorder with explicit capacity, dump length, and sampling.
     pub fn with_config(config: &FlightConfig) -> FlightRecorder {
         let config = FlightConfig {
@@ -287,11 +257,6 @@ impl FlightRecorder {
             overwritten: 0,
             overhead_ns: 0,
         }
-    }
-
-    /// The recorder's configuration.
-    pub fn config(&self) -> &FlightConfig {
-        &self.config
     }
 
     /// Offers one event; sampling decides admission, wraparound evicts the
@@ -392,11 +357,6 @@ impl FlightRecorder {
     /// Events currently held.
     pub fn occupancy(&self) -> usize {
         self.ring.len()
-    }
-
-    /// True when nothing has been admitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// The held events, oldest first.
@@ -629,6 +589,13 @@ impl FlightDump {
 mod tests {
     use super::*;
 
+    fn ring(capacity: usize) -> FlightRecorder {
+        FlightRecorder::with_config(&FlightConfig {
+            capacity,
+            ..FlightConfig::default()
+        })
+    }
+
     fn fill(rec: &mut FlightRecorder, n: u64) {
         for i in 0..n {
             rec.task("compute", i, i * 1_000, 0.05);
@@ -637,7 +604,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_latest_capacity_events() {
-        let mut rec = FlightRecorder::new(4);
+        let mut rec = ring(4);
         fill(&mut rec, 10);
         assert_eq!(rec.occupancy(), 4);
         let seqs: Vec<u64> = rec.events().iter().map(|e| e.seq).collect();
@@ -676,7 +643,7 @@ mod tests {
 
     #[test]
     fn dump_round_trips_and_validates() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = ring(8);
         fill(&mut rec, 20);
         rec.fault("crash", 20, 20_000);
         let dump = rec.dump(5);
@@ -694,7 +661,7 @@ mod tests {
 
     #[test]
     fn non_finite_values_round_trip_with_their_checksum() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = ring(8);
         rec.metric("loss", 0, 10, f64::NAN);
         rec.metric("loss", 1, 20, f64::INFINITY);
         rec.task("compute", 2, 30, f64::NEG_INFINITY);
@@ -711,7 +678,7 @@ mod tests {
 
     #[test]
     fn a_wrapped_ring_reuses_its_slots() {
-        let mut rec = FlightRecorder::new(2);
+        let mut rec = ring(2);
         rec.task("a-long-code", 0, 0, 0.0);
         rec.task("b", 1, 1, 0.0);
         let buffer = rec.ring[0].code.as_ptr();
@@ -728,7 +695,7 @@ mod tests {
 
     #[test]
     fn tampered_dump_is_rejected() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = ring(8);
         fill(&mut rec, 4);
         let text = rec.dump(4).to_json().to_json();
         let tampered = text.replace("\"iter\":3", "\"iter\":4");
@@ -740,8 +707,8 @@ mod tests {
 
     #[test]
     fn overhead_is_accounted_but_not_checksummed() {
-        let mut a = FlightRecorder::new(8);
-        let mut b = FlightRecorder::new(8);
+        let mut a = ring(8);
+        let mut b = ring(8);
         fill(&mut a, 8);
         fill(&mut b, 8);
         assert!(a.stats().overhead_ns > 0, "recording costs something");
@@ -751,7 +718,7 @@ mod tests {
 
     #[test]
     fn a_task_run_is_accounted_and_timed() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = ring(8);
         rec.tasks(3, (0..100).map(|i| ("compute", i * 1_000, 0.05)));
         let stats = rec.stats();
         assert_eq!(stats.seen_total(), 100);
@@ -763,7 +730,7 @@ mod tests {
 
     #[test]
     fn export_metrics_publishes_occupancy_and_drops() {
-        let mut rec = FlightRecorder::new(2);
+        let mut rec = ring(2);
         fill(&mut rec, 5);
         let m = MetricsRegistry::new();
         rec.export_metrics(&m);

@@ -222,11 +222,6 @@ impl HistoryStore {
         })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The sequence number the next ingested run will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq

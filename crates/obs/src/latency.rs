@@ -1,25 +1,11 @@
 //! Request-latency measurement for the serving path: exact quantiles over
-//! collected samples, log-spaced latency histograms for export, SLO-violation
-//! tracking, and queue-depth timelines.
+//! collected samples, SLO-violation tracking, and queue-depth timelines.
 //!
 //! Serving reports tail latency (p50/p95/p99), not throughput, so precision
 //! at the tail matters. The recorder therefore keeps every sample (serving
 //! scenarios observe tens of thousands of requests — cheap) and computes
 //! *exact* nearest-rank quantiles; the fixed-bucket [`crate::metrics::Histogram`]
 //! is only an export format for Prometheus/Chrome, never the source of truth.
-
-use crate::metrics::MetricsRegistry;
-
-/// Log-spaced latency bucket upper bounds in nanoseconds: 1µs → 100s at four
-/// buckets per decade (×~1.78 steps). Suitable for the export histogram of
-/// any latency whose interesting range spans microseconds to seconds.
-pub fn latency_bounds_ns() -> Vec<f64> {
-    // Each bound computed independently (no accumulated multiplication
-    // error): 10^(3 + k/4) for k = 0..=32, i.e. 1e3 .. 1e11 ns.
-    (0..=32)
-        .map(|k| 10f64.powf(3.0 + 0.25 * k as f64))
-        .collect()
-}
 
 /// Exact `q`-quantile (`0.0 <= q <= 1.0`) of a **sorted ascending** slice via
 /// the nearest-rank method: the smallest element such that at least
@@ -70,8 +56,7 @@ impl SloTracker {
     }
 }
 
-/// Collects per-request latencies plus a queue-depth timeline, and exports
-/// both into a [`MetricsRegistry`].
+/// Collects per-request latencies plus a queue-depth timeline.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples: Vec<u64>,
@@ -92,16 +77,6 @@ impl LatencyRecorder {
     /// Record the pending-queue depth at a point in virtual time.
     pub fn sample_queue_depth(&mut self, t_ns: u64, depth: u32) {
         self.queue_depth.push((t_ns, depth));
-    }
-
-    /// Number of recorded latencies.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no latency has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// All recorded latencies, sorted ascending — the reference distribution
@@ -130,64 +105,11 @@ impl LatencyRecorder {
             self.samples.iter().map(|&s| s as f64).sum::<f64>() / self.samples.len() as f64
         }
     }
-
-    /// Export the latency distribution, summary quantiles, and queue-depth
-    /// timeline under `prefix` (e.g. `srv`) into `registry`:
-    ///
-    /// * `<prefix>_latency_ns` — fixed-bucket histogram over
-    ///   [`latency_bounds_ns`];
-    /// * `<prefix>_latency_p50_ns` / `_p95_ns` / `_p99_ns` — exact-quantile
-    ///   gauges;
-    /// * `<prefix>_queue_depth` — time series of sampled depths.
-    pub fn export_metrics(&self, prefix: &str, registry: &MetricsRegistry) {
-        let hist = format!("{prefix}_latency_ns");
-        registry.describe(
-            &hist,
-            crate::metrics::MetricKind::Histogram,
-            "End-to-end request latency in nanoseconds",
-        );
-        let bounds = latency_bounds_ns();
-        registry.histogram_buckets(&hist, &bounds);
-        for &s in &self.samples {
-            registry.histogram_observe(&hist, &[], s as f64);
-        }
-        let sorted = self.sorted_ns();
-        for (q, tag) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
-            let name = format!("{prefix}_latency_{tag}_ns");
-            registry.describe(
-                &name,
-                crate::metrics::MetricKind::Gauge,
-                "Exact nearest-rank latency quantile in nanoseconds",
-            );
-            registry.gauge_set(&name, &[], exact_quantile(&sorted, q) as f64);
-        }
-        let depth = format!("{prefix}_queue_depth");
-        registry.describe(
-            &depth,
-            crate::metrics::MetricKind::TimeSeries,
-            "Pending-request queue depth over virtual time",
-        );
-        for &(t, d) in &self.queue_depth {
-            registry.record_sample(&depth, &[], t, d as f64);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
-
-    #[test]
-    fn bounds_are_sorted_log_spaced_and_span_the_range() {
-        let b = latency_bounds_ns();
-        assert!(b.windows(2).all(|w| w[0] < w[1]));
-        assert!(b[0] <= 1e3 + 1.0);
-        assert!(*b.last().unwrap() >= 1e11);
-        // Four buckets per decade: ratio ~10^0.25.
-        let ratio = b[1] / b[0];
-        assert!((ratio - 10f64.powf(0.25)).abs() < 1e-9);
-    }
 
     #[test]
     fn exact_quantile_matches_nearest_rank_definition() {
@@ -222,7 +144,6 @@ mod tests {
         rec.sample_queue_depth(0, 1);
         rec.sample_queue_depth(10, 7);
         rec.sample_queue_depth(20, 3);
-        assert_eq!(rec.len(), 5);
         // The serving report's quantiles: nearest rank over `sorted_ns`.
         let sorted = rec.sorted_ns();
         assert_eq!(sorted, [100, 200, 300, 400, 500]);
@@ -230,35 +151,5 @@ mod tests {
         assert_eq!(exact_quantile(&sorted, 1.0), 500);
         assert_eq!(rec.max_queue_depth(), 7);
         assert!((rec.mean_ns() - 300.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn export_writes_histogram_quantiles_and_timeline() {
-        let mut rec = LatencyRecorder::new();
-        for i in 1..=1000u64 {
-            rec.observe(i * 1_000); // 1µs .. 1ms
-        }
-        rec.sample_queue_depth(5, 2);
-        let reg = MetricsRegistry::new();
-        rec.export_metrics("srv", &reg);
-        let snap = reg.snapshot();
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|((name, _), _)| name == "srv_latency_ns")
-            .map(|(_, h)| h)
-            .expect("histogram exported");
-        assert_eq!(hist.count, 1000);
-        let p99 = snap
-            .gauges
-            .iter()
-            .find(|((name, _), _)| name == "srv_latency_p99_ns")
-            .map(|(_, v)| *v)
-            .expect("p99 gauge exported");
-        assert_eq!(p99, 990_000.0);
-        assert!(snap
-            .series
-            .iter()
-            .any(|((name, _), _)| name == "srv_queue_depth"));
     }
 }

@@ -18,7 +18,7 @@
 //!   multi-run metric series.
 //! * Exporters — [`chrome`] (Chrome trace-event JSON with counter lanes and
 //!   flow arrows, loadable in Perfetto), [`prometheus`] (text exposition
-//!   format, with a parser for round-trip tests), and [`report`] (versioned
+//!   format), and [`report`] (versioned
 //!   JSON run reports).
 //! * [`json`] — the dependency-free JSON document model and parser the
 //!   exporters are built on.
@@ -58,7 +58,7 @@ pub use history::{
     cusum_change_point, ChangePoint, CusumConfig, HistoryError, HistoryStore, RunRecord, Shift,
 };
 pub use json::Json;
-pub use latency::{exact_quantile, latency_bounds_ns, LatencyRecorder, SloTracker};
+pub use latency::{exact_quantile, LatencyRecorder, SloTracker};
 pub use metrics::{MetricKind, MetricsRegistry, MetricsSnapshot};
 pub use report::{RunReport, RUN_REPORT_SCHEMA_VERSION};
 pub use span::{SpanRecord, Tracer};

@@ -84,16 +84,6 @@ impl Histogram {
             })
             .collect()
     }
-
-    /// Mean of all observed values (exact — the registry tracks the sum),
-    /// `0.0` for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
 }
 
 /// One clock-stamped sample stream.
@@ -250,16 +240,6 @@ pub struct MetricsSnapshot {
     pub series: Vec<((String, Labels), TimeSeries)>,
 }
 
-impl MetricsSnapshot {
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.series.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,56 +285,6 @@ mod tests {
         reg.histogram_observe("h", &[], 1.0);
         let snap = reg.snapshot();
         assert_eq!(snap.histograms[0].1.counts, vec![1, 0]);
-    }
-
-    #[test]
-    fn histogram_mean_is_exact_and_zero_when_empty() {
-        let reg = MetricsRegistry::new();
-        reg.histogram_buckets("lat", &[1.0, 2.0, 4.0]);
-        for v in [0.5, 1.5, 1.5, 3.0] {
-            reg.histogram_observe("lat", &[], v);
-        }
-        let snap = reg.snapshot();
-        let h = &snap.histograms[0].1;
-        assert!((h.mean() - 1.625).abs() < 1e-12);
-
-        // Empty histograms summarize to zero, not NaN.
-        let empty = Histogram {
-            bounds: vec![1.0],
-            counts: vec![0, 0],
-            sum: 0.0,
-            count: 0,
-        };
-        assert_eq!(empty.mean(), 0.0);
-    }
-
-    #[test]
-    fn mean_saturates_instead_of_overflowing() {
-        // Huge observations accumulate in an f64 sum: the mean loses
-        // precision gracefully (IEEE saturation to +Inf at the extreme)
-        // rather than wrapping the way an integer accumulator would.
-        let mut h = Histogram {
-            bounds: vec![1.0],
-            counts: vec![0, 0],
-            sum: 0.0,
-            count: 0,
-        };
-        for _ in 0..4 {
-            h.sum += f64::MAX / 2.0;
-            h.count += 1;
-            h.counts[1] += 1;
-        }
-        assert!(h.sum.is_infinite() && h.sum > 0.0);
-        assert!(h.mean().is_infinite(), "mean follows the saturated sum");
-        // And a count of u64::MAX with a finite sum stays finite and tiny.
-        let wide = Histogram {
-            bounds: vec![1.0],
-            counts: vec![0, 0],
-            sum: 1.0,
-            count: u64::MAX,
-        };
-        let m = wide.mean();
-        assert!(m.is_finite() && (0.0..1e-18).contains(&m));
     }
 
     #[test]

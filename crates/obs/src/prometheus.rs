@@ -1,5 +1,4 @@
-//! Prometheus text exposition format: renderer and (for round-trip tests)
-//! parser.
+//! Prometheus text exposition format: the renderer.
 //!
 //! [`render`] turns a [`MetricsSnapshot`] into the `text/plain; version=0.0.4`
 //! format: `# HELP`/`# TYPE` headers, one `name{labels} value` line per
@@ -185,167 +184,21 @@ fn escape_help(v: &str) -> String {
     v.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// One parsed sample line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromSample {
-    /// Metric name (including `_bucket`/`_sum`/`_count` suffixes).
-    pub name: String,
-    /// Label pairs in appearance order.
-    pub labels: Vec<(String, String)>,
-    /// Sample value.
-    pub value: f64,
-}
-
-/// A parsed exposition document.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PromDoc {
-    /// `# TYPE` declarations in order.
-    pub types: Vec<(String, String)>,
-    /// Sample lines in order.
-    pub samples: Vec<PromSample>,
-}
-
-impl PromDoc {
-    /// First sample with this exact name and label subset.
-    pub fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&PromSample> {
-        self.samples.iter().find(|s| {
-            s.name == name
-                && labels
-                    .iter()
-                    .all(|(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
-        })
-    }
-}
-
-/// Parses the text exposition format produced by [`render`]. Strict enough
-/// to catch malformed output in round-trip tests.
-pub fn parse(input: &str) -> Result<PromDoc, String> {
-    let mut doc = PromDoc::default();
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.splitn(2, ' ');
-            let name = parts.next().unwrap_or("").to_string();
-            let kind = parts.next().unwrap_or("").trim().to_string();
-            if name.is_empty() || kind.is_empty() {
-                return Err(format!("line {}: malformed TYPE", lineno + 1));
-            }
-            doc.types.push((name, kind));
-            continue;
-        }
-        if line.starts_with('#') {
-            continue; // HELP or comment
-        }
-        doc.samples.push(parse_sample(line, lineno + 1)?);
-    }
-    Ok(doc)
-}
-
-fn parse_sample(line: &str, lineno: usize) -> Result<PromSample, String> {
-    let err = |msg: &str| format!("line {lineno}: {msg}");
-    let (name, labels, value_text) = match line.find('{') {
-        Some(open) => {
-            // Label values may hold `}`, so the set closes at the first `}`
-            // outside a quoted value.
-            let body = &line[open + 1..];
-            let close = label_set_len(body).ok_or_else(|| err("unterminated label set"))?;
-            (
-                line[..open].to_string(),
-                parse_labels(&body[..close], lineno)?,
-                body[close + 1..].trim(),
-            )
-        }
-        None => {
-            let (name, value) = line.split_once(' ').ok_or_else(|| err("missing value"))?;
-            (name.to_string(), Vec::new(), value.trim())
-        }
-    };
-    if name.is_empty()
-        || !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    {
-        return Err(err("bad metric name"));
-    }
-    let value = match value_text {
-        "+Inf" => f64::INFINITY,
-        "-Inf" => f64::NEG_INFINITY,
-        "NaN" => f64::NAN,
-        text => text.parse::<f64>().map_err(|_| err("bad value"))?,
-    };
-    Ok(PromSample {
-        name,
-        labels,
-        value,
-    })
-}
-
-/// Byte length of a label-set body up to its closing `}`, skipping quoted
-/// values and their escapes; `None` when the set never closes.
-fn label_set_len(body: &str) -> Option<usize> {
-    let mut quoted = false;
-    let mut escaped = false;
-    for (i, c) in body.char_indices() {
-        match c {
-            _ if escaped => escaped = false,
-            '\\' if quoted => escaped = true,
-            '"' => quoted = !quoted,
-            '}' if !quoted => return Some(i),
-            _ => {}
-        }
-    }
-    None
-}
-
-fn parse_labels(body: &str, lineno: usize) -> Result<Vec<(String, String)>, String> {
-    let err = |msg: &str| format!("line {lineno}: {msg}");
-    let mut labels = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let eq = rest.find('=').ok_or_else(|| err("label missing '='"))?;
-        let key = rest[..eq].trim().to_string();
-        rest = &rest[eq + 1..];
-        if !rest.starts_with('"') {
-            return Err(err("label value must be quoted"));
-        }
-        rest = &rest[1..];
-        let mut value = String::new();
-        let mut chars = rest.char_indices();
-        let mut consumed = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some((_, '\\')) => value.push('\\'),
-                    Some((_, '"')) => value.push('"'),
-                    Some((_, 'n')) => value.push('\n'),
-                    _ => return Err(err("bad escape in label value")),
-                },
-                '"' => {
-                    consumed = Some(i + 1);
-                    break;
-                }
-                c => value.push(c),
-            }
-        }
-        let end = consumed.ok_or_else(|| err("unterminated label value"))?;
-        labels.push((key, value));
-        rest = rest[end..].trim_start();
-        if let Some(stripped) = rest.strip_prefix(',') {
-            rest = stripped.trim_start();
-        } else if !rest.is_empty() {
-            return Err(err("expected ',' between labels"));
-        }
-    }
-    Ok(labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
+
+    /// The value of the sample line whose name and label set read exactly
+    /// `series`, if there is one.
+    fn value(text: &str, series: &str) -> Option<f64> {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .map(|v| match v {
+                "+Inf" => f64::INFINITY,
+                v => v.parse().expect("numeric sample value"),
+            })
+    }
 
     #[test]
     fn renders_and_parses_all_metric_kinds() {
@@ -360,39 +213,41 @@ mod tests {
         reg.record_sample("sm_busy", &[("gpu", "0")], 20, 0.5);
 
         let text = render(&reg.snapshot());
-        let doc = parse(&text).expect("round trip");
 
-        assert!(doc
-            .types
-            .contains(&("cache_hits_total".to_string(), "counter".to_string())));
-        assert!(text.contains("# HELP cache_hits_total HybridHash hits"));
-        let hits = doc
-            .find("cache_hits_total", &[("storage", "hot")])
-            .expect("counter present");
-        assert_eq!(hits.value, 42.0);
-        assert_eq!(doc.find("hot_occupancy", &[]).unwrap().value, 0.75);
-        // Time series flatten to their last value.
-        assert_eq!(doc.find("sm_busy", &[("gpu", "0")]).unwrap().value, 0.5);
-        // Histogram: cumulative buckets with +Inf, sum, count.
-        let inf = doc
-            .find("task_secs_bucket", &[("le", "+Inf")])
-            .expect("+Inf bucket");
-        assert_eq!(inf.value, 2.0);
+        assert!(text.contains("# HELP cache_hits_total HybridHash hits\n"));
+        assert!(text.contains("# TYPE cache_hits_total counter\n"));
         assert_eq!(
-            doc.find("task_secs_bucket", &[("le", "0.01")])
-                .unwrap()
-                .value,
-            1.0
+            value(&text, "cache_hits_total{storage=\"hot\"}"),
+            Some(42.0)
         );
-        assert_eq!(doc.find("task_secs_count", &[]).unwrap().value, 2.0);
-        assert!((doc.find("task_secs_sum", &[]).unwrap().value - 0.505).abs() < 1e-12);
+        assert_eq!(value(&text, "hot_occupancy"), Some(0.75));
+        // Time series flatten to their last value, exposed as gauges.
+        assert!(text.contains("# TYPE sm_busy gauge\n"));
+        assert_eq!(value(&text, "sm_busy{gpu=\"0\"}"), Some(0.5));
+        // Histogram: cumulative buckets with +Inf, sum, count.
+        assert!(text.contains("# TYPE task_secs histogram\n"));
+        let bucket = |le: &str| {
+            value(
+                &text,
+                &format!("task_secs_bucket{{kind=\"comm\",le=\"{le}\"}}"),
+            )
+        };
+        assert_eq!(bucket("0.001"), Some(0.0));
+        assert_eq!(bucket("0.01"), Some(1.0));
+        assert_eq!(bucket("+Inf"), Some(2.0));
+        assert_eq!(value(&text, "task_secs_count{kind=\"comm\"}"), Some(2.0));
+        let sum = value(&text, "task_secs_sum{kind=\"comm\"}").expect("sum present");
+        assert!((sum - 0.505).abs() < 1e-12);
+        // Every line is a header or one of the 8 samples above.
+        let samples = text.lines().filter(|l| !l.starts_with('#')).count();
+        assert_eq!(samples, 8);
     }
 
     #[test]
     fn labeled_histogram_series_round_trip_independently() {
         // One histogram name, three label sets (two labels each): every
-        // series keeps its own buckets/sum/count through render + parse, and
-        // the TYPE header is emitted exactly once.
+        // series keeps its own buckets/sum/count, and the TYPE header is
+        // emitted exactly once.
         let reg = MetricsRegistry::new();
         reg.describe("stage_secs", MetricKind::Histogram, "Stage durations");
         reg.histogram_buckets("stage_secs", &[0.1, 1.0]);
@@ -402,53 +257,27 @@ mod tests {
         reg.histogram_observe("stage_secs", &[("class", "comm"), ("node", "1")], 0.5);
 
         let text = render(&reg.snapshot());
-        let doc = parse(&text).expect("round trip");
 
         assert_eq!(
             text.matches("# TYPE stage_secs histogram").count(),
             1,
             "one TYPE header for all series of a name"
         );
-        let compute_count = doc
-            .find("stage_secs_count", &[("class", "compute"), ("node", "0")])
-            .unwrap();
-        assert_eq!(compute_count.value, 2.0);
-        let comm0_inf = doc
-            .find(
-                "stage_secs_bucket",
-                &[("class", "comm"), ("node", "0"), ("le", "+Inf")],
-            )
-            .unwrap();
-        assert_eq!(comm0_inf.value, 1.0);
+        let compute_count = "stage_secs_count{class=\"compute\",node=\"0\"}";
+        assert_eq!(value(&text, compute_count), Some(2.0));
+        let comm0 = |le: &str| {
+            let series = format!("stage_secs_bucket{{class=\"comm\",node=\"0\",le=\"{le}\"}}");
+            value(&text, &series)
+        };
+        assert_eq!(comm0("+Inf"), Some(1.0));
         // The 2.0 observation overflows every finite bucket of comm/node=0.
-        assert_eq!(
-            doc.find(
-                "stage_secs_bucket",
-                &[("class", "comm"), ("node", "0"), ("le", "1")],
-            )
-            .unwrap()
-            .value,
-            0.0
-        );
-        assert_eq!(
-            doc.find(
-                "stage_secs_bucket",
-                &[("class", "comm"), ("node", "1"), ("le", "1")],
-            )
-            .unwrap()
-            .value,
-            1.0
-        );
-        let comm1_sum = doc
-            .find("stage_secs_sum", &[("class", "comm"), ("node", "1")])
-            .unwrap();
-        assert!((comm1_sum.value - 0.5).abs() < 1e-12);
+        assert_eq!(comm0("1"), Some(0.0));
+        let comm1_le1 = "stage_secs_bucket{class=\"comm\",node=\"1\",le=\"1\"}";
+        assert_eq!(value(&text, comm1_le1), Some(1.0));
+        let comm1_sum = value(&text, "stage_secs_sum{class=\"comm\",node=\"1\"}").unwrap();
+        assert!((comm1_sum - 0.5).abs() < 1e-12);
         // Exactly 3 series x (2 finite + 1 inf bucket + sum + count) lines.
-        let lines = doc
-            .samples
-            .iter()
-            .filter(|s| s.name.starts_with("stage_secs"))
-            .count();
+        let lines = text.lines().filter(|l| l.starts_with("stage_secs")).count();
         assert_eq!(lines, 15);
     }
 
@@ -457,8 +286,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter_add("c", &[("model", "w\"d\\l\nx")], 1);
         let text = render(&reg.snapshot());
-        let doc = parse(&text).unwrap();
-        assert_eq!(doc.samples[0].labels[0].1, "w\"d\\l\nx");
+        assert_eq!(text, "# TYPE c counter\nc{model=\"w\\\"d\\\\l\\nx\"} 1\n");
     }
 
     #[test]
@@ -468,22 +296,12 @@ mod tests {
         for (i, v) in values.iter().enumerate() {
             reg.counter_add("x_total", &[("lane", v)], i as u64 + 1);
         }
-        let doc = parse(&render(&reg.snapshot())).expect("round trip");
+        let text = render(&reg.snapshot());
         for (i, v) in values.iter().enumerate() {
-            let sample = doc.find("x_total", &[("lane", v)]).expect(v);
-            assert_eq!(sample.labels, [("lane".to_string(), v.to_string())]);
-            assert_eq!(sample.value, i as f64 + 1.0);
+            let series = format!("x_total{{lane=\"{}\"}}", escape_label(v));
+            assert_eq!(value(&text, &series), Some(i as f64 + 1.0), "{v}");
         }
-        let line = parse("x_total{lane=\"a}b\",k=\"v\"} 1").unwrap();
-        assert_eq!(line.samples[0].labels[0].1, "a}b");
-    }
-
-    #[test]
-    fn parser_rejects_malformed_lines() {
-        assert!(parse("name{le=0.5} 1").is_err()); // unquoted label
-        assert!(parse("na me 1").is_err()); // space in name
-        assert!(parse("name abc").is_err()); // bad value
-        assert!(parse("name{k=\"v\"").is_err()); // unterminated
+        assert!(text.contains("x_total{lane=\"\\\\}\\\"\"} 6\n"));
     }
 
     #[test]
@@ -494,30 +312,22 @@ mod tests {
         }
         reg.gauge_set("small_family", &[], 1.0);
 
-        let doc = parse(&render(&reg.snapshot())).expect("round trip");
-        let wide = doc
-            .samples
-            .iter()
-            .filter(|s| s.name == "wide_family")
+        let text = render(&reg.snapshot());
+        let wide = text
+            .lines()
+            .filter(|l| l.starts_with("wide_family{"))
             .count();
         assert_eq!(wide, MAX_SERIES_PER_FAMILY);
         // The first series by label order survive.
-        assert!(doc.find("wide_family", &[("shard", "0255")]).is_some());
-        assert!(doc.find("wide_family", &[("shard", "0256")]).is_none());
-        assert_eq!(
-            doc.find("obs_dropped_series_total", &[("family", "wide_family")])
-                .expect("drop counter present")
-                .value,
-            10.0
-        );
+        assert!(value(&text, "wide_family{shard=\"0255\"}").is_some());
+        assert!(value(&text, "wide_family{shard=\"0256\"}").is_none());
+        let drops = "obs_dropped_series_total{family=\"wide_family\"}";
+        assert_eq!(value(&text, drops), Some(10.0), "drop counter present");
         assert!(
-            doc.find("small_family", &[]).is_some(),
+            value(&text, "small_family").is_some(),
             "other families untouched"
         );
-        assert!(doc.types.contains(&(
-            "obs_dropped_series_total".to_string(),
-            "counter".to_string()
-        )));
+        assert!(text.contains("# TYPE obs_dropped_series_total counter\n"));
     }
 
     #[test]
@@ -526,14 +336,10 @@ mod tests {
         for i in 0..300 {
             reg.counter_add("big", &[("k", &format!("{i:04}"))], 1);
         }
-        let doc = parse(&render(&reg.snapshot())).unwrap();
-        assert_eq!(doc.samples.iter().filter(|s| s.name == "big").count(), 256);
-        assert_eq!(
-            doc.find("obs_dropped_series_total", &[("family", "big")])
-                .unwrap()
-                .value,
-            44.0
-        );
+        let text = render(&reg.snapshot());
+        assert_eq!(text.lines().filter(|l| l.starts_with("big{")).count(), 256);
+        let drops = "obs_dropped_series_total{family=\"big\"}";
+        assert_eq!(value(&text, drops), Some(44.0));
     }
 
     #[test]
@@ -549,6 +355,5 @@ mod tests {
         let reg = MetricsRegistry::new();
         let text = render(&reg.snapshot());
         assert!(text.is_empty());
-        assert_eq!(parse(&text).unwrap().samples.len(), 0);
     }
 }

@@ -1,12 +1,11 @@
 //! Span and instant-event tracing.
 //!
-//! A [`Tracer`] collects [`SpanRecord`]s on named tracks. Spans come from two
-//! sources: live code uses the RAII [`SpanGuard`] returned by
-//! [`Tracer::span`] (timed against the tracer's [`Clock`]); post-hoc
+//! A [`Tracer`] collects [`SpanRecord`]s on named tracks, each recorded
+//! with explicit timestamps through [`Tracer::record_span`]: live code reads
+//! the tracer's [`Clock`] before and after the work it times, post-hoc
 //! analysis (e.g. deriving iteration spans from simulator task records)
-//! uses [`Tracer::record_span`] with explicit timestamps. Flow edges connect
-//! spans across tracks — the Chrome exporter turns them into `"s"/"f"`
-//! arrows.
+//! passes the records' own times. Flow edges connect spans across tracks —
+//! the Chrome exporter turns them into `"s"/"f"` arrows.
 
 use crate::clock::Clock;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -87,17 +86,6 @@ impl<C: Clock> Tracer<C> {
         self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Opens a live span; it is recorded when the guard drops.
-    pub fn span(&self, track: &str, name: &str) -> SpanGuard<'_, C> {
-        SpanGuard {
-            tracer: self,
-            name: name.to_string(),
-            track: track.to_string(),
-            start_ns: self.clock.now_ns(),
-            args: Vec::new(),
-        }
-    }
-
     /// Records a span with explicit timestamps (post-hoc tracing).
     pub fn record_span(
         &self,
@@ -118,12 +106,6 @@ impl<C: Clock> Tracer<C> {
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
         });
-    }
-
-    /// Records an instant event at the clock's current time.
-    pub fn instant(&self, track: &str, name: &str) {
-        let t_ns = self.clock.now_ns();
-        self.instant_at(track, name, t_ns);
     }
 
     /// Records an instant event with an explicit timestamp.
@@ -178,58 +160,10 @@ impl<C: Clock> Tracer<C> {
     }
 }
 
-/// RAII handle for a live span; records on drop.
-pub struct SpanGuard<'a, C: Clock> {
-    tracer: &'a Tracer<C>,
-    name: String,
-    track: String,
-    start_ns: u64,
-    args: Vec<(String, String)>,
-}
-
-impl<C: Clock> SpanGuard<'_, C> {
-    /// Attaches a key/value annotation to the span.
-    pub fn arg(&mut self, key: &str, value: impl ToString) {
-        self.args.push((key.to_string(), value.to_string()));
-    }
-}
-
-impl<C: Clock> Drop for SpanGuard<'_, C> {
-    fn drop(&mut self) {
-        let end_ns = self.tracer.clock.now_ns();
-        let mut store = self.tracer.store();
-        store.spans.push(SpanRecord {
-            name: std::mem::take(&mut self.name),
-            track: std::mem::take(&mut self.track),
-            start_ns: self.start_ns,
-            end_ns: end_ns.max(self.start_ns),
-            args: std::mem::take(&mut self.args),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
-
-    #[test]
-    fn guard_records_on_drop_with_args() {
-        let tracer = Tracer::new(ManualClock::new());
-        tracer.clock().set_ns(100);
-        {
-            let mut span = tracer.span("scheduler", "iteration");
-            span.arg("iter", 3);
-            tracer.clock().set_ns(250);
-        }
-        let spans = tracer.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "iteration");
-        assert_eq!(spans[0].track, "scheduler");
-        assert_eq!(spans[0].start_ns, 100);
-        assert_eq!(spans[0].end_ns, 250);
-        assert_eq!(spans[0].args, vec![("iter".to_string(), "3".to_string())]);
-    }
 
     #[test]
     fn explicit_records_clamp_backwards_spans() {
@@ -251,8 +185,8 @@ mod tests {
 
     #[test]
     fn instants_and_flows_are_kept() {
-        let tracer = Tracer::new(ManualClock::at(5));
-        tracer.instant("frames", "iteration 0");
+        let tracer = Tracer::new(ManualClock::new());
+        tracer.instant_at("frames", "iteration 0", 5);
         tracer.instant_at("frames", "iteration 1", 9);
         tracer.flow("dep", "a", 1, "b", 2);
         assert_eq!(tracer.instants().len(), 2);

@@ -15,6 +15,14 @@ const CODES: [&str; 4] = ["compute", "collective", "", "h2d \"copy\""];
 /// single span, metric, fault or recovery event.
 type Step = (u8, u64, Vec<(usize, u64, f64)>);
 
+/// A recorder holding at most `capacity` events, no sampling.
+fn ring(capacity: usize) -> FlightRecorder {
+    FlightRecorder::with_config(&FlightConfig {
+        capacity,
+        ..FlightConfig::default()
+    })
+}
+
 /// Replays `steps`, offering each task run through `tasks` when `batched`
 /// and as one `task` call per event otherwise.
 fn replay(config: &FlightConfig, steps: &[Step], batched: bool) -> FlightRecorder {
@@ -58,7 +66,7 @@ proptest! {
         capacity in 1usize..32,
         events in proptest::collection::vec((0u8..5, 0u64..100), 0..200),
     ) {
-        let mut rec = FlightRecorder::new(capacity);
+        let mut rec = ring(capacity);
         drive(&mut rec, &events);
         let stats = rec.stats();
         prop_assert!(rec.occupancy() <= capacity);
@@ -115,7 +123,7 @@ proptest! {
     fn overhead_counts_every_record_call(
         events in proptest::collection::vec((0u8..5, 0u64..100), 1..100),
     ) {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = ring(8);
         let mut last = 0u64;
         for (i, &(cat, iter)) in events.iter().enumerate() {
             let category = FlightCategory::ALL[cat as usize % FlightCategory::ALL.len()];
@@ -136,7 +144,7 @@ proptest! {
         last_n in 1usize..64,
         flip in 0usize..1_000_000,
     ) {
-        let mut rec = FlightRecorder::new(32);
+        let mut rec = ring(32);
         drive(&mut rec, &events);
         let dump = rec.dump(last_n);
         let text = dump.to_json().to_json();

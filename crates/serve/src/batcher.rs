@@ -78,11 +78,6 @@ impl Batcher {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
     /// Requests currently waiting.
     pub fn pending_len(&self) -> usize {
         self.pending.len()

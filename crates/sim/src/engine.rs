@@ -160,11 +160,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Record for a given task.
-    pub fn record(&self, task: TaskId) -> &TaskRecord {
-        &self.records[task.0]
-    }
-
     /// The tasks `task` waited for: exactly the slice it was added with.
     pub fn deps(&self, task: TaskId) -> &[TaskId] {
         self.edges.of(task.0)
@@ -253,6 +248,14 @@ pub enum EngineError {
         /// The task that would have been added.
         task: TaskId,
     },
+    /// The cluster would have no executor: no worker machine, or machines
+    /// without GPUs.
+    EmptyCluster {
+        /// Worker machines requested.
+        machines: usize,
+        /// GPUs (executors) per machine.
+        gpus_per_node: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -282,6 +285,13 @@ impl fmt::Display for EngineError {
                 f,
                 "task {} targets a parameter server, but the cluster has none",
                 task.0
+            ),
+            EngineError::EmptyCluster {
+                machines,
+                gpus_per_node,
+            } => write!(
+                f,
+                "a cluster of {machines} machines with {gpus_per_node} GPUs each has no executor"
             ),
         }
     }
@@ -528,8 +538,8 @@ mod tests {
             .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[a])
             .unwrap();
         let r = e.run().unwrap();
-        assert_eq!(r.record(a).start, SimTime::ZERO);
-        assert_eq!(r.record(b).start, r.record(a).end);
+        assert_eq!(r.records[a.0].start, SimTime::ZERO);
+        assert_eq!(r.records[b.0].start, r.records[a.0].end);
         assert_eq!(r.makespan.as_nanos(), 2_000_000);
     }
 
@@ -545,8 +555,8 @@ mod tests {
             .add_task(Task::new(nw, 1e6, TaskCategory::Communication), &[])
             .unwrap();
         let r = e.run().unwrap();
-        assert_eq!(r.record(a).start, SimTime::ZERO);
-        assert_eq!(r.record(b).start, SimTime::ZERO);
+        assert_eq!(r.records[a.0].start, SimTime::ZERO);
+        assert_eq!(r.records[b.0].start, SimTime::ZERO);
         assert_eq!(r.makespan.as_nanos(), 1_000_000, "perfect overlap");
     }
 
@@ -565,7 +575,7 @@ mod tests {
             .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[a, b])
             .unwrap();
         let r = e.run().unwrap();
-        assert_eq!(r.record(c).ready, r.record(b).end);
+        assert_eq!(r.records[c.0].ready, r.records[b.0].end);
         assert_eq!(r.makespan.as_nanos(), 6_000_000);
     }
 
@@ -733,8 +743,8 @@ mod tests {
             .add_task(Task::new(g, 1e6, TaskCategory::Computation), &[])
             .unwrap();
         let r = e.run().unwrap();
-        assert_eq!(r.record(b).binding, Binding::Resource(a));
-        assert_eq!(r.record(a).binding, Binding::Immediate);
+        assert_eq!(r.records[b.0].binding, Binding::Resource(a));
+        assert_eq!(r.records[a.0].binding, Binding::Immediate);
         assert_eq!(r.critical_path(), vec![a, b]);
     }
 

@@ -77,11 +77,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Whether the plan schedules anything.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Parses the `--fault-plan` grammar (see the module docs).
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
@@ -238,7 +233,7 @@ mod tests {
 
     #[test]
     fn empty_and_whitespace_plans_parse_to_none() {
-        assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse(" ; ;").unwrap().is_empty());
+        assert!(FaultPlan::parse("").unwrap().events.is_empty());
+        assert!(FaultPlan::parse(" ; ;").unwrap().events.is_empty());
     }
 }

@@ -32,7 +32,7 @@
 //!     .add_task(Task::new(gpu, 1e9, TaskCategory::Computation), &[shuffle])
 //!     .unwrap();
 //! let result = engine.run().unwrap();
-//! assert!(result.record(matmul).start >= result.record(shuffle).end);
+//! assert!(result.records[matmul.0].start >= result.records[shuffle.0].end);
 //! assert_eq!(result.deps(matmul), &[shuffle]);
 //! ```
 

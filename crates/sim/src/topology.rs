@@ -7,7 +7,7 @@
 //! machine). Parameter-server strategies additionally use CPU-only server
 //! nodes.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, EngineError};
 use crate::resource::{CongestionSpec, ResourceId, ResourceKind, ResourceSpec};
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -246,14 +246,21 @@ pub struct Cluster {
 impl Cluster {
     /// Registers `machines` worker machines (each contributing
     /// `machine.gpus_per_node` executors) and `ps_servers` CPU-only server
-    /// nodes into `engine`.
+    /// nodes into `engine`. A cluster without executors (no machine, or
+    /// machines without GPUs) is [`EngineError::EmptyCluster`], and nothing
+    /// is registered.
     pub fn build(
         machine: MachineSpec,
         machines: usize,
         ps_servers: usize,
         engine: &mut Engine,
-    ) -> Cluster {
-        assert!(machines > 0, "need at least one worker machine");
+    ) -> Result<Cluster, EngineError> {
+        if machines == 0 || machine.gpus_per_node == 0 {
+            return Err(EngineError::EmptyCluster {
+                machines,
+                gpus_per_node: machine.gpus_per_node,
+            });
+        }
         let mut executors = Vec::with_capacity(machines * machine.gpus_per_node);
         for m in 0..machines {
             let dram = engine.add_resource(
@@ -380,11 +387,11 @@ impl Cluster {
             servers.push(ServerHandles { cpu, dram, nic });
         }
 
-        Cluster {
+        Ok(Cluster {
             machine,
             executors,
             servers,
-        }
+        })
     }
 
     /// Number of executors (GPU workers).
@@ -431,7 +438,7 @@ mod tests {
     #[test]
     fn cluster_builds_executor_grid() {
         let mut e = Engine::new();
-        let c = Cluster::build(MachineSpec::gn6e(), 2, 0, &mut e);
+        let c = Cluster::build(MachineSpec::gn6e(), 2, 0, &mut e).unwrap();
         assert_eq!(c.executor_count(), 16);
         assert_eq!(c.executors[0].node, c.executors[7].node);
         assert_ne!(c.executors[0].node, c.executors[8].node);
@@ -445,7 +452,7 @@ mod tests {
     #[test]
     fn eflops_cluster_has_no_nvlink() {
         let mut e = Engine::new();
-        let c = Cluster::build(MachineSpec::eflops(), 4, 0, &mut e);
+        let c = Cluster::build(MachineSpec::eflops(), 4, 0, &mut e).unwrap();
         assert_eq!(c.executor_count(), 4);
         assert!(c.executors.iter().all(|x| x.nvlink.is_none()));
     }
@@ -453,7 +460,7 @@ mod tests {
     #[test]
     fn ps_servers_are_built() {
         let mut e = Engine::new();
-        let c = Cluster::build(MachineSpec::eflops(), 2, 1, &mut e);
+        let c = Cluster::build(MachineSpec::eflops(), 2, 1, &mut e).unwrap();
         assert_eq!(c.servers.len(), 1);
         let nic = c.servers[0].nic;
         assert_eq!(e.resource_spec(nic).kind, ResourceKind::Network);
@@ -465,10 +472,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker machine")]
     fn zero_machines_rejected() {
         let mut e = Engine::new();
-        let _ = Cluster::build(MachineSpec::eflops(), 0, 0, &mut e);
+        let err = Cluster::build(MachineSpec::eflops(), 0, 0, &mut e).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::EmptyCluster {
+                machines: 0,
+                gpus_per_node: 1
+            }
+        );
+    }
+
+    #[test]
+    fn machines_without_gpus_are_rejected() {
+        let mut e = Engine::new();
+        let machine = MachineSpec {
+            gpus_per_node: 0,
+            ..MachineSpec::gn6e()
+        };
+        let err = Cluster::build(machine, 2, 1, &mut e).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::EmptyCluster {
+                machines: 2,
+                gpus_per_node: 0
+            }
+        );
+        assert!(err.to_string().contains("no executor"), "{err}");
     }
 
     #[test]

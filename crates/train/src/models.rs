@@ -146,11 +146,6 @@ impl CtrModel {
         }
     }
 
-    /// Width of the MLP input.
-    pub fn input_width(&self) -> usize {
-        self.input_width
-    }
-
     /// Pools the rows in `slots` of table `ti` into the returned vector and
     /// writes each row's pooling weight into `weights` (attention weights,
     /// or uniform when not attending).
@@ -686,7 +681,7 @@ mod tests {
         let data = tiny_data(false);
         let deep = CtrModel::new(&data, Variant::Deep, 0.1, 1);
         let dot = CtrModel::new(&data, Variant::DotDeep, 0.1, 1);
-        assert_eq!(deep.input_width(), 3 * EMB_DIM + 2);
-        assert_eq!(dot.input_width(), 3 * EMB_DIM + 3 + 2);
+        assert_eq!(deep.input_width, 3 * EMB_DIM + 2);
+        assert_eq!(dot.input_width, 3 * EMB_DIM + 3 + 2);
     }
 }
