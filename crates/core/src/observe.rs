@@ -125,6 +125,55 @@ mod tests {
         );
     }
 
+    /// Whether `text` holds a sample of `name` that carries every pair in
+    /// `labels` and whose value parses as a number.
+    fn has_sample(text: &str, name: &str, labels: &[(&str, &str)]) -> bool {
+        text.lines().filter(|l| !l.starts_with('#')).any(|line| {
+            let Some((series, value)) = line.rsplit_once(' ') else {
+                return false;
+            };
+            let (series_name, body) = match series.split_once('{') {
+                Some((n, rest)) => (n, rest.strip_suffix('}').unwrap_or("")),
+                None => (series, ""),
+            };
+            let pairs: Vec<&str> = body.split(',').collect();
+            series_name == name
+                && value.parse::<f64>().is_ok()
+                && labels
+                    .iter()
+                    .all(|(k, v)| pairs.contains(&format!("{k}=\"{v}\"").as_str()))
+        })
+    }
+
+    #[test]
+    fn prometheus_output_round_trips() {
+        let a = artifacts();
+        let text = prometheus_text(&a);
+        assert!(has_sample(
+            &text,
+            "sim_tasks_total",
+            &[("category", "computation")]
+        ));
+        assert!(has_sample(&text, "exec_ips_per_node", &[]));
+        assert!(has_sample(
+            &text,
+            "graph_pass_packing_ratio",
+            &[("pass", "d_packing")]
+        ));
+        assert!(has_sample(
+            &text,
+            "embedding_lookups_total",
+            &[("outcome", "hot")]
+        ));
+        assert!(has_sample(&text, "flight_occupancy", &[]));
+        assert!(has_sample(
+            &text,
+            "flight_events_seen_total",
+            &[("category", "task")]
+        ));
+        assert!(text.contains("# TYPE sim_tasks_total counter\n"));
+    }
+
     #[test]
     fn run_report_validates_against_the_pinned_schema() {
         let a = artifacts();
