@@ -11,15 +11,14 @@
 //!
 //! [`chrome_trace`]'s critical-path track walks
 //! [`picasso_sim::analysis::critical_path`] over the run's records, the
-//! path the causal analysis reports. It resolves each resource's Chrome
-//! track once, up front, and renders each record's arguments with the
-//! integer writers of [`picasso_obs::json`].
+//! path the causal analysis reports. Its record loop writes each task
+//! record from fragments rendered once per run: a slice head per
+//! (resource, category) and a flow lane per resource.
 
 use crate::scheduler::SimulationOutput;
 use picasso_obs::flight::{FlightConfig, FlightRecorder};
-use picasso_obs::json::{write_rounded, write_u64};
-use picasso_obs::{ChromeTrace, ManualClock, MetricKind, MetricsRegistry, Tracer, Track};
-use picasso_sim::{Binding, Measurement, RunResult, SimDuration};
+use picasso_obs::{ChromeTrace, FlowLane, ManualClock, MetricKind, MetricsRegistry, Tracer, Track};
+use picasso_sim::{Binding, Measurement, RunResult, SimDuration, TaskCategory};
 
 /// Half-open `[start, end)` range of engine task ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -167,32 +166,23 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
             lane
         })
         .collect();
-    // Two arg buffers reused across records: no per-record allocation.
-    let (mut work, mut task) = (String::new(), String::new());
+    // Every record's fixed fields, rendered once: a slice head per lane
+    // and category (indexed in `TaskCategory::ALL` order, which is
+    // declaration order) and a flow lane per resource.
+    let heads: Vec<_> = (lanes.iter())
+        .map(|&lane| TaskCategory::ALL.map(|c| trace.slice_head(lane, c.name(), c.name())))
+        .collect();
+    let flow_lanes: Vec<FlowLane> = lanes.iter().map(|&lane| trace.flow_lane(lane)).collect();
+    let dep = trace.flow_heads("dep");
     for rec in &result.records {
-        let lane = lanes[rec.resource.0];
-        let cat = rec.category.name();
-        work.clear();
-        task.clear();
-        write_rounded(rec.work, &mut work);
-        write_u64(rec.task.0 as u64, &mut task);
-        trace.complete(
-            lane,
-            cat,
-            cat,
-            rec.start.as_nanos(),
-            rec.end.as_nanos(),
-            &[("work", &work), ("task", &task)],
-        );
+        let resource = rec.resource.0;
+        let start = rec.start.as_nanos();
+        let head = &heads[resource][rec.category as usize];
+        trace.task_slice(head, start, rec.end.as_nanos(), rec.work, rec.task.0 as u64);
         if let Binding::Dependency(producer) = rec.binding {
             let prod = &result.records[producer.0];
-            trace.flow(
-                "dep",
-                lanes[prod.resource.0],
-                prod.end.as_nanos(),
-                lane,
-                rec.start.as_nanos(),
-            );
+            let (from, to) = (&flow_lanes[prod.resource.0], &flow_lanes[resource]);
+            trace.flow_between(&dep, from, prod.end.as_nanos(), to, start);
         }
     }
     for iter in &out.scopes.iterations {
@@ -216,8 +206,7 @@ pub fn chrome_trace(out: &SimulationOutput) -> ChromeTrace {
             format!("{:?}", stage.kind)
         };
         let (start, end) = (rec.start.as_nanos(), rec.end.as_nanos());
-        task.clear();
-        write_u64(t.0 as u64, &mut task);
+        let task = t.0.to_string();
         let lane = &result.resources[rec.resource.0].spec.name;
         trace.complete(
             critical,

@@ -11,8 +11,19 @@
 //! `thread_sort_index` metadata event. Counter lanes use `"ph":"C"`
 //! events, dependencies use `"ph":"s"`/`"ph":"f"` flow pairs, and frame
 //! markers are global instants (`"ph":"i","s":"g"`).
+//!
+//! A caller that writes many events with the same fixed fields renders
+//! those fields once. [`ChromeTrace::slice_head`] renders a span's opening
+//! on one track with one name and category, up to its start time;
+//! [`ChromeTrace::flow_lane`] renders a track's flow-event fields and
+//! [`ChromeTrace::flow_heads`] a flow name's two event openings.
+//! [`ChromeTrace::task_slice`] and [`ChromeTrace::flow_between`] then write
+//! an event from those fragments plus its times, id and arguments. Each
+//! fragment has one writer, which [`ChromeTrace::complete`] and
+//! [`ChromeTrace::flow`] also render through, so both paths write the same
+//! bytes. Building a fragment writes nothing into the document.
 
-use crate::json::{write_escaped, write_f64, write_micros, write_u64};
+use crate::json::{write_escaped, write_f64, write_micros, write_rounded, write_u64};
 use crate::metrics::MetricsSnapshot;
 use crate::span::Tracer;
 use crate::Clock;
@@ -23,6 +34,65 @@ use std::fmt::Write as _;
 /// once per event. A handle belongs to the trace that made it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Track(usize);
+
+impl Track {
+    /// The lane's tid: its rank among the declared names, plus 1.
+    fn tid(self) -> u64 {
+        self.0 as u64 + 1
+    }
+}
+
+/// A complete span's opening on one track, with one name and category,
+/// rendered once by [`ChromeTrace::slice_head`]: every field before the
+/// start time.
+#[derive(Debug, Clone)]
+pub struct SliceHead(String);
+
+/// A track's flow-event fields, rendered once by [`ChromeTrace::flow_lane`]:
+/// everything between a flow event's id and its time.
+#[derive(Debug, Clone)]
+pub struct FlowLane(String);
+
+/// A flow name's `"s"` and `"f"` event openings, rendered once by
+/// [`ChromeTrace::flow_heads`]: every field before the flow id.
+#[derive(Debug, Clone)]
+pub struct FlowHeads {
+    start: String,
+    finish: String,
+}
+
+/// The fields that set a flow's source event apart, after its name.
+const FLOW_START: &str = ",\"cat\":\"flow\",\"ph\":\"s\",\"id\":";
+/// The fields that set a flow's destination event apart, after its name.
+const FLOW_FINISH: &str = ",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":";
+
+/// Writes a complete span's opening: `{"name":..,"cat":..,"ph":"X",`
+/// `"pid":1,"tid":<N>,"ts":`. The one writer of the span's fixed fields.
+fn write_slice_head(track: Track, name: &str, cat: &str, out: &mut String) {
+    out.push_str("{\"name\":");
+    write_escaped(name, out);
+    out.push_str(",\"cat\":");
+    write_escaped(cat, out);
+    out.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":");
+    write_u64(track.tid(), out);
+    out.push_str(",\"ts\":");
+}
+
+/// Writes a flow event's opening, `{"name":..` then `fields` (which end
+/// in `"id":`). The one writer of a flow event's fixed fields.
+fn write_flow_head(name: &str, fields: &str, out: &mut String) {
+    out.push_str("{\"name\":");
+    write_escaped(name, out);
+    out.push_str(fields);
+}
+
+/// Writes a flow event's lane fields, `,"pid":1,"tid":<N>,"ts":`. The one
+/// writer of a flow event's lane.
+fn write_flow_lane(track: Track, out: &mut String) {
+    out.push_str(",\"pid\":1,\"tid\":");
+    write_u64(track.tid(), out);
+    out.push_str(",\"ts\":");
+}
 
 /// Incrementally built Chrome trace document.
 ///
@@ -91,12 +161,17 @@ impl ChromeTrace {
         track
     }
 
-    /// Starts an event: the separator, then its `name` field.
-    fn open(&mut self, name: &str) {
+    /// Counts an event and writes its separator.
+    fn separate(&mut self) {
         if self.events > 0 {
             self.text.push(',');
         }
         self.events += 1;
+    }
+
+    /// Starts an event: the separator, then its `name` field.
+    fn open(&mut self, name: &str) {
+        self.separate();
         self.text.push_str("{\"name\":");
         write_escaped(name, &mut self.text);
     }
@@ -104,7 +179,7 @@ impl ChromeTrace {
     /// Writes `fields` (ending in `"tid":`) and the track's tid.
     fn lane(&mut self, fields: &str, track: Track) {
         self.text.push_str(fields);
-        write_u64(track.0 as u64 + 1, &mut self.text);
+        write_u64(track.tid(), &mut self.text);
     }
 
     /// Writes `key` and a nanosecond time in microseconds.
@@ -130,12 +205,11 @@ impl ChromeTrace {
         end_ns: u64,
         args: &[(&str, &str)],
     ) {
-        self.open(name);
-        self.text.push_str(",\"cat\":");
-        write_escaped(cat, &mut self.text);
-        self.lane(",\"ph\":\"X\",\"pid\":1,\"tid\":", track);
-        self.ts(",\"ts\":", start_ns);
-        self.ts(",\"dur\":", end_ns.saturating_sub(start_ns));
+        self.slice(
+            |out| write_slice_head(track, name, cat, out),
+            start_ns,
+            end_ns,
+        );
         for (i, (k, v)) in args.iter().enumerate() {
             self.text.push_str(if i == 0 { ",\"args\":{" } else { "," });
             write_escaped(k, &mut self.text);
@@ -143,6 +217,47 @@ impl ChromeTrace {
             write_escaped(v, &mut self.text);
         }
         self.text.push_str(if args.is_empty() { "}" } else { "}}" });
+    }
+
+    /// Writes a complete span up to its arguments: the separator, the
+    /// opening `head` writes, the start time and the duration.
+    fn slice(&mut self, head: impl FnOnce(&mut String), start_ns: u64, end_ns: u64) {
+        self.separate();
+        head(&mut self.text);
+        write_micros(start_ns, &mut self.text);
+        self.ts(",\"dur\":", end_ns.saturating_sub(start_ns));
+    }
+
+    /// The opening of every complete span on `track` named `name` in
+    /// category `cat`, for [`ChromeTrace::task_slice`]. Writes nothing into
+    /// the document.
+    pub fn slice_head(&self, track: Track, name: &str, cat: &str) -> SliceHead {
+        let mut head = String::new();
+        write_slice_head(track, name, cat, &mut head);
+        SliceHead(head)
+    }
+
+    /// Adds a simulated task's complete span from its pre-rendered `head`,
+    /// with the two arguments every task record carries: `work` rounded to
+    /// an integer and the task id. The same bytes as [`ChromeTrace::complete`]
+    /// with the head's track, name and category and the args
+    /// `[("work", &format!("{work:.0}")), ("task", &task.to_string())]`:
+    /// both values are digits, a sign or a non-finite word, which need no
+    /// escape.
+    pub fn task_slice(
+        &mut self,
+        head: &SliceHead,
+        start_ns: u64,
+        end_ns: u64,
+        work: f64,
+        task: u64,
+    ) {
+        self.slice(|out| out.push_str(&head.0), start_ns, end_ns);
+        self.text.push_str(",\"args\":{\"work\":\"");
+        write_rounded(work, &mut self.text);
+        self.text.push_str("\",\"task\":\"");
+        write_u64(task, &mut self.text);
+        self.text.push_str("\"}}");
     }
 
     /// Adds a thread-scoped instant event.
@@ -184,18 +299,76 @@ impl ChromeTrace {
     /// Adds a flow arrow: an `"s"` event at the source and a matching `"f"`
     /// (binding enclosing slice) at the destination, sharing a fresh id.
     pub fn flow(&mut self, name: &str, from: Track, from_ns: u64, to: Track, to_ns: u64) {
-        let id = self.flows;
-        self.flows += 1;
-        let start = ",\"cat\":\"flow\",\"ph\":\"s\",\"id\":";
-        let finish = ",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":";
-        for (fields, track, ns) in [(start, from, from_ns), (finish, to, to_ns)] {
-            self.open(name);
-            self.text.push_str(fields);
-            write_u64(id, &mut self.text);
-            self.lane(",\"pid\":1,\"tid\":", track);
-            self.ts(",\"ts\":", ns);
-            self.text.push('}');
+        let id = self.next_flow();
+        for (fields, track, ns) in [(FLOW_START, from, from_ns), (FLOW_FINISH, to, to_ns)] {
+            self.flow_event(
+                |out| write_flow_head(name, fields, out),
+                id,
+                |out| write_flow_lane(track, out),
+                ns,
+            );
         }
+    }
+
+    /// The `"s"` and `"f"` event openings of every flow named `name`, for
+    /// [`ChromeTrace::flow_between`]. Writes nothing into the document.
+    pub fn flow_heads(&self, name: &str) -> FlowHeads {
+        let (mut start, mut finish) = (String::new(), String::new());
+        write_flow_head(name, FLOW_START, &mut start);
+        write_flow_head(name, FLOW_FINISH, &mut finish);
+        FlowHeads { start, finish }
+    }
+
+    /// The flow-event lane fields of `track`, for
+    /// [`ChromeTrace::flow_between`]. Writes nothing into the document.
+    pub fn flow_lane(&self, track: Track) -> FlowLane {
+        let mut lane = String::new();
+        write_flow_lane(track, &mut lane);
+        FlowLane(lane)
+    }
+
+    /// Adds a flow arrow from pre-rendered fragments: the same bytes as
+    /// [`ChromeTrace::flow`] with the heads' name and the lanes' tracks.
+    pub fn flow_between(
+        &mut self,
+        heads: &FlowHeads,
+        from: &FlowLane,
+        from_ns: u64,
+        to: &FlowLane,
+        to_ns: u64,
+    ) {
+        let id = self.next_flow();
+        for (head, lane, ns) in [(&heads.start, from, from_ns), (&heads.finish, to, to_ns)] {
+            self.flow_event(
+                |out| out.push_str(head),
+                id,
+                |out| out.push_str(&lane.0),
+                ns,
+            );
+        }
+    }
+
+    /// A fresh flow id.
+    fn next_flow(&mut self) -> u64 {
+        self.flows += 1;
+        self.flows - 1
+    }
+
+    /// Writes one flow event: the separator, the opening `head` writes, the
+    /// flow id, the lane fields `lane` writes, the time.
+    fn flow_event(
+        &mut self,
+        head: impl FnOnce(&mut String),
+        id: u64,
+        lane: impl FnOnce(&mut String),
+        ns: u64,
+    ) {
+        self.separate();
+        head(&mut self.text);
+        write_u64(id, &mut self.text);
+        lane(&mut self.text);
+        write_micros(ns, &mut self.text);
+        self.text.push('}');
     }
 
     /// Imports everything a [`Tracer`] recorded: spans as `"X"`, instants as

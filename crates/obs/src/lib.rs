@@ -47,7 +47,7 @@ pub mod prometheus;
 pub mod report;
 pub mod span;
 
-pub use chrome::{ChromeTrace, Track};
+pub use chrome::{ChromeTrace, FlowHeads, FlowLane, SliceHead, Track};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use detect::{Anomaly, AnomalyKind, QueueDepthDetector, SlopeDetector, StragglerDetector};
 pub use flight::{

@@ -9,8 +9,13 @@
 //! quotes, backslashes, control characters and non-ASCII, spans with 0–3
 //! args, instants, flows (a lane to itself included), frame markers,
 //! counters with NaN and infinities, negative sort indices, timestamps
-//! past 2^43 µs and tracer imports. Every document must also parse under
-//! the strict JSON parser, with one array item per event.
+//! past 2^43 µs and tracer imports. The programs also write task spans and
+//! flows from pre-rendered fragments (`slice_head` + `task_slice`,
+//! `flow_heads` + `flow_lane` + `flow_between`) on the same lanes as the
+//! plain calls; the reference writes those as `complete` with the
+//! arguments formatted by `{:.0}` and `{}`, and as `flow`. Every document
+//! must also parse under the strict JSON parser, with one array item per
+//! event.
 
 use picasso_obs::checksum::splitmix64;
 use picasso_obs::json::{self, write_f64, write_micros, write_u64, Json};
@@ -207,6 +212,60 @@ impl RefTrace {
     }
 }
 
+/// The fragment-based calls, which only [`ChromeTrace`] has. The
+/// reference writes the same events with its plain calls.
+trait Fragments {
+    /// Task spans on lane `lane`, all named `name` in category `cat`:
+    /// `(start, end, work, task)` each.
+    fn task_slices(&mut self, lane: &str, name: &str, cat: &str, slices: &[TaskSlice]);
+    /// Flows named `name` from lane `from` to lane `to`: `(from_ns,
+    /// to_ns)` each.
+    fn flows_between(&mut self, name: &str, from: &str, to: &str, times: &[(u64, u64)]);
+}
+
+/// One task span written from a pre-rendered head: start, end, work and
+/// task id.
+type TaskSlice = (u64, u64, f64, u64);
+
+impl Fragments for RefTrace {
+    fn task_slices(&mut self, lane: &str, name: &str, cat: &str, slices: &[TaskSlice]) {
+        let tid = self.track(lane);
+        for &(s, e, work, task) in slices {
+            let (work, task) = (format!("{work:.0}"), task.to_string());
+            self.complete(tid, name, cat, s, e, &[("work", &work), ("task", &task)]);
+        }
+    }
+
+    fn flows_between(&mut self, name: &str, from: &str, to: &str, times: &[(u64, u64)]) {
+        let (from, to) = (self.track(from), self.track(to));
+        for &(s, e) in times {
+            self.flow(name, from, s, to, e);
+        }
+    }
+}
+
+impl Fragments for ChromeTrace {
+    fn task_slices(&mut self, lane: &str, name: &str, cat: &str, slices: &[TaskSlice]) {
+        let track = self.track(lane);
+        let head = self.slice_head(track, name, cat);
+        for &(s, e, work, task) in slices {
+            self.task_slice(&head, s, e, work, task);
+        }
+    }
+
+    fn flows_between(&mut self, name: &str, from: &str, to: &str, times: &[(u64, u64)]) {
+        let (from, to) = (self.track(from), self.track(to));
+        let (heads, from, to) = (
+            self.flow_heads(name),
+            self.flow_lane(from),
+            self.flow_lane(to),
+        );
+        for &(s, e) in times {
+            self.flow_between(&heads, &from, s, &to, e);
+        }
+    }
+}
+
 /// A seeded splitmix64 stream.
 struct Rng(u64);
 
@@ -253,6 +312,16 @@ impl Rng {
             _ => f64::from_bits(self.next()),
         }
     }
+
+    /// A task's work: a counter value, a rounding tie, or a value around
+    /// 2^53, where rounding hands over to the formatter.
+    fn work(&mut self) -> f64 {
+        match self.below(3) {
+            0 => self.value(),
+            1 => (self.below(1 << 20) as f64 + 0.5) * if self.below(2) == 0 { 1.0 } else { -1.0 },
+            _ => 9_007_199_254_740_992.0 + (self.below(64) as f64 - 32.0) * 0.5,
+        }
+    }
 }
 
 /// One call on the exporter. Lanes are indices into the program's lane
@@ -267,6 +336,8 @@ enum Op {
     Counter(String, u64, Vec<(String, f64)>),
     Flow(String, usize, u64, usize, u64),
     Tracer(Vec<TracerOp>),
+    TaskSlices(usize, String, String, Vec<TaskSlice>),
+    FlowsBetween(String, usize, usize, Vec<(u64, u64)>),
 }
 
 /// One record of an imported tracer.
@@ -289,7 +360,7 @@ fn program(seed: u64) -> (Vec<String>, Vec<Op>) {
     };
     let mut ops = Vec::new();
     for _ in 0..rng.below(40) {
-        let op = match rng.below(9) {
+        let op = match rng.below(11) {
             0 => Op::Track(lane(&mut rng)),
             1 => Op::SortIndex(lane(&mut rng), rng.next() as i64),
             2 | 3 => Op::Complete(
@@ -317,6 +388,24 @@ fn program(seed: u64) -> (Vec<String>, Vec<Op>) {
                     lane(&mut rng)
                 };
                 Op::Flow(rng.name(), from, rng.ns(), to, rng.ns())
+            }
+            8 => Op::TaskSlices(
+                lane(&mut rng),
+                rng.name(),
+                rng.name(),
+                (0..rng.below(4))
+                    .map(|_| (rng.ns(), rng.ns(), rng.work(), rng.next()))
+                    .collect(),
+            ),
+            9 => {
+                let from = lane(&mut rng);
+                let to = if rng.below(3) == 0 {
+                    from
+                } else {
+                    lane(&mut rng)
+                };
+                let times = (0..rng.below(4)).map(|_| (rng.ns(), rng.ns())).collect();
+                Op::FlowsBetween(rng.name(), from, to, times)
             }
             _ => Op::Tracer(
                 (0..rng.below(6))
@@ -348,10 +437,12 @@ fn used_lanes(seed: u64, lanes: &[String], ops: &[Op]) -> Vec<String> {
     let mut used = Vec::new();
     for op in ops {
         match op {
-            Op::Track(l) | Op::SortIndex(l, _) | Op::Instant(l, ..) | Op::Complete(l, ..) => {
-                used.push(*l)
-            }
-            Op::Flow(_, a, _, b, _) => used.extend([*a, *b]),
+            Op::Track(l)
+            | Op::SortIndex(l, _)
+            | Op::Instant(l, ..)
+            | Op::Complete(l, ..)
+            | Op::TaskSlices(l, ..) => used.push(*l),
+            Op::Flow(_, a, _, b, _) | Op::FlowsBetween(_, a, b, _) => used.extend([*a, *b]),
             Op::Tracer(records) => {
                 for r in records {
                     match r {
@@ -422,6 +513,12 @@ macro_rules! drive {
                     t.flow(name, from, *s, to, *e);
                 }
                 Op::Tracer(records) => t.add_tracer(&tracer(lanes, records)),
+                Op::TaskSlices(l, name, cat, slices) => {
+                    t.task_slices(&lanes[*l], name, cat, slices)
+                }
+                Op::FlowsBetween(name, a, b, times) => {
+                    t.flows_between(name, &lanes[*a], &lanes[*b], times)
+                }
             }
         }
     }};

@@ -28,7 +28,7 @@ pub mod trainer;
 
 pub use metrics::auc;
 pub use models::{CtrModel, StepStats, Variant, EMB_DIM};
-pub use nn::{bce_with_logits, predict, BatchNorm, Linear};
-pub use optimizer::{Adagrad, Lamb, StalenessQueue};
+pub use nn::{bce_with_logits, predict, Linear};
+pub use optimizer::{Adagrad, StalenessQueue};
 pub use tensor::{Kernel, Matrix};
 pub use trainer::{auc_datasets, train_ctr, SyncMode, TrainConfig, TrainOutcome};

@@ -203,188 +203,3 @@ mod tests {
         assert!(p[2] > 1.0 - 1e-6);
     }
 }
-
-/// 1-D batch normalization with learnable scale/shift and manual backward —
-/// the paper's discussion names (global) batch normalization as an
-/// auxiliary for super-large-batch WDL training.
-#[derive(Debug, Clone)]
-pub struct BatchNorm {
-    /// Learnable scale, length `features`.
-    pub gamma: Vec<f32>,
-    /// Learnable shift, length `features`.
-    pub beta: Vec<f32>,
-    eps: f32,
-    // The last forward pass's normalized input and per-column inverse
-    // standard deviation, until backward consumes them.
-    cache: Option<(Matrix, Vec<f32>)>,
-}
-
-impl BatchNorm {
-    /// Identity-initialized normalization over `features` columns.
-    pub fn new(features: usize) -> BatchNorm {
-        BatchNorm {
-            gamma: vec![1.0; features],
-            beta: vec![0.0; features],
-            eps: 1e-5,
-            cache: None,
-        }
-    }
-
-    /// Normalizes each column over the batch: `y = gamma * x_hat + beta`.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (n, f) = (x.rows(), x.cols());
-        assert_eq!(f, self.gamma.len(), "feature width mismatch");
-        assert!(n > 0);
-        let mut mean = vec![0.0f32; f];
-        for r in 0..n {
-            for (m, &v) in mean.iter_mut().zip(x.row(r)) {
-                *m += v;
-            }
-        }
-        for m in &mut mean {
-            *m /= n as f32;
-        }
-        let mut var = vec![0.0f32; f];
-        for r in 0..n {
-            for c in 0..f {
-                let d = x.get(r, c) - mean[c];
-                var[c] += d * d;
-            }
-        }
-        let inv_std: Vec<f32> = var
-            .iter()
-            .map(|&v| 1.0 / (v / n as f32 + self.eps).sqrt())
-            .collect();
-        let mut x_hat = Matrix::zeros(n, f);
-        let mut y = Matrix::zeros(n, f);
-        for r in 0..n {
-            for c in 0..f {
-                let h = (x.get(r, c) - mean[c]) * inv_std[c];
-                x_hat.set(r, c, h);
-                y.set(r, c, self.gamma[c] * h + self.beta[c]);
-            }
-        }
-        self.cache = Some((x_hat, inv_std));
-        y
-    }
-
-    /// Backward pass: returns `dx`; accumulates `dgamma`/`dbeta`.
-    ///
-    /// # Panics
-    /// Unless a forward pass ran since the last backward.
-    pub fn backward(&mut self, dy: &Matrix, dgamma: &mut [f32], dbeta: &mut [f32]) -> Matrix {
-        let Some((x_hat, inv_std)) = self.cache.take() else {
-            panic!("forward before backward");
-        };
-        let (n, f) = (dy.rows(), dy.cols());
-        let mut sum_dy = vec![0.0f32; f];
-        let mut sum_dy_xhat = vec![0.0f32; f];
-        for r in 0..n {
-            for c in 0..f {
-                let g = dy.get(r, c);
-                sum_dy[c] += g;
-                sum_dy_xhat[c] += g * x_hat.get(r, c);
-            }
-        }
-        for c in 0..f {
-            dgamma[c] += sum_dy_xhat[c];
-            dbeta[c] += sum_dy[c];
-        }
-        let mut dx = Matrix::zeros(n, f);
-        let n_f = n as f32;
-        for r in 0..n {
-            for c in 0..f {
-                let term = n_f * dy.get(r, c) - sum_dy[c] - x_hat.get(r, c) * sum_dy_xhat[c];
-                dx.set(r, c, self.gamma[c] * inv_std[c] * term / n_f);
-            }
-        }
-        dx
-    }
-}
-
-#[cfg(test)]
-mod batchnorm_tests {
-    use super::*;
-
-    #[test]
-    fn forward_normalizes_columns() {
-        let mut bn = BatchNorm::new(2);
-        let x = Matrix::from_vec(4, 2, vec![1., 10., 2., 20., 3., 30., 4., 40.]);
-        let y = bn.forward(&x);
-        for c in 0..2 {
-            let mean: f32 = (0..4).map(|r| y.get(r, c)).sum::<f32>() / 4.0;
-            let var: f32 = (0..4).map(|r| (y.get(r, c) - mean).powi(2)).sum::<f32>() / 4.0;
-            assert!(mean.abs() < 1e-5, "col {c} mean {mean}");
-            assert!((var - 1.0).abs() < 1e-3, "col {c} var {var}");
-        }
-    }
-
-    #[test]
-    fn gamma_beta_rescale_output() {
-        let mut bn = BatchNorm::new(1);
-        bn.gamma[0] = 2.0;
-        bn.beta[0] = 5.0;
-        let x = Matrix::from_vec(2, 1, vec![-1.0, 1.0]);
-        let y = bn.forward(&x);
-        let mean: f32 = (y.get(0, 0) + y.get(1, 0)) / 2.0;
-        assert!((mean - 5.0).abs() < 1e-5);
-        assert!(
-            (y.get(1, 0) - y.get(0, 0)).abs() > 3.9,
-            "spread scaled by gamma"
-        );
-    }
-
-    #[test]
-    fn backward_matches_finite_differences() {
-        let x = Matrix::from_vec(3, 2, vec![0.5, -1.0, 1.5, 0.3, -0.7, 2.0]);
-        // Scalar loss: weighted sum of outputs.
-        let w = [0.3f32, -0.8, 0.5, 0.9, -0.2, 0.4];
-        let loss = |bn: &BatchNorm, x: &Matrix| -> f64 {
-            let mut b = bn.clone();
-            let y = b.forward(x);
-            y.as_slice()
-                .iter()
-                .zip(&w)
-                .map(|(a, b)| (a * b) as f64)
-                .sum()
-        };
-        let mut bn = BatchNorm::new(2);
-        bn.gamma = vec![1.3, 0.7];
-        bn.beta = vec![0.1, -0.2];
-        let _ = bn.forward(&x);
-        let dy = Matrix::from_vec(3, 2, w.to_vec());
-        let mut dgamma = vec![0.0; 2];
-        let mut dbeta = vec![0.0; 2];
-        let dx = bn.backward(&dy, &mut dgamma, &mut dbeta);
-
-        let eps = 1e-3f32;
-        for (r, c) in [(0usize, 0usize), (1, 1), (2, 0)] {
-            let mut xp = x.clone();
-            xp.set(r, c, x.get(r, c) + eps);
-            let up = loss(&bn, &xp);
-            xp.set(r, c, x.get(r, c) - eps);
-            let down = loss(&bn, &xp);
-            let numeric = (up - down) / (2.0 * eps as f64);
-            let analytic = dx.get(r, c) as f64;
-            assert!(
-                (numeric - analytic).abs() < 2e-3,
-                "dx[{r},{c}] numeric {numeric} analytic {analytic}"
-            );
-        }
-        // dgamma check.
-        let base_gamma = bn.gamma.clone();
-        for (c, &dg) in dgamma.iter().enumerate() {
-            let mut bp = bn.clone();
-            bp.gamma = base_gamma.clone();
-            bp.gamma[c] += eps;
-            let up = loss(&bp, &x);
-            bp.gamma[c] -= 2.0 * eps;
-            let down = loss(&bp, &x);
-            let numeric = (up - down) / (2.0 * eps as f64);
-            assert!(
-                (numeric - dg as f64).abs() < 2e-3,
-                "dgamma[{c}] numeric {numeric} analytic {dg}"
-            );
-        }
-    }
-}

@@ -146,127 +146,3 @@ mod tests {
         assert_eq!(rest, vec![3, 4]);
     }
 }
-
-/// LAMB (Layer-wise Adaptive Moments for Batch training): the paper's
-/// discussion notes that super-large-batch WDL training pairs with the Lamb
-/// optimizer. Adam-style moments with a layer-wise trust ratio
-/// `|w| / |update|` that rescales each layer's step.
-#[derive(Debug, Clone)]
-pub struct Lamb {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    step: i32,
-    m_w: Matrix,
-    v_w: Matrix,
-    m_b: Vec<f32>,
-    v_b: Vec<f32>,
-}
-
-impl Lamb {
-    /// Creates LAMB state for a `rows x cols` weight and `cols` bias.
-    pub fn new(rows: usize, cols: usize, lr: f32) -> Lamb {
-        Lamb {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-6,
-            weight_decay: 0.01,
-            step: 0,
-            m_w: Matrix::zeros(rows, cols),
-            v_w: Matrix::zeros(rows, cols),
-            m_b: vec![0.0; cols],
-            v_b: vec![0.0; cols],
-        }
-    }
-
-    /// Applies one LAMB update.
-    pub fn step(&mut self, w: &mut Matrix, b: &mut [f32], dw: &Matrix, db: &[f32]) {
-        self.step += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.step);
-        let bc2 = 1.0 - self.beta2.powi(self.step);
-
-        // Weight matrix: compute the layer-wise trust ratio.
-        let mut update = vec![0.0f32; w.as_slice().len()];
-        for (i, u) in update.iter_mut().enumerate() {
-            let g = dw.as_slice()[i];
-            self.m_w.as_mut_slice()[i] =
-                self.beta1 * self.m_w.as_slice()[i] + (1.0 - self.beta1) * g;
-            self.v_w.as_mut_slice()[i] =
-                self.beta2 * self.v_w.as_slice()[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m_w.as_slice()[i] / bc1;
-            let v_hat = self.v_w.as_slice()[i] / bc2;
-            *u = m_hat / (v_hat.sqrt() + self.eps) + self.weight_decay * w.as_slice()[i];
-        }
-        let w_norm: f32 = w.as_slice().iter().map(|x| x * x).sum::<f32>().sqrt();
-        let u_norm: f32 = update.iter().map(|x| x * x).sum::<f32>().sqrt();
-        let trust = if w_norm > 0.0 && u_norm > 0.0 {
-            w_norm / u_norm
-        } else {
-            1.0
-        };
-        for (wi, u) in w.as_mut_slice().iter_mut().zip(&update) {
-            *wi -= self.lr * trust * u;
-        }
-
-        // Bias: plain Adam step (no decay, trust 1).
-        for i in 0..b.len() {
-            let g = db[i];
-            self.m_b[i] = self.beta1 * self.m_b[i] + (1.0 - self.beta1) * g;
-            self.v_b[i] = self.beta2 * self.v_b[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m_b[i] / bc1;
-            let v_hat = self.v_b[i] / bc2;
-            b[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-    }
-}
-
-#[cfg(test)]
-mod lamb_tests {
-    use super::*;
-
-    #[test]
-    fn lamb_descends_a_quadratic() {
-        // Minimize 0.5*(w-3)^2 starting at w=0.
-        let mut w = Matrix::from_vec(1, 1, vec![0.0]);
-        let mut b = vec![0.0];
-        let mut opt = Lamb::new(1, 1, 0.05);
-        for _ in 0..400 {
-            let g = Matrix::from_vec(1, 1, vec![w.get(0, 0) - 3.0]);
-            opt.step(&mut w, &mut b, &g, &[0.0]);
-        }
-        let wv = w.get(0, 0);
-        assert!((wv - 3.0).abs() < 0.5, "w should approach 3, got {wv}");
-    }
-
-    #[test]
-    fn trust_ratio_scales_with_weight_norm() {
-        // Two identical gradients; the layer with bigger weights takes a
-        // proportionally bigger step (that is the point of LAMB).
-        let mut small = Matrix::from_vec(1, 1, vec![0.1]);
-        let mut large = Matrix::from_vec(1, 1, vec![10.0]);
-        let mut bs = vec![0.0];
-        let mut bl = vec![0.0];
-        let g = Matrix::from_vec(1, 1, vec![1.0]);
-        let mut o1 = Lamb::new(1, 1, 0.01);
-        let mut o2 = Lamb::new(1, 1, 0.01);
-        let s0 = small.get(0, 0);
-        let l0 = large.get(0, 0);
-        o1.step(&mut small, &mut bs, &g, &[0.0]);
-        o2.step(&mut large, &mut bl, &g, &[0.0]);
-        let ds = (s0 - small.get(0, 0)).abs();
-        let dl = (l0 - large.get(0, 0)).abs();
-        assert!(dl > 10.0 * ds, "large layer step {dl} vs small {ds}");
-    }
-
-    #[test]
-    fn bias_updates_without_decay() {
-        let mut w = Matrix::from_vec(1, 1, vec![1.0]);
-        let mut b = vec![1.0];
-        let mut opt = Lamb::new(1, 1, 0.1);
-        opt.step(&mut w, &mut b, &Matrix::zeros(1, 1), &[1.0]);
-        assert!(b[0] < 1.0, "bias moves against its gradient");
-    }
-}
