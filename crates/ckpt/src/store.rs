@@ -300,7 +300,7 @@ impl CheckpointStore {
     /// Retention: keeps the newest `keep_full` full checkpoints, every
     /// checkpoint whose restore chain reaches a kept manifest, and nothing
     /// else. Orphaned data and `.tmp` files (from aborted writes) are
-    /// deleted too.
+    /// deleted too; entries that are not regular files are left in place.
     /// Chains are preserved by construction: the keep set is closed under
     /// the parent relation. A manifest that cannot be read is skipped, as
     /// [`CheckpointStore::latest_valid`] skips it: it stays on disk with
@@ -366,9 +366,13 @@ impl CheckpointStore {
                 fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
             }
         }
-        // Sweep unreferenced data and tmp files.
+        // Sweep unreferenced data and tmp files. Only regular files: a
+        // directory or link that happens to match is not ours to remove.
         let entries = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
         for entry in entries.flatten() {
+            if !entry.file_type().is_ok_and(|t| t.is_file()) {
+                continue;
+            }
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             let sweepable = name.starts_with("ckpt-") || name.ends_with(".tmp");
@@ -773,6 +777,25 @@ mod tests {
             store.latest_valid().unwrap().is_none(),
             "a v1 checkpoint must not restore"
         );
+        fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn gc_sweeps_regular_files_only() {
+        let store = temp_store("gc-dirs");
+        write_full(&store, 4, b"base");
+        for dir in ["ckpt-archive", "old.tmp"] {
+            fs::create_dir(store.dir().join(dir)).unwrap();
+            fs::write(store.dir().join(dir).join("inner.bin"), b"kept").unwrap();
+        }
+        fs::write(store.dir().join("ckpt-00000002.bin"), b"orphan").unwrap();
+        let report = store.gc(1).unwrap();
+        assert_eq!(report.kept, [4]);
+        assert_eq!(report.orphans_removed, 1, "only the orphaned data file");
+        assert!(!store.dir().join("ckpt-00000002.bin").exists());
+        for dir in ["ckpt-archive", "old.tmp"] {
+            assert!(store.dir().join(dir).join("inner.bin").exists(), "{dir}");
+        }
         fs::remove_dir_all(store.dir()).unwrap();
     }
 

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The materialized IDs of one field across a batch, in ragged layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FieldBatch {
     /// Index of the field in the dataset spec.
     pub field: usize,
@@ -46,7 +46,7 @@ impl FieldBatch {
 }
 
 /// One mini-batch of training data.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Batch {
     /// Instances in the batch.
     pub size: usize,
@@ -120,34 +120,48 @@ impl BatchGenerator {
 
     /// Generates the next batch of `size` instances.
     pub fn next_batch(&mut self, size: usize) -> Batch {
+        let mut batch = Batch::default();
+        self.next_batch_into(size, &mut batch);
+        batch
+    }
+
+    /// Refills `batch` with the next batch of `size` instances, reusing its
+    /// buffers: every field is replaced, whatever `batch` held before, so
+    /// the result equals [`BatchGenerator::next_batch`]'s.
+    ///
+    /// # Panics
+    /// If `size == 0`.
+    pub fn next_batch_into(&mut self, size: usize, batch: &mut Batch) {
         assert!(size > 0, "batch size must be positive");
         let spec = Arc::clone(&self.spec);
-        let n_fields = spec.fields.len();
-        let mut fields = Vec::with_capacity(n_fields);
-        for (fi, fspec) in spec.fields.iter().enumerate() {
-            let mut ids = Vec::with_capacity((size as f64 * fspec.avg_ids) as usize + size);
-            let mut offsets = Vec::with_capacity(size + 1);
-            offsets.push(0u32);
-            self.draw_field(fi, size, &mut ids, Some(&mut offsets));
-            fields.push(FieldBatch {
-                field: fi,
-                ids,
-                offsets,
-            });
+        batch.size = size;
+        batch.fields.truncate(spec.fields.len());
+        batch
+            .fields
+            .resize_with(spec.fields.len(), FieldBatch::default);
+        for (fi, (fspec, fb)) in spec.fields.iter().zip(&mut batch.fields).enumerate() {
+            fb.field = fi;
+            fb.ids.clear();
+            fb.ids
+                .reserve((size as f64 * fspec.avg_ids) as usize + size);
+            fb.offsets.clear();
+            fb.offsets.reserve(size + 1);
+            fb.offsets.push(0u32);
+            self.draw_field(fi, size, &mut fb.ids, Some(&mut fb.offsets));
         }
-        let mut dense = Vec::with_capacity(size * self.spec.numeric);
-        for _ in 0..size * self.spec.numeric {
-            dense.push(self.rng.gen_range(-1.0f32..1.0));
-        }
-        let labels =
-            self.click
-                .label_batch(&fields, &dense, self.spec.numeric, size, &mut self.rng);
-        Batch {
+        batch.dense.clear();
+        let rng = &mut self.rng;
+        batch
+            .dense
+            .extend((0..size * spec.numeric).map(|_| rng.gen_range(-1.0f32..1.0)));
+        self.click.label_batch(
+            &batch.fields,
+            &batch.dense,
+            spec.numeric,
             size,
-            fields,
-            dense,
-            labels,
-        }
+            &mut self.rng,
+            &mut batch.labels,
+        );
     }
 
     /// Draws the IDs of the next batch of `size` instances and nothing

@@ -64,7 +64,8 @@ impl ClickModel {
         self.weight(usize::MAX - j, 0)
     }
 
-    /// Draws binary labels for a whole batch.
+    /// Draws binary labels for a whole batch into `labels`, replacing
+    /// its contents.
     ///
     /// Logits accumulate field by field over the whole batch (each
     /// [`FieldBatch`] is walked once, contiguously), then the dense terms
@@ -79,7 +80,8 @@ impl ClickModel {
         numeric: usize,
         size: usize,
         rng: &mut R,
-    ) -> Vec<f32> {
+        labels: &mut Vec<f32>,
+    ) {
         let mut z = vec![self.bias; size];
         for fb in fields {
             for (i, zi) in z.iter_mut().enumerate() {
@@ -92,9 +94,11 @@ impl ClickModel {
                 *zi += w * x as f64 * 0.5;
             }
         }
-        z.into_iter()
-            .map(|zi| if rng.gen_bool(sigmoid(zi)) { 1.0 } else { 0.0 })
-            .collect()
+        labels.clear();
+        labels.extend(
+            z.into_iter()
+                .map(|zi| if rng.gen_bool(sigmoid(zi)) { 1.0 } else { 0.0 }),
+        );
     }
 }
 
@@ -208,7 +212,9 @@ mod tests {
         let b = gen.next_batch(size);
         let m = ClickModel::new(77);
         let mut rng = StdRng::seed_from_u64(9);
-        let got = m.label_batch(&b.fields, &b.dense, numeric, b.size, &mut rng);
+        // A stale, longer buffer is replaced, not appended to.
+        let mut got = vec![0.5; b.size + 3];
+        m.label_batch(&b.fields, &b.dense, numeric, b.size, &mut rng, &mut got);
         let mut reference = StdRng::seed_from_u64(9);
         let want = labels_per_instance(&m, &b, numeric, &mut reference);
         assert_eq!(got, want);

@@ -17,16 +17,23 @@
 //!    ([`TableSnapshot`] / `CtrModel::dense_snapshot`), and restore ends by
 //!    marking tables clean — the same dirty-set state an uninterrupted run
 //!    has right after writing that checkpoint;
-//! 2. the batch cursor is rewound by recreating the seeded
-//!    [`BatchGenerator`] and skipping it to the restored step
+//! 2. the batch cursor is rewound by respawning the batch producer with a
+//!    new seeded [`BatchGenerator`] skipped to the restored step
 //!    ([`BatchGenerator::skip_batches`] steps past exactly the words the
 //!    skipped batches draw), so every post-restore batch is identical;
 //! 3. wall-clock effects (detection latency, restore time, retry backoff)
 //!    live on a simulated clock that never feeds back into the math.
+//!
+//! The run is pipelined over three threads: a producer draws batches ahead
+//! of the trainer, and a writer checksums and writes each checkpoint the
+//! trainer encodes while training goes on. Neither feeds anything back but
+//! spent buffers, and the trainer waits for the writer (a drain) before it
+//! scans the store and before it returns, so the outputs are those of one
+//! thread doing everything in order.
 
 use crate::trainer::TrainError;
-use picasso_ckpt::{ChainLink, CheckpointKind, CheckpointStore};
-use picasso_data::{BatchGenerator, DatasetSpec};
+use picasso_ckpt::{ChainLink, CheckpointKind, CheckpointStore, CheckpointWriter};
+use picasso_data::{Batch, BatchGenerator, DatasetSpec};
 use picasso_embedding::TableSnapshot;
 use picasso_lint::{Diagnostic, Severity, Span};
 use picasso_obs::checksum::splitmix64;
@@ -38,7 +45,9 @@ use picasso_obs::json::Json;
 use picasso_obs::ChromeTrace;
 use picasso_sim::{FaultKind, FaultPlan};
 use picasso_train::{CtrModel, Variant};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::{self, Scope, ScopedJoinHandle};
 
 /// Simulated compute time of one training step.
 const STEP_S: f64 = 0.05;
@@ -54,6 +63,16 @@ const RESTORE_LATENCY_S: f64 = 0.005;
 const NIC_ITER_S: f64 = STEP_S + COLLECTIVE_S;
 /// Base delay of the exponential backoff for failed collectives.
 const BACKOFF_BASE_S: f64 = 0.05;
+/// Batches circulating between the producer thread and the trainer: one
+/// trained on while the next is drawn.
+const BATCHES: usize = 2;
+/// Shard buffers circulating between the trainer and the writer thread:
+/// one being encoded while the other is written.
+const SHARD_BUFFERS: usize = 2;
+/// Stack of the batch producer thread.
+const PRODUCER_STACK: usize = 64 * 1024;
+/// Stack of the checkpoint writer thread: file I/O and manifest rendering.
+const WRITER_STACK: usize = 256 * 1024;
 
 /// Configuration of one fault-tolerant training run.
 #[derive(Debug, Clone)]
@@ -439,35 +458,277 @@ fn unrec(what: &str, e: impl std::fmt::Display) -> TrainError {
     TrainError::Unrecoverable(format!("{what}: {e}"))
 }
 
-/// Writes one checkpoint of `model` at `step` and marks tables clean. Each
-/// table shard is encoded straight from the table's arena: the bytes of
-/// `TableSnapshot::{full,dirty}(table).encode()`, with no snapshot built.
-fn write_checkpoint(
-    store: &CheckpointStore,
-    model: &mut CtrModel,
-    step: u64,
-    kind: CheckpointKind,
-    parent: Option<u64>,
-) -> Result<(u64, usize), TrainError> {
-    let mut w = store
-        .begin(step, kind, parent)
-        .map_err(|e| unrec("checkpoint begin", e))?;
-    w.add_shard("dense", &model.dense_snapshot())
-        .map_err(|e| unrec("checkpoint dense shard", e))?;
-    for group in model.table_groups() {
-        let table = model
-            .table(group)
-            .ok_or_else(|| unrec("checkpoint table shard", format!("no table {group}")))?;
-        let bytes = match kind {
-            CheckpointKind::Full => TableSnapshot::encode_full(table),
-            CheckpointKind::Incremental => TableSnapshot::encode_dirty(table),
-        };
-        w.add_shard(&format!("table{group}"), &bytes)
-            .map_err(|e| unrec("checkpoint table shard", e))?;
+/// The trainer's ends of a batch producer's two channels.
+///
+/// The producer thread owns the seeded [`BatchGenerator`] and refills, in
+/// place, each batch the trainer hands back. [`BATCHES`] batches circulate,
+/// and both channels have room for all of them, so no send blocks.
+struct Batches<'scope> {
+    full: Receiver<Batch>,
+    free: SyncSender<Batch>,
+    producer: ScopedJoinHandle<'scope, ()>,
+}
+
+impl<'scope> Batches<'scope> {
+    /// Spawns a producer that draws the run's seeded stream from batch
+    /// `step` on.
+    fn spawn(
+        scope: &'scope Scope<'scope, '_>,
+        data: &Arc<DatasetSpec>,
+        opts: &RecoveryOptions,
+        step: u64,
+    ) -> Batches<'scope> {
+        let (full_tx, full) = mpsc::sync_channel(BATCHES);
+        let (free, free_rx) = mpsc::sync_channel(BATCHES);
+        for _ in 0..BATCHES {
+            let _ = free.send(Batch::default());
+        }
+        // Built here rather than on the producer, so that its sampler tables
+        // come from the trainer's heap, not from a heap of the producer's
+        // own that would stay resident after the thread exits.
+        let mut gen = BatchGenerator::new(Arc::clone(data), opts.seed);
+        let size = opts.batch_size;
+        let producer = thread::Builder::new()
+            .name("recovery-batches".into())
+            .stack_size(PRODUCER_STACK)
+            .spawn_scoped(scope, move || {
+                gen.skip_batches(step as usize, size);
+                for mut batch in free_rx {
+                    gen.next_batch_into(size, &mut batch);
+                    if full_tx.send(batch).is_err() {
+                        break;
+                    }
+                }
+            })
+            .unwrap_or_else(|e| panic!("cannot spawn the batch producer thread: {e}"));
+        Batches {
+            full,
+            free,
+            producer,
+        }
     }
-    let summary = w.commit().map_err(|e| unrec("checkpoint commit", e))?;
-    model.mark_tables_clean();
-    Ok((summary.bytes, summary.shards))
+
+    /// The next batch of the stream.
+    fn next(&self) -> Batch {
+        self.full
+            .recv()
+            .unwrap_or_else(|_| panic!("the batch producer thread exited early"))
+    }
+
+    /// Hands a spent batch back to be refilled.
+    fn recycle(&self, batch: Batch) {
+        let _ = self.free.send(batch);
+    }
+
+    /// Stops the producer, frees its batches and waits for it to exit,
+    /// re-raising its panic if it had one.
+    fn stop(self) {
+        let Batches {
+            full,
+            free,
+            producer,
+        } = self;
+        drop((free, full));
+        if let Err(panic) = producer.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
+/// One request to the checkpoint writer thread, applied in order.
+enum Submit {
+    /// Opens the data file of the checkpoint at `step`.
+    Begin {
+        step: u64,
+        kind: CheckpointKind,
+        parent: Option<u64>,
+    },
+    /// Checksums and appends one encoded shard; the buffer comes back.
+    Shard { name: String, bytes: Vec<u8> },
+    /// Commits the open checkpoint, then collects garbage if `gc`.
+    Commit { gc: bool },
+    /// Answers with the first error so far, once everything before is done.
+    Drain,
+}
+
+/// The trainer's ends of the checkpoint writer thread's channels.
+///
+/// The trainer encodes each shard and streams it through a one-slot
+/// channel; the writer checksums, writes, commits and collects garbage in
+/// submission order, and hands each shard buffer back. [`SHARD_BUFFERS`]
+/// buffers circulate. The trainer may count on a checkpoint being in the
+/// store only after a barrier ([`WriteBehind::drain`] or
+/// [`WriteBehind::finish`]).
+struct WriteBehind<'s> {
+    store: &'s CheckpointStore,
+    submit: SyncSender<Submit>,
+    spent: Receiver<Vec<u8>>,
+    drained: Receiver<Result<(), TrainError>>,
+    buffers: usize,
+    writer: ScopedJoinHandle<'s, Result<(), TrainError>>,
+}
+
+impl<'s> WriteBehind<'s> {
+    /// Spawns the writer thread for `store`; retention keeps `keep_full`.
+    fn spawn(scope: &'s Scope<'s, '_>, store: &'s CheckpointStore, keep_full: usize) -> Self {
+        let (submit, submit_rx) = mpsc::sync_channel(1);
+        let (spent_tx, spent) = mpsc::sync_channel(SHARD_BUFFERS);
+        let (drained_tx, drained) = mpsc::sync_channel(1);
+        let writer = thread::Builder::new()
+            .name("recovery-ckpt".into())
+            .stack_size(WRITER_STACK)
+            .spawn_scoped(scope, move || {
+                write_behind(store, keep_full, submit_rx, spent_tx, drained_tx)
+            })
+            .unwrap_or_else(|e| panic!("cannot spawn the checkpoint writer thread: {e}"));
+        WriteBehind {
+            store,
+            submit,
+            spent,
+            drained,
+            buffers: 0,
+            writer,
+        }
+    }
+
+    fn send(&self, submit: Submit) {
+        if self.submit.send(submit).is_err() {
+            panic!("the checkpoint writer thread exited early");
+        }
+    }
+
+    /// A shard buffer: a new one until [`SHARD_BUFFERS`] exist, then the
+    /// next one the writer hands back.
+    fn buffer(&mut self) -> Vec<u8> {
+        if self.buffers < SHARD_BUFFERS {
+            self.buffers += 1;
+            return Vec::new();
+        }
+        self.spent
+            .recv()
+            .unwrap_or_else(|_| panic!("the checkpoint writer thread exited early"))
+    }
+
+    /// Encodes one checkpoint of `model` at `step`, hands its shards to the
+    /// writer and marks the tables clean. Each table shard is encoded
+    /// straight from the table's arena: the bytes of
+    /// `TableSnapshot::{full,dirty}(table).encode()`, with no snapshot
+    /// built. Returns the shard bytes and count the manifest will record.
+    fn checkpoint(
+        &mut self,
+        model: &mut CtrModel,
+        step: u64,
+        kind: CheckpointKind,
+        parent: Option<u64>,
+    ) -> Result<(u64, usize), TrainError> {
+        self.send(Submit::Begin { step, kind, parent });
+        let dense = model.dense_snapshot(self.buffer());
+        let mut bytes = dense.len() as u64;
+        let mut shards = 1;
+        self.send(Submit::Shard {
+            name: "dense".into(),
+            bytes: dense,
+        });
+        for group in model.table_groups() {
+            let table = model
+                .table(group)
+                .ok_or_else(|| unrec("checkpoint table shard", format!("no table {group}")))?;
+            let buf = self.buffer();
+            let payload = match kind {
+                CheckpointKind::Full => TableSnapshot::encode_full(table, buf),
+                CheckpointKind::Incremental => TableSnapshot::encode_dirty(table, buf),
+            };
+            bytes += payload.len() as u64;
+            shards += 1;
+            self.send(Submit::Shard {
+                name: format!("table{group}"),
+                bytes: payload,
+            });
+        }
+        self.send(Submit::Commit {
+            gc: kind == CheckpointKind::Full,
+        });
+        model.mark_tables_clean();
+        Ok((bytes, shards))
+    }
+
+    /// The barrier: waits until everything submitted so far is committed,
+    /// and returns the writer's first error.
+    fn drain(&self) -> Result<(), TrainError> {
+        self.send(Submit::Drain);
+        self.drained
+            .recv()
+            .unwrap_or_else(|_| panic!("the checkpoint writer thread exited early"))
+    }
+
+    /// The last barrier: closes the writer's queue, waits for the thread to
+    /// exit, and returns its first error (re-raising its panic).
+    fn finish(self) -> Result<(), TrainError> {
+        let WriteBehind { submit, writer, .. } = self;
+        drop(submit);
+        writer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// The newest valid restore chain, scanned after a barrier, so that
+    /// every checkpoint taken before the call can be found.
+    #[allow(clippy::type_complexity)]
+    fn latest_valid(&self) -> Result<Option<(Vec<ChainLink>, Vec<String>)>, TrainError> {
+        self.drain()?;
+        self.store
+            .latest_valid()
+            .map_err(|e| unrec("scan store", e))
+    }
+}
+
+/// The checkpoint writer thread: applies every submission in order. After
+/// the first error it applies nothing more, but still hands buffers back
+/// and answers drains, so the trainer never waits on it forever.
+fn write_behind(
+    store: &CheckpointStore,
+    keep_full: usize,
+    submits: Receiver<Submit>,
+    spent: SyncSender<Vec<u8>>,
+    drained: SyncSender<Result<(), TrainError>>,
+) -> Result<(), TrainError> {
+    let mut status = Ok(());
+    let mut open: Option<CheckpointWriter<'_>> = None;
+    for submit in submits {
+        match submit {
+            Submit::Drain => {
+                let _ = drained.send(status.clone());
+            }
+            Submit::Shard { name, bytes } => {
+                if let (Ok(()), Some(w)) = (&status, open.as_mut()) {
+                    let what = if name == "dense" {
+                        "checkpoint dense shard"
+                    } else {
+                        "checkpoint table shard"
+                    };
+                    status = w.add_shard(&name, &bytes).map_err(|e| unrec(what, e));
+                }
+                let _ = spent.send(bytes);
+            }
+            _ if status.is_err() => {}
+            Submit::Begin { step, kind, parent } => match store.begin(step, kind, parent) {
+                Ok(w) => open = Some(w),
+                Err(e) => status = Err(unrec("checkpoint begin", e)),
+            },
+            Submit::Commit { gc } => {
+                if let Some(w) = open.take() {
+                    status = w
+                        .commit()
+                        .map(drop)
+                        .map_err(|e| unrec("checkpoint commit", e));
+                    if gc && status.is_ok() {
+                        status = store.gc(keep_full).map(drop).map_err(|e| unrec("gc", e));
+                    }
+                }
+            }
+        }
+    }
+    status
 }
 
 /// Restores `model` from a validated restore `chain` (base first): the
@@ -514,10 +775,23 @@ fn restore_model(model: &mut CtrModel, chain: &[ChainLink]) -> Result<u64, Train
 /// training from scratch (iteration 0) with the identical seeded init, so
 /// the run still finishes — it just loses all progress.
 ///
+/// The run is a three-stage pipeline inside one thread scope: a producer
+/// thread draws the batches, the calling thread trains and encodes each
+/// checkpoint, and a writer thread writes it behind training. Outputs do
+/// not depend on how the threads interleave: the caller drains the writer
+/// before every store scan, before returning, and before returning an
+/// error, so an error writing a checkpoint wins over any error met after
+/// it.
+///
 /// Errors with [`TrainError::Unrecoverable`] when the checkpoint store is
 /// unusable or a NIC outage outlasts the bounded retry budget, and before
 /// the first step when the batch size is zero or a straggler event targets
 /// a worker outside the detector panel.
+///
+/// # Panics
+///
+/// Panics if the operating system cannot spawn the producer or writer
+/// thread.
 pub fn run_recovery(
     data: &Arc<DatasetSpec>,
     store: Option<&CheckpointStore>,
@@ -528,11 +802,10 @@ pub fn run_recovery(
             "batch size 0: a training step needs at least one instance".into(),
         ));
     }
-    let plan = &opts.fault_plan;
     // The detector panel compares every synchronous worker; a straggler
     // event must target one of them.
     let panel = opts.workers.max(2);
-    for e in &plan.events {
+    for e in &opts.fault_plan.events {
         if let FaultKind::Straggler {
             worker,
             factor_pct,
@@ -548,11 +821,30 @@ pub fn run_recovery(
             }
         }
     }
+    thread::scope(|scope| {
+        let mut ckpt = store.map(|store| WriteBehind::spawn(scope, store, opts.keep_full));
+        let run = train(scope, data, opts, panel, ckpt.as_mut());
+        // The last barrier: every checkpoint is committed before the run
+        // returns, and a write error wins over the trainer's later one.
+        let written = ckpt.map_or(Ok(()), WriteBehind::finish);
+        written.and(run)
+    })
+}
+
+/// The trainer stage of [`run_recovery`], on the calling thread.
+fn train<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    data: &Arc<DatasetSpec>,
+    opts: &RecoveryOptions,
+    panel: usize,
+    mut ckpt: Option<&mut WriteBehind<'_>>,
+) -> Result<RecoveryRun, TrainError> {
+    let plan = &opts.fault_plan;
     let full_every = opts.full_every.max(1);
     let mut fired = vec![false; plan.events.len()];
 
+    let mut batches = Batches::spawn(scope, data, opts, 0);
     let mut model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
-    let mut gen = BatchGenerator::new(Arc::clone(data), opts.seed);
     let mut step: u64 = 0;
     let mut t = 0.0f64;
     let mut last_loss = f64::NAN;
@@ -641,27 +933,23 @@ pub fn run_recovery(
             // checksummed post-mortem before the restore rewinds anything.
             flight.fault("crash", crashed_at, ns(t));
             post_mortems.push(flight.post_mortem());
+            batches.stop();
             let mut restored_step = 0u64;
             let mut restored_bytes = 0u64;
             let mut from_scratch = true;
-            if let Some(store) = store {
-                match store.latest_valid().map_err(|e| unrec("scan store", e))? {
-                    Some((chain, rejected)) => {
-                        rejected_manifests.extend(rejected);
-                        restored_step = chain.last().map_or(0, |link| link.manifest().step);
-                        model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
-                        restored_bytes = restore_model(&mut model, &chain)?;
-                        from_scratch = false;
-                    }
-                    None => model = CtrModel::new(data, opts.variant, opts.lr, opts.seed),
+            model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
+            if let Some(ckpt) = ckpt.as_deref() {
+                if let Some((chain, rejected)) = ckpt.latest_valid()? {
+                    rejected_manifests.extend(rejected);
+                    restored_step = chain.last().map_or(0, |link| link.manifest().step);
+                    restored_bytes = restore_model(&mut model, &chain)?;
+                    from_scratch = false;
                 }
-            } else {
-                model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
             }
             ttr += restored_bytes as f64 / RESTORE_BPS + RESTORE_LATENCY_S;
-            // Rewind the deterministic batch cursor to the restored step.
-            gen = BatchGenerator::new(Arc::clone(data), opts.seed);
-            gen.skip_batches(restored_step as usize, opts.batch_size);
+            // Rewind the deterministic batch cursor: a new producer draws
+            // the stream from the restored step on.
+            batches = Batches::spawn(scope, data, opts, restored_step);
             step = restored_step;
             t += ttr;
             // The rewind replays iterations whose collective latencies the
@@ -684,8 +972,9 @@ pub fn run_recovery(
         // The real training step (synchronous semantics).
         let step_start = t;
         flight.span_open("iteration", step, ns(step_start));
-        let batch = gen.next_batch(opts.batch_size);
+        let batch = batches.next();
         let (stats, grads) = model.step(&batch, data);
+        batches.recycle(batch);
         model.apply(&grads);
         last_loss = stats.loss;
 
@@ -760,7 +1049,7 @@ pub fn run_recovery(
 
         // Checkpoint cadence. The kind is derived purely from the step so
         // a post-restore re-write classifies identically to the first run.
-        if let Some(store) = store {
+        if let Some(ckpt) = ckpt.as_deref_mut() {
             if opts.ckpt_every > 0 && step.is_multiple_of(opts.ckpt_every) {
                 let ordinal = step / opts.ckpt_every;
                 let kind = if (ordinal - 1).is_multiple_of(full_every) {
@@ -772,7 +1061,7 @@ pub fn run_recovery(
                     CheckpointKind::Full => None,
                     CheckpointKind::Incremental => Some(step - opts.ckpt_every),
                 };
-                let (bytes, shards) = write_checkpoint(store, &mut model, step, kind, parent)?;
+                let (bytes, shards) = ckpt.checkpoint(&mut model, step, kind, parent)?;
                 let duration_s = bytes as f64 / CKPT_WRITE_BPS;
                 checkpoints.push(CkptRecord {
                     step,
@@ -784,13 +1073,11 @@ pub fn run_recovery(
                 });
                 flight.recovery("checkpoint", step, ns(t), duration_s);
                 t += duration_s;
-                if kind == CheckpointKind::Full {
-                    store.gc(opts.keep_full).map_err(|e| unrec("gc", e))?;
-                }
             }
         }
     }
 
+    batches.stop();
     Ok(RecoveryRun {
         iterations: opts.iterations,
         final_digest: model.state_digest(),
@@ -867,7 +1154,7 @@ mod tests {
         let model = CtrModel::new(&data, o.variant, o.lr, o.seed);
         let store = temp_store("wrongdim");
         let mut w = store.begin(4, CheckpointKind::Full, None).expect("begin");
-        w.add_shard("dense", &model.dense_snapshot())
+        w.add_shard("dense", &model.dense_snapshot(Vec::new()))
             .expect("dense");
         for group in model.table_groups() {
             let mut narrow = picasso_embedding::EmbeddingTable::new(4, group as u64);
@@ -1115,6 +1402,64 @@ mod tests {
             "gc leaves the unreadable manifest on disk"
         );
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_directory_in_the_store_neither_stops_gc_nor_moves_the_run() {
+        let data = auc_datasets::criteo_like();
+        let baseline = run_recovery(&data, None, &opts(0, "seed=1")).expect("baseline");
+        let store = temp_store("archive");
+        let archive = store.dir().join("ckpt-archive");
+        std::fs::create_dir(&archive).expect("create archive dir");
+        std::fs::write(archive.join("old.bin"), b"kept").expect("write into archive");
+        let faulty =
+            run_recovery(&data, Some(&store), &opts(2, "seed=1;crash@7")).expect("faulty run");
+        assert_eq!(faulty.recoveries[0].restored_step, 6);
+        assert_eq!(faulty.final_digest, baseline.final_digest);
+        assert!(archive.join("old.bin").exists(), "gc leaves the directory");
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Runs `o` against a store whose first checkpoint (step 4) cannot
+    /// begin, because a directory squats on its temporary data file. The
+    /// run goes on a thread of its own, so that a run which never returns
+    /// fails the test instead of hanging it.
+    fn run_with_unwritable_step_4(tag: &str, o: &RecoveryOptions) -> TrainError {
+        let store = temp_store(tag);
+        std::fs::create_dir(store.dir().join("ckpt-00000004.bin.tmp")).expect("squat");
+        let dir = store.dir().to_path_buf();
+        let o = o.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let data = auc_datasets::criteo_like();
+            let _ = tx.send(run_recovery(&data, Some(&store), &o));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the run returns");
+        runner.join().expect("the run does not panic");
+        let _ = std::fs::remove_dir_all(dir);
+        result.expect_err("step 4 cannot be written")
+    }
+
+    #[test]
+    fn an_unwritable_checkpoint_wins_over_what_the_run_meets_later() {
+        let mut outage = opts(4, "seed=5;nic@5:p0:i40");
+        outage.max_retries = 2;
+        let plans = [
+            ("begin-clean", opts(4, "seed=5")),
+            ("begin-crash", opts(4, "seed=5;crash@6")),
+            ("begin-outage", outage),
+        ];
+        for (tag, o) in plans {
+            match run_with_unwritable_step_4(tag, &o) {
+                TrainError::Unrecoverable(msg) => {
+                    assert!(msg.starts_with("checkpoint begin: "), "{tag}: {msg}");
+                    assert!(msg.contains("ckpt-00000004.bin.tmp"), "{tag}: {msg}");
+                }
+                other => panic!("{tag}: expected Unrecoverable, got {other:?}"),
+            }
+        }
     }
 
     #[test]
