@@ -58,12 +58,11 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// An empty encoder that writes into `buf`'s allocation (its contents
-    /// are dropped), grown up front to hold `bytes`.
-    pub fn reusing(mut buf: Vec<u8>, bytes: usize) -> Encoder {
-        buf.clear();
-        buf.reserve(bytes);
-        Encoder { buf }
+    /// An empty encoder whose buffer holds `bytes` before it grows.
+    pub fn with_capacity(bytes: usize) -> Encoder {
+        Encoder {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Writes a `u64`.

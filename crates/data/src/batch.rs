@@ -118,6 +118,38 @@ impl BatchGenerator {
         self.working_vocab[field]
     }
 
+    /// An empty batch whose buffers already hold a batch of `size`
+    /// instances, so that [`BatchGenerator::next_batch_into`] fills it
+    /// without growing them (unless a multi-hot field draws more IDs than
+    /// its average plus one per instance).
+    pub fn empty_batch(&self, size: usize) -> Batch {
+        let mut batch = Batch::default();
+        self.clear_for(size, &mut batch);
+        batch
+    }
+
+    /// Empties `batch` and sizes its buffers for `size` instances: one
+    /// [`FieldBatch`] per field, numbered, with room for its IDs and
+    /// offsets, and room for the dense features and labels.
+    fn clear_for(&self, size: usize, batch: &mut Batch) {
+        let fields = &self.spec.fields;
+        batch.size = size;
+        batch.fields.truncate(fields.len());
+        batch.fields.resize_with(fields.len(), FieldBatch::default);
+        for (fi, (fspec, fb)) in fields.iter().zip(&mut batch.fields).enumerate() {
+            fb.field = fi;
+            fb.ids.clear();
+            fb.ids
+                .reserve((size as f64 * fspec.avg_ids) as usize + size);
+            fb.offsets.clear();
+            fb.offsets.reserve(size + 1);
+        }
+        batch.dense.clear();
+        batch.dense.reserve(size * self.spec.numeric);
+        batch.labels.clear();
+        batch.labels.reserve(size);
+    }
+
     /// Generates the next batch of `size` instances.
     pub fn next_batch(&mut self, size: usize) -> Batch {
         let mut batch = Batch::default();
@@ -133,31 +165,20 @@ impl BatchGenerator {
     /// If `size == 0`.
     pub fn next_batch_into(&mut self, size: usize, batch: &mut Batch) {
         assert!(size > 0, "batch size must be positive");
-        let spec = Arc::clone(&self.spec);
-        batch.size = size;
-        batch.fields.truncate(spec.fields.len());
-        batch
-            .fields
-            .resize_with(spec.fields.len(), FieldBatch::default);
-        for (fi, (fspec, fb)) in spec.fields.iter().zip(&mut batch.fields).enumerate() {
-            fb.field = fi;
-            fb.ids.clear();
-            fb.ids
-                .reserve((size as f64 * fspec.avg_ids) as usize + size);
-            fb.offsets.clear();
-            fb.offsets.reserve(size + 1);
+        self.clear_for(size, batch);
+        for (fi, fb) in batch.fields.iter_mut().enumerate() {
             fb.offsets.push(0u32);
             self.draw_field(fi, size, &mut fb.ids, Some(&mut fb.offsets));
         }
-        batch.dense.clear();
+        let numeric = self.spec.numeric;
         let rng = &mut self.rng;
         batch
             .dense
-            .extend((0..size * spec.numeric).map(|_| rng.gen_range(-1.0f32..1.0)));
+            .extend((0..size * numeric).map(|_| rng.gen_range(-1.0f32..1.0)));
         self.click.label_batch(
             &batch.fields,
             &batch.dense,
-            spec.numeric,
+            numeric,
             size,
             &mut self.rng,
             &mut batch.labels,

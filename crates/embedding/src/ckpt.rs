@@ -91,26 +91,24 @@ impl TableSnapshot {
     }
 
     /// The bytes of `TableSnapshot::full(table).encode()`, written straight
-    /// from the table's arena into `buf`'s allocation (its contents are
-    /// dropped).
-    pub fn encode_full(table: &EmbeddingTable, buf: Vec<u8>) -> Vec<u8> {
-        Self::encode_rows(table, false, buf)
+    /// from the table's arena.
+    pub fn encode_full(table: &EmbeddingTable) -> Vec<u8> {
+        Self::encode_rows(table, false)
     }
 
     /// The bytes of `TableSnapshot::dirty(table).encode()`, written straight
-    /// from the table's arena into `buf`'s allocation (its contents are
-    /// dropped).
-    pub fn encode_dirty(table: &EmbeddingTable, buf: Vec<u8>) -> Vec<u8> {
-        Self::encode_rows(table, true, buf)
+    /// from the table's arena.
+    pub fn encode_dirty(table: &EmbeddingTable) -> Vec<u8> {
+        Self::encode_rows(table, true)
     }
 
     /// [`TableSnapshot::encode`]'s layout over the table's rows (dirty ones
     /// only when `dirty_only`), ascending by ID, read from the arena by slot
-    /// into `buf`, sized up front.
-    fn encode_rows(table: &EmbeddingTable, dirty_only: bool, buf: Vec<u8>) -> Vec<u8> {
+    /// into one buffer sized up front.
+    fn encode_rows(table: &EmbeddingTable, dirty_only: bool) -> Vec<u8> {
         let rows = table.sorted_rows(dirty_only);
         let dim = table.dim();
-        let mut e = Encoder::reusing(buf, 4 + 8 + rows.len() * (8 + 8 + 4 * dim));
+        let mut e = Encoder::with_capacity(4 + 8 + rows.len() * (8 + 8 + 4 * dim));
         e.u32(dim as u32);
         e.u64(rows.len() as u64);
         let arena = table.arena();
@@ -184,7 +182,7 @@ mod tests {
         let snap = TableSnapshot::full(&t);
         let back = TableSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(TableSnapshot::encode_full(&t, Vec::new()), snap.encode());
+        assert_eq!(TableSnapshot::encode_full(&t), snap.encode());
         let mut restored = EmbeddingTable::new(4, 9);
         back.restore_full(&mut restored).unwrap();
         assert!(table_eq(&t, &restored));
@@ -206,7 +204,7 @@ mod tests {
             [2, 3]
         );
         assert!(delta.len() < TableSnapshot::full(&t).len());
-        assert_eq!(TableSnapshot::encode_dirty(&t, Vec::new()), delta.encode());
+        assert_eq!(TableSnapshot::encode_dirty(&t), delta.encode());
     }
 
     #[test]

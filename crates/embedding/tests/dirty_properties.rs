@@ -155,9 +155,9 @@ proptest! {
                 }
                 Op::Stash { dirty_only } => {
                     let bytes = if *dirty_only {
-                        TableSnapshot::encode_dirty(&table, Vec::new())
+                        TableSnapshot::encode_dirty(&table)
                     } else {
-                        TableSnapshot::encode_full(&table, Vec::new())
+                        TableSnapshot::encode_full(&table)
                     };
                     stash = TableSnapshot::decode(&bytes).expect("arena-direct bytes decode");
                 }
@@ -190,10 +190,9 @@ proptest! {
                 table.rows_by_id().map(|(id, _)| id).collect::<Vec<u64>>(),
                 present.iter().copied().collect::<Vec<u64>>()
             );
-            let full = TableSnapshot::encode_full(&table, Vec::new());
+            let full = TableSnapshot::encode_full(&table);
             check_shard(&table, &full, &TableSnapshot::full(&table), &present);
-            // A reused buffer's old bytes are dropped, not appended to.
-            let delta = TableSnapshot::encode_dirty(&table, full);
+            let delta = TableSnapshot::encode_dirty(&table);
             check_shard(&table, &delta, &TableSnapshot::dirty(&table), &dirty);
         }
     }

@@ -26,10 +26,11 @@
 //!
 //! The run is pipelined over three threads: a producer draws batches ahead
 //! of the trainer, and a writer checksums and writes each checkpoint the
-//! trainer encodes while training goes on. Neither feeds anything back but
-//! spent buffers, and the trainer waits for the writer (a drain) before it
-//! scans the store and before it returns, so the outputs are those of one
-//! thread doing everything in order.
+//! trainer encodes while training goes on. Nothing flows back to the
+//! trainer but drawn batches and the writer's first error, and the trainer
+//! waits for the writer (a drain) before it scans the store and before it
+//! returns, so the outputs are those of one thread doing everything in
+//! order.
 
 use crate::trainer::TrainError;
 use picasso_ckpt::{ChainLink, CheckpointKind, CheckpointStore, CheckpointWriter};
@@ -66,9 +67,6 @@ const BACKOFF_BASE_S: f64 = 0.05;
 /// Batches circulating between the producer thread and the trainer: one
 /// trained on while the next is drawn.
 const BATCHES: usize = 2;
-/// Shard buffers circulating between the trainer and the writer thread:
-/// one being encoded while the other is written.
-const SHARD_BUFFERS: usize = 2;
 /// Stack of the batch producer thread.
 const PRODUCER_STACK: usize = 64 * 1024;
 /// Stack of the checkpoint writer thread: file I/O and manifest rendering.
@@ -480,14 +478,15 @@ impl<'scope> Batches<'scope> {
     ) -> Batches<'scope> {
         let (full_tx, full) = mpsc::sync_channel(BATCHES);
         let (free, free_rx) = mpsc::sync_channel(BATCHES);
-        for _ in 0..BATCHES {
-            let _ = free.send(Batch::default());
-        }
-        // Built here rather than on the producer, so that its sampler tables
-        // come from the trainer's heap, not from a heap of the producer's
-        // own that would stay resident after the thread exits.
+        // The generator and the batches are built here rather than on the
+        // producer, so that their memory comes from the trainer's heap, not
+        // from a heap of the producer's own that would stay resident after
+        // the thread exits.
         let mut gen = BatchGenerator::new(Arc::clone(data), opts.seed);
         let size = opts.batch_size;
+        for _ in 0..BATCHES {
+            let _ = free.send(gen.empty_batch(size));
+        }
         let producer = thread::Builder::new()
             .name("recovery-batches".into())
             .stack_size(PRODUCER_STACK)
@@ -543,7 +542,7 @@ enum Submit {
         kind: CheckpointKind,
         parent: Option<u64>,
     },
-    /// Checksums and appends one encoded shard; the buffer comes back.
+    /// Checksums and appends one encoded shard.
     Shard { name: String, bytes: Vec<u8> },
     /// Commits the open checkpoint, then collects garbage if `gc`.
     Commit { gc: bool },
@@ -555,16 +554,13 @@ enum Submit {
 ///
 /// The trainer encodes each shard and streams it through a one-slot
 /// channel; the writer checksums, writes, commits and collects garbage in
-/// submission order, and hands each shard buffer back. [`SHARD_BUFFERS`]
-/// buffers circulate. The trainer may count on a checkpoint being in the
-/// store only after a barrier ([`WriteBehind::drain`] or
-/// [`WriteBehind::finish`]).
+/// submission order, and frees each shard once it is written. The trainer
+/// may count on a checkpoint being in the store only after a barrier
+/// ([`WriteBehind::drain`] or [`WriteBehind::finish`]).
 struct WriteBehind<'s> {
     store: &'s CheckpointStore,
     submit: SyncSender<Submit>,
-    spent: Receiver<Vec<u8>>,
     drained: Receiver<Result<(), TrainError>>,
-    buffers: usize,
     writer: ScopedJoinHandle<'s, Result<(), TrainError>>,
 }
 
@@ -572,21 +568,18 @@ impl<'s> WriteBehind<'s> {
     /// Spawns the writer thread for `store`; retention keeps `keep_full`.
     fn spawn(scope: &'s Scope<'s, '_>, store: &'s CheckpointStore, keep_full: usize) -> Self {
         let (submit, submit_rx) = mpsc::sync_channel(1);
-        let (spent_tx, spent) = mpsc::sync_channel(SHARD_BUFFERS);
         let (drained_tx, drained) = mpsc::sync_channel(1);
         let writer = thread::Builder::new()
             .name("recovery-ckpt".into())
             .stack_size(WRITER_STACK)
             .spawn_scoped(scope, move || {
-                write_behind(store, keep_full, submit_rx, spent_tx, drained_tx)
+                write_behind(store, keep_full, submit_rx, drained_tx)
             })
             .unwrap_or_else(|e| panic!("cannot spawn the checkpoint writer thread: {e}"));
         WriteBehind {
             store,
             submit,
-            spent,
             drained,
-            buffers: 0,
             writer,
         }
     }
@@ -597,32 +590,20 @@ impl<'s> WriteBehind<'s> {
         }
     }
 
-    /// A shard buffer: a new one until [`SHARD_BUFFERS`] exist, then the
-    /// next one the writer hands back.
-    fn buffer(&mut self) -> Vec<u8> {
-        if self.buffers < SHARD_BUFFERS {
-            self.buffers += 1;
-            return Vec::new();
-        }
-        self.spent
-            .recv()
-            .unwrap_or_else(|_| panic!("the checkpoint writer thread exited early"))
-    }
-
     /// Encodes one checkpoint of `model` at `step`, hands its shards to the
     /// writer and marks the tables clean. Each table shard is encoded
     /// straight from the table's arena: the bytes of
     /// `TableSnapshot::{full,dirty}(table).encode()`, with no snapshot
     /// built. Returns the shard bytes and count the manifest will record.
     fn checkpoint(
-        &mut self,
+        &self,
         model: &mut CtrModel,
         step: u64,
         kind: CheckpointKind,
         parent: Option<u64>,
     ) -> Result<(u64, usize), TrainError> {
         self.send(Submit::Begin { step, kind, parent });
-        let dense = model.dense_snapshot(self.buffer());
+        let dense = model.dense_snapshot();
         let mut bytes = dense.len() as u64;
         let mut shards = 1;
         self.send(Submit::Shard {
@@ -633,10 +614,9 @@ impl<'s> WriteBehind<'s> {
             let table = model
                 .table(group)
                 .ok_or_else(|| unrec("checkpoint table shard", format!("no table {group}")))?;
-            let buf = self.buffer();
             let payload = match kind {
-                CheckpointKind::Full => TableSnapshot::encode_full(table, buf),
-                CheckpointKind::Incremental => TableSnapshot::encode_dirty(table, buf),
+                CheckpointKind::Full => TableSnapshot::encode_full(table),
+                CheckpointKind::Incremental => TableSnapshot::encode_dirty(table),
             };
             bytes += payload.len() as u64;
             shards += 1;
@@ -683,13 +663,12 @@ impl<'s> WriteBehind<'s> {
 }
 
 /// The checkpoint writer thread: applies every submission in order. After
-/// the first error it applies nothing more, but still hands buffers back
-/// and answers drains, so the trainer never waits on it forever.
+/// the first error it applies nothing more, but still answers drains, so
+/// the trainer never waits on it forever.
 fn write_behind(
     store: &CheckpointStore,
     keep_full: usize,
     submits: Receiver<Submit>,
-    spent: SyncSender<Vec<u8>>,
     drained: SyncSender<Result<(), TrainError>>,
 ) -> Result<(), TrainError> {
     let mut status = Ok(());
@@ -699,8 +678,13 @@ fn write_behind(
             Submit::Drain => {
                 let _ = drained.send(status.clone());
             }
+            _ if status.is_err() => {}
+            Submit::Begin { step, kind, parent } => match store.begin(step, kind, parent) {
+                Ok(w) => open = Some(w),
+                Err(e) => status = Err(unrec("checkpoint begin", e)),
+            },
             Submit::Shard { name, bytes } => {
-                if let (Ok(()), Some(w)) = (&status, open.as_mut()) {
+                if let Some(w) = open.as_mut() {
                     let what = if name == "dense" {
                         "checkpoint dense shard"
                     } else {
@@ -708,13 +692,7 @@ fn write_behind(
                     };
                     status = w.add_shard(&name, &bytes).map_err(|e| unrec(what, e));
                 }
-                let _ = spent.send(bytes);
             }
-            _ if status.is_err() => {}
-            Submit::Begin { step, kind, parent } => match store.begin(step, kind, parent) {
-                Ok(w) => open = Some(w),
-                Err(e) => status = Err(unrec("checkpoint begin", e)),
-            },
             Submit::Commit { gc } => {
                 if let Some(w) = open.take() {
                     status = w
@@ -822,8 +800,8 @@ pub fn run_recovery(
         }
     }
     thread::scope(|scope| {
-        let mut ckpt = store.map(|store| WriteBehind::spawn(scope, store, opts.keep_full));
-        let run = train(scope, data, opts, panel, ckpt.as_mut());
+        let ckpt = store.map(|store| WriteBehind::spawn(scope, store, opts.keep_full));
+        let run = train(scope, data, opts, panel, ckpt.as_ref());
         // The last barrier: every checkpoint is committed before the run
         // returns, and a write error wins over the trainer's later one.
         let written = ckpt.map_or(Ok(()), WriteBehind::finish);
@@ -837,7 +815,7 @@ fn train<'scope>(
     data: &Arc<DatasetSpec>,
     opts: &RecoveryOptions,
     panel: usize,
-    mut ckpt: Option<&mut WriteBehind<'_>>,
+    ckpt: Option<&WriteBehind<'_>>,
 ) -> Result<RecoveryRun, TrainError> {
     let plan = &opts.fault_plan;
     let full_every = opts.full_every.max(1);
@@ -938,7 +916,7 @@ fn train<'scope>(
             let mut restored_bytes = 0u64;
             let mut from_scratch = true;
             model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
-            if let Some(ckpt) = ckpt.as_deref() {
+            if let Some(ckpt) = ckpt {
                 if let Some((chain, rejected)) = ckpt.latest_valid()? {
                     rejected_manifests.extend(rejected);
                     restored_step = chain.last().map_or(0, |link| link.manifest().step);
@@ -1049,7 +1027,7 @@ fn train<'scope>(
 
         // Checkpoint cadence. The kind is derived purely from the step so
         // a post-restore re-write classifies identically to the first run.
-        if let Some(ckpt) = ckpt.as_deref_mut() {
+        if let Some(ckpt) = ckpt {
             if opts.ckpt_every > 0 && step.is_multiple_of(opts.ckpt_every) {
                 let ordinal = step / opts.ckpt_every;
                 let kind = if (ordinal - 1).is_multiple_of(full_every) {
@@ -1154,7 +1132,7 @@ mod tests {
         let model = CtrModel::new(&data, o.variant, o.lr, o.seed);
         let store = temp_store("wrongdim");
         let mut w = store.begin(4, CheckpointKind::Full, None).expect("begin");
-        w.add_shard("dense", &model.dense_snapshot(Vec::new()))
+        w.add_shard("dense", &model.dense_snapshot())
             .expect("dense");
         for group in model.table_groups() {
             let mut narrow = picasso_embedding::EmbeddingTable::new(4, group as u64);

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-// The driver's simulated-clock constants.
+// `run_recovery`'s simulated-clock constants.
 const STEP_S: f64 = 0.05;
 const COLLECTIVE_S: f64 = 0.01;
 const CKPT_WRITE_BPS: f64 = 2e9;
@@ -129,13 +129,13 @@ fn serial_run(data: &Arc<DatasetSpec>, store: &CheckpointStore, o: &RecoveryOpti
                 (CheckpointKind::Incremental, Some(step - o.ckpt_every))
             };
             let mut w = store.begin(step, kind, parent).expect("begin");
-            w.add_shard("dense", &model.dense_snapshot(Vec::new()))
+            w.add_shard("dense", &model.dense_snapshot())
                 .expect("dense shard");
             for group in model.table_groups() {
                 let table = model.table(group).expect("table");
                 let bytes = match kind {
-                    CheckpointKind::Full => TableSnapshot::encode_full(table, Vec::new()),
-                    CheckpointKind::Incremental => TableSnapshot::encode_dirty(table, Vec::new()),
+                    CheckpointKind::Full => TableSnapshot::encode_full(table),
+                    CheckpointKind::Incremental => TableSnapshot::encode_dirty(table),
                 };
                 w.add_shard(&format!("table{group}"), &bytes)
                     .expect("table shard");

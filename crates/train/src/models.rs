@@ -451,10 +451,9 @@ fn decode_bias(d: &mut Decoder<'_>, want: usize) -> Result<Vec<f32>, CodecError>
 /// biases, Adagrad accumulators) serialize to one shard; embedding tables
 /// are exposed so the recovery driver can shard them individually.
 impl CtrModel {
-    /// Serializes every dense parameter and optimizer accumulator into
-    /// `buf`'s allocation (its contents are dropped).
-    pub fn dense_snapshot(&self, buf: Vec<u8>) -> Vec<u8> {
-        let mut e = Encoder::reusing(buf, 0);
+    /// Serializes every dense parameter and optimizer accumulator.
+    pub fn dense_snapshot(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
         self.write_dense(&mut e);
         e.finish()
     }
@@ -650,7 +649,7 @@ mod tests {
             let (_, g) = model.step(&b, &data);
             model.apply(&g);
         }
-        let snap = model.dense_snapshot(Vec::new());
+        let snap = model.dense_snapshot();
         let digest = model.state_digest();
 
         let mut other = CtrModel::new(&data, Variant::Deep, 0.1, 9);
@@ -662,7 +661,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(other.state_digest(), digest, "restore reproduces every bit");
-        assert_eq!(other.dense_snapshot(Vec::new()), snap);
+        assert_eq!(other.dense_snapshot(), snap);
 
         // Truncated payloads are rejected, leaving the model untouched.
         assert!(other.restore_dense(&snap[..snap.len() - 1]).is_err());
@@ -674,9 +673,7 @@ mod tests {
         let model = CtrModel::new(&data, Variant::Deep, 0.1, 1);
         // DotDeep has a wider input layer: its shard must not load.
         let mut other = CtrModel::new(&data, Variant::DotDeep, 0.1, 1);
-        assert!(other
-            .restore_dense(&model.dense_snapshot(Vec::new()))
-            .is_err());
+        assert!(other.restore_dense(&model.dense_snapshot()).is_err());
     }
 
     #[test]

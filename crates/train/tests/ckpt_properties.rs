@@ -35,17 +35,17 @@ proptest! {
             model.apply(&grads);
         }
 
-        let bytes = model.dense_snapshot(Vec::new());
+        let bytes = model.dense_snapshot();
         // A differently-seeded model of the same shape adopts the state
         // wholesale: re-encoding reproduces the exact payload.
         let mut fresh = CtrModel::new(&data, variant, 0.05, seed ^ 0x00dd);
         fresh.restore_dense(&bytes).unwrap();
-        prop_assert_eq!(fresh.dense_snapshot(Vec::new()), bytes.clone());
+        prop_assert_eq!(fresh.dense_snapshot(), bytes.clone());
 
         // Truncation anywhere is rejected, and a failed restore must not
         // have clobbered the previously adopted state (all-or-nothing).
         let cut = bytes.len() / 2;
         prop_assert!(fresh.restore_dense(&bytes[..cut]).is_err());
-        prop_assert_eq!(fresh.dense_snapshot(Vec::new()), bytes);
+        prop_assert_eq!(fresh.dense_snapshot(), bytes);
     }
 }

@@ -108,7 +108,7 @@ impl Reference {
                 rows: HashMap::new(),
             })
             .collect();
-        let snap = model.dense_snapshot(Vec::new());
+        let snap = model.dense_snapshot();
         let mut d = Decoder::new(&snap);
         let layers: Vec<(Matrix, Vec<f32>)> = (0..4).map(|_| decode_layer(&mut d)).collect();
         d.finish().unwrap();
@@ -389,7 +389,7 @@ proptest! {
             model.apply(&grads);
             reference.apply(&want);
         }
-        prop_assert_eq!(model.dense_snapshot(Vec::new()), reference.dense_snapshot());
+        prop_assert_eq!(model.dense_snapshot(), reference.dense_snapshot());
         for t in &reference.tables {
             let table = model.table(t.group).unwrap();
             prop_assert_eq!(
