@@ -13,7 +13,7 @@
 use crate::snapshot::{BenchSnapshot, Direction, GATES, SERVE_GATES};
 use picasso_core::graph::{Diagnostic, Severity, Span};
 use picasso_core::obs::history::{
-    cusum_change_point, keys, series, ChangePoint, CusumConfig, HistoryStore, RunRecord, Shift,
+    cusum_change_point, keys, series, ChangePoint, HistoryStore, RunRecord, Shift,
 };
 use picasso_core::obs::json::Json;
 use picasso_core::obs::report::RUN_REPORT_KIND;
@@ -139,7 +139,7 @@ pub fn trend_report(records: &[RunRecord]) -> Vec<TrendFinding> {
             continue;
         }
         let values: Vec<f64> = s.iter().map(|&(_, v)| v).collect();
-        let Some(change) = cusum_change_point(&values, &CusumConfig::default()) else {
+        let Some(change) = cusum_change_point(&values) else {
             continue;
         };
         let bad = match gate.direction {

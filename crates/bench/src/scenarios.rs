@@ -118,7 +118,6 @@ pub fn recovery_scenarios() -> Vec<RecoveryScenario> {
             full_every: 2,
             keep_full: 2,
             fault_plan,
-            ..RecoveryOptions::default()
         },
     }]
 }

@@ -33,6 +33,6 @@ pub mod table;
 
 pub use ckpt::TableSnapshot;
 pub use cost::{calc_vparam, shard_count, TableLoad};
-pub use planner::{Pack, PackPlan, PlannerConfig};
+pub use planner::{Pack, PackPlan};
 pub use policy::{CacheMetrics, CacheStats, HotSetPolicy, HybridHashConfig, LookupReport};
 pub use table::{EmbeddingTable, RowArena};

@@ -25,21 +25,9 @@ pub struct Pack {
     pub vparam: f64,
 }
 
-/// Planner configuration.
-#[derive(Debug, Clone)]
-pub struct PlannerConfig {
-    /// Upper bound on tables per pack, limiting concurrent hashmap queries
-    /// into one packed operation (§III-B's throughput concern).
-    pub max_tables_per_pack: usize,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            max_tables_per_pack: 16,
-        }
-    }
-}
+/// Upper bound on tables per pack, limiting concurrent hashmap queries
+/// into one packed operation (§III-B's throughput concern).
+const MAX_TABLES_PER_PACK: usize = 16;
 
 /// The result of planning: the packed operations, in deterministic order
 /// (ascending dim, then shard index).
@@ -70,7 +58,7 @@ impl PackPlan {
     /// ID mass proportional to its `avg_ids` (exact for the synthetic
     /// generators); with statistics, callers can re-plan via
     /// [`PackPlan::with_loads`].
-    pub fn plan(spec: &DatasetSpec, cfg: &PlannerConfig) -> PackPlan {
+    pub fn plan(spec: &DatasetSpec) -> PackPlan {
         // Estimated per-table frequency mass: share of all categorical IDs.
         let total_ids: f64 = spec.fields.iter().map(|f| f.avg_ids).sum();
         let mut table_mass: BTreeMap<usize, f64> = BTreeMap::new();
@@ -91,21 +79,18 @@ impl PackPlan {
                 )
             })
             .collect();
-        PackPlan::with_loads(spec, cfg, &loads, 1_000_000)
+        PackPlan::with_loads(spec, &loads, 1_000_000)
     }
 
     /// Plans packs using measured per-table loads (from warm-up iterations).
     ///
     /// # Panics
-    /// If `cfg.max_tables_per_pack` is 0, or if `loads` lacks the table of
-    /// one of `spec`'s fields.
+    /// If `loads` lacks the table of one of `spec`'s fields.
     pub fn with_loads(
         spec: &DatasetSpec,
-        cfg: &PlannerConfig,
         loads: &BTreeMap<usize, TableLoad>,
         total_ids: u64,
     ) -> PackPlan {
-        assert!(cfg.max_tables_per_pack > 0, "pack size must be positive");
         // Group tables by dim.
         let mut by_dim: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (&t, load) in loads {
@@ -126,7 +111,7 @@ impl PackPlan {
         let mut table_to_pack: BTreeMap<usize, usize> = BTreeMap::new();
         for (&dim, tables) in &by_dim {
             let by_volume = shard_count(volumes[&dim], avg);
-            let by_width = tables.len().div_ceil(cfg.max_tables_per_pack);
+            let by_width = tables.len().div_ceil(MAX_TABLES_PER_PACK);
             let shards = by_volume.max(by_width).min(tables.len());
             // Round-robin tables into shards to balance volume.
             let mut shard_tables: Vec<Vec<usize>> = vec![Vec::new(); shards];
@@ -181,7 +166,7 @@ mod tests {
             DatasetSpec::product2(),
             DatasetSpec::product3(),
         ] {
-            let plan = PackPlan::plan(&spec, &PlannerConfig::default());
+            let plan = PackPlan::plan(&spec);
             let covered: usize = plan.packs.iter().map(|p| p.fields.len()).sum();
             assert_eq!(covered, spec.fields.len(), "{}", spec.name);
             assert_eq!(plan.field_to_pack.len(), spec.fields.len());
@@ -201,7 +186,6 @@ mod tests {
 
     #[test]
     fn pack_counts_are_table_five_shaped() {
-        let cfg = PlannerConfig::default();
         // Paper Table V: W&D 204 tables -> 16 packs, CAN 364 -> 19,
         // MMoE 94 -> 11. We assert the same order of magnitude: packs are
         // 3-15% of the table count.
@@ -210,7 +194,7 @@ mod tests {
             (DatasetSpec::product2(), 19),
             (DatasetSpec::product3(), 11),
         ] {
-            let plan = PackPlan::plan(&spec, &cfg);
+            let plan = PackPlan::plan(&spec);
             let tables = spec.table_count();
             let packs = plan.packs.len();
             assert!(
@@ -229,7 +213,7 @@ mod tests {
     #[test]
     fn packs_group_by_dim() {
         let spec = DatasetSpec::product1();
-        let plan = PackPlan::plan(&spec, &PlannerConfig::default());
+        let plan = PackPlan::plan(&spec);
         for p in &plan.packs {
             for &t in &p.tables {
                 // All fields of table t share the pack's dim by construction.
@@ -237,32 +221,5 @@ mod tests {
                 assert_eq!(f.dim, p.dim);
             }
         }
-    }
-
-    #[test]
-    fn width_cap_limits_tables_per_pack() {
-        let spec = DatasetSpec::product2();
-        let cfg = PlannerConfig {
-            max_tables_per_pack: 8,
-        };
-        let plan = PackPlan::plan(&spec, &cfg);
-        for p in &plan.packs {
-            assert!(p.tables.len() <= 8 + 1, "pack too wide: {}", p.tables.len());
-        }
-        // Tighter cap means more packs.
-        let loose = PackPlan::plan(&spec, &PlannerConfig::default());
-        assert!(plan.packs.len() >= loose.packs.len());
-    }
-
-    #[test]
-    fn single_dim_dataset_still_splits_by_width() {
-        let spec = DatasetSpec::criteo(); // 26 tables, all dim 128
-        let plan = PackPlan::plan(
-            &spec,
-            &PlannerConfig {
-                max_tables_per_pack: 10,
-            },
-        );
-        assert!(plan.packs.len() >= 3, "26 tables / cap 10 -> >= 3 packs");
     }
 }

@@ -49,8 +49,8 @@ pub use picasso_lint::effects::RaceSig;
 pub use picasso_lint::{StageEdge, StageFusion, StageGraph, StageNode, StaticRace};
 pub use picasso_models::ModelKind;
 pub use recovery::{
-    lint_flight, lint_recovery, run_recovery, CkptRecord, RecoveryEvent, RecoveryOptions,
-    RecoveryRun,
+    lint_flight, lint_recovery, run_recovery, CkptRecord, Detection, RecoveryEvent,
+    RecoveryOptions, RecoveryRun,
 };
 pub use scheduler::{simulate, CausalStage, SimConfig, SimulationOutput};
 pub use serving::{

@@ -38,10 +38,8 @@ use picasso_data::{Batch, BatchGenerator, DatasetSpec};
 use picasso_embedding::TableSnapshot;
 use picasso_lint::{Diagnostic, Severity, Span};
 use picasso_obs::checksum::splitmix64;
-use picasso_obs::detect::{
-    Anomaly, AnomalyKind, QueueDepthDetector, SlopeDetector, StragglerDetector,
-};
-use picasso_obs::flight::{FlightConfig, FlightDump, FlightRecorder, FlightStats};
+use picasso_obs::detect::{queue_runaway, stragglers, Anomaly, AnomalyKind, SlopeDetector};
+use picasso_obs::flight::{FlightDump, FlightRecorder, FlightStats};
 use picasso_obs::json::Json;
 use picasso_obs::ChromeTrace;
 use picasso_sim::{FaultKind, FaultPlan};
@@ -50,6 +48,17 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, Scope, ScopedJoinHandle};
 
+/// The CTR model variant a recovery run trains.
+const VARIANT: Variant = Variant::Deep;
+/// Learning rate of the trained model.
+const LR: f32 = 0.05;
+/// How long the heartbeat monitor waits before declaring a worker dead.
+const HEARTBEAT_TIMEOUT_S: f64 = 0.25;
+/// Bounded retry budget for failed collectives.
+const MAX_RETRIES: u32 = 6;
+/// Synchronous workers the anomaly detectors compare across. Only the
+/// detection layer reads this; the training math is single-trainer.
+const WORKERS: usize = 4;
 /// Simulated compute time of one training step.
 const STEP_S: f64 = 0.05;
 /// Simulated time of the per-step gradient collective.
@@ -81,10 +90,6 @@ pub struct RecoveryOptions {
     pub batch_size: usize,
     /// Seed for the model init and the batch stream.
     pub seed: u64,
-    /// Which CTR model variant to train.
-    pub variant: Variant,
-    /// Learning rate.
-    pub lr: f32,
     /// Checkpoint every this many iterations; `0` disables checkpointing.
     pub ckpt_every: u64,
     /// Every `full_every`-th checkpoint is full; the rest are incremental
@@ -94,17 +99,6 @@ pub struct RecoveryOptions {
     pub keep_full: usize,
     /// The deterministic fault schedule.
     pub fault_plan: FaultPlan,
-    /// How long the heartbeat monitor waits before declaring a worker dead.
-    pub heartbeat_timeout_s: f64,
-    /// Bounded retry budget for failed collectives.
-    pub max_retries: u32,
-    /// Synchronous workers the anomaly detectors compare across. Only the
-    /// detection layer reads this; the training math is single-trainer.
-    pub workers: usize,
-    /// Flight-recorder shape (ring capacity, post-mortem window, sampling).
-    /// The recorder observes the simulated clock and never feeds back into
-    /// the run.
-    pub flight: FlightConfig,
 }
 
 impl Default for RecoveryOptions {
@@ -113,16 +107,10 @@ impl Default for RecoveryOptions {
             iterations: 20,
             batch_size: 32,
             seed: 17,
-            variant: Variant::Deep,
-            lr: 0.05,
             ckpt_every: 0,
             full_every: 4,
             keep_full: 2,
             fault_plan: FaultPlan::none(),
-            heartbeat_timeout_s: 0.25,
-            max_retries: 6,
-            workers: 4,
-            flight: FlightConfig::default(),
         }
     }
 }
@@ -143,6 +131,16 @@ pub struct RecoveryEvent {
     /// Whether no usable checkpoint existed and training restarted fresh.
     pub from_scratch: bool,
     /// Simulated time the crash was detected at.
+    pub at_s: f64,
+}
+
+/// One online anomaly detection and when it was raised.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Detection {
+    /// What fired, at which iteration, against which threshold.
+    pub anomaly: Anomaly,
+    /// Simulated time the detectors observed the iteration at: the end of
+    /// its collective.
     pub at_s: f64,
 }
 
@@ -186,7 +184,7 @@ pub struct RecoveryRun {
     pub rejected_manifests: Vec<String>,
     /// Online anomaly detections (straggler z-score, NIC-degradation
     /// slope, queue-depth runaway), deduplicated across crash rewinds.
-    pub detections: Vec<Anomaly>,
+    pub detections: Vec<Detection>,
     /// Flight-recorder lifetime accounting.
     pub flight: FlightStats,
     /// One checksummed post-mortem per detected crash, captured at the
@@ -257,13 +255,10 @@ impl RecoveryRun {
                 ],
             );
         }
-        for a in &self.detections {
+        for d in &self.detections {
             let track = trace.track("anomaly");
-            trace.instant(
-                track,
-                &format!("{}@{}", a.kind, a.at_iter),
-                a.at_iter * 1_000_000,
-            );
+            let a = &d.anomaly;
+            trace.instant(track, &format!("{}@{}", a.kind, a.at_iter), ns(d.at_s));
         }
         trace
     }
@@ -332,7 +327,7 @@ impl RecoveryRun {
                 Json::Arr(
                     self.detections
                         .iter()
-                        .map(|a| {
+                        .map(|Detection { anomaly: a, .. }| {
                             Json::obj([
                                 ("kind", Json::str(a.kind.to_string())),
                                 ("at_iter", Json::UInt(a.at_iter)),
@@ -446,7 +441,10 @@ pub fn lint_flight(stats: &FlightStats) -> Vec<Diagnostic> {
                     stats.overwritten, stats.recorded, stats.capacity
                 ),
             )
-            .with_hint("raise the flight-recorder capacity or sample noisy categories harder"),
+            .with_hint(
+                "the ring keeps only the newest events: read each post-mortem as the run's \
+                 tail, or run fewer iterations",
+            ),
         );
     }
     out
@@ -782,7 +780,6 @@ pub fn run_recovery(
     }
     // The detector panel compares every synchronous worker; a straggler
     // event must target one of them.
-    let panel = opts.workers.max(2);
     for e in &opts.fault_plan.events {
         if let FaultKind::Straggler {
             worker,
@@ -790,10 +787,10 @@ pub fn run_recovery(
             iters,
         } = e.kind
         {
-            if worker >= panel {
+            if worker >= WORKERS {
                 return Err(TrainError::Unrecoverable(format!(
                     "fault event 'slow@{}:w{worker}:p{factor_pct}:i{iters}' targets worker \
-                     {worker}, but the run has {panel} workers",
+                     {worker}, but the run has {WORKERS} workers",
                     e.at_iter
                 )));
             }
@@ -801,7 +798,7 @@ pub fn run_recovery(
     }
     thread::scope(|scope| {
         let ckpt = store.map(|store| WriteBehind::spawn(scope, store, opts.keep_full));
-        let run = train(scope, data, opts, panel, ckpt.as_ref());
+        let run = train(scope, data, opts, ckpt.as_ref());
         // The last barrier: every checkpoint is committed before the run
         // returns, and a write error wins over the trainer's later one.
         let written = ckpt.map_or(Ok(()), WriteBehind::finish);
@@ -814,7 +811,6 @@ fn train<'scope>(
     scope: &'scope Scope<'scope, '_>,
     data: &Arc<DatasetSpec>,
     opts: &RecoveryOptions,
-    panel: usize,
     ckpt: Option<&WriteBehind<'_>>,
 ) -> Result<RecoveryRun, TrainError> {
     let plan = &opts.fault_plan;
@@ -822,7 +818,7 @@ fn train<'scope>(
     let mut fired = vec![false; plan.events.len()];
 
     let mut batches = Batches::spawn(scope, data, opts, 0);
-    let mut model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
+    let mut model = CtrModel::new(data, VARIANT, LR, opts.seed);
     let mut step: u64 = 0;
     let mut t = 0.0f64;
     let mut last_loss = f64::NAN;
@@ -842,7 +838,7 @@ fn train<'scope>(
     // The always-on flight recorder: bounded, fed from the simulated
     // clock, write-only — crashing leaves its trailing window behind as a
     // checksummed post-mortem without perturbing the run.
-    let mut flight = FlightRecorder::with_config(&opts.flight);
+    let mut flight = FlightRecorder::default();
     let mut post_mortems: Vec<FlightDump> = Vec::new();
     let ns = |s: f64| (s * 1e9).round() as u64;
 
@@ -851,15 +847,13 @@ fn train<'scope>(
     // back into timing or the model, so the run stays bit-identical with
     // detection on. Crash rewinds replay iterations, so detections dedup
     // on (kind, worker, iteration).
-    let straggler_det = StragglerDetector::default();
-    let mut slope_det = SlopeDetector::new(4, 0.5 * COLLECTIVE_S);
-    let queue_det = QueueDepthDetector::new(2);
-    let mut detections: Vec<Anomaly> = Vec::new();
+    let mut slope_det = SlopeDetector::new(0.5 * COLLECTIVE_S);
+    let mut detections: Vec<Detection> = Vec::new();
     let mut seen_detections: std::collections::BTreeSet<(AnomalyKind, Option<usize>, u64)> =
         std::collections::BTreeSet::new();
-    let mut record = |detections: &mut Vec<Anomaly>, a: Anomaly| {
-        if seen_detections.insert((a.kind, a.worker, a.at_iter)) {
-            detections.push(a);
+    let mut record = |detections: &mut Vec<Detection>, anomaly: Anomaly, at_s: f64| {
+        if seen_detections.insert((anomaly.kind, anomaly.worker, anomaly.at_iter)) {
+            detections.push(Detection { anomaly, at_s });
         }
     };
     while step < opts.iterations {
@@ -903,7 +897,7 @@ fn train<'scope>(
         if crashed {
             // Heartbeat detection: timeout plus deterministic jitter.
             let jitter_ms = splitmix64(plan.seed ^ step) % 100;
-            let mut ttr = opts.heartbeat_timeout_s + jitter_ms as f64 * 1e-3;
+            let mut ttr = HEARTBEAT_TIMEOUT_S + jitter_ms as f64 * 1e-3;
             let crashed_at = step;
             // Crash detection is the flight recorder's moment: record the
             // fault and freeze the trailing window — which still ends with
@@ -915,7 +909,7 @@ fn train<'scope>(
             let mut restored_step = 0u64;
             let mut restored_bytes = 0u64;
             let mut from_scratch = true;
-            model = CtrModel::new(data, opts.variant, opts.lr, opts.seed);
+            model = CtrModel::new(data, VARIANT, LR, opts.seed);
             if let Some(ckpt) = ckpt {
                 if let Some((chain, rejected)) = ckpt.latest_valid()? {
                     rejected_manifests.extend(rejected);
@@ -975,7 +969,7 @@ fn train<'scope>(
                 // Bounded exponential backoff until the outage passes.
                 let mut attempt = 0u32;
                 while collective_start < outage_end {
-                    if attempt >= opts.max_retries {
+                    if attempt >= MAX_RETRIES {
                         return Err(TrainError::Unrecoverable(format!(
                             "collective at iteration {step} failed {attempt} retries; \
                              NIC outage outlasts the retry budget"
@@ -1003,7 +997,7 @@ fn train<'scope>(
         // its window's slowdown); the slope detector sees the end-to-end
         // collective latency; the queue detector sees how deep the backoff
         // queue went on this iteration.
-        let worker_latencies: Vec<f64> = (0..panel)
+        let worker_latencies: Vec<f64> = (0..WORKERS)
             .map(|w| {
                 let m: f64 = slow_windows
                     .iter()
@@ -1013,14 +1007,14 @@ fn train<'scope>(
                 STEP_S * m
             })
             .collect();
-        for a in straggler_det.observe(step, &worker_latencies) {
-            record(&mut detections, a);
+        for a in stragglers(step, &worker_latencies) {
+            record(&mut detections, a, t);
         }
         if let Some(a) = slope_det.observe(step, t - compute_end) {
-            record(&mut detections, a);
+            record(&mut detections, a, t);
         }
-        if let Some(a) = queue_det.observe(step, backoff_attempts as u64) {
-            record(&mut detections, a);
+        if let Some(a) = queue_runaway(step, backoff_attempts as u64) {
+            record(&mut detections, a, t);
         }
 
         step += 1;
@@ -1129,7 +1123,7 @@ mod tests {
         // the model but whose table shards hold dim-4 rows.
         let data = auc_datasets::criteo_like();
         let o = opts(0, "seed=6;crash@6");
-        let model = CtrModel::new(&data, o.variant, o.lr, o.seed);
+        let model = CtrModel::new(&data, VARIANT, LR, o.seed);
         let store = temp_store("wrongdim");
         let mut w = store.begin(4, CheckpointKind::Full, None).expect("begin");
         w.add_shard("dense", &model.dense_snapshot())
@@ -1222,9 +1216,10 @@ mod tests {
 
     #[test]
     fn nic_outage_exhausting_the_retry_budget_is_unrecoverable() {
+        // Six backoff attempts wait 0.05 * (2^6 - 1) = 3.15 s; a 60-iteration
+        // outage lasts 3.6 s.
         let data = auc_datasets::criteo_like();
-        let mut o = opts(0, "seed=5;nic@3:p0:i40");
-        o.max_retries = 2;
+        let o = opts(0, "seed=5;nic@3:p0:i60");
         let err = run_recovery(&data, None, &o).expect_err("outage must exhaust retries");
         assert!(matches!(err, TrainError::Unrecoverable(_)));
         assert!(err.to_string().contains("retry budget"));
@@ -1305,6 +1300,61 @@ mod tests {
         assert!(trace.contains("crash@5"));
         assert!(trace.contains("ckpt@"));
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn anomaly_instants_sit_between_the_checkpoints_around_their_iteration() {
+        let data = auc_datasets::criteo_like();
+        let store = temp_store("anomalyclock");
+        let o = RecoveryOptions {
+            iterations: 24,
+            ..opts(4, "seed=5;slow@10:w1:p50:i4;crash@14")
+        };
+        let run = run_recovery(&data, Some(&store), &o).expect("run");
+        let _ = std::fs::remove_dir_all(store.dir());
+        let doc = picasso_obs::json::parse(&run.chrome_trace().to_json()).expect("trace parses");
+        let at = |name: &str, prefix: &str| -> Option<u64> {
+            let rest = name.strip_prefix(prefix)?;
+            rest.split(|c: char| !c.is_ascii_digit())
+                .next()?
+                .parse()
+                .ok()
+        };
+        // Each checkpoint step's first write, as (start, end) in µs.
+        let mut ckpts: std::collections::BTreeMap<u64, (f64, f64)> = Default::default();
+        let mut instants = Vec::new();
+        for e in doc
+            .get("traceEvents")
+            .and_then(Json::items)
+            .expect("events")
+        {
+            let name = e.get("name").and_then(Json::as_str).unwrap_or("");
+            let ts = e.get("ts").and_then(Json::as_f64).unwrap_or(0.0);
+            match e.get("ph").and_then(Json::as_str) {
+                Some("X") => {
+                    if let Some(step) = at(name, "ckpt@") {
+                        let dur = e.get("dur").and_then(Json::as_f64).expect("dur");
+                        ckpts.entry(step).or_insert((ts, ts + dur));
+                    }
+                }
+                Some("i") => {
+                    if let Some(iter) = at(name, "straggler@") {
+                        instants.push((name.to_string(), iter, ts));
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(instants.len(), 4, "slow@10 for 4 iterations: {instants:?}");
+        for (name, iter, ts) in instants {
+            // The checkpoint at step s is taken once iteration s - 1 ends.
+            let (_, before_end) = ckpts.range(..=iter).next_back().expect("ckpt before").1;
+            let (after_start, _) = ckpts.range(iter + 1..).next().expect("ckpt after").1;
+            assert!(
+                *before_end <= ts && ts <= *after_start,
+                "{name} at {ts} µs lies outside [{before_end}, {after_start}]"
+            );
+        }
     }
 
     #[test]
@@ -1422,12 +1472,10 @@ mod tests {
 
     #[test]
     fn an_unwritable_checkpoint_wins_over_what_the_run_meets_later() {
-        let mut outage = opts(4, "seed=5;nic@5:p0:i40");
-        outage.max_retries = 2;
         let plans = [
             ("begin-clean", opts(4, "seed=5")),
             ("begin-crash", opts(4, "seed=5;crash@6")),
-            ("begin-outage", outage),
+            ("begin-outage", opts(4, "seed=5;nic@5:p0:i60")),
         ];
         for (tag, o) in plans {
             match run_with_unwritable_step_4(tag, &o) {
@@ -1438,6 +1486,10 @@ mod tests {
                 other => panic!("{tag}: expected Unrecoverable, got {other:?}"),
             }
         }
+    }
+
+    fn anomalies(run: &RecoveryRun) -> impl Iterator<Item = &Anomaly> {
+        run.detections.iter().map(|d| &d.anomaly)
     }
 
     #[test]
@@ -1455,9 +1507,7 @@ mod tests {
     fn seeded_straggler_fires_the_zscore_detector_on_the_right_worker() {
         let data = auc_datasets::criteo_like();
         let run = run_recovery(&data, None, &opts(0, "seed=21;slow@3:w1:p50")).expect("run");
-        let hits: Vec<_> = run
-            .detections
-            .iter()
+        let hits: Vec<_> = anomalies(&run)
             .filter(|a| a.kind == AnomalyKind::Straggler)
             .collect();
         assert!(!hits.is_empty(), "slow@3 must trip the straggler detector");
@@ -1469,19 +1519,14 @@ mod tests {
             hits.iter().all(|a| (3..7).contains(&a.at_iter)),
             "detections must land inside the fault window: {hits:?}"
         );
-        assert!(!run
-            .detections
-            .iter()
-            .any(|a| a.kind != AnomalyKind::Straggler));
+        assert!(!anomalies(&run).any(|a| a.kind != AnomalyKind::Straggler));
     }
 
     #[test]
     fn seeded_nic_degradation_fires_the_slope_detector() {
         let data = auc_datasets::criteo_like();
         let run = run_recovery(&data, None, &opts(0, "seed=22;nic@4:p25")).expect("run");
-        let hits: Vec<_> = run
-            .detections
-            .iter()
+        let hits: Vec<_> = anomalies(&run)
             .filter(|a| a.kind == AnomalyKind::NicDegradation)
             .collect();
         assert!(!hits.is_empty(), "nic@4:p25 must trip the slope detector");
@@ -1489,10 +1534,7 @@ mod tests {
             hits.iter().all(|a| a.at_iter >= 4),
             "the slope can only trend up once the window opens: {hits:?}"
         );
-        assert!(!run
-            .detections
-            .iter()
-            .any(|a| a.kind == AnomalyKind::Straggler));
+        assert!(!anomalies(&run).any(|a| a.kind == AnomalyKind::Straggler));
     }
 
     #[test]
@@ -1502,9 +1544,7 @@ mod tests {
         // (0.05 s then 0.10 s) to clear, reaching the depth limit of 2.
         let run = run_recovery(&data, None, &opts(0, "seed=23;nic@5:p0:i2")).expect("run");
         assert!(
-            run.detections
-                .iter()
-                .any(|a| a.kind == AnomalyKind::QueueRunaway),
+            anomalies(&run).any(|a| a.kind == AnomalyKind::QueueRunaway),
             "a full outage's backoff queue must trip the depth detector: {:?}",
             run.detections
         );
@@ -1548,18 +1588,26 @@ mod tests {
         let baseline = run_recovery(&data, None, &opts(0, "seed=31")).expect("baseline");
         assert!(lint_flight(&baseline.flight).is_empty(), "no overflow");
 
-        // A two-event ring must overflow, fire the lint — and still leave
-        // the training math bit-identical.
-        let mut tiny = opts(0, "seed=31");
-        tiny.flight = FlightConfig {
-            capacity: 2,
-            ..FlightConfig::default()
+        // Five events an iteration: 110 iterations wrap the 512-event ring,
+        // which must fire the lint and still leave the training math and
+        // the clock those of plain training.
+        let long = RecoveryOptions {
+            iterations: 110,
+            ..opts(0, "seed=31")
         };
-        let cramped = run_recovery(&data, None, &tiny).expect("cramped");
-        assert_eq!(cramped.final_digest, baseline.final_digest);
-        assert_eq!(cramped.sim_time_s, baseline.sim_time_s);
-        assert!(cramped.flight.overwritten > 0);
-        let diags = lint_flight(&cramped.flight);
+        let wrapped = run_recovery(&data, None, &long).expect("wrapped");
+        let mut model = CtrModel::new(&data, VARIANT, LR, long.seed);
+        let mut gen = BatchGenerator::new(Arc::clone(&data), long.seed);
+        let mut t = 0.0;
+        for _ in 0..long.iterations {
+            let (_, grads) = model.step(&gen.next_batch(long.batch_size), &data);
+            model.apply(&grads);
+            t = t + STEP_S + COLLECTIVE_S;
+        }
+        assert_eq!(wrapped.final_digest, model.state_digest());
+        assert_eq!(wrapped.sim_time_s, t);
+        assert!(wrapped.flight.overwritten > 0);
+        let diags = lint_flight(&wrapped.flight);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "run.flight-overflow");
         assert_eq!(diags[0].span, Span::Run("flight-recorder".into()));
@@ -1599,9 +1647,7 @@ mod tests {
         )
         .expect("crashed");
         assert_eq!(plain.final_digest, crashed.final_digest);
-        let mut keys: Vec<_> = crashed
-            .detections
-            .iter()
+        let mut keys: Vec<_> = anomalies(&crashed)
             .map(|a| (a.kind, a.worker, a.at_iter))
             .collect();
         let before = keys.len();

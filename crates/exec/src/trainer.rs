@@ -9,7 +9,7 @@ use crate::strategy::Strategy;
 use crate::telemetry::TrainingReport;
 use crate::warmup::{count_warmup, lint_warmup, WarmupConfig, WarmupCounts};
 use picasso_data::DatasetSpec;
-use picasso_embedding::{PackPlan, PlannerConfig};
+use picasso_embedding::PackPlan;
 use picasso_graph::{
     graph_stats, lint_spec, Diagnostic, PassId, PassReport, Pipeline, PipelineError, PlanContext,
     Severity, WdlSpec, MAX_BATCH, MIN_BATCH,
@@ -309,12 +309,7 @@ pub(crate) fn prepare(
     ctx.groups = opts.groups;
     ctx.excluded_tables = opts.excluded_tables.clone();
     if optimizations.enables(PassId::DPacking) {
-        let plan = PackPlan::with_loads(
-            data,
-            &PlannerConfig::default(),
-            &warmup.loads,
-            warmup.total_ids,
-        );
+        let plan = PackPlan::with_loads(data, &warmup.loads, warmup.total_ids);
         ctx.table_to_pack = plan.table_to_pack();
     }
 

@@ -19,13 +19,16 @@ use picasso_embedding::TableSnapshot;
 use picasso_exec::recovery::{run_recovery, CkptRecord, RecoveryEvent, RecoveryOptions};
 use picasso_obs::checksum::splitmix64;
 use picasso_sim::FaultPlan;
-use picasso_train::{auc_datasets, CtrModel};
+use picasso_train::{auc_datasets, CtrModel, Variant};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-// `run_recovery`'s simulated-clock constants.
+// `run_recovery`'s model and simulated-clock constants.
+const VARIANT: Variant = Variant::Deep;
+const LR: f32 = 0.05;
+const HEARTBEAT_TIMEOUT_S: f64 = 0.25;
 const STEP_S: f64 = 0.05;
 const COLLECTIVE_S: f64 = 0.01;
 const CKPT_WRITE_BPS: f64 = 2e9;
@@ -73,7 +76,7 @@ fn serial_run(data: &Arc<DatasetSpec>, store: &CheckpointStore, o: &RecoveryOpti
     let plan = &o.fault_plan;
     let full_every = o.full_every.max(1);
     let mut fired = vec![false; plan.events.len()];
-    let mut model = CtrModel::new(data, o.variant, o.lr, o.seed);
+    let mut model = CtrModel::new(data, VARIANT, LR, o.seed);
     let mut gen = BatchGenerator::new(Arc::clone(data), o.seed);
     let (mut step, mut t, mut loss) = (0u64, 0.0f64, f64::NAN);
     let mut checkpoints = Vec::new();
@@ -89,9 +92,9 @@ fn serial_run(data: &Arc<DatasetSpec>, store: &CheckpointStore, o: &RecoveryOpti
         }
         if crashed {
             let jitter_ms = splitmix64(plan.seed ^ step) % 100;
-            let mut ttr = o.heartbeat_timeout_s + jitter_ms as f64 * 1e-3;
+            let mut ttr = HEARTBEAT_TIMEOUT_S + jitter_ms as f64 * 1e-3;
             let crashed_at = step;
-            model = CtrModel::new(data, o.variant, o.lr, o.seed);
+            model = CtrModel::new(data, VARIANT, LR, o.seed);
             let (mut restored_step, mut restored_bytes, mut from_scratch) = (0, 0, true);
             if let Some((chain, rejected)) = store.latest_valid().expect("scan store") {
                 rejected_manifests.extend(rejected);
@@ -229,7 +232,6 @@ fn case_strategy() -> impl Strategy<Value = (RecoveryOptions, String)> {
                     full_every,
                     keep_full,
                     fault_plan: FaultPlan::parse(&plan).expect("plan parses"),
-                    ..RecoveryOptions::default()
                 };
                 (o, plan)
             },

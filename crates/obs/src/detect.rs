@@ -4,18 +4,18 @@
 //! loop feeds them) and flag the three degradations a PICASSO-style
 //! synchronous trainer cares about:
 //!
-//! * [`StragglerDetector`] — cross-worker z-score over per-worker stage
+//! * [`stragglers`] — cross-worker z-score over per-worker stage
 //!   latencies; a straggler drags every synchronous step, so one slow
 //!   worker among healthy peers stands far outside the step's own spread.
 //! * [`SlopeDetector`] — least-squares slope over a sliding window of
 //!   collective latencies; a degrading NIC shows up as a sustained upward
 //!   trend rather than a single spike.
-//! * [`QueueDepthDetector`] — retry/queue-depth runaway; a partitioned
-//!   network makes the collective retry queue grow past any healthy bound.
+//! * [`queue_runaway`] — retry/queue-depth runaway; a partitioned network
+//!   makes the collective retry queue grow past any healthy bound.
 //!
-//! Detectors are pure state machines over the numbers they are fed: no
-//! clocks, no randomness, so detections are as deterministic as the
-//! metrics stream itself.
+//! Detectors are pure functions of the numbers they are fed (the slope
+//! detector keeps only its window): no clocks, no randomness, so
+//! detections are as deterministic as the metrics stream itself.
 
 use std::fmt;
 
@@ -55,81 +55,68 @@ pub struct Anomaly {
     pub threshold: f64,
 }
 
+/// Minimum z-score for a straggler to fire. One outlier among n workers
+/// has z = sqrt(n-1) against the population stddev (1.73 at n=4); 1.5
+/// catches it with margin while two-sided noise stays well below.
+const STRAGGLER_Z: f64 = 1.5;
+/// Minimum relative excess over the step's mean for a straggler to fire
+/// (0.2 = 20% slower).
+const STRAGGLER_MIN_REL: f64 = 0.2;
+/// Samples in the slope detector's window; it is silent until it fills.
+const SLOPE_WINDOW: usize = 4;
+/// Queue depth at which the retry queue counts as running away.
+const QUEUE_LIMIT: u64 = 2;
+
 /// Cross-worker straggler detection by z-score.
 ///
-/// Each step the caller feeds the per-worker latencies of one synchronous
-/// stage. A worker fires when its z-score against that step's own
-/// mean/stddev exceeds `z_threshold` *and* its latency exceeds the mean by
-/// at least `min_rel` — the relative floor keeps numerically-tight steps
-/// (where stddev is nearly zero) from flagging noise.
-#[derive(Debug, Clone)]
-pub struct StragglerDetector {
-    /// Minimum z-score to fire.
-    pub z_threshold: f64,
-    /// Minimum relative excess over the mean to fire (0.2 = 20% slower).
-    pub min_rel: f64,
-}
-
-impl Default for StragglerDetector {
-    fn default() -> StragglerDetector {
-        // One outlier among n workers has z = sqrt(n-1) against the
-        // population stddev (1.73 at n=4); 1.5 catches it with margin
-        // while two-sided noise stays well below.
-        StragglerDetector {
-            z_threshold: 1.5,
-            min_rel: 0.2,
-        }
+/// Scores one step's per-worker latencies of one synchronous stage and
+/// returns every worker that fired. A worker fires when its z-score
+/// against that step's own mean/stddev exceeds 1.5 *and* its latency
+/// exceeds the mean by at least 20% — the relative floor keeps
+/// numerically-tight steps (where stddev is nearly zero) from flagging
+/// noise. Fewer than two workers can never fire (no spread to test).
+pub fn stragglers(at_iter: u64, latencies: &[f64]) -> Vec<Anomaly> {
+    let n = latencies.len();
+    if n < 2 {
+        return Vec::new();
     }
-}
-
-impl StragglerDetector {
-    /// Scores one step's per-worker latencies; returns every worker that
-    /// fired. Fewer than two workers can never fire (no spread to test).
-    pub fn observe(&self, at_iter: u64, latencies: &[f64]) -> Vec<Anomaly> {
-        let n = latencies.len();
-        if n < 2 {
-            return Vec::new();
-        }
-        let mean = latencies.iter().sum::<f64>() / n as f64;
-        let var = latencies.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        let sd = var.sqrt();
-        if sd <= f64::EPSILON * mean.abs().max(1.0) {
-            return Vec::new();
-        }
-        latencies
-            .iter()
-            .enumerate()
-            .filter_map(|(w, &x)| {
-                let z = (x - mean) / sd;
-                let rel = if mean > 0.0 { x / mean - 1.0 } else { 0.0 };
-                (z > self.z_threshold && rel >= self.min_rel).then_some(Anomaly {
-                    kind: AnomalyKind::Straggler,
-                    at_iter,
-                    worker: Some(w),
-                    value: z,
-                    threshold: self.z_threshold,
-                })
+    let mean = latencies.iter().sum::<f64>() / n as f64;
+    let var = latencies.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+    let sd = var.sqrt();
+    if sd <= f64::EPSILON * mean.abs().max(1.0) {
+        return Vec::new();
+    }
+    latencies
+        .iter()
+        .enumerate()
+        .filter_map(|(w, &x)| {
+            let z = (x - mean) / sd;
+            let rel = if mean > 0.0 { x / mean - 1.0 } else { 0.0 };
+            (z > STRAGGLER_Z && rel >= STRAGGLER_MIN_REL).then_some(Anomaly {
+                kind: AnomalyKind::Straggler,
+                at_iter,
+                worker: Some(w),
+                value: z,
+                threshold: STRAGGLER_Z,
             })
-            .collect()
-    }
+        })
+        .collect()
 }
 
-/// Trend detection by least-squares slope over a sliding window.
+/// Trend detection by least-squares slope over a sliding window of 4
+/// samples.
 #[derive(Debug, Clone)]
 pub struct SlopeDetector {
-    /// Window length; the detector is silent until the window fills.
-    pub window: usize,
     /// Minimum per-sample slope to fire.
     pub min_slope: f64,
     samples: Vec<f64>,
 }
 
 impl SlopeDetector {
-    /// A detector firing when the latest `window` samples trend upward by
-    /// more than `min_slope` per sample.
-    pub fn new(window: usize, min_slope: f64) -> SlopeDetector {
+    /// A detector firing when the latest 4 samples trend upward by more
+    /// than `min_slope` per sample.
+    pub fn new(min_slope: f64) -> SlopeDetector {
         SlopeDetector {
-            window: window.max(2),
             min_slope,
             samples: Vec::new(),
         }
@@ -138,10 +125,10 @@ impl SlopeDetector {
     /// Feeds one sample; fires once the window is full and trending.
     pub fn observe(&mut self, at_iter: u64, sample: f64) -> Option<Anomaly> {
         self.samples.push(sample);
-        if self.samples.len() > self.window {
+        if self.samples.len() > SLOPE_WINDOW {
             self.samples.remove(0);
         }
-        if self.samples.len() < self.window {
+        if self.samples.len() < SLOPE_WINDOW {
             return None;
         }
         let slope = least_squares_slope(&self.samples);
@@ -181,31 +168,15 @@ fn least_squares_slope(ys: &[f64]) -> f64 {
 }
 
 /// Queue-depth runaway detection: fires whenever the observed depth
-/// reaches `limit`.
-#[derive(Debug, Clone)]
-pub struct QueueDepthDetector {
-    /// Depth at which the queue counts as running away.
-    pub limit: u64,
-}
-
-impl QueueDepthDetector {
-    /// A detector with the given runaway limit (at least 1).
-    pub fn new(limit: u64) -> QueueDepthDetector {
-        QueueDepthDetector {
-            limit: limit.max(1),
-        }
-    }
-
-    /// Feeds one depth observation.
-    pub fn observe(&self, at_iter: u64, depth: u64) -> Option<Anomaly> {
-        (depth >= self.limit).then_some(Anomaly {
-            kind: AnomalyKind::QueueRunaway,
-            at_iter,
-            worker: None,
-            value: depth as f64,
-            threshold: self.limit as f64,
-        })
-    }
+/// reaches 2.
+pub fn queue_runaway(at_iter: u64, depth: u64) -> Option<Anomaly> {
+    (depth >= QUEUE_LIMIT).then_some(Anomaly {
+        kind: AnomalyKind::QueueRunaway,
+        at_iter,
+        worker: None,
+        value: depth as f64,
+        threshold: QUEUE_LIMIT as f64,
+    })
 }
 
 #[cfg(test)]
@@ -214,9 +185,8 @@ mod tests {
 
     #[test]
     fn straggler_fires_on_the_slow_worker_only() {
-        let d = StragglerDetector::default();
         // Worker 2 at 2x among four: z = sqrt(3) > 1.5, rel = 60% > 20%.
-        let hits = d.observe(7, &[0.05, 0.05, 0.10, 0.05]);
+        let hits = stragglers(7, &[0.05, 0.05, 0.10, 0.05]);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].worker, Some(2));
         assert_eq!(hits[0].at_iter, 7);
@@ -225,17 +195,16 @@ mod tests {
 
     #[test]
     fn straggler_is_silent_on_uniform_and_tiny_inputs() {
-        let d = StragglerDetector::default();
-        assert!(d.observe(0, &[0.05, 0.05, 0.05, 0.05]).is_empty());
-        assert!(d.observe(0, &[0.05]).is_empty());
-        assert!(d.observe(0, &[]).is_empty());
+        assert!(stragglers(0, &[0.05, 0.05, 0.05, 0.05]).is_empty());
+        assert!(stragglers(0, &[0.05]).is_empty());
+        assert!(stragglers(0, &[]).is_empty());
         // Jitter below the relative floor stays silent even if z is large.
-        assert!(d.observe(0, &[0.050, 0.050, 0.055, 0.050]).is_empty());
+        assert!(stragglers(0, &[0.050, 0.050, 0.055, 0.050]).is_empty());
     }
 
     #[test]
     fn slope_fires_on_a_sustained_rise_not_a_flat_line() {
-        let mut d = SlopeDetector::new(4, 0.005);
+        let mut d = SlopeDetector::new(0.005);
         for (i, s) in [0.01, 0.01, 0.01, 0.01].iter().enumerate() {
             assert!(d.observe(i as u64, *s).is_none(), "flat baseline");
         }
@@ -253,7 +222,7 @@ mod tests {
 
     #[test]
     fn slope_is_silent_until_the_window_fills_and_after_reset() {
-        let mut d = SlopeDetector::new(4, 0.001);
+        let mut d = SlopeDetector::new(0.001);
         assert!(d.observe(0, 0.0).is_none());
         assert!(d.observe(1, 1.0).is_none());
         assert!(d.observe(2, 2.0).is_none());
@@ -264,13 +233,12 @@ mod tests {
 
     #[test]
     fn queue_depth_fires_at_the_limit() {
-        let d = QueueDepthDetector::new(2);
-        assert!(d.observe(0, 0).is_none());
-        assert!(d.observe(0, 1).is_none());
-        let a = d.observe(3, 2).expect("limit reached");
+        assert!(queue_runaway(0, 0).is_none());
+        assert!(queue_runaway(0, 1).is_none());
+        let a = queue_runaway(3, 2).expect("limit reached");
         assert_eq!(a.kind, AnomalyKind::QueueRunaway);
         assert_eq!(a.value, 2.0);
-        assert!(d.observe(3, 5).is_some());
+        assert!(queue_runaway(3, 5).is_some());
     }
 
     #[test]

@@ -164,13 +164,14 @@ impl SamplingConfig {
     }
 }
 
-/// Recorder shape: ring capacity, post-mortem length, and sampling knobs.
+/// How many trailing events a post-mortem dump keeps.
+const DUMP_LAST: usize = 64;
+
+/// Recorder shape: ring capacity and sampling knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightConfig {
     /// Ring-buffer capacity in events (at least 1).
     pub capacity: usize,
-    /// How many trailing events a post-mortem dump keeps.
-    pub dump_last: usize,
     /// Per-category admission sampling.
     pub sampling: SamplingConfig,
 }
@@ -179,7 +180,6 @@ impl Default for FlightConfig {
     fn default() -> FlightConfig {
         FlightConfig {
             capacity: 512,
-            dump_last: 64,
             sampling: SamplingConfig::default(),
         }
     }
@@ -239,11 +239,10 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder with explicit capacity, dump length, and sampling.
+    /// A recorder with explicit capacity and sampling.
     pub fn with_config(config: &FlightConfig) -> FlightRecorder {
         let config = FlightConfig {
             capacity: config.capacity.max(1),
-            dump_last: config.dump_last.max(1),
             sampling: config.sampling,
         };
         FlightRecorder {
@@ -390,9 +389,9 @@ impl FlightRecorder {
         )
     }
 
-    /// Freezes the configured post-mortem window ([`FlightConfig::dump_last`]).
+    /// Freezes the post-mortem window: the last 64 events.
     pub fn post_mortem(&self) -> FlightDump {
-        self.dump(self.config.dump_last)
+        self.dump(DUMP_LAST)
     }
 
     fn sampled_out_total(&self) -> u64 {
@@ -620,7 +619,6 @@ mod tests {
     fn sampling_is_deterministic_per_seed_and_counts_rejects() {
         let config = FlightConfig {
             capacity: 1024,
-            dump_last: 64,
             sampling: SamplingConfig {
                 seed: 7,
                 keep_1_in: [1, 1, 4, 1, 1],

@@ -9,7 +9,7 @@
 //!
 //! On top of the store, [`cusum_change_point`] runs a two-sided CUSUM over
 //! a metric's multi-run series (slack and decision threshold scale with
-//! the baseline mean, so one detector fits seconds and ratios alike). It
+//! the first sample, so one detector fits seconds and ratios alike). It
 //! is a pure function of the series: same history, same verdict.
 
 use std::collections::BTreeMap;
@@ -413,44 +413,25 @@ pub struct ChangePoint {
     pub stat: f64,
 }
 
-/// Two-sided CUSUM parameters, relative to the baseline mean so the same
-/// knobs fit seconds, ratios, and throughput alike.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CusumConfig {
-    /// Samples forming the reference mean (clamped to the series).
-    pub baseline: usize,
-    /// Slack per sample, as a fraction of the baseline mean; deviations
-    /// below it never accumulate.
-    pub k_rel: f64,
-    /// Decision threshold, as a fraction of the baseline mean.
-    pub h_rel: f64,
-}
+/// CUSUM slack per sample, as a fraction of the baseline (the series'
+/// first sample, so one band fits seconds, ratios, and throughput alike);
+/// deviations below it never accumulate.
+const CUSUM_K_REL: f64 = 0.05;
+/// CUSUM decision threshold, as a fraction of the baseline. A 20% step
+/// contributes 0.20 - 0.05 = 0.15 baseline units per sample, crossing it
+/// after two shifted samples — inside the "three ingested runs" budget —
+/// while deterministic flat series accumulate exactly zero.
+const CUSUM_H_REL: f64 = 0.25;
 
-impl Default for CusumConfig {
-    fn default() -> CusumConfig {
-        // A 20% step contributes 0.20 - 0.05 = 0.15 baseline-units per
-        // sample, crossing h after two shifted samples — inside the
-        // "three ingested runs" budget — while deterministic flat series
-        // accumulate exactly zero.
-        CusumConfig {
-            baseline: 1,
-            k_rel: 0.05,
-            h_rel: 0.25,
-        }
-    }
-}
-
-/// Two-sided CUSUM over a series of values; returns the first detected
-/// mean shift, or `None` when the series never leaves its baseline band.
-pub fn cusum_change_point(values: &[f64], config: &CusumConfig) -> Option<ChangePoint> {
+/// Two-sided CUSUM over a series of values against its first sample;
+/// returns the first detected mean shift, or `None` when the series never
+/// leaves its baseline band.
+pub fn cusum_change_point(values: &[f64]) -> Option<ChangePoint> {
     if values.len() < 2 {
         return None;
     }
-    let n_ref = config.baseline.clamp(1, values.len());
-    let reference = values[..n_ref].iter().sum::<f64>() / n_ref as f64;
+    let reference = values[0];
     let scale = reference.abs().max(f64::MIN_POSITIVE);
-    let k = config.k_rel;
-    let h = config.h_rel;
     let mut s_up = 0.0_f64;
     let mut s_down = 0.0_f64;
     // Onset of the current excursion on each side: the first index that
@@ -462,14 +443,14 @@ pub fn cusum_change_point(values: &[f64], config: &CusumConfig) -> Option<Change
         if s_up <= 0.0 {
             up_onset = i;
         }
-        s_up = (s_up + dev - k).max(0.0);
+        s_up = (s_up + dev - CUSUM_K_REL).max(0.0);
         if s_down <= 0.0 {
             down_onset = i;
         }
-        s_down = (s_down - dev - k).max(0.0);
-        let (fired, onset, direction, stat) = if s_up > h {
+        s_down = (s_down - dev - CUSUM_K_REL).max(0.0);
+        let (fired, onset, direction, stat) = if s_up > CUSUM_H_REL {
             (true, up_onset, Shift::Up, s_up)
-        } else if s_down > h {
+        } else if s_down > CUSUM_H_REL {
             (true, down_onset, Shift::Down, s_down)
         } else {
             (false, 0, Shift::Up, 0.0)
@@ -606,38 +587,38 @@ mod tests {
     fn cusum_flags_a_twenty_percent_step_within_two_shifted_samples() {
         // Clean history, then a 20% regression lands.
         let series = [1.0, 1.0, 1.0, 1.2, 1.2];
-        let cp = cusum_change_point(&series, &CusumConfig::default()).expect("fires");
+        let cp = cusum_change_point(&series).expect("fires");
         assert_eq!(cp.direction, Shift::Up);
         assert_eq!(cp.at, 3, "shifted regime starts at the step");
         assert!((cp.rel_change - 0.2).abs() < 1e-9, "{:?}", cp);
         // Detection latency: fires on the second shifted sample.
-        assert!(cusum_change_point(&series[..4], &CusumConfig::default()).is_none());
-        assert!(cusum_change_point(&series[..5], &CusumConfig::default()).is_some());
+        assert!(cusum_change_point(&series[..4]).is_none());
+        assert!(cusum_change_point(&series[..5]).is_some());
         // The same step at another level and with a longer tail.
         let series = [0.50, 0.50, 0.50, 0.60, 0.60, 0.60];
-        let cp = cusum_change_point(&series, &CusumConfig::default()).expect("fires");
+        let cp = cusum_change_point(&series).expect("fires");
         assert_eq!(cp.direction, Shift::Up);
         assert_eq!(cp.at, 3);
     }
 
     #[test]
     fn cusum_is_silent_on_flat_and_mildly_noisy_series() {
-        assert!(cusum_change_point(&[1.0; 8], &CusumConfig::default()).is_none());
-        assert!(cusum_change_point(&[1.0], &CusumConfig::default()).is_none());
+        assert!(cusum_change_point(&[1.0; 8]).is_none());
+        assert!(cusum_change_point(&[1.0]).is_none());
         let jitter = [1.0, 1.02, 0.99, 1.01, 1.0, 0.98, 1.03];
-        assert!(cusum_change_point(&jitter, &CusumConfig::default()).is_none());
+        assert!(cusum_change_point(&jitter).is_none());
         let jitter = [0.50, 0.505, 0.495, 0.50, 0.502, 0.498];
-        assert!(cusum_change_point(&jitter, &CusumConfig::default()).is_none());
+        assert!(cusum_change_point(&jitter).is_none());
     }
 
     #[test]
     fn cusum_detects_downward_steps_too() {
         let series = [1.0, 1.0, 0.7, 0.7];
-        let cp = cusum_change_point(&series, &CusumConfig::default()).expect("fires");
+        let cp = cusum_change_point(&series).expect("fires");
         assert_eq!(cp.direction, Shift::Down);
         assert!(cp.rel_change < -0.25);
         let series = [0.50, 0.50, 0.50, 0.40, 0.40, 0.40];
-        let cp = cusum_change_point(&series, &CusumConfig::default()).expect("fires");
+        let cp = cusum_change_point(&series).expect("fires");
         assert_eq!(cp.direction, Shift::Down);
         assert!((cp.rel_change + 0.2).abs() < 1e-9, "{cp:?}");
     }

@@ -49,14 +49,12 @@ pub mod span;
 
 pub use chrome::{ChromeTrace, FlowHeads, FlowLane, SliceHead, Track};
 pub use clock::{Clock, ManualClock, WallClock};
-pub use detect::{Anomaly, AnomalyKind, QueueDepthDetector, SlopeDetector, StragglerDetector};
+pub use detect::{queue_runaway, stragglers, Anomaly, AnomalyKind, SlopeDetector};
 pub use flight::{
     FlightCategory, FlightConfig, FlightDump, FlightEvent, FlightRecorder, FlightStats,
     SamplingConfig,
 };
-pub use history::{
-    cusum_change_point, ChangePoint, CusumConfig, HistoryError, HistoryStore, RunRecord, Shift,
-};
+pub use history::{cusum_change_point, ChangePoint, HistoryError, HistoryStore, RunRecord, Shift};
 pub use json::Json;
 pub use latency::{exact_quantile, LatencyRecorder, SloTracker};
 pub use metrics::{MetricKind, MetricsRegistry, MetricsSnapshot};

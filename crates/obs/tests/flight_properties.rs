@@ -96,7 +96,6 @@ proptest! {
         let keep_1_in: [u32; 5] = rates.clone().try_into().unwrap();
         let config = FlightConfig {
             capacity: 64,
-            dump_last: 16,
             sampling: SamplingConfig { seed, keep_1_in },
         };
         let mut a = FlightRecorder::with_config(&config);
@@ -191,7 +190,6 @@ proptest! {
     ) {
         let config = FlightConfig {
             capacity,
-            dump_last: 16,
             sampling: SamplingConfig {
                 seed,
                 keep_1_in: rates.clone().try_into().unwrap(),

@@ -7,9 +7,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use picasso_obs::history::{
-    cusum_change_point, series, CusumConfig, HistoryError, HistoryStore, Shift,
-};
+use picasso_obs::history::{cusum_change_point, series, HistoryError, HistoryStore, Shift};
 use proptest::prelude::*;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -98,16 +96,12 @@ proptest! {
         series.push(shifted);
         series.push(shifted);
         series.push(shifted);
-        let cp = cusum_change_point(&series, &CusumConfig::default())
-            .expect("step must be flagged");
+        let cp = cusum_change_point(&series).expect("step must be flagged");
         prop_assert_eq!(cp.direction, Shift::Up);
         prop_assert_eq!(cp.at, clean_runs, "regime starts at the step");
         prop_assert!((cp.rel_change - step_rel).abs() < 1e-6);
         // Detection latency: at most two shifted samples were needed.
-        let within_two = cusum_change_point(
-            &series[..clean_runs + 2],
-            &CusumConfig::default(),
-        );
+        let within_two = cusum_change_point(&series[..clean_runs + 2]);
         prop_assert!(within_two.is_some(), "fires within two shifted runs");
     }
 
@@ -119,7 +113,7 @@ proptest! {
         runs in 1usize..50,
     ) {
         let series = vec![level; runs];
-        prop_assert!(cusum_change_point(&series, &CusumConfig::default()).is_none());
+        prop_assert!(cusum_change_point(&series).is_none());
     }
 
     /// Jitter inside the slack band never fires either.
@@ -133,6 +127,6 @@ proptest! {
             .iter()
             .map(|&up| if up { level * 1.02 } else { level * 0.98 })
             .collect();
-        prop_assert!(cusum_change_point(&series, &CusumConfig::default()).is_none());
+        prop_assert!(cusum_change_point(&series).is_none());
     }
 }

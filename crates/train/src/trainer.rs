@@ -27,6 +27,9 @@ pub enum SyncMode {
     },
 }
 
+/// Learning rate (Adagrad) of every model [`train_ctr`] trains.
+const LR: f32 = 0.1;
+
 /// One training configuration.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
@@ -34,8 +37,6 @@ pub struct TrainConfig {
     pub steps: usize,
     /// Instances per step.
     pub batch: usize,
-    /// Learning rate (Adagrad).
-    pub lr: f32,
     /// Update semantics.
     pub mode: SyncMode,
     /// Data / init seed.
@@ -49,7 +50,6 @@ impl Default for TrainConfig {
         TrainConfig {
             steps: 120,
             batch: 256,
-            lr: 0.1,
             mode: SyncMode::Synchronous,
             seed: 42,
             eval_size: 2048,
@@ -72,7 +72,7 @@ pub struct TrainOutcome {
 pub fn train_ctr(variant: Variant, data: &Arc<DatasetSpec>, cfg: &TrainConfig) -> TrainOutcome {
     let mut gen = BatchGenerator::new(Arc::clone(data), cfg.seed);
     let eval = gen.next_batch(cfg.eval_size);
-    let mut model = CtrModel::new(data, variant, cfg.lr, cfg.seed ^ 0x5151);
+    let mut model = CtrModel::new(data, variant, LR, cfg.seed ^ 0x5151);
 
     let staleness = match cfg.mode {
         SyncMode::Synchronous => 0,

@@ -7,7 +7,7 @@
 //! cargo run --release --example export_trace [model]
 //! ```
 
-use picasso::embedding::{PackPlan, PlannerConfig};
+use picasso::embedding::PackPlan;
 use picasso::exec::{chrome_trace, observe, simulate, SimConfig, Strategy};
 use picasso::graph::{d_packing, k_packing};
 use picasso::obs::{prometheus, MetricsRegistry};
@@ -36,7 +36,7 @@ fn main() {
     std::fs::write("trace_baseline.json", chrome_trace(&base).to_json()).unwrap();
 
     // PICASSO: packed graph under the hybrid strategy.
-    let plan = PackPlan::plan(&data, &PlannerConfig::default());
+    let plan = PackPlan::plan(&data);
     let assign: BTreeMap<usize, usize> = plan
         .packs
         .iter()

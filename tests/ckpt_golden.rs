@@ -45,7 +45,6 @@ fn pinned_run(tag: &str, plan: &str) -> (RecoveryRun, Vec<(String, String)>) {
         full_every: 2,
         keep_full: 2,
         fault_plan: FaultPlan::parse(plan).expect("plan parses"),
-        ..RecoveryOptions::default()
     };
     let run = run_recovery(&auc_datasets::criteo_like(), Some(&store), &opts).expect("run");
     let files = file_digests(&dir);
